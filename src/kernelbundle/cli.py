@@ -29,9 +29,10 @@ from .errors import (
 )
 from .frames import dual_frame_at, fullframe_at, independence_check, make_germ
 from .pairing import expected_base_pairing, pairing_matrix
-from .reduction import SchurEvaluator, validate_neighborhood
+from .reduction import _det_function, validate_neighborhood
 from .shell import (
     ParameterGrid,
+    _cluster_rect,
     branching_diagram,
     canonical_systems,
     load_problem_file,
@@ -81,17 +82,12 @@ def cmd_locate(args) -> int:
     problem = load_problem_file(args.spec)
     chart = problem.chart
     region = chart.sigma.search_rect
-
-    def det(sig):
-        arr = np.asarray(sig)
-        if arr.ndim == 0:
-            return complex(np.linalg.det(chart.eval(problem.y0, complex(sig), check=False)))
-        return np.linalg.det(chart.eval_many(problem.y0, arr, check=False))
-
     min_sep = problem.min_separation
     if min_sep is None:
         min_sep = max(region.width, region.height) / 64.0
-    report = locate_zeros(det, region, min_separation=min_sep, initial_nodes=args.nodes)
+    report = locate_zeros(
+        _det_function(chart, problem.y0), region, min_separation=min_sep, initial_nodes=args.nodes
+    )
     _dump(report.to_dict(), args.out)
     return 0
 
@@ -193,24 +189,12 @@ def cmd_trace(args) -> int:
     y0 = problem.y0
 
     def inv_trace(sig):
-        vals = chart.eval_many(y0, np.atleast_1d(np.asarray(sig, dtype=complex)))
-        return np.trace(np.linalg.inv(vals), axis1=1, axis2=2)[..., None]
+        return np.trace(np.linalg.inv(chart.eval_many(y0, sig)), axis1=1, axis2=2)[:, None]
 
-    def det(sig):
-        arr = np.asarray(sig)
-        if arr.ndim == 0:
-            return complex(np.linalg.det(chart.eval(y0, complex(sig), check=False)))
-        return np.linalg.det(chart.eval_many(y0, arr, check=False))
-
+    det = _det_function(chart, y0)
     pieces = []
     for cl in base.clusters:
-        germ = make_germ(
-            lambda s: inv_trace(s)[0] if np.isscalar(s) else inv_trace(s),
-            cl.center,
-            0.75 * cl.radius,
-            node_count=args.nodes,
-            cluster=0,
-        )
+        germ = make_germ(inv_trace, cl.center, 0.75 * cl.radius, node_count=args.nodes, cluster=0)
         zrep = locate_zeros(det, _cluster_rect(cl), min_separation=cl.radius / 64.0)
         poles = [(z.location, z.multiplicity) for z in zrep.zeros]
         pieces.append(trace_from_germ(germ, poles, args.gamma, args.window))
@@ -221,16 +205,6 @@ def cmd_trace(args) -> int:
     merged.terms.sort(key=lambda t: (round(-t.sigma.imag, 9), round(t.sigma.real, 9), t.power))
     _dump(merged.to_dict(), args.out)
     return 0
-
-
-def _cluster_rect(cl):
-    from .contour import Rectangle
-
-    half = 0.75 * cl.radius
-    return Rectangle(
-        cl.center.real - half, cl.center.real + half,
-        cl.center.imag - half, cl.center.imag + half,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,8 @@
 Trapezoid quadrature on equispaced circle nodes (spectrally accurate for
 integrands analytic in an annulus around the contour), Cauchy moments,
 evaluation of singular parts, and zero counting/location by the argument
-principle with adaptive refinement.
+principle with adaptive refinement.  Functions passed in are vectorized: they
+take an array of points and return values with the points' shape leading.
 """
 
 from __future__ import annotations
@@ -152,16 +153,18 @@ class SampledFunction:
 
 
 def eval_along(f: Callable, points: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array of points, trying a vectorized call first."""
+    """Evaluate a vectorized ``f`` on an array of points in one call.
+
+    ``f`` maps the points array to values whose leading axes have the points'
+    shape; errors raised by ``f`` propagate.
+    """
     points = np.asarray(points)
-    try:
-        values = np.asarray(f(points), dtype=complex)
-        if values.shape[: points.ndim] == points.shape:
-            return values
-    except Exception:
-        pass
-    out = [np.asarray(f(p), dtype=complex) for p in points.ravel()]
-    return np.stack(out).reshape(points.shape + out[0].shape)
+    values = np.asarray(f(points), dtype=complex)
+    if values.shape[: points.ndim] != points.shape:
+        raise InputError(
+            f"function returned shape {values.shape} on points of shape {points.shape}"
+        )
+    return values
 
 
 def cauchy_moment(f: SampledFunction, p: int):

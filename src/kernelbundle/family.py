@@ -1,10 +1,10 @@
 """Holomorphic matrix families and their charts.
 
 A chart bundles the fiber dimension, the parameter dimension, the sigma
-region and an evaluator ``(y, sigma) -> (n, n) complex matrix``.  Built-in
-constructors cover matrix polynomials in (sigma, y), the Dirichlet
-Sturm-Liouville family ``D^2 + a(y) + sigma^2`` on a sine basis, and the
-scalar indicial polynomial of the m-th order Mellin symbol.
+region and a vectorized evaluator ``(y, sigmas) -> (N, n, n)`` complex
+array.  Built-in constructors cover matrix polynomials in (sigma, y), the
+Dirichlet Sturm-Liouville family ``D^2 + a(y) + sigma^2`` on a sine basis,
+and the scalar indicial polynomial of the m-th order Mellin symbol.
 """
 
 from __future__ import annotations
@@ -71,25 +71,24 @@ def _as_param(y, param_dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FamilyChart:
-    """A holomorphic family P(y, sigma) of n x n matrices over a sigma region."""
+    """A holomorphic family P(y, sigma) of n x n matrices over a sigma region.
+
+    ``evaluator(y, sigmas)`` takes the parameter and a 1-D array of N sigma
+    points and returns the stacked values, shape (N, n, n).
+    """
 
     n: int
     param_dim: int
     sigma: SigmaRegion
     evaluator: Callable
-    evaluator_many: Optional[Callable] = None
     name: str = "family"
 
     def eval(self, y, sigma: complex, check: bool = True) -> np.ndarray:
         """Value at one sigma point.  ``check=False`` skips the region gate,
         for internal searches that probe a thin margin outside the region."""
-        y = _as_param(y, self.param_dim)
         if check and not self.sigma.contains(sigma):
             raise RegionError(f"sigma = {sigma} outside the region of chart '{self.name}'")
-        out = np.asarray(self.evaluator(y, complex(sigma)), dtype=complex)
-        if out.shape != (self.n, self.n):
-            raise InputError(f"evaluator returned shape {out.shape}, expected ({self.n}, {self.n})")
-        return out
+        return self.eval_many(y, [sigma], check=False)[0]
 
     def eval_many(self, y, sigmas, check: bool = True) -> np.ndarray:
         """Stacked values at an array of sigma points, shape (len(sigmas), n, n)."""
@@ -97,35 +96,26 @@ class FamilyChart:
         sigmas = np.asarray(sigmas, dtype=complex)
         if check and not np.all(self.sigma.contains(sigmas)):
             raise RegionError("sigma batch leaves the chart region")
-        if self.evaluator_many is not None:
-            out = np.asarray(self.evaluator_many(y, sigmas), dtype=complex)
-        else:
-            out = np.stack([np.asarray(self.evaluator(y, complex(s)), dtype=complex) for s in sigmas])
+        out = np.asarray(self.evaluator(y, sigmas), dtype=complex)
+        if out.shape != sigmas.shape + (self.n, self.n):
+            raise InputError(
+                f"evaluator returned shape {out.shape}, expected {sigmas.shape + (self.n, self.n)}"
+            )
         return out
-
-    def eval_adjoint(self, y, sigma: complex) -> np.ndarray:
-        """Adjoint family P*(sigma) = P(conj(sigma))^H; requires conj(sigma) in the region."""
-        return self.eval(y, np.conj(complex(sigma))).conj().T
 
 
 def adjoint_chart(chart: FamilyChart) -> FamilyChart:
     """Chart of the adjoint family on the conjugated region."""
 
-    def evaluator(y, tau):
-        return np.asarray(chart.evaluator(y, np.conj(tau)), dtype=complex).conj().T
-
-    many = None
-    if chart.evaluator_many is not None:
-        def many(y, taus):
-            vals = np.asarray(chart.evaluator_many(y, np.conj(taus)), dtype=complex)
-            return vals.conj().transpose(0, 2, 1)
+    def evaluator(y, taus):
+        vals = np.asarray(chart.evaluator(y, np.conj(taus)), dtype=complex)
+        return vals.conj().transpose(0, 2, 1)
 
     return FamilyChart(
         n=chart.n,
         param_dim=chart.param_dim,
         sigma=chart.sigma.conjugate(),
         evaluator=evaluator,
-        evaluator_many=many,
         name=chart.name + "*",
     )
 
@@ -157,19 +147,13 @@ def matrix_polynomial_chart(
         if k < 0 or any(e < 0 for e in ys) or len(ys) != param_dim:
             raise InputError("term powers must be nonnegative with one y exponent per parameter")
 
-    def evaluator(y, s):
-        out = np.zeros((n, n), dtype=complex)
-        for (k, ys), mat in zip(powers, mats):
-            out += mat * (s ** k) * np.prod(y ** np.array(ys))
-        return out
-
-    def evaluator_many(y, ss):
+    def evaluator(y, ss):
         out = np.zeros((len(ss), n, n), dtype=complex)
         for (k, ys), mat in zip(powers, mats):
             out += (ss ** k * np.prod(y ** np.array(ys)))[:, None, None] * mat
         return out
 
-    return FamilyChart(n, param_dim, sigma, evaluator, evaluator_many, name)
+    return FamilyChart(n, param_dim, sigma, evaluator, name)
 
 
 def jordan_chart(half_width: float = 2.0) -> FamilyChart:
@@ -201,19 +185,13 @@ def indicial_chart(m: int, re_half_width: float = 1.0) -> FamilyChart:
         raise InputError("indicial order must be at least 1")
     region = SigmaRegion(-re_half_width, re_half_width, -(m - 1) - 0.6, 0.6)
 
-    def evaluator(y, s):
-        val = 1.0 + 0j
-        for r in range(m):
-            val *= s + 1j * r
-        return np.array([[val]], dtype=complex)
-
-    def evaluator_many(y, ss):
+    def evaluator(y, ss):
         val = np.ones_like(ss)
         for r in range(m):
             val = val * (ss + 1j * r)
         return val[:, None, None]
 
-    return FamilyChart(1, 1, region, evaluator, evaluator_many, name=f"indicial_{m}")
+    return FamilyChart(1, 1, region, evaluator, name=f"indicial_{m}")
 
 
 @dataclass(frozen=True)
@@ -257,18 +235,21 @@ class SturmLiouvilleSpec:
         return a
 
 
-def sl_assemble(spec: SturmLiouvilleSpec, y, sigma: complex) -> np.ndarray:
+def sl_assemble(spec: SturmLiouvilleSpec, y, sigma) -> np.ndarray:
     """Block-diagonal matrix of ``k^2 I + a(y) + sigma^2 I`` over modes k.
 
-    The sine modes decouple, so the truncation is exact for every mode it
-    retains; no discretization error enters the singular set inside the strip.
+    ``sigma`` is a scalar, giving shape (n, n), or an array, giving one
+    matrix per point, shape ``sigma.shape + (n, n)``.  The sine modes
+    decouple, so the truncation is exact for every mode it retains; no
+    discretization error enters the singular set inside the strip.
     """
     a = spec.coefficient(y)
     r = spec.r
-    out = np.zeros((spec.n, spec.n), dtype=complex)
+    s = np.asarray(sigma, dtype=complex)
+    out = np.zeros(s.shape + (spec.n, spec.n), dtype=complex)
     for k in range(1, spec.mode_cutoff + 1):
-        block = (k * k + sigma * sigma) * np.eye(r) + a
-        out[(k - 1) * r : k * r, (k - 1) * r : k * r] = block
+        sl = slice((k - 1) * r, k * r)
+        out[..., sl, sl] = a + (k * k + s * s)[..., None, None] * np.eye(r)
     return out
 
 
@@ -286,19 +267,10 @@ def sigma_strip(spec: SturmLiouvilleSpec, re_window=(-1.0, 1.0)) -> SigmaRegion:
 def sl_chart(spec: SturmLiouvilleSpec, re_window=(-1.0, 1.0)) -> FamilyChart:
     region = sigma_strip(spec, re_window)
 
-    def evaluator(y, s):
-        return sl_assemble(spec, y, s)
+    def evaluator(y, ss):
+        return sl_assemble(spec, y, ss)
 
-    def evaluator_many(y, ss):
-        a = spec.coefficient(y)
-        r = spec.r
-        out = np.zeros((len(ss), spec.n, spec.n), dtype=complex)
-        for k in range(1, spec.mode_cutoff + 1):
-            sl = slice((k - 1) * r, k * r)
-            out[:, sl, sl] = a[None, :, :] + (k * k + ss * ss)[:, None, None] * np.eye(r)
-        return out
-
-    return FamilyChart(spec.n, 1, region, evaluator, evaluator_many, name="sturm_liouville")
+    return FamilyChart(spec.n, 1, region, evaluator, name="sturm_liouville")
 
 
 @dataclass

@@ -96,7 +96,7 @@ def make_germ(
     cluster: Optional[int] = None,
     label: str = "",
 ) -> Germ:
-    """Sample a function on the carrier circle and wrap it as a germ."""
+    """Sample a vectorized function on the carrier circle and wrap it as a germ."""
     circle = Circle(complex(center), float(rho), node_count)
     values = eval_along(f, circle.nodes)
     if values.ndim == 1:
@@ -180,6 +180,35 @@ def _beta_samples(ev: SchurEvaluator, system: RootSystem, nodes: np.ndarray) -> 
     return np.stack(cols, axis=2)
 
 
+def _carrier_samples(ev: SchurEvaluator, system: RootSystem, y, rho_factor: float, node_count: int):
+    """Samples of ``(sigma-c)^l P_s(y,sigma)^{-1} beta_j`` on the carrier circle.
+
+    Returns ``(circle, values, labels)``: values has shape (N, entries, k),
+    one entry per ``(j, l)`` label, ordered by chain then shift.
+    """
+    circle = _carrier_circle(ev.cluster, rho_factor, node_count)
+    nodes = circle.nodes
+    beta = _beta_samples(ev, system, nodes)
+    solved = np.linalg.solve(ev.schur_many(y, nodes), beta)  # (N, k, J)
+    z = nodes - ev.cluster.center
+    labels = system.entry_labels()
+    values = np.stack([(z ** l)[:, None] * solved[:, :, j] for j, l in labels], axis=1)
+    return circle, values, labels
+
+
+def _carrier_germs(ev: SchurEvaluator, circle: Circle, values, labels, name: str) -> list:
+    """One germ per ``(j, l)`` label from carrier samples of shape (N, entries, dim)."""
+    return [
+        Germ(
+            ev.cluster.center,
+            SampledFunction(circle, values[:, t, :]),
+            cluster=ev.s,
+            label=f"{name}[{ev.s}][{j},{l}]",
+        )
+        for t, (j, l) in enumerate(labels)
+    ]
+
+
 def kframe_at(
     ev: SchurEvaluator,
     system: RootSystem,
@@ -191,25 +220,8 @@ def kframe_at(
 
     Returns k-valued germs ordered by chain then shift.
     """
-    circle = _carrier_circle(ev.cluster, rho_factor, node_count)
-    nodes = circle.nodes
-    beta = _beta_samples(ev, system, nodes)
-    schur_y = ev.schur_many(y, nodes)
-    solved = np.linalg.solve(schur_y, beta)  # (N, k, J)
-    out = []
-    z = nodes - ev.cluster.center
-    for j, L in enumerate(system.lengths):
-        for l in range(L):
-            values = (z ** l)[:, None] * solved[:, :, j]
-            out.append(
-                Germ(
-                    ev.cluster.center,
-                    SampledFunction(circle, values),
-                    cluster=ev.s,
-                    label=f"K[{ev.s}][{j},{l}]",
-                )
-            )
-    return out
+    circle, values, labels = _carrier_samples(ev, system, y, rho_factor, node_count)
+    return _carrier_germs(ev, circle, values, labels, "K")
 
 
 def _full_samples(ev: SchurEvaluator, kvalues: np.ndarray, nodes: np.ndarray, y) -> np.ndarray:
@@ -244,34 +256,10 @@ def fullframe_at(
     entries = []
     for s, system in enumerate(systems):
         ev = SchurEvaluator(chart, base, s)
-        circle = _carrier_circle(ev.cluster, rho_factor, node_count)
-        nodes = circle.nodes
-        beta = _beta_samples(ev, system, nodes)
-        schur_y = ev.schur_many(y, nodes)
-        solved = np.linalg.solve(schur_y, beta)
-        z = nodes - ev.cluster.center
-        kstack = []
-        labels = []
-        for j, L in enumerate(system.lengths):
-            for l in range(L):
-                kstack.append((z ** l)[:, None] * solved[:, :, j])
-                labels.append((j, l))
-        kvalues = np.stack(kstack, axis=1)  # (N, entries, k)
-        full = _full_samples(ev, kvalues, nodes, y)
-        for t, (j, l) in enumerate(labels):
-            entries.append(
-                FrameEntry(
-                    s,
-                    j,
-                    l,
-                    Germ(
-                        ev.cluster.center,
-                        SampledFunction(circle, full[:, t, :]),
-                        cluster=s,
-                        label=f"phi[{s}][{j},{l}]",
-                    ),
-                )
-            )
+        circle, kvalues, labels = _carrier_samples(ev, system, y, rho_factor, node_count)
+        full = _full_samples(ev, kvalues, circle.nodes, y)
+        germs = _carrier_germs(ev, circle, full, labels, "phi")
+        entries.extend(FrameEntry(s, j, l, g) for (j, l), g in zip(labels, germs))
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     return FrameSet(y=y_key, entries=entries)
 

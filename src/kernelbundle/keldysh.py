@@ -446,11 +446,10 @@ def verify_canonical_system(
     ratio_winding = None
     try:
         d = system.total
-
-        def ratio(sig):
-            return ev.qdet_many(y0, np.atleast_1d(sig)) * (np.atleast_1d(sig) - system.center) ** (-d)
-
-        ratio_winding = count_zeros(lambda sig: ratio(sig), Circle(c.center, c.radius, max(node_count, 128)))
+        ratio_winding = count_zeros(
+            lambda sig: ev.qdet_many(y0, sig) * (sig - system.center) ** (-d),
+            Circle(c.center, c.radius, max(node_count, 128)),
+        )
     except NumericalError:
         pass
 

@@ -29,15 +29,15 @@ def cluster_contours(base: BasePointData, radius_factor: float = 0.9, node_count
     return [Circle(cl.center, radius_factor * cl.radius, node_count) for cl in base.clusters]
 
 
-def _pair_on_circle(chart, y, circle: Circle, phi: Germ, psi: Germ) -> complex:
-    """(1/2pi) contour integral of psi(conj sigma)^H P(y, sigma) phi(sigma)."""
-    nodes = circle.nodes
-    pvals = chart.eval_many(y, nodes)
-    phivals = phi.eval(nodes)
-    psivals = psi.eval(np.conj(nodes))
-    integrand = np.einsum("nj,njk,nk->n", np.conj(psivals), pvals, phivals)
+def _contour_pairing(circle: Circle, pvals, phis, psis) -> np.ndarray:
+    """(1/2pi) contour integral of psi(conj sigma)^H P(y, sigma) phi(sigma) on one circle.
+
+    ``pvals`` (N, n, n) holds P at the nodes, ``phis`` (N, n, B) the frame
+    values at the nodes and ``psis`` (N, n, A) the dual values at the
+    conjugated nodes.  Returns the (A, B) block of pairings.
+    """
     weight = 1j * circle.radius / circle.node_count
-    return complex(weight * np.sum(circle.unit * integrand))
+    return weight * np.einsum("n,nja,njk,nkb->ab", circle.unit, np.conj(psis), pvals, phis)
 
 
 def pair(
@@ -50,8 +50,11 @@ def pair(
     """Pairing of a single frame germ against a single dual germ."""
     total = 0.0 + 0.0j
     for circle in contours:
-        total += _pair_on_circle(chart, y, circle, phi, psi)
-    return total
+        nodes = circle.nodes
+        phis = phi.eval(nodes)[:, :, None]
+        psis = psi.eval(np.conj(nodes))[:, :, None]
+        total += _contour_pairing(circle, chart.eval_many(y, nodes), phis, psis)[0, 0]
+    return complex(total)
 
 
 @dataclass
@@ -103,13 +106,7 @@ def pairing_matrix(
         pvals = chart.eval_many(y, nodes)
         phis = np.stack([frame.entries[t].germ.eval(nodes) for t in f_idx], axis=2)
         psis = np.stack([dual.entries[t].germ.eval(np.conj(nodes)) for t in d_idx], axis=2)
-        weight = 1j * circle.radius / circle.node_count
-        block = weight * np.einsum(
-            "n,nja,njk,nkb->ab", circle.unit, np.conj(psis), pvals, phis
-        )
-        for a, ta in enumerate(d_idx):
-            for b, tb in enumerate(f_idx):
-                m[ta, tb] = block[a, b]
+        m[np.ix_(d_idx, f_idx)] = _contour_pairing(circle, pvals, phis, psis)
     svals = np.linalg.svd(m, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > PAIRING_CONDITION_LIMIT:
@@ -144,6 +141,7 @@ def reduced_pairing_matrix(
 
     adj_chart = adjoint_chart(chart)
     adj_base = base.conjugate_swapped()
+    contours = cluster_contours(base, radius_factor, node_count)
     total = sum(sys.total for sys in systems)
     m = np.zeros((total, total), dtype=complex)
     labels = []
@@ -154,9 +152,9 @@ def reduced_pairing_matrix(
         dual_ev = SchurEvaluator(adj_chart, adj_base, s)
         kgerms = kframe_at(ev, system, y, rho_factor, node_count=node_count)
         dual_kgerms = kframe_at(dual_ev, dual, y, rho_factor, node_count=node_count)
-        labels.extend([(s, j, l) for j, L in enumerate(system.lengths) for l in range(L)])
-        dual_labels.extend([(s, j, l) for j, L in enumerate(dual.lengths) for l in range(L)])
-        circle = Circle(base.clusters[s].center, radius_factor * base.clusters[s].radius, node_count)
+        labels.extend((s, j, l) for j, l in system.entry_labels())
+        dual_labels.extend((s, j, l) for j, l in dual.entry_labels())
+        circle = contours[s]
         nodes = circle.nodes
         # Q(y, conj sigma)^H = P_s(y, sigma): evaluate the adjoint complement
         # at the reflected nodes and undo the conjugation.
@@ -164,10 +162,7 @@ def reduced_pairing_matrix(
         pvals = np.conj(qvals).swapaxes(1, 2)
         phis = np.stack([g.eval(nodes) for g in kgerms], axis=2)
         psis = np.stack([g.eval(np.conj(nodes)) for g in dual_kgerms], axis=2)
-        weight = 1j * circle.radius / circle.node_count
-        block = weight * np.einsum(
-            "n,nja,njk,nkb->ab", circle.unit, np.conj(psis), pvals, phis
-        )
+        block = _contour_pairing(circle, pvals, phis, psis)
         d = block.shape[0]
         m[offset : offset + d, offset : offset + d] = block
         offset += d
@@ -253,10 +248,7 @@ def section_pairings(
         pvals = chart.eval_many(y, nodes)
         fvals = _eval_section(section, nodes)
         psis = np.stack([dual.entries[t].germ.eval(np.conj(nodes)) for t in d_idx], axis=2)
-        weight = 1j * circle.radius / circle.node_count
-        vals = weight * np.einsum("n,nja,njk,nk->a", circle.unit, np.conj(psis), pvals, fvals)
-        for a, ta in enumerate(d_idx):
-            out[ta] += vals[a]
+        out[d_idx] += _contour_pairing(circle, pvals, fvals[:, :, None], psis)[:, 0]
     return out
 
 

@@ -166,41 +166,19 @@ class SchurEvaluator:
 
     def blocks(self, y, sigma: complex):
         """The four blocks of P(y, sigma) w.r.t. the frozen decompositions."""
-        c = self.cluster
-        P = self.chart.eval(y, sigma)
-        p11 = c.Rperp.conj().T @ P @ c.K
-        p12 = c.Rperp.conj().T @ P @ c.Kperp
-        p21 = c.R.conj().T @ P @ c.K
-        p22 = c.R.conj().T @ P @ c.Kperp
-        return p11, p12, p21, p22
+        return tuple(blk[0] for blk in self.blocks_many(y, [sigma]))
 
     def blocks_many(self, y, sigmas):
+        """Blocks at every sigma point, each with a leading node axis."""
         c = self.cluster
         P = self.chart.eval_many(y, sigmas)
-        RperpH = c.Rperp.conj().T
-        RH = c.R.conj().T
-        p11 = np.einsum("ij,njk,kl->nil", RperpH, P, c.K)
-        p12 = np.einsum("ij,njk,kl->nil", RperpH, P, c.Kperp)
-        p21 = np.einsum("ij,njk,kl->nil", RH, P, c.K)
-        p22 = np.einsum("ij,njk,kl->nil", RH, P, c.Kperp)
-        return p11, p12, p21, p22
-
-    def _check_p22(self, p22: np.ndarray, sigma) -> None:
-        if p22.shape[0] == 0:
-            return
-        cond = np.linalg.cond(p22)
-        if not np.isfinite(cond) or cond > P22_CONDITION_LIMIT:
-            raise ReductionInvalidError(
-                f"reduction invalid here: complement block condition {cond:.3e} at sigma = {sigma}"
-            )
+        top = c.Rperp.conj().T @ P
+        bottom = c.R.conj().T @ P
+        return top @ c.K, top @ c.Kperp, bottom @ c.K, bottom @ c.Kperp
 
     def schur(self, y, sigma: complex) -> np.ndarray:
         """k x k reduced family p11 - p12 p22^{-1} p21 in the frozen bases."""
-        p11, p12, p21, p22 = self.blocks(y, sigma)
-        if p22.shape[0] == 0:
-            return p11
-        self._check_p22(p22, sigma)
-        return p11 - p12 @ np.linalg.solve(p22, p21)
+        return self.schur_many(y, [sigma])[0]
 
     def schur_many(self, y, sigmas) -> np.ndarray:
         p11, p12, p21, p22 = self.blocks_many(y, sigmas)
@@ -217,25 +195,20 @@ class SchurEvaluator:
 
     def qdet(self, y, sigma: complex) -> complex:
         """Determinant of the reduced family w.r.t. the bases fixed at construction."""
-        return complex(np.linalg.det(self.schur(y, sigma)))
+        return complex(self.qdet_many(y, [sigma])[0])
 
     def qdet_many(self, y, sigmas) -> np.ndarray:
         return np.linalg.det(self.schur_many(y, sigmas))
 
     def qdet_function(self, y) -> Callable:
+        """Vectorized sigma -> qdet(y, sigma); the result has the input's shape."""
         y = _as_param(y, self.chart.param_dim)
 
         def q(sigma):
-            arr = np.asarray(sigma)
-            if arr.ndim == 0:
-                return self.qdet(y, complex(sigma))
-            return self.qdet_many(y, arr)
+            s = np.asarray(sigma, dtype=complex)
+            return self.qdet_many(y, s.ravel()).reshape(s.shape)
 
         return q
-
-
-def blocks(chart: FamilyChart, base: BasePointData, s: int, y, sigma: complex):
-    return SchurEvaluator(chart, base, s).blocks(y, sigma)
 
 
 def local_multiplicity(ev: SchurEvaluator, y, node_count: int = 128) -> int:
@@ -246,12 +219,14 @@ def local_multiplicity(ev: SchurEvaluator, y, node_count: int = 128) -> int:
 
 
 def _det_function(chart: FamilyChart, y) -> Callable:
-    # unchecked evaluation: location circles may poke slightly past the region
+    """Vectorized sigma -> det P(y, sigma); the result has the input's shape.
+
+    Evaluation is unchecked: location circles may poke slightly past the region.
+    """
+
     def q(sigma):
-        arr = np.asarray(sigma)
-        if arr.ndim == 0:
-            return complex(np.linalg.det(chart.eval(y, complex(sigma), check=False)))
-        return np.linalg.det(chart.eval_many(y, arr, check=False))
+        s = np.asarray(sigma, dtype=complex)
+        return np.linalg.det(chart.eval_many(y, s.ravel(), check=False)).reshape(s.shape)
 
     return q
 

@@ -199,16 +199,9 @@ def _probe_section(frame, values: np.ndarray) -> list:
     """Linear combination of frame germs with given coefficients, per carrier."""
     germs = {}
     for entry, c in zip(frame.entries, values):
-        g = entry.germ
+        g = complex(c) * entry.germ
         key = (g.carrier.circle.center, g.carrier.circle.radius)
-        acc = germs.get(key)
-        vals = c * g.carrier.values
-        if acc is None:
-            germs[key] = Germ(g.center, type(g.carrier)(g.carrier.circle, vals), g.cluster)
-        else:
-            germs[key] = Germ(
-                acc.center, type(acc.carrier)(acc.carrier.circle, acc.carrier.values + vals), acc.cluster
-            )
+        germs[key] = germs[key] + g if key in germs else g
     return list(germs.values())
 
 
@@ -351,6 +344,15 @@ def _sweep_p22_margin(chart, base, y, n_angles: int = 16) -> float:
 BRANCH_HEADER = ["y", "cluster", "re_sigma", "im_sigma", "mult"]
 
 
+def _cluster_rect(cl) -> Rectangle:
+    """Square of half-width 3/4 of the cluster radius around its center."""
+    half = 0.75 * cl.radius
+    return Rectangle(
+        cl.center.real - half, cl.center.real + half,
+        cl.center.imag - half, cl.center.imag + half,
+    )
+
+
 def branching_diagram(
     chart: FamilyChart,
     base: BasePointData,
@@ -370,13 +372,8 @@ def branching_diagram(
         yval = float(y[0])
         for s, cl in enumerate(base.clusters):
             ev = SchurEvaluator(chart, base, s)
-            half = 0.75 * cl.radius
-            rect = Rectangle(
-                cl.center.real - half, cl.center.real + half,
-                cl.center.imag - half, cl.center.imag + half,
-            )
             sep = min_separation if min_separation is not None else cl.radius / 64.0
-            zrep = locate_zeros(ev.qdet_function(y), rect, min_separation=sep)
+            zrep = locate_zeros(ev.qdet_function(y), _cluster_rect(cl), min_separation=sep)
             for z in zrep.zeros:
                 rows.append([yval, s, float(z.location.real), float(z.location.imag), int(z.multiplicity)])
             for u in zrep.unresolved:

@@ -153,6 +153,18 @@ class TestCounting:
         with pytest.raises(InputError):
             count_zeros(lambda z: np.stack([z, z], axis=-1), Circle(0.0, 1.0, 64))
 
+    def test_evaluator_error_propagates(self):
+        # a callable that only takes one point fails on the node array; the
+        # error surfaces instead of falling back to a per-point loop
+        with pytest.raises(TypeError):
+            count_zeros(lambda z: complex(z) - 0.1, Circle(0.0, 1.0, 64))
+
+    def test_wrong_leading_shape(self):
+        with pytest.raises(InputError):
+            count_zeros(lambda z: z[:-1] - 0.1, Circle(0.0, 1.0, 64))
+        with pytest.raises(InputError):
+            SampledFunction.from_function(lambda z: np.ones(3), Circle(0.0, 1.0, 64))
+
 
 class TestRefine:
     def test_pair_centroid(self):

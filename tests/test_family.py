@@ -230,11 +230,22 @@ class TestValidation:
         region = SigmaRegion(-1.0, 1.0, -1.0, 1.0)
         chart = kb.FamilyChart(
             n=1, param_dim=1, sigma=region,
-            evaluator=lambda y, s: np.array([[np.conj(s)]]),
+            evaluator=lambda y, ss: np.conj(ss)[:, None, None],
         )
         report = validate_chart(chart, [[0.0]])
         assert not report.passed
         assert report.holomorphy_residual > 1e-3
+
+    def test_evaluator_shape_checked(self):
+        region = SigmaRegion(-1.0, 1.0, -1.0, 1.0)
+        chart = kb.FamilyChart(
+            n=2, param_dim=1, sigma=region,
+            evaluator=lambda y, ss: np.zeros((len(ss), 3, 3)),
+        )
+        with pytest.raises(InputError):
+            chart.eval_many([0.0], np.array([0.1, 0.2j]))
+        with pytest.raises(InputError):
+            chart.eval([0.0], 0.1)
 
 
 class TestFromDict:

@@ -39,6 +39,18 @@ class TestPair:
             np.conj(1.0 - 0.5j) * ref, abs=1e-12
         )
 
+    def test_matches_matrix_entries(self, jordan_pipeline, sl_scalar_pipeline):
+        for pipeline, y in [(jordan_pipeline, [0.0]), (sl_scalar_pipeline, [0.3])]:
+            chart, base, frame, dual = _frames(pipeline, y)
+            contours = cluster_contours(base)
+            pm = pairing_matrix(chart, frame, dual, base, y)
+            for a, da in enumerate(dual.entries):
+                for b, fb in enumerate(frame.entries):
+                    if da.s != fb.s:
+                        continue
+                    val = pair(chart, y, fb.germ, da.germ, contours)
+                    assert abs(val - pm.matrix[a, b]) < 1e-12
+
     def test_contour_independent(self, branching_pipeline):
         chart, base, frame, dual = _frames(branching_pipeline, [0.1])
         a = pairing_matrix(chart, frame, dual, base, [0.1], node_count=128, radius_factor=0.85)

@@ -185,6 +185,54 @@ class TestSchur:
         assert q(sigmas[0]) == pytest.approx(dets[0])
         assert np.allclose(q(sigmas), dets)
 
+    def test_projection_against_loop_reference(self):
+        # hand-built clusters from random unitary splits of a random cubic
+        # matrix polynomial; the blocks must rebuild P node by node and agree
+        # with the per-node triple products, and the scalar views must be
+        # exact entries of the batched results
+        for seed, n, k in [(0, 3, 1), (1, 5, 2), (2, 8, 3), (3, 8, 1)]:
+            rng = np.random.default_rng(seed)
+
+            def cmat(*shape):
+                return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+            terms = [PolyTerm(p, (0,), cmat(n, n)) for p in range(4)]
+            terms.append(PolyTerm(0, (1,), cmat(n, n)))
+            chart = matrix_polynomial_chart(terms, SigmaRegion(-2, 2, -2, 2))
+            U, _ = np.linalg.qr(cmat(n, n))
+            V, _ = np.linalg.qr(cmat(n, n))
+            cluster = Cluster(
+                center=0.1j, multiplicity=k, kernel_dim=k,
+                K=V[:, :k], Kperp=V[:, k:], Rperp=U[:, :k], R=U[:, k:],
+                radius=0.5,
+            )
+            ev = SchurEvaluator(chart, BasePointData(chart, np.array([0.0]), [cluster]), 0)
+            y = [0.3]
+            sigmas = 0.1j + 0.4 * np.exp(2j * np.pi * np.arange(16) / 16)
+            P = chart.eval_many(y, sigmas)
+            scale = float(np.max(np.abs(P)))
+            p11, p12, p21, p22 = ev.blocks_many(y, sigmas)
+            rebuilt = (
+                (U[:, :k] @ p11 + U[:, k:] @ p21) @ V[:, :k].conj().T
+                + (U[:, :k] @ p12 + U[:, k:] @ p22) @ V[:, k:].conj().T
+            )
+            assert np.max(np.abs(rebuilt - P)) < 1e-12 * scale
+            for t in range(len(sigmas)):
+                ref = [
+                    left.conj().T @ P[t] @ right
+                    for left in (U[:, :k], U[:, k:])
+                    for right in (V[:, :k], V[:, k:])
+                ]
+                for got, want in zip((p11, p12, p21, p22), ref):
+                    assert np.max(np.abs(got[t] - want)) < 1e-12 * scale
+            schur = ev.schur_many(y, sigmas)
+            dets = ev.qdet_many(y, sigmas)
+            for t, s in enumerate(sigmas):
+                for got, want in zip(ev.blocks(y, s), (p11, p12, p21, p22)):
+                    assert np.array_equal(got, want[t])
+                assert np.array_equal(ev.schur(y, s), schur[t])
+                assert ev.qdet(y, s) == dets[t]
+
     def test_singular_complement_rejected(self):
         terms = [
             PolyTerm(1, (0,), np.diag([1.0, 1.0, 0.0])),
