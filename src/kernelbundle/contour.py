@@ -61,9 +61,6 @@ class Circle:
     def nodes(self) -> np.ndarray:
         return self.center + self.radius * self.unit
 
-    def with_nodes(self, node_count: int) -> "Circle":
-        return Circle(self.center, self.radius, node_count)
-
     def contains(self, sigma, factor: float = 1.0):
         return np.abs(np.asarray(sigma) - self.center) < self.radius * factor
 

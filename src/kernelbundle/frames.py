@@ -29,7 +29,7 @@ from .errors import (
     RegionError,
 )
 from .keldysh import DualRootSystem, RootSystem
-from .reduction import BasePointData, SchurEvaluator
+from .reduction import BasePointData, SchurEvaluator, _schur
 
 DEFAULT_RHO_FACTOR = 0.75
 INDEPENDENCE_CONDITION_LIMIT = 1e10
@@ -183,17 +183,20 @@ def _beta_samples(ev: SchurEvaluator, system: RootSystem, nodes: np.ndarray) -> 
 def _carrier_samples(ev: SchurEvaluator, system: RootSystem, y, rho_factor: float, node_count: int):
     """Samples of ``(sigma-c)^l P_s(y,sigma)^{-1} beta_j`` on the carrier circle.
 
-    Returns ``(circle, values, labels)``: values has shape (N, entries, k),
-    one entry per ``(j, l)`` label, ordered by chain then shift.
+    Returns ``(circle, values, labels, correction)``: values has shape
+    (N, entries, k), one entry per ``(j, l)`` label, ordered by chain then
+    shift; ``correction`` is ``p22^{-1} p21`` at the nodes, from the same
+    block evaluation as the Schur complement.
     """
     circle = _carrier_circle(ev.cluster, rho_factor, node_count)
     nodes = circle.nodes
     beta = _beta_samples(ev, system, nodes)
-    solved = np.linalg.solve(ev.schur_many(y, nodes), beta)  # (N, k, J)
+    schur, correction = _schur(ev.blocks_many(y, nodes), nodes)
+    solved = np.linalg.solve(schur, beta)  # (N, k, J)
     z = nodes - ev.cluster.center
     labels = system.entry_labels()
     values = np.stack([(z ** l)[:, None] * solved[:, :, j] for j, l in labels], axis=1)
-    return circle, values, labels
+    return circle, values, labels, correction
 
 
 def _carrier_germs(ev: SchurEvaluator, circle: Circle, values, labels, name: str) -> list:
@@ -220,24 +223,8 @@ def kframe_at(
 
     Returns k-valued germs ordered by chain then shift.
     """
-    circle, values, labels = _carrier_samples(ev, system, y, rho_factor, node_count)
+    circle, values, labels, _ = _carrier_samples(ev, system, y, rho_factor, node_count)
     return _carrier_germs(ev, circle, values, labels, "K")
-
-
-def _full_samples(ev: SchurEvaluator, kvalues: np.ndarray, nodes: np.ndarray, y) -> np.ndarray:
-    """Embed kernel-side samples and subtract the complement correction.
-
-    full = K g - Kperp p22^{-1} p21 g; the correction differs from the one
-    applied to the germ only by a holomorphic function, which the singular
-    part kills.
-    """
-    c = ev.cluster
-    _, _, p21, p22 = ev.blocks_many(y, nodes)
-    embedded = np.einsum("ij,ntj->nti", c.K, kvalues)
-    if p22.shape[1] == 0:
-        return embedded
-    corr = np.linalg.solve(p22, np.einsum("nij,ntj->nti", p21, kvalues).swapaxes(1, 2)).swapaxes(1, 2)
-    return embedded - np.einsum("ij,ntj->nti", c.Kperp, corr)
 
 
 def fullframe_at(
@@ -250,14 +237,17 @@ def fullframe_at(
 ) -> FrameSet:
     """Frame of the kernel bundle at parameter y, all clusters.
 
-    Each entry embeds the kernel-side germ into the full space and subtracts
-    the complement correction, sampled on the carrier circle.
+    Each entry embeds the kernel-side samples g into the full space and
+    subtracts the complement correction, ``K g - Kperp p22^{-1} p21 g`` on
+    the carrier circle.  The correction differs from the one applied to the
+    germ only by a holomorphic function, which the singular part kills.
     """
     entries = []
     for s, system in enumerate(systems):
         ev = SchurEvaluator(chart, base, s)
-        circle, kvalues, labels = _carrier_samples(ev, system, y, rho_factor, node_count)
-        full = _full_samples(ev, kvalues, circle.nodes, y)
+        circle, g, labels, correction = _carrier_samples(ev, system, y, rho_factor, node_count)
+        c = ev.cluster
+        full = g @ c.K.T - (g @ correction.swapaxes(1, 2)) @ c.Kperp.T
         germs = _carrier_germs(ev, circle, full, labels, "phi")
         entries.extend(FrameEntry(s, j, l, g) for (j, l), g in zip(labels, germs))
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())

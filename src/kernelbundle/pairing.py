@@ -75,6 +75,52 @@ def _same_cluster_blocks(frame: FrameSet, dual: FrameSet) -> bool:
     return clusters == {e.s for e in dual.entries}
 
 
+def _pairings(chart, frame, dual, base, y, section, node_count: int, radius_factor: float):
+    """Pairings ``[phi_b, psi_a]``, and ``[section, psi_a]`` when a section is given.
+
+    P is sampled once per cluster contour; the section rides along as one
+    more column next to the frame entries.  Returns ``(matrix, column)``,
+    with ``column`` None without a section.
+    """
+    if len(frame) != len(dual):
+        raise InputError("frame and dual frame must have the same number of entries")
+    if not _same_cluster_blocks(frame, dual):
+        raise InputError("frame and dual frame must cover the same clusters")
+    contours = cluster_contours(base, radius_factor, node_count)
+    m = np.zeros((len(dual), len(frame)), dtype=complex)
+    column = None if section is None else np.zeros(len(dual), dtype=complex)
+    for s, circle in enumerate(contours):
+        f_idx = [t for t, e in enumerate(frame.entries) if e.s == s]
+        d_idx = [t for t, e in enumerate(dual.entries) if e.s == s]
+        if not f_idx and not d_idx:
+            continue
+        nodes = circle.nodes
+        cols = [frame.entries[t].germ.eval(nodes) for t in f_idx]
+        if section is not None:
+            cols.append(_eval_section(section, nodes))
+        phis = np.stack(cols, axis=2)
+        psis = np.stack([dual.entries[t].germ.eval(np.conj(nodes)) for t in d_idx], axis=2)
+        block = _contour_pairing(circle, chart.eval_many(y, nodes), phis, psis)
+        m[np.ix_(d_idx, f_idx)] = block[:, : len(f_idx)]
+        if section is not None:
+            column[d_idx] = block[:, -1]
+    return m, column
+
+
+def _checked_pairing(m: np.ndarray, frame: FrameSet, dual: FrameSet) -> PairingMatrix:
+    svals = np.linalg.svd(m, compute_uv=False)
+    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
+    if not np.isfinite(cond) or cond > PAIRING_CONDITION_LIMIT:
+        raise NondegeneracyError(f"pairing matrix is numerically singular (condition {cond:.3e})")
+    return PairingMatrix(
+        y=frame.y,
+        matrix=m,
+        labels=frame.labels(),
+        dual_labels=dual.labels(),
+        condition=cond,
+    )
+
+
 def pairing_matrix(
     chart,
     frame: FrameSet,
@@ -91,33 +137,8 @@ def pairing_matrix(
     contour), so only same-cluster blocks are integrated; cross blocks are
     set to zero exactly.
     """
-    if len(frame) != len(dual):
-        raise InputError("frame and dual frame must have the same number of entries")
-    if not _same_cluster_blocks(frame, dual):
-        raise InputError("frame and dual frame must cover the same clusters")
-    contours = cluster_contours(base, radius_factor, node_count)
-    m = np.zeros((len(dual), len(frame)), dtype=complex)
-    for s, circle in enumerate(contours):
-        f_idx = [t for t, e in enumerate(frame.entries) if e.s == s]
-        d_idx = [t for t, e in enumerate(dual.entries) if e.s == s]
-        if not f_idx and not d_idx:
-            continue
-        nodes = circle.nodes
-        pvals = chart.eval_many(y, nodes)
-        phis = np.stack([frame.entries[t].germ.eval(nodes) for t in f_idx], axis=2)
-        psis = np.stack([dual.entries[t].germ.eval(np.conj(nodes)) for t in d_idx], axis=2)
-        m[np.ix_(d_idx, f_idx)] = _contour_pairing(circle, pvals, phis, psis)
-    svals = np.linalg.svd(m, compute_uv=False)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    if not np.isfinite(cond) or cond > PAIRING_CONDITION_LIMIT:
-        raise NondegeneracyError(f"pairing matrix is numerically singular (condition {cond:.3e})")
-    return PairingMatrix(
-        y=frame.y,
-        matrix=m,
-        labels=frame.labels(),
-        dual_labels=dual.labels(),
-        condition=cond,
-    )
+    m, _ = _pairings(chart, frame, dual, base, y, None, node_count, radius_factor)
+    return _checked_pairing(m, frame, dual)
 
 
 def reduced_pairing_matrix(
@@ -213,6 +234,7 @@ class CoefficientVector:
     labels: list
     values: np.ndarray
     residual: float
+    pairing: PairingMatrix
 
     def by_label(self) -> dict:
         return {lab: val for lab, val in zip(self.labels, self.values)}
@@ -226,32 +248,6 @@ def _eval_section(section, pts: np.ndarray) -> np.ndarray:
     return np.sum(parts, axis=0)
 
 
-def section_pairings(
-    chart,
-    dual: FrameSet,
-    base: BasePointData,
-    y,
-    section,
-    node_count: int = 256,
-    radius_factor: float = 0.9,
-) -> np.ndarray:
-    """Pairings [section, psi_a] for every dual entry.
-
-    The section may be a single germ or a sequence of germs (one carrier per
-    cluster) that sum to it.
-    """
-    contours = cluster_contours(base, radius_factor, node_count)
-    out = np.zeros(len(dual), dtype=complex)
-    for s, circle in enumerate(contours):
-        d_idx = [t for t, e in enumerate(dual.entries) if e.s == s]
-        nodes = circle.nodes
-        pvals = chart.eval_many(y, nodes)
-        fvals = _eval_section(section, nodes)
-        psis = np.stack([dual.entries[t].germ.eval(np.conj(nodes)) for t in d_idx], axis=2)
-        out[d_idx] += _contour_pairing(circle, pvals, fvals[:, :, None], psis)[:, 0]
-    return out
-
-
 def coefficients(
     chart,
     frame: FrameSet,
@@ -261,7 +257,6 @@ def coefficients(
     section,
     node_count: int = 256,
     residual_tol: Optional[float] = None,
-    pairing: Optional[PairingMatrix] = None,
 ) -> CoefficientVector:
     """Coefficients of a section of the kernel bundle in the given frame.
 
@@ -269,12 +264,13 @@ def coefficients(
     ``b[a] = [section, psi_a]``; one step of iterative refinement keeps the
     solve honest near the condition limit.  If a tolerance is given, the
     reconstruction ``sum f_b phi_b`` is compared against the section on probe
-    circles and a miss raises a residual error.
+    circles and a miss raises a residual error.  The section may be a single
+    germ or a sequence of germs (one carrier per cluster) that sum to it.
+    ``M`` and ``b`` come from one sample of P per contour; the result carries
+    ``M`` as its ``pairing``.
     """
-    if pairing is None:
-        pairing = pairing_matrix(chart, frame, dual, base, y, node_count=node_count)
-    b = section_pairings(chart, dual, base, y, section, node_count=node_count)
-    m = pairing.matrix
+    m, b = _pairings(chart, frame, dual, base, y, section, node_count, 0.9)
+    pairing = _checked_pairing(m, frame, dual)
     f = np.linalg.solve(m, b)
     f = f + np.linalg.solve(m, b - m @ f)
 
@@ -283,7 +279,7 @@ def coefficients(
         raise SectionResidualError(
             f"section is not in the span of the frame (residual {residual:.3e})"
         )
-    return CoefficientVector(y=frame.y, labels=frame.labels(), values=f, residual=residual)
+    return CoefficientVector(frame.y, frame.labels(), f, residual, pairing)
 
 
 def _reconstruction_residual(frame: FrameSet, f: np.ndarray, section) -> float:

@@ -181,17 +181,7 @@ class SchurEvaluator:
         return self.schur_many(y, [sigma])[0]
 
     def schur_many(self, y, sigmas) -> np.ndarray:
-        p11, p12, p21, p22 = self.blocks_many(y, sigmas)
-        if p22.shape[1] == 0:
-            return p11
-        conds = np.linalg.cond(p22)
-        worst = int(np.argmax(conds))
-        if not np.all(np.isfinite(conds)) or conds[worst] > P22_CONDITION_LIMIT:
-            raise ReductionInvalidError(
-                f"reduction invalid here: complement block condition {conds[worst]:.3e} "
-                f"at sigma = {sigmas[worst]}"
-            )
-        return p11 - p12 @ np.linalg.solve(p22, p21)
+        return _schur(self.blocks_many(y, sigmas), sigmas)[0]
 
     def qdet(self, y, sigma: complex) -> complex:
         """Determinant of the reduced family w.r.t. the bases fixed at construction."""
@@ -209,6 +199,25 @@ class SchurEvaluator:
             return self.qdet_many(y, s.ravel()).reshape(s.shape)
 
         return q
+
+
+def _schur(blocks, sigmas):
+    """Schur complement ``p11 - p12 p22^{-1} p21`` and the correction ``p22^{-1} p21``.
+
+    ``blocks`` are the four blocks of ``SchurEvaluator.blocks_many`` at ``sigmas``.
+    """
+    p11, p12, p21, p22 = blocks
+    if p22.shape[1] == 0:
+        return p11, p21
+    conds = np.linalg.cond(p22)
+    worst = int(np.argmax(conds))
+    if not np.all(np.isfinite(conds)) or conds[worst] > P22_CONDITION_LIMIT:
+        raise ReductionInvalidError(
+            f"reduction invalid here: complement block condition {conds[worst]:.3e} "
+            f"at sigma = {sigmas[worst]}"
+        )
+    correction = np.linalg.solve(p22, p21)
+    return p11 - p12 @ correction, correction
 
 
 def local_multiplicity(ev: SchurEvaluator, y, node_count: int = 128) -> int:
@@ -273,6 +282,15 @@ def _p22_margin(ev: SchurEvaluator, y, pts) -> float:
     return float(np.min(s[:, -1]) / scale)
 
 
+def _worst_margin(margins) -> tuple:
+    """The smallest of ``(margin, label)`` pairs, with the first label within a
+    relative 1e-12 of it: grid points tied up to roundoff report in grid order."""
+    worst = min((m for m, _ in margins), default=np.inf)
+    if worst == np.inf:
+        return worst, ""
+    return worst, next((lab for m, lab in margins if m <= worst + 1e-12 * worst), "")
+
+
 def validate_neighborhood(
     chart: FamilyChart,
     base: BasePointData,
@@ -330,15 +348,13 @@ def validate_neighborhood(
     )
 
     # (3) complement block invertible on discs across the grid
-    margin3 = np.inf
-    worst3 = ""
+    margins3 = []
     for s in range(len(base.clusters)):
         ev = SchurEvaluator(chart, base, s)
         pts = _disc_samples(ev.cluster.center, ev.cluster.radius)
         for y in y_grid:
-            m = _p22_margin(ev, y, pts)
-            if m < margin3:
-                margin3, worst3 = m, f"cluster {s}, y = {y}"
+            margins3.append((_p22_margin(ev, y, pts), f"cluster {s}, y = {y}"))
+    margin3, worst3 = _worst_margin(margins3)
     conditions.append(
         ConditionResult(
             "complement_invertible_grid", bool(margin3 > invertibility_floor), float(margin3), worst3
@@ -346,8 +362,7 @@ def validate_neighborhood(
     )
 
     # (4) no reduced zeros in the outer annulus across the grid
-    margin4 = np.inf
-    worst4 = ""
+    margins4 = []
     radii = np.array([0.5, 0.625, 0.75, 0.875, 0.98])
     theta = 2 * np.pi * np.arange(annulus_samples) / annulus_samples
     for s in range(len(base.clusters)):
@@ -357,9 +372,8 @@ def validate_neighborhood(
         pts = c.center + ring
         for y in y_grid:
             q = np.abs(ev.qdet_many(y, pts))
-            m = float(np.min(q) / max(np.max(q), 1e-300))
-            if m < margin4:
-                margin4, worst4 = m, f"cluster {s}, y = {y}"
+            margins4.append((float(np.min(q) / max(np.max(q), 1e-300)), f"cluster {s}, y = {y}"))
+    margin4, worst4 = _worst_margin(margins4)
     conditions.append(
         ConditionResult("annulus_nonvanishing", bool(margin4 > annulus_floor), float(margin4), worst4)
     )

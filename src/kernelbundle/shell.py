@@ -281,7 +281,15 @@ def sweep(
             margin = _sweep_p22_margin(chart, base, y)
             frame = fullframe_at(chart, base, systems, y, node_count=node_count)
             dual = dual_frame_at(chart, base, duals, y, node_count=node_count)
-            pm = pairing_matrix(chart, frame, dual, base, y, node_count=pairing_nodes)
+            if probe is not None:
+                expected = np.asarray(probe(y), dtype=complex)
+                if expected.shape != (len(frame),):
+                    raise InputError("probe must return one coefficient per frame entry")
+                section = _probe_section(frame, expected)
+                cv = coefficients(chart, frame, dual, base, y, section, node_count=pairing_nodes)
+                pm = cv.pairing
+            else:
+                pm = pairing_matrix(chart, frame, dual, base, y, node_count=pairing_nodes)
             rec = SweepPoint(
                 y=y_key,
                 multiplicities=mults,
@@ -289,14 +297,6 @@ def sweep(
                 p22_margin=margin,
             )
             if probe is not None:
-                expected = np.asarray(probe(y), dtype=complex)
-                if expected.shape != (len(frame),):
-                    raise InputError("probe must return one coefficient per frame entry")
-                section = _probe_section(frame, expected)
-                cv = coefficients(
-                    chart, frame, dual, base, y, section,
-                    node_count=pairing_nodes, pairing=pm,
-                )
                 rec.coefficients = list(cv.values)
                 rec.probe_error = float(np.max(np.abs(cv.values - expected)))
                 coeff_rows.append(cv.values)
@@ -597,10 +597,7 @@ class Problem:
     y0: np.ndarray
     epsilon: Optional[float]
     grid: Optional[ParameterGrid]
-    probe: Optional[Callable]
     probe_entries: Optional[list]
-    tolerances: dict
-    node_count: int
     min_separation: Optional[float]
 
     def base(self, **kwargs) -> BasePointData:
@@ -645,8 +642,14 @@ def probe_from_spec(entries: Sequence[dict], size: int) -> Callable:
     return probe
 
 
+PROBLEM_KEYS = {"family", "base_point", "grid", "probe", "min_separation"}
+
+
 def load_problem(spec: dict) -> Problem:
     """Parse a problem description dictionary (see README for the schema)."""
+    unknown = sorted(set(spec) - PROBLEM_KEYS)
+    if unknown:
+        raise SpecError(f"unknown problem file keys: {', '.join(map(repr, unknown))}")
     if "family" not in spec:
         raise SpecError("problem file needs a 'family' entry")
     chart, sl_spec = family_from_dict(spec["family"])
@@ -671,8 +674,6 @@ def load_problem(spec: dict) -> Problem:
             raise SpecError("grid dimension does not match the parameter dimension")
 
     probe_entries = spec.get("probe")
-    tolerances = dict(spec.get("tolerances", {}))
-    node_count = int(spec.get("node_count", 128))
     min_separation = spec.get("min_separation")
     min_separation = float(min_separation) if min_separation is not None else None
 
@@ -682,10 +683,7 @@ def load_problem(spec: dict) -> Problem:
         y0=y0,
         epsilon=epsilon,
         grid=grid,
-        probe=None,  # bound to a frame size later via probe_from_spec
         probe_entries=list(probe_entries) if probe_entries else None,
-        tolerances=tolerances,
-        node_count=node_count,
         min_separation=min_separation,
     )
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,19 @@ def triangular_pipeline():
     base = kb.base_point_data(chart, [0.0])
     systems, duals = canonical_systems(chart, base)
     return chart, base, systems, duals
+
+
+@pytest.fixture
+def counting_chart():
+    """Wrap a chart so that every evaluator call records its parameter."""
+
+    def wrap(chart):
+        calls = []
+
+        def evaluator(y, sigmas):
+            calls.append(tuple(np.asarray(y, dtype=float).tolist()))
+            return chart.evaluator(y, sigmas)
+
+        return dataclasses.replace(chart, evaluator=evaluator), calls
+
+    return wrap

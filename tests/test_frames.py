@@ -18,6 +18,7 @@ from kernelbundle.frames import (
     laurent_coefficients,
     make_germ,
 )
+from kernelbundle.family import adjoint_chart
 from kernelbundle.reduction import SchurEvaluator
 
 
@@ -220,6 +221,37 @@ class TestFrames:
         probes = np.array([0.9, -1.3j])
         for fe, de in zip(frame.entries, dual.entries):
             assert np.allclose(de.germ.eval(probes), fe.germ.eval(probes), atol=1e-9)
+
+    def test_full_frame_against_block_reference(self, sl_big_pipeline, branching_pipeline):
+        # reference: K g - Kperp p22^{-1} (p21 g), blocks built by hand from P
+        # on the carrier nodes, g the kernel-side samples; the branching
+        # family has a full kernel, so there the correction is empty
+        y = [0.07]
+        for chart, base, systems, duals in (sl_big_pipeline, branching_pipeline):
+            for ch, b, syss in (
+                (chart, base, systems),
+                (adjoint_chart(chart), base.conjugate_swapped(), duals),
+            ):
+                frame = fullframe_at(ch, b, syss, y)
+                for s, system in enumerate(syss):
+                    c = b.clusters[s]
+                    kgerms = kframe_at(SchurEvaluator(ch, b, s), system, y)
+                    P = ch.eval_many(y, kgerms[0].carrier.circle.nodes)
+                    p21 = c.R.conj().T @ P @ c.K
+                    p22 = c.R.conj().T @ P @ c.Kperp
+                    for kg, e in zip(kgerms, frame.cluster_entries(s)):
+                        g = kg.carrier.values
+                        corr = np.linalg.solve(p22, p21 @ g[:, :, None])[:, :, 0]
+                        ref = g @ c.K.T - corr @ c.Kperp.T
+                        scale = float(np.max(np.abs(ref)))
+                        assert np.max(np.abs(e.germ.carrier.values - ref)) < 1e-12 * scale
+
+    def test_samples_family_once_per_cluster(self, sl_scalar_pipeline, counting_chart):
+        # one block evaluation per carrier at y, and one at y0 for beta
+        chart, base, systems, _ = sl_scalar_pipeline
+        counting, calls = counting_chart(chart)
+        fullframe_at(counting, base, systems, [0.2])
+        assert sorted(calls) == [(0.0,)] * len(base.clusters) + [(0.2,)] * len(base.clusters)
 
     def test_cluster_bookkeeping(self, sl_scalar_pipeline):
         chart, base, systems, _ = sl_scalar_pipeline

@@ -148,12 +148,24 @@ class TestCoefficients:
         cv = coefficients(chart, frame, dual, base, [0.25], section)
         assert np.allclose(cv.values, weights, atol=1e-9)
 
-    def test_reuses_precomputed_pairing(self, branching_pipeline):
-        chart, base, frame, dual = _frames(branching_pipeline, [0.12])
-        pm = pairing_matrix(chart, frame, dual, base, [0.12])
-        section = 1.0 * frame.entries[0].germ
-        cv = coefficients(chart, frame, dual, base, [0.12], section, pairing=pm)
-        assert np.allclose(cv.values, [1.0, 0.0], atol=1e-10)
+    def test_carries_pairing_matrix(self, branching_pipeline, sl_scalar_pipeline):
+        for pipeline, y in ((branching_pipeline, [0.12]), (sl_scalar_pipeline, [0.25])):
+            chart, base, frame, dual = _frames(pipeline, y)
+            pm = pairing_matrix(chart, frame, dual, base, y)
+            section = 1.0 * frame.entries[0].germ
+            cv = coefficients(chart, frame, dual, base, y, section)
+            assert np.array_equal(cv.pairing.matrix, pm.matrix)
+            assert cv.pairing.condition == pm.condition
+            assert cv.pairing.labels == pm.labels
+            assert cv.pairing.dual_labels == pm.dual_labels
+            assert np.allclose(cv.values, np.eye(len(frame))[0], atol=1e-10)
+
+    def test_samples_family_once_per_contour(self, sl_scalar_pipeline, counting_chart):
+        chart, base, frame, dual = _frames(sl_scalar_pipeline, [0.25])
+        counting, calls = counting_chart(chart)
+        section = [w * e.germ for w, e in zip([0.8, -1.2], frame.entries)]
+        coefficients(counting, frame, dual, base, [0.25], section)
+        assert calls == [(0.25,)] * len(base.clusters)
 
     def test_section_outside_span(self, jordan_pipeline):
         # a third-order pole exceeds the partial multiplicity at the cluster

@@ -295,6 +295,15 @@ class TestNeighborhood:
         assert not report.conditions[0].passed
         assert report.conditions[0].margin < 0
 
+    def test_worst_at_ties_follow_grid_order(self, sl_big_pipeline):
+        # the two-channel family is symmetric in +-y: its margins at y = -0.1
+        # and 0.1 tie up to roundoff, and the report names the first listed y
+        chart, base, _, _ = sl_big_pipeline
+        for grid in ([[-0.1], [0.1]], [[0.1], [-0.1]]):
+            report = validate_neighborhood(chart, base, grid)
+            for cond in report.conditions[2:]:
+                assert cond.detail.endswith(f"y = {grid[0]}"), (cond.name, cond.detail)
+
     def test_report_serialization(self, branching_pipeline):
         chart, base, _, _ = branching_pipeline
         d = validate_neighborhood(chart, base, [[0.0]]).to_dict()

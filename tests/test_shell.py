@@ -295,8 +295,6 @@ class TestProblemFiles:
                 {"entry": 0, "coeff": {"type": "poly", "coeffs": [1, 0, 1]}},
                 {"entry": 1, "coeff": {"type": "sin"}},
             ],
-            "tolerances": {"probe_error": 1e-6},
-            "node_count": 64,
             "min_separation": 0.01,
         }
         path = tmp_path / "problem.json"
@@ -304,8 +302,6 @@ class TestProblemFiles:
         prob = load_problem_file(path)
         assert prob.epsilon == 0.5
         assert prob.grid.shape == (11,)
-        assert prob.node_count == 64
-        assert prob.tolerances["probe_error"] == 1e-6
         probe = probe_from_spec(prob.probe_entries, 2)
         vals = probe([0.2])
         assert vals[0] == pytest.approx(1.04)
@@ -334,6 +330,14 @@ class TestProblemFiles:
         arr.write_text("[]")
         with pytest.raises(SpecError):
             load_problem_file(arr)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("node_count", 64), ("tolerances", {"probe_error": 1e-6}), ("min_seperation", 0.01)],
+    )
+    def test_unknown_keys_rejected(self, key, value):
+        with pytest.raises(SpecError, match=key):
+            load_problem({"family": {"kind": "branching"}, key: value})
 
     def test_probe_spec_errors(self):
         with pytest.raises(SpecError):
