@@ -13,12 +13,11 @@ failure (resolution, degeneracy, clustered zeros and the like).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
-from .contour import Circle, locate_zeros
+from .contour import locate_zeros
 from .errors import (
     ConfigurationError,
     InputError,
@@ -33,6 +32,7 @@ from .reduction import _det_function, validate_neighborhood
 from .shell import (
     ParameterGrid,
     _cluster_rect,
+    _write_json,
     branching_diagram,
     canonical_systems,
     load_problem_file,
@@ -44,15 +44,6 @@ from .shell import (
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
-
-
-def _dump(obj: dict, out) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _parse_y(problem, value):
@@ -88,7 +79,7 @@ def cmd_locate(args) -> int:
     report = locate_zeros(
         _det_function(chart, problem.y0), region, min_separation=min_sep, initial_nodes=args.nodes
     )
-    _dump(report.to_dict(), args.out)
+    _write_json(report.to_dict(), args.out)
     return 0
 
 
@@ -104,7 +95,7 @@ def cmd_reduce(args) -> int:
         "lengths": [list(sy.lengths) for sy in systems],
         "dual_delta_residual": max(d.delta_residual for d in duals),
     }
-    _dump(out, args.out)
+    _write_json(out, args.out)
     return 0 if validation.passed else EXIT_VALIDATION
 
 
@@ -128,7 +119,7 @@ def cmd_frame(args) -> int:
             for e in frame.entries
         ],
     }
-    _dump(out, args.out)
+    _write_json(out, args.out)
     return 0
 
 
@@ -151,7 +142,7 @@ def cmd_pair(args) -> int:
     }
     if base_gap is not None:
         out["base_pattern_gap"] = base_gap
-    _dump(out, args.out)
+    _write_json(out, args.out)
     return 0
 
 
@@ -170,13 +161,12 @@ def cmd_sweep(args) -> int:
         grid,
         probe=probe,
         node_count=args.nodes,
-        pairing_nodes=args.nodes,
         systems=systems,
         duals=duals,
     )
     if args.csv:
         branching_diagram(problem.chart, base, grid, out=args.csv)
-    _dump(report.to_dict(), args.out)
+    _write_json(report.to_dict(), args.out)
     return 0 if not report.failures else EXIT_VALIDATION
 
 
@@ -194,7 +184,8 @@ def cmd_trace(args) -> int:
     det = _det_function(chart, y0)
     pieces = []
     for cl in base.clusters:
-        germ = make_germ(inv_trace, cl.center, 0.75 * cl.radius, node_count=args.nodes, cluster=0)
+        carrier = cl.carrier(args.nodes)
+        germ = make_germ(inv_trace, carrier.center, carrier.radius, carrier.node_count, cluster=0)
         zrep = locate_zeros(det, _cluster_rect(cl), min_separation=cl.radius / 64.0)
         poles = [(z.location, z.multiplicity) for z in zrep.zeros]
         pieces.append(trace_from_germ(germ, poles, args.gamma, args.window))
@@ -203,7 +194,7 @@ def cmd_trace(args) -> int:
         merged.terms.extend(extra.terms)
         merged.dropped.extend(extra.dropped)
     merged.terms.sort(key=lambda t: (round(-t.sigma.imag, 9), round(t.sigma.real, 9), t.power))
-    _dump(merged.to_dict(), args.out)
+    _write_json(merged.to_dict(), args.out)
     return 0
 
 

@@ -28,6 +28,13 @@ MIN_MODULUS_FACTOR = 1e-12
 MAX_WINDING_NODES = 2 ** 14
 # Largest admissible angle step between consecutive image points.
 MAX_PHASE_STEP = np.pi / 2
+# Quadrisection depth before a box is reported unresolved.
+MAX_LOCATE_DEPTH = 40
+# Centroid refinement: nodes per circle, moment iterations, and the step,
+# relative to the location scale, at which the centroid counts as converged.
+REFINE_NODES = 256
+REFINE_MAX_ITER = 12
+REFINE_REL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -60,9 +67,6 @@ class Circle:
     @property
     def nodes(self) -> np.ndarray:
         return self.center + self.radius * self.unit
-
-    def contains(self, sigma, factor: float = 1.0):
-        return np.abs(np.asarray(sigma) - self.center) < self.radius * factor
 
 
 @dataclass(frozen=True)
@@ -102,13 +106,6 @@ class Rectangle:
             complex(self.re_max, self.im_max),
             complex(self.re_min, self.im_max),
         ]
-
-    def contains(self, sigma, tol: float = 0.0) -> bool:
-        s = complex(sigma)
-        return (
-            self.re_min - tol <= s.real <= self.re_max + tol
-            and self.im_min - tol <= s.imag <= self.im_max + tol
-        )
 
     def split(self, fx: float = 0.5, fy: float = 0.5) -> list["Rectangle"]:
         xm = self.re_min + fx * self.width
@@ -376,9 +373,6 @@ def refine_cluster(
     center: complex,
     radius: float,
     count: int,
-    node_count: int = 256,
-    max_iter: int = 12,
-    rel_tol: float = 1e-13,
 ) -> complex:
     """Refine the centroid of the zeros enclosed by a circle.
 
@@ -391,8 +385,8 @@ def refine_cluster(
         raise InputError("refine_cluster requires a positive zero count")
     scale = max(1.0, abs(center), radius)
     moments = 0
-    for _ in range(max_iter):
-        w, values, circ = _counted_circle(q, center, radius, node_count)
+    for _ in range(REFINE_MAX_ITER):
+        w, values, circ = _counted_circle(q, center, radius)
         if w != count:
             # enclosed set changed: shrink if we swallowed a neighbor, grow if we lost one
             radius = radius * (0.7 if w > count else 1.35)
@@ -405,7 +399,7 @@ def refine_cluster(
         new_center = s1 / count
         delta = abs(new_center - center)
         center = complex(new_center)
-        if delta < rel_tol * scale:
+        if delta < REFINE_REL_TOL * scale:
             break
         radius = max(4.0 * delta, radius * 0.25, 1e-10 * scale)
     if moments == 0:
@@ -415,17 +409,17 @@ def refine_cluster(
     return center
 
 
-def _counted_circle(q, center, radius, node_count: int = 256):
+def _counted_circle(q, center, radius):
     """Winding count on a circle, nudging the radius off any zero it grazes."""
     for attempt in range(6):
-        circ = Circle(center, radius, node_count)
+        circ = Circle(center, radius, REFINE_NODES)
         try:
             values = eval_along(q, circ.nodes)
             total, max_step, min_mod, max_mod = _winding_from_values(values)
             if min_mod < MIN_MODULUS_FACTOR * max_mod:
                 raise ZeroOnContourError("zero on refinement circle")
             if max_step >= MAX_PHASE_STEP:
-                w = winding_number(q, _circle_path(center, radius), node_count)
+                w = winding_number(q, _circle_path(center, radius), REFINE_NODES)
             else:
                 w = int(round(total / (2.0 * np.pi)))
             return w, values, circ
@@ -450,12 +444,11 @@ def _locate_round(
     region: Rectangle,
     total: int,
     min_separation: float,
-    max_depth: int,
     initial_nodes: int,
     offsets,
 ) -> ZeroReport:
     report = ZeroReport(region=region, total_count=total)
-    stack = [(region, total, max_depth)]
+    stack = [(region, total, MAX_LOCATE_DEPTH)]
     while stack:
         box, w, depth = stack.pop()
         if w == 0:
@@ -498,7 +491,6 @@ def locate_zeros(
     q: Callable,
     region: Rectangle,
     min_separation: float,
-    max_depth: int = 40,
     initial_nodes: int = 64,
 ) -> ZeroReport:
     """Locate the zeros of ``q`` inside a rectangle.
@@ -522,7 +514,7 @@ def locate_zeros(
         return ZeroReport(region=region, total_count=total)
     best = None
     for offsets in _OFFSET_ROUNDS:
-        report = _locate_round(q, region, total, min_separation, max_depth, initial_nodes, offsets)
+        report = _locate_round(q, region, total, min_separation, initial_nodes, offsets)
         if not report.unresolved:
             return report
         if best is None or len(report.unresolved) < len(best.unresolved):

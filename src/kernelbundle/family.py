@@ -17,6 +17,15 @@ import numpy as np
 from .contour import Circle, Rectangle, SampledFunction, cauchy_moment
 from .errors import ConfigurationError, InputError, RegionError, SpecError
 
+# Slack of the region gate, so that nodes computed on the boundary pass.
+REGION_TOL = 1e-12
+INDICIAL_RE_HALF_WIDTH = 1.0
+# validate_chart: bounds on the holomorphy residual and the invertibility
+# margin, and nodes per holomorphy probe circle.
+HOLOMORPHY_TOL = 1e-10
+INVERTIBILITY_TOL = 1e-8
+CHART_PROBE_NODES = 64
+
 
 @dataclass(frozen=True)
 class SigmaRegion:
@@ -36,11 +45,11 @@ class SigmaRegion:
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise InputError("sigma region bounds are empty")
 
-    def contains(self, sigma, tol: float = 1e-12):
+    def contains(self, sigma):
         s = np.asarray(sigma, dtype=complex)
-        ok = (s.imag >= self.im_min - tol) & (s.imag <= self.im_max + tol)
+        ok = (s.imag >= self.im_min - REGION_TOL) & (s.imag <= self.im_max + REGION_TOL)
         if not self.strip:
-            ok &= (s.real >= self.re_min - tol) & (s.real <= self.re_max + tol)
+            ok &= (s.real >= self.re_min - REGION_TOL) & (s.real <= self.re_max + REGION_TOL)
         return ok if ok.ndim else bool(ok)
 
     def boundary_distance(self, sigma) -> float:
@@ -156,34 +165,36 @@ def matrix_polynomial_chart(
     return FamilyChart(n, param_dim, sigma, evaluator, name)
 
 
-def jordan_chart(half_width: float = 2.0) -> FamilyChart:
+# Region of the built-in 2 x 2 families.
+MODEL_REGION = SigmaRegion(-2.0, 2.0, -2.0, 2.0)
+
+
+def jordan_chart() -> FamilyChart:
     """The 2 x 2 family [[sigma, 1], [0, sigma]]; one double singular point at 0."""
-    region = SigmaRegion(-half_width, half_width, -half_width, half_width)
     terms = [
         PolyTerm(1, (0,), np.eye(2)),
         PolyTerm(0, (0,), np.array([[0.0, 1.0], [0.0, 0.0]])),
     ]
-    return matrix_polynomial_chart(terms, region, name="jordan")
+    return matrix_polynomial_chart(terms, MODEL_REGION, name="jordan")
 
 
-def branching_chart(half_width: float = 2.0) -> FamilyChart:
+def branching_chart() -> FamilyChart:
     """The 2 x 2 family [[sigma, y], [y, sigma]]; singular points +/- y branch at y = 0."""
-    region = SigmaRegion(-half_width, half_width, -half_width, half_width)
     terms = [
         PolyTerm(1, (0,), np.eye(2)),
         PolyTerm(0, (1,), np.array([[0.0, 1.0], [1.0, 0.0]])),
     ]
-    return matrix_polynomial_chart(terms, region, name="branching")
+    return matrix_polynomial_chart(terms, MODEL_REGION, name="branching")
 
 
-def indicial_chart(m: int, re_half_width: float = 1.0) -> FamilyChart:
+def indicial_chart(m: int) -> FamilyChart:
     """Scalar indicial polynomial ``(sigma + i(m-1)) ... (sigma + i) sigma``.
 
     Its roots are ``{0, -i, ..., -i(m-1)}``.
     """
     if m < 1:
         raise InputError("indicial order must be at least 1")
-    region = SigmaRegion(-re_half_width, re_half_width, -(m - 1) - 0.6, 0.6)
+    region = SigmaRegion(-INDICIAL_RE_HALF_WIDTH, INDICIAL_RE_HALF_WIDTH, -(m - 1) - 0.6, 0.6)
 
     def evaluator(y, ss):
         val = np.ones_like(ss)
@@ -293,9 +304,6 @@ def validate_chart(
     chart: FamilyChart,
     y_samples: Sequence,
     sl_spec: Optional[SturmLiouvilleSpec] = None,
-    holomorphy_tol: float = 1e-10,
-    invertibility_tol: float = 1e-8,
-    probe_nodes: int = 64,
 ) -> ChartReport:
     """Check holomorphy in sigma and existence of a point of invertibility.
 
@@ -311,7 +319,7 @@ def validate_chart(
     sa_res = None
     for y in y_samples:
         for c in centers:
-            circ = Circle(complex(c), radius, probe_nodes)
+            circ = Circle(complex(c), radius, CHART_PROBE_NODES)
             samples = SampledFunction(circ, chart.eval_many(y, circ.nodes))
             res = max(res, float(np.linalg.norm(cauchy_moment(samples, 0))))
         probes_re = np.linspace(rect.re_min, rect.re_max, 5)
@@ -330,12 +338,42 @@ def validate_chart(
                 raise ConfigurationError(
                     f"||a(y)|| = {np.linalg.norm(a, 2):.6f} reaches the declared bound at y = {y}"
                 )
-    passed = res < holomorphy_tol and margin > invertibility_tol and (sa_res is None or sa_res < 1e-12)
+    passed = res < HOLOMORPHY_TOL and margin > INVERTIBILITY_TOL and (sa_res is None or sa_res < 1e-12)
     return ChartReport(res, margin, sa_res, passed)
 
 
 # ---------------------------------------------------------------------------
 # JSON ingestion
+
+# Keys each problem-file object may carry; anything else raises SpecError.
+FAMILY_KEYS = {
+    "matrix_polynomial": {"kind", "param_dim", "terms", "sigma"},
+    "sturm_liouville": {"kind", "r", "a_terms", "mode_cutoff", "k_gap", "r_bound", "re_window"},
+    "indicial": {"kind", "m"},
+    "jordan": {"kind"},
+    "branching": {"kind"},
+}
+REGION_KEYS = {"rectangle": {"kind", "re", "im"}, "strip": {"kind", "im_half_width", "re"}}
+TERM_KEYS = {"sigma_power", "y_powers", "matrix"}
+
+
+def _check_keys(obj, allowed: set, where: str) -> None:
+    """Raise ``SpecError`` unless ``obj`` is a JSON object whose keys lie in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise SpecError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise SpecError(f"unknown {where} keys: {', '.join(map(repr, sorted(unknown)))}")
+
+
+def _checked_kind(obj, key: str, keys_by_kind: dict, where: str, default) -> str:
+    """The kind named by ``obj[key]``, after checking the keys of ``obj`` against that kind's."""
+    kind = obj.get(key, default) if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in keys_by_kind:
+        known = ", ".join(map(repr, keys_by_kind))
+        raise SpecError(f"{where} needs a '{key}' out of {known}, got {kind!r}")
+    _check_keys(obj, keys_by_kind[kind], f"{kind} {where}")
+    return kind
 
 
 def _complex_from_pair(obj) -> complex:
@@ -356,29 +394,33 @@ def _matrix_from_spec(obj) -> np.ndarray:
 def _region_from_spec(obj) -> SigmaRegion:
     if obj is None:
         raise SpecError("family kind requires an explicit 'sigma' region")
-    kind = obj.get("kind", "rectangle")
+    kind = _checked_kind(obj, "kind", REGION_KEYS, "sigma region", "rectangle")
     if kind == "rectangle":
         re = obj.get("re")
         im = obj.get("im")
         if re is None or im is None:
             raise SpecError("rectangle region needs 're' and 'im' bounds")
         return SigmaRegion(float(re[0]), float(re[1]), float(im[0]), float(im[1]))
-    if kind == "strip":
-        hw = obj.get("im_half_width")
-        if hw is None:
-            raise SpecError("strip region needs 'im_half_width'")
-        re = obj.get("re", [-1.0, 1.0])
-        return SigmaRegion.strip_region(float(hw), (float(re[0]), float(re[1])))
-    raise SpecError(f"unknown sigma region kind {kind!r}")
+    hw = obj.get("im_half_width")
+    if hw is None:
+        raise SpecError("strip region needs 'im_half_width'")
+    re = obj.get("re", [-1.0, 1.0])
+    return SigmaRegion.strip_region(float(hw), (float(re[0]), float(re[1])))
 
 
 def _terms_from_spec(obj, param_dim: int) -> list:
     terms = []
     for t in obj:
+        _check_keys(t, TERM_KEYS, "term")
+        y_powers = tuple(int(e) for e in t.get("y_powers", [0] * param_dim))
+        if len(y_powers) != param_dim:
+            raise SpecError(
+                f"term y_powers {list(y_powers)} need one exponent per parameter ({param_dim})"
+            )
         terms.append(
             PolyTerm(
                 sigma_power=int(t.get("sigma_power", 0)),
-                y_powers=tuple(int(e) for e in t.get("y_powers", [0] * param_dim)),
+                y_powers=y_powers,
                 matrix=_matrix_from_spec(t["matrix"]),
             )
         )
@@ -398,11 +440,10 @@ def _poly_coefficient_eval(terms: Sequence[PolyTerm], r: int) -> Callable:
 def family_from_dict(obj: dict):
     """Build a chart from a problem-spec 'family' object.
 
-    Returns ``(chart, sl_spec_or_None)``.
+    Returns ``(chart, sl_spec_or_None)``.  A Sturm-Liouville family has one
+    parameter.
     """
-    if "kind" not in obj:
-        raise SpecError("family object needs a 'kind'")
-    kind = obj["kind"]
+    kind = _checked_kind(obj, "kind", FAMILY_KEYS, "family", None)
     if kind == "matrix_polynomial":
         param_dim = int(obj.get("param_dim", 1))
         terms = _terms_from_spec(obj.get("terms", []), param_dim)
@@ -410,7 +451,7 @@ def family_from_dict(obj: dict):
         return matrix_polynomial_chart(terms, region, param_dim), None
     if kind == "sturm_liouville":
         r = int(obj["r"])
-        a_terms = _terms_from_spec(obj.get("a_terms", []), int(obj.get("param_dim", 1)))
+        a_terms = _terms_from_spec(obj.get("a_terms", []), 1)
         for t in a_terms:
             if t.sigma_power != 0:
                 raise SpecError("coefficient terms of a(y) may not depend on sigma")
@@ -427,6 +468,4 @@ def family_from_dict(obj: dict):
         return indicial_chart(int(obj.get("m", 2))), None
     if kind == "jordan":
         return jordan_chart(), None
-    if kind == "branching":
-        return branching_chart(), None
-    raise SpecError(f"unknown family kind {kind!r}")
+    return branching_chart(), None

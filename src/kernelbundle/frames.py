@@ -28,11 +28,19 @@ from .errors import (
     NumericalError,
     RegionError,
 )
+from .family import adjoint_chart
 from .keldysh import DualRootSystem, RootSystem
 from .reduction import BasePointData, SchurEvaluator, _schur
 
-DEFAULT_RHO_FACTOR = 0.75
 INDEPENDENCE_CONDITION_LIMIT = 1e10
+INDEPENDENCE_PROBE_NODES = 48
+DECAY_PROBE_FACTOR = 10.0
+POLE_GERM_NODES = 128
+# laurent_coefficients: moment equations beyond the unknowns, and the bounds
+# on the moment system's condition and on the relative reconstruction residual.
+EXTRA_MOMENTS = 2
+MOMENT_CONDITION_LIMIT = 1e10
+LAURENT_RESIDUAL_TOL = 1e-6
 
 
 @dataclass
@@ -47,7 +55,6 @@ class Germ:
     center: complex
     carrier: SampledFunction
     cluster: Optional[int] = None
-    label: str = ""
 
     @property
     def value_dim(self) -> int:
@@ -70,7 +77,6 @@ class Germ:
             self.center,
             SampledFunction(self.carrier.circle, self.carrier.values + other.carrier.values),
             self.cluster,
-            self.label,
         )
 
     def __rmul__(self, scalar) -> "Germ":
@@ -78,12 +84,11 @@ class Germ:
             self.center,
             SampledFunction(self.carrier.circle, complex(scalar) * self.carrier.values),
             self.cluster,
-            self.label,
         )
 
-    def decay_margin(self, far_factor: float = 10.0) -> float:
+    def decay_margin(self) -> float:
         """|value| * |distance| at a far probe, bounded by the carrier mass."""
-        probe = self.center + far_factor * self.rho
+        probe = self.center + DECAY_PROBE_FACTOR * self.rho
         val = np.linalg.norm(np.atleast_1d(self.eval(probe)))
         return float(val * abs(probe - self.center))
 
@@ -94,7 +99,6 @@ def make_germ(
     rho: float,
     node_count: int = 128,
     cluster: Optional[int] = None,
-    label: str = "",
 ) -> Germ:
     """Sample a vectorized function on the carrier circle and wrap it as a germ."""
     circle = Circle(complex(center), float(rho), node_count)
@@ -103,16 +107,13 @@ def make_germ(
         values = values[:, None]
     if not np.all(np.isfinite(values)):
         raise NumericalError("function has a pole on the carrier circle; move rho")
-    return Germ(complex(center), SampledFunction(circle, values), cluster, label)
+    return Germ(complex(center), SampledFunction(circle, values), cluster)
 
 
 def germ_from_pole_coefficients(
     center: complex,
     coeffs: dict,
     rho: float,
-    node_count: int = 128,
-    cluster: Optional[int] = None,
-    label: str = "",
 ) -> Germ:
     """Germ of ``sum_m coeffs[m] * (sigma - center)^{-m}``."""
     coeffs = {int(m): np.atleast_1d(np.asarray(v, dtype=complex)) for m, v in coeffs.items()}
@@ -126,7 +127,7 @@ def germ_from_pole_coefficients(
             out += (z ** (-m))[..., None] * v
         return out
 
-    return make_germ(f, center, rho, node_count, cluster, label)
+    return make_germ(f, center, rho, POLE_GERM_NODES)
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,6 @@ class FrameSet:
         return [e for e in self.entries if e.s == s]
 
 
-def _carrier_circle(cluster, rho_factor: float, node_count: int) -> Circle:
-    rho = rho_factor * cluster.radius
-    if not 0.5 * cluster.radius < rho < cluster.radius:
-        raise InputError("carrier radius must sit strictly between epsilon/2 and epsilon")
-    return Circle(cluster.center, rho, node_count)
-
-
 def _beta_samples(ev: SchurEvaluator, system: RootSystem, nodes: np.ndarray) -> np.ndarray:
     """Exact values of all beta_j on the given nodes, shape (N, k, J).
 
@@ -180,7 +174,7 @@ def _beta_samples(ev: SchurEvaluator, system: RootSystem, nodes: np.ndarray) -> 
     return np.stack(cols, axis=2)
 
 
-def _carrier_samples(ev: SchurEvaluator, system: RootSystem, y, rho_factor: float, node_count: int):
+def _carrier_samples(ev: SchurEvaluator, system: RootSystem, y, node_count: int):
     """Samples of ``(sigma-c)^l P_s(y,sigma)^{-1} beta_j`` on the carrier circle.
 
     Returns ``(circle, values, labels, correction)``: values has shape
@@ -188,7 +182,7 @@ def _carrier_samples(ev: SchurEvaluator, system: RootSystem, y, rho_factor: floa
     shift; ``correction`` is ``p22^{-1} p21`` at the nodes, from the same
     block evaluation as the Schur complement.
     """
-    circle = _carrier_circle(ev.cluster, rho_factor, node_count)
+    circle = ev.cluster.carrier(node_count)
     nodes = circle.nodes
     beta = _beta_samples(ev, system, nodes)
     schur, correction = _schur(ev.blocks_many(y, nodes), nodes)
@@ -199,16 +193,11 @@ def _carrier_samples(ev: SchurEvaluator, system: RootSystem, y, rho_factor: floa
     return circle, values, labels, correction
 
 
-def _carrier_germs(ev: SchurEvaluator, circle: Circle, values, labels, name: str) -> list:
-    """One germ per ``(j, l)`` label from carrier samples of shape (N, entries, dim)."""
+def _carrier_germs(ev: SchurEvaluator, circle: Circle, values) -> list:
+    """One germ per entry from carrier samples of shape (N, entries, dim)."""
     return [
-        Germ(
-            ev.cluster.center,
-            SampledFunction(circle, values[:, t, :]),
-            cluster=ev.s,
-            label=f"{name}[{ev.s}][{j},{l}]",
-        )
-        for t, (j, l) in enumerate(labels)
+        Germ(ev.cluster.center, SampledFunction(circle, values[:, t, :]), cluster=ev.s)
+        for t in range(values.shape[1])
     ]
 
 
@@ -216,15 +205,14 @@ def kframe_at(
     ev: SchurEvaluator,
     system: RootSystem,
     y,
-    rho_factor: float = DEFAULT_RHO_FACTOR,
     node_count: int = 128,
 ) -> list:
     """Kernel-side frame germs ``s((sigma-c)^l P_s(y,sigma)^{-1} beta_j)``.
 
     Returns k-valued germs ordered by chain then shift.
     """
-    circle, values, labels, _ = _carrier_samples(ev, system, y, rho_factor, node_count)
-    return _carrier_germs(ev, circle, values, labels, "K")
+    circle, values, _, _ = _carrier_samples(ev, system, y, node_count)
+    return _carrier_germs(ev, circle, values)
 
 
 def fullframe_at(
@@ -232,7 +220,6 @@ def fullframe_at(
     base: BasePointData,
     systems: Sequence[RootSystem],
     y,
-    rho_factor: float = DEFAULT_RHO_FACTOR,
     node_count: int = 128,
 ) -> FrameSet:
     """Frame of the kernel bundle at parameter y, all clusters.
@@ -245,10 +232,10 @@ def fullframe_at(
     entries = []
     for s, system in enumerate(systems):
         ev = SchurEvaluator(chart, base, s)
-        circle, g, labels, correction = _carrier_samples(ev, system, y, rho_factor, node_count)
+        circle, g, labels, correction = _carrier_samples(ev, system, y, node_count)
         c = ev.cluster
         full = g @ c.K.T - (g @ correction.swapaxes(1, 2)) @ c.Kperp.T
-        germs = _carrier_germs(ev, circle, full, labels, "phi")
+        germs = _carrier_germs(ev, circle, full)
         entries.extend(FrameEntry(s, j, l, g) for (j, l), g in zip(labels, germs))
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     return FrameSet(y=y_key, entries=entries)
@@ -259,7 +246,6 @@ def dual_frame_at(
     base: BasePointData,
     duals: Sequence[DualRootSystem],
     y,
-    rho_factor: float = DEFAULT_RHO_FACTOR,
     node_count: int = 128,
 ) -> FrameSet:
     """Dual frame at parameter y: the primal construction run on the adjoint family.
@@ -267,29 +253,21 @@ def dual_frame_at(
     The adjoint reduction reuses the swapped cluster bases at the conjugated
     centers, and the dual systems' image functions play the role of beta.
     """
-    from .family import adjoint_chart
-
     adj_chart = adjoint_chart(chart)
     adj_base = base.conjugate_swapped()
-    return fullframe_at(adj_chart, adj_base, duals, y, rho_factor, node_count)
+    return fullframe_at(adj_chart, adj_base, duals, y, node_count)
 
 
-def independence_check(
-    frame: FrameSet,
-    base: BasePointData,
-    probe_factor: float = 0.9,
-    probe_nodes: int = 48,
-) -> float:
+def independence_check(frame: FrameSet, base: BasePointData) -> float:
     """Condition number of the Gram matrix of frame values on probe circles.
 
-    Values are collected on one probe circle per cluster, outside every
-    carrier.  Failure beyond the hard limit raises; the number is returned
-    for reporting either way.
+    Values are collected on each cluster's contour, outside every carrier.
+    Failure beyond the hard limit raises; the number is returned for
+    reporting either way.
     """
     rows = []
     for cl in base.clusters:
-        probe = Circle(cl.center, probe_factor * cl.radius, probe_nodes)
-        pts = probe.nodes
+        pts = cl.contour(INDEPENDENCE_PROBE_NODES).nodes
         rows.append(np.stack([g.eval(pts) for g in frame.germs()], axis=0))
     # rows: per-cluster arrays (entries, nodes, dim) -> one flat row per entry
     stacked = np.concatenate([r.reshape(r.shape[0], -1) for r in rows], axis=1)
@@ -306,27 +284,15 @@ class PoleData:
     coefficients: np.ndarray  # shape (multiplicity, dim); row m-1 is the (sigma-p)^{-m} coefficient
 
 
-def laurent_coefficients(
-    germ: Germ,
-    poles: Sequence,
-    extra_moments: int = 2,
-    condition_limit: float = 1e10,
-    residual_tol: float = 1e-6,
-) -> list:
+def laurent_coefficients(germ: Germ, poles: Sequence) -> list:
     """Laurent coefficients of a germ at known pole locations.
 
-    ``poles`` is a sequence of ``(location, multiplicity)`` pairs (or objects
-    with those attributes).  Coefficients solve the moment equations of the
-    carrier samples; an ill-conditioned system or a poor reconstruction
-    raises a clustered-poles error.
+    ``poles`` is a sequence of ``(location, multiplicity)`` pairs.
+    Coefficients solve the moment equations of the carrier samples; an
+    ill-conditioned system or a poor reconstruction raises a clustered-poles
+    error.
     """
-    pole_list = []
-    for p in poles:
-        if hasattr(p, "location"):
-            pole_list.append((complex(p.location), int(p.multiplicity)))
-        else:
-            loc, mult = p
-            pole_list.append((complex(loc), int(mult)))
+    pole_list = [(complex(loc), int(mult)) for loc, mult in poles]
     if not pole_list:
         raise InputError("need at least one pole")
     rho = germ.rho
@@ -338,7 +304,7 @@ def laurent_coefficients(
                 raise ClusteredPolesError("poles closer than the resolvable separation")
 
     total = sum(m for _, m in pole_list)
-    n_eq = total + extra_moments
+    n_eq = total + EXTRA_MOMENTS
     # scaled unknowns c_{p,k} / rho^{k-1} against scaled moments M_m / rho^m
     A = np.zeros((n_eq, total), dtype=complex)
     col = 0
@@ -354,14 +320,14 @@ def laurent_coefficients(
     moments = np.stack([cauchy_moment(germ.carrier, m) / rho ** m for m in range(n_eq)])
     moments = moments.reshape(n_eq, -1)
     cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > condition_limit:
+    if not np.isfinite(cond) or cond > MOMENT_CONDITION_LIMIT:
         raise ClusteredPolesError(
             f"pole configuration too close to resolve (moment condition {cond:.3e})"
         )
     sol, *_ = np.linalg.lstsq(A, moments, rcond=None)
     scale = max(float(np.max(np.abs(moments))), 1e-300)
     residual = float(np.linalg.norm(A @ sol - moments)) / scale
-    if residual > residual_tol:
+    if residual > LAURENT_RESIDUAL_TOL:
         raise ClusteredPolesError(f"Laurent reconstruction residual {residual:.3e}")
 
     out = []

@@ -18,29 +18,28 @@ import numpy as np
 from .contour import Circle, SampledFunction, count_zeros, singular_part_eval, taylor_coefficient
 from .errors import InputError, NondegeneracyError, NumericalError
 from .family import adjoint_chart
-from .reduction import BasePointData, SchurEvaluator
+from .reduction import BasePointData, SchurEvaluator, local_multiplicity
 
 BETA_CONDITION_LIMIT = 1e8
 DUAL_RESIDUAL_LIMIT = 1e-8
+VERIFY_NODES = 128
 
 
 def taylor_coefficients(
     ev: SchurEvaluator,
     order: Optional[int] = None,
-    radius_factor: float = 0.75,
     node_count: int = 256,
 ) -> list:
     """Taylor coefficients of the reduced family at the cluster center at y0.
 
-    Computed by contour integrals on a circle of radius ``radius_factor``
-    times the cluster radius.  ``order`` defaults to twice the local
-    multiplicity plus one, enough for the chain conditions and for the
-    product series entering the dual normalization.
+    Computed by contour integrals on the cluster's carrier circle.  ``order``
+    defaults to twice the local multiplicity plus one, enough for the chain
+    conditions and for the product series entering the dual normalization.
     """
     c = ev.cluster
     if order is None:
         order = 2 * c.multiplicity + 1
-    circle = Circle(c.center, radius_factor * c.radius, node_count)
+    circle = c.carrier(node_count)
     samples = SampledFunction(circle, ev.schur_many(ev.base.y0, circle.nodes))
     return [taylor_coefficient(samples, p) for p in range(order + 1)]
 
@@ -419,7 +418,6 @@ def verify_canonical_system(
     ev: SchurEvaluator,
     system: RootSystem,
     dual: Optional[DualRootSystem] = None,
-    node_count: int = 128,
 ) -> dict:
     """Diagnostics for a root system: membership, counts and determinant structure.
 
@@ -427,8 +425,7 @@ def verify_canonical_system(
     """
     c = ev.cluster
     y0 = ev.base.y0
-    rho = 0.75 * c.radius
-    circle = Circle(c.center, rho, node_count)
+    circle = c.carrier(VERIFY_NODES)
     probes = c.center + 1.6 * c.radius * np.exp(2j * np.pi * np.arange(5) / 5)
 
     schur_samples = ev.schur_many(y0, circle.nodes)
@@ -442,13 +439,13 @@ def verify_canonical_system(
         vals = singular_part_eval(sampled, probes)
         membership = max(membership, float(np.max(np.abs(vals))) / max(scale, 1e-300))
 
-    q_count = count_zeros(ev.qdet_function(y0), Circle(c.center, c.radius, max(node_count, 128)))
+    q_count = local_multiplicity(ev, y0, VERIFY_NODES)
     ratio_winding = None
     try:
         d = system.total
         ratio_winding = count_zeros(
             lambda sig: ev.qdet_many(y0, sig) * (sig - system.center) ** (-d),
-            Circle(c.center, c.radius, max(node_count, 128)),
+            Circle(c.center, c.radius, VERIFY_NODES),
         )
     except NumericalError:
         pass

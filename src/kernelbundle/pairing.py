@@ -17,16 +17,18 @@ import numpy as np
 
 from .contour import Circle
 from .errors import InputError, NondegeneracyError, SectionResidualError
-from .frames import FrameSet, Germ
+from .family import adjoint_chart
+from .frames import FrameSet, Germ, dual_frame_at, fullframe_at, kframe_at
 from .keldysh import DualRootSystem, RootSystem
 from .reduction import BasePointData, SchurEvaluator
 
 PAIRING_CONDITION_LIMIT = 1e12
+REDUCED_PAIRING_NODES = 256
 
 
-def cluster_contours(base: BasePointData, radius_factor: float = 0.9, node_count: int = 256) -> list:
+def cluster_contours(base: BasePointData, node_count: int = 256) -> list:
     """One positively oriented circle per cluster, outside every carrier."""
-    return [Circle(cl.center, radius_factor * cl.radius, node_count) for cl in base.clusters]
+    return [cl.contour(node_count) for cl in base.clusters]
 
 
 def _contour_pairing(circle: Circle, pvals, phis, psis) -> np.ndarray:
@@ -75,7 +77,7 @@ def _same_cluster_blocks(frame: FrameSet, dual: FrameSet) -> bool:
     return clusters == {e.s for e in dual.entries}
 
 
-def _pairings(chart, frame, dual, base, y, section, node_count: int, radius_factor: float):
+def _pairings(chart, frame, dual, base, y, section, node_count: int):
     """Pairings ``[phi_b, psi_a]``, and ``[section, psi_a]`` when a section is given.
 
     P is sampled once per cluster contour; the section rides along as one
@@ -86,7 +88,7 @@ def _pairings(chart, frame, dual, base, y, section, node_count: int, radius_fact
         raise InputError("frame and dual frame must have the same number of entries")
     if not _same_cluster_blocks(frame, dual):
         raise InputError("frame and dual frame must cover the same clusters")
-    contours = cluster_contours(base, radius_factor, node_count)
+    contours = cluster_contours(base, node_count)
     m = np.zeros((len(dual), len(frame)), dtype=complex)
     column = None if section is None else np.zeros(len(dual), dtype=complex)
     for s, circle in enumerate(contours):
@@ -107,18 +109,13 @@ def _pairings(chart, frame, dual, base, y, section, node_count: int, radius_fact
     return m, column
 
 
-def _checked_pairing(m: np.ndarray, frame: FrameSet, dual: FrameSet) -> PairingMatrix:
+def _checked_pairing(m: np.ndarray, y: tuple, labels: list, dual_labels: list) -> PairingMatrix:
+    """The pairing matrix with its condition number; raises when it is numerically singular."""
     svals = np.linalg.svd(m, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > PAIRING_CONDITION_LIMIT:
         raise NondegeneracyError(f"pairing matrix is numerically singular (condition {cond:.3e})")
-    return PairingMatrix(
-        y=frame.y,
-        matrix=m,
-        labels=frame.labels(),
-        dual_labels=dual.labels(),
-        condition=cond,
-    )
+    return PairingMatrix(y=y, matrix=m, labels=labels, dual_labels=dual_labels, condition=cond)
 
 
 def pairing_matrix(
@@ -128,7 +125,6 @@ def pairing_matrix(
     base: BasePointData,
     y,
     node_count: int = 256,
-    radius_factor: float = 0.9,
 ) -> PairingMatrix:
     """All pairings [phi_b, psi_a] as a matrix indexed (a, b).
 
@@ -137,8 +133,8 @@ def pairing_matrix(
     contour), so only same-cluster blocks are integrated; cross blocks are
     set to zero exactly.
     """
-    m, _ = _pairings(chart, frame, dual, base, y, None, node_count, radius_factor)
-    return _checked_pairing(m, frame, dual)
+    m, _ = _pairings(chart, frame, dual, base, y, None, node_count)
+    return _checked_pairing(m, frame.y, frame.labels(), dual.labels())
 
 
 def reduced_pairing_matrix(
@@ -147,9 +143,6 @@ def reduced_pairing_matrix(
     systems: Sequence[RootSystem],
     duals: Sequence[DualRootSystem],
     y,
-    node_count: int = 256,
-    radius_factor: float = 0.9,
-    rho_factor: float = 0.75,
 ) -> PairingMatrix:
     """Pairing computed inside the reduced families, block per cluster.
 
@@ -157,12 +150,9 @@ def reduced_pairing_matrix(
     the reflected point: the complement corrections of the two embeddings
     cancel in the pairing, so this must agree with the full-space matrix.
     """
-    from .family import adjoint_chart
-    from .frames import kframe_at
-
     adj_chart = adjoint_chart(chart)
     adj_base = base.conjugate_swapped()
-    contours = cluster_contours(base, radius_factor, node_count)
+    contours = cluster_contours(base, REDUCED_PAIRING_NODES)
     total = sum(sys.total for sys in systems)
     m = np.zeros((total, total), dtype=complex)
     labels = []
@@ -171,8 +161,8 @@ def reduced_pairing_matrix(
     for s, (system, dual) in enumerate(zip(systems, duals)):
         ev = SchurEvaluator(chart, base, s)
         dual_ev = SchurEvaluator(adj_chart, adj_base, s)
-        kgerms = kframe_at(ev, system, y, rho_factor, node_count=node_count)
-        dual_kgerms = kframe_at(dual_ev, dual, y, rho_factor, node_count=node_count)
+        kgerms = kframe_at(ev, system, y, REDUCED_PAIRING_NODES)
+        dual_kgerms = kframe_at(dual_ev, dual, y, REDUCED_PAIRING_NODES)
         labels.extend((s, j, l) for j, l in system.entry_labels())
         dual_labels.extend((s, j, l) for j, l in dual.entry_labels())
         circle = contours[s]
@@ -187,12 +177,8 @@ def reduced_pairing_matrix(
         d = block.shape[0]
         m[offset : offset + d, offset : offset + d] = block
         offset += d
-    svals = np.linalg.svd(m, compute_uv=False)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    if not np.isfinite(cond) or cond > PAIRING_CONDITION_LIMIT:
-        raise NondegeneracyError(f"reduced pairing matrix is numerically singular (condition {cond:.3e})")
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
-    return PairingMatrix(y=y_key, matrix=m, labels=labels, dual_labels=dual_labels, condition=cond)
+    return _checked_pairing(m, y_key, labels, dual_labels)
 
 
 def expected_base_pairing(systems: Sequence[RootSystem]) -> np.ndarray:
@@ -220,8 +206,6 @@ def base_point_check(
     node_count: int = 256,
 ) -> float:
     """Max deviation of the base pairing matrix from its constant pattern."""
-    from .frames import dual_frame_at, fullframe_at
-
     frame = fullframe_at(chart, base, systems, base.y0, node_count=node_count)
     dual = dual_frame_at(chart, base, duals, base.y0, node_count=node_count)
     pm = pairing_matrix(chart, frame, dual, base, base.y0, node_count=node_count)
@@ -269,8 +253,8 @@ def coefficients(
     ``M`` and ``b`` come from one sample of P per contour; the result carries
     ``M`` as its ``pairing``.
     """
-    m, b = _pairings(chart, frame, dual, base, y, section, node_count, 0.9)
-    pairing = _checked_pairing(m, frame, dual)
+    m, b = _pairings(chart, frame, dual, base, y, section, node_count)
+    pairing = _checked_pairing(m, frame.y, frame.labels(), dual.labels())
     f = np.linalg.solve(m, b)
     f = f + np.linalg.solve(m, b - m @ f)
 

@@ -25,6 +25,22 @@ from .errors import (
 from .family import FamilyChart, _as_param
 
 P22_CONDITION_LIMIT = 1e12
+# Halvings of the working radius tried before a base point is given up.
+MAX_HALVINGS = 10
+# validate_neighborhood: rings (fractions of the radius, besides the center)
+# and angles of the complement-block samples, angles per ring of the annulus
+# check, and the smallest admissible relative margins.
+DISC_RINGS = (0.45, 0.8, 1.0)
+DISC_ANGLES = 12
+ANNULUS_SAMPLES = 48
+INVERTIBILITY_FLOOR = 1e-12
+ANNULUS_FLOOR = 1e-10
+# The fiber does not depend on the circle that carries it, so each cluster
+# fixes two: frames are sampled on the carrier at CARRIER_FRACTION of the
+# cluster radius and paired on the contour at CONTOUR_FRACTION, outside every
+# carrier.
+CARRIER_FRACTION = 0.75
+CONTOUR_FRACTION = 0.9
 
 
 def _fix_column_phases(m: np.ndarray) -> np.ndarray:
@@ -113,6 +129,14 @@ class Cluster:
             R=self.Kperp,
             radius=self.radius,
         )
+
+    def carrier(self, node_count: int) -> Circle:
+        """Circle that carries the frame germs of this cluster."""
+        return Circle(self.center, CARRIER_FRACTION * self.radius, node_count)
+
+    def contour(self, node_count: int) -> Circle:
+        """Circle on which frames of this cluster are paired, outside the carrier."""
+        return Circle(self.center, CONTOUR_FRACTION * self.radius, node_count)
 
 
 @dataclass
@@ -220,10 +244,11 @@ def _schur(blocks, sigmas):
     return p11 - p12 @ correction, correction
 
 
-def local_multiplicity(ev: SchurEvaluator, y, node_count: int = 128) -> int:
-    """Zeros of the reduced determinant inside the cluster disc, with multiplicity."""
+def local_multiplicity(ev: SchurEvaluator, y, node_count: int = 128, fraction: float = 1.0) -> int:
+    """Zeros of the reduced determinant, with multiplicity, inside the circle
+    at ``fraction`` of the cluster radius."""
     c = ev.cluster
-    circle = Circle(c.center, c.radius, node_count)
+    circle = Circle(c.center, fraction * c.radius, node_count)
     return count_zeros(ev.qdet_function(y), circle)
 
 
@@ -263,12 +288,10 @@ class ValidationReport:
         return {"passed": self.passed, "conditions": [c.to_dict() for c in self.conditions]}
 
 
-def _disc_samples(center: complex, radius: float, rings=(0.0, 0.45, 0.8, 1.0), angles: int = 12):
+def _disc_samples(center: complex, radius: float):
     pts = [center]
-    for rho in rings:
-        if rho == 0.0:
-            continue
-        theta = 2 * np.pi * np.arange(angles) / angles
+    theta = 2 * np.pi * np.arange(DISC_ANGLES) / DISC_ANGLES
+    for rho in DISC_RINGS:
         pts.extend(center + rho * radius * np.exp(1j * theta))
     return np.array(pts)
 
@@ -295,9 +318,6 @@ def validate_neighborhood(
     chart: FamilyChart,
     base: BasePointData,
     y_grid: Sequence,
-    annulus_samples: int = 48,
-    invertibility_floor: float = 1e-12,
-    annulus_floor: float = 1e-10,
 ) -> ValidationReport:
     """Check the four neighborhood conditions on a sampled grid.
 
@@ -343,7 +363,7 @@ def validate_neighborhood(
         margin2 = min(margin2, _p22_margin(ev, base.y0, pts))
     conditions.append(
         ConditionResult(
-            "complement_invertible_base", bool(margin2 > invertibility_floor), float(margin2)
+            "complement_invertible_base", bool(margin2 > INVERTIBILITY_FLOOR), float(margin2)
         )
     )
 
@@ -357,14 +377,14 @@ def validate_neighborhood(
     margin3, worst3 = _worst_margin(margins3)
     conditions.append(
         ConditionResult(
-            "complement_invertible_grid", bool(margin3 > invertibility_floor), float(margin3), worst3
+            "complement_invertible_grid", bool(margin3 > INVERTIBILITY_FLOOR), float(margin3), worst3
         )
     )
 
     # (4) no reduced zeros in the outer annulus across the grid
     margins4 = []
     radii = np.array([0.5, 0.625, 0.75, 0.875, 0.98])
-    theta = 2 * np.pi * np.arange(annulus_samples) / annulus_samples
+    theta = 2 * np.pi * np.arange(ANNULUS_SAMPLES) / ANNULUS_SAMPLES
     for s in range(len(base.clusters)):
         ev = SchurEvaluator(chart, base, s)
         c = ev.cluster
@@ -375,7 +395,7 @@ def validate_neighborhood(
             margins4.append((float(np.min(q) / max(np.max(q), 1e-300)), f"cluster {s}, y = {y}"))
     margin4, worst4 = _worst_margin(margins4)
     conditions.append(
-        ConditionResult("annulus_nonvanishing", bool(margin4 > annulus_floor), float(margin4), worst4)
+        ConditionResult("annulus_nonvanishing", bool(margin4 > ANNULUS_FLOOR), float(margin4), worst4)
     )
 
     return ValidationReport(conditions)
@@ -388,7 +408,6 @@ def base_point_data(
     rank_tol: Optional[float] = None,
     min_separation: Optional[float] = None,
     search: Optional[Rectangle] = None,
-    max_halvings: int = 10,
 ) -> BasePointData:
     """Locate the singular points of P(y0, .) and freeze the cluster data.
 
@@ -421,7 +440,7 @@ def base_point_data(
             gap = min(gap, 0.5 * abs(z.location - other.location))
     eps = float(epsilon) if epsilon is not None else 0.4 * float(gap)
 
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         clusters = []
         ok = True
         for z in report.zeros:

@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, Rectangle, locate_zeros
+from .contour import Rectangle, locate_zeros
 from .errors import (
     ClusteredPolesError,
     DimensionJumpError,
@@ -27,13 +28,39 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .family import FamilyChart, family_from_dict
-from .frames import Germ, dual_frame_at, fullframe_at, make_germ
+from .family import FamilyChart, _check_keys, _checked_kind, family_from_dict
+from .frames import Germ, dual_frame_at, fullframe_at, laurent_coefficients, make_germ
 from .keldysh import dual_root_functions, root_functions, taylor_coefficients
 from .pairing import coefficients, pairing_matrix
-from .reduction import BasePointData, SchurEvaluator, base_point_data
+from .reduction import (
+    CARRIER_FRACTION,
+    BasePointData,
+    SchurEvaluator,
+    base_point_data,
+    local_multiplicity,
+)
 
 SCHEMA_VERSION = 1
+# Nodes of the sweep's per-point multiplicity counts and p22 margin circles.
+COUNT_NODES = 64
+MARGIN_NODES = 16
+# Trace expansions: slack of the window test, and the probe points and
+# largest relative gap of the numeric cross-check.
+WINDOW_TOL = 1e-9
+TRACE_PROBES = np.geomspace(1e-3, 1.0, 25)
+TRACE_PROBES.flags.writeable = False
+CROSS_CHECK_TOL = 1e-6
+
+
+def _write_json(obj: dict, out) -> None:
+    """Write ``obj`` as sorted-key, indent-2 JSON and a newline to the path
+    ``out``, or to stdout when ``out`` is empty."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +204,7 @@ class SweepReport:
         return out
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.to_dict(), path)
 
 
 def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int = 256):
@@ -205,25 +230,12 @@ def _probe_section(frame, values: np.ndarray) -> list:
     return list(germs.values())
 
 
-def _point_multiplicities(chart, base, y, node_count: int = 64, radius_factor: float = 1.0) -> list:
-    from .contour import count_zeros
-
-    out = []
-    for s, cl in enumerate(base.clusters):
-        ev = SchurEvaluator(chart, base, s)
-        circ = Circle(cl.center, radius_factor * cl.radius, node_count)
-        out.append(count_zeros(ev.qdet_function(y), circ))
-    return out
-
-
 def sweep(
     chart: FamilyChart,
     base: BasePointData,
     grid: ParameterGrid,
     probe: Optional[Callable] = None,
     node_count: int = 128,
-    pairing_nodes: int = 128,
-    check_multiplicity: bool = True,
     systems=None,
     duals=None,
 ) -> SweepReport:
@@ -233,7 +245,8 @@ def sweep(
     frame germ) of a synthetic section; the sweep rebuilds that section from
     the frame, recovers the coefficients through the pairing, and records the
     worst error.  A change of total multiplicity at any grid point aborts the
-    sweep with the partial report attached.
+    sweep with the partial report attached.  ``node_count`` sets the nodes of
+    the carriers and the pairing contours.
     """
     t0 = time.perf_counter()
     if systems is None or duals is None:
@@ -258,26 +271,24 @@ def sweep(
     for y in grid.points():
         y_key = tuple(float(v) for v in np.atleast_1d(y))
         try:
-            if check_multiplicity:
-                mults = _point_multiplicities(chart, base, y)
-                if mults != base_mults:
-                    report.elapsed = time.perf_counter() - t0
-                    raise DimensionJumpError(
-                        f"multiplicity changed at y={y_key}: {mults} != {base_mults}",
-                        partial_report=report,
-                    )
-                # The frames sample on a circle of 3/4 the cluster radius, so
-                # every local singular point must sit in the inner half-disc;
-                # one that strays into the outer annulus would silently fall
-                # outside the carrier and corrupt the frame germs.
-                inner = _point_multiplicities(chart, base, y, radius_factor=0.5)
-                if inner != base_mults:
-                    raise ValidationError(
-                        f"singular points left the inner half-discs at y={y_key}: "
-                        f"{inner} != {base_mults}"
-                    )
-            else:
-                mults = base_mults
+            evs = [SchurEvaluator(chart, base, s) for s in range(len(base.clusters))]
+            mults = [local_multiplicity(ev, y, COUNT_NODES) for ev in evs]
+            if mults != base_mults:
+                report.elapsed = time.perf_counter() - t0
+                raise DimensionJumpError(
+                    f"multiplicity changed at y={y_key}: {mults} != {base_mults}",
+                    partial_report=report,
+                )
+            # The frames sample on the carrier circle, so every local singular
+            # point must sit in the inner half-disc; one that strays into the
+            # outer annulus would silently fall outside the carrier and
+            # corrupt the frame germs.
+            inner = [local_multiplicity(ev, y, COUNT_NODES, 0.5) for ev in evs]
+            if inner != base_mults:
+                raise ValidationError(
+                    f"singular points left the inner half-discs at y={y_key}: "
+                    f"{inner} != {base_mults}"
+                )
             margin = _sweep_p22_margin(chart, base, y)
             frame = fullframe_at(chart, base, systems, y, node_count=node_count)
             dual = dual_frame_at(chart, base, duals, y, node_count=node_count)
@@ -286,10 +297,10 @@ def sweep(
                 if expected.shape != (len(frame),):
                     raise InputError("probe must return one coefficient per frame entry")
                 section = _probe_section(frame, expected)
-                cv = coefficients(chart, frame, dual, base, y, section, node_count=pairing_nodes)
+                cv = coefficients(chart, frame, dual, base, y, section, node_count=node_count)
                 pm = cv.pairing
             else:
-                pm = pairing_matrix(chart, frame, dual, base, y, node_count=pairing_nodes)
+                pm = pairing_matrix(chart, frame, dual, base, y, node_count=node_count)
             rec = SweepPoint(
                 y=y_key,
                 multiplicities=mults,
@@ -323,13 +334,12 @@ def sweep(
     return report
 
 
-def _sweep_p22_margin(chart, base, y, n_angles: int = 16) -> float:
+def _sweep_p22_margin(chart, base, y) -> float:
     """Smallest relative p22 singular value over the cluster contours at y."""
     worst = math.inf
     for s, cl in enumerate(base.clusters):
         ev = SchurEvaluator(chart, base, s)
-        circ = Circle(cl.center, 0.9 * cl.radius, n_angles)
-        _, _, _, p22 = ev.blocks_many(y, circ.nodes)
+        _, _, _, p22 = ev.blocks_many(y, cl.contour(MARGIN_NODES).nodes)
         if p22.shape[1] == 0:
             continue
         svals = np.linalg.svd(p22, compute_uv=False)
@@ -345,8 +355,8 @@ BRANCH_HEADER = ["y", "cluster", "re_sigma", "im_sigma", "mult"]
 
 
 def _cluster_rect(cl) -> Rectangle:
-    """Square of half-width 3/4 of the cluster radius around its center."""
-    half = 0.75 * cl.radius
+    """Square around the cluster center, of half-width its carrier radius."""
+    half = CARRIER_FRACTION * cl.radius
     return Rectangle(
         cl.center.real - half, cl.center.real + half,
         cl.center.imag - half, cl.center.imag + half,
@@ -357,13 +367,12 @@ def branching_diagram(
     chart: FamilyChart,
     base: BasePointData,
     grid: ParameterGrid,
-    min_separation: Optional[float] = None,
     out=None,
 ) -> list:
     """Zero locations of the reduced determinants along a one dimensional grid.
 
     Returns rows ``[y, cluster, re, im, mult]`` sorted by grid order, cluster,
-    then location; writes CSV to ``out`` (path or file object) when given.
+    then location; writes CSV to the path ``out`` when given.
     """
     if grid.ndim != 1:
         raise InputError("branching diagrams are defined along a single parameter axis")
@@ -372,7 +381,7 @@ def branching_diagram(
         yval = float(y[0])
         for s, cl in enumerate(base.clusters):
             ev = SchurEvaluator(chart, base, s)
-            sep = min_separation if min_separation is not None else cl.radius / 64.0
+            sep = cl.radius / 64.0
             zrep = locate_zeros(ev.qdet_function(y), _cluster_rect(cl), min_separation=sep)
             for z in zrep.zeros:
                 rows.append([yval, s, float(z.location.real), float(z.location.imag), int(z.multiplicity)])
@@ -380,18 +389,11 @@ def branching_diagram(
                 c = u.box.center
                 rows.append([yval, s, float(c.real), float(c.imag), int(u.count)])
     if out is not None:
-        close = False
-        if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
-            fh = open(out, "w", newline="")
-            close = True
-        else:
-            fh = out
-        writer = csv.writer(fh)
-        writer.writerow(BRANCH_HEADER)
-        for row in rows:
-            writer.writerow([_csv_num(v) for v in row])
-        if close:
-            fh.close()
+        with open(out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(BRANCH_HEADER)
+            for row in rows:
+                writer.writerow([_csv_num(v) for v in row])
     return rows
 
 
@@ -458,14 +460,12 @@ class TraceExpansion:
         return out
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.to_dict(), path)
 
 
-def _in_window(sigma: complex, gamma: float, window: float, tol: float = 1e-9) -> bool:
+def _in_window(sigma: complex, gamma: float, window: float) -> bool:
     decay = -sigma.imag  # real part of the exponent i*sigma
-    return gamma - window - tol < decay < gamma + tol
+    return gamma - window - WINDOW_TOL < decay < gamma + WINDOW_TOL
 
 
 def numeric_trace_samples(germ: Germ, x: np.ndarray) -> np.ndarray:
@@ -487,8 +487,6 @@ def trace_from_germ(
     poles: Sequence,
     gamma: float,
     window: float,
-    x_probes: Optional[np.ndarray] = None,
-    cross_check_tol: float = 1e-6,
 ) -> TraceExpansion:
     """Trace expansion of a scalar pole germ over one window strip.
 
@@ -501,20 +499,16 @@ def trace_from_germ(
     """
     if germ.value_dim != 1:
         raise InputError("trace expansions take scalar germs")
-    if x_probes is None:
-        x_probes = np.geomspace(1e-3, 1.0, 25)
-    numeric = numeric_trace_samples(germ, x_probes)
+    numeric = numeric_trace_samples(germ, TRACE_PROBES)
 
     try:
-        from .frames import laurent_coefficients
-
         pole_data = laurent_coefficients(germ, poles)
     except ClusteredPolesError:
         return TraceExpansion(
             gamma=gamma,
             window=window,
             terms=[],
-            numeric_x=np.asarray(x_probes, dtype=float),
+            numeric_x=TRACE_PROBES,
             numeric_values=numeric,
         )
 
@@ -537,16 +531,16 @@ def trace_from_germ(
         window=window,
         terms=terms,
         dropped=dropped,
-        numeric_x=np.asarray(x_probes, dtype=float),
+        numeric_x=TRACE_PROBES,
         numeric_values=numeric,
     )
-    full = expansion.eval(x_probes) + sum(
-        TraceTerm(s, p, c).eval(x_probes) for s, p, c in dropped
+    full = expansion.eval(TRACE_PROBES) + sum(
+        TraceTerm(s, p, c).eval(TRACE_PROBES) for s, p, c in dropped
     )
     scale = max(float(np.max(np.abs(numeric))), 1e-300)
     gap = float(np.max(np.abs(full - numeric))) / scale
     expansion.symbolic_numeric_gap = gap
-    if gap > cross_check_tol:
+    if gap > CROSS_CHECK_TOL:
         raise NumericalError(
             f"trace terms disagree with direct quadrature (relative gap {gap:.3e})"
         )
@@ -557,7 +551,6 @@ def germ_from_trace(
     expansion: TraceExpansion,
     center: complex,
     rho: float,
-    node_count: int = 128,
 ) -> Germ:
     """Pole germ whose trace expansion has the given terms (window part only).
 
@@ -583,7 +576,7 @@ def germ_from_trace(
                 out = out + c * (z - loc) ** (-m)
         return out[..., None]
 
-    return make_germ(f, center, rho, node_count)
+    return make_germ(f, center, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -593,44 +586,59 @@ def germ_from_trace(
 @dataclass
 class Problem:
     chart: FamilyChart
-    sl_spec: object
     y0: np.ndarray
     epsilon: Optional[float]
     grid: Optional[ParameterGrid]
     probe_entries: Optional[list]
     min_separation: Optional[float]
 
-    def base(self, **kwargs) -> BasePointData:
+    def base(self) -> BasePointData:
         return base_point_data(
             self.chart,
             self.y0,
             epsilon=self.epsilon,
             min_separation=self.min_separation,
-            **kwargs,
         )
 
 
+PROBLEM_KEYS = {"family", "base_point", "grid", "probe", "min_separation"}
+BASE_POINT_KEYS = {"y0", "epsilon"}
+GRID_KEYS = {"axes"}
+AXIS_KEYS = {"min", "max", "count"}
+PROBE_ENTRY_KEYS = {"entry", "coeff"}
+COEFF_KEYS = {
+    "poly": {"type", "coeffs"},
+    "sin": {"type", "scale", "freq"},
+    "cos": {"type", "scale", "freq"},
+}
+
+
 def _coeff_function(spec: dict) -> Callable:
-    kind = spec.get("type")
+    kind = _checked_kind(spec, "type", COEFF_KEYS, "probe coefficient", None)
     if kind == "poly":
         cs = [float(c) for c in spec.get("coeffs", [])]
         return lambda t: sum(c * t ** k for k, c in enumerate(cs))
-    if kind in ("sin", "cos"):
-        scale = float(spec.get("scale", 1.0))
-        freq = float(spec.get("freq", 1.0))
-        fn = math.sin if kind == "sin" else math.cos
-        return lambda t: scale * fn(freq * t)
-    raise SpecError(f"unknown probe coefficient type {kind!r}")
+    scale = float(spec.get("scale", 1.0))
+    freq = float(spec.get("freq", 1.0))
+    fn = math.sin if kind == "sin" else math.cos
+    return lambda t: scale * fn(freq * t)
+
+
+def _probe_terms(entries: Sequence[dict]) -> list:
+    """``(entry index, coefficient function)`` per probe entry."""
+    terms = []
+    for e in entries:
+        _check_keys(e, PROBE_ENTRY_KEYS, "probe entry")
+        terms.append((int(e["entry"]), _coeff_function(e["coeff"])))
+    return terms
 
 
 def probe_from_spec(entries: Sequence[dict], size: int) -> Callable:
-    """Coefficient-vector function of the parameter for a probe section."""
-    parsed = []
-    for e in entries:
-        idx = int(e["entry"])
+    """Coefficient-vector function of the (one-dimensional) parameter for a probe section."""
+    parsed = _probe_terms(entries)
+    for idx, _ in parsed:
         if not 0 <= idx < size:
             raise SpecError(f"probe entry {idx} out of range for frame of size {size}")
-        parsed.append((idx, _coeff_function(e["coeff"])))
 
     def probe(y):
         t = float(np.atleast_1d(y)[0])
@@ -642,19 +650,15 @@ def probe_from_spec(entries: Sequence[dict], size: int) -> Callable:
     return probe
 
 
-PROBLEM_KEYS = {"family", "base_point", "grid", "probe", "min_separation"}
-
-
 def load_problem(spec: dict) -> Problem:
     """Parse a problem description dictionary (see README for the schema)."""
-    unknown = sorted(set(spec) - PROBLEM_KEYS)
-    if unknown:
-        raise SpecError(f"unknown problem file keys: {', '.join(map(repr, unknown))}")
+    _check_keys(spec, PROBLEM_KEYS, "problem file")
     if "family" not in spec:
         raise SpecError("problem file needs a 'family' entry")
-    chart, sl_spec = family_from_dict(spec["family"])
+    chart, _ = family_from_dict(spec["family"])
 
     bp = spec.get("base_point", {})
+    _check_keys(bp, BASE_POINT_KEYS, "base_point")
     y0 = np.atleast_1d(np.asarray(bp.get("y0", [0.0] * chart.param_dim), dtype=float))
     if y0.shape != (chart.param_dim,):
         raise SpecError("base_point.y0 has the wrong number of parameters")
@@ -664,22 +668,26 @@ def load_problem(spec: dict) -> Problem:
     grid = None
     if "grid" in spec:
         g = spec["grid"]
-        if "axes" in g:
-            grid = ParameterGrid.from_ranges(
-                [(ax["min"], ax["max"], ax["count"]) for ax in g["axes"]]
-            )
-        else:
+        _check_keys(g, GRID_KEYS, "grid")
+        if "axes" not in g:
             raise SpecError("grid needs an 'axes' list")
+        for ax in g["axes"]:
+            _check_keys(ax, AXIS_KEYS, "grid axis")
+        grid = ParameterGrid.from_ranges([(ax["min"], ax["max"], ax["count"]) for ax in g["axes"]])
         if grid.ndim != chart.param_dim:
             raise SpecError("grid dimension does not match the parameter dimension")
 
     probe_entries = spec.get("probe")
+    if probe_entries:
+        # probe coefficients are functions of one parameter
+        if chart.param_dim != 1:
+            raise SpecError(f"a probe needs a one-parameter family, not param_dim {chart.param_dim}")
+        _probe_terms(probe_entries)
     min_separation = spec.get("min_separation")
     min_separation = float(min_separation) if min_separation is not None else None
 
     return Problem(
         chart=chart,
-        sl_spec=sl_spec,
         y0=y0,
         epsilon=epsilon,
         grid=grid,

@@ -263,13 +263,6 @@ class TestFrames:
             assert e.germ.value_dim == chart.n
             assert e.germ.center == base.clusters[e.s].center
 
-    def test_carrier_radius_bounds(self, jordan_pipeline):
-        chart, base, systems, _ = jordan_pipeline
-        ev = SchurEvaluator(chart, base, 0)
-        for bad in (0.4, 1.0):
-            with pytest.raises(InputError):
-                kframe_at(ev, systems[0], [0.0], rho_factor=bad)
-
     def test_independence(self, jordan_pipeline):
         chart, base, systems, _ = jordan_pipeline
         frame = fullframe_at(chart, base, systems, [0.0])

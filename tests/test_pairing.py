@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kernelbundle.contour import Circle
 from kernelbundle.errors import InputError, SectionResidualError
 from kernelbundle.frames import (
     FrameSet,
@@ -53,9 +54,16 @@ class TestPair:
 
     def test_contour_independent(self, branching_pipeline):
         chart, base, frame, dual = _frames(branching_pipeline, [0.1])
-        a = pairing_matrix(chart, frame, dual, base, [0.1], node_count=128, radius_factor=0.85)
-        b = pairing_matrix(chart, frame, dual, base, [0.1], node_count=256, radius_factor=0.95)
-        assert np.allclose(a.matrix, b.matrix, atol=1e-10)
+        narrow = [Circle(cl.center, 0.85 * cl.radius, 128) for cl in base.clusters]
+        wide = [Circle(cl.center, 0.95 * cl.radius, 256) for cl in base.clusters]
+
+        def matrix(contours):
+            return np.array(
+                [[pair(chart, [0.1], fb.germ, da.germ, contours) for fb in frame.entries]
+                 for da in dual.entries]
+            )
+
+        assert np.allclose(matrix(narrow), matrix(wide), atol=1e-10)
 
     def test_cross_cluster_pairings_vanish(self, sl_scalar_pipeline):
         # integrated over both contours, germs of different clusters pair to

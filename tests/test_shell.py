@@ -26,6 +26,23 @@ from kernelbundle.shell import (
 )
 
 
+BRANCHING = {"kind": "branching"}
+STURM_LIOUVILLE = {
+    "kind": "sturm_liouville",
+    "r": 1,
+    "mode_cutoff": 4,
+    "k_gap": 1,
+    "r_bound": 0.4,
+    "a_terms": [{"y_powers": [0], "matrix": [[0.25]]}, {"y_powers": [1], "matrix": [[0.1]]}],
+}
+MATRIX_POLYNOMIAL = {
+    "kind": "matrix_polynomial",
+    "sigma": {"re": [-2, 2], "im": [-2, 2]},
+    "terms": [{"sigma_power": 1, "matrix": [[1]]}],
+}
+AXIS = {"min": -0.2, "max": 0.2, "count": 5}
+
+
 class TestGrid:
     def test_one_dim(self):
         grid = ParameterGrid.from_ranges([(-1.0, 1.0, 5)])
@@ -338,6 +355,50 @@ class TestProblemFiles:
     def test_unknown_keys_rejected(self, key, value):
         with pytest.raises(SpecError, match=key):
             load_problem({"family": {"kind": "branching"}, key: value})
+
+    @pytest.mark.parametrize(
+        "key, spec",
+        [
+            ("eps", {"family": BRANCHING, "base_point": {"y0": [0.0], "eps": 0.5}}),
+            ("spacing", {"family": BRANCHING, "grid": {"axes": [AXIS], "spacing": 0.1}}),
+            ("step", {"family": BRANCHING, "grid": {"axes": [dict(AXIS, step=0.1)]}}),
+            ("half_width", {"family": dict(BRANCHING, half_width=1.0)}),
+            ("order", {"family": {"kind": "indicial", "m": 2, "order": 3}}),
+            ("param_dim", {"family": dict(STURM_LIOUVILLE, param_dim=1)}),
+            ("width", {"family": dict(MATRIX_POLYNOMIAL, sigma={"re": [-2, 2], "im": [-2, 2], "width": 1})}),
+            ("im_half_width", {"family": dict(MATRIX_POLYNOMIAL, sigma={"re": [-2, 2], "im": [-2, 2], "im_half_width": 1})}),
+            ("y_power", {"family": dict(MATRIX_POLYNOMIAL, terms=[{"y_power": [1], "matrix": [[1]]}])}),
+            ("sigma", {"family": dict(STURM_LIOUVILLE, a_terms=[{"sigma": 0, "matrix": [[0.25]]}])}),
+            ("weight", {"family": BRANCHING, "probe": [{"entry": 0, "coeff": {"type": "sin"}, "weight": 2}]}),
+            ("scale", {"family": BRANCHING, "probe": [{"entry": 0, "coeff": {"type": "poly", "coeffs": [1], "scale": 2}}]}),
+        ],
+    )
+    def test_unknown_nested_keys_rejected(self, key, spec):
+        with pytest.raises(SpecError, match=key):
+            load_problem(spec)
+
+    def test_nested_spec_objects_load(self):
+        for family in (BRANCHING, STURM_LIOUVILLE, MATRIX_POLYNOMIAL):
+            spec = {
+                "family": family,
+                "base_point": {"y0": [0.0], "epsilon": 0.3},
+                "grid": {"axes": [AXIS]},
+                "probe": [{"entry": 0, "coeff": {"type": "cos", "scale": 2, "freq": 3}}],
+            }
+            assert load_problem(spec).grid.shape == (5,)
+
+    def test_sturm_liouville_terms_take_one_exponent(self):
+        family = dict(STURM_LIOUVILLE, a_terms=[{"y_powers": [1, 1], "matrix": [[0.3]]}])
+        with pytest.raises(SpecError, match="y_powers"):
+            load_problem({"family": family})
+
+    def test_probe_needs_one_parameter(self):
+        family = dict(MATRIX_POLYNOMIAL, param_dim=2, terms=[{"y_powers": [0, 0], "matrix": [[1]]}])
+        spec = {"family": family, "probe": [{"entry": 0, "coeff": {"type": "sin"}}]}
+        with pytest.raises(SpecError, match="param_dim 2"):
+            load_problem(spec)
+        del spec["probe"]
+        assert load_problem(spec).chart.param_dim == 2
 
     def test_probe_spec_errors(self):
         with pytest.raises(SpecError):
