@@ -108,15 +108,16 @@ def cmd_frame(args) -> int:
     cond = independence_check(frame, base)
     out = {
         "y": [float(v) for v in np.atleast_1d(y)],
-        "labels": [list(lab) for lab in frame.labels()],
+        "labels": [list(lab) for lab in frame.labels],
         "independence_condition": cond,
         "carriers": [
             {
-                "center": [e.germ.center.real, e.germ.center.imag],
-                "radius": e.germ.rho,
-                "nodes": e.germ.carrier.circle.node_count,
+                "center": [g.center.real, g.center.imag],
+                "radius": g.rho,
+                "nodes": g.carrier.circle.node_count,
             }
-            for e in frame.entries
+            for g, size in zip(frame.blocks, frame.sizes())
+            for _ in range(size)
         ],
     }
     _write_json(out, args.out)
@@ -185,7 +186,7 @@ def cmd_trace(args) -> int:
     pieces = []
     for cl in base.clusters:
         carrier = cl.carrier(args.nodes)
-        germ = make_germ(inv_trace, carrier.center, carrier.radius, carrier.node_count, cluster=0)
+        germ = make_germ(inv_trace, carrier.center, carrier.radius, carrier.node_count)
         zrep = locate_zeros(det, _cluster_rect(cl), min_separation=cl.radius / 64.0)
         poles = [(z.location, z.multiplicity) for z in zrep.zeros]
         pieces.append(trace_from_germ(germ, poles, args.gamma, args.window))

@@ -345,7 +345,8 @@ def validate_chart(
 # ---------------------------------------------------------------------------
 # JSON ingestion
 
-# Keys each problem-file object may carry; anything else raises SpecError.
+# Keys each problem-file object may carry, and the keys it must carry; any
+# other key, or a missing one, raises SpecError.
 FAMILY_KEYS = {
     "matrix_polynomial": {"kind", "param_dim", "terms", "sigma"},
     "sturm_liouville": {"kind", "r", "a_terms", "mode_cutoff", "k_gap", "r_bound", "re_window"},
@@ -354,25 +355,30 @@ FAMILY_KEYS = {
     "branching": {"kind"},
 }
 REGION_KEYS = {"rectangle": {"kind", "re", "im"}, "strip": {"kind", "im_half_width", "re"}}
+REQUIRED_FAMILY_KEYS = {"sturm_liouville": {"r", "mode_cutoff", "k_gap", "r_bound"}}
 TERM_KEYS = {"sigma_power", "y_powers", "matrix"}
 
 
-def _check_keys(obj, allowed: set, where: str) -> None:
-    """Raise ``SpecError`` unless ``obj`` is a JSON object whose keys lie in ``allowed``."""
+def _check_keys(obj, allowed: set, required: set, where: str) -> None:
+    """Raise ``SpecError`` unless ``obj`` is a JSON object whose keys lie in
+    ``allowed`` and include ``required``."""
     if not isinstance(obj, dict):
         raise SpecError(f"{where} must be a JSON object, got {obj!r}")
     unknown = obj.keys() - allowed
     if unknown:
         raise SpecError(f"unknown {where} keys: {', '.join(map(repr, sorted(unknown)))}")
+    missing = required - obj.keys()
+    if missing:
+        raise SpecError(f"{where} needs keys: {', '.join(map(repr, sorted(missing)))}")
 
 
-def _checked_kind(obj, key: str, keys_by_kind: dict, where: str, default) -> str:
-    """The kind named by ``obj[key]``, after checking the keys of ``obj`` against that kind's."""
+def _checked_kind(obj, key: str, keys_by_kind: dict, required_by_kind: dict, where: str, default) -> str:
+    """The kind named by ``obj[key]``, after checking ``obj`` against that kind's keys."""
     kind = obj.get(key, default) if isinstance(obj, dict) else None
     if not isinstance(kind, str) or kind not in keys_by_kind:
         known = ", ".join(map(repr, keys_by_kind))
         raise SpecError(f"{where} needs a '{key}' out of {known}, got {kind!r}")
-    _check_keys(obj, keys_by_kind[kind], f"{kind} {where}")
+    _check_keys(obj, keys_by_kind[kind], required_by_kind.get(kind, set()), f"{kind} {where}")
     return kind
 
 
@@ -394,7 +400,7 @@ def _matrix_from_spec(obj) -> np.ndarray:
 def _region_from_spec(obj) -> SigmaRegion:
     if obj is None:
         raise SpecError("family kind requires an explicit 'sigma' region")
-    kind = _checked_kind(obj, "kind", REGION_KEYS, "sigma region", "rectangle")
+    kind = _checked_kind(obj, "kind", REGION_KEYS, {}, "sigma region", "rectangle")
     if kind == "rectangle":
         re = obj.get("re")
         im = obj.get("im")
@@ -411,7 +417,7 @@ def _region_from_spec(obj) -> SigmaRegion:
 def _terms_from_spec(obj, param_dim: int) -> list:
     terms = []
     for t in obj:
-        _check_keys(t, TERM_KEYS, "term")
+        _check_keys(t, TERM_KEYS, {"matrix"}, "term")
         y_powers = tuple(int(e) for e in t.get("y_powers", [0] * param_dim))
         if len(y_powers) != param_dim:
             raise SpecError(
@@ -443,7 +449,7 @@ def family_from_dict(obj: dict):
     Returns ``(chart, sl_spec_or_None)``.  A Sturm-Liouville family has one
     parameter.
     """
-    kind = _checked_kind(obj, "kind", FAMILY_KEYS, "family", None)
+    kind = _checked_kind(obj, "kind", FAMILY_KEYS, REQUIRED_FAMILY_KEYS, "family", None)
     if kind == "matrix_polynomial":
         param_dim = int(obj.get("param_dim", 1))
         terms = _terms_from_spec(obj.get("terms", []), param_dim)

@@ -9,8 +9,8 @@ poles branch and collide as y moves while the Cauchy data stays smooth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,12 +49,10 @@ class Germ:
 
     ``carrier.values`` are samples of the underlying function on the inner
     circle; ``eval`` returns the singular part at points strictly outside.
-    Linear combinations require a shared carrier circle.
     """
 
     center: complex
     carrier: SampledFunction
-    cluster: Optional[int] = None
 
     @property
     def value_dim(self) -> int:
@@ -68,24 +66,6 @@ class Germ:
     def eval(self, sigma):
         return singular_part_eval(self.carrier, sigma)
 
-    def __add__(self, other: "Germ") -> "Germ":
-        if not isinstance(other, Germ):
-            return NotImplemented
-        if self.carrier.circle != other.carrier.circle:
-            raise InputError("germ addition requires a shared carrier circle")
-        return Germ(
-            self.center,
-            SampledFunction(self.carrier.circle, self.carrier.values + other.carrier.values),
-            self.cluster,
-        )
-
-    def __rmul__(self, scalar) -> "Germ":
-        return Germ(
-            self.center,
-            SampledFunction(self.carrier.circle, complex(scalar) * self.carrier.values),
-            self.cluster,
-        )
-
     def decay_margin(self) -> float:
         """|value| * |distance| at a far probe, bounded by the carrier mass."""
         probe = self.center + DECAY_PROBE_FACTOR * self.rho
@@ -93,13 +73,7 @@ class Germ:
         return float(val * abs(probe - self.center))
 
 
-def make_germ(
-    f: Callable,
-    center: complex,
-    rho: float,
-    node_count: int = 128,
-    cluster: Optional[int] = None,
-) -> Germ:
+def make_germ(f: Callable, center: complex, rho: float, node_count: int = 128) -> Germ:
     """Sample a vectorized function on the carrier circle and wrap it as a germ."""
     circle = Circle(complex(center), float(rho), node_count)
     values = eval_along(f, circle.nodes)
@@ -107,7 +81,7 @@ def make_germ(
         values = values[:, None]
     if not np.all(np.isfinite(values)):
         raise NumericalError("function has a pole on the carrier circle; move rho")
-    return Germ(complex(center), SampledFunction(circle, values), cluster)
+    return Germ(complex(center), SampledFunction(circle, values))
 
 
 def germ_from_pole_coefficients(
@@ -130,32 +104,38 @@ def germ_from_pole_coefficients(
     return make_germ(f, center, rho, POLE_GERM_NODES)
 
 
-@dataclass(frozen=True)
-class FrameEntry:
-    s: int
-    j: int
-    l: int
-    germ: Germ
-
-
 @dataclass
 class FrameSet:
-    """Frame entries ordered by cluster, then chain, then shift."""
+    """Frame of the kernel bundle at y: one germ block per cluster.
+
+    The fiber splits into a direct sum over the clusters, so ``blocks[s]``
+    carries all frame entries of cluster s at once: its carrier values have
+    shape (N, dim, entries), one column per entry, ordered by chain then
+    shift.  ``labels`` holds ``(s, j, l)`` per entry in the same order,
+    cluster by cluster.
+    """
 
     y: tuple
-    entries: list
+    blocks: list
+    labels: list
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.labels)
 
-    def germs(self) -> list:
-        return [e.germ for e in self.entries]
+    def sizes(self) -> list:
+        """Number of entries of each cluster."""
+        return [g.carrier.values.shape[2] for g in self.blocks]
 
-    def labels(self) -> list:
-        return [(e.s, e.j, e.l) for e in self.entries]
+    def split(self, vector) -> list:
+        """A vector indexed by the entries, cut into one piece per cluster."""
+        return np.split(np.asarray(vector), np.cumsum(self.sizes())[:-1])
 
-    def cluster_entries(self, s: int) -> list:
-        return [e for e in self.entries if e.s == s]
+    def entry(self, t: int) -> Germ:
+        """Entry t as a germ whose carrier values are its (N, dim) column."""
+        s = self.labels[t][0]
+        g = self.blocks[s]
+        col = t - sum(self.sizes()[:s])
+        return Germ(g.center, SampledFunction(g.carrier.circle, g.carrier.values[:, :, col]))
 
 
 def _beta_samples(ev: SchurEvaluator, system: RootSystem, nodes: np.ndarray) -> np.ndarray:
@@ -178,7 +158,7 @@ def _carrier_samples(ev: SchurEvaluator, system: RootSystem, y, node_count: int)
     """Samples of ``(sigma-c)^l P_s(y,sigma)^{-1} beta_j`` on the carrier circle.
 
     Returns ``(circle, values, labels, correction)``: values has shape
-    (N, entries, k), one entry per ``(j, l)`` label, ordered by chain then
+    (N, k, entries), one column per ``(j, l)`` label, ordered by chain then
     shift; ``correction`` is ``p22^{-1} p21`` at the nodes, from the same
     block evaluation as the Schur complement.
     """
@@ -187,18 +167,11 @@ def _carrier_samples(ev: SchurEvaluator, system: RootSystem, y, node_count: int)
     beta = _beta_samples(ev, system, nodes)
     schur, correction = _schur(ev.blocks_many(y, nodes), nodes)
     solved = np.linalg.solve(schur, beta)  # (N, k, J)
-    z = nodes - ev.cluster.center
     labels = system.entry_labels()
-    values = np.stack([(z ** l)[:, None] * solved[:, :, j] for j, l in labels], axis=1)
+    z = nodes - ev.cluster.center
+    shifts = np.stack([z ** l for _, l in labels], axis=1)
+    values = shifts[:, None, :] * solved[:, :, [j for j, _ in labels]]
     return circle, values, labels, correction
-
-
-def _carrier_germs(ev: SchurEvaluator, circle: Circle, values) -> list:
-    """One germ per entry from carrier samples of shape (N, entries, dim)."""
-    return [
-        Germ(ev.cluster.center, SampledFunction(circle, values[:, t, :]), cluster=ev.s)
-        for t in range(values.shape[1])
-    ]
 
 
 def kframe_at(
@@ -206,13 +179,14 @@ def kframe_at(
     system: RootSystem,
     y,
     node_count: int = 128,
-) -> list:
-    """Kernel-side frame germs ``s((sigma-c)^l P_s(y,sigma)^{-1} beta_j)``.
+) -> Germ:
+    """Kernel-side frame block ``s((sigma-c)^l P_s(y,sigma)^{-1} beta_j)``.
 
-    Returns k-valued germs ordered by chain then shift.
+    Returns one k-valued germ with one column per entry, ordered by chain
+    then shift.
     """
     circle, values, _, _ = _carrier_samples(ev, system, y, node_count)
-    return _carrier_germs(ev, circle, values)
+    return Germ(ev.cluster.center, SampledFunction(circle, values))
 
 
 def fullframe_at(
@@ -222,23 +196,24 @@ def fullframe_at(
     y,
     node_count: int = 128,
 ) -> FrameSet:
-    """Frame of the kernel bundle at parameter y, all clusters.
+    """Frame of the kernel bundle at parameter y, one germ block per cluster.
 
-    Each entry embeds the kernel-side samples g into the full space and
+    Each block embeds the kernel-side samples g into the full space and
     subtracts the complement correction, ``K g - Kperp p22^{-1} p21 g`` on
     the carrier circle.  The correction differs from the one applied to the
     germ only by a holomorphic function, which the singular part kills.
     """
-    entries = []
+    blocks = []
+    labels = []
     for s, system in enumerate(systems):
         ev = SchurEvaluator(chart, base, s)
-        circle, g, labels, correction = _carrier_samples(ev, system, y, node_count)
+        circle, g, entry_labels, correction = _carrier_samples(ev, system, y, node_count)
         c = ev.cluster
-        full = g @ c.K.T - (g @ correction.swapaxes(1, 2)) @ c.Kperp.T
-        germs = _carrier_germs(ev, circle, full)
-        entries.extend(FrameEntry(s, j, l, g) for (j, l), g in zip(labels, germs))
+        full = c.K @ g - c.Kperp @ (correction @ g)
+        blocks.append(Germ(c.center, SampledFunction(circle, full)))
+        labels.extend((s, j, l) for j, l in entry_labels)
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
-    return FrameSet(y=y_key, entries=entries)
+    return FrameSet(y=y_key, blocks=blocks, labels=labels)
 
 
 def dual_frame_at(
@@ -261,17 +236,17 @@ def dual_frame_at(
 def independence_check(frame: FrameSet, base: BasePointData) -> float:
     """Condition number of the Gram matrix of frame values on probe circles.
 
-    Values are collected on each cluster's contour, outside every carrier.
-    Failure beyond the hard limit raises; the number is returned for
-    reporting either way.
+    Values are collected on each cluster's contour, outside every carrier,
+    one block evaluation per cluster and contour.  Failure beyond the hard
+    limit raises; the number is returned for reporting either way.
     """
-    rows = []
+    samples = []
     for cl in base.clusters:
         pts = cl.contour(INDEPENDENCE_PROBE_NODES).nodes
-        rows.append(np.stack([g.eval(pts) for g in frame.germs()], axis=0))
-    # rows: per-cluster arrays (entries, nodes, dim) -> one flat row per entry
-    stacked = np.concatenate([r.reshape(r.shape[0], -1) for r in rows], axis=1)
-    svals = np.linalg.svd(stacked, compute_uv=False)
+        vals = np.concatenate([g.eval(pts) for g in frame.blocks], axis=2)
+        samples.append(vals.reshape(-1, vals.shape[2]))
+    # one column per entry, one row per (node, component) sample
+    svals = np.linalg.svd(np.concatenate(samples, axis=0), compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > INDEPENDENCE_CONDITION_LIMIT:
         raise NondegeneracyError(f"frame entries are numerically dependent (condition {cond:.3e})")

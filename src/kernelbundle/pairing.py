@@ -49,7 +49,10 @@ def pair(
     psi: Germ,
     contours: Sequence[Circle],
 ) -> complex:
-    """Pairing of a single frame germ against a single dual germ."""
+    """Pairing of one frame entry against one dual entry over the given contours.
+
+    The entries are single germs, such as ``frame.entry(b)`` and ``dual.entry(a)``.
+    """
     total = 0.0 + 0.0j
     for circle in contours:
         nodes = circle.nodes
@@ -72,41 +75,44 @@ class PairingMatrix:
         return self.matrix.shape[1]
 
 
-def _same_cluster_blocks(frame: FrameSet, dual: FrameSet) -> bool:
-    clusters = {e.s for e in frame.entries}
-    return clusters == {e.s for e in dual.entries}
+def _block_diagonal(blocks: list) -> np.ndarray:
+    """Square matrix with the given square blocks on its diagonal and zeros elsewhere."""
+    total = sum(len(b) for b in blocks)
+    out = np.zeros((total, total), dtype=complex)
+    offset = 0
+    for b in blocks:
+        out[offset : offset + len(b), offset : offset + len(b)] = b
+        offset += len(b)
+    return out
 
 
 def _pairings(chart, frame, dual, base, y, section, node_count: int):
     """Pairings ``[phi_b, psi_a]``, and ``[section, psi_a]`` when a section is given.
 
-    P is sampled once per cluster contour; the section rides along as one
-    more column next to the frame entries.  Returns ``(matrix, column)``,
-    with ``column`` None without a section.
+    The fiber splits over the clusters, so each cluster's frame block pairs
+    only with its dual block, on its own contour: P is sampled once there,
+    each block is evaluated with one Cauchy sum, and the section's germ of
+    that cluster rides along as one more column.  Returns ``(matrix,
+    column)``, with ``column`` None without a section.
     """
-    if len(frame) != len(dual):
-        raise InputError("frame and dual frame must have the same number of entries")
-    if not _same_cluster_blocks(frame, dual):
-        raise InputError("frame and dual frame must cover the same clusters")
-    contours = cluster_contours(base, node_count)
-    m = np.zeros((len(dual), len(frame)), dtype=complex)
-    column = None if section is None else np.zeros(len(dual), dtype=complex)
-    for s, circle in enumerate(contours):
-        f_idx = [t for t, e in enumerate(frame.entries) if e.s == s]
-        d_idx = [t for t, e in enumerate(dual.entries) if e.s == s]
-        if not f_idx and not d_idx:
-            continue
+    sizes = frame.sizes()
+    if sizes != dual.sizes():
+        raise InputError("frame and dual frame must have the same number of entries per cluster")
+    if section is not None and len(section) != len(sizes):
+        raise InputError("a section needs one germ per cluster")
+    blocks = []
+    columns = []
+    for s, circle in enumerate(cluster_contours(base, node_count)):
         nodes = circle.nodes
-        cols = [frame.entries[t].germ.eval(nodes) for t in f_idx]
+        phis = frame.blocks[s].eval(nodes)
         if section is not None:
-            cols.append(_eval_section(section, nodes))
-        phis = np.stack(cols, axis=2)
-        psis = np.stack([dual.entries[t].germ.eval(np.conj(nodes)) for t in d_idx], axis=2)
+            phis = np.concatenate([phis, section[s].eval(nodes)[:, :, None]], axis=2)
+        psis = dual.blocks[s].eval(np.conj(nodes))
         block = _contour_pairing(circle, chart.eval_many(y, nodes), phis, psis)
-        m[np.ix_(d_idx, f_idx)] = block[:, : len(f_idx)]
-        if section is not None:
-            column[d_idx] = block[:, -1]
-    return m, column
+        blocks.append(block[:, : sizes[s]])
+        columns.append(block[:, sizes[s] :])
+    column = None if section is None else np.concatenate(columns)[:, 0]
+    return _block_diagonal(blocks), column
 
 
 def _checked_pairing(m: np.ndarray, y: tuple, labels: list, dual_labels: list) -> PairingMatrix:
@@ -134,7 +140,7 @@ def pairing_matrix(
     set to zero exactly.
     """
     m, _ = _pairings(chart, frame, dual, base, y, None, node_count)
-    return _checked_pairing(m, frame.y, frame.labels(), dual.labels())
+    return _checked_pairing(m, frame.y, frame.labels, dual.labels)
 
 
 def reduced_pairing_matrix(
@@ -146,39 +152,33 @@ def reduced_pairing_matrix(
 ) -> PairingMatrix:
     """Pairing computed inside the reduced families, block per cluster.
 
-    Uses the k-valued germs against the adjoint Schur complement evaluated at
+    Uses the k-valued frame blocks against the adjoint Schur complement at
     the reflected point: the complement corrections of the two embeddings
     cancel in the pairing, so this must agree with the full-space matrix.
     """
     adj_chart = adjoint_chart(chart)
     adj_base = base.conjugate_swapped()
     contours = cluster_contours(base, REDUCED_PAIRING_NODES)
-    total = sum(sys.total for sys in systems)
-    m = np.zeros((total, total), dtype=complex)
+    blocks = []
     labels = []
     dual_labels = []
-    offset = 0
-    for s, (system, dual) in enumerate(zip(systems, duals)):
+    for s, (system, dual, circle) in enumerate(zip(systems, duals, contours)):
         ev = SchurEvaluator(chart, base, s)
         dual_ev = SchurEvaluator(adj_chart, adj_base, s)
-        kgerms = kframe_at(ev, system, y, REDUCED_PAIRING_NODES)
-        dual_kgerms = kframe_at(dual_ev, dual, y, REDUCED_PAIRING_NODES)
+        kblock = kframe_at(ev, system, y, REDUCED_PAIRING_NODES)
+        dual_kblock = kframe_at(dual_ev, dual, y, REDUCED_PAIRING_NODES)
         labels.extend((s, j, l) for j, l in system.entry_labels())
         dual_labels.extend((s, j, l) for j, l in dual.entry_labels())
-        circle = contours[s]
         nodes = circle.nodes
         # Q(y, conj sigma)^H = P_s(y, sigma): evaluate the adjoint complement
         # at the reflected nodes and undo the conjugation.
         qvals = dual_ev.schur_many(y, np.conj(nodes))
         pvals = np.conj(qvals).swapaxes(1, 2)
-        phis = np.stack([g.eval(nodes) for g in kgerms], axis=2)
-        psis = np.stack([g.eval(np.conj(nodes)) for g in dual_kgerms], axis=2)
-        block = _contour_pairing(circle, pvals, phis, psis)
-        d = block.shape[0]
-        m[offset : offset + d, offset : offset + d] = block
-        offset += d
+        phis = kblock.eval(nodes)
+        psis = dual_kblock.eval(np.conj(nodes))
+        blocks.append(_contour_pairing(circle, pvals, phis, psis))
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
-    return _checked_pairing(m, y_key, labels, dual_labels)
+    return _checked_pairing(_block_diagonal(blocks), y_key, labels, dual_labels)
 
 
 def expected_base_pairing(systems: Sequence[RootSystem]) -> np.ndarray:
@@ -217,19 +217,10 @@ class CoefficientVector:
     y: tuple
     labels: list
     values: np.ndarray
-    residual: float
     pairing: PairingMatrix
 
     def by_label(self) -> dict:
         return {lab: val for lab, val in zip(self.labels, self.values)}
-
-
-def _eval_section(section, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a section given as one germ or as a sum of carried germs."""
-    if isinstance(section, Germ):
-        return section.eval(pts)
-    parts = [g.eval(pts) for g in section]
-    return np.sum(parts, axis=0)
 
 
 def coefficients(
@@ -238,51 +229,43 @@ def coefficients(
     dual: FrameSet,
     base: BasePointData,
     y,
-    section,
+    section: Sequence[Germ],
     node_count: int = 256,
     residual_tol: Optional[float] = None,
 ) -> CoefficientVector:
     """Coefficients of a section of the kernel bundle in the given frame.
 
-    Solves ``M f = b`` where ``M[a, b] = [phi_b, psi_a]`` and
+    A section is what the fiber splits into: a sequence with one germ per
+    cluster, in cluster order, each paired only on its own cluster's
+    contour.  Solves ``M f = b`` where ``M[a, b] = [phi_b, psi_a]`` and
     ``b[a] = [section, psi_a]``; one step of iterative refinement keeps the
-    solve honest near the condition limit.  If a tolerance is given, the
-    reconstruction ``sum f_b phi_b`` is compared against the section on probe
-    circles and a miss raises a residual error.  The section may be a single
-    germ or a sequence of germs (one carrier per cluster) that sum to it.
-    ``M`` and ``b`` come from one sample of P per contour; the result carries
-    ``M`` as its ``pairing``.
+    solve honest near the condition limit.  ``M`` and ``b`` come from one
+    sample of P per contour; the result carries ``M`` as its ``pairing``.
+    If a tolerance is given, each cluster's reconstruction ``sum f_b phi_b``
+    is compared against its germ on a probe circle and a miss raises a
+    residual error.
     """
     m, b = _pairings(chart, frame, dual, base, y, section, node_count)
-    pairing = _checked_pairing(m, frame.y, frame.labels(), dual.labels())
+    pairing = _checked_pairing(m, frame.y, frame.labels, dual.labels)
     f = np.linalg.solve(m, b)
     f = f + np.linalg.solve(m, b - m @ f)
-
-    residual = _reconstruction_residual(frame, f, section)
-    if residual_tol is not None and residual > residual_tol:
-        raise SectionResidualError(
-            f"section is not in the span of the frame (residual {residual:.3e})"
-        )
-    return CoefficientVector(frame.y, frame.labels(), f, residual, pairing)
+    if residual_tol is not None:
+        residual = _reconstruction_residual(frame, f, section)
+        if residual > residual_tol:
+            raise SectionResidualError(
+                f"section is not in the span of the frame (residual {residual:.3e})"
+            )
+    return CoefficientVector(frame.y, frame.labels, f, pairing)
 
 
 def _reconstruction_residual(frame: FrameSet, f: np.ndarray, section) -> float:
-    """Relative sup miss of sum f_b phi_b against the section on probe circles."""
+    """Relative sup miss of each cluster's sum f_b phi_b against its section germ."""
     worst = 0.0
     scale = 0.0
-    seen = set()
-    for e in frame.entries:
-        circ = e.germ.carrier.circle
-        key = (circ.center, circ.radius)
-        if key in seen:
-            continue
-        seen.add(key)
-        probe = Circle(circ.center, circ.radius * 1.2, 64)
-        pts = probe.nodes
-        target = _eval_section(section, pts)
-        recon = np.zeros(target.shape, dtype=complex)
-        for fe, coeff in zip(frame.entries, f):
-            recon += coeff * fe.germ.eval(pts)
-        worst = max(worst, float(np.max(np.abs(recon - target))))
+    for block, coeffs, germ in zip(frame.blocks, frame.split(f), section):
+        circ = block.carrier.circle
+        pts = Circle(circ.center, circ.radius * 1.2, 64).nodes
+        target = germ.eval(pts)
+        worst = max(worst, float(np.max(np.abs(block.eval(pts) @ coeffs - target))))
         scale = max(scale, float(np.max(np.abs(target))))
     return worst / max(scale, 1e-300)

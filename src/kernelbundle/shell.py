@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Rectangle, locate_zeros
+from .contour import Rectangle, SampledFunction, locate_zeros
 from .errors import (
     ClusteredPolesError,
     DimensionJumpError,
@@ -221,13 +221,11 @@ def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int =
 
 
 def _probe_section(frame, values: np.ndarray) -> list:
-    """Linear combination of frame germs with given coefficients, per carrier."""
-    germs = {}
-    for entry, c in zip(frame.entries, values):
-        g = complex(c) * entry.germ
-        key = (g.carrier.circle.center, g.carrier.circle.radius)
-        germs[key] = germs[key] + g if key in germs else g
-    return list(germs.values())
+    """Section with the given coefficients: one germ per cluster, ``block @ c``."""
+    return [
+        Germ(g.center, SampledFunction(g.carrier.circle, g.carrier.values @ c))
+        for g, c in zip(frame.blocks, frame.split(values))
+    ]
 
 
 def sweep(
@@ -241,8 +239,8 @@ def sweep(
 ) -> SweepReport:
     """Frames, pairing, and optional probe recovery over a parameter grid.
 
-    ``probe`` maps a parameter point to the coefficient vector (one entry per
-    frame germ) of a synthetic section; the sweep rebuilds that section from
+    ``probe`` maps a parameter point to the coefficient vector (one value per
+    frame entry) of a synthetic section; the sweep rebuilds that section from
     the frame, recovers the coefficients through the pairing, and records the
     worst error.  A change of total multiplicity at any grid point aborts the
     sweep with the partial report attached.  ``node_count`` sets the nodes of
@@ -614,7 +612,7 @@ COEFF_KEYS = {
 
 
 def _coeff_function(spec: dict) -> Callable:
-    kind = _checked_kind(spec, "type", COEFF_KEYS, "probe coefficient", None)
+    kind = _checked_kind(spec, "type", COEFF_KEYS, {}, "probe coefficient", None)
     if kind == "poly":
         cs = [float(c) for c in spec.get("coeffs", [])]
         return lambda t: sum(c * t ** k for k, c in enumerate(cs))
@@ -628,7 +626,7 @@ def _probe_terms(entries: Sequence[dict]) -> list:
     """``(entry index, coefficient function)`` per probe entry."""
     terms = []
     for e in entries:
-        _check_keys(e, PROBE_ENTRY_KEYS, "probe entry")
+        _check_keys(e, PROBE_ENTRY_KEYS, PROBE_ENTRY_KEYS, "probe entry")
         terms.append((int(e["entry"]), _coeff_function(e["coeff"])))
     return terms
 
@@ -652,13 +650,11 @@ def probe_from_spec(entries: Sequence[dict], size: int) -> Callable:
 
 def load_problem(spec: dict) -> Problem:
     """Parse a problem description dictionary (see README for the schema)."""
-    _check_keys(spec, PROBLEM_KEYS, "problem file")
-    if "family" not in spec:
-        raise SpecError("problem file needs a 'family' entry")
+    _check_keys(spec, PROBLEM_KEYS, {"family"}, "problem file")
     chart, _ = family_from_dict(spec["family"])
 
     bp = spec.get("base_point", {})
-    _check_keys(bp, BASE_POINT_KEYS, "base_point")
+    _check_keys(bp, BASE_POINT_KEYS, set(), "base_point")
     y0 = np.atleast_1d(np.asarray(bp.get("y0", [0.0] * chart.param_dim), dtype=float))
     if y0.shape != (chart.param_dim,):
         raise SpecError("base_point.y0 has the wrong number of parameters")
@@ -668,11 +664,9 @@ def load_problem(spec: dict) -> Problem:
     grid = None
     if "grid" in spec:
         g = spec["grid"]
-        _check_keys(g, GRID_KEYS, "grid")
-        if "axes" not in g:
-            raise SpecError("grid needs an 'axes' list")
+        _check_keys(g, GRID_KEYS, GRID_KEYS, "grid")
         for ax in g["axes"]:
-            _check_keys(ax, AXIS_KEYS, "grid axis")
+            _check_keys(ax, AXIS_KEYS, AXIS_KEYS, "grid axis")
         grid = ParameterGrid.from_ranges([(ax["min"], ax["max"], ax["count"]) for ax in g["axes"]])
         if grid.ndim != chart.param_dim:
             raise SpecError("grid dimension does not match the parameter dimension")

@@ -289,7 +289,7 @@ def test_08_trace_correspondence(capsys):
 
     pieces = []
     for cl in base.clusters:
-        germ = make_germ(inv_trace, cl.center, 0.75 * cl.radius, cluster=0)
+        germ = make_germ(inv_trace, cl.center, 0.75 * cl.radius)
         pieces.append(
             trace_from_germ(germ, [(cl.center, cl.multiplicity)], gamma=1.5, window=2.0)
         )
@@ -315,7 +315,7 @@ def test_08_trace_correspondence(capsys):
 
     x = np.geomspace(1e-2, 1.0, 9)
     direct = sum(numeric_trace_samples(make_germ(inv_trace, cl.center,
-                 0.75 * cl.radius, cluster=0), x) for cl in base.clusters)
+                 0.75 * cl.radius), x) for cl in base.clusters)
     numeric_gap = float(np.max(np.abs(direct - (1.0 - x))))
 
     ok = sigmas_ok and round_trip < 1e-10 and gap < 1e-8 and numeric_gap < 1e-8

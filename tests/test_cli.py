@@ -146,6 +146,13 @@ class TestExitCodes:
         bad.write_text(json.dumps({"family": {"kind": "mystery"}}))
         assert main(["locate", "--spec", str(bad)]) == EXIT_PARSE
 
+    def test_missing_required_key(self, tmp_path, capsys):
+        family = {"kind": "sturm_liouville", "r": 1, "k_gap": 1, "r_bound": 0.4}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"family": family}))
+        assert main(["reduce", "--spec", str(bad)]) == EXIT_PARSE
+        assert "needs keys: 'mode_cutoff'" in capsys.readouterr().err
+
     def test_wrong_y_arity(self, specs, capsys):
         code = main(["frame", "--spec", specs["branching"], "--y", "0.1,0.2"])
         assert code == EXIT_PARSE

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kernelbundle.contour import SampledFunction, singular_part_eval
 from kernelbundle.errors import (
     ClusteredPolesError,
     InputError,
@@ -10,6 +11,7 @@ from kernelbundle.errors import (
 )
 from kernelbundle.frames import (
     FrameSet,
+    Germ,
     dual_frame_at,
     fullframe_at,
     germ_from_pole_coefficients,
@@ -46,21 +48,6 @@ class TestGerm:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NumericalError):
                 make_germ(lambda z: 1.0 / (z - 0.5), 0.0, 0.5)
-
-    def test_addition(self):
-        g1 = make_germ(lambda z: 1.0 / (z - 0.1), 0.0, 0.5)
-        g2 = make_germ(lambda z: 1.0 / (z + 0.2), 0.0, 0.5)
-        assert (g1 + g2).eval(0.9)[0] == pytest.approx(1.0 / 0.8 + 1.0 / 1.1, abs=1e-12)
-
-    def test_addition_needs_shared_carrier(self):
-        g1 = make_germ(lambda z: 1.0 / (z - 0.1), 0.0, 0.5)
-        g2 = make_germ(lambda z: 1.0 / (z - 0.1), 0.0, 0.4)
-        with pytest.raises(InputError):
-            g1 + g2
-
-    def test_scalar_multiple(self):
-        g = make_germ(lambda z: 1.0 / (z - 0.1), 0.0, 0.5)
-        assert (2.5j * g).eval(0.9)[0] == pytest.approx(2.5j / 0.8, abs=1e-12)
 
     def test_decay_margin_tracks_residue_mass(self):
         g = make_germ(lambda z: 2.0 / (z - 0.1), 0.0, 0.5)
@@ -174,19 +161,19 @@ class TestFrames:
     def test_jordan_kernel_side(self, jordan_pipeline):
         chart, base, systems, _ = jordan_pipeline
         ev = SchurEvaluator(chart, base, 0)
-        g0, g1 = kframe_at(ev, systems[0], [0.0])
+        block = kframe_at(ev, systems[0], [0.0])
         for probe in (0.9, -1.1j):
-            assert g0.eval(probe)[0] == pytest.approx(probe ** -2, abs=1e-10)
-            assert g1.eval(probe)[0] == pytest.approx(probe ** -1, abs=1e-10)
+            assert block.eval(probe)[0, 0] == pytest.approx(probe ** -2, abs=1e-10)
+            assert block.eval(probe)[0, 1] == pytest.approx(probe ** -1, abs=1e-10)
 
     def test_jordan_full_frame(self, jordan_pipeline):
         chart, base, systems, _ = jordan_pipeline
         frame = fullframe_at(chart, base, systems, [0.0])
-        assert frame.labels() == [(0, 0, 0), (0, 0, 1)]
+        assert frame.labels == [(0, 0, 0), (0, 0, 1)]
         for probe in (0.9, -1.1j, 0.5 + 0.7j):
-            phi0 = frame.entries[0].germ.eval(probe)
+            phi0 = frame.entry(0).eval(probe)
             assert np.allclose(phi0, [probe ** -2, -(probe ** -1)], atol=1e-10)
-            phi1 = frame.entries[1].germ.eval(probe)
+            phi1 = frame.entry(1).eval(probe)
             assert np.allclose(phi1, [probe ** -1, 0.0], atol=1e-10)
 
     def test_branching_full_frame(self, branching_pipeline):
@@ -196,10 +183,10 @@ class TestFrames:
         for probe in (0.9, 1.2j):
             d = probe ** 2 - y ** 2
             assert np.allclose(
-                frame.entries[0].germ.eval(probe), [probe / d, -y / d], atol=1e-10
+                frame.entry(0).eval(probe), [probe / d, -y / d], atol=1e-10
             )
             assert np.allclose(
-                frame.entries[1].germ.eval(probe), [-y / d, probe / d], atol=1e-10
+                frame.entry(1).eval(probe), [-y / d, probe / d], atol=1e-10
             )
 
     def test_branching_frame_laurent(self, branching_pipeline):
@@ -207,7 +194,7 @@ class TestFrames:
         chart, base, systems, _ = branching_pipeline
         y = 0.15
         frame = fullframe_at(chart, base, systems, [y])
-        plus, minus = laurent_coefficients(frame.entries[0].germ, [(y, 1), (-y, 1)])
+        plus, minus = laurent_coefficients(frame.entry(0), [(y, 1), (-y, 1)])
         assert np.allclose(plus.coefficients[0], [0.5, -0.5], atol=1e-10)
         assert np.allclose(minus.coefficients[0], [0.5, 0.5], atol=1e-10)
 
@@ -219,8 +206,7 @@ class TestFrames:
         dual = dual_frame_at(chart, base, duals, [0.15])
         assert len(dual) == len(frame) == 2
         probes = np.array([0.9, -1.3j])
-        for fe, de in zip(frame.entries, dual.entries):
-            assert np.allclose(de.germ.eval(probes), fe.germ.eval(probes), atol=1e-9)
+        assert np.allclose(dual.blocks[0].eval(probes), frame.blocks[0].eval(probes), atol=1e-9)
 
     def test_full_frame_against_block_reference(self, sl_big_pipeline, branching_pipeline):
         # reference: K g - Kperp p22^{-1} (p21 g), blocks built by hand from P
@@ -235,16 +221,43 @@ class TestFrames:
                 frame = fullframe_at(ch, b, syss, y)
                 for s, system in enumerate(syss):
                     c = b.clusters[s]
-                    kgerms = kframe_at(SchurEvaluator(ch, b, s), system, y)
-                    P = ch.eval_many(y, kgerms[0].carrier.circle.nodes)
+                    kblock = kframe_at(SchurEvaluator(ch, b, s), system, y)
+                    P = ch.eval_many(y, kblock.carrier.circle.nodes)
                     p21 = c.R.conj().T @ P @ c.K
                     p22 = c.R.conj().T @ P @ c.Kperp
-                    for kg, e in zip(kgerms, frame.cluster_entries(s)):
-                        g = kg.carrier.values
+                    for t in range(system.total):
+                        g = kblock.carrier.values[:, :, t]
                         corr = np.linalg.solve(p22, p21 @ g[:, :, None])[:, :, 0]
                         ref = g @ c.K.T - corr @ c.Kperp.T
                         scale = float(np.max(np.abs(ref)))
-                        assert np.max(np.abs(e.germ.carrier.values - ref)) < 1e-12 * scale
+                        got = frame.blocks[s].carrier.values[:, :, t]
+                        assert np.max(np.abs(got - ref)) < 1e-12 * scale
+
+    def test_block_eval_against_entry_reference(self, sl_big_pipeline, triangular_pipeline):
+        # reference: one Cauchy sum per entry on the block's column slices
+        y = [0.05]
+        for chart, base, systems, duals in (sl_big_pipeline, triangular_pipeline):
+            for frame in (
+                fullframe_at(chart, base, systems, y),
+                dual_frame_at(chart, base, duals, y),
+            ):
+                for s, g in enumerate(frame.blocks):
+                    pts = base.clusters[s].contour(64).nodes
+                    ref = np.stack(
+                        [
+                            singular_part_eval(
+                                SampledFunction(g.carrier.circle, g.carrier.values[:, :, t]), pts
+                            )
+                            for t in range(g.carrier.values.shape[2])
+                        ],
+                        axis=2,
+                    )
+                    scale = float(np.max(np.abs(ref)))
+                    assert np.max(np.abs(g.eval(pts) - ref)) < 1e-14 * scale
+                offsets = np.cumsum([0] + frame.sizes())
+                for t, (s, _, _) in enumerate(frame.labels):
+                    column = frame.blocks[s].carrier.values[:, :, t - offsets[s]]
+                    assert np.array_equal(frame.entry(t).carrier.values, column)
 
     def test_samples_family_once_per_cluster(self, sl_scalar_pipeline, counting_chart):
         # one block evaluation per carrier at y, and one at y0 for beta
@@ -257,17 +270,19 @@ class TestFrames:
         chart, base, systems, _ = sl_scalar_pipeline
         frame = fullframe_at(chart, base, systems, [0.2])
         assert len(frame) == 2
-        assert [e.s for e in frame.entries] == [0, 1]
-        assert len(frame.cluster_entries(0)) == 1
-        for e in frame.entries:
-            assert e.germ.value_dim == chart.n
-            assert e.germ.center == base.clusters[e.s].center
+        assert [s for s, _, _ in frame.labels] == [0, 1]
+        assert frame.sizes() == [1, 1]
+        for s, g in enumerate(frame.blocks):
+            assert g.value_dim == chart.n
+            assert g.center == base.clusters[s].center
 
     def test_independence(self, jordan_pipeline):
         chart, base, systems, _ = jordan_pipeline
         frame = fullframe_at(chart, base, systems, [0.0])
         cond = independence_check(frame, base)
         assert 1.0 <= cond < 1e6
-        degenerate = FrameSet(y=frame.y, entries=[frame.entries[0], frame.entries[0]])
+        g = frame.blocks[0]
+        twice = Germ(g.center, SampledFunction(g.carrier.circle, g.carrier.values[:, :, [0, 0]]))
+        degenerate = FrameSet(y=frame.y, blocks=[twice], labels=[frame.labels[0]] * 2)
         with pytest.raises(NondegeneracyError):
             independence_check(degenerate, base)

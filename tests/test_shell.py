@@ -377,6 +377,23 @@ class TestProblemFiles:
         with pytest.raises(SpecError, match=key):
             load_problem(spec)
 
+    @pytest.mark.parametrize(
+        "key, spec",
+        [
+            *[(key, {"family": {k: v for k, v in STURM_LIOUVILLE.items() if k != key}})
+              for key in ("r", "mode_cutoff", "k_gap", "r_bound")],
+            ("matrix", {"family": dict(MATRIX_POLYNOMIAL, terms=[{"sigma_power": 1}])}),
+            *[(key, {"family": BRANCHING,
+                     "grid": {"axes": [{k: v for k, v in AXIS.items() if k != key}]}})
+              for key in ("min", "max", "count")],
+            ("entry", {"family": BRANCHING, "probe": [{"coeff": {"type": "sin"}}]}),
+            ("coeff", {"family": BRANCHING, "probe": [{"entry": 0}]}),
+        ],
+    )
+    def test_required_nested_keys(self, key, spec):
+        with pytest.raises(SpecError, match=f"needs keys: '{key}'"):
+            load_problem(spec)
+
     def test_nested_spec_objects_load(self):
         for family in (BRANCHING, STURM_LIOUVILLE, MATRIX_POLYNOMIAL):
             spec = {
