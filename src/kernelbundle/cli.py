@@ -102,7 +102,7 @@ def cmd_reduce(args) -> int:
 def cmd_frame(args) -> int:
     problem = load_problem_file(args.spec)
     base = problem.base()
-    systems, duals = canonical_systems(problem.chart, base)
+    systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
     y = _parse_y(problem, args.y)
     frame = fullframe_at(problem.chart, base, systems, y, node_count=args.nodes)
     cond = independence_check(frame, base)
@@ -127,7 +127,7 @@ def cmd_frame(args) -> int:
 def cmd_pair(args) -> int:
     problem = load_problem_file(args.spec)
     base = problem.base()
-    systems, duals = canonical_systems(problem.chart, base)
+    systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
     y = _parse_y(problem, args.y)
     frame = fullframe_at(problem.chart, base, systems, y, node_count=args.nodes)
     dual = dual_frame_at(problem.chart, base, duals, y, node_count=args.nodes)
@@ -150,7 +150,7 @@ def cmd_pair(args) -> int:
 def cmd_sweep(args) -> int:
     problem = load_problem_file(args.spec)
     base = problem.base()
-    systems, duals = canonical_systems(problem.chart, base)
+    systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
     grid = _grid(problem, args)
     probe = None
     if problem.probe_entries:

@@ -274,13 +274,30 @@ def _winding_from_values(values: np.ndarray):
     return steps.sum(), np.max(np.abs(steps)), mods.min(), mods.max()
 
 
+def winding_from_samples(values: np.ndarray):
+    """Winding number of a closed loop of samples, or None when too coarse to tell
+    (a step of pi/2 or more, or no whole turn).  Raises on a non-finite sample
+    or on a zero near the contour (relative modulus floor)."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("non-finite values encountered on the contour")
+    total, max_step, min_mod, max_mod = _winding_from_values(values)
+    if max_mod == 0.0 or min_mod < MIN_MODULUS_FACTOR * max_mod:
+        raise ZeroOnContourError(
+            f"zero too close to contour: min |q| = {min_mod:.3e} vs max |q| = {max_mod:.3e}"
+        )
+    if max_step < MAX_PHASE_STEP:
+        w = total / (2.0 * np.pi)
+        if abs(w - round(w)) < 0.05:
+            return int(round(w))
+    return None
+
+
 def winding_number(q: Callable, path: Callable, initial_nodes: int = 64) -> int:
     """Winding number of ``q`` along a closed path by accumulated argument increments.
 
     ``path`` maps an array of parameters in ``[0, 1)`` to points on the contour.
-    Node count doubles until consecutive image points subtend less than pi/2,
-    up to the hard cap, after which a resolution error is raised.  A relative
-    modulus floor guards against zeros sitting on the contour.
+    Node count doubles until ``winding_from_samples`` resolves the loop, up to
+    the hard cap, after which a resolution error is raised.
     """
     n = max(int(initial_nodes), 16)
     while True:
@@ -288,17 +305,9 @@ def winding_number(q: Callable, path: Callable, initial_nodes: int = 64) -> int:
         values = eval_along(q, path(t))
         if values.ndim != 1:
             raise InputError("winding_number expects a scalar-valued function")
-        if not np.all(np.isfinite(values)):
-            raise NumericalError("non-finite values encountered on the contour")
-        total, max_step, min_mod, max_mod = _winding_from_values(values)
-        if max_mod == 0.0 or min_mod < MIN_MODULUS_FACTOR * max_mod:
-            raise ZeroOnContourError(
-                f"zero too close to contour: min |q| = {min_mod:.3e} vs max |q| = {max_mod:.3e}"
-            )
-        if max_step < MAX_PHASE_STEP:
-            w = total / (2.0 * np.pi)
-            if abs(w - round(w)) < 0.05:
-                return int(round(w))
+        w = winding_from_samples(values)
+        if w is not None:
+            return w
         if n >= MAX_WINDING_NODES:
             raise ResolutionError(
                 f"winding number did not stabilize within {MAX_WINDING_NODES} nodes"

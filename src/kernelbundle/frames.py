@@ -28,7 +28,6 @@ from .errors import (
     NumericalError,
     RegionError,
 )
-from .family import adjoint_chart
 from .keldysh import DualRootSystem, RootSystem
 from .reduction import BasePointData, SchurEvaluator, _schur
 
@@ -138,40 +137,21 @@ class FrameSet:
         return Germ(g.center, SampledFunction(g.carrier.circle, g.carrier.values[:, :, col]))
 
 
-def _beta_samples(ev: SchurEvaluator, system: RootSystem, nodes: np.ndarray) -> np.ndarray:
-    """Exact values of all beta_j on the given nodes, shape (N, k, J).
-
-    beta_j(zeta) = (zeta - center)^{-L_j} P_s(y0, zeta) psi_j(zeta); the
-    reduced family at the base parameter is evaluated directly, so no Taylor
-    truncation enters.
-    """
-    schur0 = ev.schur_many(ev.base.y0, nodes)
-    cols = []
-    for j, L in enumerate(system.lengths):
-        z = nodes - system.center
-        psi = system.psi_eval(j, nodes)
-        cols.append(np.einsum("nij,nj->ni", schur0, psi) * (z ** (-L))[:, None])
-    return np.stack(cols, axis=2)
-
-
-def _carrier_samples(ev: SchurEvaluator, system: RootSystem, y, node_count: int):
+def _kernel_values(system: RootSystem, circle: Circle, schur) -> np.ndarray:
     """Samples of ``(sigma-c)^l P_s(y,sigma)^{-1} beta_j`` on the carrier circle.
 
-    Returns ``(circle, values, labels, correction)``: values has shape
-    (N, k, entries), one column per ``(j, l)`` label, ordered by chain then
-    shift; ``correction`` is ``p22^{-1} p21`` at the nodes, from the same
-    block evaluation as the Schur complement.
+    ``schur`` holds P_s(y, .) at the circle's nodes.  Returns shape (N, k,
+    entries), one column per ``(j, l)`` label, ordered by chain then shift;
+    beta is read off the system's own carrier, whose node count N must divide.
     """
-    circle = ev.cluster.carrier(node_count)
-    nodes = circle.nodes
-    beta = _beta_samples(ev, system, nodes)
-    schur, correction = _schur(ev.blocks_many(y, nodes), nodes)
-    solved = np.linalg.solve(schur, beta)  # (N, k, J)
+    n = system.beta.circle.node_count
+    if n % circle.node_count:
+        raise InputError(f"frames on {circle.node_count} nodes need systems built on a multiple, not {n}")
+    solved = np.linalg.solve(schur, system.beta.values[:: n // circle.node_count])  # (N, k, J)
     labels = system.entry_labels()
-    z = nodes - ev.cluster.center
+    z = circle.nodes - system.center
     shifts = np.stack([z ** l for _, l in labels], axis=1)
-    values = shifts[:, None, :] * solved[:, :, [j for j, _ in labels]]
-    return circle, values, labels, correction
+    return shifts[:, None, :] * solved[:, :, [j for j, _ in labels]]
 
 
 def kframe_at(
@@ -185,8 +165,52 @@ def kframe_at(
     Returns one k-valued germ with one column per entry, ordered by chain
     then shift.
     """
-    circle, values, _, _ = _carrier_samples(ev, system, y, node_count)
+    circle = ev.cluster.carrier(node_count)
+    values = _kernel_values(system, circle, ev.schur_many(y, circle.nodes))
     return Germ(ev.cluster.center, SampledFunction(circle, values))
+
+
+def _frame(base: BasePointData, systems: Sequence[RootSystem], y, reduced) -> FrameSet:
+    """Frame at y from ``reduced[s] = (schur, correction)`` on cluster s's carrier.
+
+    Each block embeds the kernel-side samples g as ``K g - Kperp p22^{-1} p21 g``;
+    the correction differs from the one applied to the germ only by a
+    holomorphic function, which the singular part kills.
+    """
+    blocks, labels = [], []
+    for s, (c, system, (schur, correction)) in enumerate(zip(base.clusters, systems, reduced)):
+        circle = c.carrier(len(schur))
+        g = _kernel_values(system, circle, schur)
+        blocks.append(Germ(c.center, SampledFunction(circle, c.K @ g - c.Kperp @ (correction @ g))))
+        labels.extend((s, j, l) for j, l in system.entry_labels())
+    y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
+    return FrameSet(y=y_key, blocks=blocks, labels=labels)
+
+
+def frames_from_blocks(base: BasePointData, systems, duals, y, carrier_blocks) -> tuple:
+    """Frame and dual frame at y from the blocks of P(y, .) on each cluster's carrier.
+
+    ``systems`` or ``duals`` may be None, which skips that frame.  The dual is
+    the primal construction on the adjoint family.  Node t of a dual carrier is
+    node -t mod N of the primal one conjugated, where the adjoint blocks are
+    p11^H, p21^H, p12^H and p22^H: the Schur complement is S^H and the
+    correction ``(p12 p22^{-1})^H``, with no evaluation or factorization.
+    """
+    primal, adjoint = [], []
+    for cl, blocks in zip(base.clusters, carrier_blocks):
+        schur, correction, inv = _schur(blocks, cl.carrier(len(blocks[0])).nodes)
+        primal.append((schur, correction))
+        if duals is not None:
+            reverse = -np.arange(len(schur)) % len(schur)
+            adjoint.append([m.conj().swapaxes(1, 2)[reverse] for m in (schur, blocks[1] @ inv)])
+    frame = None if systems is None else _frame(base, systems, y, primal)
+    return frame, None if duals is None else _frame(base.conjugate_swapped(), duals, y, adjoint)
+
+
+def _carrier_blocks(chart, base: BasePointData, y, node_count: int) -> list:
+    """Blocks of P(y, .) on every cluster's carrier, one evaluation each."""
+    evs = [SchurEvaluator(chart, base, s) for s in range(len(base.clusters))]
+    return [ev.blocks_many(y, ev.cluster.carrier(node_count).nodes) for ev in evs]
 
 
 def fullframe_at(
@@ -196,24 +220,8 @@ def fullframe_at(
     y,
     node_count: int = 128,
 ) -> FrameSet:
-    """Frame of the kernel bundle at parameter y, one germ block per cluster.
-
-    Each block embeds the kernel-side samples g into the full space and
-    subtracts the complement correction, ``K g - Kperp p22^{-1} p21 g`` on
-    the carrier circle.  The correction differs from the one applied to the
-    germ only by a holomorphic function, which the singular part kills.
-    """
-    blocks = []
-    labels = []
-    for s, system in enumerate(systems):
-        ev = SchurEvaluator(chart, base, s)
-        circle, g, entry_labels, correction = _carrier_samples(ev, system, y, node_count)
-        c = ev.cluster
-        full = c.K @ g - c.Kperp @ (correction @ g)
-        blocks.append(Germ(c.center, SampledFunction(circle, full)))
-        labels.extend((s, j, l) for j, l in entry_labels)
-    y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
-    return FrameSet(y=y_key, blocks=blocks, labels=labels)
+    """Frame of the kernel bundle at parameter y, one germ block per cluster."""
+    return frames_from_blocks(base, systems, None, y, _carrier_blocks(chart, base, y, node_count))[0]
 
 
 def dual_frame_at(
@@ -223,14 +231,8 @@ def dual_frame_at(
     y,
     node_count: int = 128,
 ) -> FrameSet:
-    """Dual frame at parameter y: the primal construction run on the adjoint family.
-
-    The adjoint reduction reuses the swapped cluster bases at the conjugated
-    centers, and the dual systems' image functions play the role of beta.
-    """
-    adj_chart = adjoint_chart(chart)
-    adj_base = base.conjugate_swapped()
-    return fullframe_at(adj_chart, adj_base, duals, y, node_count)
+    """Dual frame at parameter y, from the primal blocks on the carriers."""
+    return frames_from_blocks(base, None, duals, y, _carrier_blocks(chart, base, y, node_count))[1]
 
 
 def independence_check(frame: FrameSet, base: BasePointData) -> float:

@@ -25,22 +25,14 @@ DUAL_RESIDUAL_LIMIT = 1e-8
 VERIFY_NODES = 128
 
 
-def taylor_coefficients(
-    ev: SchurEvaluator,
-    order: Optional[int] = None,
-    node_count: int = 256,
-) -> list:
-    """Taylor coefficients of the reduced family at the cluster center at y0.
+def base_samples(ev: SchurEvaluator, node_count: int) -> SampledFunction:
+    """The reduced family at the base parameter on the cluster's carrier circle."""
+    circle = ev.cluster.carrier(node_count)
+    return SampledFunction(circle, ev.schur_many(ev.base.y0, circle.nodes))
 
-    Computed by contour integrals on the cluster's carrier circle.  ``order``
-    defaults to twice the local multiplicity plus one, enough for the chain
-    conditions and for the product series entering the dual normalization.
-    """
-    c = ev.cluster
-    if order is None:
-        order = 2 * c.multiplicity + 1
-    circle = c.carrier(node_count)
-    samples = SampledFunction(circle, ev.schur_many(ev.base.y0, circle.nodes))
+
+def taylor_coefficients(samples: SampledFunction, order: int) -> list:
+    """Taylor coefficients through ``order`` at the cluster center, from ``base_samples``."""
     return [taylor_coefficient(samples, p) for p in range(order + 1)]
 
 
@@ -51,7 +43,8 @@ class RootSystem:
     ``chains[j]`` stacks the vectors ``v_{j,0}, ..., v_{j,L_j-1}`` of the
     polynomial ``psi_j``; ``beta_taylor[j]`` holds the Taylor coefficients of
     ``beta_j = (sigma - sigma_s)^{-L_j} P_s psi_j`` at the center.  Lengths
-    are sorted descending and sum to the local multiplicity.
+    are sorted descending and sum to the local multiplicity.  ``beta`` holds
+    all beta_j on a carrier, shape (N, k, J), once ``with_beta`` sets it.
     """
 
     cluster_index: int
@@ -61,6 +54,7 @@ class RootSystem:
     chains: list
     beta_taylor: list
     taylor: list
+    beta: Optional[SampledFunction] = None
 
     @property
     def total(self) -> int:
@@ -269,6 +263,17 @@ def _beta_taylor(taylor, lengths, chains) -> list:
     return out
 
 
+def with_beta(system: RootSystem, samples: SampledFunction) -> RootSystem:
+    """Store beta_j = (zeta - center)^{-L_j} P_s(y0, zeta) psi_j(zeta) on the
+    carrier of the base samples: exact values, no Taylor truncation."""
+    nodes = samples.circle.nodes
+    z = nodes - system.center
+    cols = [np.einsum("nij,nj->ni", samples.values, system.psi_eval(j, nodes)) * (z ** (-L))[:, None]
+            for j, L in enumerate(system.lengths)]
+    system.beta = SampledFunction(samples.circle, np.stack(cols, axis=2))
+    return system
+
+
 def _check_beta_basis(system: RootSystem, rank_tol: float) -> None:
     B = system.beta0
     cond = np.linalg.cond(B)
@@ -331,7 +336,8 @@ def dual_root_functions(
     adj_base = base.conjugate_swapped()
     dual_ev = SchurEvaluator(adj_chart, adj_base, s)
     order = len(primal.taylor) - 1
-    S = taylor_coefficients(dual_ev, order=order, node_count=node_count)
+    samples = base_samples(dual_ev, node_count)
+    S = taylor_coefficients(samples, order)
 
     # structural identity: dual Taylor data is the conjugate transpose of the primal
     scale = max(float(np.max(np.abs(t))) for t in primal.taylor)
@@ -411,7 +417,7 @@ def dual_root_functions(
         raise NondegeneracyError(
             f"normalized dual images are not a well-conditioned basis (condition {cond:.3e})"
         )
-    return dual
+    return with_beta(dual, samples)
 
 
 def verify_canonical_system(

@@ -226,22 +226,33 @@ class SchurEvaluator:
 
 
 def _schur(blocks, sigmas):
-    """Schur complement ``p11 - p12 p22^{-1} p21`` and the correction ``p22^{-1} p21``.
+    """Schur complement ``p11 - p12 p22^{-1} p21``, correction ``p22^{-1} p21`` and ``p22^{-1}``
+    from the blocks of ``SchurEvaluator.blocks_many`` at ``sigmas``.
 
-    ``blocks`` are the four blocks of ``SchurEvaluator.blocks_many`` at ``sigmas``.
+    The guard is the Frobenius condition ``||p22||_F ||p22^{-1}||_F`` of each m x m
+    block, raised by the inverse's own roundoff (``m eps cond`` relative) to an upper
+    bound; as ``cond_2 <= cond_F``, it rejects every block the 2-norm condition rejects.
     """
     p11, p12, p21, p22 = blocks
-    if p22.shape[1] == 0:
-        return p11, p21
-    conds = np.linalg.cond(p22)
+    m = p22.shape[1]
+    if m == 0:
+        return p11, p21, p22
+    try:
+        inv = np.linalg.inv(p22)
+        with np.errstate(over="ignore"):
+            conds = np.linalg.norm(p22, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+            conds = conds * (1.0 + m * np.finfo(float).eps * conds)
+    except np.linalg.LinAlgError:
+        # an exactly singular block fails the whole batch; the SVD names it
+        inv, conds = None, np.linalg.cond(p22)
     worst = int(np.argmax(conds))
-    if not np.all(np.isfinite(conds)) or conds[worst] > P22_CONDITION_LIMIT:
+    if inv is None or not conds[worst] <= P22_CONDITION_LIMIT:
         raise ReductionInvalidError(
             f"reduction invalid here: complement block condition {conds[worst]:.3e} "
             f"at sigma = {sigmas[worst]}"
         )
-    correction = np.linalg.solve(p22, p21)
-    return p11 - p12 @ correction, correction
+    correction = inv @ p21
+    return p11 - p12 @ correction, correction, inv
 
 
 def local_multiplicity(ev: SchurEvaluator, y, node_count: int = 128, fraction: float = 1.0) -> int:

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Rectangle, SampledFunction, locate_zeros
+from .contour import Circle, Rectangle, SampledFunction, locate_zeros, winding_from_samples
 from .errors import (
     ClusteredPolesError,
     DimensionJumpError,
@@ -29,13 +29,14 @@ from .errors import (
     ValidationError,
 )
 from .family import FamilyChart, _check_keys, _checked_kind, family_from_dict
-from .frames import Germ, dual_frame_at, fullframe_at, laurent_coefficients, make_germ
-from .keldysh import dual_root_functions, root_functions, taylor_coefficients
+from .frames import Germ, frames_from_blocks, laurent_coefficients, make_germ
+from .keldysh import base_samples, dual_root_functions, root_functions, taylor_coefficients, with_beta
 from .pairing import coefficients, pairing_matrix
 from .reduction import (
     CARRIER_FRACTION,
     BasePointData,
     SchurEvaluator,
+    _schur,
     base_point_data,
     local_multiplicity,
 )
@@ -208,14 +209,15 @@ class SweepReport:
 
 
 def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int = 256):
-    """Primal and dual root systems for every cluster of a base point."""
+    """Primal and dual root systems for every cluster of a base point, with
+    beta on ``node_count`` carrier nodes: frames take any divisor, such as half."""
     systems = []
     duals = []
     for s, cl in enumerate(base.clusters):
-        ev = SchurEvaluator(chart, base, s)
-        taylor = taylor_coefficients(ev, node_count=node_count)
+        samples = base_samples(SchurEvaluator(chart, base, s), node_count)
+        taylor = taylor_coefficients(samples, 2 * cl.multiplicity + 1)
         system = root_functions(taylor, cl.multiplicity, cluster_index=s, center=cl.center)
-        systems.append(system)
+        systems.append(with_beta(system, samples))
         duals.append(dual_root_functions(chart, base, s, system, node_count=node_count))
     return systems, duals
 
@@ -249,6 +251,8 @@ def sweep(
     t0 = time.perf_counter()
     if systems is None or duals is None:
         systems, duals = canonical_systems(chart, base, node_count=2 * node_count)
+    if any(sy.beta.circle.node_count % node_count for sy in list(systems) + list(duals)):
+        raise InputError(f"sweep nodes {node_count} must divide the nodes the systems were built on")
     base_mults = [cl.multiplicity for cl in base.clusters]
     labels = [(s, j, l) for s, sy in enumerate(systems) for j, L in enumerate(sy.lengths) for l in range(L)]
 
@@ -270,7 +274,9 @@ def sweep(
         y_key = tuple(float(v) for v in np.atleast_1d(y))
         try:
             evs = [SchurEvaluator(chart, base, s) for s in range(len(base.clusters))]
-            mults = [local_multiplicity(ev, y, COUNT_NODES) for ev in evs]
+            # one block evaluation per cluster serves every circle below
+            samples = [_point_samples(ev, y, node_count) for ev in evs]
+            mults = [_multiplicity(ev, y, *smp[0]) for ev, smp in zip(evs, samples)]
             if mults != base_mults:
                 report.elapsed = time.perf_counter() - t0
                 raise DimensionJumpError(
@@ -281,15 +287,16 @@ def sweep(
             # point must sit in the inner half-disc; one that strays into the
             # outer annulus would silently fall outside the carrier and
             # corrupt the frame germs.
-            inner = [local_multiplicity(ev, y, COUNT_NODES, 0.5) for ev in evs]
+            inner = [_multiplicity(ev, y, *smp[1]) for ev, smp in zip(evs, samples)]
             if inner != base_mults:
                 raise ValidationError(
                     f"singular points left the inner half-discs at y={y_key}: "
                     f"{inner} != {base_mults}"
                 )
-            margin = _sweep_p22_margin(chart, base, y)
-            frame = fullframe_at(chart, base, systems, y, node_count=node_count)
-            dual = dual_frame_at(chart, base, duals, y, node_count=node_count)
+            # smallest relative p22 singular value on the margin circles
+            svals = [np.linalg.svd(smp[2][1][3], compute_uv=False) for smp in samples]
+            margin = min((float(np.min(sv[:, -1] / sv[:, 0])) for sv in svals if sv.size), default=1.0)
+            frame, dual = frames_from_blocks(base, systems, duals, y, [smp[3][1] for smp in samples])
             if probe is not None:
                 expected = np.asarray(probe(y), dtype=complex)
                 if expected.shape != (len(frame),):
@@ -332,17 +339,23 @@ def sweep(
     return report
 
 
-def _sweep_p22_margin(chart, base, y) -> float:
-    """Smallest relative p22 singular value over the cluster contours at y."""
-    worst = math.inf
-    for s, cl in enumerate(base.clusters):
-        ev = SchurEvaluator(chart, base, s)
-        _, _, _, p22 = ev.blocks_many(y, cl.contour(MARGIN_NODES).nodes)
-        if p22.shape[1] == 0:
-            continue
-        svals = np.linalg.svd(p22, compute_uv=False)
-        worst = min(worst, float(np.min(svals[:, -1] / svals[:, 0])))
-    return worst if worst < math.inf else 1.0
+def _point_samples(ev: SchurEvaluator, y, node_count: int) -> list:
+    """``(circle, blocks)`` on the count circles at radius 1 and 1/2, the p22 margin
+    circle and the carrier of one cluster at y, from one ``blocks_many`` call."""
+    c = ev.cluster
+    circles = [Circle(c.center, f * c.radius, COUNT_NODES) for f in (1.0, 0.5)]
+    circles += [c.contour(MARGIN_NODES), c.carrier(node_count)]
+    blocks = ev.blocks_many(y, np.concatenate([circle.nodes for circle in circles]))
+    ends = np.cumsum([circle.node_count for circle in circles])
+    return [(ci, tuple(b[e - ci.node_count : e] for b in blocks)) for ci, e in zip(circles, ends)]
+
+
+def _multiplicity(ev: SchurEvaluator, y, circle: Circle, blocks) -> int:
+    """Reduced-determinant zeros in a count circle by ``winding_number``'s tests on its
+    samples; a loop they cannot resolve goes on adaptively from twice the nodes."""
+    w = winding_from_samples(np.linalg.det(_schur(blocks, circle.nodes)[0]))
+    fraction = circle.radius / ev.cluster.radius
+    return w if w is not None else local_multiplicity(ev, y, 2 * circle.node_count, fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -650,44 +663,42 @@ def probe_from_spec(entries: Sequence[dict], size: int) -> Callable:
 
 def load_problem(spec: dict) -> Problem:
     """Parse a problem description dictionary (see README for the schema)."""
-    _check_keys(spec, PROBLEM_KEYS, {"family"}, "problem file")
-    chart, _ = family_from_dict(spec["family"])
+    try:
+        _check_keys(spec, PROBLEM_KEYS, {"family"}, "problem file")
+        chart, _ = family_from_dict(spec["family"])
 
-    bp = spec.get("base_point", {})
-    _check_keys(bp, BASE_POINT_KEYS, set(), "base_point")
-    y0 = np.atleast_1d(np.asarray(bp.get("y0", [0.0] * chart.param_dim), dtype=float))
-    if y0.shape != (chart.param_dim,):
-        raise SpecError("base_point.y0 has the wrong number of parameters")
-    epsilon = bp.get("epsilon")
-    epsilon = float(epsilon) if epsilon is not None else None
+        bp = spec.get("base_point", {})
+        _check_keys(bp, BASE_POINT_KEYS, set(), "base_point")
+        y0 = np.atleast_1d(np.asarray(bp.get("y0", [0.0] * chart.param_dim), dtype=float))
+        if y0.shape != (chart.param_dim,):
+            raise SpecError("base_point.y0 has the wrong number of parameters")
+        epsilon = bp.get("epsilon")
+        epsilon = float(epsilon) if epsilon is not None else None
 
-    grid = None
-    if "grid" in spec:
-        g = spec["grid"]
-        _check_keys(g, GRID_KEYS, GRID_KEYS, "grid")
-        for ax in g["axes"]:
-            _check_keys(ax, AXIS_KEYS, AXIS_KEYS, "grid axis")
-        grid = ParameterGrid.from_ranges([(ax["min"], ax["max"], ax["count"]) for ax in g["axes"]])
-        if grid.ndim != chart.param_dim:
-            raise SpecError("grid dimension does not match the parameter dimension")
+        grid = None
+        if "grid" in spec:
+            g = spec["grid"]
+            _check_keys(g, GRID_KEYS, GRID_KEYS, "grid")
+            for ax in g["axes"]:
+                _check_keys(ax, AXIS_KEYS, AXIS_KEYS, "grid axis")
+            grid = ParameterGrid.from_ranges([(ax["min"], ax["max"], ax["count"]) for ax in g["axes"]])
+            if grid.ndim != chart.param_dim:
+                raise SpecError("grid dimension does not match the parameter dimension")
 
-    probe_entries = spec.get("probe")
-    if probe_entries:
-        # probe coefficients are functions of one parameter
-        if chart.param_dim != 1:
-            raise SpecError(f"a probe needs a one-parameter family, not param_dim {chart.param_dim}")
-        _probe_terms(probe_entries)
-    min_separation = spec.get("min_separation")
-    min_separation = float(min_separation) if min_separation is not None else None
+        probe_entries = spec.get("probe")
+        if probe_entries:
+            # probe coefficients are functions of one parameter
+            if chart.param_dim != 1:
+                raise SpecError(f"a probe needs a one-parameter family, not param_dim {chart.param_dim}")
+            _probe_terms(probe_entries)
+        min_separation = spec.get("min_separation")
+        min_separation = float(min_separation) if min_separation is not None else None
 
-    return Problem(
-        chart=chart,
-        y0=y0,
-        epsilon=epsilon,
-        grid=grid,
-        probe_entries=list(probe_entries) if probe_entries else None,
-        min_separation=min_separation,
-    )
+        probe_entries = list(probe_entries) if probe_entries else None
+        return Problem(chart, y0, epsilon, grid, probe_entries, min_separation)
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong type, anywhere in the file
+        raise SpecError(f"problem file value of the wrong type: {exc}") from None
 
 
 def load_problem_file(path) -> Problem:

@@ -153,6 +153,23 @@ class TestExitCodes:
         assert main(["reduce", "--spec", str(bad)]) == EXIT_PARSE
         assert "needs keys: 'mode_cutoff'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"family": {"kind": "branching"}, "grid": {"axes": 5}},
+            {"family": {"kind": "branching"}, "grid": {"axes": [{"min": "a", "max": 1, "count": 3}]}},
+            {"family": {"kind": "sturm_liouville", "r": "two", "mode_cutoff": 4, "k_gap": 1, "r_bound": 0.4}},
+            {"family": {"kind": "branching"}, "base_point": {"y0": "x"}},
+            {"family": {"kind": "branching"}, "min_separation": "abc"},
+        ],
+        ids=["axes", "axis_min", "sl_r", "y0", "min_separation"],
+    )
+    def test_value_of_wrong_type(self, spec, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        assert main(["reduce", "--spec", str(bad)]) == EXIT_PARSE
+        assert "problem file value of the wrong type" in capsys.readouterr().err
+
     def test_wrong_y_arity(self, specs, capsys):
         code = main(["frame", "--spec", specs["branching"], "--y", "0.1,0.2"])
         assert code == EXIT_PARSE

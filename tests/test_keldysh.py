@@ -3,6 +3,7 @@ import pytest
 
 from kernelbundle.errors import InputError, NumericalError
 from kernelbundle.keldysh import (
+    base_samples,
     dual_root_functions,
     root_functions,
     taylor_coefficients,
@@ -18,23 +19,23 @@ def _z(k=1):
 class TestTaylor:
     def test_jordan_reduced_series(self, jordan_pipeline):
         # the reduced family of the Jordan block is exactly -sigma^2
-        chart, base, _, _ = jordan_pipeline
-        T = taylor_coefficients(SchurEvaluator(chart, base, 0))
-        assert len(T) == 6  # through order 2*multiplicity + 1
+        chart, base, systems, _ = jordan_pipeline
+        T = taylor_coefficients(base_samples(SchurEvaluator(chart, base, 0), 256), 5)
+        assert len(systems[0].taylor) == 6  # through order 2*multiplicity + 1
         assert T[2][0, 0] == pytest.approx(-1.0, abs=1e-12)
         for p in (0, 1, 3, 4, 5):
             assert abs(T[p][0, 0]) < 1e-11
 
     def test_branching_reduced_series(self, branching_pipeline):
         chart, base, _, _ = branching_pipeline
-        T = taylor_coefficients(SchurEvaluator(chart, base, 0))
+        T = taylor_coefficients(base_samples(SchurEvaluator(chart, base, 0), 256), 5)
         assert np.allclose(T[1], np.eye(2), atol=1e-12)
         assert np.max(np.abs(T[0])) < 1e-11
         assert np.max(np.abs(T[2])) < 1e-11
 
     def test_explicit_order(self, jordan_pipeline):
         chart, base, _, _ = jordan_pipeline
-        T = taylor_coefficients(SchurEvaluator(chart, base, 0), order=3)
+        T = taylor_coefficients(base_samples(SchurEvaluator(chart, base, 0), 256), 3)
         assert len(T) == 4
 
 

@@ -17,9 +17,11 @@ from kernelbundle.family import (
     matrix_polynomial_chart,
 )
 from kernelbundle.reduction import (
+    P22_CONDITION_LIMIT,
     BasePointData,
     Cluster,
     SchurEvaluator,
+    _schur,
     base_point_data,
     kernel_cokernel,
     local_multiplicity,
@@ -252,6 +254,39 @@ class TestSchur:
             ev.schur([0.0], 1e-14)
         with pytest.raises(ReductionInvalidError):
             ev.schur_many([0.0], np.array([0.5, 1e-14]))
+
+    def test_exactly_singular_complement_rejected(self):
+        # p22 = diag(1, 0) fails a batched inverse as a whole; the guard must
+        # still raise its own error and name the node
+        p22 = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)]).astype(complex)
+        blocks = (np.ones((3, 1, 1)), np.ones((3, 1, 2)), np.ones((3, 2, 1)), p22)
+        with pytest.raises(ReductionInvalidError, match=r"condition inf at sigma = \(0\.2\+0j\)"):
+            _schur(blocks, np.array([0.1, 0.2, 0.3], dtype=complex))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_guard_rejects_what_the_svd_guard_rejects(self, m):
+        # blocks with prescribed 2-norm condition numbers from 1e10 to 1e14,
+        # as U diag(s) V^H with random unitary U, V and log-spaced s
+        rng = np.random.default_rng(100 + m)
+        sigmas = np.array([0.5j])
+        rejected = 0
+        for target in np.geomspace(1e10, 1e14, 41):
+            u, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+            v, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+            s = np.geomspace(1.0, 1.0 / target, m) * rng.uniform(0.1, 10.0)
+            p22 = ((u * s) @ v.conj().T)[None]
+            blocks = (np.ones((1, 1, 1)), np.ones((1, 1, m)), np.ones((1, m, 1)), p22)
+            if np.linalg.cond(p22[0]) > P22_CONDITION_LIMIT:
+                rejected += 1
+                with pytest.raises(ReductionInvalidError):
+                    _schur(blocks, sigmas)
+            # among well-conditioned blocks, the guard names the bad node
+            batch = tuple(np.concatenate([b, b, b]) for b in blocks)
+            batch[3][:2] = np.eye(m)
+            if np.linalg.cond(p22[0]) > P22_CONDITION_LIMIT:
+                with pytest.raises(ReductionInvalidError, match=r"at sigma = 0\.5j"):
+                    _schur(batch, np.array([0.1, 0.2, 0.5j]))
+        assert rejected > 10
 
     def test_cluster_index_range(self, jordan_pipeline):
         chart, base, _, _ = jordan_pipeline

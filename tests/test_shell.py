@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kernelbundle as kb
+from kernelbundle import shell
 from kernelbundle.errors import (
     DimensionJumpError,
     InputError,
@@ -11,6 +12,7 @@ from kernelbundle.errors import (
 )
 from kernelbundle.family import PolyTerm, SigmaRegion, matrix_polynomial_chart
 from kernelbundle.frames import make_germ
+from kernelbundle.reduction import local_multiplicity
 from kernelbundle.shell import (
     ParameterGrid,
     branching_diagram,
@@ -107,6 +109,43 @@ class TestSweep:
         assert dd0 == pytest.approx(1.0, rel=1e-6)
         assert 0.05 < dd1 < 0.11
         assert report.pairing_entry_dd >= 0.0
+
+    def test_samples_family_once_per_cluster_and_contour(self, sl_big_pipeline, counting_chart):
+        # per point: one evaluation per cluster for the counts, the margin and
+        # both frames, and one per pairing contour; none at y0, whose data
+        # the systems carry
+        chart, base, systems, duals = sl_big_pipeline
+        counting, calls = counting_chart(chart)
+        grid = ParameterGrid.from_ranges([(0.05, 0.05, 1)])
+        report = sweep(counting, base, grid, probe=lambda y: np.ones(4), systems=systems, duals=duals)
+        assert not report.failures and report.points[0].probe_error < 1e-8
+        assert calls == [(0.05,)] * (2 * len(base.clusters))
+
+    def test_count_falls_back_to_adaptive_winding(self, monkeypatch):
+        # sigma^17 turns 17 * 2 pi / 64 > pi/2 between first-pass nodes, so
+        # the count continues adaptively, from 128 nodes on
+        chart = matrix_polynomial_chart([PolyTerm(17, (0,), np.eye(1))], SigmaRegion(-2, 2, -2, 2))
+        one, empty = np.eye(1), np.zeros((1, 0))
+        cluster = kb.reduction.Cluster(0j, 17, 1, one, empty, one, empty, 0.5)
+        ev = kb.SchurEvaluator(chart, kb.reduction.BasePointData(chart, np.zeros(1), [cluster]), 0)
+        adaptive = []
+
+        def counted(ev, y, node_count, fraction):
+            adaptive.append((node_count, fraction))
+            return local_multiplicity(ev, y, node_count, fraction)
+
+        monkeypatch.setattr(shell, "local_multiplicity", counted)
+        samples = shell._point_samples(ev, [0.0], 128)
+        assert [shell._multiplicity(ev, [0.0], *smp) for smp in samples[:2]] == [17, 17]
+        assert adaptive == [(128, 1.0), (128, 0.5)]
+
+    def test_node_count_must_divide_system_nodes(self, branching_pipeline):
+        # the systems carry beta on 256 nodes; a sweep on 96 stops before any point
+        chart, base, systems, duals = branching_pipeline
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
+        with pytest.raises(InputError, match="must divide"):
+            sweep(chart, base, grid, node_count=96, systems=systems, duals=duals)
+        assert not sweep(chart, base, grid, node_count=64, systems=systems, duals=duals).failures
 
     def test_sweep_without_probe(self, branching_pipeline):
         chart, base, systems, duals = branching_pipeline
