@@ -49,7 +49,10 @@ EXIT_NUMERICAL = 4
 def _parse_y(problem, value):
     if value is None:
         return problem.y0
-    parts = [float(p) for p in value.split(",")]
+    try:
+        parts = [float(p) for p in value.split(",")]
+    except ValueError:
+        raise InputError(f"--y needs comma separated numbers, got {value!r}") from None
     if len(parts) != problem.chart.param_dim:
         raise InputError(
             f"--y needs {problem.chart.param_dim} comma separated values, got {len(parts)}"
@@ -59,10 +62,13 @@ def _parse_y(problem, value):
 
 def _grid(problem, args) -> ParameterGrid:
     if getattr(args, "grid", None):
-        ranges = []
-        for axis in args.grid.split(";"):
-            lo, hi, count = axis.split(",")
-            ranges.append((float(lo), float(hi), int(count)))
+        try:
+            ranges = []
+            for axis in args.grid.split(";"):
+                lo, hi, count = axis.split(",")
+                ranges.append((float(lo), float(hi), int(count)))
+        except ValueError:
+            raise InputError(f"--grid needs lo,hi,count[;lo,hi,count], got {args.grid!r}") from None
         return ParameterGrid.from_ranges(ranges)
     if problem.grid is None:
         raise InputError("no grid in the problem file; pass --grid lo,hi,count")
@@ -250,19 +256,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (InputError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (ValidationError, RegionError, ConfigurationError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except KernelBundleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (KernelBundleError, OSError) as exc:
+        # InputError and anything else malformed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -9,6 +9,7 @@ take an array of points and return values with the points' shape leading.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,6 +36,9 @@ MAX_LOCATE_DEPTH = 40
 REFINE_NODES = 256
 REFINE_MAX_ITER = 12
 REFINE_REL_TOL = 1e-13
+# Read-only arrays kept: Cauchy kernels per (carrier, target) circle pair, and
+# unit roots per node count.
+CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -56,17 +60,20 @@ class Circle:
             raise InputError(f"node_count must be at least 16, got {self.node_count}")
 
     @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.node_count) / self.node_count
-
-    @property
     def unit(self) -> np.ndarray:
-        """exp(i theta_t) at the nodes."""
-        return np.exp(1j * self.angles)
+        """exp(i theta_t) at the nodes, read-only."""
+        return _unit_roots(self.node_count)
 
     @property
     def nodes(self) -> np.ndarray:
         return self.center + self.radius * self.unit
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _unit_roots(node_count: int) -> np.ndarray:
+    unit = np.exp(1j * (2.0 * np.pi * np.arange(node_count) / node_count))
+    unit.flags.writeable = False
+    return unit
 
 
 @dataclass(frozen=True)
@@ -193,21 +200,35 @@ def singular_part_eval(f: SampledFunction, sigma):
     The singular part is ``(i/2pi) \\oint f(zeta) / (zeta - sigma) dzeta`` with
     the circle positively oriented; it reproduces ``f`` when ``f`` is rational,
     vanishes at infinity and has all poles inside, and annihilates functions
-    holomorphic on the closed disc.
+    holomorphic on the closed disc.  ``sigma`` may be a ``Circle``: its nodes
+    are the points, and the Cauchy kernel of the two circles is cached.
     """
     c = f.circle
-    sig = np.asarray(sigma, dtype=complex)
-    scalar_input = sig.ndim == 0
-    sig = np.atleast_1d(sig)
-    if np.any(np.abs(sig - c.center) <= c.radius):
-        raise RegionError("singular part evaluation requires |sigma - center| > radius")
-    # kernel[t, j] = e^{i theta_t} / (zeta_t - sigma_j)
-    kernel = c.unit[:, None] / (c.nodes[:, None] - sig[None, :])
+    if isinstance(sigma, Circle):
+        scalar_input = False
+        kernel = _circle_kernel(c, sigma)
+    else:
+        sig = np.asarray(sigma, dtype=complex)
+        scalar_input = sig.ndim == 0
+        kernel = _cauchy_kernel(c, np.atleast_1d(sig))
     out = -(c.radius / c.node_count) * np.tensordot(kernel, f.values, axes=(0, 0))
-    # out has shape (n_sigma, *value_shape); move sigma axis to front already done
     if scalar_input:
         out = out[0]
     return out
+
+
+def _cauchy_kernel(c: Circle, sig: np.ndarray) -> np.ndarray:
+    """``kernel[t, j] = e^{i theta_t} / (zeta_t - sigma_j)`` from carrier nodes to points outside."""
+    if np.any(np.abs(sig - c.center) <= c.radius):
+        raise RegionError("singular part evaluation requires |sigma - center| > radius")
+    return c.unit[:, None] / (c.nodes[:, None] - sig[None, :])
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _circle_kernel(carrier: Circle, target: Circle) -> np.ndarray:
+    kernel = _cauchy_kernel(carrier, target.nodes)
+    kernel.flags.writeable = False
+    return kernel
 
 
 @dataclass(frozen=True)

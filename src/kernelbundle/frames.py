@@ -244,8 +244,8 @@ def independence_check(frame: FrameSet, base: BasePointData) -> float:
     """
     samples = []
     for cl in base.clusters:
-        pts = cl.contour(INDEPENDENCE_PROBE_NODES).nodes
-        vals = np.concatenate([g.eval(pts) for g in frame.blocks], axis=2)
+        probe = cl.contour(INDEPENDENCE_PROBE_NODES)
+        vals = np.concatenate([g.eval(probe) for g in frame.blocks], axis=2)
         samples.append(vals.reshape(-1, vals.shape[2]))
     # one column per entry, one row per (node, component) sample
     svals = np.linalg.svd(np.concatenate(samples, axis=0), compute_uv=False)

@@ -39,7 +39,18 @@ def _contour_pairing(circle: Circle, pvals, phis, psis) -> np.ndarray:
     conjugated nodes.  Returns the (A, B) block of pairings.
     """
     weight = 1j * circle.radius / circle.node_count
-    return weight * np.einsum("n,nja,njk,nkb->ab", circle.unit, np.conj(psis), pvals, phis)
+    integrand = np.conj(psis).swapaxes(1, 2) @ (pvals @ phis)
+    return weight * np.tensordot(circle.unit, integrand, axes=(0, 0))
+
+
+def _dual_eval(psi: Germ, circle: Circle) -> np.ndarray:
+    """``psi`` at the conjugated nodes of a circle, node by node.
+
+    Those are the nodes of the conjugate circle in the order ``t -> -t mod N``,
+    so the Cauchy kernel of that circle serves.
+    """
+    n = circle.node_count
+    return psi.eval(Circle(np.conj(circle.center), circle.radius, n))[-np.arange(n) % n]
 
 
 def pair(
@@ -55,10 +66,9 @@ def pair(
     """
     total = 0.0 + 0.0j
     for circle in contours:
-        nodes = circle.nodes
-        phis = phi.eval(nodes)[:, :, None]
-        psis = psi.eval(np.conj(nodes))[:, :, None]
-        total += _contour_pairing(circle, chart.eval_many(y, nodes), phis, psis)[0, 0]
+        phis = phi.eval(circle)[:, :, None]
+        psis = _dual_eval(psi, circle)[:, :, None]
+        total += _contour_pairing(circle, chart.eval_many(y, circle.nodes), phis, psis)[0, 0]
     return complex(total)
 
 
@@ -103,15 +113,14 @@ def _pairings(chart, frame, dual, base, y, section, node_count: int):
     blocks = []
     columns = []
     for s, circle in enumerate(cluster_contours(base, node_count)):
-        nodes = circle.nodes
-        phis = frame.blocks[s].eval(nodes)
+        pvals = chart.eval_many(y, circle.nodes)
+        psis = _dual_eval(dual.blocks[s], circle)
+        blocks.append(_contour_pairing(circle, pvals, frame.blocks[s].eval(circle), psis))
         if section is not None:
-            phis = np.concatenate([phis, section[s].eval(nodes)[:, :, None]], axis=2)
-        psis = dual.blocks[s].eval(np.conj(nodes))
-        block = _contour_pairing(circle, chart.eval_many(y, nodes), phis, psis)
-        blocks.append(block[:, : sizes[s]])
-        columns.append(block[:, sizes[s] :])
-    column = None if section is None else np.concatenate(columns)[:, 0]
+            # contracted apart: matmul roundoff depends on the column count
+            phi = section[s].eval(circle)[:, :, None]
+            columns.append(_contour_pairing(circle, pvals, phi, psis)[:, 0])
+    column = None if section is None else np.concatenate(columns)
     return _block_diagonal(blocks), column
 
 
@@ -169,14 +178,12 @@ def reduced_pairing_matrix(
         dual_kblock = kframe_at(dual_ev, dual, y, REDUCED_PAIRING_NODES)
         labels.extend((s, j, l) for j, l in system.entry_labels())
         dual_labels.extend((s, j, l) for j, l in dual.entry_labels())
-        nodes = circle.nodes
         # Q(y, conj sigma)^H = P_s(y, sigma): evaluate the adjoint complement
         # at the reflected nodes and undo the conjugation.
-        qvals = dual_ev.schur_many(y, np.conj(nodes))
+        qvals = dual_ev.schur_many(y, np.conj(circle.nodes))
         pvals = np.conj(qvals).swapaxes(1, 2)
-        phis = kblock.eval(nodes)
-        psis = dual_kblock.eval(np.conj(nodes))
-        blocks.append(_contour_pairing(circle, pvals, phis, psis))
+        psis = _dual_eval(dual_kblock, circle)
+        blocks.append(_contour_pairing(circle, pvals, kblock.eval(circle), psis))
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     return _checked_pairing(_block_diagonal(blocks), y_key, labels, dual_labels)
 
@@ -264,8 +271,8 @@ def _reconstruction_residual(frame: FrameSet, f: np.ndarray, section) -> float:
     scale = 0.0
     for block, coeffs, germ in zip(frame.blocks, frame.split(f), section):
         circ = block.carrier.circle
-        pts = Circle(circ.center, circ.radius * 1.2, 64).nodes
-        target = germ.eval(pts)
-        worst = max(worst, float(np.max(np.abs(block.eval(pts) @ coeffs - target))))
+        probe = Circle(circ.center, circ.radius * 1.2, 64)
+        target = germ.eval(probe)
+        worst = max(worst, float(np.max(np.abs(block.eval(probe) @ coeffs - target))))
         scale = max(scale, float(np.max(np.abs(target))))
     return worst / max(scale, 1e-300)

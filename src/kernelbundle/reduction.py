@@ -195,10 +195,11 @@ class SchurEvaluator:
     def blocks_many(self, y, sigmas):
         """Blocks at every sigma point, each with a leading node axis."""
         c = self.cluster
-        P = self.chart.eval_many(y, sigmas)
-        top = c.Rperp.conj().T @ P
-        bottom = c.R.conj().T @ P
-        return top @ c.K, top @ c.Kperp, bottom @ c.K, bottom @ c.Kperp
+        left = np.concatenate([c.Rperp, c.R], axis=1).conj().T
+        # one two-sided product per node; the blocks are views of it
+        B = left @ self.chart.eval_many(y, sigmas) @ np.concatenate([c.K, c.Kperp], axis=1)
+        k = c.K.shape[1]
+        return B[:, :k, :k], B[:, :k, k:], B[:, k:, :k], B[:, k:, k:]
 
     def schur(self, y, sigma: complex) -> np.ndarray:
         """k x k reduced family p11 - p12 p22^{-1} p21 in the frozen bases."""

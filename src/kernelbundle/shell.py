@@ -249,6 +249,8 @@ def sweep(
     the carriers and the pairing contours.
     """
     t0 = time.perf_counter()
+    if grid.ndim != chart.param_dim:
+        raise InputError(f"grid has {grid.ndim} axes, the family {chart.param_dim} parameters")
     if systems is None or duals is None:
         systems, duals = canonical_systems(chart, base, node_count=2 * node_count)
     if any(sy.beta.circle.node_count % node_count for sy in list(systems) + list(duals)):

@@ -174,6 +174,24 @@ class TestExitCodes:
         code = main(["frame", "--spec", specs["branching"], "--y", "0.1,0.2"])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--grid", "a,b"],
+            ["sweep", "--grid", "0,0.1,1.5"],
+            ["pair", "--y", "abc"],
+        ],
+        ids=["grid_arity", "grid_count", "y_number"],
+    )
+    def test_malformed_option(self, specs, capsys, argv):
+        assert main(argv + ["--spec", specs["branching"]]) == EXIT_PARSE
+        assert f"{argv[1]} needs" in capsys.readouterr().err
+
+    def test_grid_of_wrong_dimension(self, specs, capsys):
+        code = main(["sweep", "--spec", specs["branching"], "--grid", "0,0.1,3;0,0.1,3"])
+        assert code == EXIT_PARSE
+        assert "grid has 2 axes, the family 1 parameters" in capsys.readouterr().err
+
     def test_trace_needs_scalar_family(self, specs, capsys):
         code = main(
             ["trace", "--spec", specs["branching"], "--gamma", "1.0", "--window", "2.0"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kernelbundle import contour
 from kernelbundle.contour import (
     Circle,
     Rectangle,
@@ -113,6 +114,33 @@ class TestSingularPart:
             singular_part_eval(f, 0.3)
         with pytest.raises(RegionError):
             singular_part_eval(f, np.array([0.8, 0.1]))
+
+    def test_circle_equals_its_nodes(self):
+        r = lambda z: np.stack([2.0 / (z - 0.1), 0.5j / (z + 0.2) ** 2], axis=-1)
+        f = self.carrier(r)
+        matrix = SampledFunction(f.circle, f.values[:, :, None] * np.array([1.0, -2.0j]))
+        for target in (Circle(0.0, 0.6, 128), Circle(0.1j, 0.9, 48), Circle(2.0, 0.5, 16)):
+            for g in (f, matrix):
+                cached = singular_part_eval(g, target)
+                assert np.array_equal(cached, singular_part_eval(g, target.nodes))
+                assert np.array_equal(singular_part_eval(g, target), cached)
+
+    def test_cached_arrays_are_read_only(self):
+        carrier, target = Circle(0.0, 0.5, 32), Circle(0.0, 0.6, 16)
+        with pytest.raises(ValueError):
+            carrier.unit[0] = 0.0
+        with pytest.raises(ValueError):
+            contour._circle_kernel(carrier, target)[0, 0] = 0.0
+        for n in (16, 48, 128, 256):
+            angles = 2.0 * np.pi * np.arange(n) / n
+            assert np.array_equal(Circle(0.0, 1.0, n).unit, np.exp(1j * angles))
+
+    def test_overlapping_circle_rejected_every_call(self):
+        f = self.carrier(np.exp)
+        for target in (Circle(0.0, 0.4, 64), Circle(0.3, 0.3, 64)):
+            for _ in range(2):
+                with pytest.raises(RegionError):
+                    singular_part_eval(f, target)
 
     def test_matrix_values(self):
         r = lambda z: np.moveaxis(

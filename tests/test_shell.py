@@ -147,6 +147,13 @@ class TestSweep:
             sweep(chart, base, grid, node_count=96, systems=systems, duals=duals)
         assert not sweep(chart, base, grid, node_count=64, systems=systems, duals=duals).failures
 
+    def test_grid_dimension_must_match_family(self, branching_pipeline):
+        # a two-axis grid on a one-parameter family stops before any point
+        chart, base, systems, duals = branching_pipeline
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3), (-0.1, 0.1, 3)])
+        with pytest.raises(InputError, match="grid has 2 axes, the family 1 parameters"):
+            sweep(chart, base, grid, systems=systems, duals=duals)
+
     def test_sweep_without_probe(self, branching_pipeline):
         chart, base, systems, duals = branching_pipeline
         grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
