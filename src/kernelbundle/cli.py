@@ -77,6 +77,7 @@ def _grid(problem, args) -> ParameterGrid:
 
 def cmd_locate(args) -> int:
     problem = load_problem_file(args.spec)
+    problem.check_r_bound([])
     chart = problem.chart
     region = chart.sigma.search_rect
     min_sep = problem.min_separation
@@ -91,9 +92,10 @@ def cmd_locate(args) -> int:
 
 def cmd_reduce(args) -> int:
     problem = load_problem_file(args.spec)
+    grid = problem.grid.points() if problem.grid is not None else [problem.y0]
+    problem.check_r_bound(grid)
     base = problem.base()
     systems, duals = canonical_systems(problem.chart, base)
-    grid = problem.grid.points() if problem.grid is not None else [problem.y0]
     validation = validate_neighborhood(problem.chart, base, y_grid=grid)
     out = {
         "base": base.to_dict(),
@@ -107,9 +109,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_frame(args) -> int:
     problem = load_problem_file(args.spec)
+    y = _parse_y(problem, args.y)
+    problem.check_r_bound([y])
     base = problem.base()
     systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
-    y = _parse_y(problem, args.y)
     frame = fullframe_at(problem.chart, base, systems, y, node_count=args.nodes)
     cond = independence_check(frame, base)
     out = {
@@ -132,9 +135,10 @@ def cmd_frame(args) -> int:
 
 def cmd_pair(args) -> int:
     problem = load_problem_file(args.spec)
+    y = _parse_y(problem, args.y)
+    problem.check_r_bound([y])
     base = problem.base()
     systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
-    y = _parse_y(problem, args.y)
     frame = fullframe_at(problem.chart, base, systems, y, node_count=args.nodes)
     dual = dual_frame_at(problem.chart, base, duals, y, node_count=args.nodes)
     pm = pairing_matrix(problem.chart, frame, dual, base, y, node_count=2 * args.nodes)
@@ -155,9 +159,10 @@ def cmd_pair(args) -> int:
 
 def cmd_sweep(args) -> int:
     problem = load_problem_file(args.spec)
+    grid = _grid(problem, args)
+    problem.check_r_bound(grid.points())
     base = problem.base()
     systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
-    grid = _grid(problem, args)
     probe = None
     if problem.probe_entries:
         size = sum(sy.total for sy in systems)

@@ -245,6 +245,16 @@ class SturmLiouvilleSpec:
             raise InputError(f"a(y) has shape {a.shape}, expected ({self.r}, {self.r})")
         return a
 
+    def check_bound(self, ys) -> None:
+        """Raise ``ConfigurationError`` at the first ``y`` where ``||a(y)||_2``
+        reaches ``r_bound``."""
+        for y in ys:
+            norm = np.linalg.norm(self.coefficient(y), 2)
+            if norm >= self.r_bound:
+                raise ConfigurationError(
+                    f"||a(y)|| = {norm:.6f} reaches the declared bound {self.r_bound} at y = {y}"
+                )
+
 
 def sl_assemble(spec: SturmLiouvilleSpec, y, sigma) -> np.ndarray:
     """Block-diagonal matrix of ``k^2 I + a(y) + sigma^2 I`` over modes k.
@@ -330,14 +340,9 @@ def validate_chart(
         scale = max(np.max(np.abs(vals)), 1e-300)
         margin = min(margin, float(np.max(smin) / scale))
     if sl_spec is not None:
-        sa_res = 0.0
-        for y in y_samples:
-            a = sl_spec.coefficient(y)
-            sa_res = max(sa_res, float(np.linalg.norm(a - a.conj().T)))
-            if np.linalg.norm(a, 2) >= sl_spec.r_bound:
-                raise ConfigurationError(
-                    f"||a(y)|| = {np.linalg.norm(a, 2):.6f} reaches the declared bound at y = {y}"
-                )
+        sl_spec.check_bound(y_samples)
+        coeffs = map(sl_spec.coefficient, y_samples)
+        sa_res = max((float(np.linalg.norm(a - a.conj().T)) for a in coeffs), default=0.0)
     passed = res < HOLOMORPHY_TOL and margin > INVERTIBILITY_TOL and (sa_res is None or sa_res < 1e-12)
     return ChartReport(res, margin, sa_res, passed)
 

@@ -21,10 +21,14 @@ from .errors import (
     RankGapError,
     ReductionInvalidError,
     ValidationError,
+    ZeroOnContourError,
 )
 from .family import FamilyChart, _as_param
 
 P22_CONDITION_LIMIT = 1e12
+# Complex entries per family batch of a determinant call: 2^21 is 32 MB, or
+# 512 matrices at n = 64.
+DET_CHUNK_ENTRIES = 2 ** 21
 # Halvings of the working radius tried before a base point is given up.
 MAX_HALVINGS = 10
 # validate_neighborhood: rings (fractions of the radius, besides the center)
@@ -265,14 +269,32 @@ def local_multiplicity(ev: SchurEvaluator, y, node_count: int = 128, fraction: f
 
 
 def _det_function(chart: FamilyChart, y) -> Callable:
-    """Vectorized sigma -> det P(y, sigma); the result has the input's shape.
+    """Vectorized sigma -> det P(y, sigma) / C; the result has the input's shape.
 
-    Evaluation is unchecked: location circles may poke slightly past the region.
+    The family is evaluated in chunks of at most ``DET_CHUNK_ENTRIES // n^2``
+    matrices, each reduced by ``slogdet``, so memory stays bounded at any node
+    count.  Each call divides by one positive constant ``C``, the largest
+    modulus it sees, so the values stay in the float range where ``det``
+    itself over- or underflows.  Winding counts, the modulus floor and the
+    moment ``q'/q`` read one call's values only, and none of them changes
+    under that scaling.  A call whose determinants all vanish raises
+    ``ZeroOnContourError``.  Evaluation is unchecked: location circles may
+    poke slightly past the region.
     """
+    rows = max(1, DET_CHUNK_ENTRIES // chart.n ** 2)
 
     def q(sigma):
         s = np.asarray(sigma, dtype=complex)
-        return np.linalg.det(chart.eval_many(y, s.ravel(), check=False)).reshape(s.shape)
+        flat = s.ravel()
+        sign = np.empty(flat.shape, dtype=complex)
+        logabs = np.empty(flat.shape)
+        for i in range(0, flat.size, rows):
+            part = slice(i, i + rows)
+            sign[part], logabs[part] = np.linalg.slogdet(chart.eval_many(y, flat[part], check=False))
+        top = np.max(logabs)
+        if top == -np.inf:
+            raise ZeroOnContourError("the determinant vanishes at every point of the contour")
+        return (sign * np.exp(logabs - top)).reshape(s.shape)
 
     return q
 

@@ -28,7 +28,7 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .family import FamilyChart, _check_keys, _checked_kind, family_from_dict
+from .family import FamilyChart, SturmLiouvilleSpec, _check_keys, _checked_kind, family_from_dict
 from .frames import Germ, frames_from_blocks, laurent_coefficients, make_germ
 from .keldysh import base_samples, dual_root_functions, root_functions, taylor_coefficients, with_beta
 from .pairing import coefficients, pairing_matrix
@@ -604,6 +604,13 @@ class Problem:
     grid: Optional[ParameterGrid]
     probe_entries: Optional[list]
     min_separation: Optional[float]
+    sl_spec: Optional[SturmLiouvilleSpec]
+
+    def check_r_bound(self, ys) -> None:
+        """Raise ``ConfigurationError`` where a Sturm-Liouville family's
+        ``||a(y)||_2`` reaches its ``r_bound``, at y0 or at one of ``ys``."""
+        if self.sl_spec is not None:
+            self.sl_spec.check_bound([self.y0, *ys])
 
     def base(self) -> BasePointData:
         return base_point_data(
@@ -667,7 +674,7 @@ def load_problem(spec: dict) -> Problem:
     """Parse a problem description dictionary (see README for the schema)."""
     try:
         _check_keys(spec, PROBLEM_KEYS, {"family"}, "problem file")
-        chart, _ = family_from_dict(spec["family"])
+        chart, sl_spec = family_from_dict(spec["family"])
 
         bp = spec.get("base_point", {})
         _check_keys(bp, BASE_POINT_KEYS, set(), "base_point")
@@ -697,7 +704,7 @@ def load_problem(spec: dict) -> Problem:
         min_separation = float(min_separation) if min_separation is not None else None
 
         probe_entries = list(probe_entries) if probe_entries else None
-        return Problem(chart, y0, epsilon, grid, probe_entries, min_separation)
+        return Problem(chart, y0, epsilon, grid, probe_entries, min_separation, sl_spec)
     except (TypeError, ValueError) as exc:
         # a value of the wrong type, anywhere in the file
         raise SpecError(f"problem file value of the wrong type: {exc}") from None

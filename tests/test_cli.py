@@ -11,6 +11,12 @@ import pytest
 import kernelbundle
 from kernelbundle.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_VALIDATION, main
 
+# ||a(y)|| = 0.25 + 0.1 y reaches r_bound = 0.4 at y = 1.5
+SL_FAMILY = {
+    "kind": "sturm_liouville", "r": 1, "mode_cutoff": 4, "k_gap": 1, "r_bound": 0.4,
+    "a_terms": [{"y_powers": [0], "matrix": [[0.25]]}, {"y_powers": [1], "matrix": [[0.1]]}],
+}
+
 
 @pytest.fixture(scope="module")
 def specs(tmp_path_factory):
@@ -205,6 +211,30 @@ class TestExitCodes:
         code = main(["reduce", "--spec", specs["oversized"]])
         assert code == EXIT_VALIDATION
         assert "validation failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, base_point, grid",
+        [
+            (["locate"], {"y0": [2.0]}, None),
+            (["reduce"], {"y0": [0.0]}, {"axes": [{"min": 0.0, "max": 2.0, "count": 3}]}),
+            (["sweep", "--grid", "0,2,3"], {"y0": [0.0]}, None),
+            (["frame", "--y", "2"], {"y0": [0.0]}, None),
+        ],
+        ids=["y0", "file_grid", "grid_option", "y_option"],
+    )
+    def test_r_bound_checked_where_sampled(self, argv, base_point, grid, tmp_path, capsys):
+        spec = {"family": SL_FAMILY, "base_point": base_point}
+        if grid is not None:
+            spec["grid"] = grid
+        path = tmp_path / "sl.json"
+        path.write_text(json.dumps(spec))
+        assert main(argv + ["--spec", str(path)]) == EXIT_VALIDATION
+        assert "reaches the declared bound 0.4 at y = [2.]" in capsys.readouterr().err
+
+    def test_r_bound_holds(self, tmp_path):
+        path = tmp_path / "sl.json"
+        path.write_text(json.dumps({"family": SL_FAMILY, "base_point": {"y0": [1.0]}}))
+        assert main(["locate", "--spec", str(path), "--out", str(tmp_path / "out.json")]) == 0
 
     def test_multiplicity_jump(self, specs, capsys):
         code = main(

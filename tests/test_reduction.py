@@ -1,26 +1,34 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from kernelbundle.contour import Rectangle
+from kernelbundle.contour import Circle, Rectangle, count_zeros, count_zeros_rectangle, locate_zeros
 from kernelbundle.errors import (
     InputError,
     NumericalError,
     RankGapError,
     ReductionInvalidError,
     ValidationError,
+    ZeroOnContourError,
 )
 from kernelbundle.family import (
+    FamilyChart,
     PolyTerm,
     SigmaRegion,
+    SturmLiouvilleSpec,
     branching_chart,
     jordan_chart,
     matrix_polynomial_chart,
+    sl_chart,
 )
 from kernelbundle.reduction import (
+    DET_CHUNK_ENTRIES,
     P22_CONDITION_LIMIT,
     BasePointData,
     Cluster,
     SchurEvaluator,
+    _det_function,
     _schur,
     base_point_data,
     kernel_cokernel,
@@ -344,3 +352,70 @@ class TestNeighborhood:
         d = validate_neighborhood(chart, base, [[0.0]]).to_dict()
         assert d["passed"] is True
         assert len(d["conditions"]) == 4
+
+
+def _scalar_dirichlet(mode_cutoff):
+    """One-channel Dirichlet family with a(y) = 0.25 + 0.1 y."""
+    spec = SturmLiouvilleSpec(
+        r=1,
+        a_eval=lambda y: np.array([[0.25 + 0.1 * y[0]]]),
+        mode_cutoff=mode_cutoff,
+        k_gap=1,
+        r_bound=0.4,
+    )
+    return sl_chart(spec)
+
+
+class TestDetFunction:
+    def test_batches_are_bounded(self):
+        chart = _scalar_dirichlet(64)
+        rows = DET_CHUNK_ENTRIES // 64 ** 2
+        batches = []
+
+        def evaluator(y, sigmas):
+            batches.append(len(sigmas))
+            return chart.evaluator(y, sigmas)
+
+        q = _det_function(dataclasses.replace(chart, evaluator=evaluator), [0.3])
+        rng = np.random.default_rng(5)
+        sigma = rng.uniform(-1.0, 1.0, (3, 700)) + 1j * rng.uniform(-1.5, 1.5, (3, 700))
+        got = q(sigma)
+        assert got.shape == sigma.shape
+        assert max(batches) <= rows and sum(batches) == sigma.size and len(batches) > 1
+        # one positive constant per call: det itself, scaled to largest modulus 1
+        det = np.linalg.det(chart.eval_many([0.3], sigma.ravel())).reshape(sigma.shape)
+        expected = det / np.max(np.abs(det))
+        assert np.max(np.abs(got - expected)) < 1e-12
+        assert np.max(np.abs(got)) == pytest.approx(1.0, abs=1e-15)
+
+    def test_scaled_family_locates_the_same_zeros(self, sl_big_chart):
+        # det of the 8 x 8 family times 1e200 is 1e1600 times det: far past
+        # the float range, where an unnormalized determinant is inf
+        chart, _ = sl_big_chart
+        scaled = dataclasses.replace(chart, evaluator=lambda y, s: 1e200 * chart.evaluator(y, s))
+        rect = chart.sigma.search_rect
+        sep = max(rect.width, rect.height) / 64.0
+        plain = locate_zeros(_det_function(chart, [0.0]), rect, sep)
+        big = locate_zeros(_det_function(scaled, [0.0]), rect, sep)
+        assert len(plain.zeros) == 4 and not plain.unresolved
+        assert [z.multiplicity for z in big.zeros] == [z.multiplicity for z in plain.zeros]
+        assert not big.unresolved
+        for a, b in zip(plain.zeros, big.zeros):
+            assert abs(a.location - b.location) < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_identically_zero_determinant_raises(self):
+        region = SigmaRegion(-1.0, 1.0, -1.0, 1.0)
+        chart = FamilyChart(2, 1, region, lambda y, s: np.zeros((len(s), 2, 2)))
+        q = _det_function(chart, [0.0])
+        with pytest.raises(ZeroOnContourError):
+            q(np.array([0.1, 0.2j]))
+        with pytest.raises(ZeroOnContourError):
+            count_zeros(q, Circle(0.0, 0.5, 64))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_count_past_the_float_range(self):
+        # at n = 100, det P is +-inf on the search rectangle
+        chart = _scalar_dirichlet(100)
+        q = _det_function(chart, [0.3])
+        assert count_zeros_rectangle(q, chart.sigma.search_rect) == 2

@@ -83,6 +83,22 @@ class TestDividedDifferences:
     def test_short_input(self):
         assert second_divided_differences(np.zeros(2), 0.1).shape == (0,)
 
+    def test_failed_points_skip_their_stencils(self):
+        # a failed sweep point is a NaN row: every stencil that touches it drops
+        # out, so the offset of 100 (a jump of 100 / h^2 were NaN read as 0)
+        # never shows, and the stencils clear of it give the exact value
+        grid = ParameterGrid.from_ranges([(-1.0, 1.0, 9)])
+        y = grid.axes[0]
+        values = np.stack([100.0 + 3.0 * y ** 2, 1.0 - y], axis=1).astype(complex)
+        values[4] = np.nan
+        assert shell._max_dd(values, grid) == pytest.approx([3.0, 0.0], abs=1e-9)
+
+        grid = ParameterGrid.from_ranges([(-1.0, 1.0, 5), (0.0, 1.0, 4)])
+        u, v = np.meshgrid(*grid.axes, indexing="ij")
+        values = (100.0 + 0.5 * u ** 2 + v ** 2).reshape(-1, 1).astype(complex)
+        values[6] = np.nan
+        assert shell._max_dd(values, grid) == pytest.approx([1.0], abs=1e-9)
+
 
 class TestSweep:
     def test_branching_probe_sweep(self, branching_pipeline):
