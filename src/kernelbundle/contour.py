@@ -5,6 +5,10 @@ integrands analytic in an annulus around the contour), Cauchy moments,
 evaluation of singular parts, and zero counting/location by the argument
 principle with adaptive refinement.  Functions passed in are vectorized: they
 take an array of points and return values with the points' shape leading.
+
+Every zero count reads ``(phase, logabs)`` samples, ``q/|q|`` and ``log|q|``, in
+``_winding``: a counted function may return that pair, as the ``slogdet``
+samplers do, or plain values.  So counts are scale-free.
 """
 
 from __future__ import annotations
@@ -153,19 +157,21 @@ class SampledFunction:
         return self.values.shape[1:]
 
 
-def eval_along(f: Callable, points: np.ndarray) -> np.ndarray:
+def eval_along(f: Callable, points: np.ndarray):
     """Evaluate a vectorized ``f`` on an array of points in one call.
 
     ``f`` maps the points array to values whose leading axes have the points'
-    shape; errors raised by ``f`` propagate.
+    shape, or to a ``(phase, logabs)`` pair of such arrays, returned as a
+    complex and a real array; errors raised by ``f`` propagate.
     """
     points = np.asarray(points)
-    values = np.asarray(f(points), dtype=complex)
-    if values.shape[: points.ndim] != points.shape:
-        raise InputError(
-            f"function returned shape {values.shape} on points of shape {points.shape}"
-        )
-    return values
+    out = f(points)
+    pair = isinstance(out, tuple)
+    parts = [np.asarray(v, dtype=t) for v, t in zip(out if pair else [out], (complex, float))]
+    for values in parts:
+        if values.shape[: points.ndim] != points.shape:
+            raise InputError(f"function returned shape {values.shape} on points of shape {points.shape}")
+    return tuple(parts) if pair else parts[0]
 
 
 def cauchy_moment(f: SampledFunction, p: int):
@@ -283,31 +289,32 @@ class ZeroReport:
         }
 
 
-def _winding_from_values(values: np.ndarray):
-    """Total argument increment, max step and modulus range of a closed loop."""
-    mods = np.abs(values)
+def _samples(q: Callable, points: np.ndarray):
+    """``(phase, logabs)`` of ``q`` at the points from one ``eval_along`` call: a
+    pair is read as it is, values ``v`` become ``v/|v|`` and ``log|v|``."""
+    out = eval_along(q, points)
+    if isinstance(out, tuple):
+        return out
+    mods = np.abs(out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.roll(values, -1) / values
-        steps = np.angle(ratios)
-    if not np.all(np.isfinite(steps)):
-        # a node hit a zero exactly; the modulus range tells the caller
-        return 0.0, np.pi, mods.min(), mods.max()
-    return steps.sum(), np.max(np.abs(steps)), mods.min(), mods.max()
+        return out / mods, np.log(mods)
 
 
-def winding_from_samples(values: np.ndarray):
-    """Winding number of a closed loop of samples, or None when too coarse to tell
-    (a step of pi/2 or more, or no whole turn).  Raises on a non-finite sample
-    or on a zero near the contour (relative modulus floor)."""
-    if not np.all(np.isfinite(values)):
+def _winding(phase: np.ndarray, logabs: np.ndarray):
+    """Winding number of a closed loop of ``(phase, logabs)`` samples, or None when
+    too coarse to tell (a phase step of pi/2 or more, or no whole turn).  Raises
+    on a non-finite sample, and on a zero near the contour: a modulus below
+    ``MIN_MODULUS_FACTOR`` times the largest one of the loop."""
+    if phase.ndim != 1:
+        raise InputError("winding counts expect a scalar-valued function")
+    if not np.all(logabs < np.inf):
         raise NumericalError("non-finite values encountered on the contour")
-    total, max_step, min_mod, max_mod = _winding_from_values(values)
-    if max_mod == 0.0 or min_mod < MIN_MODULUS_FACTOR * max_mod:
-        raise ZeroOnContourError(
-            f"zero too close to contour: min |q| = {min_mod:.3e} vs max |q| = {max_mod:.3e}"
-        )
-    if max_step < MAX_PHASE_STEP:
-        w = total / (2.0 * np.pi)
+    lo, hi = logabs.min(), logabs.max()
+    if hi == -np.inf or lo < hi + np.log(MIN_MODULUS_FACTOR):
+        raise ZeroOnContourError(f"zero too close to contour: log |q| from {lo:.3e} to {hi:.3e}")
+    steps = np.angle(np.roll(phase, -1) / phase)
+    if np.max(np.abs(steps)) < MAX_PHASE_STEP:
+        w = steps.sum() / (2.0 * np.pi)
         if abs(w - round(w)) < 0.05:
             return int(round(w))
     return None
@@ -317,16 +324,13 @@ def winding_number(q: Callable, path: Callable, initial_nodes: int = 64) -> int:
     """Winding number of ``q`` along a closed path by accumulated argument increments.
 
     ``path`` maps an array of parameters in ``[0, 1)`` to points on the contour.
-    Node count doubles until ``winding_from_samples`` resolves the loop, up to
-    the hard cap, after which a resolution error is raised.
+    Node count doubles until ``_winding`` resolves the loop, up to the hard
+    cap, after which a resolution error is raised.
     """
     n = max(int(initial_nodes), 16)
     while True:
         t = np.arange(n) / n
-        values = eval_along(q, path(t))
-        if values.ndim != 1:
-            raise InputError("winding_number expects a scalar-valued function")
-        w = winding_from_samples(values)
+        w = _winding(*_samples(q, path(t)))
         if w is not None:
             return w
         if n >= MAX_WINDING_NODES:
@@ -440,19 +444,16 @@ def refine_cluster(
 
 
 def _counted_circle(q, center, radius):
-    """Winding count on a circle, nudging the radius off any zero it grazes."""
+    """``(count, samples scaled to largest modulus one, circle)``; the radius is nudged off
+    grazed zeros, and a loop the samples cannot resolve is recounted from twice the nodes."""
     for attempt in range(6):
         circ = Circle(center, radius, REFINE_NODES)
         try:
-            values = eval_along(q, circ.nodes)
-            total, max_step, min_mod, max_mod = _winding_from_values(values)
-            if min_mod < MIN_MODULUS_FACTOR * max_mod:
-                raise ZeroOnContourError("zero on refinement circle")
-            if max_step >= MAX_PHASE_STEP:
-                w = winding_number(q, _circle_path(center, radius), REFINE_NODES)
-            else:
-                w = int(round(total / (2.0 * np.pi)))
-            return w, values, circ
+            phase, logabs = _samples(q, circ.nodes)
+            w = _winding(phase, logabs)
+            if w is None:
+                w = winding_number(q, _circle_path(center, radius), 2 * REFINE_NODES)
+            return w, phase * np.exp(logabs - logabs.max()), circ
         except ZeroOnContourError:
             radius *= 1.17
     raise ZeroOnContourError("could not place a zero-free refinement circle")

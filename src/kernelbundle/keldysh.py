@@ -445,14 +445,16 @@ def verify_canonical_system(
         vals = singular_part_eval(sampled, probes)
         membership = max(membership, float(np.max(np.abs(vals))) / max(scale, 1e-300))
 
-    q_count = local_multiplicity(ev, y0, VERIFY_NODES)
+    q_count = local_multiplicity(ev, y0)
     ratio_winding = None
+    d, qdet = system.total, ev.qdet_function(y0)
+
+    def ratio(sig):
+        (phase, logabs), z = qdet(sig), sig - system.center
+        return phase * (np.abs(z) / z) ** d, logabs - d * np.log(np.abs(z))
+
     try:
-        d = system.total
-        ratio_winding = count_zeros(
-            lambda sig: ev.qdet_many(y0, sig) * (sig - system.center) ** (-d),
-            Circle(c.center, c.radius, VERIFY_NODES),
-        )
+        ratio_winding = count_zeros(ratio, Circle(c.center, c.radius, VERIFY_NODES))
     except NumericalError:
         pass
 

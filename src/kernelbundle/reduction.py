@@ -21,7 +21,6 @@ from .errors import (
     RankGapError,
     ReductionInvalidError,
     ValidationError,
-    ZeroOnContourError,
 )
 from .family import FamilyChart, _as_param
 
@@ -212,22 +211,10 @@ class SchurEvaluator:
     def schur_many(self, y, sigmas) -> np.ndarray:
         return _schur(self.blocks_many(y, sigmas), sigmas)[0]
 
-    def qdet(self, y, sigma: complex) -> complex:
-        """Determinant of the reduced family w.r.t. the bases fixed at construction."""
-        return complex(self.qdet_many(y, [sigma])[0])
-
-    def qdet_many(self, y, sigmas) -> np.ndarray:
-        return np.linalg.det(self.schur_many(y, sigmas))
-
     def qdet_function(self, y) -> Callable:
-        """Vectorized sigma -> qdet(y, sigma); the result has the input's shape."""
+        """``_slogdet_function`` of the reduced family w.r.t. the bases fixed at construction."""
         y = _as_param(y, self.chart.param_dim)
-
-        def q(sigma):
-            s = np.asarray(sigma, dtype=complex)
-            return self.qdet_many(y, s.ravel()).reshape(s.shape)
-
-        return q
+        return _slogdet_function(lambda s: self.schur_many(y, s), self.chart.n)
 
 
 def _schur(blocks, sigmas):
@@ -237,6 +224,8 @@ def _schur(blocks, sigmas):
     The guard is the Frobenius condition ``||p22||_F ||p22^{-1}||_F`` of each m x m
     block, raised by the inverse's own roundoff (``m eps cond`` relative) to an upper
     bound; as ``cond_2 <= cond_F``, it rejects every block the 2-norm condition rejects.
+    Both norms read p22 over its largest real or imaginary part, and the inverse times
+    it, so no scale of the family over- or underflows them.
     """
     p11, p12, p21, p22 = blocks
     m = p22.shape[1]
@@ -244,8 +233,11 @@ def _schur(blocks, sigmas):
         return p11, p21, p22
     try:
         inv = np.linalg.inv(p22)
+        a, b = (x.reshape(len(x), -1).view(float) for x in (p22, inv))
+        scale = np.max(np.abs(a), axis=1, keepdims=True)
+        a, b = a / scale, b * scale
         with np.errstate(over="ignore"):
-            conds = np.linalg.norm(p22, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+            conds = np.sqrt(np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", b, b))
             conds = conds * (1.0 + m * np.finfo(float).eps * conds)
     except np.linalg.LinAlgError:
         # an exactly singular block fails the whole batch; the SVD names it
@@ -260,43 +252,35 @@ def _schur(blocks, sigmas):
     return p11 - p12 @ correction, correction, inv
 
 
-def local_multiplicity(ev: SchurEvaluator, y, node_count: int = 128, fraction: float = 1.0) -> int:
-    """Zeros of the reduced determinant, with multiplicity, inside the circle
-    at ``fraction`` of the cluster radius."""
-    c = ev.cluster
-    circle = Circle(c.center, fraction * c.radius, node_count)
-    return count_zeros(ev.qdet_function(y), circle)
+def local_multiplicity(ev: SchurEvaluator, y) -> int:
+    """Zeros of the reduced determinant, with multiplicity, inside the cluster circle."""
+    return count_zeros(ev.qdet_function(y), Circle(ev.cluster.center, ev.cluster.radius))
 
 
-def _det_function(chart: FamilyChart, y) -> Callable:
-    """Vectorized sigma -> det P(y, sigma) / C; the result has the input's shape.
+def _slogdet_function(matrices: Callable, n: int) -> Callable:
+    """Vectorized sigma -> ``slogdet`` of ``matrices(sigmas)``, ``(phase, logabs)`` of
+    the input's shape.
 
-    The family is evaluated in chunks of at most ``DET_CHUNK_ENTRIES // n^2``
-    matrices, each reduced by ``slogdet``, so memory stays bounded at any node
-    count.  Each call divides by one positive constant ``C``, the largest
-    modulus it sees, so the values stay in the float range where ``det``
-    itself over- or underflows.  Winding counts, the modulus floor and the
-    moment ``q'/q`` read one call's values only, and none of them changes
-    under that scaling.  A call whose determinants all vanish raises
-    ``ZeroOnContourError``.  Evaluation is unchecked: location circles may
-    poke slightly past the region.
+    ``matrices`` evaluates an n x n family per point; it is called on chunks of
+    at most ``DET_CHUNK_ENTRIES // n^2`` points, so memory stays bounded at any
+    node count, and ``logabs`` stays in the float range where ``det`` itself
+    over- or underflows.  A point's pair does not depend on the other points.
     """
-    rows = max(1, DET_CHUNK_ENTRIES // chart.n ** 2)
+    rows = max(1, DET_CHUNK_ENTRIES // n ** 2)
 
     def q(sigma):
         s = np.asarray(sigma, dtype=complex)
-        flat = s.ravel()
-        sign = np.empty(flat.shape, dtype=complex)
-        logabs = np.empty(flat.shape)
-        for i in range(0, flat.size, rows):
-            part = slice(i, i + rows)
-            sign[part], logabs[part] = np.linalg.slogdet(chart.eval_many(y, flat[part], check=False))
-        top = np.max(logabs)
-        if top == -np.inf:
-            raise ZeroOnContourError("the determinant vanishes at every point of the contour")
-        return (sign * np.exp(logabs - top)).reshape(s.shape)
+        chunks = (s.ravel()[i : i + rows] for i in range(0, s.size, rows))
+        parts = [np.linalg.slogdet(matrices(c)) for c in chunks]
+        return tuple(np.concatenate(a).reshape(s.shape) for a in zip(*parts))
 
     return q
+
+
+def _det_function(chart: FamilyChart, y) -> Callable:
+    """``_slogdet_function`` of P(y, .), unchecked: location circles may poke
+    slightly past the region."""
+    return _slogdet_function(lambda s: chart.eval_many(y, s, check=False), chart.n)
 
 
 @dataclass
@@ -425,8 +409,9 @@ def validate_neighborhood(
         ring = (radii[:, None] * c.radius * np.exp(1j * theta)[None, :]).ravel()
         pts = c.center + ring
         for y in y_grid:
-            q = np.abs(ev.qdet_many(y, pts))
-            margins4.append((float(np.min(q) / max(np.max(q), 1e-300)), f"cluster {s}, y = {y}"))
+            _, logabs = ev.qdet_function(y)(pts)
+            lo, hi = np.min(logabs), np.max(logabs)
+            margins4.append((float(np.exp(lo - hi)) if lo > -np.inf else 0.0, f"cluster {s}, y = {y}"))
     margin4, worst4 = _worst_margin(margins4)
     conditions.append(
         ConditionResult("annulus_nonvanishing", bool(margin4 > ANNULUS_FLOOR), float(margin4), worst4)

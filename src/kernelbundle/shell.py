@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, Rectangle, SampledFunction, locate_zeros, winding_from_samples
+from .contour import Circle, Rectangle, SampledFunction, _winding, count_zeros, locate_zeros
 from .errors import (
     ClusteredPolesError,
     DimensionJumpError,
@@ -38,7 +38,6 @@ from .reduction import (
     SchurEvaluator,
     _schur,
     base_point_data,
-    local_multiplicity,
 )
 
 SCHEMA_VERSION = 1
@@ -353,11 +352,12 @@ def _point_samples(ev: SchurEvaluator, y, node_count: int) -> list:
 
 
 def _multiplicity(ev: SchurEvaluator, y, circle: Circle, blocks) -> int:
-    """Reduced-determinant zeros in a count circle by ``winding_number``'s tests on its
-    samples; a loop they cannot resolve goes on adaptively from twice the nodes."""
-    w = winding_from_samples(np.linalg.det(_schur(blocks, circle.nodes)[0]))
-    fraction = circle.radius / ev.cluster.radius
-    return w if w is not None else local_multiplicity(ev, y, 2 * circle.node_count, fraction)
+    """Reduced-determinant zeros in a count circle, from the ``slogdet`` of its samples;
+    a loop they cannot resolve is counted adaptively from twice the nodes."""
+    w = _winding(*np.linalg.slogdet(_schur(blocks, circle.nodes)[0]))
+    if w is None:
+        w = count_zeros(ev.qdet_function(y), Circle(circle.center, circle.radius, 2 * circle.node_count))
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,12 @@ class TestBasePoint:
         assert d["clusters"][0]["kernel_dim"] == 1
 
 
+def _qdet(ev, y, sigma):
+    """Reduced determinant values from the ``(phase, logabs)`` sampler."""
+    phase, logabs = ev.qdet_function(y)(sigma)
+    return phase * np.exp(logabs)
+
+
 class TestSchur:
     def test_jordan_closed_form(self, jordan_pipeline):
         chart, base, _, _ = jordan_pipeline
@@ -160,14 +166,14 @@ class TestSchur:
             got = ev.schur([0.0], s)
             assert got.shape == (1, 1)
             assert got[0, 0] == pytest.approx(-(s * s), abs=1e-12)
-            assert ev.qdet([0.0], s) == pytest.approx(-(s * s), abs=1e-12)
+            assert _qdet(ev, [0.0], s) == pytest.approx(-(s * s), abs=1e-12)
 
     def test_full_kernel_reduces_to_family(self, branching_pipeline):
         chart, base, _, _ = branching_pipeline
         ev = SchurEvaluator(chart, base, 0)
         y, s = [0.15], 0.3 + 0.1j
         assert np.allclose(ev.schur(y, s), chart.eval(y, s), atol=1e-14)
-        assert ev.qdet(y, s) == pytest.approx(s * s - 0.15 ** 2, abs=1e-13)
+        assert _qdet(ev, y, s) == pytest.approx(s * s - 0.15 ** 2, abs=1e-13)
 
     def test_block_reconstruction(self, jordan_pipeline):
         chart, base, _, _ = jordan_pipeline
@@ -187,13 +193,12 @@ class TestSchur:
         c = base.clusters[0]
         sigmas = c.center + 0.5 * c.radius * np.exp(1j * np.linspace(0, 6, 7))
         many = ev.schur_many([0.3], sigmas)
-        dets = ev.qdet_many([0.3], sigmas)
+        dets = _qdet(ev, [0.3], sigmas)
         for k, s in enumerate(sigmas):
             assert np.allclose(many[k], ev.schur([0.3], s), atol=1e-13)
-            assert dets[k] == pytest.approx(ev.qdet([0.3], s), abs=1e-12)
-        q = ev.qdet_function([0.3])
-        assert q(sigmas[0]) == pytest.approx(dets[0])
-        assert np.allclose(q(sigmas), dets)
+            assert dets[k] == pytest.approx(np.linalg.det(many[k]), abs=1e-12)
+            assert _qdet(ev, [0.3], s) == pytest.approx(dets[k])
+        assert np.allclose(dets, np.linalg.det(many))
 
     def test_projection_against_loop_reference(self):
         # hand-built clusters from random unitary splits of a random cubic
@@ -236,12 +241,24 @@ class TestSchur:
                 for got, want in zip((p11, p12, p21, p22), ref):
                     assert np.max(np.abs(got[t] - want)) < 1e-12 * scale
             schur = ev.schur_many(y, sigmas)
-            dets = ev.qdet_many(y, sigmas)
+            phase, logabs = ev.qdet_function(y)(sigmas)
             for t, s in enumerate(sigmas):
                 for got, want in zip(ev.blocks(y, s), (p11, p12, p21, p22)):
                     assert np.array_equal(got, want[t])
                 assert np.array_equal(ev.schur(y, s), schur[t])
-                assert ev.qdet(y, s) == dets[t]
+                assert ev.qdet_function(y)(s) == (phase[t], logabs[t])
+
+    @pytest.mark.parametrize("factor", [1e160, 1e200])
+    def test_guard_is_scale_free(self, sl_big_pipeline, factor):
+        # past 1e154 the Frobenius norm of p22 overflows and that of its inverse
+        # underflows; the scaled family must give the same clusters
+        chart, base, _, _ = sl_big_pipeline
+        scaled = dataclasses.replace(chart, evaluator=lambda y, s: factor * chart.evaluator(y, s))
+        big = base_point_data(scaled, [0.0])
+        pattern = [(c.multiplicity, c.kernel_dim) for c in base.clusters]
+        assert [(c.multiplicity, c.kernel_dim) for c in big.clusters] == pattern
+        for a, b in zip(base.clusters, big.clusters):
+            assert abs(a.center - b.center) < 1e-12
 
     def test_singular_complement_rejected(self):
         terms = [
@@ -379,14 +396,31 @@ class TestDetFunction:
         q = _det_function(dataclasses.replace(chart, evaluator=evaluator), [0.3])
         rng = np.random.default_rng(5)
         sigma = rng.uniform(-1.0, 1.0, (3, 700)) + 1j * rng.uniform(-1.5, 1.5, (3, 700))
-        got = q(sigma)
-        assert got.shape == sigma.shape
+        phase, logabs = q(sigma)
+        assert phase.shape == logabs.shape == sigma.shape
         assert max(batches) <= rows and sum(batches) == sigma.size and len(batches) > 1
-        # one positive constant per call: det itself, scaled to largest modulus 1
-        det = np.linalg.det(chart.eval_many([0.3], sigma.ravel())).reshape(sigma.shape)
-        expected = det / np.max(np.abs(det))
-        assert np.max(np.abs(got - expected)) < 1e-12
-        assert np.max(np.abs(got)) == pytest.approx(1.0, abs=1e-15)
+        # the slogdet parts of the whole batch, unscaled
+        sign, ref = np.linalg.slogdet(chart.eval_many([0.3], sigma.ravel()))
+        assert np.max(np.abs(phase - sign.reshape(sigma.shape))) < 1e-12
+        assert np.max(np.abs(logabs - ref.reshape(sigma.shape))) < 1e-12 * np.max(np.abs(ref))
+
+    def test_values_do_not_depend_on_the_call(self, branching_pipeline):
+        # a point's (phase, logabs) is bitwise the same in a call of 50 points
+        # and on its own, for the full and the reduced determinant
+        rng = np.random.default_rng(3)
+        chart, base, _, _ = branching_pipeline
+        c = base.clusters[0]
+        disc = c.center + c.radius * rng.uniform(0.1, 1.0, 50) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 50))
+        box = rng.uniform(-1.0, 1.0, 50) + 1j * rng.uniform(-1.5, 1.5, 50)
+        samplers = [
+            (_det_function(_scalar_dirichlet(64), [0.3]), box),
+            (SchurEvaluator(chart, base, 0).qdet_function([0.1]), disc),
+        ]
+        for q, points in samplers:
+            phase, logabs = q(points)
+            alone = [q(s) for s in points]
+            assert np.array_equal(phase, [p for p, _ in alone])
+            assert np.array_equal(logabs, [la for _, la in alone])
 
     def test_scaled_family_locates_the_same_zeros(self, sl_big_chart):
         # det of the 8 x 8 family times 1e200 is 1e1600 times det: far past
@@ -407,9 +441,10 @@ class TestDetFunction:
     def test_identically_zero_determinant_raises(self):
         region = SigmaRegion(-1.0, 1.0, -1.0, 1.0)
         chart = FamilyChart(2, 1, region, lambda y, s: np.zeros((len(s), 2, 2)))
+        # the sampler reports log|det| = -inf; the count raises
         q = _det_function(chart, [0.0])
-        with pytest.raises(ZeroOnContourError):
-            q(np.array([0.1, 0.2j]))
+        phase, logabs = q(np.array([0.1, 0.2j]))
+        assert np.all(phase == 0) and np.all(logabs == -np.inf)
         with pytest.raises(ZeroOnContourError):
             count_zeros(q, Circle(0.0, 0.5, 64))
 

@@ -5,6 +5,7 @@ import pytest
 
 import kernelbundle as kb
 from kernelbundle import shell
+from kernelbundle.contour import count_zeros
 from kernelbundle.errors import (
     DimensionJumpError,
     InputError,
@@ -12,7 +13,6 @@ from kernelbundle.errors import (
 )
 from kernelbundle.family import PolyTerm, SigmaRegion, matrix_polynomial_chart
 from kernelbundle.frames import make_germ
-from kernelbundle.reduction import local_multiplicity
 from kernelbundle.shell import (
     ParameterGrid,
     branching_diagram,
@@ -146,14 +146,14 @@ class TestSweep:
         ev = kb.SchurEvaluator(chart, kb.reduction.BasePointData(chart, np.zeros(1), [cluster]), 0)
         adaptive = []
 
-        def counted(ev, y, node_count, fraction):
-            adaptive.append((node_count, fraction))
-            return local_multiplicity(ev, y, node_count, fraction)
+        def counted(q, circle):
+            adaptive.append((circle.node_count, circle.radius))
+            return count_zeros(q, circle)
 
-        monkeypatch.setattr(shell, "local_multiplicity", counted)
+        monkeypatch.setattr(shell, "count_zeros", counted)
         samples = shell._point_samples(ev, [0.0], 128)
         assert [shell._multiplicity(ev, [0.0], *smp) for smp in samples[:2]] == [17, 17]
-        assert adaptive == [(128, 1.0), (128, 0.5)]
+        assert adaptive == [(128, 0.5), (128, 0.25)]
 
     def test_node_count_must_divide_system_nodes(self, branching_pipeline):
         # the systems carry beta on 256 nodes; a sweep on 96 stops before any point
