@@ -265,12 +265,14 @@ def sl_assemble(spec: SturmLiouvilleSpec, y, sigma) -> np.ndarray:
     discretization error enters the singular set inside the strip.
     """
     a = spec.coefficient(y)
-    r = spec.r
+    r, m = spec.r, spec.mode_cutoff
     s = np.asarray(sigma, dtype=complex)
     out = np.zeros(s.shape + (spec.n, spec.n), dtype=complex)
-    for k in range(1, spec.mode_cutoff + 1):
-        sl = slice((k - 1) * r, k * r)
-        out[..., sl, sl] = a + (k * k + s * s)[..., None, None] * np.eye(r)
+    k = np.arange(1, m + 1)
+    blocks = a + (k * k + (s * s)[..., None])[..., None, None] * np.eye(r)
+    # the diagonal blocks of the (..., m, r, m, r) view; the index arrays put
+    # the mode axis first
+    out.reshape(s.shape + (m, r, m, r))[..., k - 1, :, k - 1, :] = np.moveaxis(blocks, -3, 0)
     return out
 
 

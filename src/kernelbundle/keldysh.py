@@ -228,8 +228,9 @@ def root_functions(
     for L, chain in zip(lengths, chains):
         for m in range(1, L):
             res = sum(taylor[m - i] @ chain[i] for i in range(m) if m - i < len(taylor))
-            if np.linalg.norm(res) > 1e-7 * scale:
-                raise NumericalError(f"chain condition residual {np.linalg.norm(res):.3e}")
+            rel = np.linalg.norm(res / scale)
+            if rel > 1e-7:
+                raise NumericalError(f"relative chain condition residual {rel:.3e}")
 
     beta_taylor = _beta_taylor(taylor, lengths, chains)
     system = RootSystem(
@@ -339,13 +340,15 @@ def dual_root_functions(
     samples = base_samples(dual_ev, node_count)
     S = taylor_coefficients(samples, order)
 
-    # structural identity: dual Taylor data is the conjugate transpose of the primal
+    # structural identity: dual Taylor data is the conjugate transpose of the
+    # primal, compared over the largest Taylor entry so no norm overflows
     scale = max(float(np.max(np.abs(t))) for t in primal.taylor)
     for p in range(order + 1):
-        dev = np.linalg.norm(S[p] - primal.taylor[p].conj().T)
-        if dev > 1e-8 * max(scale, 1.0):
+        dev = np.linalg.norm((S[p] - primal.taylor[p].conj().T) / scale)
+        if dev > 1e-8 * max(1.0, 1.0 / scale):
             raise NumericalError(
-                f"adjoint reduction does not match the primal data at order {p} (dev {dev:.3e})"
+                f"adjoint reduction does not match the primal data at order {p} "
+                f"(relative dev {dev:.3e})"
             )
 
     raw = root_functions(

@@ -25,9 +25,9 @@ from .errors import (
 from .family import FamilyChart, _as_param
 
 P22_CONDITION_LIMIT = 1e12
-# Complex entries per family batch of a determinant call: 2^21 is 32 MB, or
-# 512 matrices at n = 64.
-DET_CHUNK_ENTRIES = 2 ** 21
+# Complex entries per family batch of a determinant call: 2^18 is 4 MB, or
+# 64 matrices at n = 64; a call's working set is a few such batches.
+DET_CHUNK_ENTRIES = 2 ** 18
 # Halvings of the working radius tried before a base point is given up.
 MAX_HALVINGS = 10
 # validate_neighborhood: rings (fractions of the radius, besides the center)

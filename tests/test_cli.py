@@ -10,11 +10,17 @@ import pytest
 
 import kernelbundle
 from kernelbundle.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_VALIDATION, main
+from kernelbundle.shell import load_problem_file
 
 # ||a(y)|| = 0.25 + 0.1 y reaches r_bound = 0.4 at y = 1.5
 SL_FAMILY = {
     "kind": "sturm_liouville", "r": 1, "mode_cutoff": 4, "k_gap": 1, "r_bound": 0.4,
     "a_terms": [{"y_powers": [0], "matrix": [[0.25]]}, {"y_powers": [1], "matrix": [[0.1]]}],
+}
+
+STRIP_FAMILY = {
+    "kind": "matrix_polynomial", "sigma": {"kind": "strip", "im_half_width": 1.5},
+    "terms": [{"sigma_power": 2, "matrix": [[1]]}, {"matrix": [[1.25]]}],
 }
 
 
@@ -59,6 +65,31 @@ class TestSubcommands:
         assert main(["locate", "--spec", specs["jordan"]]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["zeros"][0]["multiplicity"] == 2
+
+    @pytest.mark.parametrize(
+        "family, windowed",
+        [
+            (SL_FAMILY, dict(SL_FAMILY, re_window=[-0.5, 0.5])),
+            (STRIP_FAMILY, dict(STRIP_FAMILY, sigma=dict(STRIP_FAMILY["sigma"], re=[-0.5, 0.5]))),
+        ],
+        ids=["re_window", "strip_re"],
+    )
+    def test_real_window_sets_the_locate_region(self, family, windowed, tmp_path):
+        # the real window bounds the search rectangle; both find the zeros
+        # +/- i sqrt(1.25) on the imaginary axis
+        for fam, window in ((family, [-1.0, 1.0]), (windowed, [-0.5, 0.5])):
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps({"family": fam}))
+            rect = load_problem_file(path).chart.sigma.search_rect
+            assert [rect.re_min, rect.re_max] == window
+            out = tmp_path / "locate.json"
+            assert main(["locate", "--spec", str(path), "--out", str(out)]) == 0
+            data = json.loads(out.read_text())
+            assert data["region"] == [rect.re_min, rect.re_max, rect.im_min, rect.im_max]
+            zeros = sorted(data["zeros"], key=lambda z: z["im"])
+            assert [z["multiplicity"] for z in zeros] == [1, 1]
+            for z, im in zip(zeros, (-np.sqrt(1.25), np.sqrt(1.25))):
+                assert abs(complex(z["re"], z["im"]) - 1j * im) < 1e-8
 
     def test_reduce(self, specs, tmp_path):
         out = tmp_path / "reduce.json"

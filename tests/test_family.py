@@ -152,6 +152,25 @@ class TestSturmLiouville:
             off[2 * (k - 1) : 2 * k, 2 * (k - 1) : 2 * k] = 0
         assert np.all(off == 0)
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("sigma_shape", [(), (3, 5)])
+    def test_assemble_matches_per_mode_loop(self, r, sigma_shape):
+        # the block-diagonal assignment sums in the order of a loop over modes,
+        # so it agrees bit for bit
+        rng = np.random.default_rng(r)
+        b = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+        spec = SturmLiouvilleSpec(
+            r=r, a_eval=lambda y: 0.1 * y[0] * b, mode_cutoff=5, k_gap=1, r_bound=0.4
+        )
+        y = [0.7]
+        sigma = rng.normal(size=sigma_shape) + 1j * rng.normal(size=sigma_shape)
+        a = spec.coefficient(y)
+        ref = np.zeros(sigma.shape + (spec.n, spec.n), dtype=complex)
+        for k in range(1, spec.mode_cutoff + 1):
+            sl = slice((k - 1) * r, k * r)
+            ref[..., sl, sl] = a + (k * k + sigma * sigma)[..., None, None] * np.eye(r)
+        assert np.array_equal(sl_assemble(spec, y, sigma), ref)
+
     def test_strip_half_width(self):
         assert sigma_strip(self.spec()).im_max == pytest.approx(np.sqrt(2.5))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +404,20 @@ class TestDetFunction:
         sign, ref = np.linalg.slogdet(chart.eval_many([0.3], sigma.ravel()))
         assert np.max(np.abs(phase - sign.reshape(sigma.shape))) < 1e-12
         assert np.max(np.abs(logabs - ref.reshape(sigma.shape))) < 1e-12 * np.max(np.abs(ref))
+
+    def test_working_set_is_a_few_chunks(self):
+        # a 2,048-node count at n = 64 allocates a few chunk-sized batches at
+        # a time, not a batch of all its nodes
+        q = _det_function(_scalar_dirichlet(64), [0.3])
+        sigma = 0.9 * np.exp(2j * np.pi * np.arange(2048) / 2048)
+        q(sigma[:1])
+        tracemalloc.start()
+        try:
+            q(sigma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * DET_CHUNK_ENTRIES * 16
 
     def test_values_do_not_depend_on_the_call(self, branching_pipeline):
         # a point's (phase, logabs) is bitwise the same in a call of 50 points

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -354,6 +355,16 @@ class TestCanonicalSystems:
         for sy, du in zip(systems, duals):
             assert sy.lengths == [1]
             assert du.lengths == [1]
+
+    @pytest.mark.parametrize("pipeline", ["sl_big_pipeline", "jordan_pipeline"])
+    def test_scaled_family_gives_the_same_lengths(self, pipeline, request):
+        # at 1e200 a Frobenius norm of the unscaled dual check or chain
+        # residual overflows, an error under filterwarnings = error
+        chart, base, systems, duals = request.getfixturevalue(pipeline)
+        scaled = dataclasses.replace(chart, evaluator=lambda y, s: 1e200 * chart.evaluator(y, s))
+        big_systems, big_duals = canonical_systems(scaled, kb.base_point_data(scaled, [0.0]))
+        assert [sy.lengths for sy in big_systems] == [sy.lengths for sy in systems]
+        assert [du.lengths for du in big_duals] == [du.lengths for du in duals]
 
 
 class TestProblemFiles:
