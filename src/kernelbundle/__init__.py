@@ -70,8 +70,7 @@ from .keldysh import (
 from .frames import (
     FrameSet,
     Germ,
-    dual_frame_at,
-    fullframe_at,
+    frames_at,
     germ_from_pole_coefficients,
     independence_check,
     kframe_at,

@@ -26,7 +26,7 @@ from .errors import (
     RegionError,
     ValidationError,
 )
-from .frames import dual_frame_at, fullframe_at, independence_check, make_germ
+from .frames import frames_at, independence_check, make_germ
 from .pairing import expected_base_pairing, pairing_matrix
 from .reduction import _det_function, validate_neighborhood
 from .shell import (
@@ -113,7 +113,7 @@ def cmd_frame(args) -> int:
     problem.check_r_bound([y])
     base = problem.base()
     systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
-    frame = fullframe_at(problem.chart, base, systems, y, node_count=args.nodes)
+    frame, _ = frames_at(problem.chart, base, systems, duals, y, node_count=args.nodes)
     cond = independence_check(frame, base)
     out = {
         "y": [float(v) for v in np.atleast_1d(y)],
@@ -139,8 +139,7 @@ def cmd_pair(args) -> int:
     problem.check_r_bound([y])
     base = problem.base()
     systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
-    frame = fullframe_at(problem.chart, base, systems, y, node_count=args.nodes)
-    dual = dual_frame_at(problem.chart, base, duals, y, node_count=args.nodes)
+    frame, dual = frames_at(problem.chart, base, systems, duals, y, node_count=args.nodes)
     pm = pairing_matrix(problem.chart, frame, dual, base, y, node_count=2 * args.nodes)
     base_gap = None
     if np.allclose(np.atleast_1d(y), np.atleast_1d(problem.y0)):

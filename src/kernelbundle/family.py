@@ -404,6 +404,13 @@ def _matrix_from_spec(obj) -> np.ndarray:
         raise SpecError(f"bad matrix entry: {exc}") from None
 
 
+def _bounds(obj, where: str) -> tuple:
+    """``(lo, hi)`` from a JSON pair; anything else is a value of the wrong type."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        raise ValueError(f"{where} needs two numbers [lo, hi], got {obj!r}")
+    return float(obj[0]), float(obj[1])
+
+
 def _region_from_spec(obj) -> SigmaRegion:
     if obj is None:
         raise SpecError("family kind requires an explicit 'sigma' region")
@@ -413,12 +420,11 @@ def _region_from_spec(obj) -> SigmaRegion:
         im = obj.get("im")
         if re is None or im is None:
             raise SpecError("rectangle region needs 're' and 'im' bounds")
-        return SigmaRegion(float(re[0]), float(re[1]), float(im[0]), float(im[1]))
+        return SigmaRegion(*_bounds(re, "sigma re"), *_bounds(im, "sigma im"))
     hw = obj.get("im_half_width")
     if hw is None:
         raise SpecError("strip region needs 'im_half_width'")
-    re = obj.get("re", [-1.0, 1.0])
-    return SigmaRegion.strip_region(float(hw), (float(re[0]), float(re[1])))
+    return SigmaRegion.strip_region(float(hw), _bounds(obj.get("re", [-1.0, 1.0]), "sigma re"))
 
 
 def _terms_from_spec(obj, param_dim: int) -> list:
@@ -475,8 +481,7 @@ def family_from_dict(obj: dict):
             k_gap=int(obj["k_gap"]),
             r_bound=float(obj["r_bound"]),
         )
-        re_window = obj.get("re_window", [-1.0, 1.0])
-        return sl_chart(spec, (float(re_window[0]), float(re_window[1]))), spec
+        return sl_chart(spec, _bounds(obj.get("re_window", [-1.0, 1.0]), "re_window")), spec
     if kind == "indicial":
         return indicial_chart(int(obj.get("m", 2))), None
     if kind == "jordan":

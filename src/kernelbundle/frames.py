@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
     RegionError,
 )
-from .keldysh import DualRootSystem, RootSystem
+from .keldysh import RootSystem
 from .reduction import BasePointData, SchurEvaluator, _schur
 
 INDEPENDENCE_CONDITION_LIMIT = 1e10
@@ -190,49 +190,27 @@ def _frame(base: BasePointData, systems: Sequence[RootSystem], y, reduced) -> Fr
 def frames_from_blocks(base: BasePointData, systems, duals, y, carrier_blocks) -> tuple:
     """Frame and dual frame at y from the blocks of P(y, .) on each cluster's carrier.
 
-    ``systems`` or ``duals`` may be None, which skips that frame.  The dual is
-    the primal construction on the adjoint family.  Node t of a dual carrier is
-    node -t mod N of the primal one conjugated, where the adjoint blocks are
-    p11^H, p21^H, p12^H and p22^H: the Schur complement is S^H and the
-    correction ``(p12 p22^{-1})^H``, with no evaluation or factorization.
+    The dual is the primal construction on the adjoint family.  Node t of a
+    dual carrier is node -t mod N of the primal one conjugated, where the
+    adjoint blocks are p11^H, p21^H, p12^H and p22^H: the Schur complement is
+    S^H and the correction ``(p12 p22^{-1})^H``, with no evaluation or
+    factorization.
     """
     primal, adjoint = [], []
     for cl, blocks in zip(base.clusters, carrier_blocks):
         schur, correction, inv = _schur(blocks, cl.carrier(len(blocks[0])).nodes)
         primal.append((schur, correction))
-        if duals is not None:
-            reverse = -np.arange(len(schur)) % len(schur)
-            adjoint.append([m.conj().swapaxes(1, 2)[reverse] for m in (schur, blocks[1] @ inv)])
-    frame = None if systems is None else _frame(base, systems, y, primal)
-    return frame, None if duals is None else _frame(base.conjugate_swapped(), duals, y, adjoint)
+        reverse = -np.arange(len(schur)) % len(schur)
+        adjoint.append([m.conj().swapaxes(1, 2)[reverse] for m in (schur, blocks[1] @ inv)])
+    return _frame(base, systems, y, primal), _frame(base.conjugate_swapped(), duals, y, adjoint)
 
 
-def _carrier_blocks(chart, base: BasePointData, y, node_count: int) -> list:
-    """Blocks of P(y, .) on every cluster's carrier, one evaluation each."""
+def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 128) -> tuple:
+    """Frame and dual frame of the kernel bundle at parameter y, one germ block
+    per cluster each, from one block evaluation per carrier."""
     evs = [SchurEvaluator(chart, base, s) for s in range(len(base.clusters))]
-    return [ev.blocks_many(y, ev.cluster.carrier(node_count).nodes) for ev in evs]
-
-
-def fullframe_at(
-    chart,
-    base: BasePointData,
-    systems: Sequence[RootSystem],
-    y,
-    node_count: int = 128,
-) -> FrameSet:
-    """Frame of the kernel bundle at parameter y, one germ block per cluster."""
-    return frames_from_blocks(base, systems, None, y, _carrier_blocks(chart, base, y, node_count))[0]
-
-
-def dual_frame_at(
-    chart,
-    base: BasePointData,
-    duals: Sequence[DualRootSystem],
-    y,
-    node_count: int = 128,
-) -> FrameSet:
-    """Dual frame at parameter y, from the primal blocks on the carriers."""
-    return frames_from_blocks(base, None, duals, y, _carrier_blocks(chart, base, y, node_count))[1]
+    blocks = [ev.blocks_many(y, ev.cluster.carrier(node_count).nodes) for ev in evs]
+    return frames_from_blocks(base, systems, duals, y, blocks)
 
 
 def independence_check(frame: FrameSet, base: BasePointData) -> float:

@@ -17,10 +17,10 @@ import numpy as np
 
 from .contour import Circle, SampledFunction, count_zeros, singular_part_eval, taylor_coefficient
 from .errors import InputError, NondegeneracyError, NumericalError
-from .family import adjoint_chart
-from .reduction import BasePointData, SchurEvaluator, local_multiplicity
+from .reduction import SchurEvaluator, local_multiplicity
 
 BETA_CONDITION_LIMIT = 1e8
+RANK_TOL = 1e-8
 DUAL_RESIDUAL_LIMIT = 1e-8
 VERIFY_NODES = 128
 
@@ -109,8 +109,8 @@ def _toeplitz_conditions(taylor: Sequence[np.ndarray], length: int) -> np.ndarra
     return M
 
 
-def _null_basis(M: np.ndarray, cols: int, tol: float, scale: float) -> np.ndarray:
-    """Orthonormal nullspace basis, cutting singular values at ``tol * scale``.
+def _null_basis(M: np.ndarray, cols: int, scale: float) -> np.ndarray:
+    """Orthonormal nullspace basis, cutting singular values at ``RANK_TOL * scale``.
 
     The threshold is relative to the overall Taylor scale rather than the
     largest singular value of ``M`` itself: a constraint block whose entries
@@ -119,11 +119,11 @@ def _null_basis(M: np.ndarray, cols: int, tol: float, scale: float) -> np.ndarra
     if M.shape[0] == 0:
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(M)
-    rank = int(np.sum(s > tol * scale))
+    rank = int(np.sum(s > RANK_TOL * scale))
     return vh[rank:].conj().T
 
 
-def _subspace_basis(columns: np.ndarray, tol: float) -> np.ndarray:
+def _subspace_basis(columns: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, absolute singular value cut.
 
     Callers pass blocks of orthonormal vectors (or contractions of them), so
@@ -132,7 +132,7 @@ def _subspace_basis(columns: np.ndarray, tol: float) -> np.ndarray:
     if columns.size == 0:
         return columns.reshape(columns.shape[0], 0)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > RANK_TOL))
     return u[:, :rank]
 
 
@@ -141,7 +141,6 @@ def root_functions(
     multiplicity: int,
     cluster_index: int = 0,
     center: complex = 0.0,
-    rank_tol: float = 1e-8,
 ) -> RootSystem:
     """Extract a canonical system of chains from Taylor data.
 
@@ -170,8 +169,8 @@ def root_functions(
     while L <= multiplicity + 1:
         if L - 1 >= len(taylor):
             raise InputError("insufficient Taylor order for the chain structure")
-        null = _null_basis(_toeplitz_conditions(taylor, L), L * k, rank_tol, scale)
-        W = _subspace_basis(null[:k, :], rank_tol)
+        null = _null_basis(_toeplitz_conditions(taylor, L), L * k, scale)
+        W = _subspace_basis(null[:k, :])
         if W.shape[1] == 0:
             break
         lead_spaces[L] = W
@@ -197,7 +196,7 @@ def root_functions(
         W = lead_spaces[L]
         deflated = W - chosen @ (chosen.conj().T @ W)
         u, s, _ = np.linalg.svd(deflated, full_matrices=False)
-        if s.size < r_new or s[r_new - 1] < rank_tol:
+        if s.size < r_new or s[r_new - 1] < RANK_TOL:
             raise NumericalError("could not extract independent chain leads")
         new = u[:, :r_new]
         for idx in range(r_new):
@@ -242,7 +241,7 @@ def root_functions(
         beta_taylor=beta_taylor,
         taylor=taylor,
     )
-    _check_beta_basis(system, rank_tol)
+    _check_beta_basis(system)
     return system
 
 
@@ -275,7 +274,7 @@ def with_beta(system: RootSystem, samples: SampledFunction) -> RootSystem:
     return system
 
 
-def _check_beta_basis(system: RootSystem, rank_tol: float) -> None:
+def _check_beta_basis(system: RootSystem) -> None:
     B = system.beta0
     cond = np.linalg.cond(B)
     if np.isfinite(cond) and cond < BETA_CONDITION_LIMIT:
@@ -316,48 +315,38 @@ class DualRootSystem(RootSystem):
     delta_residual: float = 0.0
 
 
-def dual_root_functions(
-    chart,
-    base: BasePointData,
-    s: int,
-    primal: RootSystem,
-    rank_tol: float = 1e-8,
-    node_count: int = 256,
-) -> DualRootSystem:
+def dual_root_functions(primal: RootSystem, samples: SampledFunction) -> DualRootSystem:
     """Normalized dual system for the adjoint family at conj(sigma_s).
 
-    The adjoint reduction reuses the swapped bases of the cluster.  Raw dual
-    chains are extracted from its Taylor data (which is the conjugate
-    transpose of the primal data), then recombined by solving the linear
-    system that prescribes the full pairing pattern against the primal
-    chains.  That solution is unique and makes the base-point pairing matrix
-    the anti-diagonal unit pattern times i.
+    The adjoint reduction in the swapped bases is ``P_s(y0, conj tau)^H``, so
+    node t of the conjugate carrier holds node -t mod N of the primal base
+    ``samples``, conjugate transposed: no evaluation.  Raw dual chains come
+    from its Taylor data, then are recombined by solving the linear system
+    that prescribes the full pairing pattern against the primal chains, whose
+    unique solution puts i on each chain's anti-diagonal of the base pairing.
     """
-    adj_chart = adjoint_chart(chart)
-    adj_base = base.conjugate_swapped()
-    dual_ev = SchurEvaluator(adj_chart, adj_base, s)
+    n = samples.circle.node_count
+    if samples.value_shape != (primal.kernel_dim,) * 2:
+        raise NumericalError(f"samples of shape {samples.value_shape} are not the primal's")
+    samples = SampledFunction(
+        Circle(np.conj(samples.circle.center), samples.circle.radius, n),
+        samples.values.conj().swapaxes(1, 2)[-np.arange(n) % n],
+    )
     order = len(primal.taylor) - 1
-    samples = base_samples(dual_ev, node_count)
     S = taylor_coefficients(samples, order)
 
-    # structural identity: dual Taylor data is the conjugate transpose of the
-    # primal, compared over the largest Taylor entry so no norm overflows
+    # the samples must be the primal's: their dual Taylor data is the conjugate
+    # transpose of the primal, read over its largest entry at any scale
     scale = max(float(np.max(np.abs(t))) for t in primal.taylor)
     for p in range(order + 1):
         dev = np.linalg.norm((S[p] - primal.taylor[p].conj().T) / scale)
-        if dev > 1e-8 * max(1.0, 1.0 / scale):
+        if dev > 1e-8:
             raise NumericalError(
-                f"adjoint reduction does not match the primal data at order {p} "
+                f"samples do not belong to the primal system at order {p} "
                 f"(relative dev {dev:.3e})"
             )
 
-    raw = root_functions(
-        S,
-        primal.total,
-        cluster_index=s,
-        center=np.conj(primal.center),
-        rank_tol=rank_tol,
-    )
+    raw = root_functions(S, primal.total, primal.cluster_index, np.conj(primal.center))
     if sorted(raw.lengths) != sorted(primal.lengths):
         raise NumericalError(
             f"dual chain lengths {raw.lengths} differ from primal {primal.lengths}"
@@ -373,7 +362,7 @@ def dual_root_functions(
     dual_scale = max(float(np.max(np.abs(t))) for t in S)
     for jp, Lp in enumerate(lengths):
         # admissible dual chains of length Lp (trailing vector free)
-        N = _null_basis(_toeplitz_conditions(S, Lp), Lp * k, rank_tol, dual_scale)
+        N = _null_basis(_toeplitz_conditions(S, Lp), Lp * k, dual_scale)
         nu = N.shape[1]
         # alpha Taylor coefficients of each basis element: A[r] = sum_i S_{r+Lp-i} N_i
         A = np.zeros((L_max, k, nu), dtype=complex)
@@ -406,7 +395,7 @@ def dual_root_functions(
 
     alpha_taylor = _beta_taylor(S, lengths, chains)
     dual = DualRootSystem(
-        cluster_index=s,
+        cluster_index=primal.cluster_index,
         center=np.conj(primal.center),
         kernel_dim=k,
         lengths=lengths,

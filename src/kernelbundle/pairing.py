@@ -18,7 +18,7 @@ import numpy as np
 from .contour import Circle
 from .errors import InputError, NondegeneracyError, SectionResidualError
 from .family import adjoint_chart
-from .frames import FrameSet, Germ, dual_frame_at, fullframe_at, kframe_at
+from .frames import FrameSet, Germ, frames_at, kframe_at
 from .keldysh import DualRootSystem, RootSystem
 from .reduction import BasePointData, SchurEvaluator
 
@@ -213,8 +213,7 @@ def base_point_check(
     node_count: int = 256,
 ) -> float:
     """Max deviation of the base pairing matrix from its constant pattern."""
-    frame = fullframe_at(chart, base, systems, base.y0, node_count=node_count)
-    dual = dual_frame_at(chart, base, duals, base.y0, node_count=node_count)
+    frame, dual = frames_at(chart, base, systems, duals, base.y0, node_count=node_count)
     pm = pairing_matrix(chart, frame, dual, base, base.y0, node_count=node_count)
     return float(np.max(np.abs(pm.matrix - expected_base_pairing(systems))))
 

@@ -208,8 +208,9 @@ class SweepReport:
 
 
 def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int = 256):
-    """Primal and dual root systems for every cluster of a base point, with
-    beta on ``node_count`` carrier nodes: frames take any divisor, such as half."""
+    """Primal and dual root systems for every cluster of a base point, from one
+    evaluation of each carrier at ``node_count`` nodes, which also carry beta:
+    frames take any divisor, such as half."""
     systems = []
     duals = []
     for s, cl in enumerate(base.clusters):
@@ -217,7 +218,7 @@ def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int =
         taylor = taylor_coefficients(samples, 2 * cl.multiplicity + 1)
         system = root_functions(taylor, cl.multiplicity, cluster_index=s, center=cl.center)
         systems.append(with_beta(system, samples))
-        duals.append(dual_root_functions(chart, base, s, system, node_count=node_count))
+        duals.append(dual_root_functions(system, samples))
     return systems, duals
 
 

@@ -20,8 +20,7 @@ from kernelbundle.family import (
     sl_chart,
 )
 from kernelbundle.frames import (
-    dual_frame_at,
-    fullframe_at,
+    frames_at,
     laurent_coefficients,
     make_germ,
 )
@@ -171,8 +170,7 @@ def test_04_base_point_pairing(jordan_pipeline, branching_pipeline, capsys):
     ]:
         chart, base, systems, duals = pipeline
         y0 = np.zeros(chart.param_dim)
-        frame = fullframe_at(chart, base, systems, y0)
-        dual = dual_frame_at(chart, base, duals, y0)
+        frame, dual = frames_at(chart, base, systems, duals, y0)
         pm = pairing_matrix(chart, frame, dual, base, y0)
         devs[name] = float(np.max(np.abs(pm.matrix - expected)))
     ok = all(d < 1e-8 for d in devs.values())
@@ -332,8 +330,7 @@ def test_09_reduced_pairing_equality(jordan_pipeline, branching_pipeline, capsys
         chart, base, systems, duals = pipeline
         for yv in (0.0, -0.1, 0.1):
             y = [yv]
-            frame = fullframe_at(chart, base, systems, y)
-            dual = dual_frame_at(chart, base, duals, y)
+            frame, dual = frames_at(chart, base, systems, duals, y)
             full = pairing_matrix(chart, frame, dual, base, y)
             red = reduced_pairing_matrix(chart, base, systems, duals, y)
             assert full.labels == red.labels

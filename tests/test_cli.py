@@ -198,8 +198,17 @@ class TestExitCodes:
             {"family": {"kind": "sturm_liouville", "r": "two", "mode_cutoff": 4, "k_gap": 1, "r_bound": 0.4}},
             {"family": {"kind": "branching"}, "base_point": {"y0": "x"}},
             {"family": {"kind": "branching"}, "min_separation": "abc"},
+            {"family": dict(STRIP_FAMILY, sigma={"kind": "rectangle", "re": [-1], "im": [-1, 1]})},
+            {"family": dict(STRIP_FAMILY, sigma={"kind": "rectangle", "re": [-1, 1, 9], "im": [-1, 1]})},
+            {"family": dict(STRIP_FAMILY, sigma={"kind": "rectangle", "re": [-1, 1], "im": [-1, 1, 9]})},
+            {"family": dict(STRIP_FAMILY, sigma=dict(STRIP_FAMILY["sigma"], re=[-1, 1, 9]))},
+            {"family": dict(SL_FAMILY, re_window=[0.5])},
+            {"family": dict(SL_FAMILY, re_window=[-0.5, 0.5, 9])},
         ],
-        ids=["axes", "axis_min", "sl_r", "y0", "min_separation"],
+        ids=[
+            "axes", "axis_min", "sl_r", "y0", "min_separation", "rect_re_short",
+            "rect_re_long", "rect_im_long", "strip_re_long", "re_window_short", "re_window_long",
+        ],
     )
     def test_value_of_wrong_type(self, spec, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -12,8 +12,7 @@ from kernelbundle.errors import (
 from kernelbundle.frames import (
     FrameSet,
     Germ,
-    dual_frame_at,
-    fullframe_at,
+    frames_at,
     germ_from_pole_coefficients,
     independence_check,
     kframe_at,
@@ -22,6 +21,7 @@ from kernelbundle.frames import (
 )
 from kernelbundle.family import adjoint_chart
 from kernelbundle.reduction import SchurEvaluator
+from kernelbundle.shell import canonical_systems
 
 
 def rat(z):
@@ -167,8 +167,8 @@ class TestFrames:
             assert block.eval(probe)[0, 1] == pytest.approx(probe ** -1, abs=1e-10)
 
     def test_jordan_full_frame(self, jordan_pipeline):
-        chart, base, systems, _ = jordan_pipeline
-        frame = fullframe_at(chart, base, systems, [0.0])
+        chart, base, systems, duals = jordan_pipeline
+        frame = frames_at(chart, base, systems, duals, [0.0])[0]
         assert frame.labels == [(0, 0, 0), (0, 0, 1)]
         for probe in (0.9, -1.1j, 0.5 + 0.7j):
             phi0 = frame.entry(0).eval(probe)
@@ -177,9 +177,9 @@ class TestFrames:
             assert np.allclose(phi1, [probe ** -1, 0.0], atol=1e-10)
 
     def test_branching_full_frame(self, branching_pipeline):
-        chart, base, systems, _ = branching_pipeline
+        chart, base, systems, duals = branching_pipeline
         y = 0.15
-        frame = fullframe_at(chart, base, systems, [y])
+        frame = frames_at(chart, base, systems, duals, [y])[0]
         for probe in (0.9, 1.2j):
             d = probe ** 2 - y ** 2
             assert np.allclose(
@@ -191,9 +191,9 @@ class TestFrames:
 
     def test_branching_frame_laurent(self, branching_pipeline):
         # residues of the first frame germ at sigma = +/- y
-        chart, base, systems, _ = branching_pipeline
+        chart, base, systems, duals = branching_pipeline
         y = 0.15
-        frame = fullframe_at(chart, base, systems, [y])
+        frame = frames_at(chart, base, systems, duals, [y])[0]
         plus, minus = laurent_coefficients(frame.entry(0), [(y, 1), (-y, 1)])
         assert np.allclose(plus.coefficients[0], [0.5, -0.5], atol=1e-10)
         assert np.allclose(minus.coefficients[0], [0.5, 0.5], atol=1e-10)
@@ -202,8 +202,7 @@ class TestFrames:
         # the family is real symmetric, so the dual frame coincides with the
         # primal one at real parameters
         chart, base, systems, duals = branching_pipeline
-        frame = fullframe_at(chart, base, systems, [0.15])
-        dual = dual_frame_at(chart, base, duals, [0.15])
+        frame, dual = frames_at(chart, base, systems, duals, [0.15])
         assert len(dual) == len(frame) == 2
         probes = np.array([0.9, -1.3j])
         assert np.allclose(dual.blocks[0].eval(probes), frame.blocks[0].eval(probes), atol=1e-9)
@@ -214,11 +213,11 @@ class TestFrames:
         # family has a full kernel, so there the correction is empty
         y = [0.07]
         for chart, base, systems, duals in (sl_big_pipeline, branching_pipeline):
-            for ch, b, syss in (
-                (chart, base, systems),
-                (adjoint_chart(chart), base.conjugate_swapped(), duals),
+            for ch, b, syss, others in (
+                (chart, base, systems, duals),
+                (adjoint_chart(chart), base.conjugate_swapped(), duals, systems),
             ):
-                frame = fullframe_at(ch, b, syss, y)
+                frame = frames_at(ch, b, syss, others, y)[0]
                 for s, system in enumerate(syss):
                     c = b.clusters[s]
                     kblock = kframe_at(SchurEvaluator(ch, b, s), system, y)
@@ -237,10 +236,7 @@ class TestFrames:
         # reference: one Cauchy sum per entry on the block's column slices
         y = [0.05]
         for chart, base, systems, duals in (sl_big_pipeline, triangular_pipeline):
-            for frame in (
-                fullframe_at(chart, base, systems, y),
-                dual_frame_at(chart, base, duals, y),
-            ):
+            for frame in frames_at(chart, base, systems, duals, y):
                 for s, g in enumerate(frame.blocks):
                     pts = base.clusters[s].contour(64).nodes
                     ref = np.stack(
@@ -264,8 +260,8 @@ class TestFrames:
         # swapped bases, which evaluates the adjoint family itself
         y = [0.07]
         for chart, base, systems, duals in (sl_big_pipeline, branching_pipeline):
-            dual = dual_frame_at(chart, base, duals, y)
-            ref = fullframe_at(adjoint_chart(chart), base.conjugate_swapped(), duals, y)
+            dual = frames_at(chart, base, systems, duals, y)[1]
+            ref = frames_at(adjoint_chart(chart), base.conjugate_swapped(), duals, systems, y)[0]
             assert dual.labels == ref.labels
             for got, want in zip(dual.blocks, ref.blocks):
                 assert got.center == want.center
@@ -275,22 +271,25 @@ class TestFrames:
 
     def test_frame_nodes_must_divide_system_nodes(self, jordan_pipeline):
         chart, base, systems, duals = jordan_pipeline
-        assert len(fullframe_at(chart, base, systems, [0.0], node_count=64)) == 2
+        assert [len(f) for f in frames_at(chart, base, systems, duals, [0.0], node_count=64)] == [2, 2]
         with pytest.raises(InputError, match="multiple"):
-            fullframe_at(chart, base, systems, [0.0], node_count=96)
+            frames_at(chart, base, systems, duals, [0.0], node_count=96)
+        # primal systems on 1024 nodes admit 512, the duals on 256 do not
+        fine, _ = canonical_systems(chart, base, 1024)
         with pytest.raises(InputError, match="multiple"):
-            dual_frame_at(chart, base, duals, [0.0], node_count=512)
+            frames_at(chart, base, fine, duals, [0.0], node_count=512)
 
     def test_samples_family_once_per_cluster(self, sl_scalar_pipeline, counting_chart):
-        # one block evaluation per carrier at y; beta comes with the systems
-        chart, base, systems, _ = sl_scalar_pipeline
+        # one block evaluation per carrier at y serves both frames; beta
+        # comes with the systems
+        chart, base, systems, duals = sl_scalar_pipeline
         counting, calls = counting_chart(chart)
-        fullframe_at(counting, base, systems, [0.2])
+        frames_at(counting, base, systems, duals, [0.2])
         assert calls == [(0.2,)] * len(base.clusters)
 
     def test_cluster_bookkeeping(self, sl_scalar_pipeline):
-        chart, base, systems, _ = sl_scalar_pipeline
-        frame = fullframe_at(chart, base, systems, [0.2])
+        chart, base, systems, duals = sl_scalar_pipeline
+        frame = frames_at(chart, base, systems, duals, [0.2])[0]
         assert len(frame) == 2
         assert [s for s, _, _ in frame.labels] == [0, 1]
         assert frame.sizes() == [1, 1]
@@ -299,8 +298,8 @@ class TestFrames:
             assert g.center == base.clusters[s].center
 
     def test_independence(self, jordan_pipeline):
-        chart, base, systems, _ = jordan_pipeline
-        frame = fullframe_at(chart, base, systems, [0.0])
+        chart, base, systems, duals = jordan_pipeline
+        frame = frames_at(chart, base, systems, duals, [0.0])[0]
         cond = independence_check(frame, base)
         assert 1.0 <= cond < 1e6
         g = frame.blocks[0]

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import kernelbundle.keldysh
+from kernelbundle.contour import Circle, SampledFunction
 from kernelbundle.errors import InputError, NumericalError
+from kernelbundle.family import adjoint_chart
 from kernelbundle.keldysh import (
     base_samples,
     dual_root_functions,
@@ -9,7 +14,8 @@ from kernelbundle.keldysh import (
     taylor_coefficients,
     verify_canonical_system,
 )
-from kernelbundle.reduction import SchurEvaluator
+from kernelbundle.reduction import SchurEvaluator, base_point_data
+from kernelbundle.shell import canonical_systems
 
 
 def _z(k=1):
@@ -133,10 +139,49 @@ class TestDual:
             assert du.delta_residual < 1e-8
 
     def test_wrong_primal_rejected(self, jordan_pipeline, branching_pipeline):
-        chart_b, base_b, _, _ = branching_pipeline
+        chart_b, base_b, systems_b, _ = branching_pipeline
         _, _, systems_j, _ = jordan_pipeline
         with pytest.raises(NumericalError):
-            dual_root_functions(chart_b, base_b, 0, systems_j[0])
+            dual_root_functions(systems_j[0], base_samples(SchurEvaluator(chart_b, base_b, 0), 256))
+        with pytest.raises(NumericalError):
+            dual_root_functions(systems_b[0], SampledFunction(Circle(0.0, 0.5, 256), np.ones((256, 3, 3))))
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-200])
+    def test_samples_of_another_cluster_rejected(self, sl_big_chart, factor):
+        # the check reads over the primal's largest Taylor entry, so it fires
+        # at any scale of the family
+        chart, _ = sl_big_chart
+        scaled = dataclasses.replace(chart, evaluator=lambda y, s: factor * chart.evaluator(y, s))
+        base = base_point_data(scaled, [0.0])
+        systems, _ = canonical_systems(scaled, base)
+        samples = base_samples(SchurEvaluator(scaled, base, 1), 256)
+        dual_root_functions(systems[1], samples)
+        with pytest.raises(NumericalError, match="do not belong"):
+            dual_root_functions(systems[0], samples)
+
+    def test_adjoint_samples_from_primal_samples(
+        self, sl_big_pipeline, jordan_pipeline, triangular_pipeline, monkeypatch
+    ):
+        # reference: the adjoint family evaluated on the conjugate carrier in
+        # the swapped bases; the dual system reads the same values off the
+        # primal samples
+        seen = []
+        original = kernelbundle.keldysh.with_beta
+
+        def recording(system, samples):
+            seen.append(samples)
+            return original(system, samples)
+
+        monkeypatch.setattr(kernelbundle.keldysh, "with_beta", recording)
+        for chart, base, systems, _ in (sl_big_pipeline, jordan_pipeline, triangular_pipeline):
+            for s, system in enumerate(systems):
+                seen.clear()
+                dual_root_functions(system, base_samples(SchurEvaluator(chart, base, s), 256))
+                ref = base_samples(SchurEvaluator(adjoint_chart(chart), base.conjugate_swapped(), s), 256)
+                (got,) = seen
+                assert got.circle == ref.circle
+                scale = float(np.max(np.abs(ref.values)))
+                assert np.max(np.abs(got.values - ref.values)) < 1e-12 * scale
 
 
 class TestVerification:

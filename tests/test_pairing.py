@@ -7,8 +7,7 @@ from kernelbundle.errors import InputError, SectionResidualError
 from kernelbundle.frames import (
     FrameSet,
     Germ,
-    dual_frame_at,
-    fullframe_at,
+    frames_at,
     germ_from_pole_coefficients,
     make_germ,
 )
@@ -26,8 +25,7 @@ from kernelbundle.pairing import (
 
 def _frames(pipeline, y):
     chart, base, systems, duals = pipeline
-    frame = fullframe_at(chart, base, systems, y)
-    dual = dual_frame_at(chart, base, duals, y)
+    frame, dual = frames_at(chart, base, systems, duals, y)
     return chart, base, frame, dual
 
 
@@ -134,6 +132,14 @@ class TestBasePattern:
         chart, base, systems, duals = sl_scalar_pipeline
         assert base_point_check(chart, base, systems, duals) < 1e-8
 
+    def test_base_point_check_samples_each_circle_once(self, sl_big_pipeline, counting_chart):
+        # one block evaluation per carrier serves both frames, then one
+        # evaluation per pairing contour
+        chart, base, systems, duals = sl_big_pipeline
+        counting, calls = counting_chart(chart)
+        assert base_point_check(counting, base, systems, duals) < 1e-8
+        assert calls == [(0.0,)] * (2 * len(base.clusters))
+
 
 class TestMatrix:
     def test_block_structure(self, sl_scalar_pipeline):
@@ -156,8 +162,7 @@ class TestMatrix:
     def test_reduced_matches_full(self, branching_pipeline, jordan_pipeline):
         for pipeline, y in ((branching_pipeline, [0.15]), (jordan_pipeline, [0.0])):
             chart, base, systems, duals = pipeline
-            frame = fullframe_at(chart, base, systems, y)
-            dual = dual_frame_at(chart, base, duals, y)
+            frame, dual = frames_at(chart, base, systems, duals, y)
             full = pairing_matrix(chart, frame, dual, base, y)
             red = reduced_pairing_matrix(chart, base, systems, duals, y)
             assert np.allclose(red.matrix, full.matrix, atol=1e-8)
@@ -166,8 +171,7 @@ class TestMatrix:
     def test_reduced_matches_full_multicluster(self, sl_scalar_pipeline):
         chart, base, systems, duals = sl_scalar_pipeline
         y = [0.4]
-        frame = fullframe_at(chart, base, systems, y)
-        dual = dual_frame_at(chart, base, duals, y)
+        frame, dual = frames_at(chart, base, systems, duals, y)
         full = pairing_matrix(chart, frame, dual, base, y)
         red = reduced_pairing_matrix(chart, base, systems, duals, y)
         assert np.allclose(red.matrix, full.matrix, atol=1e-8)

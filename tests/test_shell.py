@@ -356,6 +356,15 @@ class TestCanonicalSystems:
             assert sy.lengths == [1]
             assert du.lengths == [1]
 
+    def test_samples_each_carrier_once(self, sl_big_pipeline, counting_chart):
+        # the duals are read off the primal samples: no adjoint evaluation
+        chart, base, systems, duals = sl_big_pipeline
+        counting, calls = counting_chart(chart)
+        again, again_duals = canonical_systems(counting, base)
+        assert calls == [(0.0,)] * len(base.clusters)
+        assert [sy.lengths for sy in again] == [sy.lengths for sy in systems]
+        assert [du.lengths for du in again_duals] == [du.lengths for du in duals]
+
     @pytest.mark.parametrize("pipeline", ["sl_big_pipeline", "jordan_pipeline"])
     def test_scaled_family_gives_the_same_lengths(self, pipeline, request):
         # at 1e200 a Frobenius norm of the unscaled dual check or chain
