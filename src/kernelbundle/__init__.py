@@ -33,7 +33,6 @@ from .contour import (
     count_zeros,
     locate_zeros,
     singular_part_eval,
-    taylor_coefficient,
 )
 from .family import (
     FamilyChart,

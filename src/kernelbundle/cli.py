@@ -95,7 +95,7 @@ def cmd_reduce(args) -> int:
     grid = problem.grid.points() if problem.grid is not None else [problem.y0]
     problem.check_r_bound(grid)
     base = problem.base()
-    systems, duals = canonical_systems(problem.chart, base)
+    systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
     validation = validate_neighborhood(problem.chart, base, y_grid=grid)
     out = {
         "base": base.to_dict(),
@@ -159,6 +159,8 @@ def cmd_pair(args) -> int:
 def cmd_sweep(args) -> int:
     problem = load_problem_file(args.spec)
     grid = _grid(problem, args)
+    if args.csv and grid.ndim != 1:
+        raise InputError("branching diagrams are defined along a single parameter axis")
     problem.check_r_bound(grid.points())
     base = problem.base()
     systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
@@ -259,6 +261,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.nodes < 16:
+            raise InputError(f"--nodes must be at least 16, got {args.nodes}")
         return COMMANDS[args.command](args)
     except (ValidationError, RegionError, ConfigurationError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)

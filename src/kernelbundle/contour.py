@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -174,30 +174,25 @@ def eval_along(f: Callable, points: np.ndarray):
     return tuple(parts) if pair else parts[0]
 
 
-def cauchy_moment(f: SampledFunction, p: int):
-    """Centered moment ``(1/2pi i) \\oint (zeta - c)^p f(zeta) dzeta``.
+def cauchy_moment(f: SampledFunction, p):
+    """Centered moment ``(1/2pi i) \\oint (zeta - c)^p f(zeta) dzeta``, the trapezoid
+    sum ``(r^{p+1}/N) sum_t u_t^{p+1} f_t`` with ``u_t = exp(i theta_t)``.
 
-    Exact for ``f`` meromorphic with poles inside the circle up to the
-    trapezoid truncation, which decays geometrically in the node count.
+    ``p`` is an integer or a 1-D array of integers, which becomes the leading
+    axis of the result.  For ``p >= 0`` the moment is exact for ``f``
+    meromorphic with poles inside the circle; order ``-p-1`` is the Taylor
+    coefficient ``f^(p)(c)/p!`` of ``f`` holomorphic on the closed disc.  Both
+    hold up to the trapezoid truncation, which decays geometrically in the
+    node count.
     """
-    if p < 0 or int(p) != p:
-        raise InputError(f"moment order must be a nonnegative integer, got {p}")
+    k = np.asarray(p)
+    if k.ndim > 1 or k.dtype.kind not in "iu":
+        raise InputError(f"moment order must be an integer or a 1-D array of integers, got {p}")
     c = f.circle
-    w = c.unit ** (p + 1)
-    scale = c.radius ** (p + 1)
-    return scale * np.tensordot(w, f.values, axes=(0, 0)) / c.node_count
-
-
-def taylor_coefficient(f: SampledFunction, p: int):
-    """Taylor coefficient ``(1/2pi i) \\oint f(zeta) (zeta - c)^{-p-1} dzeta``.
-
-    Equals ``f^(p)(c)/p!`` when ``f`` is holomorphic on the closed disc.
-    """
-    if p < 0 or int(p) != p:
-        raise InputError(f"coefficient order must be a nonnegative integer, got {p}")
-    c = f.circle
-    w = c.unit ** (-p)
-    return float(c.radius) ** (-p) * np.tensordot(w, f.values, axes=(0, 0)) / c.node_count
+    k = k + 1
+    sums = np.tensordot(c.unit ** k[..., None], f.values, axes=(-1, 0))
+    # transposed, the order axis is last, where the scale of each order broadcasts
+    return (c.radius ** k * sums.T).T / c.node_count
 
 
 def singular_part_eval(f: SampledFunction, sigma):
@@ -320,14 +315,17 @@ def _winding(phase: np.ndarray, logabs: np.ndarray):
     return None
 
 
-def winding_number(q: Callable, path: Callable, initial_nodes: int = 64) -> int:
+def winding_number(q: Callable, path: Callable, initial_nodes: int) -> int:
     """Winding number of ``q`` along a closed path by accumulated argument increments.
 
     ``path`` maps an array of parameters in ``[0, 1)`` to points on the contour.
-    Node count doubles until ``_winding`` resolves the loop, up to the hard
-    cap, after which a resolution error is raised.
+    Node count starts at ``initial_nodes``, at least 16, and doubles until
+    ``_winding`` resolves the loop, up to the hard cap, after which a
+    resolution error is raised.
     """
-    n = max(int(initial_nodes), 16)
+    n = int(initial_nodes)
+    if n < 16:
+        raise InputError(f"node_count must be at least 16, got {initial_nodes}")
     while True:
         t = np.arange(n) / n
         w = _winding(*_samples(q, path(t)))

@@ -10,6 +10,7 @@ poles branch and collide as y moves while the Cauchy data stays smooth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -263,8 +264,6 @@ def laurent_coefficients(germ: Germ, poles: Sequence) -> list:
     # scaled unknowns c_{p,k} / rho^{k-1} against scaled moments M_m / rho^m
     A = np.zeros((n_eq, total), dtype=complex)
     col = 0
-    from math import comb
-
     for loc, mult in pole_list:
         delta = (loc - germ.center) / rho
         for k in range(1, mult + 1):
@@ -272,8 +271,8 @@ def laurent_coefficients(germ: Germ, poles: Sequence) -> list:
                 if m >= k - 1:
                     A[m, col] = comb(m, k - 1) * delta ** (m - k + 1)
             col += 1
-    moments = np.stack([cauchy_moment(germ.carrier, m) / rho ** m for m in range(n_eq)])
-    moments = moments.reshape(n_eq, -1)
+    orders = np.arange(n_eq)
+    moments = cauchy_moment(germ.carrier, orders).reshape(n_eq, -1) / rho ** orders[:, None]
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > MOMENT_CONDITION_LIMIT:
         raise ClusteredPolesError(

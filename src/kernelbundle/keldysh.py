@@ -10,12 +10,12 @@ the anti-diagonal unit pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, SampledFunction, count_zeros, singular_part_eval, taylor_coefficient
+from .contour import Circle, SampledFunction, cauchy_moment, count_zeros, singular_part_eval
 from .errors import InputError, NondegeneracyError, NumericalError
 from .reduction import SchurEvaluator, local_multiplicity
 
@@ -32,8 +32,9 @@ def base_samples(ev: SchurEvaluator, node_count: int) -> SampledFunction:
 
 
 def taylor_coefficients(samples: SampledFunction, order: int) -> list:
-    """Taylor coefficients through ``order`` at the cluster center, from ``base_samples``."""
-    return [taylor_coefficient(samples, p) for p in range(order + 1)]
+    """Taylor coefficients through ``order`` at the cluster center, from ``base_samples``:
+    the moments of orders -1 down to -order-1."""
+    return list(cauchy_moment(samples, -np.arange(order + 1) - 1))
 
 
 @dataclass
@@ -41,10 +42,10 @@ class RootSystem:
     """Canonical system of root functions of the reduced family at one cluster.
 
     ``chains[j]`` stacks the vectors ``v_{j,0}, ..., v_{j,L_j-1}`` of the
-    polynomial ``psi_j``; ``beta_taylor[j]`` holds the Taylor coefficients of
-    ``beta_j = (sigma - sigma_s)^{-L_j} P_s psi_j`` at the center.  Lengths
-    are sorted descending and sum to the local multiplicity.  ``beta`` holds
-    all beta_j on a carrier, shape (N, k, J), once ``with_beta`` sets it.
+    polynomial ``psi_j``, and ``taylor`` the Taylor coefficients of P_s at
+    the center.  Lengths are sorted descending and sum to the local
+    multiplicity.  ``beta`` holds all ``beta_j = (sigma - sigma_s)^{-L_j} P_s
+    psi_j`` on a carrier, shape (N, k, J), once ``with_beta`` sets it.
     """
 
     cluster_index: int
@@ -52,7 +53,6 @@ class RootSystem:
     kernel_dim: int
     lengths: list
     chains: list
-    beta_taylor: list
     taylor: list
     beta: Optional[SampledFunction] = None
 
@@ -62,8 +62,14 @@ class RootSystem:
 
     @property
     def beta0(self) -> np.ndarray:
-        """Matrix whose columns are the values beta_j(sigma_s)."""
-        return np.stack([b[0] for b in self.beta_taylor], axis=1)
+        """Matrix whose columns are the values ``beta_j(sigma_s)``, read off the
+        product series of P_s and psi_j: ``sum_i taylor[L_j - i] @ v_{j,i}``."""
+        order, k = len(self.taylor) - 1, self.kernel_dim
+        cols = [
+            sum((self.taylor[L - i] @ chain[i] for i in range(L) if L - i <= order), np.zeros(k, complex))
+            for L, chain in zip(self.lengths, self.chains)
+        ]
+        return np.stack(cols, axis=1)
 
     def psi_eval(self, j: int, sigma) -> np.ndarray:
         """Value of the chain polynomial psi_j at sigma (vectorized)."""
@@ -231,36 +237,16 @@ def root_functions(
             if rel > 1e-7:
                 raise NumericalError(f"relative chain condition residual {rel:.3e}")
 
-    beta_taylor = _beta_taylor(taylor, lengths, chains)
     system = RootSystem(
         cluster_index=cluster_index,
         center=complex(center),
         kernel_dim=k,
         lengths=lengths,
         chains=chains,
-        beta_taylor=beta_taylor,
         taylor=taylor,
     )
-    _check_beta_basis(system)
+    _check_beta_basis(system, "beta values")
     return system
-
-
-def _beta_taylor(taylor, lengths, chains) -> list:
-    """Taylor coefficients of beta_j from the product series of P_s and psi_j."""
-    out = []
-    M = len(taylor) - 1
-    for L, chain in zip(lengths, chains):
-        orders = M - L
-        coeffs = []
-        for r_ord in range(orders + 1):
-            m = r_ord + L
-            c = np.zeros(chain.shape[1], dtype=complex)
-            for i in range(min(m, L - 1) + 1):
-                if 0 <= m - i <= M:
-                    c += taylor[m - i] @ chain[i]
-            coeffs.append(c)
-        out.append(np.stack(coeffs))
-    return out
 
 
 def with_beta(system: RootSystem, samples: SampledFunction) -> RootSystem:
@@ -274,31 +260,10 @@ def with_beta(system: RootSystem, samples: SampledFunction) -> RootSystem:
     return system
 
 
-def _check_beta_basis(system: RootSystem) -> None:
-    B = system.beta0
-    cond = np.linalg.cond(B)
-    if np.isfinite(cond) and cond < BETA_CONDITION_LIMIT:
-        return
-    # retry after unitary recombination within equal-length groups
-    lengths = np.array(system.lengths)
-    for L in np.unique(lengths):
-        idx = np.where(lengths == L)[0]
-        if len(idx) < 2:
-            continue
-        _, _, vh = np.linalg.svd(B[:, idx], full_matrices=False)
-        mix = vh.conj().T
-        new_chains = []
-        for col in range(len(idx)):
-            c = sum(mix[row, col] * system.chains[idx[row]] for row in range(len(idx)))
-            new_chains.append(c)
-        for col, j in enumerate(idx):
-            system.chains[j] = new_chains[col]
-    system.beta_taylor[:] = _beta_taylor(system.taylor, system.lengths, system.chains)
+def _check_beta_basis(system: RootSystem, what: str) -> None:
     cond = np.linalg.cond(system.beta0)
     if not np.isfinite(cond) or cond >= BETA_CONDITION_LIMIT:
-        raise NondegeneracyError(
-            f"beta values do not form a well-conditioned basis (condition {cond:.3e})"
-        )
+        raise NondegeneracyError(f"{what} do not form a well-conditioned basis (condition {cond:.3e})")
 
 
 @dataclass
@@ -308,8 +273,8 @@ class DualRootSystem(RootSystem):
     Chains are normalized against a primal system so that the scalar product
     series of each primal chain with each dual image function matches the
     anti-diagonal unit pattern; ``delta_residual`` records how well the
-    normalization was achieved.  ``beta_taylor`` holds the Taylor data of the
-    holomorphic images alpha_j.
+    normalization was achieved.  ``beta0`` gives the values of the
+    holomorphic images alpha_j at the center.
     """
 
     delta_residual: float = 0.0
@@ -393,22 +358,16 @@ def dual_root_functions(primal: RootSystem, samples: SampledFunction) -> DualRoo
             f"dual normalization residual {residual:.3e} exceeds {DUAL_RESIDUAL_LIMIT:.1e}"
         )
 
-    alpha_taylor = _beta_taylor(S, lengths, chains)
     dual = DualRootSystem(
         cluster_index=primal.cluster_index,
         center=np.conj(primal.center),
         kernel_dim=k,
         lengths=lengths,
         chains=chains,
-        beta_taylor=alpha_taylor,
         taylor=S,
         delta_residual=residual,
     )
-    cond = np.linalg.cond(dual.beta0)
-    if not np.isfinite(cond) or cond >= BETA_CONDITION_LIMIT:
-        raise NondegeneracyError(
-            f"normalized dual images are not a well-conditioned basis (condition {cond:.3e})"
-        )
+    _check_beta_basis(dual, "normalized dual images")
     return with_beta(dual, samples)
 
 

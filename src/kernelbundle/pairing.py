@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle
+from .contour import Circle, SampledFunction, cauchy_moment
 from .errors import InputError, NondegeneracyError, SectionResidualError
 from .family import adjoint_chart
 from .frames import FrameSet, Germ, frames_at, kframe_at
@@ -36,11 +36,11 @@ def _contour_pairing(circle: Circle, pvals, phis, psis) -> np.ndarray:
 
     ``pvals`` (N, n, n) holds P at the nodes, ``phis`` (N, n, B) the frame
     values at the nodes and ``psis`` (N, n, A) the dual values at the
-    conjugated nodes.  Returns the (A, B) block of pairings.
+    conjugated nodes.  Returns the (A, B) block of pairings: ``i`` times the
+    order-0 moment of the integrand.
     """
-    weight = 1j * circle.radius / circle.node_count
     integrand = np.conj(psis).swapaxes(1, 2) @ (pvals @ phis)
-    return weight * np.tensordot(circle.unit, integrand, axes=(0, 0))
+    return 1j * cauchy_moment(SampledFunction(circle, integrand), 0)
 
 
 def _dual_eval(psi: Germ, circle: Circle) -> np.ndarray:

@@ -9,7 +9,7 @@ multiplicity as y moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,11 @@ P22_CONDITION_LIMIT = 1e12
 DET_CHUNK_ENTRIES = 2 ** 18
 # Halvings of the working radius tried before a base point is given up.
 MAX_HALVINGS = 10
+# Relative rank threshold of the kernel split at a located zero: located zeros
+# carry absolute errors far above machine precision, so the split must
+# tolerate singular values at the location-error level while still rejecting
+# genuine ones.
+KERNEL_RANK_TOL = 1e-10
 # validate_neighborhood: rings (fractions of the radius, besides the center)
 # and angles of the complement-block samples, angles per ring of the annulus
 # check, and the smallest admissible relative margins.
@@ -61,20 +66,15 @@ def _fix_column_phases(m: np.ndarray) -> np.ndarray:
 def kernel_cokernel(matrix: np.ndarray, rank_tol: Optional[float] = None, scale_floor: float = 0.0):
     """Orthonormal kernel and cokernel bases of a square matrix via the SVD.
 
-    Returns ``(K, Rperp)`` with shapes ``(n, k)``.  The split requires a
-    factor-10 gap around ``rank_tol * scale``; singular values inside that
-    band raise a rank-gap error listing the spectrum.  ``scale_floor`` lets
-    callers supply the natural scale of the surrounding family, so a matrix
-    that is zero to roundoff is recognized as rank zero rather than treated
-    as full rank relative to its own noise.
+    Returns ``(K, Kperp, Rperp, R)``: the kernel, its orthocomplement, the
+    cokernel (the orthocomplement of the range) and the range, each with
+    ``n`` rows.  The split requires a factor-10 gap around ``rank_tol *
+    scale``; singular values inside that band raise a rank-gap error listing
+    the spectrum.  ``scale_floor`` lets callers supply the natural scale of
+    the surrounding family, so a matrix that is zero to roundoff is
+    recognized as rank zero rather than treated as full rank relative to its
+    own noise.
     """
-    K, _, Rperp, _ = _kernel_cokernel_full(matrix, rank_tol, scale_floor)
-    return K, Rperp
-
-
-def _kernel_cokernel_full(
-    matrix: np.ndarray, rank_tol: Optional[float] = None, scale_floor: float = 0.0
-):
     matrix = np.asarray(matrix, dtype=complex)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
@@ -147,7 +147,6 @@ class BasePointData:
     chart: FamilyChart
     y0: np.ndarray
     clusters: list
-    rank_tol: Optional[float] = None
 
     @property
     def total_multiplicity(self) -> int:
@@ -158,7 +157,6 @@ class BasePointData:
             chart=self.chart,
             y0=self.y0,
             clusters=[c.conjugate_swapped() for c in self.clusters],
-            rank_tol=self.rank_tol,
         )
 
     def to_dict(self) -> dict:
@@ -424,7 +422,6 @@ def base_point_data(
     chart: FamilyChart,
     y0,
     epsilon: Optional[float] = None,
-    rank_tol: Optional[float] = None,
     min_separation: Optional[float] = None,
     search: Optional[Rectangle] = None,
 ) -> BasePointData:
@@ -432,15 +429,10 @@ def base_point_data(
 
     The working radius defaults to 0.4 times the smallest gap between
     singular points and to the region boundary, then halves until the
-    neighborhood conditions hold at y0 itself.
-
-    ``rank_tol`` defaults to 1e-10: located zeros carry absolute errors far
-    above machine precision, so the kernel split must tolerate singular
-    values at the location-error level while still rejecting genuine ones.
+    neighborhood conditions hold at y0 itself.  The kernel split at each
+    zero uses ``KERNEL_RANK_TOL``.
     """
     y0 = _as_param(y0, chart.param_dim)
-    if rank_tol is None:
-        rank_tol = 1e-10
     rect = search if search is not None else chart.sigma.search_rect
     if min_separation is None:
         min_separation = max(rect.width, rect.height) / 64.0
@@ -468,7 +460,7 @@ def base_point_data(
             probe = Circle(z.location, 0.5 * eps, 16)
             floor = float(np.max(np.abs(chart.eval_many(y0, probe.nodes, check=False))))
             try:
-                K, Kperp, Rperp, R = _kernel_cokernel_full(M, rank_tol, scale_floor=floor)
+                K, Kperp, Rperp, R = kernel_cokernel(M, KERNEL_RANK_TOL, scale_floor=floor)
             except RankGapError:
                 if epsilon is not None:
                     raise
@@ -483,7 +475,7 @@ def base_point_data(
                 Cluster(z.location, z.multiplicity, k, K, Kperp, Rperp, R, eps)
             )
         if ok:
-            base = BasePointData(chart, y0, clusters, rank_tol)
+            base = BasePointData(chart, y0, clusters)
             check = validate_neighborhood(chart, base, [y0])
             if check.passed:
                 # consistency: the reduced determinant sees the same multiplicity

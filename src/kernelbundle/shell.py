@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, Rectangle, SampledFunction, _winding, count_zeros, locate_zeros
+from .contour import Circle, Rectangle, SampledFunction, _winding, cauchy_moment, count_zeros, locate_zeros
 from .errors import (
     ClusteredPolesError,
     DimensionJumpError,
@@ -483,17 +483,16 @@ def _in_window(sigma: complex, gamma: float, window: float) -> bool:
 
 
 def numeric_trace_samples(germ: Germ, x: np.ndarray) -> np.ndarray:
-    """Direct quadrature of (1/2pi) contour integral of x^{i sigma} g(sigma)."""
+    """Direct quadrature of (1/2pi) contour integral of x^{i sigma} g(sigma): ``i``
+    times the order-0 moment of ``x^{i sigma} g``, one column per point of ``x``."""
     circ = germ.carrier.circle
-    nodes = circ.nodes
     vals = germ.carrier.values
     if vals.ndim > 1:
         if vals.shape[1] != 1:
             raise InputError("trace expansions take scalar germs")
         vals = vals[:, 0]
-    weight = 1j * circ.radius / circ.node_count
-    kern = np.asarray(x, dtype=float)[:, None] ** (1j * nodes[None, :])
-    return weight * np.sum(circ.unit[None, :] * kern * vals[None, :], axis=1)
+    kern = np.asarray(x, dtype=float)[None, :] ** (1j * circ.nodes[:, None])
+    return 1j * cauchy_moment(SampledFunction(circ, kern * vals[:, None]), 0)
 
 
 def trace_from_germ(

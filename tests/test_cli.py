@@ -23,6 +23,23 @@ STRIP_FAMILY = {
     "terms": [{"sigma_power": 2, "matrix": [[1]]}, {"matrix": [[1.25]]}],
 }
 
+CLOSE_ZEROS_FAMILY = {
+    "kind": "matrix_polynomial", "sigma": {"kind": "rectangle", "re": [-1, 1], "im": [-1, 1]},
+    "terms": [{"sigma_power": 2, "matrix": [[1]]}, {"matrix": [[-0.01]]}],
+}
+
+# sigma^2 - 0.01 + 0.1 y_1 + 0.05 y_2
+TWO_PARAMETER_FAMILY = dict(
+    CLOSE_ZEROS_FAMILY,
+    param_dim=2,
+    terms=[
+        {"sigma_power": 2, "y_powers": [0, 0], "matrix": [[1]]},
+        {"y_powers": [0, 0], "matrix": [[-0.01]]},
+        {"y_powers": [1, 0], "matrix": [[0.1]]},
+        {"y_powers": [0, 1], "matrix": [[0.05]]},
+    ],
+)
+
 
 @pytest.fixture(scope="module")
 def specs(tmp_path_factory):
@@ -90,6 +107,64 @@ class TestSubcommands:
             assert [z["multiplicity"] for z in zeros] == [1, 1]
             for z, im in zip(zeros, (-np.sqrt(1.25), np.sqrt(1.25))):
                 assert abs(complex(z["re"], z["im"]) - 1j * im) < 1e-8
+
+    @pytest.mark.parametrize("half_width", [1.25, 1.5])
+    def test_strip_half_width_sets_the_locate_region(self, half_width, tmp_path):
+        family = dict(STRIP_FAMILY, sigma=dict(STRIP_FAMILY["sigma"], im_half_width=half_width))
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"family": family}))
+        out = tmp_path / "locate.json"
+        assert main(["locate", "--spec", str(path), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["region"] == [-1.0, 1.0, -half_width, half_width]
+        assert [z["multiplicity"] for z in data["zeros"]] == [1, 1]
+
+    @pytest.mark.parametrize("min_separation, multiplicities", [(None, [1, 1]), (1.5, [2])])
+    def test_min_separation_merges_close_zeros(self, min_separation, multiplicities, tmp_path):
+        # sigma^2 - 0.01: simple zeros at +/- 0.1, one double zero at the
+        # resolution 1.5
+        spec = {"family": CLOSE_ZEROS_FAMILY}
+        if min_separation is not None:
+            spec["min_separation"] = min_separation
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "locate.json"
+        assert main(["locate", "--spec", str(path), "--out", str(out)]) == 0
+        zeros = json.loads(out.read_text())["zeros"]
+        assert [z["multiplicity"] for z in zeros] == multiplicities
+        centers = [-0.1, 0.1] if len(zeros) == 2 else [0.0]
+        for z, c in zip(zeros, centers):
+            assert abs(complex(z["re"], z["im"]) - c) < 1e-8
+
+    @pytest.mark.parametrize("epsilon", [None, 0.3, 0.45])
+    def test_base_point_epsilon_sets_the_cluster_radius(self, epsilon, tmp_path):
+        spec = {"family": {"kind": "branching"}}
+        if epsilon is not None:
+            spec["base_point"] = {"y0": [0.0], "epsilon": epsilon}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "reduce.json"
+        assert main(["reduce", "--spec", str(path), "--out", str(out)]) == 0
+        (cluster,) = json.loads(out.read_text())["base"]["clusters"]
+        if epsilon is None:
+            # chosen from the separations: neither value below
+            epsilon = kernelbundle.base_point_data(kernelbundle.branching_chart(), [0.0]).clusters[0].radius
+            assert epsilon not in (0.3, 0.45)
+        assert cluster["epsilon"] == epsilon
+
+    def test_reduce_builds_systems_on_twice_the_nodes(self, specs, tmp_path, monkeypatch):
+        built = []
+        original = kernelbundle.cli.canonical_systems
+
+        def recording(chart, base, node_count=256):
+            systems, duals = original(chart, base, node_count)
+            built.extend(sy.beta.circle.node_count for sy in systems + duals)
+            return systems, duals
+
+        monkeypatch.setattr(kernelbundle.cli, "canonical_systems", recording)
+        out = tmp_path / "reduce.json"
+        assert main(["reduce", "--spec", specs["branching"], "--nodes", "64", "--out", str(out)]) == 0
+        assert built == [128, 128]
 
     def test_reduce(self, specs, tmp_path):
         out = tmp_path / "reduce.json"
@@ -215,6 +290,39 @@ class TestExitCodes:
         bad.write_text(json.dumps(spec))
         assert main(["reduce", "--spec", str(bad)]) == EXIT_PARSE
         assert "problem file value of the wrong type" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["locate"],
+            ["reduce"],
+            ["frame"],
+            ["pair"],
+            ["sweep"],
+            ["trace", "--gamma", "1.5", "--window", "2.0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_too_few_nodes(self, specs, capsys, argv, tmp_path):
+        spec = specs["indicial"] if argv[0] == "trace" else specs["branching"]
+        out = tmp_path / "out.json"
+        assert main(argv + ["--spec", spec, "--nodes", "8", "--out", str(out)]) == EXIT_PARSE
+        assert "--nodes must be at least 16, got 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_needs_a_one_parameter_grid(self, tmp_path, capsys, monkeypatch):
+        # refused before any work: the base point is never computed
+        def unreachable(problem):
+            raise AssertionError("base point computed")
+
+        monkeypatch.setattr(kernelbundle.shell.Problem, "base", unreachable)
+        path = tmp_path / "two.json"
+        axis = {"min": -0.1, "max": 0.1, "count": 3}
+        path.write_text(json.dumps({"family": TWO_PARAMETER_FAMILY, "grid": {"axes": [axis, axis]}}))
+        out, csv = tmp_path / "sweep.json", tmp_path / "diagram.csv"
+        assert main(["sweep", "--spec", str(path), "--out", str(out), "--csv", str(csv)]) == EXIT_PARSE
+        assert "branching diagrams are defined along a single parameter axis" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_wrong_y_arity(self, specs, capsys):
         code = main(["frame", "--spec", specs["branching"], "--y", "0.1,0.2"])

@@ -12,7 +12,6 @@ from kernelbundle.contour import (
     locate_zeros,
     refine_cluster,
     singular_part_eval,
-    taylor_coefficient,
     winding_number,
 )
 from kernelbundle.errors import (
@@ -65,16 +64,35 @@ class TestMoments:
         import math
 
         for p in range(6):
-            assert taylor_coefficient(f, p) == pytest.approx(
+            assert cauchy_moment(f, -p - 1) == pytest.approx(
                 np.exp(0.3) / math.factorial(p), rel=1e-12
             )
 
     def test_order_validation(self):
+        # negative orders are Taylor coefficients; an order must be an integer
         f = SampledFunction.from_function(np.exp, Circle(0.0, 0.5, 32))
-        with pytest.raises(InputError):
-            cauchy_moment(f, -1)
-        with pytest.raises(InputError):
-            taylor_coefficient(f, -2)
+        assert cauchy_moment(f, -1) == pytest.approx(1.0, rel=1e-12)
+        for bad in (0.5, 1.0, [[0, 1]], np.array([0.0, 1.5])):
+            with pytest.raises(InputError):
+                cauchy_moment(f, bad)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=["scalar", "vector", "matrix"])
+    def test_array_of_orders_stacks_scalar_calls(self, shape):
+        rng = np.random.default_rng(5)
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        def g(z):
+            return np.multiply.outer(rational(z) + np.exp(z), coeffs)
+
+        f = SampledFunction.from_function(g, Circle(0.1, 0.6, 128))
+        orders = np.arange(-6, 5)
+        stacked = np.stack([cauchy_moment(f, int(p)) for p in orders])
+        moments = cauchy_moment(f, orders)
+        assert moments.shape == (len(orders),) + shape
+        # relative to r^{p+1} max |f|, the size of the summed terms of order p
+        scale = 0.6 ** (orders + 1.0) * np.max(np.abs(f.values))
+        gap = np.abs(moments - stacked).reshape(len(orders), -1).max(axis=1)
+        assert np.all(gap <= 1e-15 * scale)
 
 
 class TestSingularPart:
@@ -168,6 +186,16 @@ class TestCounting:
     def test_node_count_invariance(self):
         for n in (16, 64, 256):
             assert count_zeros(self.q, Circle(0.0, 1.0, n)) == 3
+
+    def test_too_few_initial_nodes(self):
+        # the node count of a count is checked as a circle's is, not raised to 16
+        rect = Rectangle(-1.0, 1.0, -1.0, 1.0)
+        for n in (8, -5):
+            with pytest.raises(InputError, match=f"at least 16, got {n}"):
+                count_zeros_rectangle(self.q, rect, n)
+        with pytest.raises(InputError, match="at least 16, got 8"):
+            winding_number(self.q, lambda t: np.exp(2j * np.pi * t), 8)
+        assert count_zeros_rectangle(self.q, rect, 16) == 3
 
     def test_transcendental(self):
         assert count_zeros(np.sin, Circle(0.0, 1.0, 64)) == 1

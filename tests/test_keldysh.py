@@ -5,9 +5,10 @@ import pytest
 
 import kernelbundle.keldysh
 from kernelbundle.contour import Circle, SampledFunction
-from kernelbundle.errors import InputError, NumericalError
+from kernelbundle.errors import InputError, NondegeneracyError, NumericalError
 from kernelbundle.family import adjoint_chart
 from kernelbundle.keldysh import (
+    BETA_CONDITION_LIMIT,
     base_samples,
     dual_root_functions,
     root_functions,
@@ -62,7 +63,7 @@ class TestChains:
         assert sy.lengths == [2]
         assert np.allclose(sy.chains[0], [[1.0], [0.0]], atol=1e-10)
         # beta = sigma^{-2} * (-sigma^2) * 1 = -1
-        assert sy.beta_taylor[0][0][0] == pytest.approx(-1.0, abs=1e-10)
+        assert sy.beta0[0, 0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_branching_chains(self, branching_pipeline):
         _, _, systems, _ = branching_pipeline
@@ -113,6 +114,25 @@ class TestChains:
     def test_entry_labels(self):
         T = [_z(2), np.diag([0.0, 1.0]), np.diag([-1.0, 0.0]), _z(2)]
         assert root_functions(T, 3).entry_labels() == [(0, 0), (0, 1), (1, 0)]
+
+    def test_beta0_is_the_carrier_mean_of_beta(
+        self, sl_big_pipeline, jordan_pipeline, branching_pipeline
+    ):
+        # beta0 sums the Taylor data of P_s against the chains; beta holds
+        # exact values on the carrier, whose mean is the value at the center
+        for _, _, systems, duals in (sl_big_pipeline, jordan_pipeline, branching_pipeline):
+            for system in list(systems) + list(duals):
+                mean = system.beta.values.mean(axis=0)
+                scale = np.max(np.abs(system.beta0))
+                assert np.max(np.abs(system.beta0 - mean)) <= 1e-12 * scale
+
+    def test_ill_conditioned_beta_basis_rejected(self):
+        # two chains of length one with beta0 = T1, of condition about 1.3e8:
+        # its smallest singular value, 1.5e-8, is above the rank threshold
+        T1 = np.array([[1.0, 1.0], [1.0, 1.0 + 3e-8]])
+        assert np.linalg.cond(T1) > BETA_CONDITION_LIMIT
+        with pytest.raises(NondegeneracyError, match="well-conditioned"):
+            root_functions([_z(2), T1], 2)
 
 
 class TestDual:

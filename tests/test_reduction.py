@@ -40,15 +40,18 @@ from kernelbundle.reduction import (
 
 class TestKernelCokernel:
     def test_diagonal(self):
-        K, Rperp = kernel_cokernel(np.diag([3.0, 2.0, 0.0]))
+        K, Kperp, Rperp, R = kernel_cokernel(np.diag([3.0, 2.0, 0.0]))
         assert np.allclose(K, np.array([[0.0], [0.0], [1.0]]))
         assert np.allclose(Rperp, np.array([[0.0], [0.0], [1.0]]))
+        # the complements are the leading coordinate axes
+        assert np.allclose(Kperp, np.eye(3)[:, :2])
+        assert np.allclose(R, np.eye(3)[:, :2])
 
     def test_rank_one(self):
         u = np.array([1.0, 1.0j]) / np.sqrt(2)
         v = np.array([1.0, -1.0]) / np.sqrt(2)
         M = np.outer(u, v.conj())
-        K, Rperp = kernel_cokernel(M, rank_tol=1e-8)
+        K, _, Rperp, _ = kernel_cokernel(M, rank_tol=1e-8)
         assert K.shape == (2, 1) and Rperp.shape == (2, 1)
         assert np.linalg.norm(M @ K) < 1e-14
         assert np.linalg.norm(Rperp.conj().T @ M) < 1e-14
@@ -60,10 +63,10 @@ class TestKernelCokernel:
         rng = np.random.default_rng(11)
         M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         M[:, 0] = M[:, 1]  # force a kernel
-        K1, R1 = kernel_cokernel(M, rank_tol=1e-8)
-        K2, R2 = kernel_cokernel(M * np.exp(0.7j), rank_tol=1e-8)
+        K1, _, R1, _ = kernel_cokernel(M, rank_tol=1e-8)
+        K2, _, R2, _ = kernel_cokernel(M * np.exp(0.7j), rank_tol=1e-8)
         assert np.allclose(K1, K2, atol=1e-12)
-        K3, R3 = kernel_cokernel(M, rank_tol=1e-8)
+        K3, _, R3, _ = kernel_cokernel(M, rank_tol=1e-8)
         assert np.array_equal(K1, K3) and np.array_equal(R1, R3)
 
     def test_rank_gap_guard(self):
@@ -74,13 +77,13 @@ class TestKernelCokernel:
 
     def test_scale_floor_recognizes_roundoff_zero(self):
         M = 1e-17 * np.eye(2)
-        K, _ = kernel_cokernel(M)
+        K, *_ = kernel_cokernel(M)
         assert K.shape[1] == 0  # full rank relative to its own noise
-        K, _ = kernel_cokernel(M, scale_floor=1.0)
+        K, *_ = kernel_cokernel(M, scale_floor=1.0)
         assert K.shape[1] == 2
 
     def test_zero_matrix(self):
-        K, Rperp = kernel_cokernel(np.zeros((3, 3)))
+        K, _, Rperp, _ = kernel_cokernel(np.zeros((3, 3)))
         assert K.shape == (3, 3)
         assert np.allclose(K.conj().T @ K, np.eye(3))
 

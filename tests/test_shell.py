@@ -406,6 +406,16 @@ class TestProblemFiles:
         assert vals[0] == pytest.approx(1.04)
         assert vals[1] == pytest.approx(np.sin(0.2))
 
+    @pytest.mark.parametrize("kind, fn", [("sin", np.sin), ("cos", np.cos)])
+    @pytest.mark.parametrize("fields", [{}, {"scale": 2.0}, {"freq": 3.0}, {"scale": -0.5, "freq": 2.5}])
+    def test_probe_scale_and_freq(self, kind, fn, fields):
+        probe = probe_from_spec([{"entry": 1, "coeff": dict(fields, type=kind)}], 2)
+        scale, freq = fields.get("scale", 1.0), fields.get("freq", 1.0)
+        for t in (-0.2, 0.1, 0.7):
+            vals = probe([t])
+            assert vals[0] == 0
+            assert vals[1] == pytest.approx(scale * fn(freq * t), rel=1e-15, abs=1e-15)
+
     def test_spec_errors(self, tmp_path):
         with pytest.raises(SpecError):
             load_problem({})
