@@ -118,7 +118,7 @@ class Rectangle:
             complex(self.re_min, self.im_max),
         ]
 
-    def split(self, fx: float = 0.5, fy: float = 0.5) -> list["Rectangle"]:
+    def split(self, fx: float, fy: float) -> list["Rectangle"]:
         xm = self.re_min + fx * self.width
         ym = self.im_min + fy * self.height
         return [

@@ -362,7 +362,10 @@ FAMILY_KEYS = {
     "branching": {"kind"},
 }
 REGION_KEYS = {"rectangle": {"kind", "re", "im"}, "strip": {"kind", "im_half_width", "re"}}
-REQUIRED_FAMILY_KEYS = {"sturm_liouville": {"r", "mode_cutoff", "k_gap", "r_bound"}}
+REQUIRED_FAMILY_KEYS = {
+    "matrix_polynomial": {"sigma"},
+    "sturm_liouville": {"r", "mode_cutoff", "k_gap", "r_bound"},
+}
 TERM_KEYS = {"sigma_power", "y_powers", "matrix"}
 
 
@@ -411,34 +414,34 @@ def _bounds(obj, where: str) -> tuple:
     return float(obj[0]), float(obj[1])
 
 
+def _integer(value, where: str) -> int:
+    """An integral JSON number, ``4`` or ``4.0``; a bool, string or fraction is of the wrong type."""
+    if not (type(value) is int or (type(value) is float and value.is_integer())):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _region_from_spec(obj) -> SigmaRegion:
-    if obj is None:
-        raise SpecError("family kind requires an explicit 'sigma' region")
-    kind = _checked_kind(obj, "kind", REGION_KEYS, {}, "sigma region", "rectangle")
+    required = {"rectangle": {"re", "im"}, "strip": {"im_half_width"}}
+    kind = _checked_kind(obj, "kind", REGION_KEYS, required, "sigma region", "rectangle")
     if kind == "rectangle":
-        re = obj.get("re")
-        im = obj.get("im")
-        if re is None or im is None:
-            raise SpecError("rectangle region needs 're' and 'im' bounds")
-        return SigmaRegion(*_bounds(re, "sigma re"), *_bounds(im, "sigma im"))
-    hw = obj.get("im_half_width")
-    if hw is None:
-        raise SpecError("strip region needs 'im_half_width'")
-    return SigmaRegion.strip_region(float(hw), _bounds(obj.get("re", [-1.0, 1.0]), "sigma re"))
+        return SigmaRegion(*_bounds(obj["re"], "sigma re"), *_bounds(obj["im"], "sigma im"))
+    re = _bounds(obj.get("re", [-1.0, 1.0]), "sigma re")
+    return SigmaRegion.strip_region(float(obj["im_half_width"]), re)
 
 
 def _terms_from_spec(obj, param_dim: int) -> list:
     terms = []
     for t in obj:
         _check_keys(t, TERM_KEYS, {"matrix"}, "term")
-        y_powers = tuple(int(e) for e in t.get("y_powers", [0] * param_dim))
+        y_powers = tuple(_integer(e, "term y_powers entry") for e in t.get("y_powers", [0] * param_dim))
         if len(y_powers) != param_dim:
             raise SpecError(
                 f"term y_powers {list(y_powers)} need one exponent per parameter ({param_dim})"
             )
         terms.append(
             PolyTerm(
-                sigma_power=int(t.get("sigma_power", 0)),
+                sigma_power=_integer(t.get("sigma_power", 0), "term sigma_power"),
                 y_powers=y_powers,
                 matrix=_matrix_from_spec(t["matrix"]),
             )
@@ -464,12 +467,12 @@ def family_from_dict(obj: dict):
     """
     kind = _checked_kind(obj, "kind", FAMILY_KEYS, REQUIRED_FAMILY_KEYS, "family", None)
     if kind == "matrix_polynomial":
-        param_dim = int(obj.get("param_dim", 1))
+        param_dim = _integer(obj.get("param_dim", 1), "param_dim")
         terms = _terms_from_spec(obj.get("terms", []), param_dim)
-        region = _region_from_spec(obj.get("sigma"))
+        region = _region_from_spec(obj["sigma"])
         return matrix_polynomial_chart(terms, region, param_dim), None
     if kind == "sturm_liouville":
-        r = int(obj["r"])
+        r = _integer(obj["r"], "r")
         a_terms = _terms_from_spec(obj.get("a_terms", []), 1)
         for t in a_terms:
             if t.sigma_power != 0:
@@ -477,13 +480,13 @@ def family_from_dict(obj: dict):
         spec = SturmLiouvilleSpec(
             r=r,
             a_eval=_poly_coefficient_eval(a_terms, r),
-            mode_cutoff=int(obj["mode_cutoff"]),
-            k_gap=int(obj["k_gap"]),
+            mode_cutoff=_integer(obj["mode_cutoff"], "mode_cutoff"),
+            k_gap=_integer(obj["k_gap"], "k_gap"),
             r_bound=float(obj["r_bound"]),
         )
         return sl_chart(spec, _bounds(obj.get("re_window", [-1.0, 1.0]), "re_window")), spec
     if kind == "indicial":
-        return indicial_chart(int(obj.get("m", 2))), None
+        return indicial_chart(_integer(obj.get("m", 2), "m")), None
     if kind == "jordan":
         return jordan_chart(), None
     return branching_chart(), None

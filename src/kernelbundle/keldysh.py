@@ -1,11 +1,12 @@
 """Root functions of the reduced family at a singular point.
 
 The reduced family vanishes entirely at (y0, sigma_s), so every partial
-multiplicity is at least one and the chains of generalized root vectors are
-read off nullspaces of lower-triangular block-Toeplitz matrices built from
-the Taylor coefficients.  The dual system for the adjoint reduction is
-normalized against the primal chains so that the base-point pairing becomes
-the anti-diagonal unit pattern.
+multiplicity is at least one.  Every condition on a chain psi_j is a
+coefficient of the product series P_s psi_j: orders 1..L_j-1 vanish, and
+order L_j is beta_j(sigma_s).  All of them are slices of one block
+lower-triangular Toeplitz operator, ``toeplitz``.  The dual system for the
+adjoint reduction is normalized against the primal chains so that the
+base-point pairing becomes the anti-diagonal unit pattern.
 """
 
 from __future__ import annotations
@@ -31,10 +32,26 @@ def base_samples(ev: SchurEvaluator, node_count: int) -> SampledFunction:
     return SampledFunction(circle, ev.schur_many(ev.base.y0, circle.nodes))
 
 
-def taylor_coefficients(samples: SampledFunction, order: int) -> list:
+def taylor_coefficients(samples: SampledFunction, order: int) -> np.ndarray:
     """Taylor coefficients through ``order`` at the cluster center, from ``base_samples``:
-    the moments of orders -1 down to -order-1."""
-    return list(cauchy_moment(samples, -np.arange(order + 1) - 1))
+    the moments of orders -1 down to -order-1, stacked on a leading axis."""
+    return cauchy_moment(samples, -np.arange(order + 1) - 1)
+
+
+def toeplitz(series, length: int) -> np.ndarray:
+    """Block lower-triangular Toeplitz operator of a series of (a, b) blocks.
+
+    Block (m, i) is ``series[m - i]``, and zero where ``m - i`` is negative or
+    past the series.  So the operator maps stacked coefficients ``(v_0, ...,
+    v_{length-1})`` to the first ``length`` coefficients of the product series
+    ``(sum_p series[p] z^p)(sum_i v_i z^i)``.
+    """
+    series = np.asarray(series, dtype=complex)[:length]
+    _, a, b = series.shape
+    lag = np.subtract.outer(np.arange(length), np.arange(length))
+    lag[(lag < 0) | (lag >= len(series))] = len(series)  # the appended zero block
+    blocks = np.concatenate([series, np.zeros((1, a, b), dtype=complex)])[lag]
+    return blocks.transpose(0, 2, 1, 3).reshape(length * a, length * b)
 
 
 @dataclass
@@ -43,9 +60,10 @@ class RootSystem:
 
     ``chains[j]`` stacks the vectors ``v_{j,0}, ..., v_{j,L_j-1}`` of the
     polynomial ``psi_j``, and ``taylor`` the Taylor coefficients of P_s at
-    the center.  Lengths are sorted descending and sum to the local
-    multiplicity.  ``beta`` holds all ``beta_j = (sigma - sigma_s)^{-L_j} P_s
-    psi_j`` on a carrier, shape (N, k, J), once ``with_beta`` sets it.
+    the center, shape (order + 1, k, k).  Lengths are sorted descending and
+    sum to the local multiplicity.  ``beta`` holds all ``beta_j = (sigma -
+    sigma_s)^{-L_j} P_s psi_j`` on a carrier, shape (N, k, J), once
+    ``with_beta`` sets it.
     """
 
     cluster_index: int
@@ -53,7 +71,7 @@ class RootSystem:
     kernel_dim: int
     lengths: list
     chains: list
-    taylor: list
+    taylor: np.ndarray
     beta: Optional[SampledFunction] = None
 
     @property
@@ -62,14 +80,14 @@ class RootSystem:
 
     @property
     def beta0(self) -> np.ndarray:
-        """Matrix whose columns are the values ``beta_j(sigma_s)``, read off the
-        product series of P_s and psi_j: ``sum_i taylor[L_j - i] @ v_{j,i}``."""
-        order, k = len(self.taylor) - 1, self.kernel_dim
-        cols = [
-            sum((self.taylor[L - i] @ chain[i] for i in range(L) if L - i <= order), np.zeros(k, complex))
-            for L, chain in zip(self.lengths, self.chains)
-        ]
-        return np.stack(cols, axis=1)
+        """Matrix whose columns are the values ``beta_j(sigma_s)``: order ``L_j``
+        of the product series of P_s and psi_j, row block ``L_j`` of ``toeplitz``."""
+        k = self.kernel_dim
+        T = toeplitz(self.taylor, max(self.lengths) + 1)
+        return np.stack(
+            [T[L * k : (L + 1) * k, : L * k] @ chain.ravel() for L, chain in zip(self.lengths, self.chains)],
+            axis=1,
+        )
 
     def psi_eval(self, j: int, sigma) -> np.ndarray:
         """Value of the chain polynomial psi_j at sigma (vectorized)."""
@@ -80,39 +98,8 @@ class RootSystem:
             out = out * z[..., None] + coeffs[i]
         return out
 
-    def pole_coefficients(self, j: int, shift: int = 0) -> dict:
-        """Pole coefficients of sigma^shift times the j-th root function.
-
-        Returns ``{m: vector}`` with the coefficient of ``(sigma-center)^{-m}``
-        of the singular part of ``(sigma-center)^shift phi_{j,0}``.
-        """
-        L = self.lengths[j]
-        coeffs = {}
-        for m in range(1, L - shift + 1):
-            coeffs[m] = self.chains[j][L - shift - m]
-        return coeffs
-
     def entry_labels(self) -> list:
         return [(j, l) for j in range(len(self.lengths)) for l in range(self.lengths[j])]
-
-
-def _toeplitz_conditions(taylor: Sequence[np.ndarray], length: int) -> np.ndarray:
-    """Constraint matrix for chains of the given length.
-
-    Rows are the orders m = 1..length-1 of the product series; the unknown is
-    the stacked chain (v_0, ..., v_{length-1}).  The zeroth Taylor
-    coefficient vanishes at the base point, so the last chain vector is
-    unconstrained.
-    """
-    k = taylor[1].shape[0]
-    rows = length - 1
-    M = np.zeros((rows * k, length * k), dtype=complex)
-    for m in range(1, length):
-        for i in range(m):
-            p = m - i
-            if p < len(taylor):
-                M[(m - 1) * k : m * k, i * k : (i + 1) * k] = taylor[p]
-    return M
 
 
 def _null_basis(M: np.ndarray, cols: int, scale: float) -> np.ndarray:
@@ -155,18 +142,19 @@ def root_functions(
     the unconstrained trailing vector is set to zero.  The chain lengths must
     sum to the prescribed multiplicity.
     """
-    taylor = [np.asarray(t, dtype=complex) for t in taylor]
+    taylor = np.array(taylor, dtype=complex)
     if len(taylor) < 2:
         raise InputError("need Taylor data at least through order one")
-    k = taylor[0].shape[0]
-    scale = max(float(np.max(np.abs(t))) for t in taylor)
+    k = taylor.shape[1]
+    scale = float(np.max(np.abs(taylor)))
     if scale == 0.0:
         raise NumericalError("Taylor data vanishes identically")
     if float(np.max(np.abs(taylor[0]))) > 1e-8 * scale:
         raise NumericalError(
             "reduced family does not vanish at the base point; no full chain structure"
         )
-    taylor[0] = np.zeros_like(taylor[0])
+    taylor[0] = 0.0
+    T = toeplitz(taylor, multiplicity + 1)
 
     # lead spaces W_L = leads of chains of length >= L
     lead_spaces = {1: np.eye(k, dtype=complex)}
@@ -175,7 +163,7 @@ def root_functions(
     while L <= multiplicity + 1:
         if L - 1 >= len(taylor):
             raise InputError("insufficient Taylor order for the chain structure")
-        null = _null_basis(_toeplitz_conditions(taylor, L), L * k, scale)
+        null = _null_basis(T[k : L * k, : L * k], L * k, scale)
         W = _subspace_basis(null[:k, :])
         if W.shape[1] == 0:
             break
@@ -212,30 +200,18 @@ def root_functions(
 
     chains = []
     for L, lead in zip(lengths, leads):
-        vs = [lead]
+        middle = np.zeros(0, dtype=complex)
         if L >= 3:
-            # rows m = 2..L-1 constrain v_1..v_{L-2} given the lead
-            A = np.zeros(((L - 2) * k, (L - 2) * k), dtype=complex)
-            b = np.zeros((L - 2) * k, dtype=complex)
-            for m in range(2, L):
-                b[(m - 2) * k : (m - 1) * k] = -taylor[m] @ lead
-                for i in range(1, m):
-                    p = m - i
-                    if p < len(taylor):
-                        A[(m - 2) * k : (m - 1) * k, (i - 1) * k : i * k] = taylor[p]
-            sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-            vs.extend(sol[(i - 1) * k : i * k] for i in range(1, L - 1))
-        if L >= 2:
-            vs.append(np.zeros(k, dtype=complex))
-        chains.append(np.stack(vs))
-
-    # residuals of the chain conditions
-    for L, chain in zip(lengths, chains):
-        for m in range(1, L):
-            res = sum(taylor[m - i] @ chain[i] for i in range(m) if m - i < len(taylor))
-            rel = np.linalg.norm(res / scale)
-            if rel > 1e-7:
-                raise NumericalError(f"relative chain condition residual {rel:.3e}")
+            # orders m = 2..L-1 constrain v_1..v_{L-2} given the lead
+            rows = slice(2 * k, L * k)
+            middle = np.linalg.lstsq(T[rows, k : (L - 1) * k], -T[rows, :k] @ lead, rcond=None)[0]
+        chain = np.concatenate([lead, middle, np.zeros(k if L >= 2 else 0, dtype=complex)]).reshape(L, k)
+        # residuals of the chain conditions, order by order
+        rel = np.linalg.norm((T[k : L * k, : L * k] @ chain.ravel()).reshape(L - 1, k) / scale, axis=1)
+        bad = np.flatnonzero(rel > 1e-7)
+        if bad.size:
+            raise NumericalError(f"relative chain condition residual {rel[bad[0]]:.3e} at order {bad[0] + 1}")
+        chains.append(chain)
 
     system = RootSystem(
         cluster_index=cluster_index,
@@ -302,14 +278,14 @@ def dual_root_functions(primal: RootSystem, samples: SampledFunction) -> DualRoo
 
     # the samples must be the primal's: their dual Taylor data is the conjugate
     # transpose of the primal, read over its largest entry at any scale
-    scale = max(float(np.max(np.abs(t))) for t in primal.taylor)
-    for p in range(order + 1):
-        dev = np.linalg.norm((S[p] - primal.taylor[p].conj().T) / scale)
-        if dev > 1e-8:
-            raise NumericalError(
-                f"samples do not belong to the primal system at order {p} "
-                f"(relative dev {dev:.3e})"
-            )
+    scale = float(np.max(np.abs(primal.taylor)))
+    dev = np.linalg.norm((S - primal.taylor.conj().swapaxes(1, 2)) / scale, axis=(1, 2))
+    bad = np.flatnonzero(dev > 1e-8)
+    if bad.size:
+        raise NumericalError(
+            f"samples do not belong to the primal system at order {bad[0]} "
+            f"(relative dev {dev[bad[0]]:.3e})"
+        )
 
     raw = root_functions(S, primal.total, primal.cluster_index, np.conj(primal.center))
     if sorted(raw.lengths) != sorted(primal.lengths):
@@ -321,37 +297,28 @@ def dual_root_functions(primal: RootSystem, samples: SampledFunction) -> DualRoo
     lengths = list(primal.lengths)
     L_max = max(lengths)
     S = raw.taylor  # zeroth coefficient cleared
+    T = toeplitz(S, 2 * L_max)
 
     chains = []
     residual = 0.0
-    dual_scale = max(float(np.max(np.abs(t))) for t in S)
+    dual_scale = float(np.max(np.abs(S)))
     for jp, Lp in enumerate(lengths):
         # admissible dual chains of length Lp (trailing vector free)
-        N = _null_basis(_toeplitz_conditions(S, Lp), Lp * k, dual_scale)
+        N = _null_basis(T[k : Lp * k, : Lp * k], Lp * k, dual_scale)
         nu = N.shape[1]
-        # alpha Taylor coefficients of each basis element: A[r] = sum_i S_{r+Lp-i} N_i
-        A = np.zeros((L_max, k, nu), dtype=complex)
-        for r_ord in range(L_max):
-            for i in range(Lp):
-                p = r_ord + Lp - i
-                if p <= order:
-                    A[r_ord] += S[p] @ N[i * k : (i + 1) * k, :]
-        rows = []
-        rhs = []
-        for j, Lj in enumerate(lengths):
-            for m in range(Lj):
-                row = np.zeros(nu, dtype=complex)
-                for i in range(min(m, Lj - 1) + 1):
-                    r_ord = m - i
-                    row += primal.chains[j][i].conj() @ A[r_ord]
-                rows.append(row)
-                rhs.append(1.0 if (j == jp and m == Lj - Lp) else 0.0)
-        rows = np.stack(rows)
-        rhs = np.array(rhs, dtype=complex)
-        g, res, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+        # alpha Taylor coefficients of each basis element: orders Lp.. of S N
+        A = (T[Lp * k : (Lp + L_max) * k, : Lp * k] @ N).reshape(L_max, k, nu)
+        # pairing rows: orders 0..L_j-1 of the series conj(psi_j)^T A, in the
+        # pattern that is 1 at order 0 against chain jp and 0 elsewhere
+        AT = toeplitz(A.swapaxes(1, 2), L_max)
+        rows = np.concatenate(
+            [(AT[: L * nu, : L * k] @ c.conj().ravel()).reshape(L, nu) for L, c in zip(lengths, primal.chains)]
+        )
+        rhs = np.zeros(len(rows), dtype=complex)
+        rhs[sum(lengths[:jp])] = 1.0
+        g = np.linalg.lstsq(rows, rhs, rcond=None)[0]
         residual = max(residual, float(np.linalg.norm(rows @ g - rhs)))
-        u = N @ g
-        chains.append(u.reshape(Lp, k))
+        chains.append((N @ g).reshape(Lp, k))
 
     if residual > DUAL_RESIDUAL_LIMIT:
         raise NondegeneracyError(

@@ -28,7 +28,7 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .family import FamilyChart, SturmLiouvilleSpec, _check_keys, _checked_kind, family_from_dict
+from .family import FamilyChart, SturmLiouvilleSpec, _check_keys, _checked_kind, _integer, family_from_dict
 from .frames import Germ, frames_from_blocks, laurent_coefficients, make_germ
 from .keldysh import base_samples, dual_root_functions, root_functions, taylor_coefficients, with_beta
 from .pairing import coefficients, pairing_matrix
@@ -236,8 +236,9 @@ def sweep(
     grid: ParameterGrid,
     probe: Optional[Callable] = None,
     node_count: int = 128,
-    systems=None,
-    duals=None,
+    *,
+    systems,
+    duals,
 ) -> SweepReport:
     """Frames, pairing, and optional probe recovery over a parameter grid.
 
@@ -246,13 +247,12 @@ def sweep(
     the frame, recovers the coefficients through the pairing, and records the
     worst error.  A change of total multiplicity at any grid point aborts the
     sweep with the partial report attached.  ``node_count`` sets the nodes of
-    the carriers and the pairing contours.
+    the carriers and the pairing contours; it must divide the nodes that
+    ``canonical_systems`` built ``systems`` and ``duals`` on.
     """
     t0 = time.perf_counter()
     if grid.ndim != chart.param_dim:
         raise InputError(f"grid has {grid.ndim} axes, the family {chart.param_dim} parameters")
-    if systems is None or duals is None:
-        systems, duals = canonical_systems(chart, base, node_count=2 * node_count)
     if any(sy.beta.circle.node_count % node_count for sy in list(systems) + list(duals)):
         raise InputError(f"sweep nodes {node_count} must divide the nodes the systems were built on")
     base_mults = [cl.multiplicity for cl in base.clusters]
@@ -649,7 +649,7 @@ def _probe_terms(entries: Sequence[dict]) -> list:
     terms = []
     for e in entries:
         _check_keys(e, PROBE_ENTRY_KEYS, PROBE_ENTRY_KEYS, "probe entry")
-        terms.append((int(e["entry"]), _coeff_function(e["coeff"])))
+        terms.append((_integer(e["entry"], "probe entry"), _coeff_function(e["coeff"])))
     return terms
 
 
@@ -690,7 +690,9 @@ def load_problem(spec: dict) -> Problem:
             _check_keys(g, GRID_KEYS, GRID_KEYS, "grid")
             for ax in g["axes"]:
                 _check_keys(ax, AXIS_KEYS, AXIS_KEYS, "grid axis")
-            grid = ParameterGrid.from_ranges([(ax["min"], ax["max"], ax["count"]) for ax in g["axes"]])
+            grid = ParameterGrid.from_ranges(
+                [(ax["min"], ax["max"], _integer(ax["count"], "grid axis count")) for ax in g["axes"]]
+            )
             if grid.ndim != chart.param_dim:
                 raise SpecError("grid dimension does not match the parameter dimension")
 

@@ -78,6 +78,23 @@ class TestSubcommands:
         assert z["multiplicity"] == 2
         assert abs(complex(z["re"], z["im"])) < 1e-8
 
+    def test_indicial_order_takes_effect(self, tmp_path):
+        # m = 3: exactly the simple zeros 0, -i and -2i, in a region that
+        # reaches 0.6 past them on either side
+        path, out = tmp_path / "indicial3.json", tmp_path / "locate.json"
+        path.write_text(json.dumps({"family": {"kind": "indicial", "m": 3}}))
+        assert main(["locate", "--spec", str(path), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["region"][2:] == [-2.6, 0.6]
+        assert [z["multiplicity"] for z in data["zeros"]] == [1, 1, 1]
+        zeros = sorted((complex(z["re"], z["im"]) for z in data["zeros"]), key=lambda z: -z.imag)
+        assert np.allclose(zeros, [0.0, -1j, -2j], rtol=0, atol=1e-8)
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"family": {"kind": "indicial", "m": 3.0}}))
+        assert load_problem_file(path).chart.n == 1
+
     def test_locate_stdout(self, specs, capsys):
         assert main(["locate", "--spec", specs["jordan"]]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -279,10 +296,22 @@ class TestExitCodes:
             {"family": dict(STRIP_FAMILY, sigma=dict(STRIP_FAMILY["sigma"], re=[-1, 1, 9]))},
             {"family": dict(SL_FAMILY, re_window=[0.5])},
             {"family": dict(SL_FAMILY, re_window=[-0.5, 0.5, 9])},
+            # integer fields take integral numbers only: no fraction, bool or string
+            {"family": {"kind": "indicial", "m": 2.9}},
+            {"family": dict(SL_FAMILY, r=1.5)},
+            {"family": dict(SL_FAMILY, mode_cutoff="4")},
+            {"family": dict(SL_FAMILY, k_gap=True)},
+            {"family": dict(STRIP_FAMILY, param_dim=1.5)},
+            {"family": dict(STRIP_FAMILY, terms=[{"sigma_power": 2.5, "matrix": [[1]]}])},
+            {"family": dict(STRIP_FAMILY, terms=[{"y_powers": ["0"], "matrix": [[1]]}])},
+            {"family": {"kind": "branching"}, "grid": {"axes": [{"min": -0.1, "max": 0.1, "count": 3.9}]}},
+            {"family": {"kind": "branching"}, "probe": [{"entry": 0.5, "coeff": {"type": "sin"}}]},
         ],
         ids=[
             "axes", "axis_min", "sl_r", "y0", "min_separation", "rect_re_short",
             "rect_re_long", "rect_im_long", "strip_re_long", "re_window_short", "re_window_long",
+            "indicial_m", "sl_r_fraction", "mode_cutoff_string", "k_gap_bool", "param_dim",
+            "sigma_power", "y_powers_entry", "axis_count", "probe_entry",
         ],
     )
     def test_value_of_wrong_type(self, spec, tmp_path, capsys):

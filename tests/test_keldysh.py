@@ -13,6 +13,7 @@ from kernelbundle.keldysh import (
     dual_root_functions,
     root_functions,
     taylor_coefficients,
+    toeplitz,
     verify_canonical_system,
 )
 from kernelbundle.reduction import SchurEvaluator, base_point_data
@@ -44,6 +45,30 @@ class TestTaylor:
         chart, base, _, _ = jordan_pipeline
         T = taylor_coefficients(base_samples(SchurEvaluator(chart, base, 0), 256), 3)
         assert len(T) == 4
+
+
+class TestToeplitz:
+    @staticmethod
+    def _convolution(series, v):
+        """Orders 0..len(v)-1 of the product series, summed term by term."""
+        zero = np.zeros(series.shape[1], dtype=complex)
+        return np.stack(
+            [sum((series[m - i] @ v[i] for i in range(m + 1) if m - i < len(series)), zero) for m in range(len(v))]
+        )
+
+    @pytest.mark.parametrize(
+        "order, a, b, length",
+        [(3, 2, 3, 4), (2, 3, 2, 5), (6, 2, 2, 3), (4, 3, 1, 1)],
+        ids=["non_square", "series_shorter_than_length", "series_longer_than_length", "length_one"],
+    )
+    def test_operator_is_the_product_series(self, order, a, b, length):
+        rng = np.random.default_rng(7)
+        series = rng.normal(size=(order, a, b)) + 1j * rng.normal(size=(order, a, b))
+        v = rng.normal(size=(length, b)) + 1j * rng.normal(size=(length, b))
+        T = toeplitz(series, length)
+        assert T.shape == (length * a, length * b)
+        expect = self._convolution(series, v)
+        assert np.allclose((T @ v.ravel()).reshape(length, a), expect, rtol=0, atol=1e-13)
 
 
 class TestChains:
@@ -101,15 +126,6 @@ class TestChains:
         vals = system.psi_eval(0, sig)
         expect = system.chains[0][0][None, :] + (sig - 0.3)[:, None] * system.chains[0][1]
         assert np.allclose(vals, expect, atol=1e-14)
-
-    def test_pole_coefficients(self):
-        T = [_z(2), np.diag([0.0, 1.0]), np.diag([-1.0, 0.0]), _z(2)]
-        system = root_functions(T, 3)
-        pc = system.pole_coefficients(0)
-        assert set(pc) == {1, 2}
-        assert np.allclose(pc[2], system.chains[0][0])
-        assert np.allclose(pc[1], system.chains[0][1])
-        assert set(system.pole_coefficients(0, shift=1)) == {1}
 
     def test_entry_labels(self):
         T = [_z(2), np.diag([0.0, 1.0]), np.diag([-1.0, 0.0]), _z(2)]
@@ -178,6 +194,22 @@ class TestDual:
         dual_root_functions(systems[1], samples)
         with pytest.raises(NumericalError, match="do not belong"):
             dual_root_functions(systems[0], samples)
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_deviating_order_is_named(self, sl_big_pipeline, order):
+        # a term eps (zeta - c)^order on the primal samples moves only the
+        # dual Taylor coefficient of that order, by eps relative to the scale
+        chart, base, systems, _ = sl_big_pipeline
+        samples = base_samples(SchurEvaluator(chart, base, 0), 256)
+        scale = float(np.max(np.abs(systems[0].taylor)))
+        bump = ((samples.circle.nodes - samples.circle.center) ** order)[:, None, None]
+
+        def perturbed(eps):
+            return SampledFunction(samples.circle, samples.values + eps * scale * bump)
+
+        dual_root_functions(systems[0], perturbed(1e-10))
+        with pytest.raises(NumericalError, match=f"do not belong to the primal system at order {order} "):
+            dual_root_functions(systems[0], perturbed(1e-6))
 
     def test_adjoint_samples_from_primal_samples(
         self, sl_big_pipeline, jordan_pipeline, triangular_pipeline, monkeypatch

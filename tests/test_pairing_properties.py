@@ -39,10 +39,7 @@ def chain_families(draw):
     return terms, powers
 
 
-@SETTINGS
-@given(chain_families())
-def test_base_pairing_pattern_for_mixed_chain_lengths(family):
-    terms, powers = family
+def _check_base_pairing_pattern(terms, powers):
     chart = matrix_polynomial_chart(terms, REGION)
     base = base_point_data(chart, [0.0])
     systems, duals = canonical_systems(chart, base)
@@ -50,3 +47,23 @@ def test_base_pairing_pattern_for_mixed_chain_lengths(family):
     assert base_point_check(chart, base, systems, duals) < 1e-8
     reduced = reduced_pairing_matrix(chart, base, systems, duals, [0.0])
     assert np.max(np.abs(reduced.matrix - expected_base_pairing(systems))) < 1e-8
+
+
+@SETTINGS
+@given(chain_families())
+def test_base_pairing_pattern_for_mixed_chain_lengths(family):
+    _check_base_pairing_pattern(*family)
+
+
+def test_base_pairing_pattern_for_a_chain_of_length_four():
+    # U diag(sigma^4, sigma^2) V (I + sigma B): without the unit factor
+    # I + sigma B every chain vector past the lead is zero; with it, the
+    # continuation solve fixes v_1 and v_2 of the length-4 chain, which the
+    # pairing pattern then pins
+    rng = np.random.default_rng(4)
+    u, v, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
+    u, v = np.linalg.qr(u)[0], np.linalg.qr(v)[0]
+    b *= 0.25 / np.max(np.abs(np.linalg.eigvals(b)))  # det(I + sigma B) has no zero in REGION
+    d4, d2 = u @ np.diag([1.0, 0.0]) @ v, u @ np.diag([0.0, 1.0]) @ v
+    terms = [PolyTerm(p, (0,), m) for p, m in ((2, d2), (3, d2 @ b), (4, d4), (5, d4 @ b))]
+    _check_base_pairing_pattern(terms, [4, 2])

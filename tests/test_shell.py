@@ -215,7 +215,8 @@ class TestSweep:
         def probe(y):
             return np.array([1.0 + y[0] ** 2 + 0.5 * y[1] ** 2, y[0] * y[1]])
 
-        report = sweep(chart, base, grid, probe=probe)
+        systems, duals = canonical_systems(chart, base)
+        report = sweep(chart, base, grid, probe=probe, systems=systems, duals=duals)
         assert len(report.points) == 25 and not report.failures
         dd0, dd1 = report.coefficient_dd
         assert dd0 == pytest.approx(1.0, rel=1e-6)  # the larger of 1 and 0.5
@@ -480,6 +481,10 @@ class TestProblemFiles:
               for key in ("min", "max", "count")],
             ("entry", {"family": BRANCHING, "probe": [{"coeff": {"type": "sin"}}]}),
             ("coeff", {"family": BRANCHING, "probe": [{"entry": 0}]}),
+            ("re", {"family": dict(MATRIX_POLYNOMIAL, sigma={"kind": "rectangle", "im": [-2, 2]})}),
+            ("im", {"family": dict(MATRIX_POLYNOMIAL, sigma={"re": [-2, 2]})}),
+            ("im_half_width", {"family": dict(MATRIX_POLYNOMIAL, sigma={"kind": "strip"})}),
+            ("sigma", {"family": {k: v for k, v in MATRIX_POLYNOMIAL.items() if k != "sigma"}}),
         ],
     )
     def test_required_nested_keys(self, key, spec):
