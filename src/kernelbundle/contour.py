@@ -72,6 +72,11 @@ class Circle:
     def nodes(self) -> np.ndarray:
         return self.center + self.radius * self.unit
 
+    def path(self, node_count: int) -> np.ndarray:
+        """Nodes of the same circle at another node count; at twice the count, the
+        even entries are this circle's nodes bit for bit."""
+        return Circle(self.center, self.radius, node_count).nodes
+
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _unit_roots(node_count: int) -> np.ndarray:
@@ -297,9 +302,9 @@ def _samples(q: Callable, points: np.ndarray):
 
 def _winding(phase: np.ndarray, logabs: np.ndarray):
     """Winding number of a closed loop of ``(phase, logabs)`` samples, or None when
-    too coarse to tell (a phase step of pi/2 or more, or no whole turn).  Raises
-    on a non-finite sample, and on a zero near the contour: a modulus below
-    ``MIN_MODULUS_FACTOR`` times the largest one of the loop."""
+    too coarse to tell (a complex-log step ``hypot(d arg q, d log|q|)`` of pi/2 or
+    more, or no whole turn).  Raises on a non-finite sample, and on a zero near the
+    contour: a modulus below ``MIN_MODULUS_FACTOR`` times the largest one of the loop."""
     if phase.ndim != 1:
         raise InputError("winding counts expect a scalar-valued function")
     if not np.all(logabs < np.inf):
@@ -308,48 +313,47 @@ def _winding(phase: np.ndarray, logabs: np.ndarray):
     if hi == -np.inf or lo < hi + np.log(MIN_MODULUS_FACTOR):
         raise ZeroOnContourError(f"zero too close to contour: log |q| from {lo:.3e} to {hi:.3e}")
     steps = np.angle(np.roll(phase, -1) / phase)
-    if np.max(np.abs(steps)) < MAX_PHASE_STEP:
+    if np.max(np.hypot(steps, np.roll(logabs, -1) - logabs)) < MAX_PHASE_STEP:
         w = steps.sum() / (2.0 * np.pi)
         if abs(w - round(w)) < 0.05:
             return int(round(w))
     return None
 
 
+def _continued_winding(q: Callable, path: Callable, phase: np.ndarray, logabs: np.ndarray) -> int:
+    """Winding number of ``q`` along ``path`` from its ``(phase, logabs)`` samples at
+    ``path(n)``.  While ``_winding`` cannot resolve the loop, ``q`` is sampled at the
+    n midpoints only, the odd entries of ``path(2n)``, and interleaved with the
+    samples held, up to ``MAX_WINDING_NODES``, after which a resolution error is raised.
+    """
+    while (w := _winding(phase, logabs)) is None:
+        n = len(phase)
+        if n >= MAX_WINDING_NODES:
+            raise ResolutionError(f"winding number did not stabilize within {MAX_WINDING_NODES} nodes")
+        mid = _samples(q, path(2 * n)[1::2])
+        phase, logabs = (np.stack(pair, axis=1).ravel() for pair in zip((phase, logabs), mid))
+    return w
+
+
 def winding_number(q: Callable, path: Callable, initial_nodes: int) -> int:
     """Winding number of ``q`` along a closed path by accumulated argument increments.
 
-    ``path`` maps an array of parameters in ``[0, 1)`` to points on the contour.
-    Node count starts at ``initial_nodes``, at least 16, and doubles until
-    ``_winding`` resolves the loop, up to the hard cap, after which a
-    resolution error is raised.
+    ``path`` maps a node count n to the n nodes of the loop in order, and
+    ``path(2n)[::2]`` must equal ``path(n)``.  Node count starts at
+    ``initial_nodes``, at least 16, and doubles, sampling only the new nodes,
+    until ``_winding`` resolves the loop (see ``_continued_winding``).
     """
     n = int(initial_nodes)
     if n < 16:
         raise InputError(f"node_count must be at least 16, got {initial_nodes}")
-    while True:
-        t = np.arange(n) / n
-        w = _winding(*_samples(q, path(t)))
-        if w is not None:
-            return w
-        if n >= MAX_WINDING_NODES:
-            raise ResolutionError(
-                f"winding number did not stabilize within {MAX_WINDING_NODES} nodes"
-            )
-        n *= 2
-
-
-def _circle_path(center: complex, radius: float) -> Callable:
-    def path(t):
-        return center + radius * np.exp(2j * np.pi * t)
-
-    return path
+    return _continued_winding(q, path, *_samples(q, path(n)))
 
 
 def _rectangle_path(rect: Rectangle) -> Callable:
     corners = np.array(rect.corners + [rect.corners[0]])
 
-    def path(t):
-        t = np.asarray(t)
+    def path(n):
+        t = np.arange(n) / n
         edge = np.minimum((t * 4).astype(int), 3)
         local = t * 4 - edge
         a = corners[edge]
@@ -361,7 +365,7 @@ def _rectangle_path(rect: Rectangle) -> Callable:
 
 def count_zeros(q: Callable, circle: Circle) -> int:
     """Number of zeros of ``q`` inside the circle, counted with multiplicity."""
-    return winding_number(q, _circle_path(circle.center, circle.radius), circle.node_count)
+    return winding_number(q, circle.path, circle.node_count)
 
 
 def count_zeros_rectangle(q: Callable, rect: Rectangle, initial_nodes: int = 64) -> int:
@@ -443,14 +447,12 @@ def refine_cluster(
 
 def _counted_circle(q, center, radius):
     """``(count, samples scaled to largest modulus one, circle)``; the radius is nudged off
-    grazed zeros, and a loop the samples cannot resolve is recounted from twice the nodes."""
+    grazed zeros, and a loop the samples cannot resolve is continued at its midpoints."""
     for attempt in range(6):
         circ = Circle(center, radius, REFINE_NODES)
         try:
             phase, logabs = _samples(q, circ.nodes)
-            w = _winding(phase, logabs)
-            if w is None:
-                w = winding_number(q, _circle_path(center, radius), 2 * REFINE_NODES)
+            w = _continued_winding(q, circ.path, phase, logabs)
             return w, phase * np.exp(logabs - logabs.max()), circ
         except ZeroOnContourError:
             radius *= 1.17
@@ -462,7 +464,7 @@ def _verify_location(q, loc: complex, mult: int, min_separation: float) -> bool:
     radius = 0.6 * min_separation
     for _ in range(3):
         try:
-            return winding_number(q, _circle_path(loc, radius), 64) == mult
+            return count_zeros(q, Circle(loc, radius, 64)) == mult
         except (ZeroOnContourError, ResolutionError):
             radius *= 1.13
     return False

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, Rectangle, SampledFunction, _winding, cauchy_moment, count_zeros, locate_zeros
+from .contour import Circle, Rectangle, SampledFunction, _continued_winding, cauchy_moment, locate_zeros
 from .errors import (
     ClusteredPolesError,
     DimensionJumpError,
@@ -354,11 +354,9 @@ def _point_samples(ev: SchurEvaluator, y, node_count: int) -> list:
 
 def _multiplicity(ev: SchurEvaluator, y, circle: Circle, blocks) -> int:
     """Reduced-determinant zeros in a count circle, from the ``slogdet`` of its samples;
-    a loop they cannot resolve is counted adaptively from twice the nodes."""
-    w = _winding(*np.linalg.slogdet(_schur(blocks, circle.nodes)[0]))
-    if w is None:
-        w = count_zeros(ev.qdet_function(y), Circle(circle.center, circle.radius, 2 * circle.node_count))
-    return w
+    a loop they cannot resolve is continued at its midpoints."""
+    held = np.linalg.slogdet(_schur(blocks, circle.nodes)[0])
+    return _continued_winding(ev.qdet_function(y), circle.path, *held)
 
 
 # ---------------------------------------------------------------------------

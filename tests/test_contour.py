@@ -194,7 +194,7 @@ class TestCounting:
             with pytest.raises(InputError, match=f"at least 16, got {n}"):
                 count_zeros_rectangle(self.q, rect, n)
         with pytest.raises(InputError, match="at least 16, got 8"):
-            winding_number(self.q, lambda t: np.exp(2j * np.pi * t), 8)
+            winding_number(self.q, Circle(0.0, 1.0).path, 8)
         assert count_zeros_rectangle(self.q, rect, 16) == 3
 
     def test_transcendental(self):
@@ -215,14 +215,37 @@ class TestCounting:
         with pytest.raises(TypeError):
             count_zeros(lambda z: complex(z) - 0.1, Circle(0.0, 1.0, 64))
 
-    @pytest.mark.xfail(strict=True, reason="a phase step of 2 pi between two nodes reads as no step")
     @pytest.mark.parametrize("zeros", [[-1 + 1e-3 - 0.3956j] * 2, [0.1875 - 0.499j, 0.21875 - 0.499j]])
     def test_two_zeros_near_an_edge(self, zeros):
         # a double zero, or two simple ones 0.03 apart, 1e-3 inside an edge: one
-        # step between two nodes turns by almost 2 pi and reads as a small one,
-        # so the count is 1; locate_zeros recounts each zero it reports
+        # step between two nodes turns the phase by almost 2 pi, which reads as a
+        # small turn, but |q| changes by orders of magnitude there, so the
+        # complex-log step refuses the loop and the count refines to 2
         q = lambda z: (z - zeros[0]) * (z - zeros[1])
         assert count_zeros_rectangle(q, Rectangle(-1, 1, -0.5, 0.75)) == 2
+
+    def test_refinement_samples_only_the_midpoints(self):
+        calls = []
+
+        def power(k):
+            def q(z):
+                calls.append(z)
+                return z ** k
+
+            return q
+
+        # z^30 turns by more than pi/2 between the nodes of the square at 64 and
+        # at 128 nodes, so its count doubles twice; each doubling samples only
+        # the new midpoints, and no node twice
+        assert count_zeros_rectangle(power(30), Rectangle(-1, 1, -1, 1)) == 30
+        assert [len(z) for z in calls] == [64, 64, 128]
+        assert len(np.unique(np.concatenate(calls))) == 256
+        # z^70 turns by more than pi/2 between 256 nodes: the refinement circle
+        # continues on its 256 midpoints, not on 512 fresh nodes
+        calls.clear()
+        assert refine_cluster(power(70), 0.0, 1.0, 70) == pytest.approx(0.0, abs=1e-12)
+        assert [len(z) for z in calls] == [256, 256]
+        assert np.array_equal(calls[1], Circle(0.0, 1.0, 512).nodes[1::2])
 
     def test_wrong_leading_shape(self):
         with pytest.raises(InputError):

@@ -28,14 +28,16 @@ def unitaries(draw, m):
 
 @st.composite
 def chain_families(draw):
-    """``U diag(sigma^k_1, ..., sigma^k_m) V`` as PolyTerm lists, with the k_i."""
+    """``U diag(sigma^k_1, ..., sigma^k_m) V (I + sigma B)`` as PolyTerm lists, with
+    the k_i.  B is a unitary scaled to spectral radius 1/4, so det(I + sigma B) has
+    no zero in REGION, and the chain vectors past the lead are not zero."""
     powers = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     m = len(powers)
-    u, v = draw(unitaries(m)), draw(unitaries(m))
-    terms = [
-        PolyTerm(k, (0,), u @ np.diag([1.0 if p == k else 0.0 for p in powers]) @ v)
-        for k in sorted(set(powers))
-    ]
+    u, v, b = draw(unitaries(m)), draw(unitaries(m)), 0.25 * draw(unitaries(m))
+    terms = []
+    for k in sorted(set(powers)):
+        d = u @ np.diag([1.0 if p == k else 0.0 for p in powers]) @ v
+        terms += [PolyTerm(k, (0,), d), PolyTerm(k + 1, (0,), d @ b)]
     return terms, powers
 
 

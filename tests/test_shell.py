@@ -6,7 +6,6 @@ import pytest
 
 import kernelbundle as kb
 from kernelbundle import shell
-from kernelbundle.contour import count_zeros
 from kernelbundle.errors import (
     DimensionJumpError,
     InputError,
@@ -138,23 +137,31 @@ class TestSweep:
         assert not report.failures and report.points[0].probe_error < 1e-8
         assert calls == [(0.05,)] * (2 * len(base.clusters))
 
-    def test_count_falls_back_to_adaptive_winding(self, monkeypatch):
-        # sigma^17 turns 17 * 2 pi / 64 > pi/2 between first-pass nodes, so
-        # the count continues adaptively, from 128 nodes on
+    def test_count_continues_on_the_midpoints(self, monkeypatch):
+        # sigma^17 turns 17 * 2 pi / 64 > pi/2 between the 64 count nodes, so
+        # each count continues on the 64 midpoints of its circle, and only there
         chart = matrix_polynomial_chart([PolyTerm(17, (0,), np.eye(1))], SigmaRegion(-2, 2, -2, 2))
         one, empty = np.eye(1), np.zeros((1, 0))
         cluster = kb.reduction.Cluster(0j, 17, 1, one, empty, one, empty, 0.5)
         ev = kb.SchurEvaluator(chart, kb.reduction.BasePointData(chart, np.zeros(1), [cluster]), 0)
-        adaptive = []
+        sampled = []
+        qdet_function = ev.qdet_function
 
-        def counted(q, circle):
-            adaptive.append((circle.node_count, circle.radius))
-            return count_zeros(q, circle)
+        def counted(y):
+            q = qdet_function(y)
 
-        monkeypatch.setattr(shell, "count_zeros", counted)
+            def recorded(sigma):
+                sampled.append(sigma)
+                return q(sigma)
+
+            return recorded
+
+        monkeypatch.setattr(ev, "qdet_function", counted)
         samples = shell._point_samples(ev, [0.0], 128)
         assert [shell._multiplicity(ev, [0.0], *smp) for smp in samples[:2]] == [17, 17]
-        assert adaptive == [(128, 0.5), (128, 0.25)]
+        assert [len(s) for s in sampled] == [64, 64]
+        for s, (circle, _) in zip(sampled, samples):
+            assert np.array_equal(s, circle.path(128)[1::2])
 
     def test_node_count_must_divide_system_nodes(self, branching_pipeline):
         # the systems carry beta on 256 nodes; a sweep on 96 stops before any point
