@@ -206,6 +206,9 @@ def cmd_trace(args) -> int:
     for extra in pieces[1:]:
         merged.terms.extend(extra.terms)
         merged.dropped.extend(extra.dropped)
+    # every piece passed its own cross-check; report the worst of them
+    gaps = [p.symbolic_numeric_gap for p in pieces if p.symbolic_numeric_gap is not None]
+    merged.symbolic_numeric_gap = max(gaps, default=None)
     merged.terms.sort(key=lambda t: (round(-t.sigma.imag, 9), round(t.sigma.real, 9), t.power))
     _write_json(merged.to_dict(), args.out)
     return 0

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, Rectangle, count_zeros, locate_zeros
+from .contour import Circle, Rectangle, _continued_winding, locate_zeros
 from .errors import (
     InputError,
     NumericalError,
@@ -250,9 +250,27 @@ def _schur(blocks, sigmas):
     return p11 - p12 @ correction, correction, inv
 
 
+def _sample_sets(ev: SchurEvaluator, y, point_sets) -> list:
+    """The blocks of one cluster at y on each of several point sets, sliced from one
+    ``blocks_many`` call on their concatenated nodes: a node's blocks do not depend
+    on the batch that carries it."""
+    blocks = ev.blocks_many(y, np.concatenate(point_sets))
+    ends = np.cumsum([len(pts) for pts in point_sets])
+    return [tuple(b[e - len(pts) : e] for b in blocks) for pts, e in zip(point_sets, ends)]
+
+
+def _multiplicity(ev: SchurEvaluator, y, circle: Circle, blocks) -> int:
+    """Reduced-determinant zeros in a count circle, from the ``slogdet`` of its samples;
+    a loop they cannot resolve is continued at its midpoints."""
+    held = np.linalg.slogdet(_schur(blocks, circle.nodes)[0])
+    return _continued_winding(ev.qdet_function(y), circle.path, *held)
+
+
 def local_multiplicity(ev: SchurEvaluator, y) -> int:
-    """Zeros of the reduced determinant, with multiplicity, inside the cluster circle."""
-    return count_zeros(ev.qdet_function(y), Circle(ev.cluster.center, ev.cluster.radius))
+    """Zeros of the reduced determinant, with multiplicity, inside the cluster circle,
+    counted from one block evaluation on its nodes."""
+    circle = Circle(ev.cluster.center, ev.cluster.radius)
+    return _multiplicity(ev, y, circle, *_sample_sets(ev, y, [circle.nodes]))
 
 
 def _slogdet_function(matrices: Callable, n: int) -> Callable:
@@ -312,8 +330,9 @@ def _disc_samples(center: complex, radius: float):
     return np.array(pts)
 
 
-def _p22_margin(ev: SchurEvaluator, y, pts) -> float:
-    _, _, _, p22 = ev.blocks_many(y, pts)
+def _p22_margin(blocks) -> float:
+    """Smallest singular value of p22 over the largest, across the sampled nodes."""
+    p22 = blocks[3]
     if p22.shape[1] == 0:
         return np.inf
     s = np.linalg.svd(p22, compute_uv=False)
@@ -345,77 +364,59 @@ def validate_neighborhood(
 
     Margins are relative; the report records the worst case per condition.
     """
-    conditions = []
+    return _neighborhood(chart, base, y_grid, [])[0]
 
+
+def _neighborhood(chart: FamilyChart, base: BasePointData, y_grid: Sequence, counted: list) -> tuple:
+    """The report of ``validate_neighborhood``, and the blocks at y0 on each cluster's
+    circle in ``counted`` (one per cluster, or none); None where the discs leave the region.
+
+    Each cluster is evaluated once per grid y, on its disc and annulus nodes; the
+    doubled disc of (2) and the circles join the batch of y0 when y0 is a grid
+    point, and are evaluated on their own otherwise.
+    """
     # (1) geometry
-    region_slack = min(
-        chart.sigma.boundary_distance(a.center) - 2 * a.radius for a in base.clusters
-    )
+    region_slack = min(chart.sigma.boundary_distance(a.center) - 2 * a.radius for a in base.clusters)
     slack = region_slack
     for i, a in enumerate(base.clusters):
         for b in base.clusters[i + 1 :]:
             slack = min(slack, abs(a.center - b.center) - 2 * (a.radius + b.radius))
-    conditions.append(
-        ConditionResult("disjoint_discs_in_region", bool(slack > 0), float(slack))
-    )
+    conditions = [ConditionResult("disjoint_discs_in_region", bool(slack > 0), float(slack))]
+    names = ("complement_invertible_base", "complement_invertible_grid", "annulus_nonvanishing")
     if region_slack <= 0:
         # the remaining conditions sample the doubled discs, which here poke
         # out of the chart region, so they cannot be evaluated
-        for name in (
-            "complement_invertible_base",
-            "complement_invertible_grid",
-            "annulus_nonvanishing",
-        ):
-            conditions.append(
-                ConditionResult(name, False, 0.0, "not evaluated: discs leave the region")
-            )
-        return ValidationReport(conditions)
+        conditions += [ConditionResult(n, False, 0.0, "not evaluated: discs leave the region") for n in names]
+        return ValidationReport(conditions), None
 
-    # (2) complement block invertible on doubled discs at y0
-    margin2 = np.inf
-    for s in range(len(base.clusters)):
-        ev = SchurEvaluator(chart, base, s)
-        pts = _disc_samples(ev.cluster.center, 2.0 * ev.cluster.radius)
-        margin2 = min(margin2, _p22_margin(ev, base.y0, pts))
-    conditions.append(
-        ConditionResult(
-            "complement_invertible_base", bool(margin2 > INVERTIBILITY_FLOOR), float(margin2)
-        )
-    )
-
-    # (3) complement block invertible on discs across the grid
-    margins3 = []
-    for s in range(len(base.clusters)):
-        ev = SchurEvaluator(chart, base, s)
-        pts = _disc_samples(ev.cluster.center, ev.cluster.radius)
-        for y in y_grid:
-            margins3.append((_p22_margin(ev, y, pts), f"cluster {s}, y = {y}"))
-    margin3, worst3 = _worst_margin(margins3)
-    conditions.append(
-        ConditionResult(
-            "complement_invertible_grid", bool(margin3 > INVERTIBILITY_FLOOR), float(margin3), worst3
-        )
-    )
-
-    # (4) no reduced zeros in the outer annulus across the grid
-    margins4 = []
+    y0 = _as_param(base.y0, chart.param_dim).tobytes()
+    at = next((i for i, y in enumerate(y_grid) if _as_param(y, chart.param_dim).tobytes() == y0), None)
     radii = np.array([0.5, 0.625, 0.75, 0.875, 0.98])
-    theta = 2 * np.pi * np.arange(ANNULUS_SAMPLES) / ANNULUS_SAMPLES
-    for s in range(len(base.clusters)):
+    unit = np.exp(1j * (2 * np.pi * np.arange(ANNULUS_SAMPLES) / ANNULUS_SAMPLES))
+    margin2, margins3, margins4, held = np.inf, [], [], []
+    for s, cl in enumerate(base.clusters):
         ev = SchurEvaluator(chart, base, s)
-        c = ev.cluster
-        ring = (radii[:, None] * c.radius * np.exp(1j * theta)[None, :]).ravel()
-        pts = c.center + ring
-        for y in y_grid:
-            _, logabs = ev.qdet_function(y)(pts)
+        disc = _disc_samples(cl.center, cl.radius)
+        ring = cl.center + (radii[:, None] * cl.radius * unit[None, :]).ravel()
+        at_y0 = [_disc_samples(cl.center, 2.0 * cl.radius)] + [c.nodes for c in counted[s : s + 1]]
+        y0_blocks = _sample_sets(ev, base.y0, at_y0) if at is None else None
+        for i, y in enumerate(y_grid):
+            blocks = _sample_sets(ev, y, [disc, ring] + (at_y0 if i == at else []))
+            y0_blocks = blocks[2:] if i == at else y0_blocks
+            # (3) complement block invertible on the disc, (4) no reduced zeros in the annulus
+            _, logabs = np.linalg.slogdet(_schur(blocks[1], ring)[0])
             lo, hi = np.min(logabs), np.max(logabs)
+            margins3.append((_p22_margin(blocks[0]), f"cluster {s}, y = {y}"))
             margins4.append((float(np.exp(lo - hi)) if lo > -np.inf else 0.0, f"cluster {s}, y = {y}"))
-    margin4, worst4 = _worst_margin(margins4)
-    conditions.append(
-        ConditionResult("annulus_nonvanishing", bool(margin4 > ANNULUS_FLOOR), float(margin4), worst4)
-    )
+        # (2) complement block invertible on the doubled disc at y0
+        margin2 = min(margin2, _p22_margin(y0_blocks[0]))
+        held += y0_blocks[1:]
 
-    return ValidationReport(conditions)
+    margins = [(margin2, ""), _worst_margin(margins3), _worst_margin(margins4)]
+    floors = (INVERTIBILITY_FLOOR, INVERTIBILITY_FLOOR, ANNULUS_FLOOR)
+    for name, (margin, worst), floor in zip(names, margins, floors):
+        conditions.append(ConditionResult(name, bool(margin > floor), float(margin), worst))
+    return ValidationReport(conditions), held
 
 
 def base_point_data(
@@ -476,12 +477,13 @@ def base_point_data(
             )
         if ok:
             base = BasePointData(chart, y0, clusters)
-            check = validate_neighborhood(chart, base, [y0])
+            circles = [Circle(cl.center, cl.radius) for cl in clusters]
+            check, held = _neighborhood(chart, base, [y0], circles)
             if check.passed:
-                # consistency: the reduced determinant sees the same multiplicity
+                # consistency: the reduced determinant sees the same multiplicity,
+                # counted from the samples taken with the checks
                 for s, cl in enumerate(clusters):
-                    ev = SchurEvaluator(chart, base, s)
-                    d = local_multiplicity(ev, y0)
+                    d = _multiplicity(SchurEvaluator(chart, base, s), y0, circles[s], held[s])
                     if d != cl.multiplicity:
                         raise NumericalError(
                             f"local multiplicity {d} disagrees with located multiplicity "

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, Rectangle, SampledFunction, _continued_winding, cauchy_moment, locate_zeros
+from .contour import Circle, Rectangle, SampledFunction, cauchy_moment, locate_zeros
 from .errors import (
     ClusteredPolesError,
     DimensionJumpError,
@@ -36,7 +36,8 @@ from .reduction import (
     CARRIER_FRACTION,
     BasePointData,
     SchurEvaluator,
-    _schur,
+    _multiplicity,
+    _sample_sets,
     base_point_data,
 )
 
@@ -347,16 +348,7 @@ def _point_samples(ev: SchurEvaluator, y, node_count: int) -> list:
     c = ev.cluster
     circles = [Circle(c.center, f * c.radius, COUNT_NODES) for f in (1.0, 0.5)]
     circles += [c.contour(MARGIN_NODES), c.carrier(node_count)]
-    blocks = ev.blocks_many(y, np.concatenate([circle.nodes for circle in circles]))
-    ends = np.cumsum([circle.node_count for circle in circles])
-    return [(ci, tuple(b[e - ci.node_count : e] for b in blocks)) for ci, e in zip(circles, ends)]
-
-
-def _multiplicity(ev: SchurEvaluator, y, circle: Circle, blocks) -> int:
-    """Reduced-determinant zeros in a count circle, from the ``slogdet`` of its samples;
-    a loop they cannot resolve is continued at its midpoints."""
-    held = np.linalg.slogdet(_schur(blocks, circle.nodes)[0])
-    return _continued_winding(ev.qdet_function(y), circle.path, *held)
+    return list(zip(circles, _sample_sets(ev, y, [circle.nodes for circle in circles])))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 import kernelbundle
 from kernelbundle.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_VALIDATION, main
-from kernelbundle.shell import load_problem_file
+from kernelbundle.shell import CROSS_CHECK_TOL, load_problem_file, trace_from_germ
 
 # ||a(y)|| = 0.25 + 0.1 y reaches r_bound = 0.4 at y = 1.5
 SL_FAMILY = {
@@ -257,6 +257,24 @@ class TestSubcommands:
         assert t0["log_power"] == 0
         assert t1["sigma"] == pytest.approx([0.0, -1.0], abs=1e-9)
         assert t1["coeff"] == pytest.approx([-1.0, 0.0], abs=1e-8)
+
+    def test_trace_reports_the_worst_cross_check(self, tmp_path, monkeypatch):
+        # the order-3 indicial family has a cluster at each of 0, -i and -2i;
+        # the output's gap is the largest of the three pieces', not the first's
+        spec, out = tmp_path / "indicial3.json", tmp_path / "trace.json"
+        spec.write_text(json.dumps({"family": {"kind": "indicial", "m": 3}}))
+        gaps = []
+
+        def recorded(*args):
+            piece = trace_from_germ(*args)
+            gaps.append(piece.symbolic_numeric_gap)
+            return piece
+
+        monkeypatch.setattr(kernelbundle.cli, "trace_from_germ", recorded)
+        argv = ["trace", "--spec", str(spec), "--gamma", "3", "--window", "3.5", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(gaps) == 3 and max(gaps) < CROSS_CHECK_TOL
+        assert json.loads(out.read_text())["symbolic_numeric_gap"] == max(gaps)
 
 
 class TestExitCodes:

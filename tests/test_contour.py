@@ -16,6 +16,7 @@ from kernelbundle.contour import (
 )
 from kernelbundle.errors import (
     InputError,
+    KernelBundleError,
     RegionError,
     ResolutionError,
     ZeroOnContourError,
@@ -246,6 +247,32 @@ class TestCounting:
         assert refine_cluster(power(70), 0.0, 1.0, 70) == pytest.approx(0.0, abs=1e-12)
         assert [len(z) for z in calls] == [256, 256]
         assert np.array_equal(calls[1], Circle(0.0, 1.0, 512).nodes[1::2])
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="doubling is global: a cut through a zero spends the whole node budget (ROADMAP item 2 (b), (c))",
+    )
+    def test_a_cut_through_a_zero_fails_within_1024_nodes(self):
+        """The right edge of the box runs through the zero -i sqrt(1.25), so no count
+        can resolve it; a typed error should come within 1,024 sampled nodes.
+
+        Today the count doubles globally up to ``MAX_WINDING_NODES`` and raises
+        ``ResolutionError`` after 16,384 nodes.  The same cost lands wherever a
+        cut runs through a zero: locate-n64's first cut, (0.5, 0.5), lies on
+        Re sigma = 0 through both zeros, 16,384 of each y0's 24,320 nodes, and
+        sweep-n8's base point pays 16,384 of the 23,616 nodes at which
+        ``base_point_data`` samples the determinant.
+        """
+        sampled = []
+
+        def q(z):
+            sampled.append(np.size(z))
+            return z ** 2 + 1.25
+
+        with pytest.raises(KernelBundleError):
+            count_zeros_rectangle(q, Rectangle(-1, 0, -1.5, 0), 128)
+        assert sum(sampled) <= 1024
 
     def test_wrong_leading_shape(self):
         with pytest.raises(InputError):

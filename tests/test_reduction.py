@@ -36,6 +36,7 @@ from kernelbundle.reduction import (
     local_multiplicity,
     validate_neighborhood,
 )
+from kernelbundle.shell import ParameterGrid, canonical_systems
 
 
 class TestKernelCokernel:
@@ -373,6 +374,37 @@ class TestNeighborhood:
         d = validate_neighborhood(chart, base, [[0.0]]).to_dict()
         assert d["passed"] is True
         assert len(d["conditions"]) == 4
+
+    def test_one_evaluation_per_cluster_and_parameter(self, sl_big_chart, monkeypatch):
+        # the sweep-n8 chart has four clusters at y0 = 0: each is evaluated once
+        # for the checks and the count of base_point_data, and once for its
+        # carrier in canonical_systems; a validation once per grid y, with the
+        # doubled discs in the batch of y0; the nodes stay those of one batch
+        # per point set
+        chart, _ = sl_big_chart
+        calls = []
+        blocks_many = SchurEvaluator.blocks_many
+
+        def counted(self, y, sigmas):
+            calls.append(len(sigmas))
+            return blocks_many(self, y, sigmas)
+
+        monkeypatch.setattr(SchurEvaluator, "blocks_many", counted)
+        base = base_point_data(chart, [0.0])
+        canonical_systems(chart, base)
+        assert len(base.clusters) == 4
+        assert (len(calls), sum(calls)) == (8, 4 * (37 + 37 + 240 + 128) + 4 * 256)
+        calls.clear()
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 21)]).points()
+        assert validate_neighborhood(chart, base, grid).passed
+        assert (len(calls), sum(calls)) == (84, 4 * (37 + 21 * (37 + 240)))
+        calls.clear()
+        # off the grid, y0 costs one more call per cluster
+        off = validate_neighborhood(chart, base, [[0.05]])
+        assert (len(calls), sum(calls)) == (8, 4 * (37 + 37 + 240))
+        # and its margin does not depend on the batch that carries it
+        on = validate_neighborhood(chart, base, [[0.05], [0.0]])
+        assert on.conditions[1].margin == off.conditions[1].margin
 
 
 def _scalar_dirichlet(mode_cutoff):
