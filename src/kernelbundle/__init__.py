@@ -47,6 +47,7 @@ from .family import (
     matrix_polynomial_chart,
     sigma_strip,
     sl_assemble,
+    sl_blocks,
     sl_chart,
     validate_chart,
 )

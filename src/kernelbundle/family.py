@@ -2,9 +2,10 @@
 
 A chart bundles the fiber dimension, the parameter dimension, the sigma
 region and a vectorized evaluator ``(y, sigmas) -> (N, n, n)`` complex
-array.  Built-in constructors cover matrix polynomials in (sigma, y), the
-Dirichlet Sturm-Liouville family ``D^2 + a(y) + sigma^2`` on a sine basis,
-and the scalar indicial polynomial of the m-th order Mellin symbol.
+array, or ``(N, M, b, b)`` diagonal blocks.  Built-in constructors cover
+matrix polynomials in (sigma, y), the Dirichlet Sturm-Liouville family
+``D^2 + a(y) + sigma^2`` on a sine basis, and the scalar indicial
+polynomial of the m-th order Mellin symbol.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class FamilyChart:
     """A holomorphic family P(y, sigma) of n x n matrices over a sigma region.
 
     ``evaluator(y, sigmas)`` takes the parameter and a 1-D array of N sigma
-    points and returns the stacked values, shape (N, n, n).
+    points and returns the stacked values, shape (N, n, n), or the M diagonal
+    blocks of a block-diagonal family, shape (N, M, b, b) with M b = n.
     """
 
     n: int
@@ -101,24 +103,41 @@ class FamilyChart:
 
     def eval_many(self, y, sigmas, check: bool = True) -> np.ndarray:
         """Stacked values at an array of sigma points, shape (len(sigmas), n, n)."""
+        return _assemble(self.eval_blocks(y, sigmas, check))
+
+    def eval_blocks(self, y, sigmas, check: bool = True) -> np.ndarray:
+        """Diagonal blocks at an array of sigma points, shape (len(sigmas), M, b, b)
+        with M b = n; a whole (n, n) value is one block."""
         y = _as_param(y, self.param_dim)
         sigmas = np.asarray(sigmas, dtype=complex)
         if check and not np.all(self.sigma.contains(sigmas)):
             raise RegionError("sigma batch leaves the chart region")
         out = np.asarray(self.evaluator(y, sigmas), dtype=complex)
-        if out.shape != sigmas.shape + (self.n, self.n):
-            raise InputError(
-                f"evaluator returned shape {out.shape}, expected {sigmas.shape + (self.n, self.n)}"
-            )
-        return out
+        blocks = out[..., None, :, :] if out.ndim == sigmas.ndim + 2 else out
+        b = blocks.shape[-1] if blocks.ndim == sigmas.ndim + 3 and blocks.shape[-1] else self.n
+        if blocks.shape != sigmas.shape + (self.n // b, b, b) or self.n % b:
+            raise InputError(f"evaluator returned shape {out.shape}, expected (N, n, n) or diagonal blocks "
+                             f"(N, M, b, b) with M b = n = {self.n}")
+        return blocks
+
+
+def _assemble(blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal (..., n, n) matrices of (..., M, b, b) diagonal blocks."""
+    *lead, m, b, _ = blocks.shape
+    if m == 1:
+        return blocks.reshape(*lead, b, b)
+    out = np.zeros((*lead, m, b, m, b), dtype=complex)
+    # the index arrays put the block axis of the (..., m, b, m, b) view first
+    k = np.arange(m)
+    out[..., k, :, k, :] = np.moveaxis(blocks, -3, 0)
+    return out.reshape(*lead, m * b, m * b)
 
 
 def adjoint_chart(chart: FamilyChart) -> FamilyChart:
     """Chart of the adjoint family on the conjugated region."""
 
     def evaluator(y, taus):
-        vals = np.asarray(chart.evaluator(y, np.conj(taus)), dtype=complex)
-        return vals.conj().transpose(0, 2, 1)
+        return np.asarray(chart.evaluator(y, np.conj(taus)), dtype=complex).conj().swapaxes(-1, -2)
 
     return FamilyChart(
         n=chart.n,
@@ -256,24 +275,23 @@ class SturmLiouvilleSpec:
                 )
 
 
-def sl_assemble(spec: SturmLiouvilleSpec, y, sigma) -> np.ndarray:
-    """Block-diagonal matrix of ``k^2 I + a(y) + sigma^2 I`` over modes k.
+def sl_blocks(spec: SturmLiouvilleSpec, y, sigma) -> np.ndarray:
+    """The r x r blocks ``k^2 I + a(y) + sigma^2 I`` of modes k = 1..mode_cutoff,
+    shape ``sigma.shape + (mode_cutoff, r, r)``.
 
-    ``sigma`` is a scalar, giving shape (n, n), or an array, giving one
-    matrix per point, shape ``sigma.shape + (n, n)``.  The sine modes
-    decouple, so the truncation is exact for every mode it retains; no
-    discretization error enters the singular set inside the strip.
+    The sine modes decouple, so the truncation is exact for every mode it
+    retains; no discretization error enters the singular set inside the strip.
     """
     a = spec.coefficient(y)
-    r, m = spec.r, spec.mode_cutoff
     s = np.asarray(sigma, dtype=complex)
-    out = np.zeros(s.shape + (spec.n, spec.n), dtype=complex)
-    k = np.arange(1, m + 1)
-    blocks = a + (k * k + (s * s)[..., None])[..., None, None] * np.eye(r)
-    # the diagonal blocks of the (..., m, r, m, r) view; the index arrays put
-    # the mode axis first
-    out.reshape(s.shape + (m, r, m, r))[..., k - 1, :, k - 1, :] = np.moveaxis(blocks, -3, 0)
-    return out
+    k = np.arange(1, spec.mode_cutoff + 1)
+    return a + (k * k + (s * s)[..., None])[..., None, None] * np.eye(spec.r)
+
+
+def sl_assemble(spec: SturmLiouvilleSpec, y, sigma) -> np.ndarray:
+    """Block-diagonal matrix of ``sl_blocks``: shape (n, n) for a scalar
+    ``sigma``, one matrix per point, ``sigma.shape + (n, n)``, for an array."""
+    return _assemble(sl_blocks(spec, y, sigma))
 
 
 def sigma_strip(spec: SturmLiouvilleSpec, re_window=(-1.0, 1.0)) -> SigmaRegion:
@@ -291,7 +309,7 @@ def sl_chart(spec: SturmLiouvilleSpec, re_window=(-1.0, 1.0)) -> FamilyChart:
     region = sigma_strip(spec, re_window)
 
     def evaluator(y, ss):
-        return sl_assemble(spec, y, ss)
+        return sl_blocks(spec, y, ss)
 
     return FamilyChart(spec.n, 1, region, evaluator, name="sturm_liouville")
 

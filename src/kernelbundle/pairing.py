@@ -20,7 +20,7 @@ from .errors import InputError, NondegeneracyError, SectionResidualError
 from .family import adjoint_chart
 from .frames import FrameSet, Germ, frames_at, kframe_at
 from .keldysh import DualRootSystem, RootSystem
-from .reduction import BasePointData, SchurEvaluator
+from .reduction import BasePointData, SchurEvaluator, _split
 
 PAIRING_CONDITION_LIMIT = 1e12
 REDUCED_PAIRING_NODES = 256
@@ -102,8 +102,9 @@ def _pairings(chart, frame, dual, base, y, section, node_count: int):
     The fiber splits over the clusters, so each cluster's frame block pairs
     only with its dual block, on its own contour: P is sampled once there,
     each block is evaluated with one Cauchy sum, and the section's germ of
-    that cluster rides along as one more column.  Returns ``(matrix,
-    column)``, with ``column`` None without a section.
+    that cluster rides along as one more column; dual germs vanish off the
+    cluster's active blocks, so only those are contracted.  Returns
+    ``(matrix, column)``, with ``column`` None without a section.
     """
     sizes = frame.sizes()
     if sizes != dual.sizes():
@@ -113,12 +114,12 @@ def _pairings(chart, frame, dual, base, y, section, node_count: int):
     blocks = []
     columns = []
     for s, circle in enumerate(cluster_contours(base, node_count)):
-        pvals = chart.eval_many(y, circle.nodes)
-        psis = _dual_eval(dual.blocks[s], circle)
-        blocks.append(_contour_pairing(circle, pvals, frame.blocks[s].eval(circle), psis))
+        rows, pvals, _ = _split(base.clusters[s].active_blocks, chart.eval_blocks(y, circle.nodes))
+        psis = _dual_eval(dual.blocks[s], circle)[:, rows]
+        blocks.append(_contour_pairing(circle, pvals, frame.blocks[s].eval(circle)[:, rows], psis))
         if section is not None:
             # contracted apart: matmul roundoff depends on the column count
-            phi = section[s].eval(circle)[:, :, None]
+            phi = section[s].eval(circle)[:, rows, None]
             columns.append(_contour_pairing(circle, pvals, phi, psis)[:, 0])
     column = None if section is None else np.concatenate(columns)
     return _block_diagonal(blocks), column

@@ -4,7 +4,8 @@ At a base point y0 each singular point sigma_s carries the kernel and
 cokernel bases of P(y0, sigma_s).  With respect to these frozen bases the
 family decomposes into four blocks; the Schur complement of the invertible
 complement block is a k x k family whose determinant tracks the local
-multiplicity as y moves.
+multiplicity as y moves.  On a chart of diagonal blocks, the bases live in
+the active blocks, those that vanish at sigma_s.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     ReductionInvalidError,
     ValidationError,
 )
-from .family import FamilyChart, _as_param
+from .family import FamilyChart, _as_param, _assemble
 
 P22_CONDITION_LIMIT = 1e12
 # Complex entries per family batch of a determinant call: 2^18 is 4 MB, or
@@ -82,19 +83,7 @@ def kernel_cokernel(matrix: np.ndarray, rank_tol: Optional[float] = None, scale_
     u, s, vh = np.linalg.svd(matrix)
     if rank_tol is None:
         rank_tol = n * np.finfo(float).eps
-    smax = max(s[0] if len(s) else 0.0, scale_floor)
-    if smax == 0.0:
-        k = n
-    else:
-        thr = rank_tol * smax
-        in_band = (s > thr / 10.0) & (s < thr * 10.0)
-        if np.any(in_band):
-            raise RankGapError(
-                f"ill-separated rank: singular values {s.tolist()} have no factor-10 "
-                f"gap around threshold {thr:.3e}",
-                singular_values=s,
-            )
-        k = int(np.sum(s <= thr))
+    k = int(np.sum(s <= _rank_threshold(s, rank_tol, scale_floor)))
     v = vh.conj().T
     K = _fix_column_phases(v[:, n - k :])
     Kperp = _fix_column_phases(v[:, : n - k])
@@ -103,9 +92,23 @@ def kernel_cokernel(matrix: np.ndarray, rank_tol: Optional[float] = None, scale_
     return K, Kperp, Rperp, R
 
 
+def _rank_threshold(s: np.ndarray, rank_tol: float, scale_floor: float) -> float:
+    """``rank_tol`` times the largest of the singular values ``s`` and ``scale_floor``;
+    singular values within a factor 10 of it raise a rank-gap error."""
+    thr = rank_tol * max(float(np.max(s, initial=0.0)), scale_floor)
+    if np.any((s > thr / 10.0) & (s < thr * 10.0)):
+        raise RankGapError(
+            f"ill-separated rank: singular values {s.ravel().tolist()} have no factor-10 "
+            f"gap around threshold {thr:.3e}",
+            singular_values=s,
+        )
+    return thr
+
+
 @dataclass
 class Cluster:
-    """Singular point of P(y0, .) with frozen bases and working radius."""
+    """Singular point of P(y0, .) with frozen bases and working radius; the bases
+    vanish off the rows of the chart's ``active_blocks`` (None: every block)."""
 
     center: complex
     multiplicity: int
@@ -115,6 +118,7 @@ class Cluster:
     Rperp: np.ndarray
     R: np.ndarray
     radius: float
+    active_blocks: Optional[tuple] = None
 
     def conjugate_swapped(self) -> "Cluster":
         """Cluster of the adjoint family at the conjugated center.
@@ -131,6 +135,7 @@ class Cluster:
             Rperp=self.K,
             R=self.Kperp,
             radius=self.radius,
+            active_blocks=self.active_blocks,
         )
 
     def carrier(self, node_count: int) -> Circle:
@@ -191,16 +196,19 @@ class SchurEvaluator:
 
     def blocks(self, y, sigma: complex):
         """The four blocks of P(y, sigma) w.r.t. the frozen decompositions."""
-        return tuple(blk[0] for blk in self.blocks_many(y, [sigma]))
+        return tuple(blk[0] for blk in self.blocks_many(y, [sigma])[:4])
 
     def blocks_many(self, y, sigmas):
-        """Blocks at every sigma point, each with a leading node axis."""
+        """``(p11, p12, p21, p22, rest)`` at every sigma point, each with a leading
+        node axis: the four blocks of the active part of P w.r.t. the frozen
+        decompositions, and the other diagonal blocks of P, untouched."""
         c = self.cluster
-        left = np.concatenate([c.Rperp, c.R], axis=1).conj().T
+        rows, active, rest = _split(c.active_blocks, self.chart.eval_blocks(y, sigmas))
+        left = np.concatenate([c.Rperp, c.R], axis=1)[rows].conj().T
         # one two-sided product per node; the blocks are views of it
-        B = left @ self.chart.eval_many(y, sigmas) @ np.concatenate([c.K, c.Kperp], axis=1)
+        B = left @ active @ np.concatenate([c.K, c.Kperp], axis=1)[rows]
         k = c.K.shape[1]
-        return B[:, :k, :k], B[:, :k, k:], B[:, k:, :k], B[:, k:, k:]
+        return B[:, :k, :k], B[:, :k, k:], B[:, k:, :k], B[:, k:, k:], rest
 
     def schur(self, y, sigma: complex) -> np.ndarray:
         """k x k reduced family p11 - p12 p22^{-1} p21 in the frozen bases."""
@@ -215,31 +223,56 @@ class SchurEvaluator:
         return _slogdet_function(lambda s: self.schur_many(y, s), self.chart.n)
 
 
-def _schur(blocks, sigmas):
-    """Schur complement ``p11 - p12 p22^{-1} p21``, correction ``p22^{-1} p21`` and ``p22^{-1}``
-    from the blocks of ``SchurEvaluator.blocks_many`` at ``sigmas``.
+def _split(act: Optional[tuple], blocks: np.ndarray) -> tuple:
+    """``(rows, active, rest)`` of the blocks ``act`` (None: all) of diagonal blocks (N, M, b, b):
+    their rows, a slice if all; their assembly, (N, a b, a b); the other blocks, untouched."""
+    m, b = blocks.shape[1], blocks.shape[3]
+    if act is None or len(act) == m:
+        return slice(None), _assemble(blocks), blocks[:, :0]
+    rows = (np.asarray(act)[:, None] * b + np.arange(b)).ravel()
+    return rows, _assemble(blocks[:, list(act)]), blocks[:, [j for j in range(m) if j not in act]]
 
-    The guard is the Frobenius condition ``||p22||_F ||p22^{-1}||_F`` of each m x m
-    block, raised by the inverse's own roundoff (``m eps cond`` relative) to an upper
-    bound; as ``cond_2 <= cond_F``, it rejects every block the 2-norm condition rejects.
-    Both norms read p22 over its largest real or imaginary part, and the inverse times
-    it, so no scale of the family over- or underflows them.
-    """
-    p11, p12, p21, p22 = blocks
-    m = p22.shape[1]
-    if m == 0:
-        return p11, p21, p22
+
+def _complement_svals(blocks) -> np.ndarray:
+    """Singular values of the complement block at each node, (N, m): those of p22
+    and of the other diagonal blocks, whose direct sum it is up to unitary factors."""
+    return np.concatenate([np.linalg.svd(x, compute_uv=False).reshape(len(x), -1) for x in blocks[3:]], axis=1)
+
+
+def _guard(blocks) -> tuple:
+    """``p22^{-1}`` (None if a block is exactly singular), and per node the Frobenius
+    condition ``||C||_F ||C^{-1}||_F`` of the m x m complement block C, unitarily
+    ``diag(p22, rest)``, raised by the inverse's roundoff (``m eps cond`` relative) to
+    an upper bound: as ``cond_2 <= cond_F``, it exceeds the 2-norm condition.  Both norms
+    read the blocks over their largest real or imaginary part, and the inverses times
+    it, so no scale of the family over- or underflows them."""
+    p22, rest = blocks[3], blocks[4]
+    m = p22.shape[1] + rest.shape[1] * rest.shape[2]
     try:
         inv = np.linalg.inv(p22)
-        a, b = (x.reshape(len(x), -1).view(float) for x in (p22, inv))
-        scale = np.max(np.abs(a), axis=1, keepdims=True)
-        a, b = a / scale, b * scale
-        with np.errstate(over="ignore"):
-            conds = np.sqrt(np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", b, b))
-            conds = conds * (1.0 + m * np.finfo(float).eps * conds)
+        # each node's entries of the diagonal blocks, and of their inverses, as real numbers
+        a, b = (np.concatenate([x.reshape(len(x), -1) for x in xs], axis=1).view(float)
+                for xs in ((p22, rest), (inv, np.linalg.inv(rest))))
     except np.linalg.LinAlgError:
         # an exactly singular block fails the whole batch; the SVD names it
-        inv, conds = None, np.linalg.cond(p22)
+        svals = _complement_svals(blocks)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return None, np.max(svals, axis=1) / np.min(svals, axis=1)
+    scale = np.max(np.abs(a), axis=1, keepdims=True)
+    a, b = a / scale, b * scale
+    with np.errstate(over="ignore"):
+        conds = np.sqrt(np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", b, b))
+        return inv, conds * (1.0 + m * np.finfo(float).eps * conds)
+
+
+def _schur(blocks, sigmas):
+    """Schur complement ``p11 - p12 p22^{-1} p21``, correction ``p22^{-1} p21`` and ``p22^{-1}``
+    from the blocks of ``SchurEvaluator.blocks_many`` at ``sigmas``; a node where the
+    ``_guard`` condition exceeds ``P22_CONDITION_LIMIT`` raises."""
+    p11, p12, p21, p22, rest = blocks
+    if p22.shape[1] + rest.shape[1] == 0:
+        return p11, p21, p22
+    inv, conds = _guard(blocks)
     worst = int(np.argmax(conds))
     if inv is None or not conds[worst] <= P22_CONDITION_LIMIT:
         raise ReductionInvalidError(
@@ -331,13 +364,13 @@ def _disc_samples(center: complex, radius: float):
 
 
 def _p22_margin(blocks) -> float:
-    """Smallest singular value of p22 over the largest, across the sampled nodes."""
-    p22 = blocks[3]
-    if p22.shape[1] == 0:
+    """Smallest singular value of the complement block over the largest, across the
+    sampled nodes."""
+    s = _complement_svals(blocks)
+    if s.shape[1] == 0:
         return np.inf
-    s = np.linalg.svd(p22, compute_uv=False)
     scale = max(float(np.max(s)), 1e-300)
-    return float(np.min(s[:, -1]) / scale)
+    return float(np.min(s) / scale)
 
 
 def _worst_margin(margins) -> tuple:
@@ -456,24 +489,31 @@ def base_point_data(
         clusters = []
         ok = True
         for z in report.zeros:
-            M = chart.eval(y0, z.location, check=False)
+            blocks = chart.eval_blocks(y0, [z.location], check=False)[0]
             # the family scale on a nearby circle anchors the rank threshold
             probe = Circle(z.location, 0.5 * eps, 16)
-            floor = float(np.max(np.abs(chart.eval_many(y0, probe.nodes, check=False))))
+            floor = float(np.max(np.abs(chart.eval_blocks(y0, probe.nodes, check=False))))
+            # the union spectrum of the blocks sets the rank, the blocks that vanish the bases
+            svals = np.linalg.svd(blocks, compute_uv=False)
             try:
-                K, Kperp, Rperp, R = kernel_cokernel(M, KERNEL_RANK_TOL, scale_floor=floor)
+                thr = _rank_threshold(svals, KERNEL_RANK_TOL, floor)
             except RankGapError:
                 if epsilon is not None:
                     raise
                 ok = False
                 break
-            k = K.shape[1]
-            if k == 0:
+            active = tuple(np.flatnonzero(np.any(svals <= thr, axis=1)).tolist())
+            if not active:
                 raise NumericalError(
                     f"located zero at {z.location} has numerically trivial kernel"
                 )
+            rows, sub, _ = _split(active, blocks[None])
+            bases = kernel_cokernel(sub[0], KERNEL_RANK_TOL, max(floor, float(np.max(svals))))
+            K, Kperp, Rperp, R = (np.zeros((chart.n, x.shape[1]), dtype=complex) for x in bases)
+            for full, x in zip((K, Kperp, Rperp, R), bases):
+                full[rows] = x
             clusters.append(
-                Cluster(z.location, z.multiplicity, k, K, Kperp, Rperp, R, eps)
+                Cluster(z.location, z.multiplicity, K.shape[1], K, Kperp, Rperp, R, eps, active)
             )
         if ok:
             base = BasePointData(chart, y0, clusters)

@@ -36,6 +36,7 @@ from .reduction import (
     CARRIER_FRACTION,
     BasePointData,
     SchurEvaluator,
+    _complement_svals,
     _multiplicity,
     _sample_sets,
     base_point_data,
@@ -180,6 +181,7 @@ class SweepReport:
     failures: list
     coefficient_dd: Optional[list] = None
     pairing_entry_dd: Optional[float] = None
+    pairing_entry_dd_floor: Optional[float] = None
     elapsed: float = 0.0
     schema_version: int = SCHEMA_VERSION
 
@@ -202,6 +204,7 @@ class SweepReport:
             out["coefficient_dd"] = list(self.coefficient_dd)
         if self.pairing_entry_dd is not None:
             out["pairing_entry_dd"] = self.pairing_entry_dd
+            out["pairing_entry_dd_floor"] = self.pairing_entry_dd_floor
         return out
 
     def save(self, path) -> None:
@@ -296,9 +299,9 @@ def sweep(
                     f"singular points left the inner half-discs at y={y_key}: "
                     f"{inner} != {base_mults}"
                 )
-            # smallest relative p22 singular value on the margin circles
-            svals = [np.linalg.svd(smp[2][1][3], compute_uv=False) for smp in samples]
-            margin = min((float(np.min(sv[:, -1] / sv[:, 0])) for sv in svals if sv.size), default=1.0)
+            # smallest relative complement-block singular value on the margin circles
+            svals = [_complement_svals(smp[2][1]) for smp in samples]
+            margin = min((float(np.min(sv.min(1) / sv.max(1))) for sv in svals if sv.size), default=1.0)
             frame, dual = frames_from_blocks(base, systems, duals, y, [smp[3][1] for smp in samples])
             if probe is not None:
                 expected = np.asarray(probe(y), dtype=complex)
@@ -336,8 +339,13 @@ def sweep(
         dd = _max_dd(np.stack(coeff_rows), grid)
         report.coefficient_dd = [float(v) for v in dd]
     if pairing_rows:
-        dd = _max_dd(np.stack(pairing_rows), grid)
+        entries = np.stack(pairing_rows)
+        dd = _max_dd(entries, grid)
         report.pairing_entry_dd = float(np.max(dd)) if dd.size else 0.0
+        # roundoff eps |entry| in the entries alone moves a dd by about eps |entry| / h^2
+        steps = [h for h, count in zip(grid.steps, grid.shape) if h != 0.0 and count >= 3]
+        largest = np.max(np.abs(entries[np.isfinite(entries)]), initial=0.0)
+        report.pairing_entry_dd_floor = float(np.finfo(float).eps * largest / min(steps) ** 2) if steps else 0.0
     report.elapsed = time.perf_counter() - t0
     return report
 

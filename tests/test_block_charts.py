@@ -1,0 +1,199 @@
+"""One block-diagonal family in two presentations: a chart of diagonal blocks,
+and the same family as a dense evaluator of the matrices they assemble to.
+
+A cluster of the block chart reduces only the blocks its kernel lives in; the
+other blocks enter only the complement guard and the p22 margins.  Every
+reduction, frame, pairing and guard number must agree with the dense one.
+"""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+
+import kernelbundle as kb
+from kernelbundle.errors import ReductionInvalidError
+from kernelbundle.family import FamilyChart, SigmaRegion, SturmLiouvilleSpec, sl_chart
+from kernelbundle.frames import frames_at
+from kernelbundle.pairing import pairing_matrix
+from kernelbundle.reduction import (
+    SchurEvaluator,
+    _guard,
+    _p22_margin,
+    base_point_data,
+    local_multiplicity,
+    validate_neighborhood,
+)
+from kernelbundle.shell import ParameterGrid, canonical_systems, sweep
+
+REGION = SigmaRegion(-2.0, 2.0, -2.0, 2.0)
+
+
+def _dense(chart):
+    """The family of ``chart`` with an evaluator of whole (N, n, n) values."""
+    return dataclasses.replace(chart, evaluator=lambda y, s: chart.eval_many(y, s, check=False))
+
+
+def _upper(a, b, c):
+    """Stacked 2 x 2 blocks [[a, b], [0, c]] of arrays of one shape."""
+    return np.stack([np.stack([a, b], -1), np.stack([0 * a, c], -1)], -2)
+
+
+def _two_vanishing_blocks(y, s):
+    # blocks 0 and 1 vanish at 0.5i, block 2 at -0.5i; the zeros of blocks 0 and 1
+    # part as y moves
+    s = np.asarray(s, dtype=complex)
+    one = np.ones_like(s)
+    return np.stack(
+        [
+            _upper(s - 0.5j + 0.1 * y[0], 0.3 * one, 1 + 0.2 * s),
+            _upper(one, 0.2 * s, s - 0.5j - 0.2 * y[0]),
+            _upper(s + 0.5j, 0.4 * one, one),
+        ],
+        -3,
+    )
+
+
+def _scalar_dirichlet(mode_cutoff):
+    spec = SturmLiouvilleSpec(
+        r=1, a_eval=lambda y: np.array([[0.25 + 0.1 * y[0]]]), mode_cutoff=mode_cutoff, k_gap=1, r_bound=0.4
+    )
+    return sl_chart(spec)
+
+
+def _two_channel():
+    spec = SturmLiouvilleSpec(
+        r=2,
+        a_eval=lambda y: np.array([[0.3 * y[0], 0.1], [0.1, -0.3 * y[0]]]),
+        mode_cutoff=4,
+        k_gap=1,
+        r_bound=0.4,
+    )
+    return sl_chart(spec)
+
+
+# (chart of blocks, active blocks per cluster in center order)
+FAMILIES = {
+    "two_channel_n8": (_two_channel, [(0,)] * 4),
+    "scalar_n64": (lambda: _scalar_dirichlet(64), [(0,), (0,)]),
+    "two_vanishing_blocks": (lambda: FamilyChart(6, 1, REGION, _two_vanishing_blocks), [(2,), (0, 1)]),
+}
+
+
+@pytest.fixture(scope="module", params=list(FAMILIES))
+def presentations(request):
+    make, active = FAMILIES[request.param]
+    out = []
+    for chart in (make(), None):
+        chart = chart if chart is not None else _dense(out[0][0])
+        base = base_point_data(chart, [0.0])
+        out.append((chart, base, *canonical_systems(chart, base)))
+    return out, active
+
+
+def _close(a, b, tol):
+    """``a`` and ``b`` agree to ``tol`` times the largest entry of ``b``."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= tol * np.max(np.abs(b), initial=0.0)
+
+
+class TestTwoPresentations:
+    def test_base_points(self, presentations):
+        (blk, bb, *_), (_, bd, *_) = presentations[0]
+        assert len(bb.clusters) == len(bd.clusters) == len(presentations[1])
+        for a, b, active in zip(bb.clusters, bd.clusters, presentations[1]):
+            assert abs(a.center - b.center) < 1e-12
+            assert (a.multiplicity, a.kernel_dim) == (b.multiplicity, b.kernel_dim)
+            # a dense chart is one block
+            assert (a.active_blocks, b.active_blocks) == (active, (0,))
+            # the same kernel and cokernel, each zero off the active rows
+            for x, z in ((a.K, b.K), (a.Rperp, b.Rperp)):
+                assert _close(x @ x.conj().T, z @ z.conj().T, 1e-12)
+            b_size = blk.n // blk.eval_blocks([0.0], [0.0]).shape[1]
+            off = np.ones(blk.n, dtype=bool)
+            for j in active:
+                off[j * b_size : (j + 1) * b_size] = False
+            for x in (a.K, a.Kperp, a.Rperp, a.R):
+                assert not np.any(x[off])
+
+    def test_reductions_and_guards(self, presentations):
+        (blk, bb, *_), (den, bd, *_) = presentations[0]
+        for s, cl in enumerate(bb.clusters):
+            evb, evd = SchurEvaluator(blk, bb, s), SchurEvaluator(den, bd, s)
+            nodes = np.concatenate([cl.carrier(64).nodes, kb.Circle(cl.center, cl.radius, 64).nodes])
+            blocks = blk.eval_blocks([0.0], [0.0]).shape[1]
+            for y in ([0.0], [0.05]):
+                got, want = evb.blocks_many(y, nodes), evd.blocks_many(y, nodes)
+                # the dense chart's one block is active; the block chart keeps the others apart
+                assert want[4].shape[1] == 0 and got[4].shape[1] == blocks - len(cl.active_blocks)
+                # the reduced operator from the kernel to the cokernel, free of the bases' choice
+                sb, sd = evb.schur_many(y, nodes), evd.schur_many(y, nodes)
+                dense = bd.clusters[s]
+                assert _close(cl.Rperp @ sb @ cl.K.conj().T, dense.Rperp @ sd @ dense.K.conj().T, 1e-12)
+                assert np.max(np.abs(_guard(got)[1] / _guard(want)[1] - 1)) < 1e-12
+                assert _p22_margin(got) == pytest.approx(_p22_margin(want), rel=1e-12)
+
+    def test_validation(self, presentations):
+        (blk, bb, *_), (den, bd, *_) = presentations[0]
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 5)]).points()
+        got, want = validate_neighborhood(blk, bb, grid), validate_neighborhood(den, bd, grid)
+        assert got.passed and want.passed
+        for a, b in zip(got.conditions, want.conditions):
+            assert (a.name, a.detail) == (b.name, b.detail)
+            assert a.margin == pytest.approx(b.margin, rel=1e-12)
+
+    def test_frames_pairing_and_sweep(self, presentations):
+        (blk, bb, sys_b, dual_b), (den, bd, sys_d, dual_d) = presentations[0]
+        fb, gb = frames_at(blk, bb, sys_b, dual_b, [0.05])
+        fd, gd = frames_at(den, bd, sys_d, dual_d, [0.05])
+        scale = max(float(np.max(np.abs(g.carrier.values))) for g in fd.blocks + gd.blocks)
+        for a, b in zip(fb.blocks + gb.blocks, fd.blocks + gd.blocks):
+            assert np.max(np.abs(a.carrier.values - b.carrier.values)) <= 1e-12 * scale
+        pb, pd = pairing_matrix(blk, fb, gb, bb, [0.05]), pairing_matrix(den, fd, gd, bd, [0.05])
+        assert _close(pb.matrix, pd.matrix, 1e-12)
+
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
+        rng = np.random.default_rng(len(fb))
+        coeffs = rng.normal(size=(2, len(fb))) + 1j * rng.normal(size=(2, len(fb)))
+
+        def probe(y):
+            return coeffs[0] + y[0] * coeffs[1]
+
+        rb = sweep(blk, bb, grid, probe=probe, systems=sys_b, duals=dual_b)
+        rd = sweep(den, bd, grid, probe=probe, systems=sys_d, duals=dual_d)
+        assert not rb.failures and not rd.failures
+        for a, b in zip(rb.points, rd.points):
+            assert a.multiplicities == b.multiplicities
+            assert _close(a.coefficients, b.coefficients, 1e-12)
+            assert a.pairing_condition == pytest.approx(b.pairing_condition, rel=1e-12)
+            assert a.p22_margin == pytest.approx(b.p22_margin, rel=1e-12)
+
+
+def test_an_inactive_block_near_singular_on_a_count_circle_is_rejected():
+    # block 1 holds the singular point -0.5i at y = 0, and its zero moves onto the
+    # first node of cluster 0.5i's count circle at y = 1; that cluster's kernel lives
+    # in block 0, so the near-singular block enters its reduction only through the
+    # guard, which must reject it as the dense reduction does
+    def evaluate(y, s):
+        s = np.asarray(s, dtype=complex)
+        one = np.ones_like(s)
+        moving = -0.5j + y[0] * (0.2 + 1.0j)
+        return np.stack(
+            [_upper(s - 0.5j, 0.3 * one, one), _upper(s - moving, 0.1 * s, one), _upper(one, 0.5 * one, 2 * one)], -3
+        )
+
+    blk = FamilyChart(6, 1, REGION, evaluate)
+    active = []
+    for chart in (blk, _dense(blk)):
+        base = base_point_data(chart, [0.0])
+        s = int(np.argmax([c.center.imag for c in base.clusters]))
+        cl = base.clusters[s]
+        assert abs(cl.center - 0.5j) < 1e-12 and cl.radius == pytest.approx(0.2)
+        active.append(cl.active_blocks)
+        ev = SchurEvaluator(chart, base, s)
+        assert local_multiplicity(ev, [0.5]) == 1
+        node = kb.Circle(cl.center, cl.radius).nodes[0]
+        with pytest.raises(ReductionInvalidError, match=re.escape(f"at sigma = {node}")):
+            local_multiplicity(ev, [1.0])
+    assert active == [(0,), (0,)]

@@ -15,6 +15,7 @@ from kernelbundle.family import (
     matrix_polynomial_chart,
     sigma_strip,
     sl_assemble,
+    sl_blocks,
     sl_chart,
     validate_chart,
 )
@@ -95,6 +96,19 @@ class TestAdjoint:
         terms = [PolyTerm(1, (0,), np.eye(2))]
         adj = adjoint_chart(matrix_polynomial_chart(terms, reg))
         assert adj.sigma.im_min == -0.5 and adj.sigma.im_max == 2.0
+
+    def test_block_chart(self):
+        # the adjoint of a chart of diagonal blocks has the conjugate-transposed blocks
+        spec = SturmLiouvilleSpec(
+            r=2, a_eval=lambda y: np.array([[0.1, 0.2j], [0.3, -0.1]]) * y[0], mode_cutoff=3, k_gap=1, r_bound=0.4
+        )
+        chart = sl_chart(spec)
+        sigmas = np.array([0.2 + 0.1j, -0.4j])
+        blocks = adjoint_chart(chart).eval_blocks([0.5], sigmas)
+        assert np.array_equal(blocks, chart.eval_blocks([0.5], np.conj(sigmas)).conj().swapaxes(-1, -2))
+        assert np.array_equal(
+            adjoint_chart(chart).eval_many([0.5], sigmas), chart.eval_many([0.5], np.conj(sigmas)).conj().swapaxes(1, 2)
+        )
 
     def test_eval_many_path(self):
         adj = adjoint_chart(branching_chart())
@@ -211,6 +225,17 @@ class TestSturmLiouville:
         for k, s in enumerate(sigmas):
             assert np.allclose(stacked[k], chart.eval([0.2], s))
 
+    def test_chart_returns_the_mode_blocks(self):
+        # the chart evaluates one r x r block per mode; its dense values are
+        # their assembly, bit for bit as sl_assemble
+        spec = self.spec()
+        chart = sl_chart(spec)
+        sigmas = np.array([0.3, 1.2j, 0.5 - 0.8j])
+        blocks = chart.eval_blocks([0.2], sigmas)
+        assert blocks.shape == (3, spec.mode_cutoff, spec.r, spec.r)
+        assert np.array_equal(blocks, sl_blocks(spec, [0.2], sigmas))
+        assert np.array_equal(chart.eval_many([0.2], sigmas), sl_assemble(spec, [0.2], sigmas))
+
 
 class TestValidation:
     def test_polynomial_chart_passes(self):
@@ -265,6 +290,31 @@ class TestValidation:
             chart.eval_many([0.0], np.array([0.1, 0.2j]))
         with pytest.raises(InputError):
             chart.eval([0.0], 0.1)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (2, 2, 3), (4, 2, 2), (5, 5), (6, 1, 1, 1)])
+    def test_block_shape_checked(self, shape):
+        # diagonal blocks must be square and cover the n = 6 rows exactly
+        region = SigmaRegion(-1.0, 1.0, -1.0, 1.0)
+        chart = kb.FamilyChart(6, 1, region, lambda y, ss: np.ones((len(ss),) + shape))
+        with pytest.raises(InputError, match="diagonal blocks"):
+            chart.eval_blocks([0.0], np.array([0.1, 0.2j]))
+
+    @pytest.mark.parametrize("shape", [(6, 6), (1, 6, 6), (2, 3, 3), (3, 2, 2), (6, 1, 1)])
+    def test_blocks_and_dense_values(self, shape):
+        # a whole (n, n) value is one block; (M, b, b) blocks assemble block-diagonally
+        region = SigmaRegion(-1.0, 1.0, -1.0, 1.0)
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        vals = rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape)
+        chart = kb.FamilyChart(6, 1, region, lambda y, ss: vals)
+        blocks = chart.eval_blocks([0.0], np.array([0.1, 0.2j]))
+        assert np.array_equal(blocks, vals.reshape((2, -1) + shape[-2:]))
+        dense = chart.eval_many([0.0], np.array([0.1, 0.2j]))
+        b = shape[-1]
+        for j in range(6 // b):
+            rows = slice(j * b, (j + 1) * b)
+            assert np.array_equal(dense[:, rows, rows], blocks[:, j])
+            dense[:, rows, rows] = 0
+        assert not np.any(dense)
 
 
 class TestFromDict:

@@ -231,7 +231,9 @@ class TestSchur:
             sigmas = 0.1j + 0.4 * np.exp(2j * np.pi * np.arange(16) / 16)
             P = chart.eval_many(y, sigmas)
             scale = float(np.max(np.abs(P)))
-            p11, p12, p21, p22 = ev.blocks_many(y, sigmas)
+            p11, p12, p21, p22, rest = ev.blocks_many(y, sigmas)
+            # a dense chart is one block, and every cluster holds it
+            assert rest.shape == (len(sigmas), 0, n, n)
             rebuilt = (
                 (U[:, :k] @ p11 + U[:, k:] @ p21) @ V[:, :k].conj().T
                 + (U[:, :k] @ p12 + U[:, k:] @ p22) @ V[:, k:].conj().T
@@ -289,7 +291,7 @@ class TestSchur:
         # p22 = diag(1, 0) fails a batched inverse as a whole; the guard must
         # still raise its own error and name the node
         p22 = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)]).astype(complex)
-        blocks = (np.ones((3, 1, 1)), np.ones((3, 1, 2)), np.ones((3, 2, 1)), p22)
+        blocks = (np.ones((3, 1, 1)), np.ones((3, 1, 2)), np.ones((3, 2, 1)), p22, np.ones((3, 0, 3, 3)))
         with pytest.raises(ReductionInvalidError, match=r"condition inf at sigma = \(0\.2\+0j\)"):
             _schur(blocks, np.array([0.1, 0.2, 0.3], dtype=complex))
 
@@ -305,7 +307,7 @@ class TestSchur:
             v, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
             s = np.geomspace(1.0, 1.0 / target, m) * rng.uniform(0.1, 10.0)
             p22 = ((u * s) @ v.conj().T)[None]
-            blocks = (np.ones((1, 1, 1)), np.ones((1, 1, m)), np.ones((1, m, 1)), p22)
+            blocks = (np.ones((1, 1, 1)), np.ones((1, 1, m)), np.ones((1, m, 1)), p22, np.ones((1, 0, m + 1, m + 1)))
             if np.linalg.cond(p22[0]) > P22_CONDITION_LIMIT:
                 rejected += 1
                 with pytest.raises(ReductionInvalidError):

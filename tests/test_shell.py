@@ -125,6 +125,37 @@ class TestSweep:
         assert dd0 == pytest.approx(1.0, rel=1e-6)
         assert 0.05 < dd1 < 0.11
         assert report.pairing_entry_dd >= 0.0
+        # eps |entry| / h^2 with the largest entry, 1, and h = 0.05
+        assert report.pairing_entry_dd_floor == pytest.approx(np.finfo(float).eps / 0.05 ** 2)
+        assert report.to_dict()["pairing_entry_dd_floor"] == report.pairing_entry_dd_floor
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairing_dd_on_a_fine_grid_is_at_its_floor(self, seed):
+        # U diag(sigma^3 + 1e-3 y, sigma, 1) V on three points 1e-3 apart: the
+        # pairing entries move by roundoff only, so their dd lies at the floor's
+        # scale (3.9 to 5.4 times it over these four draws)
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        V, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        terms = [
+            PolyTerm(p, (q,), U @ np.diag(d) @ V)
+            for p, q, d in [(3, 0, [1, 0, 0]), (0, 1, [1e-3, 0, 0]), (1, 0, [0, 1, 0]), (0, 0, [0, 0, 1])]
+        ]
+        chart = matrix_polynomial_chart(terms, SigmaRegion(-1, 1, -1, 1))
+        base = kb.base_point_data(chart, [0.0])
+        systems, duals = kb.canonical_systems(chart, base)
+        grid = ParameterGrid.from_ranges([(-1e-3, 1e-3, 3)])
+        report = sweep(chart, base, grid, systems=systems, duals=duals)
+        assert not report.failures
+        assert report.pairing_entry_dd_floor == pytest.approx(np.finfo(float).eps / 1e-6)
+        assert report.pairing_entry_dd <= 8 * report.pairing_entry_dd_floor
+
+    def test_pairing_dd_on_a_coarse_grid_is_far_above_its_floor(self, sl_big_pipeline):
+        chart, base, systems, duals = sl_big_pipeline
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 11)])
+        report = sweep(chart, base, grid, systems=systems, duals=duals)
+        assert not report.failures
+        assert report.pairing_entry_dd > 1e9 * report.pairing_entry_dd_floor
 
     def test_samples_family_once_per_cluster_and_contour(self, sl_big_pipeline, counting_chart):
         # per point: one evaluation per cluster for the counts, the margin and
