@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, SampledFunction, cauchy_moment, count_zeros, singular_part_eval
+from .contour import Circle, SampledFunction, _continued_winding, cauchy_moment, singular_part_eval
 from .errors import InputError, NondegeneracyError, NumericalError
-from .reduction import SchurEvaluator, local_multiplicity
+from .reduction import SchurEvaluator
 
 BETA_CONDITION_LIMIT = 1e8
 RANK_TOL = 1e-8
@@ -363,18 +363,19 @@ def verify_canonical_system(
         vals = singular_part_eval(sampled, probes)
         membership = max(membership, float(np.max(np.abs(vals))) / max(scale, 1e-300))
 
-    q_count = local_multiplicity(ev, y0)
-    ratio_winding = None
-    d, qdet = system.total, ev.qdet_function(y0)
+    # both counts read one sample of the reduced determinant on the cluster circle
+    d, qdet, counted = system.total, ev.qdet_function(y0), Circle(c.center, c.radius, VERIFY_NODES)
 
-    def ratio(sig):
-        (phase, logabs), z = qdet(sig), sig - system.center
+    def ratio(pair, sig):
+        (phase, logabs), z = pair, sig - system.center
         return phase * (np.abs(z) / z) ** d, logabs - d * np.log(np.abs(z))
 
+    held = qdet(counted.nodes)
+    q_count = _continued_winding(qdet, counted.path, *held)
     try:
-        ratio_winding = count_zeros(ratio, Circle(c.center, c.radius, VERIFY_NODES))
+        ratio_winding = _continued_winding(lambda s: ratio(qdet(s), s), counted.path, *ratio(held, counted.nodes))
     except NumericalError:
-        pass
+        ratio_winding = None
 
     out = {
         "membership_residual": membership,

@@ -21,7 +21,9 @@ from .errors import (
     NumericalError,
     RankGapError,
     ReductionInvalidError,
+    ResolutionError,
     ValidationError,
+    ZeroOnContourError,
 )
 from .family import FamilyChart, _as_param, _assemble
 
@@ -37,13 +39,12 @@ MAX_HALVINGS = 10
 # genuine ones.
 KERNEL_RANK_TOL = 1e-10
 # validate_neighborhood: rings (fractions of the radius, besides the center)
-# and angles of the complement-block samples, angles per ring of the annulus
-# check, and the smallest admissible relative margins.
+# and angles of the complement-block samples, their smallest admissible
+# relative margin, and the nodes of each of a cluster's count circles.
 DISC_RINGS = (0.45, 0.8, 1.0)
 DISC_ANGLES = 12
-ANNULUS_SAMPLES = 48
 INVERTIBILITY_FLOOR = 1e-12
-ANNULUS_FLOOR = 1e-10
+COUNT_NODES = 64
 # The fiber does not depend on the circle that carries it, so each cluster
 # fixes two: frames are sampled on the carrier at CARRIER_FRACTION of the
 # cluster radius and paired on the contour at CONTOUR_FRACTION, outside every
@@ -137,6 +138,12 @@ class Cluster:
             radius=self.radius,
             active_blocks=self.active_blocks,
         )
+
+    def count_circles(self) -> list:
+        """Circles of radius epsilon and epsilon/2 on which the reduced zeros of this
+        cluster are counted: while both hold its multiplicity, every local singular
+        point stays in the inner half-disc."""
+        return [Circle(self.center, f * self.radius, COUNT_NODES) for f in (1.0, 0.5)]
 
     def carrier(self, node_count: int) -> Circle:
         """Circle that carries the frame germs of this cluster."""
@@ -300,9 +307,9 @@ def _multiplicity(ev: SchurEvaluator, y, circle: Circle, blocks) -> int:
 
 
 def local_multiplicity(ev: SchurEvaluator, y) -> int:
-    """Zeros of the reduced determinant, with multiplicity, inside the cluster circle,
-    counted from one block evaluation on its nodes."""
-    circle = Circle(ev.cluster.center, ev.cluster.radius)
+    """Zeros of the reduced determinant, with multiplicity, inside the outer count
+    circle, counted from one block evaluation on its nodes."""
+    circle = ev.cluster.count_circles()[0]
     return _multiplicity(ev, y, circle, *_sample_sets(ev, y, [circle.nodes]))
 
 
@@ -382,6 +389,22 @@ def _worst_margin(margins) -> tuple:
     return worst, next((lab for m, lab in margins if m <= worst + 1e-12 * worst), "")
 
 
+def _count_margin(ev: SchurEvaluator, y, counts) -> float:
+    """Condition (4) at y from ``(circle, blocks)`` pairs: the smallest |det| over the
+    largest of the reduced determinant's samples on either circle, or 0 where a count
+    differs from the cluster's multiplicity or a zero on a circle ends it."""
+    margin = np.inf
+    for circle, blocks in counts:
+        held = np.linalg.slogdet(_schur(blocks, circle.nodes)[0])
+        try:
+            if _continued_winding(ev.qdet_function(y), circle.path, *held) != ev.cluster.multiplicity:
+                return 0.0
+        except (ZeroOnContourError, ResolutionError):
+            return 0.0
+        margin = min(margin, float(np.exp(np.min(held[1]) - np.max(held[1]))))
+    return margin
+
+
 def validate_neighborhood(
     chart: FamilyChart,
     base: BasePointData,
@@ -392,21 +415,13 @@ def validate_neighborhood(
     (1) the doubled discs are disjoint and stay inside the region;
     (2) the complement block is invertible on each doubled disc at y0;
     (3) the same on the single discs for every grid y;
-    (4) the reduced determinant has no zeros in the outer annulus for grid y,
-        so all local singular points stay in the inner half-disc.
+    (4) for every grid y, the reduced determinant has the cluster's multiplicity
+        in zeros inside both count circles, so all local singular points stay in
+        the inner half-disc.
 
-    Margins are relative; the report records the worst case per condition.
-    """
-    return _neighborhood(chart, base, y_grid, [])[0]
-
-
-def _neighborhood(chart: FamilyChart, base: BasePointData, y_grid: Sequence, counted: list) -> tuple:
-    """The report of ``validate_neighborhood``, and the blocks at y0 on each cluster's
-    circle in ``counted`` (one per cluster, or none); None where the discs leave the region.
-
-    Each cluster is evaluated once per grid y, on its disc and annulus nodes; the
-    doubled disc of (2) and the circles join the batch of y0 when y0 is a grid
-    point, and are evaluated on their own otherwise.
+    Margins are relative; the report records the worst case per condition.  Each
+    cluster is evaluated once per grid y, on its disc and count circles; the doubled
+    disc of (2) joins the batch of y0 when y0 is a grid point, or has its own.
     """
     # (1) geometry
     region_slack = min(chart.sigma.boundary_distance(a.center) - 2 * a.radius for a in base.clusters)
@@ -420,36 +435,30 @@ def _neighborhood(chart: FamilyChart, base: BasePointData, y_grid: Sequence, cou
         # the remaining conditions sample the doubled discs, which here poke
         # out of the chart region, so they cannot be evaluated
         conditions += [ConditionResult(n, False, 0.0, "not evaluated: discs leave the region") for n in names]
-        return ValidationReport(conditions), None
+        return ValidationReport(conditions)
 
     y0 = _as_param(base.y0, chart.param_dim).tobytes()
     at = next((i for i, y in enumerate(y_grid) if _as_param(y, chart.param_dim).tobytes() == y0), None)
-    radii = np.array([0.5, 0.625, 0.75, 0.875, 0.98])
-    unit = np.exp(1j * (2 * np.pi * np.arange(ANNULUS_SAMPLES) / ANNULUS_SAMPLES))
-    margin2, margins3, margins4, held = np.inf, [], [], []
+    margin2, margins3, margins4 = np.inf, [], []
     for s, cl in enumerate(base.clusters):
         ev = SchurEvaluator(chart, base, s)
-        disc = _disc_samples(cl.center, cl.radius)
-        ring = cl.center + (radii[:, None] * cl.radius * unit[None, :]).ravel()
-        at_y0 = [_disc_samples(cl.center, 2.0 * cl.radius)] + [c.nodes for c in counted[s : s + 1]]
-        y0_blocks = _sample_sets(ev, base.y0, at_y0) if at is None else None
+        disc, doubled = (_disc_samples(cl.center, f * cl.radius) for f in (1.0, 2.0))
+        circles = cl.count_circles()
+        y0_blocks = _sample_sets(ev, base.y0, [doubled])[0] if at is None else None
         for i, y in enumerate(y_grid):
-            blocks = _sample_sets(ev, y, [disc, ring] + (at_y0 if i == at else []))
-            y0_blocks = blocks[2:] if i == at else y0_blocks
-            # (3) complement block invertible on the disc, (4) no reduced zeros in the annulus
-            _, logabs = np.linalg.slogdet(_schur(blocks[1], ring)[0])
-            lo, hi = np.min(logabs), np.max(logabs)
+            blocks = _sample_sets(ev, y, [disc] + [c.nodes for c in circles] + ([doubled] if i == at else []))
+            y0_blocks = blocks[3] if i == at else y0_blocks
+            # (3) complement block invertible on the disc, (4) the multiplicity on both circles
             margins3.append((_p22_margin(blocks[0]), f"cluster {s}, y = {y}"))
-            margins4.append((float(np.exp(lo - hi)) if lo > -np.inf else 0.0, f"cluster {s}, y = {y}"))
+            margins4.append((_count_margin(ev, y, zip(circles, blocks[1:3])), f"cluster {s}, y = {y}"))
         # (2) complement block invertible on the doubled disc at y0
-        margin2 = min(margin2, _p22_margin(y0_blocks[0]))
-        held += y0_blocks[1:]
+        margin2 = min(margin2, _p22_margin(y0_blocks))
 
     margins = [(margin2, ""), _worst_margin(margins3), _worst_margin(margins4)]
-    floors = (INVERTIBILITY_FLOOR, INVERTIBILITY_FLOOR, ANNULUS_FLOOR)
+    floors = (INVERTIBILITY_FLOOR, INVERTIBILITY_FLOOR, 0.0)
     for name, (margin, worst), floor in zip(names, margins, floors):
         conditions.append(ConditionResult(name, bool(margin > floor), float(margin), worst))
-    return ValidationReport(conditions), held
+    return ValidationReport(conditions)
 
 
 def base_point_data(
@@ -516,19 +525,10 @@ def base_point_data(
                 Cluster(z.location, z.multiplicity, K.shape[1], K, Kperp, Rperp, R, eps, active)
             )
         if ok:
+            # at y0, condition (4) recounts the located multiplicities on the reduced determinant
             base = BasePointData(chart, y0, clusters)
-            circles = [Circle(cl.center, cl.radius) for cl in clusters]
-            check, held = _neighborhood(chart, base, [y0], circles)
+            check = validate_neighborhood(chart, base, [y0])
             if check.passed:
-                # consistency: the reduced determinant sees the same multiplicity,
-                # counted from the samples taken with the checks
-                for s, cl in enumerate(clusters):
-                    d = _multiplicity(SchurEvaluator(chart, base, s), y0, circles[s], held[s])
-                    if d != cl.multiplicity:
-                        raise NumericalError(
-                            f"local multiplicity {d} disagrees with located multiplicity "
-                            f"{cl.multiplicity} at cluster {s}"
-                        )
                 return base
             if epsilon is not None:
                 raise ValidationError(

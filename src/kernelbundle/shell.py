@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, Rectangle, SampledFunction, cauchy_moment, locate_zeros
+from .contour import Rectangle, SampledFunction, cauchy_moment, locate_zeros
 from .errors import (
     ClusteredPolesError,
     DimensionJumpError,
@@ -43,8 +43,7 @@ from .reduction import (
 )
 
 SCHEMA_VERSION = 1
-# Nodes of the sweep's per-point multiplicity counts and p22 margin circles.
-COUNT_NODES = 64
+# Nodes of the sweep's p22 margin circles.
 MARGIN_NODES = 16
 # Trace expansions: slack of the window test, and the probe points and
 # largest relative gap of the numeric cross-check.
@@ -351,11 +350,10 @@ def sweep(
 
 
 def _point_samples(ev: SchurEvaluator, y, node_count: int) -> list:
-    """``(circle, blocks)`` on the count circles at radius 1 and 1/2, the p22 margin
-    circle and the carrier of one cluster at y, from one ``blocks_many`` call."""
+    """``(circle, blocks)`` on the two count circles, the p22 margin circle and the
+    carrier of one cluster at y, from one ``blocks_many`` call."""
     c = ev.cluster
-    circles = [Circle(c.center, f * c.radius, COUNT_NODES) for f in (1.0, 0.5)]
-    circles += [c.contour(MARGIN_NODES), c.carrier(node_count)]
+    circles = c.count_circles() + [c.contour(MARGIN_NODES), c.carrier(node_count)]
     return list(zip(circles, _sample_sets(ev, y, [circle.nodes for circle in circles])))
 
 
@@ -367,12 +365,12 @@ BRANCH_HEADER = ["y", "cluster", "re_sigma", "im_sigma", "mult"]
 
 
 def _cluster_rect(cl) -> Rectangle:
-    """Square around the cluster center, of half-width its carrier radius."""
-    half = CARRIER_FRACTION * cl.radius
-    return Rectangle(
-        cl.center.real - half, cl.center.real + half,
-        cl.center.imag - half, cl.center.imag + half,
-    )
+    """Square of half-width the carrier radius around the cluster center, which sits
+    at the fraction 0.55 of each side: no dyadic cut of ``locate_zeros`` runs through
+    the center, and the zeros within half the cluster radius stay inside."""
+    side = 2.0 * CARRIER_FRACTION * cl.radius
+    re, im = cl.center.real - 0.55 * side, cl.center.imag - 0.55 * side
+    return Rectangle(re, re + side, im, im + side)
 
 
 def branching_diagram(

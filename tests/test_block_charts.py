@@ -170,20 +170,23 @@ class TestTwoPresentations:
             assert a.p22_margin == pytest.approx(b.p22_margin, rel=1e-12)
 
 
-def test_an_inactive_block_near_singular_on_a_count_circle_is_rejected():
-    # block 1 holds the singular point -0.5i at y = 0, and its zero moves onto the
-    # first node of cluster 0.5i's count circle at y = 1; that cluster's kernel lives
-    # in block 0, so the near-singular block enters its reduction only through the
-    # guard, which must reject it as the dense reduction does
-    def evaluate(y, s):
-        s = np.asarray(s, dtype=complex)
-        one = np.ones_like(s)
-        moving = -0.5j + y[0] * (0.2 + 1.0j)
-        return np.stack(
-            [_upper(s - 0.5j, 0.3 * one, one), _upper(s - moving, 0.1 * s, one), _upper(one, 0.5 * one, 2 * one)], -3
-        )
+def _moving_zero(y, s):
+    # block 0 vanishes at 0.5i; block 1 holds the singular point -0.5i at y = 0, and
+    # its zero moves along -0.5i + y (0.2 + 1.0i), onto the first node of cluster
+    # 0.5i's count circle at y = 1
+    s = np.asarray(s, dtype=complex)
+    one = np.ones_like(s)
+    moving = -0.5j + y[0] * (0.2 + 1.0j)
+    return np.stack(
+        [_upper(s - 0.5j, 0.3 * one, one), _upper(s - moving, 0.1 * s, one), _upper(one, 0.5 * one, 2 * one)], -3
+    )
 
-    blk = FamilyChart(6, 1, REGION, evaluate)
+
+def test_an_inactive_block_near_singular_on_a_count_circle_is_rejected():
+    # cluster 0.5i's kernel lives in block 0, so the near-singular block 1 enters
+    # its reduction only through the guard, which must reject it as the dense
+    # reduction does
+    blk = FamilyChart(6, 1, REGION, _moving_zero)
     active = []
     for chart in (blk, _dense(blk)):
         base = base_point_data(chart, [0.0])
@@ -197,3 +200,26 @@ def test_an_inactive_block_near_singular_on_a_count_circle_is_rejected():
         with pytest.raises(ReductionInvalidError, match=re.escape(f"at sigma = {node}")):
             local_multiplicity(ev, [1.0])
     assert active == [(0,), (0,)]
+
+
+def test_a_singular_point_that_leaves_its_disc_fails_validation():
+    # at y = 0.9 cluster -0.5i's singular point has moved to 0.18 + 0.4i, far
+    # outside that cluster's count circles
+    chart = FamilyChart(6, 1, REGION, _moving_zero)
+    base = base_point_data(chart, [0.0])
+    assert abs(base.clusters[0].center + 0.5j) < 1e-12
+    assert validate_neighborhood(chart, base, [[0.0], [0.05]]).passed
+    annulus = validate_neighborhood(chart, base, [[0.05], [0.9]]).conditions[3]
+    assert (annulus.passed, annulus.margin, annulus.detail) == (False, 0.0, "cluster 0, y = [0.9]")
+
+
+@pytest.mark.xfail(strict=True, reason="condition (3) samples each disc at 37 points only")
+def test_a_singular_complement_block_inside_a_disc_fails_validation():
+    # at y = 0.95 block 1's zero, 0.19 + 0.45i, lies 0.98 epsilon from cluster
+    # 0.5i, inside its disc, where block 1 is part of that cluster's complement
+    # block; no disc sample comes near it, so (3) passes with margin 2.45e-2.  The
+    # winding of det p22 times the determinants of the other blocks on the
+    # epsilon-circle would see it
+    chart = FamilyChart(6, 1, REGION, _moving_zero)
+    base = base_point_data(chart, [0.0])
+    assert not validate_neighborhood(chart, base, [[0.95]]).conditions[2].passed

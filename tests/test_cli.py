@@ -169,6 +169,29 @@ class TestSubcommands:
             assert epsilon not in (0.3, 0.45)
         assert cluster["epsilon"] == epsilon
 
+    def test_param_dim_sets_the_parameters(self, tmp_path, capsys):
+        # sigma I + y1 sigma_x + y2 sigma_z: det = sigma^2 - |y|^2, a double zero at 0
+        terms = [
+            {"sigma_power": 1, "y_powers": [0, 0], "matrix": [[1, 0], [0, 1]]},
+            {"sigma_power": 0, "y_powers": [1, 0], "matrix": [[0, 1], [1, 0]]},
+            {"sigma_power": 0, "y_powers": [0, 1], "matrix": [[1, 0], [0, -1]]},
+        ]
+        axis = {"min": -0.05, "max": 0.05, "count": 3}
+        family = {"kind": "matrix_polynomial", "param_dim": 2, "terms": terms, "sigma": {"re": [-2, 2], "im": [-2, 2]}}
+        path, out = tmp_path / "problem.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"family": family, "grid": {"axes": [axis, axis]}}))
+        assert main(["reduce", "--spec", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["base"]["y0"] == [0.0, 0.0]
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["y0"] == [0.0, 0.0]
+        assert len(report["points"]) == 9 and all(len(p["y"]) == 2 for p in report["points"])
+        # the same terms on one parameter
+        path.write_text(json.dumps({"family": dict(family, param_dim=1), "grid": {"axes": [axis]}}))
+        capsys.readouterr()
+        assert main(["reduce", "--spec", str(path), "--out", str(out)]) == EXIT_PARSE
+        assert "y_powers" in capsys.readouterr().err
+
     def test_reduce_builds_systems_on_twice_the_nodes(self, specs, tmp_path, monkeypatch):
         built = []
         original = kernelbundle.cli.canonical_systems

@@ -251,6 +251,22 @@ class TestVerification:
         assert out["dual_delta_residual"] < 1e-10
         assert out["dual_lengths_match"]
 
+    def test_both_counts_read_one_sample(self, branching_pipeline, monkeypatch):
+        # one block evaluation on the carrier for the membership residual, and one
+        # on the cluster circle for the determinant count and the ratio winding
+        chart, base, systems, duals = branching_pipeline
+        calls = []
+        blocks_many = SchurEvaluator.blocks_many
+
+        def counted(self, y, sigmas):
+            calls.append(len(sigmas))
+            return blocks_many(self, y, sigmas)
+
+        monkeypatch.setattr(SchurEvaluator, "blocks_many", counted)
+        out = verify_canonical_system(SchurEvaluator(chart, base, 0), systems[0], duals[0])
+        assert (out["determinant_count"], out["ratio_winding"]) == (2, 0)
+        assert calls == [128, 128]
+
     def test_sl_big_diagnostics(self, sl_big_pipeline):
         chart, base, systems, duals = sl_big_pipeline
         for s in range(len(base.clusters)):

@@ -355,6 +355,18 @@ class TestNeighborhood:
         assert annulus.name == "annulus_nonvanishing"
         assert not annulus.passed
 
+    @pytest.mark.parametrize("epsilon, y, passed", [(None, 0.3, True), (None, 0.45, False), (0.5, 0.6, False)])
+    def test_annulus_counts_both_circles(self, epsilon, y, passed):
+        # the branching singular points sit at +-y, and the default radius is 0.8:
+        # (4) holds while they stay within half the radius, wherever they fall
+        # between the nodes of the count circles
+        chart = branching_chart()
+        base = base_point_data(chart, [0.0], epsilon=epsilon)
+        annulus = validate_neighborhood(chart, base, [[y]]).conditions[3]
+        assert base.clusters[0].radius == (epsilon or 0.8)
+        assert (annulus.passed, annulus.margin > 0) == (passed, passed)
+        assert annulus.detail == f"cluster 0, y = {[y]}"
+
     def test_overlapping_discs_detected(self, branching_pipeline):
         chart, base, _, _ = branching_pipeline
         doubled = BasePointData(chart, base.y0, [base.clusters[0], base.clusters[0]])
@@ -379,10 +391,11 @@ class TestNeighborhood:
 
     def test_one_evaluation_per_cluster_and_parameter(self, sl_big_chart, monkeypatch):
         # the sweep-n8 chart has four clusters at y0 = 0: each is evaluated once
-        # for the checks and the count of base_point_data, and once for its
-        # carrier in canonical_systems; a validation once per grid y, with the
-        # doubled discs in the batch of y0; the nodes stay those of one batch
-        # per point set
+        # for the checks of base_point_data, whose count circles give its
+        # consistency count, and once for its carrier in canonical_systems; a
+        # validation once per grid y, on the disc and both count circles, with the
+        # doubled discs in the batch of y0; the nodes stay those of one batch per
+        # point set
         chart, _ = sl_big_chart
         calls = []
         blocks_many = SchurEvaluator.blocks_many
@@ -395,15 +408,15 @@ class TestNeighborhood:
         base = base_point_data(chart, [0.0])
         canonical_systems(chart, base)
         assert len(base.clusters) == 4
-        assert (len(calls), sum(calls)) == (8, 4 * (37 + 37 + 240 + 128) + 4 * 256)
+        assert (len(calls), sum(calls)) == (8, 4 * (37 + 37 + 2 * 64) + 4 * 256)
         calls.clear()
         grid = ParameterGrid.from_ranges([(-0.1, 0.1, 21)]).points()
         assert validate_neighborhood(chart, base, grid).passed
-        assert (len(calls), sum(calls)) == (84, 4 * (37 + 21 * (37 + 240)))
+        assert (len(calls), sum(calls)) == (84, 4 * (37 + 21 * (37 + 2 * 64)))
         calls.clear()
         # off the grid, y0 costs one more call per cluster
         off = validate_neighborhood(chart, base, [[0.05]])
-        assert (len(calls), sum(calls)) == (8, 4 * (37 + 37 + 240))
+        assert (len(calls), sum(calls)) == (8, 4 * (37 + 37 + 2 * 64))
         # and its margin does not depend on the batch that carries it
         on = validate_neighborhood(chart, base, [[0.05], [0.0]])
         assert on.conditions[1].margin == off.conditions[1].margin

@@ -295,6 +295,27 @@ class TestDiagram:
         first = lines[1].split(",")
         assert float(first[0]) == -0.2 and first[1] == "0"
 
+    def test_cluster_squares_keep_their_zero_off_every_cut(self, sl_scalar_pipeline, monkeypatch):
+        # the scalar Dirichlet zeros stay on the imaginary axis, through the cluster
+        # centers: a square centered on its cluster puts them on the first cut of
+        # locate_zeros, whose counts then spend up to 16,384 nodes each (214,528
+        # reduced-determinant nodes in all on this grid)
+        chart, base, _, _ = sl_scalar_pipeline
+        calls = []
+        blocks_many = kb.SchurEvaluator.blocks_many
+
+        def counted(self, y, sigmas):
+            calls.append(len(sigmas))
+            return blocks_many(self, y, sigmas)
+
+        monkeypatch.setattr(kb.SchurEvaluator, "blocks_many", counted)
+        rows = branching_diagram(chart, base, ParameterGrid.from_ranges([(-0.1, 0.1, 3)]))
+        assert sum(calls) <= 20000
+        assert len(rows) == 6
+        for y, _, re, im, mult in rows:
+            want = np.sign(im) * 1j * np.sqrt(1.25 + 0.1 * y)
+            assert mult == 1 and abs(complex(re, im) - want) < 1e-12
+
     def test_requires_one_dimension(self, branching_pipeline):
         chart, base, _, _ = branching_pipeline
         grid = ParameterGrid.from_ranges([(0, 1, 2), (0, 1, 2)])
