@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .contour import locate_zeros
+from .contour import SampledFunction, circle_zeros, locate_zeros
 from .errors import (
     ConfigurationError,
     InputError,
@@ -26,12 +26,11 @@ from .errors import (
     RegionError,
     ValidationError,
 )
-from .frames import frames_at, independence_check, make_germ
+from .frames import Germ, frames_at, independence_check
 from .pairing import expected_base_pairing, pairing_matrix
 from .reduction import _det_function, validate_neighborhood
 from .shell import (
     ParameterGrid,
-    _cluster_rect,
     _write_json,
     branching_diagram,
     canonical_systems,
@@ -189,18 +188,15 @@ def cmd_trace(args) -> int:
     if chart.n != 1:
         raise InputError("trace expansions are defined for scalar families")
     base = problem.base()
-    y0 = problem.y0
-
-    def inv_trace(sig):
-        return np.trace(np.linalg.inv(chart.eval_many(y0, sig)), axis1=1, axis2=2)[:, None]
-
-    det = _det_function(chart, y0)
     pieces = []
     for cl in base.clusters:
+        # one sample of P per carrier gives the germ of tr P^-1 and its poles: an n = 1
+        # family has no complement block, so its zeros inside are the cluster's
         carrier = cl.carrier(args.nodes)
-        germ = make_germ(inv_trace, carrier.center, carrier.radius, carrier.node_count)
-        zrep = locate_zeros(det, _cluster_rect(cl), min_separation=cl.radius / 64.0)
-        poles = [(z.location, z.multiplicity) for z in zrep.zeros]
+        values = chart.eval_many(problem.y0, carrier.nodes)
+        germ = Germ(carrier.center, SampledFunction(carrier, 1.0 / values[:, 0]))
+        zeros = circle_zeros(carrier, *np.linalg.slogdet(values), cl.multiplicity, cl.radius / 64.0)
+        poles = [(z.location, z.multiplicity) for z in zeros]
         pieces.append(trace_from_germ(germ, poles, args.gamma, args.window))
     merged = pieces[0]
     for extra in pieces[1:]:

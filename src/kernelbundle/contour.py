@@ -445,6 +445,30 @@ def refine_cluster(
     return center
 
 
+def circle_zeros(circle: Circle, phase: np.ndarray, logabs: np.ndarray, count: int, min_separation: float) -> list:
+    """The ``count`` zeros of q inside a circle from its ``(phase, logabs)`` samples on the
+    nodes, sorted like ``locate_zeros`` rows.  Their power sums in ``(sigma - c)/r`` are moments
+    of q'/q, with q' from the trigonometric interpolant, and give their monic polynomial by
+    Newton's identities; roots closer than ``min_separation`` merge into one ``LocatedZero`` at
+    their mean, which is well conditioned, with the group's size as multiplicity."""
+    values = phase * np.exp(logabs - logabs.max())
+    # dq/dtheta = q'(sigma) i r u, so q'/q is the sampled ratio over i r u
+    ratio = SampledFunction(circle, _fourier_derivative(values) / (1j * circle.radius * circle.unit * values))
+    orders = np.arange(1, count + 1)
+    sums = cauchy_moment(ratio, orders) / circle.radius ** orders
+    coeffs = [1.0 + 0j]
+    for k in orders:
+        coeffs.append(-np.dot(coeffs[::-1], sums[:k]) / k)
+    roots = circle.center + circle.radius * np.roots(coeffs)
+    # roots joined by a chain of close pairs form one group, labelled by its first root
+    near = np.abs(roots[:, None] - roots) < min_separation
+    for _ in range(count):
+        near = near @ near
+    first = near.argmax(axis=1)
+    zeros = [LocatedZero(complex(np.mean(roots[first == i])), int(np.sum(first == i))) for i in np.unique(first)]
+    return sorted(zeros, key=lambda z: (round(z.location.real, 12), round(z.location.imag, 12)))
+
+
 def _counted_circle(q, center, radius):
     """``(count, samples scaled to largest modulus one, circle)``; the radius is nudged off
     grazed zeros, and a loop the samples cannot resolve is continued at its midpoints."""

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Rectangle, SampledFunction, cauchy_moment, locate_zeros
+from .contour import SampledFunction, cauchy_moment, circle_zeros
 from .errors import (
     ClusteredPolesError,
     DimensionJumpError,
@@ -33,12 +33,13 @@ from .frames import Germ, frames_from_blocks, laurent_coefficients, make_germ
 from .keldysh import base_samples, dual_root_functions, root_functions, taylor_coefficients, with_beta
 from .pairing import coefficients, pairing_matrix
 from .reduction import (
-    CARRIER_FRACTION,
     BasePointData,
     SchurEvaluator,
     _complement_svals,
+    _count_margin,
     _multiplicity,
     _sample_sets,
+    _schur,
     base_point_data,
 )
 
@@ -364,15 +365,6 @@ def _point_samples(ev: SchurEvaluator, y, node_count: int) -> list:
 BRANCH_HEADER = ["y", "cluster", "re_sigma", "im_sigma", "mult"]
 
 
-def _cluster_rect(cl) -> Rectangle:
-    """Square of half-width the carrier radius around the cluster center, which sits
-    at the fraction 0.55 of each side: no dyadic cut of ``locate_zeros`` runs through
-    the center, and the zeros within half the cluster radius stay inside."""
-    side = 2.0 * CARRIER_FRACTION * cl.radius
-    re, im = cl.center.real - 0.55 * side, cl.center.imag - 0.55 * side
-    return Rectangle(re, re + side, im, im + side)
-
-
 def branching_diagram(
     chart: FamilyChart,
     base: BasePointData,
@@ -381,36 +373,33 @@ def branching_diagram(
 ) -> list:
     """Zero locations of the reduced determinants along a one dimensional grid.
 
-    Returns rows ``[y, cluster, re, im, mult]`` sorted by grid order, cluster,
-    then location; writes CSV to the path ``out`` when given.
+    Each cluster is sampled once per grid y, on its count circles: where condition
+    (4) holds, ``circle_zeros`` reads its rows ``[y, cluster, re, im, mult]`` off the
+    outer one, and elsewhere it has none.  Rows are sorted by grid order, cluster,
+    then location; CSV is written to the path ``out`` when given.
     """
     if grid.ndim != 1:
         raise InputError("branching diagrams are defined along a single parameter axis")
     rows = []
     for y in grid.points():
-        yval = float(y[0])
         for s, cl in enumerate(base.clusters):
             ev = SchurEvaluator(chart, base, s)
-            sep = cl.radius / 64.0
-            zrep = locate_zeros(ev.qdet_function(y), _cluster_rect(cl), min_separation=sep)
-            for z in zrep.zeros:
-                rows.append([yval, s, float(z.location.real), float(z.location.imag), int(z.multiplicity)])
-            for u in zrep.unresolved:
-                c = u.box.center
-                rows.append([yval, s, float(c.real), float(c.imag), int(u.count)])
+            circles = cl.count_circles()
+            try:
+                samples = _sample_sets(ev, y, [c.nodes for c in circles])
+                if _count_margin(ev, y, zip(circles, samples)) == 0.0:
+                    continue
+                held = np.linalg.slogdet(_schur(samples[0], circles[0].nodes)[0])
+            except KernelBundleError:
+                continue
+            for z in circle_zeros(circles[0], *held, cl.multiplicity, cl.radius / 64.0):
+                rows.append([float(y[0]), s, z.location.real, z.location.imag, z.multiplicity])
     if out is not None:
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(BRANCH_HEADER)
-            for row in rows:
-                writer.writerow([_csv_num(v) for v in row])
+            writer.writerows(rows)
     return rows
-
-
-def _csv_num(v):
-    if isinstance(v, int):
-        return v
-    return repr(float(v))
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,57 @@ class TestSubcommands:
         assert len(gaps) == 3 and max(gaps) < CROSS_CHECK_TOL
         assert json.loads(out.read_text())["symbolic_numeric_gap"] == max(gaps)
 
+    def test_trace_samples_each_carrier_once(self, tmp_path, monkeypatch):
+        # after the base point, the germ of tr P^-1 and its poles come from one sample
+        # of P on each of the three carriers: residues -1/2, 1 and -1/2 at 0, -i and -2i
+        spec, out = tmp_path / "indicial3.json", tmp_path / "trace.json"
+        spec.write_text(json.dumps({"family": {"kind": "indicial", "m": 3}}))
+        nodes, based = [], []
+        base, eval_blocks = kernelbundle.shell.Problem.base, kernelbundle.FamilyChart.eval_blocks
+
+        def counted_base(self):
+            out = base(self)
+            based.append(True)
+            return out
+
+        def counted(self, y, sigmas, check=True):
+            if based:
+                nodes.append(np.size(sigmas))
+            return eval_blocks(self, y, sigmas, check)
+
+        monkeypatch.setattr(kernelbundle.shell.Problem, "base", counted_base)
+        monkeypatch.setattr(kernelbundle.FamilyChart, "eval_blocks", counted)
+        argv = ["trace", "--spec", str(spec), "--gamma", "3", "--window", "3.5", "--out", str(out)]
+        assert main(argv) == 0
+        assert nodes == [128] * 3
+        terms = json.loads(out.read_text())["terms"]
+        for term, sigma, coeff in zip(terms, (0, -1j, -2j), (-0.5j, 1j, -0.5j)):
+            assert abs(complex(*term["sigma"]) - sigma) < 1e-12
+            assert abs(complex(*term["coeff"]) - coeff) < 1e-12 and term["log_power"] == 0
+        assert len(terms) == 3
+
+    @pytest.mark.parametrize("grid", ["0.54,0.54,1", "-0.6,0.6,13"])
+    def test_sweep_csv_rows_only_where_the_sweep_holds(self, grid, tmp_path):
+        # with epsilon 0.8 the branching zeros +/- y reach the inner count circle at
+        # |y| = 0.4 and leave it beyond: there the sweep records a failure and the
+        # diagram has no row, and both files are written
+        spec, out, csv = tmp_path / "branching.json", tmp_path / "sweep.json", tmp_path / "diagram.csv"
+        spec.write_text(json.dumps({"family": {"kind": "branching"}}))
+        argv = ["sweep", "--spec", str(spec), f"--grid={grid}", "--out", str(out), "--csv", str(csv)]
+        assert main(argv) == EXIT_VALIDATION
+        data = json.loads(out.read_text())
+        ys = [p["y"][0] for p in data["points"]]
+        failed = {f["y"][0] for f in data["failures"]}
+        assert failed == {y for y in ys if abs(y) > 0.4 - 1e-12}
+        assert {f["error"] for f in data["failures"] if abs(f["y"][0]) > 0.4} == {"ValidationError"}
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "y,cluster,re_sigma,im_sigma,mult"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert {r[0] for r in rows} == set(ys) - failed
+        for y, _, re, im, mult in rows:
+            assert abs(abs(re) - abs(y)) < 1e-12 and abs(im) < 1e-12
+            assert mult == (2 if abs(y) < 1e-12 else 1)
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path, capsys):

@@ -301,6 +301,44 @@ class TestRefine:
             refine_cluster(np.sin, 0.0, 0.5, 0)
 
 
+ZEROS_CIRCLE = Circle(0.3 - 0.2j, 0.8, 64)
+
+
+def _separated_zeros(seed):
+    """1 to 4 simple zeros in the inner half-disc of ``ZEROS_CIRCLE``, pairwise at
+    least a tenth of its radius apart."""
+    rng = np.random.default_rng(seed)
+    m = 1 + seed % 4
+    while True:
+        w = 0.5 * np.sqrt(rng.uniform(size=m)) * np.exp(2j * np.pi * rng.uniform(size=m))
+        if np.min(np.abs(w[:, None] - w) + np.eye(m)) > 0.1:
+            return [(ZEROS_CIRCLE.center + ZEROS_CIRCLE.radius * v, 1) for v in w]
+
+
+class TestCircleZeros:
+    a, b = 0.35 - 0.1j, 0.1 - 0.3j
+
+    @pytest.mark.parametrize(
+        "zeros, want",
+        [
+            ([(a, 3)], [(a, 3)]),
+            ([(a, 2), (b, 1)], [(b, 1), (a, 2)]),
+            # 2e-3 apart, closer than the separation radius / 64: one row at the mean
+            ([(a, 1), (a + 2e-3, 1)], [(a + 1e-3, 2)]),
+        ]
+        + [(z, sorted(z, key=lambda r: r[0].real)) for z in map(_separated_zeros, range(20))],
+    )
+    def test_rows_from_the_circle_samples(self, zeros, want):
+        q = lambda s: np.prod([(s - z) ** k for z, k in zeros], axis=0)
+        count = sum(k for _, k in zeros)
+        got = contour.circle_zeros(
+            ZEROS_CIRCLE, *contour._samples(q, ZEROS_CIRCLE.nodes), count, ZEROS_CIRCLE.radius / 64
+        )
+        assert [z.multiplicity for z in got] == [k for _, k in want]
+        for z, (loc, _) in zip(got, want):
+            assert abs(z.location - loc) < 1e-12
+
+
 class TestLocate:
     def test_simple_and_double(self):
         roots = [0.5, -0.3 + 0.4j, -0.3 + 0.4j]

@@ -288,18 +288,16 @@ class TestDiagram:
         for r in rows:
             y = r[0]
             if y != 0.0:
-                assert abs(abs(r[2]) - abs(y)) < 1e-8
+                assert abs(abs(r[2]) - abs(y)) < 1e-12
         lines = out.read_text().splitlines()
         assert lines[0] == "y,cluster,re_sigma,im_sigma,mult"
         assert len(lines) == 10
         first = lines[1].split(",")
         assert float(first[0]) == -0.2 and first[1] == "0"
 
-    def test_cluster_squares_keep_their_zero_off_every_cut(self, sl_scalar_pipeline, monkeypatch):
-        # the scalar Dirichlet zeros stay on the imaginary axis, through the cluster
-        # centers: a square centered on its cluster puts them on the first cut of
-        # locate_zeros, whose counts then spend up to 16,384 nodes each (214,528
-        # reduced-determinant nodes in all on this grid)
+    def test_one_sample_of_the_count_circles_per_cluster_and_parameter(self, sl_scalar_pipeline, monkeypatch):
+        # the rows are read off the samples of condition (4): 2 x COUNT_NODES block
+        # nodes per (cluster, y), 768 on this grid of 3 points with 2 clusters
         chart, base, _, _ = sl_scalar_pipeline
         calls = []
         blocks_many = kb.SchurEvaluator.blocks_many
@@ -310,7 +308,7 @@ class TestDiagram:
 
         monkeypatch.setattr(kb.SchurEvaluator, "blocks_many", counted)
         rows = branching_diagram(chart, base, ParameterGrid.from_ranges([(-0.1, 0.1, 3)]))
-        assert sum(calls) <= 20000
+        assert calls == [2 * kb.reduction.COUNT_NODES] * 6 and sum(calls) == 768
         assert len(rows) == 6
         for y, _, re, im, mult in rows:
             want = np.sign(im) * 1j * np.sqrt(1.25 + 0.1 * y)
