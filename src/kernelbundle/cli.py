@@ -20,6 +20,7 @@ import numpy as np
 from .contour import SampledFunction, circle_zeros, locate_zeros
 from .errors import (
     ConfigurationError,
+    DimensionJumpError,
     InputError,
     KernelBundleError,
     NumericalError,
@@ -167,15 +168,12 @@ def cmd_sweep(args) -> int:
     if problem.probe_entries:
         size = sum(sy.total for sy in systems)
         probe = probe_from_spec(problem.probe_entries, size)
-    report = sweep(
-        problem.chart,
-        base,
-        grid,
-        probe=probe,
-        node_count=args.nodes,
-        systems=systems,
-        duals=duals,
-    )
+    try:
+        report = sweep(problem.chart, base, grid, probe=probe, node_count=args.nodes, systems=systems, duals=duals)
+    except DimensionJumpError as err:
+        # the points before the jump are still written; the jump itself exits 4
+        _write_json(err.partial_report.to_dict(), args.out)
+        raise
     if args.csv:
         branching_diagram(problem.chart, base, grid, out=args.csv)
     _write_json(report.to_dict(), args.out)

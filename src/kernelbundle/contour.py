@@ -193,11 +193,11 @@ def cauchy_moment(f: SampledFunction, p):
     k = np.asarray(p)
     if k.ndim > 1 or k.dtype.kind not in "iu":
         raise InputError(f"moment order must be an integer or a 1-D array of integers, got {p}")
-    c = f.circle
+    c, n = f.circle, f.circle.node_count
     k = k + 1
-    sums = np.tensordot(c.unit ** k[..., None], f.values, axes=(-1, 0))
+    sums = (c.unit ** k[..., None] @ f.values.reshape(n, -1)).reshape(k.shape + f.value_shape)
     # transposed, the order axis is last, where the scale of each order broadcasts
-    return (c.radius ** k * sums.T).T / c.node_count
+    return (c.radius ** k * sums.T).T / n
 
 
 def singular_part_eval(f: SampledFunction, sigma):
@@ -217,7 +217,8 @@ def singular_part_eval(f: SampledFunction, sigma):
         sig = np.asarray(sigma, dtype=complex)
         scalar_input = sig.ndim == 0
         kernel = _cauchy_kernel(c, np.atleast_1d(sig))
-    out = -(c.radius / c.node_count) * np.tensordot(kernel, f.values, axes=(0, 0))
+    sums = (kernel.T @ f.values.reshape(c.node_count, -1)).reshape(kernel.shape[1:] + f.value_shape)
+    out = -(c.radius / c.node_count) * sums
     if scalar_input:
         out = out[0]
     return out

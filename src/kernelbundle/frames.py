@@ -30,7 +30,7 @@ from .errors import (
     RegionError,
 )
 from .keldysh import RootSystem
-from .reduction import BasePointData, SchurEvaluator, _schur
+from .reduction import BasePointData, SchurEvaluator, _checked, _reduce
 
 INDEPENDENCE_CONDITION_LIMIT = 1e10
 INDEPENDENCE_PROBE_NODES = 48
@@ -148,7 +148,8 @@ def _kernel_values(system: RootSystem, circle: Circle, schur) -> np.ndarray:
     n = system.beta.circle.node_count
     if n % circle.node_count:
         raise InputError(f"frames on {circle.node_count} nodes need systems built on a multiple, not {n}")
-    solved = np.linalg.solve(schur, system.beta.values[:: n // circle.node_count])  # (N, k, J)
+    beta = system.beta.values[:: n // circle.node_count]
+    solved = beta / schur if schur.shape[-1] == 1 else np.linalg.solve(schur, beta)  # (N, k, J)
     labels = system.entry_labels()
     z = circle.nodes - system.center
     shifts = np.stack([z ** l for _, l in labels], axis=1)
@@ -188,8 +189,9 @@ def _frame(base: BasePointData, systems: Sequence[RootSystem], y, reduced) -> Fr
     return FrameSet(y=y_key, blocks=blocks, labels=labels)
 
 
-def frames_from_blocks(base: BasePointData, systems, duals, y, carrier_blocks) -> tuple:
-    """Frame and dual frame at y from the blocks of P(y, .) on each cluster's carrier.
+def frames_from_blocks(base: BasePointData, systems, duals, y, carriers) -> tuple:
+    """Frame and dual frame at y from ``(carrier, reduced)`` per cluster, ``reduced`` being
+    ``_reduce`` of the blocks of P(y, .) on that carrier.
 
     The dual is the primal construction on the adjoint family.  Node t of a
     dual carrier is node -t mod N of the primal one conjugated, where the
@@ -198,20 +200,20 @@ def frames_from_blocks(base: BasePointData, systems, duals, y, carrier_blocks) -
     factorization.
     """
     primal, adjoint = [], []
-    for cl, blocks in zip(base.clusters, carrier_blocks):
-        schur, correction, inv = _schur(blocks, cl.carrier(len(blocks[0])).nodes)
+    for circle, reduced in carriers:
+        schur, correction, dual_correction = _checked(reduced, circle.nodes)
         primal.append((schur, correction))
         reverse = -np.arange(len(schur)) % len(schur)
-        adjoint.append([m.conj().swapaxes(1, 2)[reverse] for m in (schur, blocks[1] @ inv)])
+        adjoint.append([m.conj().swapaxes(1, 2)[reverse] for m in (schur, dual_correction)])
     return _frame(base, systems, y, primal), _frame(base.conjugate_swapped(), duals, y, adjoint)
 
 
 def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 128) -> tuple:
     """Frame and dual frame of the kernel bundle at parameter y, one germ block
     per cluster each, from one block evaluation per carrier."""
-    evs = [SchurEvaluator(chart, base, s) for s in range(len(base.clusters))]
-    blocks = [ev.blocks_many(y, ev.cluster.carrier(node_count).nodes) for ev in evs]
-    return frames_from_blocks(base, systems, duals, y, blocks)
+    carriers = [cl.carrier(node_count) for cl in base.clusters]
+    reduced = [_reduce(SchurEvaluator(chart, base, s).blocks_many(y, c.nodes)) for s, c in enumerate(carriers)]
+    return frames_from_blocks(base, systems, duals, y, list(zip(carriers, reduced)))
 
 
 def independence_check(frame: FrameSet, base: BasePointData) -> float:

@@ -53,6 +53,11 @@ def _dual_eval(psi: Germ, circle: Circle) -> np.ndarray:
     return psi.eval(Circle(np.conj(circle.center), circle.radius, n))[-np.arange(n) % n]
 
 
+def _on_rows(g: Germ, rows) -> Germ:
+    """The germ of the given rows of ``g``'s values."""
+    return Germ(g.center, SampledFunction(g.carrier.circle, g.carrier.values[:, rows]))
+
+
 def pair(
     chart,
     y,
@@ -103,7 +108,7 @@ def _pairings(chart, frame, dual, base, y, section, node_count: int):
     only with its dual block, on its own contour: P is sampled once there,
     each block is evaluated with one Cauchy sum, and the section's germ of
     that cluster rides along as one more column; dual germs vanish off the
-    cluster's active blocks, so only those are contracted.  Returns
+    cluster's active blocks, so every germ is summed on those rows alone.  Returns
     ``(matrix, column)``, with ``column`` None without a section.
     """
     sizes = frame.sizes()
@@ -115,11 +120,11 @@ def _pairings(chart, frame, dual, base, y, section, node_count: int):
     columns = []
     for s, circle in enumerate(cluster_contours(base, node_count)):
         rows, pvals, _ = _split(base.clusters[s].active_blocks, chart.eval_blocks(y, circle.nodes))
-        psis = _dual_eval(dual.blocks[s], circle)[:, rows]
-        blocks.append(_contour_pairing(circle, pvals, frame.blocks[s].eval(circle)[:, rows], psis))
+        psis = _dual_eval(_on_rows(dual.blocks[s], rows), circle)
+        blocks.append(_contour_pairing(circle, pvals, _on_rows(frame.blocks[s], rows).eval(circle), psis))
         if section is not None:
             # contracted apart: matmul roundoff depends on the column count
-            phi = section[s].eval(circle)[:, rows, None]
+            phi = _on_rows(section[s], rows).eval(circle)[:, :, None]
             columns.append(_contour_pairing(circle, pvals, phi, psis)[:, 0])
     column = None if section is None else np.concatenate(columns)
     return _block_diagonal(blocks), column

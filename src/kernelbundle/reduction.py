@@ -240,77 +240,138 @@ def _split(act: Optional[tuple], blocks: np.ndarray) -> tuple:
     return rows, _assemble(blocks[:, list(act)]), blocks[:, [j for j in range(m) if j not in act]]
 
 
+def _det(a: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 2 x 2 matrices."""
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
+def _sq(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of a stack of matrices."""
+    x = np.ascontiguousarray(a).view(float).reshape(a.shape[:-2] + (2 * a.shape[-2] * a.shape[-1],))
+    return np.einsum("...i,...i->...", x, x)
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of b x b matrices: for b <= 2 the adjugate over the determinant,
+    elsewhere LAPACK's; an exactly singular matrix has infinite entries."""
+    if a.shape[-1] < 2:
+        return np.where(a == 0, np.inf, 1 / a)
+    if a.shape[-1] == 2:
+        adj, det = a[..., ::-1, ::-1].swapaxes(-1, -2) * [[1, -1], [-1, 1]], _det(a)[..., None, None]
+        return np.where(det == 0, np.inf, adj / det)
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # one exactly singular matrix fails the whole stack
+        return np.stack([_inverse(x) for x in a]) if a.ndim > 2 else np.full_like(a, np.inf)
+
+
+def _svals(a: np.ndarray) -> np.ndarray:
+    """Singular values of a stack of b x b matrices, (..., b), largest first, LAPACK's for b > 2.
+    For b = 2, ``s1 +- s2 = sqrt(|a +- w conj d|^2 + |b -+ w conj c|^2)`` with ``w = det / |det|``,
+    free of cancellation, give ``s1`` as their mean, and ``s2 = |det| / s1``."""
+    if a.shape[-1] != 2:
+        return np.linalg.svd(a, compute_uv=False) if a.shape[-1] > 2 else np.abs(a).reshape(a.shape[:-1])
+    mod = np.abs(det := _det(a))
+    w = np.where(mod > 0, det, 1.0) / np.where(mod > 0, mod, 1.0)
+    p, q, r, t = a[..., 0, 0], w * a[..., 1, 1].conj(), a[..., 0, 1], w * a[..., 1, 0].conj()
+    big = 0.5 * (np.hypot(np.abs(p + q), np.abs(r - t)) + np.hypot(np.abs(p - q), np.abs(r + t)))
+    return np.stack([big, mod / np.maximum(big, np.finfo(float).tiny)], axis=-1)
+
+
+def _scaled(blocks) -> tuple:
+    """``(scale, p22, rest)``: the diagonal blocks of the complement block at each node
+    over the node's scale (N, 1), the largest real or imaginary part of their entries."""
+    p22, rest = blocks[3], blocks[4]
+    entries = np.concatenate([p22.reshape(len(p22), -1), rest.reshape(len(rest), -1)], axis=1).view(float)
+    scale = np.max(np.abs(entries), axis=1, keepdims=True, initial=np.finfo(float).tiny)
+    scaled = (entries / scale).view(complex)
+    return scale, scaled[:, : p22[0].size].reshape(p22.shape), scaled[:, p22[0].size :].reshape(rest.shape)
+
+
 def _complement_svals(blocks) -> np.ndarray:
     """Singular values of the complement block at each node, (N, m): those of p22
     and of the other diagonal blocks, whose direct sum it is up to unitary factors."""
-    return np.concatenate([np.linalg.svd(x, compute_uv=False).reshape(len(x), -1) for x in blocks[3:]], axis=1)
+    scale, p22, rest = _scaled(blocks)
+    return scale * np.concatenate([_svals(p22), _svals(rest).reshape(len(rest), -1)], axis=1)
 
 
 def _guard(blocks) -> tuple:
-    """``p22^{-1}`` (None if a block is exactly singular), and per node the Frobenius
-    condition ``||C||_F ||C^{-1}||_F`` of the m x m complement block C, unitarily
-    ``diag(p22, rest)``, raised by the inverse's roundoff (``m eps cond`` relative) to
-    an upper bound: as ``cond_2 <= cond_F``, it exceeds the 2-norm condition.  Both norms
-    read the blocks over their largest real or imaginary part, and the inverses times
-    it, so no scale of the family over- or underflows them."""
-    p22, rest = blocks[3], blocks[4]
-    m = p22.shape[1] + rest.shape[1] * rest.shape[2]
-    try:
-        inv = np.linalg.inv(p22)
-        # each node's entries of the diagonal blocks, and of their inverses, as real numbers
-        a, b = (np.concatenate([x.reshape(len(x), -1) for x in xs], axis=1).view(float)
-                for xs in ((p22, rest), (inv, np.linalg.inv(rest))))
-    except np.linalg.LinAlgError:
-        # an exactly singular block fails the whole batch; the SVD names it
-        svals = _complement_svals(blocks)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return None, np.max(svals, axis=1) / np.min(svals, axis=1)
-    scale = np.max(np.abs(a), axis=1, keepdims=True)
-    a, b = a / scale, b * scale
-    with np.errstate(over="ignore"):
-        conds = np.sqrt(np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", b, b))
-        return inv, conds * (1.0 + m * np.finfo(float).eps * conds)
+    """``p22^{-1}``, and per node the Frobenius condition ``||C||_F ||C^{-1}||_F`` of the m x m
+    complement block C, unitarily ``diag(p22, rest)``, raised by the inverses' roundoff (``m eps
+    cond`` relative) to a bound above the 2-norm condition.  Read over the node's scale, it neither
+    over- nor underflows at any scale of the family; it is inf where a block is exactly singular."""
+    scale, p22, rest = _scaled(blocks)
+    m, b = p22.shape[1] + rest.shape[1] * rest.shape[2], rest.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv, rest_sq = _inverse(p22), _sq(rest)
+        # for b = 2, ||R^-1||_F = ||R||_F / |det R|, as the adjugate permutes R's entries up to sign
+        rest_inv = rest_sq / np.abs(_det(rest)) ** 2 if b == 2 else _sq(_inverse(rest))
+        conds = np.sqrt((_sq(p22) + rest_sq.sum(axis=1)) * (_sq(inv) + rest_inv.sum(axis=1)))
+        return inv / scale[:, :, None], conds * (1.0 + m * np.finfo(float).eps * conds)
 
 
-def _schur(blocks, sigmas):
-    """Schur complement ``p11 - p12 p22^{-1} p21``, correction ``p22^{-1} p21`` and ``p22^{-1}``
-    from the blocks of ``SchurEvaluator.blocks_many`` at ``sigmas``; a node where the
-    ``_guard`` condition exceeds ``P22_CONDITION_LIMIT`` raises."""
-    p11, p12, p21, p22, rest = blocks
-    if p22.shape[1] + rest.shape[1] == 0:
-        return p11, p21, p22
+def _reduce(blocks) -> tuple:
+    """``(schur, correction, dual_correction, conds)``, unchecked, at every node of ``blocks_many``:
+    ``p11 - p12 p22^{-1} p21``, ``p22^{-1} p21``, ``p12 p22^{-1}`` and the ``_guard`` condition."""
+    p11, p12, p21, _, _ = blocks
     inv, conds = _guard(blocks)
+    with np.errstate(invalid="ignore"):
+        correction = inv @ p21
+        return p11 - p12 @ correction, correction, p12 @ inv, conds
+
+
+def _checked(reduced, sigmas) -> tuple:
+    """The arrays of ``reduced`` at ``sigmas`` but the last, the guard condition, such as those of
+    ``_reduce``; a node where the condition exceeds ``P22_CONDITION_LIMIT`` raises."""
+    *out, conds = reduced
     worst = int(np.argmax(conds))
-    if inv is None or not conds[worst] <= P22_CONDITION_LIMIT:
+    if not conds[worst] <= P22_CONDITION_LIMIT:
         raise ReductionInvalidError(
             f"reduction invalid here: complement block condition {conds[worst]:.3e} "
             f"at sigma = {sigmas[worst]}"
         )
-    correction = inv @ p21
-    return p11 - p12 @ correction, correction, inv
+    return tuple(out)
+
+
+def _schur(blocks, sigmas):
+    """The guarded reduction at ``sigmas``: ``_checked(_reduce(blocks), sigmas)``."""
+    return _checked(_reduce(blocks), sigmas)
+
+
+def _sliced(arrays, sizes) -> list:
+    """Arrays with a leading node axis cut into consecutive runs of the given sizes."""
+    return [tuple(a[e - size : e] for a in arrays) for size, e in zip(sizes, np.cumsum(sizes))]
 
 
 def _sample_sets(ev: SchurEvaluator, y, point_sets) -> list:
     """The blocks of one cluster at y on each of several point sets, sliced from one
     ``blocks_many`` call on their concatenated nodes: a node's blocks do not depend
     on the batch that carries it."""
-    blocks = ev.blocks_many(y, np.concatenate(point_sets))
-    ends = np.cumsum([len(pts) for pts in point_sets])
-    return [tuple(b[e - len(pts) : e] for b in blocks) for pts, e in zip(point_sets, ends)]
+    return _sliced(ev.blocks_many(y, np.concatenate(point_sets)), [len(pts) for pts in point_sets])
 
 
-def _multiplicity(ev: SchurEvaluator, y, circle: Circle, blocks) -> int:
-    """Reduced-determinant zeros in a count circle, from the ``slogdet`` of its samples;
-    a loop they cannot resolve is continued at its midpoints."""
-    held = np.linalg.slogdet(_schur(blocks, circle.nodes)[0])
-    return _continued_winding(ev.qdet_function(y), circle.path, *held)
+def _slogdet(m: np.ndarray) -> tuple:
+    """``slogdet`` of a stack of k x k matrices; for k = 1 the entry's phase, read
+    componentwise as LAPACK's ``slogdet`` reads its pivot, and log-modulus."""
+    if m.shape[-1] != 1:
+        return np.linalg.slogdet(m)
+    v, mod = m[..., 0, 0], np.hypot(m[..., 0, 0].real, m[..., 0, 0].imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mod > 0, v.real / mod + 1j * (v.imag / mod), 0), np.log(mod)
+
+
+def _multiplicity(ev: SchurEvaluator, y, circle: Circle, held) -> int:
+    """Reduced-determinant zeros in a count circle from ``(phase, logabs, conds)`` at its nodes,
+    ``_slogdet`` and guard condition; a loop they cannot resolve is continued at its midpoints."""
+    return _continued_winding(ev.qdet_function(y), circle.path, *_checked(held, circle.nodes))
 
 
 def local_multiplicity(ev: SchurEvaluator, y) -> int:
     """Zeros of the reduced determinant, with multiplicity, inside the outer count
     circle, counted from one block evaluation on its nodes."""
     circle = ev.cluster.count_circles()[0]
-    return _multiplicity(ev, y, circle, *_sample_sets(ev, y, [circle.nodes]))
+    schur, *_, conds = _reduce(*_sample_sets(ev, y, [circle.nodes]))
+    return _multiplicity(ev, y, circle, (*_slogdet(schur), conds))
 
 
 def _slogdet_function(matrices: Callable, n: int) -> Callable:
@@ -389,20 +450,21 @@ def _worst_margin(margins) -> tuple:
     return worst, next((lab for m, lab in margins if m <= worst + 1e-12 * worst), "")
 
 
-def _count_margin(ev: SchurEvaluator, y, counts) -> float:
+def _count_margin(ev: SchurEvaluator, y, counts) -> tuple:
     """Condition (4) at y from ``(circle, blocks)`` pairs: the smallest |det| over the
     largest of the reduced determinant's samples on either circle, or 0 where a count
-    differs from the cluster's multiplicity or a zero on a circle ends it."""
-    margin = np.inf
+    differs from the cluster's multiplicity or a zero on a circle ends it; and the
+    ``(phase, logabs)`` samples of the first circle."""
+    margin, held = np.inf, []
     for circle, blocks in counts:
-        held = np.linalg.slogdet(_schur(blocks, circle.nodes)[0])
+        held.append(_slogdet(_schur(blocks, circle.nodes)[0]))
         try:
-            if _continued_winding(ev.qdet_function(y), circle.path, *held) != ev.cluster.multiplicity:
-                return 0.0
+            if _continued_winding(ev.qdet_function(y), circle.path, *held[-1]) != ev.cluster.multiplicity:
+                return 0.0, held[0]
         except (ZeroOnContourError, ResolutionError):
-            return 0.0
-        margin = min(margin, float(np.exp(np.min(held[1]) - np.max(held[1]))))
-    return margin
+            return 0.0, held[0]
+        margin = min(margin, float(np.exp(np.min(held[-1][1]) - np.max(held[-1][1]))))
+    return margin, held[0]
 
 
 def validate_neighborhood(
@@ -450,7 +512,7 @@ def validate_neighborhood(
             y0_blocks = blocks[3] if i == at else y0_blocks
             # (3) complement block invertible on the disc, (4) the multiplicity on both circles
             margins3.append((_p22_margin(blocks[0]), f"cluster {s}, y = {y}"))
-            margins4.append((_count_margin(ev, y, zip(circles, blocks[1:3])), f"cluster {s}, y = {y}"))
+            margins4.append((_count_margin(ev, y, zip(circles, blocks[1:3]))[0], f"cluster {s}, y = {y}"))
         # (2) complement block invertible on the doubled disc at y0
         margin2 = min(margin2, _p22_margin(y0_blocks))
 

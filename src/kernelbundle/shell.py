@@ -38,8 +38,10 @@ from .reduction import (
     _complement_svals,
     _count_margin,
     _multiplicity,
+    _reduce,
     _sample_sets,
-    _schur,
+    _sliced,
+    _slogdet,
     base_point_data,
 )
 
@@ -280,7 +282,7 @@ def sweep(
         y_key = tuple(float(v) for v in np.atleast_1d(y))
         try:
             evs = [SchurEvaluator(chart, base, s) for s in range(len(base.clusters))]
-            # one block evaluation per cluster serves every circle below
+            # one block evaluation and one guard per cluster serve every circle below
             samples = [_point_samples(ev, y, node_count) for ev in evs]
             mults = [_multiplicity(ev, y, *smp[0]) for ev, smp in zip(evs, samples)]
             if mults != base_mults:
@@ -300,9 +302,9 @@ def sweep(
                     f"{inner} != {base_mults}"
                 )
             # smallest relative complement-block singular value on the margin circles
-            svals = [_complement_svals(smp[2][1]) for smp in samples]
+            svals = [_complement_svals(smp[3][1]) for smp in samples]
             margin = min((float(np.min(sv.min(1) / sv.max(1))) for sv in svals if sv.size), default=1.0)
-            frame, dual = frames_from_blocks(base, systems, duals, y, [smp[3][1] for smp in samples])
+            frame, dual = frames_from_blocks(base, systems, duals, y, [smp[2] for smp in samples])
             if probe is not None:
                 expected = np.asarray(probe(y), dtype=complex)
                 if expected.shape != (len(frame),):
@@ -351,11 +353,16 @@ def sweep(
 
 
 def _point_samples(ev: SchurEvaluator, y, node_count: int) -> list:
-    """``(circle, blocks)`` on the two count circles, the p22 margin circle and the
-    carrier of one cluster at y, from one ``blocks_many`` call."""
+    """``(circle, samples)`` of one cluster at y from one ``blocks_many`` call and one ``_reduce``
+    over its two count circles and carrier: on each count circle ``(phase, logabs, conds)`` from
+    one ``_slogdet`` for both, on the carrier its reduction, on the p22 margin circle the blocks."""
     c = ev.cluster
-    circles = c.count_circles() + [c.contour(MARGIN_NODES), c.carrier(node_count)]
-    return list(zip(circles, _sample_sets(ev, y, [circle.nodes for circle in circles])))
+    circles = c.count_circles() + [c.carrier(node_count), c.contour(MARGIN_NODES)]
+    sizes = [circle.node_count for circle in circles]
+    guarded, margin = _sample_sets(ev, y, [np.concatenate([x.nodes for x in circles[:3]]), circles[3].nodes])
+    schur, *_, conds = reduced = _reduce(guarded)
+    held = _sliced((*_slogdet(schur[: sizes[0] + sizes[1]]), conds), sizes[:2])
+    return list(zip(circles, held + _sliced(reduced, sizes[:3])[2:] + [margin]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +393,10 @@ def branching_diagram(
             ev = SchurEvaluator(chart, base, s)
             circles = cl.count_circles()
             try:
-                samples = _sample_sets(ev, y, [c.nodes for c in circles])
-                if _count_margin(ev, y, zip(circles, samples)) == 0.0:
-                    continue
-                held = np.linalg.slogdet(_schur(samples[0], circles[0].nodes)[0])
+                margin, held = _count_margin(ev, y, zip(circles, _sample_sets(ev, y, [c.nodes for c in circles])))
             except KernelBundleError:
                 continue
-            for z in circle_zeros(circles[0], *held, cl.multiplicity, cl.radius / 64.0):
+            for z in circle_zeros(circles[0], *held, cl.multiplicity, cl.radius / 64.0) if margin > 0.0 else []:
                 rows.append([float(y[0]), s, z.location.real, z.location.imag, z.multiplicity])
     if out is not None:
         with open(out, "w", newline="") as fh:

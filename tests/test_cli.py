@@ -512,6 +512,17 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_multiplicity_jump_writes_the_partial_report(self, specs, tmp_path, capsys):
+        # 0.7 and 0.8 are recorded as failures, then the multiplicity changes at 0.9
+        out = tmp_path / "partial.json"
+        code = main(["sweep", "--spec", specs["branching"], "--grid", "0.7,0.9,3", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "multiplicity changed at y=(0.9,)" in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        assert [p["y"] for p in report["points"]] == [[0.7], [0.8]]
+        assert [f["y"] for f in report["failures"]] == [[0.7], [0.8]]
+        assert all(p["multiplicities"] == [] and p["pairing_condition"] is None for p in report["points"])
+
 
 def _console_command():
     """The `kernelbundle` command: the installed script if one is on PATH,

@@ -29,7 +29,9 @@ from kernelbundle.reduction import (
     BasePointData,
     Cluster,
     SchurEvaluator,
+    _complement_svals,
     _det_function,
+    _guard,
     _schur,
     base_point_data,
     kernel_cokernel,
@@ -331,6 +333,81 @@ class TestSchur:
         chart, base, _, _ = sl_scalar_pipeline
         for s in range(len(base.clusters)):
             assert local_multiplicity(SchurEvaluator(chart, base, s), [0.4]) == 1
+
+
+def _small_blocks(rng, b, conds):
+    """One b x b block per 2-norm condition number, U diag(1, 1/cond) V^H times a
+    factor in [0.1, 10], with random unitary U and V."""
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b)))
+        return q
+
+    blocks = [unitary() @ np.diag(np.geomspace(1.0, 1.0 / c, b)) @ unitary() for c in conds]
+    return np.stack(blocks) * rng.uniform(0.1, 10.0, (len(conds), 1, 1))
+
+
+def _as_p22(a):
+    # the guard and the margins read only p22 and rest
+    return (None, None, None, a, np.zeros((len(a), 0) + a.shape[1:], dtype=complex))
+
+
+def _as_rest(a):
+    return (None, None, None, np.zeros((len(a), 0, 0), dtype=complex), a[:, None])
+
+
+def _lapack_condition(a):
+    """The guard's condition from LAPACK's inverse, at unit scale."""
+    x = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(a), axis=(1, 2))
+    return x * (1.0 + a.shape[1] * np.finfo(float).eps * x)
+
+
+class TestSmallBlockClosedForms:
+    """1 x 1 and 2 x 2 complement blocks take closed forms, read over each node's scale."""
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_against_lapack(self, b, scale):
+        rng = np.random.default_rng(7 * b)
+        a = _small_blocks(rng, b, np.geomspace(1.0, 1e13, 53) if b == 2 else np.ones(53))
+        tol = 1e-15 * np.linalg.cond(a)
+        s = a * scale
+        inv, cond_p22 = _guard(_as_p22(s))
+        # relative to the norm, the inverse read back at unit scale, where it is finite
+        miss = np.linalg.norm((inv - np.linalg.inv(s)) * scale, axis=(1, 2))
+        assert np.all(miss <= tol * np.linalg.norm(np.linalg.inv(s) * scale, axis=(1, 2)))
+        # ||A||_F ||A^-1||_F, with A as p22 (from its inverse) and as a block of rest
+        for got in (cond_p22, _guard(_as_rest(s))[1]):
+            assert np.all(np.abs(got / _lapack_condition(a) - 1) <= tol)
+        want = np.linalg.svd(s, compute_uv=False)
+        for blocks in (_as_p22(s), _as_rest(s)):
+            assert np.all(np.abs(_complement_svals(blocks) / want - 1) <= tol[:, None])
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_verdicts_beside_the_limit(self, scale):
+        # 2-norm conditions from 10^11.5 to 10^12.5: outside the m eps cond band around
+        # the limit, the closed form keeps the verdict of LAPACK's inverse
+        a = _small_blocks(np.random.default_rng(3), 2, np.geomspace(10 ** 11.5, 10 ** 12.5, 201))
+        want = _lapack_condition(a)
+        got = _guard(_as_p22(a * scale))[1]
+        clear = np.abs(want / P22_CONDITION_LIMIT - 1) > 2 * np.finfo(float).eps * want
+        passes = want <= P22_CONDITION_LIMIT
+        assert np.sum(clear & passes) > 50 and np.sum(clear & ~passes) > 50
+        assert np.array_equal((got <= P22_CONDITION_LIMIT)[clear], passes[clear])
+
+    @pytest.mark.parametrize(
+        "singular",
+        # 1 x 1 and 2 x 2 in closed form; a 3 x 3 one fails LAPACK's whole stack,
+        # which is then inverted node by node
+        [np.zeros((1, 1)), np.array([[1.0, 2.0], [2j, 4j]]), np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1.0]])],
+    )
+    def test_exactly_singular_node_named(self, singular):
+        b = len(singular)
+        p22 = np.stack([np.eye(b), singular, np.eye(b)]).astype(complex)
+        rest = np.tile(np.eye(2, dtype=complex), (3, 1, 1, 1))
+        blocks = (np.ones((3, 1, 1)), np.ones((3, 1, b)), np.ones((3, b, 1)), p22, rest)
+        with pytest.raises(ReductionInvalidError, match=r"condition inf at sigma = \(0\.2\+0j\)"):
+            _schur(blocks, np.array([0.1, 0.2, 0.3], dtype=complex))
 
 
 class TestNeighborhood:

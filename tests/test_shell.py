@@ -168,6 +168,35 @@ class TestSweep:
         assert not report.failures and report.points[0].probe_error < 1e-8
         assert calls == [(0.05,)] * (2 * len(base.clusters))
 
+    def test_no_lapack_call_on_small_blocks(self, sl_big_pipeline, monkeypatch):
+        # the acceptance-10 chart: 1 x 1 reduced families and p22 blocks, 2 x 2 other
+        # blocks, all in closed form, and one guard per cluster and point
+        chart, base, systems, duals = sl_big_pipeline
+        small = []
+        for name in ("inv", "svd", "slogdet", "solve"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _original=original, _name=name, **kwargs):
+                if np.shape(a)[-1] <= 2:
+                    small.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        guards = []
+        guard = kb.reduction._guard
+
+        def counted(blocks):
+            guards.append(len(blocks[3]))
+            return guard(blocks)
+
+        monkeypatch.setattr(kb.reduction, "_guard", counted)
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
+        report = sweep(chart, base, grid, probe=lambda y: np.ones(4), systems=systems, duals=duals)
+        assert not report.failures and max(p.probe_error for p in report.points) < 1e-8
+        assert small == []
+        # the two count circles and the carrier: 64 + 64 + 128 nodes
+        assert guards == [256] * (len(base.clusters) * 3) and len(guards) == 12
+
     def test_count_continues_on_the_midpoints(self, monkeypatch):
         # sigma^17 turns 17 * 2 pi / 64 > pi/2 between the 64 count nodes, so
         # each count continues on the 64 midpoints of its circle, and only there
@@ -313,6 +342,31 @@ class TestDiagram:
         for y, _, re, im, mult in rows:
             want = np.sign(im) * 1j * np.sqrt(1.25 + 0.1 * y)
             assert mult == 1 and abs(complex(re, im) - want) < 1e-12
+
+    def test_one_schur_complement_per_count_circle(self, sl_big_pipeline, monkeypatch):
+        # the count keeps the outer circle's samples and the zeros are read off them:
+        # 2 Schur complements per (cluster, y), with the rows a fresh reduction gives
+        chart, base, _, _ = sl_big_pipeline
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
+        want = []
+        for y in grid.points():
+            for s, cl in enumerate(base.clusters):
+                circle = cl.count_circles()[0]
+                blocks = kb.SchurEvaluator(chart, base, s).blocks_many(y, circle.nodes)
+                held = kb.reduction._slogdet(kb.reduction._schur(blocks, circle.nodes)[0])
+                for z in kb.contour.circle_zeros(circle, *held, cl.multiplicity, cl.radius / 64.0):
+                    want.append([float(y[0]), s, z.location.real, z.location.imag, z.multiplicity])
+        calls = []
+        schur = kb.reduction._schur
+
+        def counted(blocks, sigmas):
+            calls.append(len(sigmas))
+            return schur(blocks, sigmas)
+
+        monkeypatch.setattr(kb.reduction, "_schur", counted)
+        rows = branching_diagram(chart, base, grid)
+        assert len(calls) == 2 * len(base.clusters) * len(grid.points())
+        assert rows == want and len(rows) == 12
 
     def test_requires_one_dimension(self, branching_pipeline):
         chart, base, _, _ = branching_pipeline
