@@ -32,6 +32,7 @@ from .contour import (
     cauchy_moment,
     count_zeros,
     locate_zeros,
+    singular_part_at_nodes,
     singular_part_eval,
 )
 from .family import (

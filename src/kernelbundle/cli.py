@@ -140,7 +140,7 @@ def cmd_pair(args) -> int:
     base = problem.base()
     systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
     frame, dual = frames_at(problem.chart, base, systems, duals, y, node_count=args.nodes)
-    pm = pairing_matrix(problem.chart, frame, dual, base, y, node_count=2 * args.nodes)
+    pm = pairing_matrix(problem.chart, frame, dual, base, y)
     base_gap = None
     if np.allclose(np.atleast_1d(y), np.atleast_1d(problem.y0)):
         base_gap = float(np.max(np.abs(pm.matrix - expected_base_pairing(systems))))

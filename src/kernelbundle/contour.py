@@ -224,6 +224,21 @@ def singular_part_eval(f: SampledFunction, sigma):
     return out
 
 
+def singular_part_at_nodes(values: np.ndarray) -> np.ndarray:
+    """The singular part of a function sampled on the N equispaced nodes of a circle, at those
+    nodes: the negative-frequency half of the samples' discrete Fourier transform along the node
+    axis, the Laurent projection (Trefethen & Weideman, SIAM Rev. 56 (2014) 385-458).
+
+    On the circle, the singular part of ``f`` is the sum of its Laurent terms of negative
+    order, which the samples give up to aliasing that decays geometrically in N.  The
+    projection annihilates functions holomorphic on the closed disc; the circle's centre
+    and radius do not enter.
+    """
+    coeffs = np.fft.fft(values, axis=0)
+    coeffs[: len(coeffs) // 2 + 1] = 0
+    return np.fft.ifft(coeffs, axis=0)
+
+
 def _cauchy_kernel(c: Circle, sig: np.ndarray) -> np.ndarray:
     """``kernel[t, j] = e^{i theta_t} / (zeta_t - sigma_j)`` from carrier nodes to points outside."""
     if np.any(np.abs(sig - c.center) <= c.radius):

@@ -1,11 +1,17 @@
 """Contour pairing between frames and dual frames, and section coefficients.
 
-The pairing integrates ``psi(conj(sigma))^H P(y, sigma) phi(sigma)`` over the
-cluster contours with the weight ``1/(2 pi)``; on the trapezoid nodes of a
-circle this is ``(i rho / N) sum_t e^{i theta_t} (...)``.  At the base
-parameter the pairing of the canonical frames is the anti-diagonal constant
-block per chain; away from it the matrix stays invertible on the validated
-neighborhood and turns frame data into coefficients.
+The pairing integrates ``psi(conj(sigma))^H P(y, sigma) phi(sigma)`` over a
+circle around each cluster with the weight ``1/(2 pi)``; on the trapezoid
+nodes of a circle this is ``(i rho / N) sum_t e^{i theta_t} (...)``.  Any
+circle that encloses the cluster's singular points serves, so the pairing
+reads P and the germs on the frames' own carriers: there, a germ's class is
+the negative-frequency half of its carrier samples, and P is sampled once per
+carrier (the sweep passes the samples it already holds).  ``pair`` and
+``reduced_pairing_matrix`` evaluate the germs on the cluster contours
+instead, as independent oracles.  At the base parameter the pairing of the
+canonical frames is the anti-diagonal constant block per chain; away from it
+the matrix stays invertible on the validated neighborhood and turns frame
+data into coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, SampledFunction, cauchy_moment
+from .contour import Circle, SampledFunction, cauchy_moment, singular_part_at_nodes
 from .errors import InputError, NondegeneracyError, SectionResidualError
 from .family import adjoint_chart
 from .frames import FrameSet, Germ, frames_at, kframe_at
@@ -51,11 +57,6 @@ def _dual_eval(psi: Germ, circle: Circle) -> np.ndarray:
     """
     n = circle.node_count
     return psi.eval(Circle(np.conj(circle.center), circle.radius, n))[-np.arange(n) % n]
-
-
-def _on_rows(g: Germ, rows) -> Germ:
-    """The germ of the given rows of ``g``'s values."""
-    return Germ(g.center, SampledFunction(g.carrier.circle, g.carrier.values[:, rows]))
 
 
 def pair(
@@ -101,35 +102,6 @@ def _block_diagonal(blocks: list) -> np.ndarray:
     return out
 
 
-def _pairings(chart, frame, dual, base, y, section, node_count: int):
-    """Pairings ``[phi_b, psi_a]``, and ``[section, psi_a]`` when a section is given.
-
-    The fiber splits over the clusters, so each cluster's frame block pairs
-    only with its dual block, on its own contour: P is sampled once there,
-    each block is evaluated with one Cauchy sum, and the section's germ of
-    that cluster rides along as one more column; dual germs vanish off the
-    cluster's active blocks, so every germ is summed on those rows alone.  Returns
-    ``(matrix, column)``, with ``column`` None without a section.
-    """
-    sizes = frame.sizes()
-    if sizes != dual.sizes():
-        raise InputError("frame and dual frame must have the same number of entries per cluster")
-    if section is not None and len(section) != len(sizes):
-        raise InputError("a section needs one germ per cluster")
-    blocks = []
-    columns = []
-    for s, circle in enumerate(cluster_contours(base, node_count)):
-        rows, pvals, _ = _split(base.clusters[s].active_blocks, chart.eval_blocks(y, circle.nodes))
-        psis = _dual_eval(_on_rows(dual.blocks[s], rows), circle)
-        blocks.append(_contour_pairing(circle, pvals, _on_rows(frame.blocks[s], rows).eval(circle), psis))
-        if section is not None:
-            # contracted apart: matmul roundoff depends on the column count
-            phi = _on_rows(section[s], rows).eval(circle)[:, :, None]
-            columns.append(_contour_pairing(circle, pvals, phi, psis)[:, 0])
-    column = None if section is None else np.concatenate(columns)
-    return _block_diagonal(blocks), column
-
-
 def _checked_pairing(m: np.ndarray, y: tuple, labels: list, dual_labels: list) -> PairingMatrix:
     """The pairing matrix with its condition number; raises when it is numerically singular."""
     svals = np.linalg.svd(m, compute_uv=False)
@@ -139,23 +111,68 @@ def _checked_pairing(m: np.ndarray, y: tuple, labels: list, dual_labels: list) -
     return PairingMatrix(y=y, matrix=m, labels=labels, dual_labels=dual_labels, condition=cond)
 
 
+def _carrier_parts(chart, base: BasePointData, frame: FrameSet, y) -> list:
+    """``(rows, active)`` per cluster: P's active part at the nodes of the frame block's
+    carrier and its rows, from one block evaluation per carrier."""
+    return [
+        _split(cl.active_blocks, chart.eval_blocks(y, g.carrier.circle.nodes))[:2]
+        for cl, g in zip(base.clusters, frame.blocks)
+    ]
+
+
+def _pairings(frame: FrameSet, dual: FrameSet, section, parts) -> tuple:
+    """The checked pairing matrix ``[phi_b, psi_a]``, and the column ``[section, psi_a]`` when a
+    section is given (None otherwise), from ``parts[s] = (rows, active)``: P's active part at the
+    nodes of cluster s's carrier and its rows, as ``_carrier_parts`` gives them.
+
+    The fiber splits over the clusters, so each cluster's frame block pairs only with its dual
+    block, on the frame block's carrier, which encloses the cluster's singular points.  Germs
+    vanish off the cluster's active rows, so each is cut to them, and its class there is the
+    singular part of its samples at the nodes: one FFT pair per block, the section's germ riding
+    along as one more column.  The dual block is needed at the conjugated carrier nodes, the
+    nodes of its own carrier in the order ``t -> -t mod N``, so the two carriers must have the
+    same node count and radius, and the section's germ the frame's.
+    """
+    sizes = frame.sizes()
+    if sizes != dual.sizes():
+        raise InputError("frame and dual frame must have the same number of entries per cluster")
+    if section is not None and len(section) != len(sizes):
+        raise InputError("a section needs one germ per cluster")
+    blocks = []
+    columns = []
+    for s, (rows, pvals) in enumerate(parts):
+        circle = frame.blocks[s].carrier.circle
+        germs = [dual.blocks[s]] + ([] if section is None else [section[s]])
+        if any((g.carrier.circle.node_count, g.rho) != (circle.node_count, circle.radius) for g in germs):
+            raise InputError("a cluster's frame, dual and section germs need carriers of one node count and radius")
+        n = circle.node_count
+        psis = singular_part_at_nodes(dual.blocks[s].carrier.values[:, rows])[-np.arange(n) % n]
+        phis = singular_part_at_nodes(frame.blocks[s].carrier.values[:, rows])
+        blocks.append(_contour_pairing(circle, pvals, phis, psis))
+        if section is not None:
+            # contracted apart: matmul roundoff depends on the column count
+            phi = singular_part_at_nodes(section[s].carrier.values[:, rows])[:, :, None]
+            columns.append(_contour_pairing(circle, pvals, phi, psis)[:, 0])
+    column = None if section is None else np.concatenate(columns)
+    return _checked_pairing(_block_diagonal(blocks), frame.y, frame.labels, dual.labels), column
+
+
 def pairing_matrix(
     chart,
     frame: FrameSet,
     dual: FrameSet,
     base: BasePointData,
     y,
-    node_count: int = 256,
 ) -> PairingMatrix:
-    """All pairings [phi_b, psi_a] as a matrix indexed (a, b).
+    """All pairings [phi_b, psi_a] as a matrix indexed (a, b), each cluster's block on its
+    frame block's carrier, where P is sampled once.
 
     Frame and dual germs attached to different clusters pair to zero up to
     quadrature error (the integrand is holomorphic across the other cluster's
     contour), so only same-cluster blocks are integrated; cross blocks are
     set to zero exactly.
     """
-    m, _ = _pairings(chart, frame, dual, base, y, None, node_count)
-    return _checked_pairing(m, frame.y, frame.labels, dual.labels)
+    return _pairings(frame, dual, None, _carrier_parts(chart, base, frame, y))[0]
 
 
 def reduced_pairing_matrix(
@@ -220,7 +237,7 @@ def base_point_check(
 ) -> float:
     """Max deviation of the base pairing matrix from its constant pattern."""
     frame, dual = frames_at(chart, base, systems, duals, base.y0, node_count=node_count)
-    pm = pairing_matrix(chart, frame, dual, base, base.y0, node_count=node_count)
+    pm = pairing_matrix(chart, frame, dual, base, base.y0)
     return float(np.max(np.abs(pm.matrix - expected_base_pairing(systems))))
 
 
@@ -242,23 +259,27 @@ def coefficients(
     base: BasePointData,
     y,
     section: Sequence[Germ],
-    node_count: int = 256,
     residual_tol: Optional[float] = None,
 ) -> CoefficientVector:
     """Coefficients of a section of the kernel bundle in the given frame.
 
     A section is what the fiber splits into: a sequence with one germ per
-    cluster, in cluster order, each paired only on its own cluster's
-    contour.  Solves ``M f = b`` where ``M[a, b] = [phi_b, psi_a]`` and
+    cluster, in cluster order, each on its frame block's carrier and paired
+    only there.  Solves ``M f = b`` where ``M[a, b] = [phi_b, psi_a]`` and
     ``b[a] = [section, psi_a]``; one step of iterative refinement keeps the
     solve honest near the condition limit.  ``M`` and ``b`` come from one
-    sample of P per contour; the result carries ``M`` as its ``pairing``.
+    sample of P per carrier; the result carries ``M`` as its ``pairing``.
     If a tolerance is given, each cluster's reconstruction ``sum f_b phi_b``
     is compared against its germ on a probe circle and a miss raises a
     residual error.
     """
-    m, b = _pairings(chart, frame, dual, base, y, section, node_count)
-    pairing = _checked_pairing(m, frame.y, frame.labels, dual.labels)
+    return _coefficients(frame, dual, section, _carrier_parts(chart, base, frame, y), residual_tol)
+
+
+def _coefficients(frame: FrameSet, dual: FrameSet, section, parts, residual_tol) -> CoefficientVector:
+    """``coefficients`` from the ``parts`` of ``_pairings``."""
+    pairing, b = _pairings(frame, dual, section, parts)
+    m = pairing.matrix
     f = np.linalg.solve(m, b)
     f = f + np.linalg.solve(m, b - m @ f)
     if residual_tol is not None:

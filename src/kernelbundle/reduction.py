@@ -46,9 +46,9 @@ DISC_ANGLES = 12
 INVERTIBILITY_FLOOR = 1e-12
 COUNT_NODES = 64
 # The fiber does not depend on the circle that carries it, so each cluster
-# fixes two: frames are sampled on the carrier at CARRIER_FRACTION of the
-# cluster radius and paired on the contour at CONTOUR_FRACTION, outside every
-# carrier.
+# fixes two: frames are sampled and paired on the carrier at CARRIER_FRACTION
+# of the cluster radius, and probed, or paired by the independent contour
+# oracles, on the contour at CONTOUR_FRACTION, outside every carrier.
 CARRIER_FRACTION = 0.75
 CONTOUR_FRACTION = 0.9
 
@@ -150,7 +150,8 @@ class Cluster:
         return Circle(self.center, CARRIER_FRACTION * self.radius, node_count)
 
     def contour(self, node_count: int) -> Circle:
-        """Circle on which frames of this cluster are paired, outside the carrier."""
+        """Circle outside the carrier on which this cluster's germs are probed, or paired by
+        the contour oracles."""
         return Circle(self.center, CONTOUR_FRACTION * self.radius, node_count)
 
 
@@ -211,9 +212,9 @@ class SchurEvaluator:
         decompositions, and the other diagonal blocks of P, untouched."""
         c = self.cluster
         rows, active, rest = _split(c.active_blocks, self.chart.eval_blocks(y, sigmas))
-        left = np.concatenate([c.Rperp, c.R], axis=1)[rows].conj().T
+        left, right = _bases(c, rows)
         # one two-sided product per node; the blocks are views of it
-        B = left @ active @ np.concatenate([c.K, c.Kperp], axis=1)[rows]
+        B = _rotated(left, active, right)
         k = c.K.shape[1]
         return B[:, :k, :k], B[:, :k, k:], B[:, k:, :k], B[:, k:, k:], rest
 
@@ -225,9 +226,17 @@ class SchurEvaluator:
         return _schur(self.blocks_many(y, sigmas), sigmas)[0]
 
     def qdet_function(self, y) -> Callable:
-        """``_slogdet_function`` of the reduced family w.r.t. the bases fixed at construction."""
+        """Vectorized sigma -> ``_slogdet`` of the reduced family w.r.t. the bases fixed at
+        construction, in the chunks of ``_slogdet_function``: a 1 x 1 family takes the closed form."""
         y = _as_param(y, self.chart.param_dim)
-        return _slogdet_function(lambda s: self.schur_many(y, s), self.chart.n)
+        rows = max(1, DET_CHUNK_ENTRIES // self.chart.n ** 2)
+
+        def q(sigma):
+            s = np.asarray(sigma, dtype=complex)
+            parts = [_slogdet(self.schur_many(y, s.ravel()[i : i + rows])) for i in range(0, s.size, rows)]
+            return tuple(np.concatenate(a).reshape(s.shape) for a in zip(*parts))
+
+        return q
 
 
 def _split(act: Optional[tuple], blocks: np.ndarray) -> tuple:
@@ -236,8 +245,45 @@ def _split(act: Optional[tuple], blocks: np.ndarray) -> tuple:
     m, b = blocks.shape[1], blocks.shape[3]
     if act is None or len(act) == m:
         return slice(None), _assemble(blocks), blocks[:, :0]
-    rows = (np.asarray(act)[:, None] * b + np.arange(b)).ravel()
-    return rows, _assemble(blocks[:, list(act)]), blocks[:, [j for j in range(m) if j not in act]]
+    return _rows(act, b), _assemble(blocks[:, list(act)]), blocks[:, [j for j in range(m) if j not in act]]
+
+
+def _rows(act: Optional[tuple], b: int):
+    """The rows of the diagonal blocks ``act`` of size b, or all rows (a slice) where ``act`` is None."""
+    return slice(None) if act is None else (np.asarray(act)[:, None] * b + np.arange(b)).ravel()
+
+
+def _bases(c: Cluster, rows) -> tuple:
+    """``(left, right)``: the frozen bases of c on the rows of its active blocks, ``[Rperp R]^H``
+    and ``[K Kperp]``, both unitary; ``left @ P @ right`` are the blocks of P's active part."""
+    return np.concatenate([c.Rperp, c.R], axis=1)[rows].conj().T, np.concatenate([c.K, c.Kperp], axis=1)[rows]
+
+
+def _rotated(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ m @ right`` at every node of a stack m (N, a, a).  For a <= 2 it is the sum of
+    outer products, formed elementwise with the node axis last: no BLAS call per node, and each
+    node's product is independent of the batch that carries it."""
+    if m.shape[-1] > 2:
+        return left @ m @ right
+    nodes_last = np.ascontiguousarray(m.transpose(1, 2, 0))
+    return _outer_sum(_outer_sum(left[..., None], nodes_last), right[..., None]).transpose(2, 0, 1)
+
+
+def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` for matrices stacked along the last axis, (i, p, .) and (p, j, .) with p <= 2, as
+    the sum of p outer products."""
+    out = x[:, 0, None] * y[None, 0]
+    return out + x[:, 1, None] * y[None, 1] if x.shape[1] == 2 else out
+
+
+def _active(c: Cluster, blocks) -> tuple:
+    """``(rows, active)``: the active part of P at the nodes of ``blocks_many``'s ``blocks``, the
+    frozen rotation undone, and its rows."""
+    p11, p12, p21, p22, rest = blocks
+    rows = _rows(c.active_blocks, rest.shape[-1])
+    left, right = _bases(c, rows)
+    B = np.concatenate([np.concatenate([p11, p12], axis=2), np.concatenate([p21, p22], axis=2)], axis=1)
+    return rows, _rotated(left.conj().T, B, right.conj().T)
 
 
 def _det(a: np.ndarray) -> np.ndarray:

@@ -31,10 +31,11 @@ from .errors import (
 from .family import FamilyChart, SturmLiouvilleSpec, _check_keys, _checked_kind, _integer, family_from_dict
 from .frames import Germ, frames_from_blocks, laurent_coefficients, make_germ
 from .keldysh import base_samples, dual_root_functions, root_functions, taylor_coefficients, with_beta
-from .pairing import coefficients, pairing_matrix
+from .pairing import _coefficients, _pairings
 from .reduction import (
     BasePointData,
     SchurEvaluator,
+    _active,
     _complement_svals,
     _count_margin,
     _multiplicity,
@@ -253,8 +254,8 @@ def sweep(
     the frame, recovers the coefficients through the pairing, and records the
     worst error.  A change of total multiplicity at any grid point aborts the
     sweep with the partial report attached.  ``node_count`` sets the nodes of
-    the carriers and the pairing contours; it must divide the nodes that
-    ``canonical_systems`` built ``systems`` and ``duals`` on.
+    the carriers, where the frames are built and paired; it must divide the
+    nodes that ``canonical_systems`` built ``systems`` and ``duals`` on.
     """
     t0 = time.perf_counter()
     if grid.ndim != chart.param_dim:
@@ -305,15 +306,16 @@ def sweep(
             svals = [_complement_svals(smp[3][1]) for smp in samples]
             margin = min((float(np.min(sv.min(1) / sv.max(1))) for sv in svals if sv.size), default=1.0)
             frame, dual = frames_from_blocks(base, systems, duals, y, [smp[2] for smp in samples])
+            # the pairing reads P on the carriers, from the same block evaluation
+            parts = [smp[4][1] for smp in samples]
             if probe is not None:
                 expected = np.asarray(probe(y), dtype=complex)
                 if expected.shape != (len(frame),):
                     raise InputError("probe must return one coefficient per frame entry")
-                section = _probe_section(frame, expected)
-                cv = coefficients(chart, frame, dual, base, y, section, node_count=node_count)
+                cv = _coefficients(frame, dual, _probe_section(frame, expected), parts, None)
                 pm = cv.pairing
             else:
-                pm = pairing_matrix(chart, frame, dual, base, y, node_count=node_count)
+                pm, _ = _pairings(frame, dual, None, parts)
             rec = SweepPoint(
                 y=y_key,
                 multiplicities=mults,
@@ -355,14 +357,16 @@ def sweep(
 def _point_samples(ev: SchurEvaluator, y, node_count: int) -> list:
     """``(circle, samples)`` of one cluster at y from one ``blocks_many`` call and one ``_reduce``
     over its two count circles and carrier: on each count circle ``(phase, logabs, conds)`` from
-    one ``_slogdet`` for both, on the carrier its reduction, on the p22 margin circle the blocks."""
+    one ``_slogdet`` for both, on the carrier its reduction, on the p22 margin circle the blocks,
+    and last, on the carrier again, ``_active`` of its blocks for the pairing."""
     c = ev.cluster
     circles = c.count_circles() + [c.carrier(node_count), c.contour(MARGIN_NODES)]
     sizes = [circle.node_count for circle in circles]
     guarded, margin = _sample_sets(ev, y, [np.concatenate([x.nodes for x in circles[:3]]), circles[3].nodes])
     schur, *_, conds = reduced = _reduce(guarded)
     held = _sliced((*_slogdet(schur[: sizes[0] + sizes[1]]), conds), sizes[:2])
-    return list(zip(circles, held + _sliced(reduced, sizes[:3])[2:] + [margin]))
+    samples = held + _sliced(reduced, sizes[:3])[2:] + [margin, _active(c, _sliced(guarded, sizes[:3])[2])]
+    return list(zip(circles + circles[2:3], samples))
 
 
 # ---------------------------------------------------------------------------

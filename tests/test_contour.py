@@ -11,6 +11,7 @@ from kernelbundle.contour import (
     count_zeros_rectangle,
     locate_zeros,
     refine_cluster,
+    singular_part_at_nodes,
     singular_part_eval,
     winding_number,
 )
@@ -170,6 +171,31 @@ class TestSingularPart:
         assert got.shape == (2, 2)
         assert got[0, 0] == pytest.approx(1.0 / 0.8, abs=1e-12)
         assert got[1, 1] == pytest.approx(2.0 / 1.05, abs=1e-12)
+
+
+class TestSingularPartAtNodes:
+    # 2/(z - 0.1) + 0.5i/(z + 0.2)^2 plus cos z, sampled on the circle |z| = 0.5: the
+    # dropped Laurent terms, of order -N/2 and below, decay like N (0.2/0.5)^(N/2)
+    r = staticmethod(lambda z: 2.0 / (z - 0.1) + 0.5j / (z + 0.2) ** 2)
+
+    @pytest.mark.parametrize("n", [96, 128])
+    def test_splits_off_the_singular_part(self, n):
+        nodes = Circle(0.0, 0.5, n).nodes
+        got = singular_part_at_nodes(self.r(nodes) + np.cos(nodes))
+        assert np.max(np.abs(got - self.r(nodes))) < 1e-13 * np.max(np.abs(self.r(nodes)))
+
+    def test_acts_along_the_node_axis_alone(self):
+        # matrix-valued samples project column by column, and only the offsets from the
+        # centre enter: 1/z^3 stays, exp z goes, on any circle
+        for circle in (Circle(0.0, 0.5, 64), Circle(0.3 - 0.2j, 0.45, 64)):
+            z = circle.nodes - circle.center
+            values = np.stack([self.r(z), np.exp(z), 1.0 / z ** 3], axis=-1)
+            stacked = singular_part_at_nodes(values[:, :, None] * np.array([1.0, -2.0j]))
+            for j in range(3):
+                column = singular_part_at_nodes(values[:, j])
+                assert np.max(np.abs(stacked[:, j, 1] + 2.0j * column)) < 1e-14 * np.max(np.abs(values[:, j]))
+            assert np.max(np.abs(stacked[:, 1])) < 1e-15
+            assert np.max(np.abs(stacked[:, 2, 0] - 1.0 / z ** 3)) < 1e-13 / 0.45 ** 3
 
 
 class TestCounting:

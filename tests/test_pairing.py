@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import kernelbundle.frames
+import kernelbundle.pairing
 from kernelbundle.contour import Circle, SampledFunction
 from kernelbundle.errors import InputError, SectionResidualError
 from kernelbundle.frames import (
@@ -21,6 +21,7 @@ from kernelbundle.pairing import (
     pairing_matrix,
     reduced_pairing_matrix,
 )
+from kernelbundle.shell import ParameterGrid, canonical_systems, sweep
 
 
 def _frames(pipeline, y):
@@ -177,6 +178,64 @@ class TestMatrix:
         assert np.allclose(red.matrix, full.matrix, atol=1e-8)
 
 
+class TestCarrierPairing:
+    @pytest.fixture(scope="class")
+    def fine_pipeline(self, sl_big_chart):
+        # the two-channel family with its systems on 512 nodes, for 512-node reference frames
+        chart, _ = sl_big_chart
+        base = kernelbundle.base_point_data(chart, [0.0])
+        return (chart, base) + canonical_systems(chart, base, 512)
+
+    @staticmethod
+    def reference(chart, base, systems, duals, y) -> np.ndarray:
+        """The pairing of 512-node frames by ``pair`` on the 512-node cluster contours."""
+        frame, dual = frames_at(chart, base, systems, duals, y, node_count=512)
+        contours = cluster_contours(base, 512)
+        ref = np.zeros((len(dual), len(frame)), dtype=complex)
+        for a, (sa, _, _) in enumerate(dual.labels):
+            for b, (sb, _, _) in enumerate(frame.labels):
+                if sa == sb:
+                    ref[a, b] = pair(chart, y, frame.entry(b), dual.entry(a), contours)
+        return ref
+
+    def test_64_node_frames_pair_at_the_fine_reference(self, fine_pipeline, monkeypatch):
+        # the pairing on the carrier has no Cauchy sum to another circle: on 64 nodes,
+        # pairing_matrix and the sweep's pairing both meet the 512-node reference
+        chart, base, systems, duals = fine_pipeline
+        formed = []
+        checked = kernelbundle.pairing._checked_pairing
+
+        def recorded(m, *args):
+            formed.append(m)
+            return checked(m, *args)
+
+        monkeypatch.setattr(kernelbundle.pairing, "_checked_pairing", recorded)
+        for y in ([-0.1], [0.0], [0.07]):
+            ref = self.reference(chart, base, systems, duals, y)
+            frame, dual = frames_at(chart, base, systems, duals, y, node_count=64)
+            pm = pairing_matrix(chart, frame, dual, base, y)
+            formed.clear()
+            grid = ParameterGrid((np.array(y),))
+            assert not sweep(chart, base, grid, node_count=64, systems=systems, duals=duals).failures
+            for m in (pm.matrix, *formed):
+                assert np.max(np.abs(m - ref)) < 1e-13 * np.max(np.abs(ref))
+            assert len(formed) == 1
+
+    def test_carriers_must_match(self, sl_scalar_pipeline):
+        chart, base, systems, duals = sl_scalar_pipeline
+        frame, dual = frames_at(chart, base, systems, duals, [0.25])
+        _, coarse = frames_at(chart, base, systems, duals, [0.25], node_count=64)
+        with pytest.raises(InputError, match="node count and radius"):
+            pairing_matrix(chart, frame, coarse, base, [0.25])
+        # the frame's own samples, but on a wider circle
+        wide = [
+            Germ(g.center, SampledFunction(Circle(g.center, 1.1 * g.rho, 128), g.carrier.values[:, :, 0]))
+            for g in frame.blocks
+        ]
+        with pytest.raises(InputError, match="node count and radius"):
+            coefficients(chart, frame, dual, base, [0.25], wide)
+
+
 class TestCoefficients:
     def test_exact_recovery(self, branching_pipeline):
         chart, base, frame, dual = _frames(branching_pipeline, [0.12])
@@ -213,17 +272,18 @@ class TestCoefficients:
         assert calls == [(0.25,)] * len(base.clusters)
 
     def test_one_cauchy_sum_per_block(self, sl_big_pipeline, monkeypatch):
-        # per cluster: the frame block, the dual block and the section germ
+        # per cluster: one carrier projection each for the frame block, the dual
+        # block and the section germ
         chart, base, frame, dual = _frames(sl_big_pipeline, [0.05])
         section = _section(frame, np.arange(1, len(frame) + 1))
         calls = []
-        original = kernelbundle.frames.singular_part_eval
+        original = kernelbundle.pairing.singular_part_at_nodes
 
-        def counting(f, sigma):
-            calls.append(f.values.shape)
-            return original(f, sigma)
+        def counting(values):
+            calls.append(values.shape)
+            return original(values)
 
-        monkeypatch.setattr(kernelbundle.frames, "singular_part_eval", counting)
+        monkeypatch.setattr(kernelbundle.pairing, "singular_part_at_nodes", counting)
         cv = coefficients(chart, frame, dual, base, [0.05], section)
         assert len(calls) == 3 * len(base.clusters)
         assert np.allclose(cv.values, np.arange(1, len(frame) + 1), atol=1e-9)

@@ -29,6 +29,7 @@ from kernelbundle.reduction import (
     BasePointData,
     Cluster,
     SchurEvaluator,
+    _active,
     _complement_svals,
     _det_function,
     _guard,
@@ -256,6 +257,29 @@ class TestSchur:
                     assert np.array_equal(got, want[t])
                 assert np.array_equal(ev.schur(y, s), schur[t])
                 assert ev.qdet_function(y)(s) == (phase[t], logabs[t])
+
+    def test_small_active_parts_against_loop_reference(self, sl_scalar_pipeline, sl_big_pipeline):
+        # active parts of size 1 (scalar chart) and 2 (two-channel chart) are rotated
+        # elementwise: the blocks match the per-node triple products, a node's blocks do
+        # not depend on its batch, and _active undoes the rotation
+        for pipeline, a in ((sl_scalar_pipeline, 1), (sl_big_pipeline, 2)):
+            chart, base, _, _ = pipeline
+            for s, c in enumerate(base.clusters):
+                ev = SchurEvaluator(chart, base, s)
+                y, sigmas = [0.03], c.carrier(32).nodes
+                many = ev.blocks_many(y, sigmas)
+                rows, active = _active(c, many)
+                P = chart.eval_many(y, sigmas)[:, rows][:, :, rows]
+                assert P.shape[1:] == (a, a)
+                left, right = np.hstack([c.Rperp, c.R])[rows].conj().T, np.hstack([c.K, c.Kperp])[rows]
+                B = np.block([[many[0], many[1]], [many[2], many[3]]])
+                scale = float(np.max(np.abs(P)))
+                for t in range(len(sigmas)):
+                    assert np.max(np.abs(B[t] - left @ P[t] @ right)) < 1e-14 * scale
+                assert np.max(np.abs(active - P)) < 1e-14 * scale
+                for batch in ([0], [5, 6, 7], list(range(1, 32, 3))):
+                    for got, want in zip(ev.blocks_many(y, sigmas[batch]), many):
+                        assert np.array_equal(got, want[batch])
 
     @pytest.mark.parametrize("factor", [1e160, 1e200])
     def test_guard_is_scale_free(self, sl_big_pipeline, factor):

@@ -157,16 +157,25 @@ class TestSweep:
         assert not report.failures
         assert report.pairing_entry_dd > 1e9 * report.pairing_entry_dd_floor
 
-    def test_samples_family_once_per_cluster_and_contour(self, sl_big_pipeline, counting_chart):
-        # per point: one evaluation per cluster for the counts, the margin and
-        # both frames, and one per pairing contour; none at y0, whose data
-        # the systems carry
+    def test_samples_family_once_per_cluster_and_point(self, sl_big_pipeline, counting_chart, monkeypatch):
+        # per point: one block evaluation per cluster serves the counts, the margin,
+        # both frames and the pairing on the carrier; none at y0, whose data the
+        # systems carry
         chart, base, systems, duals = sl_big_pipeline
         counting, calls = counting_chart(chart)
-        grid = ParameterGrid.from_ranges([(0.05, 0.05, 1)])
+        blocks = []
+        eval_blocks = kb.FamilyChart.eval_blocks
+
+        def recorded(self, y, sigmas, *args):
+            blocks.append(tuple(np.asarray(y, dtype=float).tolist()))
+            return eval_blocks(self, y, sigmas, *args)
+
+        monkeypatch.setattr(kb.FamilyChart, "eval_blocks", recorded)
+        grid = ParameterGrid.from_ranges([(-0.05, 0.05, 3)])
         report = sweep(counting, base, grid, probe=lambda y: np.ones(4), systems=systems, duals=duals)
-        assert not report.failures and report.points[0].probe_error < 1e-8
-        assert calls == [(0.05,)] * (2 * len(base.clusters))
+        assert not report.failures and max(p.probe_error for p in report.points) < 1e-8
+        want = [(y,) for y in (-0.05, 0.0, 0.05) for _ in base.clusters]
+        assert blocks == want and calls == want
 
     def test_no_lapack_call_on_small_blocks(self, sl_big_pipeline, monkeypatch):
         # the acceptance-10 chart: 1 x 1 reduced families and p22 blocks, 2 x 2 other
@@ -222,6 +231,25 @@ class TestSweep:
         assert [len(s) for s in sampled] == [64, 64]
         for s, (circle, _) in zip(sampled, samples):
             assert np.array_equal(s, circle.path(128)[1::2])
+
+    def test_continued_count_takes_the_closed_form_slogdet(self, monkeypatch):
+        # the sigma^17 counts above continue on their midpoints through qdet_function,
+        # whose 1 x 1 reduced family needs no LAPACK slogdet
+        chart = matrix_polynomial_chart([PolyTerm(17, (0,), np.eye(1))], SigmaRegion(-2, 2, -2, 2))
+        one, empty = np.eye(1), np.zeros((1, 0))
+        cluster = kb.reduction.Cluster(0j, 17, 1, one, empty, one, empty, 0.5)
+        ev = kb.SchurEvaluator(chart, kb.reduction.BasePointData(chart, np.zeros(1), [cluster]), 0)
+        shapes = []
+        slogdet = np.linalg.slogdet
+
+        def recorded(a):
+            shapes.append(np.shape(a))
+            return slogdet(a)
+
+        monkeypatch.setattr(np.linalg, "slogdet", recorded)
+        samples = shell._point_samples(ev, [0.0], 128)
+        assert [shell._multiplicity(ev, [0.0], *smp) for smp in samples[:2]] == [17, 17]
+        assert shapes == []
 
     def test_node_count_must_divide_system_nodes(self, branching_pipeline):
         # the systems carry beta on 256 nodes; a sweep on 96 stops before any point
