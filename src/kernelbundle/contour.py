@@ -316,24 +316,37 @@ def _samples(q: Callable, points: np.ndarray):
         return out / mods, np.log(mods)
 
 
-def _winding(phase: np.ndarray, logabs: np.ndarray):
-    """Winding number of a closed loop of ``(phase, logabs)`` samples, or None when
-    too coarse to tell (a complex-log step ``hypot(d arg q, d log|q|)`` of pi/2 or
-    more, or no whole turn).  Raises on a non-finite sample, and on a zero near the
-    contour: a modulus below ``MIN_MODULUS_FACTOR`` times the largest one of the loop."""
-    if phase.ndim != 1:
+def _windings(phase: np.ndarray, logabs: np.ndarray) -> list:
+    """Winding numbers of closed loops of ``(phase, logabs)`` samples, one loop per row, in one
+    pass: per loop an int, None when too coarse to tell (a complex-log step ``hypot(d arg q,
+    d log|q|)`` of pi/2 or more, or no whole turn), or the error it raises, for a non-finite
+    sample or a zero near the contour: a modulus below ``MIN_MODULUS_FACTOR`` times the largest
+    one of the loop.  A loop's entry does not depend on the other rows."""
+    if phase.ndim != 2:
         raise InputError("winding counts expect a scalar-valued function")
-    if not np.all(logabs < np.inf):
-        raise NumericalError("non-finite values encountered on the contour")
-    lo, hi = logabs.min(), logabs.max()
-    if hi == -np.inf or lo < hi + np.log(MIN_MODULUS_FACTOR):
-        raise ZeroOnContourError(f"zero too close to contour: log |q| from {lo:.3e} to {hi:.3e}")
-    steps = np.angle(np.roll(phase, -1) / phase)
-    if np.max(np.hypot(steps, np.roll(logabs, -1) - logabs)) < MAX_PHASE_STEP:
-        w = steps.sum() / (2.0 * np.pi)
-        if abs(w - round(w)) < 0.05:
-            return int(round(w))
-    return None
+    finite, lo, hi = np.all(logabs < np.inf, axis=1), logabs.min(axis=1), logabs.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # each sample against the next one around the loop
+        steps = np.angle(np.concatenate([phase[:, 1:], phase[:, :1]], axis=1) / phase)
+        jumps = np.hypot(steps, np.concatenate([logabs[:, 1:], logabs[:, :1]], axis=1) - logabs)
+        fine, turns = np.max(jumps, axis=1) < MAX_PHASE_STEP, steps.sum(axis=1) / (2.0 * np.pi)
+    out = []
+    for ok, low, high, smooth, w in zip(finite, lo, hi, fine, turns):
+        if not ok:
+            out.append(NumericalError("non-finite values encountered on the contour"))
+        elif high == -np.inf or low < high + np.log(MIN_MODULUS_FACTOR):
+            out.append(ZeroOnContourError(f"zero too close to contour: log |q| from {low:.3e} to {high:.3e}"))
+        else:
+            out.append(int(round(w)) if smooth and abs(w - round(w)) < 0.05 else None)
+    return out
+
+
+def _winding(phase: np.ndarray, logabs: np.ndarray):
+    """``_windings`` of one loop: its winding number or None, or its error raised."""
+    w = _windings(phase[None], logabs[None])[0]
+    if isinstance(w, Exception):
+        raise w
+    return w
 
 
 def _continued_winding(q: Callable, path: Callable, phase: np.ndarray, logabs: np.ndarray) -> int:

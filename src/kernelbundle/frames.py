@@ -30,7 +30,18 @@ from .errors import (
     RegionError,
 )
 from .keldysh import RootSystem
-from .reduction import BasePointData, SchurEvaluator, _checked, _reduce
+from .reduction import (
+    BasePointData,
+    ClusterStack,
+    SchurEvaluator,
+    _by_cluster,
+    _checked,
+    _classes,
+    _flat,
+    _reduce,
+    _shape,
+    _unflat,
+)
 
 INDEPENDENCE_CONDITION_LIMIT = 1e10
 INDEPENDENCE_PROBE_NODES = 48
@@ -138,22 +149,37 @@ class FrameSet:
         return Germ(g.center, SampledFunction(g.carrier.circle, g.carrier.values[:, :, col]))
 
 
-def _kernel_values(system: RootSystem, circle: Circle, schur) -> np.ndarray:
-    """Samples of ``(sigma-c)^l P_s(y,sigma)^{-1} beta_j`` on the carrier circle.
+def cluster_stacks(chart, base: BasePointData, systems, duals) -> list:
+    """The clusters of a base point in shape classes, one ``ClusterStack`` each: clusters of equal
+    active-part size, kernel dimension and chain lengths reduce, frame and pair in one array pass."""
+    keys = [(_shape(c), tuple(sy.lengths), tuple(du.lengths)) for c, sy, du in zip(base.clusters, systems, duals)]
+    return [ClusterStack([SchurEvaluator(chart, base, s) for s in index]) for index in _classes(keys)]
 
-    ``schur`` holds P_s(y, .) at the circle's nodes.  Returns shape (N, k,
-    entries), one column per ``(j, l)`` label, ordered by chain then shift;
-    beta is read off the system's own carrier, whose node count N must divide.
-    """
-    n = system.beta.circle.node_count
-    if n % circle.node_count:
-        raise InputError(f"frames on {circle.node_count} nodes need systems built on a multiple, not {n}")
-    beta = system.beta.values[:: n // circle.node_count]
-    solved = beta / schur if schur.shape[-1] == 1 else np.linalg.solve(schur, beta)  # (N, k, J)
-    labels = system.entry_labels()
-    z = circle.nodes - system.center
-    shifts = np.stack([z ** l for _, l in labels], axis=1)
-    return shifts[:, None, :] * solved[:, :, [j for j, _ in labels]]
+
+def _entry_factors(clusters, systems, circles) -> tuple:
+    """``(beta, shifts, chains, K, Kperp)`` of the frame entries of one shape class on carriers of
+    one node count N: each system's beta read off every (n / N)-th node of its own carrier of n
+    nodes, which N must divide, (C, N, k, J); ``(sigma - c)^l`` at the carrier nodes per entry
+    ``(j, l)``, (C, N, E), ordered by chain then shift, and each entry's chain j; and the clusters'
+    bases ``K``, (C, n, k), and ``Kperp``: all of a frame block but its reduction at y."""
+    for system, circle in zip(systems, circles):
+        n = system.beta.circle.node_count
+        if n % circle.node_count:
+            raise InputError(f"frames on {circle.node_count} nodes need systems built on a multiple, not {n}")
+    labels = systems[0].entry_labels()
+    beta = np.stack([sy.beta.values[:: sy.beta.circle.node_count // c.node_count] for sy, c in zip(systems, circles)])
+    z = np.stack([circle.nodes - system.center for system, circle in zip(systems, circles)])
+    shifts = np.stack([z ** l for _, l in labels], axis=-1)
+    bases = [np.stack([getattr(c, name) for c in clusters]) for name in ("K", "Kperp")]
+    return beta, shifts, [j for j, _ in labels], *bases
+
+
+def _kernel_values(beta, shifts, chains, schur) -> np.ndarray:
+    """Samples of ``(sigma-c)^l P_s(y,sigma)^{-1} beta_j`` on the carriers of ``_entry_factors``,
+    from its ``beta``, ``shifts`` and ``chains`` and ``schur``, P_s(y, .) at the nodes (C, N, k,
+    k): shape (C, N, k, E), one column per ``(j, l)`` entry."""
+    solved = beta / schur if schur.shape[-1] == 1 else np.linalg.solve(schur, beta)  # (C, N, k, J)
+    return shifts[:, :, None, :] * solved[..., chains]
 
 
 def kframe_at(
@@ -168,30 +194,25 @@ def kframe_at(
     then shift.
     """
     circle = ev.cluster.carrier(node_count)
-    values = _kernel_values(system, circle, ev.schur_many(y, circle.nodes))
+    factors = _entry_factors([ev.cluster], [system], [circle])[:3]
+    values = _kernel_values(*factors, ev.schur_many(y, circle.nodes)[None])[0]
     return Germ(ev.cluster.center, SampledFunction(circle, values))
 
 
-def _frame(base: BasePointData, systems: Sequence[RootSystem], y, reduced) -> FrameSet:
-    """Frame at y from ``reduced[s] = (schur, correction)`` on cluster s's carrier.
-
-    Each block embeds the kernel-side samples g as ``K g - Kperp p22^{-1} p21 g``;
-    the correction differs from the one applied to the germ only by a
-    holomorphic function, which the singular part kills.
-    """
-    blocks, labels = [], []
-    for s, (c, system, (schur, correction)) in enumerate(zip(base.clusters, systems, reduced)):
-        circle = c.carrier(len(schur))
-        g = _kernel_values(system, circle, schur)
-        blocks.append(Germ(c.center, SampledFunction(circle, c.K @ g - c.Kperp @ (correction @ g))))
-        labels.extend((s, j, l) for j, l in system.entry_labels())
-    y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
-    return FrameSet(y=y_key, blocks=blocks, labels=labels)
+def _frame_values(factors, schur, correction) -> np.ndarray:
+    """Frame block values of one shape class, (C, N, n, E), from ``(schur, correction)`` on the
+    carriers of ``_entry_factors``: each embeds the kernel-side samples g as ``K g - Kperp
+    p22^{-1} p21 g``; the correction differs from the one applied to the germ only by a
+    holomorphic function, which the singular part kills."""
+    *entries, K, Kperp = factors
+    g = _kernel_values(*entries, schur)
+    return K[:, None] @ g - Kperp[:, None] @ (correction @ g)
 
 
-def frames_from_blocks(base: BasePointData, systems, duals, y, carriers) -> tuple:
-    """Frame and dual frame at y from ``(carrier, reduced)`` per cluster, ``reduced`` being
-    ``_reduce`` of the blocks of P(y, .) on that carrier.
+def _frame_pair(primal, dual, reduced) -> tuple:
+    """Frame and dual frame values of one shape class from ``_entry_factors`` of the primal and
+    the conjugate-swapped clusters and ``(schur, correction, dual_correction)`` of ``_reduce`` on
+    the carriers, (C, N, .) each.
 
     The dual is the primal construction on the adjoint family.  Node t of a
     dual carrier is node -t mod N of the primal one conjugated, where the
@@ -199,21 +220,42 @@ def frames_from_blocks(base: BasePointData, systems, duals, y, carriers) -> tupl
     S^H and the correction ``(p12 p22^{-1})^H``, with no evaluation or
     factorization.
     """
-    primal, adjoint = [], []
-    for circle, reduced in carriers:
-        schur, correction, dual_correction = _checked(reduced, circle.nodes)
-        primal.append((schur, correction))
-        reverse = -np.arange(len(schur)) % len(schur)
-        adjoint.append([m.conj().swapaxes(1, 2)[reverse] for m in (schur, dual_correction)])
-    return _frame(base, systems, y, primal), _frame(base.conjugate_swapped(), duals, y, adjoint)
+    schur, correction, dual_correction = reduced
+    reverse = -np.arange(schur.shape[1]) % schur.shape[1]
+    adjoint = [m.conj().swapaxes(-1, -2)[:, reverse] for m in (schur, dual_correction)]
+    return _frame_values(primal, schur, correction), _frame_values(dual, *adjoint)
+
+
+def _frame_factors(stack: ClusterStack, systems, duals, node_count: int) -> tuple:
+    """``_entry_factors`` of a shape class on carriers of ``node_count`` nodes: of its clusters
+    with their systems, and of the conjugate-swapped clusters with their duals."""
+    swapped = [c.conjugate_swapped() for c in stack.clusters]
+    return tuple(
+        _entry_factors(clusters, [sy[s] for s in stack.index], [c.carrier(node_count) for c in clusters])
+        for clusters, sy in ((stack.clusters, systems), (swapped, duals))
+    )
 
 
 def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 128) -> tuple:
     """Frame and dual frame of the kernel bundle at parameter y, one germ block
-    per cluster each, from one block evaluation per carrier."""
+    per cluster each, from one block evaluation per carrier, reduced and
+    framed in one array pass per shape class (``cluster_stacks``)."""
     carriers = [cl.carrier(node_count) for cl in base.clusters]
-    reduced = [_reduce(SchurEvaluator(chart, base, s).blocks_many(y, c.nodes)) for s, c in enumerate(carriers)]
-    return frames_from_blocks(base, systems, duals, y, list(zip(carriers, reduced)))
+    blocks = [chart.eval_blocks(y, c.nodes) for c in carriers]
+    stacks = cluster_stacks(chart, base, systems, duals)
+    indices = [st.index for st in stacks]
+    reduced = [_unflat(_reduce(_flat(st.blocks_many(np.stack([blocks[s] for s in i])))), len(i)) for st, i in zip(stacks, indices)]
+    for circle, conds in zip(carriers, _by_cluster(indices, [r[3] for r in reduced])):
+        _checked((conds,), circle.nodes)
+    pairs = [_frame_pair(*_frame_factors(st, systems, duals, node_count), r[:3]) for st, r in zip(stacks, reduced)]
+    y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
+    frames = []
+    for side, (b, sy) in enumerate(((base, systems), (base.conjugate_swapped(), duals))):
+        values = _by_cluster(indices, [pair[side] for pair in pairs])
+        germs = [Germ(c.center, SampledFunction(c.carrier(node_count), v)) for c, v in zip(b.clusters, values)]
+        labels = [(s, j, l) for s, system in enumerate(sy) for j, l in system.entry_labels()]
+        frames.append(FrameSet(y=y_key, blocks=germs, labels=labels))
+    return tuple(frames)
 
 
 def independence_check(frame: FrameSet, base: BasePointData) -> float:

@@ -21,12 +21,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, SampledFunction, cauchy_moment, singular_part_at_nodes
+from .contour import Circle, singular_part_at_nodes
 from .errors import InputError, NondegeneracyError, SectionResidualError
 from .family import adjoint_chart
 from .frames import FrameSet, Germ, frames_at, kframe_at
 from .keldysh import DualRootSystem, RootSystem
-from .reduction import BasePointData, SchurEvaluator, _split
+from .reduction import BasePointData, ClusterStack, SchurEvaluator, _by_cluster, _classes, _shape
 
 PAIRING_CONDITION_LIMIT = 1e12
 REDUCED_PAIRING_NODES = 256
@@ -38,15 +38,21 @@ def cluster_contours(base: BasePointData, node_count: int = 256) -> list:
 
 
 def _contour_pairing(circle: Circle, pvals, phis, psis) -> np.ndarray:
-    """(1/2pi) contour integral of psi(conj sigma)^H P(y, sigma) phi(sigma) on one circle.
+    """(1/2pi) contour integral of psi(conj sigma)^H P(y, sigma) phi(sigma) on one circle, or on
+    circles of its radius and node count N, one per index of the axes before the node axis.
 
-    ``pvals`` (N, n, n) holds P at the nodes, ``phis`` (N, n, B) the frame
-    values at the nodes and ``psis`` (N, n, A) the dual values at the
-    conjugated nodes.  Returns the (A, B) block of pairings: ``i`` times the
-    order-0 moment of the integrand.
+    ``pvals`` (..., N, n, n) holds P at the nodes, ``phis`` (..., N, n, B) the frame
+    values at the nodes and ``psis`` (..., N, n, A) the dual values at the
+    conjugated nodes.  Returns the (..., A, B) blocks of pairings: ``i`` times the
+    order-0 moment of the integrand, the trapezoid sum ``(r / N) sum_t u_t f_t``.
     """
-    integrand = np.conj(psis).swapaxes(1, 2) @ (pvals @ phis)
-    return 1j * cauchy_moment(SampledFunction(circle, integrand), 0)
+    integrand = np.conj(psis).swapaxes(-1, -2) @ (pvals @ phis)
+    if not np.all(np.isfinite(integrand)):
+        raise InputError("samples contain non-finite values")
+    lead, n = integrand.shape[:-3], circle.node_count
+    # one contraction per circle: the sums do not depend on the other circles
+    sums = (circle.unit @ integrand.reshape(*lead, n, -1)).reshape(*lead, *integrand.shape[-2:])
+    return 1j * (circle.radius * sums / n)
 
 
 def _dual_eval(psi: Germ, circle: Circle) -> np.ndarray:
@@ -112,49 +118,79 @@ def _checked_pairing(m: np.ndarray, y: tuple, labels: list, dual_labels: list) -
 
 
 def _carrier_parts(chart, base: BasePointData, frame: FrameSet, y) -> list:
-    """``(rows, active)`` per cluster: P's active part at the nodes of the frame block's
-    carrier and its rows, from one block evaluation per carrier."""
-    return [
-        _split(cl.active_blocks, chart.eval_blocks(y, g.carrier.circle.nodes))[:2]
-        for cl, g in zip(base.clusters, frame.blocks)
-    ]
+    """``(index, rows, active)`` per class of clusters whose frame blocks and active parts have
+    one shape: P's active part at the nodes of their frame blocks' carriers, (C, N, a, a), from
+    one block evaluation per carrier, their active rows (C, a), None where all, and the clusters."""
+    keys = [(_shape(c), g.carrier.values.shape, g.rho) for c, g in zip(base.clusters, frame.blocks)]
+    parts = []
+    for index in _classes(keys):
+        stack = ClusterStack([SchurEvaluator(chart, base, s) for s in index])
+        blocks = np.stack([chart.eval_blocks(y, frame.blocks[s].carrier.circle.nodes) for s in index])
+        parts.append((index, stack.frozen(*blocks.shape[2:4])[1], stack.split(blocks)[0]))
+    return parts
+
+
+def _stacked_pairings(circle: Circle, rows, pvals, frame, dual, section) -> tuple:
+    """The pairing blocks ``[phi_b, psi_a]`` of C clusters, (C, E, E), and the columns ``[section,
+    psi_a]``, (C, E), None without a section: from P's active part at the nodes of their carriers
+    (C, N, a, a), of ``circle``'s radius and node count, and its rows (C, a), None where all, and
+    from the frame, dual and section samples on the carriers, (C, N, n, E), (C, N, n, E), (C, N, n).
+
+    Germs vanish off a cluster's active rows, so each is cut to them, and its class there is
+    the singular part of its samples at the nodes: one FFT pair per array.  The dual block is
+    needed at the conjugated carrier nodes, the nodes of its own carrier in the order ``t -> -t
+    mod N``.
+    """
+    n = circle.node_count
+    psis = _singular_part(dual, rows)[:, -np.arange(n) % n]
+    blocks = _contour_pairing(circle, pvals, _singular_part(frame, rows), psis)
+    if section is None:
+        return blocks, None
+    # contracted apart: matmul roundoff depends on the column count
+    return blocks, _contour_pairing(circle, pvals, _singular_part(section, rows)[..., None], psis)[..., 0]
+
+
+def _singular_part(values: np.ndarray, rows) -> np.ndarray:
+    """``singular_part_at_nodes`` of samples (C, N, n, ...) along their node axis, cut to each
+    cluster's rows (C, a), or to all rows where ``rows`` is None."""
+    if rows is not None:
+        values = values[np.arange(len(rows))[:, None], :, rows].swapaxes(1, 2)
+    return singular_part_at_nodes(values.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def _assembled(y: tuple, labels: list, dual_labels: list, indices, pairings) -> tuple:
+    """The checked pairing matrix and the section column (None without a section) from the
+    ``_stacked_pairings`` of classes of clusters, ``indices`` listing each class's: the fiber
+    splits over the clusters, so their blocks lie on the diagonal, in cluster order."""
+    matrix = _block_diagonal(_by_cluster(indices, [blocks for blocks, _ in pairings]))
+    column = None if pairings[0][1] is None else np.concatenate(_by_cluster(indices, [c for _, c in pairings]))
+    return _checked_pairing(matrix, y, labels, dual_labels), column
 
 
 def _pairings(frame: FrameSet, dual: FrameSet, section, parts) -> tuple:
     """The checked pairing matrix ``[phi_b, psi_a]``, and the column ``[section, psi_a]`` when a
-    section is given (None otherwise), from ``parts[s] = (rows, active)``: P's active part at the
-    nodes of cluster s's carrier and its rows, as ``_carrier_parts`` gives them.
+    section is given (None otherwise), from the ``parts`` of ``_carrier_parts``.
 
-    The fiber splits over the clusters, so each cluster's frame block pairs only with its dual
-    block, on the frame block's carrier, which encloses the cluster's singular points.  Germs
-    vanish off the cluster's active rows, so each is cut to them, and its class there is the
-    singular part of its samples at the nodes: one FFT pair per block, the section's germ riding
-    along as one more column.  The dual block is needed at the conjugated carrier nodes, the
-    nodes of its own carrier in the order ``t -> -t mod N``, so the two carriers must have the
-    same node count and radius, and the section's germ the frame's.
+    Each cluster's frame block pairs only with its dual block, on the frame block's carrier,
+    which encloses the cluster's singular points: one ``_stacked_pairings`` per class of
+    ``parts``, the section's germ riding along.  The two carriers must have the same node
+    count and radius, and the section's germ the frame's.
     """
     sizes = frame.sizes()
     if sizes != dual.sizes():
         raise InputError("frame and dual frame must have the same number of entries per cluster")
     if section is not None and len(section) != len(sizes):
         raise InputError("a section needs one germ per cluster")
-    blocks = []
-    columns = []
-    for s, (rows, pvals) in enumerate(parts):
-        circle = frame.blocks[s].carrier.circle
+    for s, g in enumerate(frame.blocks):
         germs = [dual.blocks[s]] + ([] if section is None else [section[s]])
-        if any((g.carrier.circle.node_count, g.rho) != (circle.node_count, circle.radius) for g in germs):
+        if any((h.carrier.circle.node_count, h.rho) != (g.carrier.circle.node_count, g.rho) for h in germs):
             raise InputError("a cluster's frame, dual and section germs need carriers of one node count and radius")
-        n = circle.node_count
-        psis = singular_part_at_nodes(dual.blocks[s].carrier.values[:, rows])[-np.arange(n) % n]
-        phis = singular_part_at_nodes(frame.blocks[s].carrier.values[:, rows])
-        blocks.append(_contour_pairing(circle, pvals, phis, psis))
-        if section is not None:
-            # contracted apart: matmul roundoff depends on the column count
-            phi = singular_part_at_nodes(section[s].carrier.values[:, rows])[:, :, None]
-            columns.append(_contour_pairing(circle, pvals, phi, psis)[:, 0])
-    column = None if section is None else np.concatenate(columns)
-    return _checked_pairing(_block_diagonal(blocks), frame.y, frame.labels, dual.labels), column
+    pairings = []
+    for index, rows, pvals in parts:
+        samples = [np.stack([g.blocks[s].carrier.values for s in index]) for g in (frame, dual)]
+        sec = None if section is None else np.stack([section[s].carrier.values for s in index])
+        pairings.append(_stacked_pairings(frame.blocks[index[0]].carrier.circle, rows, pvals, *samples, sec))
+    return _assembled(frame.y, frame.labels, dual.labels, [index for index, *_ in parts], pairings)
 
 
 def pairing_matrix(
@@ -279,9 +315,7 @@ def coefficients(
 def _coefficients(frame: FrameSet, dual: FrameSet, section, parts, residual_tol) -> CoefficientVector:
     """``coefficients`` from the ``parts`` of ``_pairings``."""
     pairing, b = _pairings(frame, dual, section, parts)
-    m = pairing.matrix
-    f = np.linalg.solve(m, b)
-    f = f + np.linalg.solve(m, b - m @ f)
+    f = _solved(pairing.matrix, b)
     if residual_tol is not None:
         residual = _reconstruction_residual(frame, f, section)
         if residual > residual_tol:
@@ -289,6 +323,12 @@ def _coefficients(frame: FrameSet, dual: FrameSet, section, parts, residual_tol)
                 f"section is not in the span of the frame (residual {residual:.3e})"
             )
     return CoefficientVector(frame.y, frame.labels, f, pairing)
+
+
+def _solved(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of ``m f = b`` after one step of iterative refinement."""
+    f = np.linalg.solve(m, b)
+    return f + np.linalg.solve(m, b - m @ f)
 
 
 def _reconstruction_residual(frame: FrameSet, f: np.ndarray, section) -> float:

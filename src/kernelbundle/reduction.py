@@ -11,11 +11,12 @@ the active blocks, those that vanish at sigma_s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, Rectangle, _continued_winding, locate_zeros
+from .contour import Circle, Rectangle, _continued_winding, _windings, locate_zeros
 from .errors import (
     InputError,
     NumericalError,
@@ -201,6 +202,7 @@ class SchurEvaluator:
         self.base = base
         self.s = s
         self.cluster = base.clusters[s]
+        self.stack = ClusterStack([self])
 
     def blocks(self, y, sigma: complex):
         """The four blocks of P(y, sigma) w.r.t. the frozen decompositions."""
@@ -210,13 +212,7 @@ class SchurEvaluator:
         """``(p11, p12, p21, p22, rest)`` at every sigma point, each with a leading
         node axis: the four blocks of the active part of P w.r.t. the frozen
         decompositions, and the other diagonal blocks of P, untouched."""
-        c = self.cluster
-        rows, active, rest = _split(c.active_blocks, self.chart.eval_blocks(y, sigmas))
-        left, right = _bases(c, rows)
-        # one two-sided product per node; the blocks are views of it
-        B = _rotated(left, active, right)
-        k = c.K.shape[1]
-        return B[:, :k, :k], B[:, :k, k:], B[:, k:, :k], B[:, k:, k:], rest
+        return tuple(x[0] for x in self.stack.blocks_many(self.chart.eval_blocks(y, sigmas)[None]))
 
     def schur(self, y, sigma: complex) -> np.ndarray:
         """k x k reduced family p11 - p12 p22^{-1} p21 in the frozen bases."""
@@ -229,44 +225,108 @@ class SchurEvaluator:
         """Vectorized sigma -> ``_slogdet`` of the reduced family w.r.t. the bases fixed at
         construction, in the chunks of ``_slogdet_function``: a 1 x 1 family takes the closed form."""
         y = _as_param(y, self.chart.param_dim)
-        rows = max(1, DET_CHUNK_ENTRIES // self.chart.n ** 2)
-
-        def q(sigma):
-            s = np.asarray(sigma, dtype=complex)
-            parts = [_slogdet(self.schur_many(y, s.ravel()[i : i + rows])) for i in range(0, s.size, rows)]
-            return tuple(np.concatenate(a).reshape(s.shape) for a in zip(*parts))
-
-        return q
+        return _slogdet_function(lambda s: _slogdet(self.schur_many(y, s)), self.chart.n)
 
 
-def _split(act: Optional[tuple], blocks: np.ndarray) -> tuple:
-    """``(rows, active, rest)`` of the blocks ``act`` (None: all) of diagonal blocks (N, M, b, b):
-    their rows, a slice if all; their assembly, (N, a b, a b); the other blocks, untouched."""
-    m, b = blocks.shape[1], blocks.shape[3]
-    if act is None or len(act) == m:
-        return slice(None), _assemble(blocks), blocks[:, :0]
-    return _rows(act, b), _assemble(blocks[:, list(act)]), blocks[:, [j for j in range(m) if j not in act]]
+class ClusterStack:
+    """Evaluators of one chart and base point whose clusters have active parts of one size,
+    kernels of one dimension and one number of other diagonal blocks, their frozen data stacked
+    on a leading cluster axis: one array pass reduces them all, and each cluster's numbers are
+    the ones it gives alone."""
+
+    def __init__(self, evs: Sequence[SchurEvaluator]):
+        self.evs = list(evs)
+        self.index = [ev.s for ev in self.evs]
+        self.clusters = [ev.cluster for ev in self.evs]
+        acts = [c.active_blocks for c in self.clusters]
+        self.active_blocks = None if acts[0] is None else np.array(acts)
+        self._frozen: dict = {}
+
+    def frozen(self, m: int, b: int) -> tuple:
+        """``(other, rows, left, right)`` on M diagonal blocks of size b: each cluster's other blocks
+        and active rows (C, .), both None where its active blocks are all, and its frozen bases
+        ``[Rperp R]^H`` and ``[K Kperp]`` on those rows (C, a, a); ``left @ P @ right`` are the
+        blocks of P's active part."""
+        if (m, b) not in self._frozen:
+            act = self.active_blocks
+            whole = act is None or act.shape[1] == m
+            other = None if whole else np.array([[j for j in range(m) if j not in a] for a in act.tolist()])
+            rows = None if whole else (act[:, :, None] * b + np.arange(b)).reshape(len(act), -1)
+            at = [slice(None)] * len(self.clusters) if rows is None else rows
+            left = np.stack([np.concatenate([c.Rperp, c.R], axis=1)[r] for c, r in zip(self.clusters, at)])
+            right = np.stack([np.concatenate([c.K, c.Kperp], axis=1)[r] for c, r in zip(self.clusters, at)])
+            self._frozen[m, b] = other, rows, left.conj().swapaxes(1, 2), right
+        return self._frozen[m, b]
+
+    def split(self, blocks: np.ndarray) -> tuple:
+        """``(active, rest)`` of diagonal blocks (C, N, M, b, b), the clusters' ``eval_blocks``
+        stacked: each cluster's active blocks assembled, (C, N, a, a), and its other blocks,
+        untouched, (C, N, R, b, b)."""
+        other = self.frozen(*blocks.shape[2:4])[0]
+        if other is None:
+            return _assemble(blocks), blocks[:, :, :0]
+        at = np.arange(len(other))[:, None]
+        return _assemble(blocks[at, :, self.active_blocks].swapaxes(1, 2)), blocks[at, :, other].swapaxes(1, 2)
+
+    def blocks_many(self, blocks: np.ndarray) -> tuple:
+        """``SchurEvaluator.blocks_many`` of every cluster from their stacked diagonal blocks
+        (C, N, M, b, b): each array with the leading axes (C, N)."""
+        _, _, left, right = self.frozen(*blocks.shape[2:4])
+        active, rest = self.split(blocks)
+        B = _rotated(left, active, right)
+        k = self.clusters[0].K.shape[1]
+        return B[..., :k, :k], B[..., :k, k:], B[..., k:, :k], B[..., k:, k:], rest
+
+    def active(self, blocks) -> tuple:
+        """``(rows, active)``: P's active part at the nodes of ``blocks_many``'s ``blocks``, the
+        frozen rotation undone, (C, N, a, a), and its rows in each cluster, None where all."""
+        p11, p12, p21, p22, rest = blocks
+        b = rest.shape[-1]
+        _, rows, left, right = self.frozen(rest.shape[2] + (p11.shape[-1] + p22.shape[-1]) // b, b)
+        B = np.concatenate([np.concatenate([p11, p12], axis=-1), np.concatenate([p21, p22], axis=-1)], axis=-2)
+        return rows, _rotated(left.conj().swapaxes(1, 2), B, right.conj().swapaxes(1, 2))
 
 
-def _rows(act: Optional[tuple], b: int):
-    """The rows of the diagonal blocks ``act`` of size b, or all rows (a slice) where ``act`` is None."""
-    return slice(None) if act is None else (np.asarray(act)[:, None] * b + np.arange(b)).ravel()
+def _shape(c: Cluster) -> tuple:
+    """What a cluster's arrays have in common with those of its ``ClusterStack``: the number of
+    its active blocks (None: every block) and its kernel dimension."""
+    return None if c.active_blocks is None else len(c.active_blocks), c.kernel_dim
 
 
-def _bases(c: Cluster, rows) -> tuple:
-    """``(left, right)``: the frozen bases of c on the rows of its active blocks, ``[Rperp R]^H``
-    and ``[K Kperp]``, both unitary; ``left @ P @ right`` are the blocks of P's active part."""
-    return np.concatenate([c.Rperp, c.R], axis=1)[rows].conj().T, np.concatenate([c.K, c.Kperp], axis=1)[rows]
+def _classes(keys) -> list:
+    """Indices of equal keys, one list each, in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _by_cluster(indices, arrays) -> list:
+    """The entries of arrays stacked on a leading cluster axis, one per class of clusters whose
+    indices ``indices`` lists, in cluster order."""
+    entry = {s: a[i] for index, a in zip(indices, arrays) for i, s in enumerate(index)}
+    return [entry[s] for s in sorted(entry)]
+
+
+def _flat(arrays) -> tuple:
+    """Arrays with leading axes (C, N) as arrays with one leading axis of the C N nodes."""
+    return tuple(a.reshape(a.shape[0] * a.shape[1], *a.shape[2:]) for a in arrays)
+
+
+def _unflat(arrays, c: int) -> tuple:
+    """``_flat``'s inverse for C clusters."""
+    return tuple(a.reshape(c, a.shape[0] // c, *a.shape[1:]) for a in arrays)
 
 
 def _rotated(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left @ m @ right`` at every node of a stack m (N, a, a).  For a <= 2 it is the sum of
-    outer products, formed elementwise with the node axis last: no BLAS call per node, and each
-    node's product is independent of the batch that carries it."""
+    """``left @ m @ right`` at every node of stacks m (C, N, a, a), with one pair of bases (C, a, a)
+    per cluster.  For a <= 2 it is the sum of outer products, formed elementwise with the nodes
+    last: no BLAS call per node, and each node's product is independent of the batch that carries it."""
     if m.shape[-1] > 2:
-        return left @ m @ right
-    nodes_last = np.ascontiguousarray(m.transpose(1, 2, 0))
-    return _outer_sum(_outer_sum(left[..., None], nodes_last), right[..., None]).transpose(2, 0, 1)
+        return left[:, None] @ m @ right[:, None]
+    nodes_last = np.ascontiguousarray(m.transpose(2, 3, 0, 1))
+    outer = _outer_sum(left.transpose(1, 2, 0)[..., None], nodes_last)
+    return _outer_sum(outer, right.transpose(1, 2, 0)[..., None]).transpose(2, 3, 0, 1)
 
 
 def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -274,16 +334,6 @@ def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the sum of p outer products."""
     out = x[:, 0, None] * y[None, 0]
     return out + x[:, 1, None] * y[None, 1] if x.shape[1] == 2 else out
-
-
-def _active(c: Cluster, blocks) -> tuple:
-    """``(rows, active)``: the active part of P at the nodes of ``blocks_many``'s ``blocks``, the
-    frozen rotation undone, and its rows."""
-    p11, p12, p21, p22, rest = blocks
-    rows = _rows(c.active_blocks, rest.shape[-1])
-    left, right = _bases(c, rows)
-    B = np.concatenate([np.concatenate([p11, p12], axis=2), np.concatenate([p21, p22], axis=2)], axis=1)
-    return rows, _rotated(left.conj().T, B, right.conj().T)
 
 
 def _det(a: np.ndarray) -> np.ndarray:
@@ -386,7 +436,7 @@ def _schur(blocks, sigmas):
 
 def _sliced(arrays, sizes) -> list:
     """Arrays with a leading node axis cut into consecutive runs of the given sizes."""
-    return [tuple(a[e - size : e] for a in arrays) for size, e in zip(sizes, np.cumsum(sizes))]
+    return [tuple(a[e - size : e] for a in arrays) for size, e in zip(sizes, accumulate(sizes))]
 
 
 def _sample_sets(ev: SchurEvaluator, y, point_sets) -> list:
@@ -406,10 +456,17 @@ def _slogdet(m: np.ndarray) -> tuple:
         return np.where(mod > 0, v.real / mod + 1j * (v.imag / mod), 0), np.log(mod)
 
 
-def _multiplicity(ev: SchurEvaluator, y, circle: Circle, held) -> int:
-    """Reduced-determinant zeros in a count circle from ``(phase, logabs, conds)`` at its nodes,
-    ``_slogdet`` and guard condition; a loop they cannot resolve is continued at its midpoints."""
-    return _continued_winding(ev.qdet_function(y), circle.path, *_checked(held, circle.nodes))
+def _multiplicities(evs: Sequence[SchurEvaluator], y, circles: Sequence[Circle], held):
+    """Reduced-determinant zeros in count circles, one circle per row of ``held``, the ``(phase,
+    logabs, conds)`` at its nodes from ``_slogdet`` and the guard, and one evaluator per circle:
+    one ``_windings`` call counts all rows.  Yields the counts in row order; a row's guard check,
+    its loop's error, or, where the loop is unresolved, its continuation at the midpoints raises
+    only when the row is reached."""
+    for ev, circle, phase, logabs, conds, w in zip(evs, circles, *held, _windings(*held[:2])):
+        _checked((conds,), circle.nodes)
+        if isinstance(w, Exception):
+            raise w
+        yield w if w is not None else _continued_winding(ev.qdet_function(y), circle.path, phase, logabs)
 
 
 def local_multiplicity(ev: SchurEvaluator, y) -> int:
@@ -417,24 +474,22 @@ def local_multiplicity(ev: SchurEvaluator, y) -> int:
     circle, counted from one block evaluation on its nodes."""
     circle = ev.cluster.count_circles()[0]
     schur, *_, conds = _reduce(*_sample_sets(ev, y, [circle.nodes]))
-    return _multiplicity(ev, y, circle, (*_slogdet(schur), conds))
+    return next(_multiplicities([ev], y, [circle], [x[None] for x in (*_slogdet(schur), conds)]))
 
 
-def _slogdet_function(matrices: Callable, n: int) -> Callable:
-    """Vectorized sigma -> ``slogdet`` of ``matrices(sigmas)``, ``(phase, logabs)`` of
-    the input's shape.
+def _slogdet_function(slogdets: Callable, n: int) -> Callable:
+    """Vectorized sigma -> ``slogdets(sigmas)``, the ``(phase, logabs)`` of an n x n family per
+    point, of the input's shape.
 
-    ``matrices`` evaluates an n x n family per point; it is called on chunks of
-    at most ``DET_CHUNK_ENTRIES // n^2`` points, so memory stays bounded at any
-    node count, and ``logabs`` stays in the float range where ``det`` itself
-    over- or underflows.  A point's pair does not depend on the other points.
+    ``slogdets`` is called on chunks of at most ``DET_CHUNK_ENTRIES // n^2`` points, so memory
+    stays bounded at any node count, and ``logabs`` stays in the float range where ``det``
+    itself over- or underflows.  A point's pair does not depend on the other points.
     """
     rows = max(1, DET_CHUNK_ENTRIES // n ** 2)
 
     def q(sigma):
         s = np.asarray(sigma, dtype=complex)
-        chunks = (s.ravel()[i : i + rows] for i in range(0, s.size, rows))
-        parts = [np.linalg.slogdet(matrices(c)) for c in chunks]
+        parts = [slogdets(s.ravel()[i : i + rows]) for i in range(0, s.size, rows)]
         return tuple(np.concatenate(a).reshape(s.shape) for a in zip(*parts))
 
     return q
@@ -443,7 +498,7 @@ def _slogdet_function(matrices: Callable, n: int) -> Callable:
 def _det_function(chart: FamilyChart, y) -> Callable:
     """``_slogdet_function`` of P(y, .), unchecked: location circles may poke
     slightly past the region."""
-    return _slogdet_function(lambda s: chart.eval_many(y, s, check=False), chart.n)
+    return _slogdet_function(lambda s: np.linalg.slogdet(chart.eval_many(y, s, check=False)), chart.n)
 
 
 @dataclass
@@ -624,8 +679,8 @@ def base_point_data(
                 raise NumericalError(
                     f"located zero at {z.location} has numerically trivial kernel"
                 )
-            rows, sub, _ = _split(active, blocks[None])
-            bases = kernel_cokernel(sub[0], KERNEL_RANK_TOL, max(floor, float(np.max(svals))))
+            rows = (np.asarray(active)[:, None] * blocks.shape[-1] + np.arange(blocks.shape[-1])).ravel()
+            bases = kernel_cokernel(_assemble(blocks[list(active)]), KERNEL_RANK_TOL, max(floor, float(np.max(svals))))
             K, Kperp, Rperp, R = (np.zeros((chart.n, x.shape[1]), dtype=complex) for x in bases)
             for full, x in zip((K, Kperp, Rperp, R), bases):
                 full[rows] = x

@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,20 +30,23 @@ from .errors import (
     ValidationError,
 )
 from .family import FamilyChart, SturmLiouvilleSpec, _check_keys, _checked_kind, _integer, family_from_dict
-from .frames import Germ, frames_from_blocks, laurent_coefficients, make_germ
+from .frames import Germ, _frame_factors, _frame_pair, cluster_stacks, laurent_coefficients, make_germ
 from .keldysh import base_samples, dual_root_functions, root_functions, taylor_coefficients, with_beta
-from .pairing import _coefficients, _pairings
+from .pairing import _assembled, _solved, _stacked_pairings
 from .reduction import (
+    COUNT_NODES,
     BasePointData,
     SchurEvaluator,
-    _active,
+    _by_cluster,
+    _checked,
     _complement_svals,
     _count_margin,
-    _multiplicity,
+    _flat,
+    _multiplicities,
     _reduce,
     _sample_sets,
-    _sliced,
     _slogdet,
+    _unflat,
     base_point_data,
 )
 
@@ -229,14 +233,6 @@ def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int =
     return systems, duals
 
 
-def _probe_section(frame, values: np.ndarray) -> list:
-    """Section with the given coefficients: one germ per cluster, ``block @ c``."""
-    return [
-        Germ(g.center, SampledFunction(g.carrier.circle, g.carrier.values @ c))
-        for g, c in zip(frame.blocks, frame.split(values))
-    ]
-
-
 def sweep(
     chart: FamilyChart,
     base: BasePointData,
@@ -256,6 +252,13 @@ def sweep(
     sweep with the partial report attached.  ``node_count`` sets the nodes of
     the carriers, where the frames are built and paired; it must divide the
     nodes that ``canonical_systems`` built ``systems`` and ``duals`` on.
+
+    Each point evaluates the family once, on the nodes of every cluster, and
+    reduces, counts, frames and pairs each shape class of clusters
+    (``cluster_stacks``) in one array pass.  A point's failure is the first
+    error in cluster order of the first stage that fails: the outer counts,
+    the multiplicity jump, the inner counts, the carriers, the frames and the
+    pairing.
     """
     t0 = time.perf_counter()
     if grid.ndim != chart.param_dim:
@@ -279,13 +282,22 @@ def sweep(
         failures=failures,
     )
 
+    stacks = cluster_stacks(chart, base, systems, duals)
+    indices = [st.index for st in stacks]
+    evs = _by_cluster(indices, [st.evs for st in stacks])
+    circles, nodes = _point_nodes(stacks, node_count)
+    count_circles = [c[0] for c in circles] + [c[1] for c in circles]
+    factors = [_frame_factors(st, systems, duals, node_count) for st in stacks]
+    dual_labels = [(s, j, l) for s, du in enumerate(duals) for j, l in du.entry_labels()]
+    splits = np.cumsum([sy.total for sy in systems])[:-1]
+
     for y in grid.points():
         y_key = tuple(float(v) for v in np.atleast_1d(y))
         try:
-            evs = [SchurEvaluator(chart, base, s) for s in range(len(base.clusters))]
-            # one block evaluation and one guard per cluster serve every circle below
-            samples = [_point_samples(ev, y, node_count) for ev in evs]
-            mults = [_multiplicity(ev, y, *smp[0]) for ev, smp in zip(evs, samples)]
+            held, classes = _point_samples(stacks, y, nodes)
+            # the outer circles first, cluster by cluster, then the inner ones
+            counts = _multiplicities(evs + evs, y, count_circles, held)
+            mults = list(islice(counts, len(evs)))
             if mults != base_mults:
                 report.elapsed = time.perf_counter() - t0
                 raise DimensionJumpError(
@@ -296,26 +308,35 @@ def sweep(
             # point must sit in the inner half-disc; one that strays into the
             # outer annulus would silently fall outside the carrier and
             # corrupt the frame germs.
-            inner = [_multiplicity(ev, y, *smp[1]) for ev, smp in zip(evs, samples)]
+            inner = list(counts)
             if inner != base_mults:
                 raise ValidationError(
                     f"singular points left the inner half-discs at y={y_key}: "
                     f"{inner} != {base_mults}"
                 )
-            # smallest relative complement-block singular value on the margin circles
-            svals = [_complement_svals(smp[3][1]) for smp in samples]
-            margin = min((float(np.min(sv.min(1) / sv.max(1))) for sv in svals if sv.size), default=1.0)
-            frame, dual = frames_from_blocks(base, systems, duals, y, [smp[2] for smp in samples])
-            # the pairing reads P on the carriers, from the same block evaluation
-            parts = [smp[4][1] for smp in samples]
+            margin = min((m for m, _, _ in classes if m is not None), default=1.0)
+            for circle, conds in zip(circles, _by_cluster(indices, [carrier[3] for _, carrier, _ in classes])):
+                _checked((conds,), circle[2].nodes)
+            pairs = [_frame_pair(*f, carrier[:3]) for f, (_, carrier, _) in zip(factors, classes)]
+            for side in zip(*pairs):
+                _finite(side)
+            sections = [None] * len(stacks)
             if probe is not None:
                 expected = np.asarray(probe(y), dtype=complex)
-                if expected.shape != (len(frame),):
+                if expected.shape != (len(labels),):
                     raise InputError("probe must return one coefficient per frame entry")
-                cv = _coefficients(frame, dual, _probe_section(frame, expected), parts, None)
-                pm = cv.pairing
-            else:
-                pm, _ = _pairings(frame, dual, None, parts)
+                pieces = np.split(expected, splits)
+                # the section with these coefficients: per cluster, its frame block @ its coefficients
+                sections = _finite([
+                    (frame @ np.stack([pieces[s] for s in index])[:, None, :, None])[..., 0]
+                    for index, (frame, _) in zip(indices, pairs)
+                ])
+            # the pairing reads P on the carriers, from the same block evaluation
+            pairings = [
+                _stacked_pairings(circles[index[0]][2], *active, frame, dual, section)
+                for index, (_, _, active), (frame, dual), section in zip(indices, classes, pairs, sections)
+            ]
+            pm, column = _assembled(y_key, labels, dual_labels, indices, pairings)
             rec = SweepPoint(
                 y=y_key,
                 multiplicities=mults,
@@ -323,9 +344,10 @@ def sweep(
                 p22_margin=margin,
             )
             if probe is not None:
-                rec.coefficients = list(cv.values)
-                rec.probe_error = float(np.max(np.abs(cv.values - expected)))
-                coeff_rows.append(cv.values)
+                values = _solved(pm.matrix, column)
+                rec.coefficients = list(values)
+                rec.probe_error = float(np.max(np.abs(values - expected)))
+                coeff_rows.append(values)
             pairing_rows.append(pm.matrix.ravel())
             points.append(rec)
         except DimensionJumpError:
@@ -354,19 +376,46 @@ def sweep(
     return report
 
 
-def _point_samples(ev: SchurEvaluator, y, node_count: int) -> list:
-    """``(circle, samples)`` of one cluster at y from one ``blocks_many`` call and one ``_reduce``
-    over its two count circles and carrier: on each count circle ``(phase, logabs, conds)`` from
-    one ``_slogdet`` for both, on the carrier its reduction, on the p22 margin circle the blocks,
-    and last, on the carrier again, ``_active`` of its blocks for the pairing."""
-    c = ev.cluster
-    circles = c.count_circles() + [c.carrier(node_count), c.contour(MARGIN_NODES)]
-    sizes = [circle.node_count for circle in circles]
-    guarded, margin = _sample_sets(ev, y, [np.concatenate([x.nodes for x in circles[:3]]), circles[3].nodes])
-    schur, *_, conds = reduced = _reduce(guarded)
-    held = _sliced((*_slogdet(schur[: sizes[0] + sizes[1]]), conds), sizes[:2])
-    samples = held + _sliced(reduced, sizes[:3])[2:] + [margin, _active(c, _sliced(guarded, sizes[:3])[2])]
-    return list(zip(circles + circles[2:3], samples))
+def _finite(samples: list) -> list:
+    """Germ samples, stacked per shape class, after the check each germ's ``SampledFunction`` makes."""
+    if not all(np.all(np.isfinite(x)) for x in samples):
+        raise InputError("samples contain non-finite values")
+    return samples
+
+
+def _point_nodes(stacks, node_count: int) -> tuple:
+    """``(circles, nodes)``: per cluster, in cluster order, its two count circles, its carrier of
+    ``node_count`` nodes and its p22 margin circle; and their nodes, one row per cluster, the
+    clusters of the ``stacks`` in turn, for ``_point_samples``."""
+    circles = {s: c.count_circles() + [c.carrier(node_count), c.contour(MARGIN_NODES)]
+               for st in stacks for s, c in zip(st.index, st.clusters)}
+    nodes = np.stack([np.concatenate([x.nodes for x in circles[s]]) for st in stacks for s in st.index])
+    return [circles[s] for s in sorted(circles)], nodes
+
+
+def _point_samples(stacks, y, nodes) -> tuple:
+    """``(held, classes)``: the samples of every cluster at y from one ``eval_blocks`` call on the
+    ``nodes`` of ``_point_nodes``, and one ``_reduce`` and one ``_slogdet`` per shape class.
+
+    ``held`` is ``(phase, logabs, conds)`` on the count circles from the ``_slogdet`` and guard,
+    one row per circle: the outer circles in cluster order, then the inner ones.  Per class,
+    ``classes`` holds the smallest relative complement-block singular value on the margin
+    circles, None where the complement is empty; ``_reduce`` on the carriers, (C, N, .) each;
+    and ``ClusterStack.active`` there, for the pairing."""
+    blocks = stacks[0].evs[0].chart.eval_blocks(y, nodes.ravel())
+    blocks = blocks.reshape(*nodes.shape, *blocks.shape[1:])
+    count, carrier = slice(0, 2 * COUNT_NODES), slice(2 * COUNT_NODES, nodes.shape[1] - MARGIN_NODES)
+    held, classes, start = [], [], 0
+    for st in stacks:
+        rotated = st.blocks_many(blocks[start : start + len(st.index)])
+        start += len(st.index)
+        reduced = _unflat(_reduce(_flat(rotated)), len(st.index))
+        held.append((*_slogdet(reduced[0][:, count]), reduced[3][:, count]))
+        sv = _complement_svals((None,) * 3 + _flat([x[:, -MARGIN_NODES:] for x in rotated[3:]]))
+        margin = float(np.min(sv.min(1) / sv.max(1))) if sv.size else None
+        classes.append((margin, [x[:, carrier] for x in reduced], st.active([x[:, carrier] for x in rotated])))
+    rows = [np.stack(_by_cluster([st.index for st in stacks], h)) for h in zip(*held)]
+    return [x.reshape(len(x), 2, COUNT_NODES).swapaxes(0, 1).reshape(-1, COUNT_NODES) for x in rows], classes
 
 
 # ---------------------------------------------------------------------------

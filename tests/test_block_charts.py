@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import kernelbundle as kb
-from kernelbundle.errors import ReductionInvalidError
+from kernelbundle.errors import ReductionInvalidError, ZeroOnContourError
 from kernelbundle.family import FamilyChart, SigmaRegion, SturmLiouvilleSpec, sl_chart
 from kernelbundle.frames import frames_at
 from kernelbundle.pairing import pairing_matrix
@@ -223,3 +223,83 @@ def test_a_singular_complement_block_inside_a_disc_fails_validation():
     chart = FamilyChart(6, 1, REGION, _moving_zero)
     base = base_point_data(chart, [0.0])
     assert not validate_neighborhood(chart, base, [[0.95]]).conditions[2].passed
+
+
+def _three_clusters(y, s):
+    # blocks 1 and 2 vanish at 0, where their zeros part as y moves; blocks 0 and 3 at
+    # -0.8i and 0.8i: clusters of one, two and one active blocks, in center order
+    s = np.asarray(s, dtype=complex)
+    one = np.ones_like(s)
+    return np.stack(
+        [
+            _upper(s + 0.8j + 0.1 * y[0], 0.3 * one, 1 + 0.2 * s),
+            _upper(s - 0.1 * y[0], 0.2 * s, one),
+            _upper(one, 0.4 * one, s + 0.2 * y[0]),
+            _upper(2 * (s - 0.8j), 0.1 * one, 2 * one),
+        ],
+        -3,
+    )
+
+
+def test_a_sweep_over_two_shape_classes_agrees_with_the_per_cluster_oracles(monkeypatch):
+    # clusters 0 and 2 form one shape class and cluster 1 another, so the sweep's arrays
+    # run in the cluster order 0, 2, 1; each number it records is the one the public
+    # per-cluster oracles give
+    chart = FamilyChart(8, 1, REGION, _three_clusters)
+    base = base_point_data(chart, [0.0])
+    systems, duals = canonical_systems(chart, base)
+    assert [c.active_blocks for c in base.clusters] == [(0,), (1, 2), (3,)]
+    assert [st.index for st in kb.frames.cluster_stacks(chart, base, systems, duals)] == [[0, 2], [1]]
+    rng = np.random.default_rng(3)
+    coeffs = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+
+    def probe(y):
+        return coeffs[0] + y[0] * coeffs[1]
+
+    formed = []
+    checked = kb.pairing._checked_pairing
+
+    def recorded(m, *args):
+        formed.append(m)
+        return checked(m, *args)
+
+    monkeypatch.setattr(kb.pairing, "_checked_pairing", recorded)
+    grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
+    report = sweep(chart, base, grid, probe=probe, systems=systems, duals=duals)
+    assert not report.failures and len(formed) == 3
+    for point, swept in zip(report.points, formed):
+        y = list(point.y)
+        assert point.multiplicities == [local_multiplicity(SchurEvaluator(chart, base, s), y) for s in range(3)]
+        frame, dual = frames_at(chart, base, systems, duals, y)
+        pm = pairing_matrix(chart, frame, dual, base, y)
+        assert _close(swept, pm.matrix, 1e-13)
+        assert point.pairing_condition == pytest.approx(pm.condition, rel=1e-13)
+        pieces = frame.split(probe(y))
+        section = [kb.Germ(g.center, kb.SampledFunction(g.carrier.circle, g.carrier.values @ c)) for g, c in zip(frame.blocks, pieces)]
+        assert _close(point.coefficients, kb.coefficients(chart, frame, dual, base, y, section).values, 1e-13)
+
+
+def _two_movers(y, s):
+    # simple zeros at -0.5i + 0.2 y and 0.5i + 0.2 y, of slopes 1 and 2: at y = 1 each
+    # sits on node 0 of its cluster's outer count circle, at y = 0.5 on its inner one's
+    s = np.asarray(s, dtype=complex)
+    return np.stack([s + 0.5j - 0.2 * y[0], 2 * (s - 0.5j - 0.2 * y[0])], -1)[..., None, None]
+
+
+def test_a_point_where_two_clusters_fail_records_the_first():
+    # both clusters are one shape class, counted in one pass; the failure recorded is
+    # the first cluster's, outer circles before inner ones
+    chart = FamilyChart(2, 1, REGION, _two_movers)
+    base = base_point_data(chart, [0.0])
+    systems, duals = canonical_systems(chart, base)
+    report = sweep(chart, base, ParameterGrid.from_ranges([(0.5, 1.0, 2)]), systems=systems, duals=duals)
+    assert [f["y"] for f in report.failures] == [[0.5], [1.0]]
+    errors = []
+    for s in range(2):
+        with pytest.raises(ZeroOnContourError) as info:
+            local_multiplicity(SchurEvaluator(chart, base, s), [1.0])
+        errors.append(str(info.value))
+    assert errors[0] != errors[1]
+    assert report.failures[1]["error"] == "ZeroOnContourError" and report.failures[1]["message"] == errors[0]
+    # at y = 0.5 the outer counts hold and both inner circles fail, at -log 5 and -log 2.5 from the top
+    assert report.failures[0]["message"] == "zero too close to contour: log |q| from -inf to -1.609e+00"

@@ -29,7 +29,6 @@ from kernelbundle.reduction import (
     BasePointData,
     Cluster,
     SchurEvaluator,
-    _active,
     _complement_svals,
     _det_function,
     _guard,
@@ -261,14 +260,15 @@ class TestSchur:
     def test_small_active_parts_against_loop_reference(self, sl_scalar_pipeline, sl_big_pipeline):
         # active parts of size 1 (scalar chart) and 2 (two-channel chart) are rotated
         # elementwise: the blocks match the per-node triple products, a node's blocks do
-        # not depend on its batch, and _active undoes the rotation
+        # not depend on its batch, and ClusterStack.active undoes the rotation
         for pipeline, a in ((sl_scalar_pipeline, 1), (sl_big_pipeline, 2)):
             chart, base, _, _ = pipeline
             for s, c in enumerate(base.clusters):
                 ev = SchurEvaluator(chart, base, s)
                 y, sigmas = [0.03], c.carrier(32).nodes
                 many = ev.blocks_many(y, sigmas)
-                rows, active = _active(c, many)
+                rows, active = ev.stack.active([x[None] for x in many])
+                rows, active = slice(None) if rows is None else rows[0], active[0]
                 P = chart.eval_many(y, sigmas)[:, rows][:, :, rows]
                 assert P.shape[1:] == (a, a)
                 left, right = np.hstack([c.Rperp, c.R])[rows].conj().T, np.hstack([c.K, c.Kperp])[rows]

@@ -157,10 +157,10 @@ class TestSweep:
         assert not report.failures
         assert report.pairing_entry_dd > 1e9 * report.pairing_entry_dd_floor
 
-    def test_samples_family_once_per_cluster_and_point(self, sl_big_pipeline, counting_chart, monkeypatch):
-        # per point: one block evaluation per cluster serves the counts, the margin,
-        # both frames and the pairing on the carrier; none at y0, whose data the
-        # systems carry
+    def test_samples_family_once_per_point(self, sl_big_pipeline, counting_chart, monkeypatch):
+        # per point: one block evaluation on the nodes of every cluster serves the
+        # counts, the margins, both frames and the pairing on the carriers; none at
+        # y0, whose data the systems carry
         chart, base, systems, duals = sl_big_pipeline
         counting, calls = counting_chart(chart)
         blocks = []
@@ -174,12 +174,13 @@ class TestSweep:
         grid = ParameterGrid.from_ranges([(-0.05, 0.05, 3)])
         report = sweep(counting, base, grid, probe=lambda y: np.ones(4), systems=systems, duals=duals)
         assert not report.failures and max(p.probe_error for p in report.points) < 1e-8
-        want = [(y,) for y in (-0.05, 0.0, 0.05) for _ in base.clusters]
+        want = [(y,) for y in (-0.05, 0.0, 0.05)]
         assert blocks == want and calls == want
 
     def test_no_lapack_call_on_small_blocks(self, sl_big_pipeline, monkeypatch):
         # the acceptance-10 chart: 1 x 1 reduced families and p22 blocks, 2 x 2 other
-        # blocks, all in closed form, and one guard per cluster and point
+        # blocks, all in closed form; its four clusters form one shape class, so one
+        # guard per point
         chart, base, systems, duals = sl_big_pipeline
         small = []
         for name in ("inv", "svd", "slogdet", "solve"):
@@ -203,8 +204,8 @@ class TestSweep:
         report = sweep(chart, base, grid, probe=lambda y: np.ones(4), systems=systems, duals=duals)
         assert not report.failures and max(p.probe_error for p in report.points) < 1e-8
         assert small == []
-        # the two count circles and the carrier: 64 + 64 + 128 nodes
-        assert guards == [256] * (len(base.clusters) * 3) and len(guards) == 12
+        # per cluster, the two count circles, the carrier and the margin circle: 64 + 64 + 128 + 16 nodes
+        assert len(base.clusters) == 4 and guards == [4 * 272] * 3
 
     def test_count_continues_on_the_midpoints(self, monkeypatch):
         # sigma^17 turns 17 * 2 pi / 64 > pi/2 between the 64 count nodes, so
@@ -226,11 +227,18 @@ class TestSweep:
             return recorded
 
         monkeypatch.setattr(ev, "qdet_function", counted)
-        samples = shell._point_samples(ev, [0.0], 128)
-        assert [shell._multiplicity(ev, [0.0], *smp) for smp in samples[:2]] == [17, 17]
+        assert self.counts(ev) == [17, 17]
         assert [len(s) for s in sampled] == [64, 64]
-        for s, (circle, _) in zip(sampled, samples):
+        for s, circle in zip(sampled, ev.cluster.count_circles()):
             assert np.array_equal(s, circle.path(128)[1::2])
+
+    @staticmethod
+    def counts(ev):
+        """The sweep's counts of one evaluator's cluster on its outer and inner count circles."""
+        stacks = [kb.reduction.ClusterStack([ev])]
+        circles, nodes = shell._point_nodes(stacks, 128)
+        held, _ = shell._point_samples(stacks, [0.0], nodes)
+        return list(shell._multiplicities([ev, ev], [0.0], circles[0][:2], held))
 
     def test_continued_count_takes_the_closed_form_slogdet(self, monkeypatch):
         # the sigma^17 counts above continue on their midpoints through qdet_function,
@@ -247,8 +255,7 @@ class TestSweep:
             return slogdet(a)
 
         monkeypatch.setattr(np.linalg, "slogdet", recorded)
-        samples = shell._point_samples(ev, [0.0], 128)
-        assert [shell._multiplicity(ev, [0.0], *smp) for smp in samples[:2]] == [17, 17]
+        assert self.counts(ev) == [17, 17]
         assert shapes == []
 
     def test_node_count_must_divide_system_nodes(self, branching_pipeline):
