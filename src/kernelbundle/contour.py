@@ -68,9 +68,12 @@ class Circle:
         """exp(i theta_t) at the nodes, read-only."""
         return _unit_roots(self.node_count)
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return self.center + self.radius * self.unit
+        """The nodes, formed once per circle, read-only."""
+        nodes = self.center + self.radius * self.unit
+        nodes.flags.writeable = False
+        return nodes
 
     def path(self, node_count: int) -> np.ndarray:
         """Nodes of the same circle at another node count; at twice the count, the

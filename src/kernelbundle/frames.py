@@ -30,18 +30,7 @@ from .errors import (
     RegionError,
 )
 from .keldysh import RootSystem
-from .reduction import (
-    BasePointData,
-    ClusterStack,
-    SchurEvaluator,
-    _by_cluster,
-    _checked,
-    _classes,
-    _flat,
-    _reduce,
-    _shape,
-    _unflat,
-)
+from .reduction import BasePointData, ClusterStack, SchurEvaluator, _by_cluster, _checked, _sampled, _stacks
 
 INDEPENDENCE_CONDITION_LIMIT = 1e10
 INDEPENDENCE_PROBE_NODES = 48
@@ -152,8 +141,7 @@ class FrameSet:
 def cluster_stacks(chart, base: BasePointData, systems, duals) -> list:
     """The clusters of a base point in shape classes, one ``ClusterStack`` each: clusters of equal
     active-part size, kernel dimension and chain lengths reduce, frame and pair in one array pass."""
-    keys = [(_shape(c), tuple(sy.lengths), tuple(du.lengths)) for c, sy, du in zip(base.clusters, systems, duals)]
-    return [ClusterStack([SchurEvaluator(chart, base, s) for s in index]) for index in _classes(keys)]
+    return _stacks(chart, base, [(tuple(sy.lengths), tuple(du.lengths)) for sy, du in zip(systems, duals)])
 
 
 def _entry_factors(clusters, systems, circles) -> tuple:
@@ -238,20 +226,18 @@ def _frame_factors(stack: ClusterStack, systems, duals, node_count: int) -> tupl
 
 def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 128) -> tuple:
     """Frame and dual frame of the kernel bundle at parameter y, one germ block
-    per cluster each, from one block evaluation per carrier, reduced and
+    per cluster each, from one block evaluation on every carrier, reduced and
     framed in one array pass per shape class (``cluster_stacks``)."""
-    carriers = [cl.carrier(node_count) for cl in base.clusters]
-    blocks = [chart.eval_blocks(y, c.nodes) for c in carriers]
+    carriers = [[cl.carrier(node_count)] for cl in base.clusters]
     stacks = cluster_stacks(chart, base, systems, duals)
-    indices = [st.index for st in stacks]
-    reduced = [_unflat(_reduce(_flat(st.blocks_many(np.stack([blocks[s] for s in i])))), len(i)) for st, i in zip(stacks, indices)]
-    for circle, conds in zip(carriers, _by_cluster(indices, [r[3] for r in reduced])):
-        _checked((conds,), circle.nodes)
+    reduced = [c[0][1] for c in _sampled(stacks, y, carriers)]
+    for circle, conds in zip(carriers, _by_cluster(stacks, [r[3] for r in reduced])):
+        _checked((conds,), circle[0].nodes)
     pairs = [_frame_pair(*_frame_factors(st, systems, duals, node_count), r[:3]) for st, r in zip(stacks, reduced)]
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     frames = []
     for side, (b, sy) in enumerate(((base, systems), (base.conjugate_swapped(), duals))):
-        values = _by_cluster(indices, [pair[side] for pair in pairs])
+        values = _by_cluster(stacks, [pair[side] for pair in pairs])
         germs = [Germ(c.center, SampledFunction(c.carrier(node_count), v)) for c, v in zip(b.clusters, values)]
         labels = [(s, j, l) for s, system in enumerate(sy) for j, l in system.entry_labels()]
         frames.append(FrameSet(y=y_key, blocks=germs, labels=labels))

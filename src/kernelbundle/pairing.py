@@ -5,8 +5,8 @@ circle around each cluster with the weight ``1/(2 pi)``; on the trapezoid
 nodes of a circle this is ``(i rho / N) sum_t e^{i theta_t} (...)``.  Any
 circle that encloses the cluster's singular points serves, so the pairing
 reads P and the germs on the frames' own carriers: there, a germ's class is
-the negative-frequency half of its carrier samples, and P is sampled once per
-carrier (the sweep passes the samples it already holds).  ``pair`` and
+the negative-frequency half of its carrier samples, and P is sampled once on
+all carriers (the sweep passes the samples it already holds).  ``pair`` and
 ``reduced_pairing_matrix`` evaluate the germs on the cluster contours
 instead, as independent oracles.  At the base parameter the pairing of the
 canonical frames is the anti-diagonal constant block per chain; away from it
@@ -26,7 +26,7 @@ from .errors import InputError, NondegeneracyError, SectionResidualError
 from .family import adjoint_chart
 from .frames import FrameSet, Germ, frames_at, kframe_at
 from .keldysh import DualRootSystem, RootSystem
-from .reduction import BasePointData, ClusterStack, SchurEvaluator, _by_cluster, _classes, _shape
+from .reduction import BasePointData, SchurEvaluator, _by_cluster, _evaluated, _stacks
 
 PAIRING_CONDITION_LIMIT = 1e12
 REDUCED_PAIRING_NODES = 256
@@ -117,19 +117,6 @@ def _checked_pairing(m: np.ndarray, y: tuple, labels: list, dual_labels: list) -
     return PairingMatrix(y=y, matrix=m, labels=labels, dual_labels=dual_labels, condition=cond)
 
 
-def _carrier_parts(chart, base: BasePointData, frame: FrameSet, y) -> list:
-    """``(index, rows, active)`` per class of clusters whose frame blocks and active parts have
-    one shape: P's active part at the nodes of their frame blocks' carriers, (C, N, a, a), from
-    one block evaluation per carrier, their active rows (C, a), None where all, and the clusters."""
-    keys = [(_shape(c), g.carrier.values.shape, g.rho) for c, g in zip(base.clusters, frame.blocks)]
-    parts = []
-    for index in _classes(keys):
-        stack = ClusterStack([SchurEvaluator(chart, base, s) for s in index])
-        blocks = np.stack([chart.eval_blocks(y, frame.blocks[s].carrier.circle.nodes) for s in index])
-        parts.append((index, stack.frozen(*blocks.shape[2:4])[1], stack.split(blocks)[0]))
-    return parts
-
-
 def _stacked_pairings(circle: Circle, rows, pvals, frame, dual, section) -> tuple:
     """The pairing blocks ``[phi_b, psi_a]`` of C clusters, (C, E, E), and the columns ``[section,
     psi_a]``, (C, E), None without a section: from P's active part at the nodes of their carriers
@@ -158,23 +145,24 @@ def _singular_part(values: np.ndarray, rows) -> np.ndarray:
     return singular_part_at_nodes(values.swapaxes(0, 1)).swapaxes(0, 1)
 
 
-def _assembled(y: tuple, labels: list, dual_labels: list, indices, pairings) -> tuple:
+def _assembled(y: tuple, labels: list, dual_labels: list, stacks, pairings) -> tuple:
     """The checked pairing matrix and the section column (None without a section) from the
-    ``_stacked_pairings`` of classes of clusters, ``indices`` listing each class's: the fiber
-    splits over the clusters, so their blocks lie on the diagonal, in cluster order."""
-    matrix = _block_diagonal(_by_cluster(indices, [blocks for blocks, _ in pairings]))
-    column = None if pairings[0][1] is None else np.concatenate(_by_cluster(indices, [c for _, c in pairings]))
+    ``_stacked_pairings`` of the shape classes ``stacks``: the fiber splits over the clusters,
+    so their blocks lie on the diagonal, in cluster order."""
+    matrix = _block_diagonal(_by_cluster(stacks, [blocks for blocks, _ in pairings]))
+    column = None if pairings[0][1] is None else np.concatenate(_by_cluster(stacks, [c for _, c in pairings]))
     return _checked_pairing(matrix, y, labels, dual_labels), column
 
 
-def _pairings(frame: FrameSet, dual: FrameSet, section, parts) -> tuple:
+def _pairings(chart, base: BasePointData, y, frame: FrameSet, dual: FrameSet, section) -> tuple:
     """The checked pairing matrix ``[phi_b, psi_a]``, and the column ``[section, psi_a]`` when a
-    section is given (None otherwise), from the ``parts`` of ``_carrier_parts``.
+    section is given (None otherwise).
 
     Each cluster's frame block pairs only with its dual block, on the frame block's carrier,
     which encloses the cluster's singular points: one ``_stacked_pairings`` per class of
-    ``parts``, the section's germ riding along.  The two carriers must have the same node
-    count and radius, and the section's germ the frame's.
+    clusters whose frame blocks and active parts have one shape, the section's germ riding
+    along, with P's active part on their carriers from one ``_evaluated`` call.  The two
+    carriers must have the same node count and radius, and the section's germ the frame's.
     """
     sizes = frame.sizes()
     if sizes != dual.sizes():
@@ -185,12 +173,13 @@ def _pairings(frame: FrameSet, dual: FrameSet, section, parts) -> tuple:
         germs = [dual.blocks[s]] + ([] if section is None else [section[s]])
         if any((h.carrier.circle.node_count, h.rho) != (g.carrier.circle.node_count, g.rho) for h in germs):
             raise InputError("a cluster's frame, dual and section germs need carriers of one node count and radius")
+    stacks = _stacks(chart, base, [(g.carrier.values.shape, g.rho) for g in frame.blocks])
     pairings = []
-    for index, rows, pvals in parts:
-        samples = [np.stack([g.blocks[s].carrier.values for s in index]) for g in (frame, dual)]
-        sec = None if section is None else np.stack([section[s].carrier.values for s in index])
-        pairings.append(_stacked_pairings(frame.blocks[index[0]].carrier.circle, rows, pvals, *samples, sec))
-    return _assembled(frame.y, frame.labels, dual.labels, [index for index, *_ in parts], pairings)
+    for st, (rows, active, _) in zip(stacks, _evaluated(stacks, y, [[g.carrier.circle] for g in frame.blocks])):
+        samples = [np.stack([g.blocks[s].carrier.values for s in st.index]) for g in (frame, dual)]
+        sec = None if section is None else np.stack([section[s].carrier.values for s in st.index])
+        pairings.append(_stacked_pairings(frame.blocks[st.index[0]].carrier.circle, rows, active, *samples, sec))
+    return _assembled(frame.y, frame.labels, dual.labels, stacks, pairings)
 
 
 def pairing_matrix(
@@ -208,7 +197,7 @@ def pairing_matrix(
     contour), so only same-cluster blocks are integrated; cross blocks are
     set to zero exactly.
     """
-    return _pairings(frame, dual, None, _carrier_parts(chart, base, frame, y))[0]
+    return _pairings(chart, base, y, frame, dual, None)[0]
 
 
 def reduced_pairing_matrix(
@@ -304,17 +293,12 @@ def coefficients(
     only there.  Solves ``M f = b`` where ``M[a, b] = [phi_b, psi_a]`` and
     ``b[a] = [section, psi_a]``; one step of iterative refinement keeps the
     solve honest near the condition limit.  ``M`` and ``b`` come from one
-    sample of P per carrier; the result carries ``M`` as its ``pairing``.
+    sample of P on the carriers; the result carries ``M`` as its ``pairing``.
     If a tolerance is given, each cluster's reconstruction ``sum f_b phi_b``
     is compared against its germ on a probe circle and a miss raises a
     residual error.
     """
-    return _coefficients(frame, dual, section, _carrier_parts(chart, base, frame, y), residual_tol)
-
-
-def _coefficients(frame: FrameSet, dual: FrameSet, section, parts, residual_tol) -> CoefficientVector:
-    """``coefficients`` from the ``parts`` of ``_pairings``."""
-    pairing, b = _pairings(frame, dual, section, parts)
+    pairing, b = _pairings(chart, base, y, frame, dual, section)
     f = _solved(pairing.matrix, b)
     if residual_tol is not None:
         residual = _reconstruction_residual(frame, f, section)

@@ -10,7 +10,7 @@ the active blocks, those that vanish at sigma_s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -19,6 +19,7 @@ import numpy as np
 from .contour import Circle, Rectangle, _continued_winding, _windings, locate_zeros
 from .errors import (
     InputError,
+    KernelBundleError,
     NumericalError,
     RankGapError,
     ReductionInvalidError,
@@ -39,11 +40,8 @@ MAX_HALVINGS = 10
 # tolerate singular values at the location-error level while still rejecting
 # genuine ones.
 KERNEL_RANK_TOL = 1e-10
-# validate_neighborhood: rings (fractions of the radius, besides the center)
-# and angles of the complement-block samples, their smallest admissible
-# relative margin, and the nodes of each of a cluster's count circles.
-DISC_RINGS = (0.45, 0.8, 1.0)
-DISC_ANGLES = 12
+# validate_neighborhood: the smallest admissible relative margin of the
+# complement block, and the nodes of each of a cluster's count circles.
 INVERTIBILITY_FLOOR = 1e-12
 COUNT_NODES = 64
 # The fiber does not depend on the circle that carries it, so each cluster
@@ -128,17 +126,7 @@ class Cluster:
         The kernel of P*(conj(sigma_s)) is the orthocomplement of the range of
         P(sigma_s) and vice versa, so the stored bases swap roles.
         """
-        return Cluster(
-            center=np.conj(self.center),
-            multiplicity=self.multiplicity,
-            kernel_dim=self.kernel_dim,
-            K=self.Rperp,
-            Kperp=self.R,
-            Rperp=self.K,
-            R=self.Kperp,
-            radius=self.radius,
-            active_blocks=self.active_blocks,
-        )
+        return replace(self, center=np.conj(self.center), K=self.Rperp, Kperp=self.R, Rperp=self.K, R=self.Kperp)
 
     def count_circles(self) -> list:
         """Circles of radius epsilon and epsilon/2 on which the reduced zeros of this
@@ -167,11 +155,7 @@ class BasePointData:
         return sum(c.multiplicity for c in self.clusters)
 
     def conjugate_swapped(self) -> "BasePointData":
-        return BasePointData(
-            chart=self.chart,
-            y0=self.y0,
-            clusters=[c.conjugate_swapped() for c in self.clusters],
-        )
+        return replace(self, clusters=[c.conjugate_swapped() for c in self.clusters])
 
     def to_dict(self) -> dict:
         return {
@@ -212,7 +196,7 @@ class SchurEvaluator:
         """``(p11, p12, p21, p22, rest)`` at every sigma point, each with a leading
         node axis: the four blocks of the active part of P w.r.t. the frozen
         decompositions, and the other diagonal blocks of P, untouched."""
-        return tuple(x[0] for x in self.stack.blocks_many(self.chart.eval_blocks(y, sigmas)[None]))
+        return tuple(x[0] for x in self.stack.blocks_many(*self.stack.split(self.chart.eval_blocks(y, sigmas)[None])))
 
     def schur(self, y, sigma: complex) -> np.ndarray:
         """k x k reduced family p11 - p12 p22^{-1} p21 in the frozen bases."""
@@ -268,43 +252,32 @@ class ClusterStack:
         at = np.arange(len(other))[:, None]
         return _assemble(blocks[at, :, self.active_blocks].swapaxes(1, 2)), blocks[at, :, other].swapaxes(1, 2)
 
-    def blocks_many(self, blocks: np.ndarray) -> tuple:
-        """``SchurEvaluator.blocks_many`` of every cluster from their stacked diagonal blocks
-        (C, N, M, b, b): each array with the leading axes (C, N)."""
-        _, _, left, right = self.frozen(*blocks.shape[2:4])
-        active, rest = self.split(blocks)
+    def blocks_many(self, active: np.ndarray, rest: np.ndarray) -> tuple:
+        """``SchurEvaluator.blocks_many`` of every cluster from the ``split`` of their stacked
+        diagonal blocks, each array with the leading axes (C, N): the active part in the frozen
+        bases, cut into its four blocks, and the other diagonal blocks."""
+        b = rest.shape[-1]
+        _, _, left, right = self.frozen(rest.shape[2] + active.shape[-1] // b, b)
         B = _rotated(left, active, right)
         k = self.clusters[0].K.shape[1]
         return B[..., :k, :k], B[..., :k, k:], B[..., k:, :k], B[..., k:, k:], rest
 
-    def active(self, blocks) -> tuple:
-        """``(rows, active)``: P's active part at the nodes of ``blocks_many``'s ``blocks``, the
-        frozen rotation undone, (C, N, a, a), and its rows in each cluster, None where all."""
-        p11, p12, p21, p22, rest = blocks
-        b = rest.shape[-1]
-        _, rows, left, right = self.frozen(rest.shape[2] + (p11.shape[-1] + p22.shape[-1]) // b, b)
-        B = np.concatenate([np.concatenate([p11, p12], axis=-1), np.concatenate([p21, p22], axis=-1)], axis=-2)
-        return rows, _rotated(left.conj().swapaxes(1, 2), B, right.conj().swapaxes(1, 2))
 
-
-def _shape(c: Cluster) -> tuple:
-    """What a cluster's arrays have in common with those of its ``ClusterStack``: the number of
-    its active blocks (None: every block) and its kernel dimension."""
-    return None if c.active_blocks is None else len(c.active_blocks), c.kernel_dim
-
-
-def _classes(keys) -> list:
-    """Indices of equal keys, one list each, in order of first appearance."""
+def _stacks(chart: FamilyChart, base: BasePointData, keys) -> list:
+    """The clusters of a base point in shape classes, one ``ClusterStack`` each, in order of first
+    appearance: clusters of equal active-part size (every block: None) and kernel dimension, and
+    of equal ``keys``, one per cluster."""
     groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
+    for s, (c, key) in enumerate(zip(base.clusters, keys)):
+        shape = None if c.active_blocks is None else len(c.active_blocks), c.kernel_dim
+        groups.setdefault((shape, key), []).append(s)
+    return [ClusterStack([SchurEvaluator(chart, base, s) for s in index]) for index in groups.values()]
 
 
-def _by_cluster(indices, arrays) -> list:
-    """The entries of arrays stacked on a leading cluster axis, one per class of clusters whose
-    indices ``indices`` lists, in cluster order."""
-    entry = {s: a[i] for index, a in zip(indices, arrays) for i, s in enumerate(index)}
+def _by_cluster(stacks, arrays) -> list:
+    """The entries of arrays stacked on a leading cluster axis, one per shape class of ``stacks``,
+    in cluster order."""
+    entry = {s: a[i] for st, a in zip(stacks, arrays) for i, s in enumerate(st.index)}
     return [entry[s] for s in sorted(entry)]
 
 
@@ -384,6 +357,17 @@ def _scaled(blocks) -> tuple:
     return scale, scaled[:, : p22[0].size].reshape(p22.shape), scaled[:, p22[0].size :].reshape(rest.shape)
 
 
+def _complement_slogdet(blocks) -> tuple:
+    """``(phase, logabs)`` of det C at each node of ``blocks_many`` (N, .): the complement block C
+    is diag(p22, rest), so det C, a holomorphic function of sigma, is det p22 times the
+    determinants of the other diagonal blocks, formed in one product over the node's scale, with
+    ``_slogdet``'s closed form for 1 x 1 blocks and ``_det`` for 2 x 2 ones."""
+    scale, p22, rest = _scaled(blocks)
+    (p, lp), (r, lr) = (_polar(_det(a)) if a.shape[-1] == 2 else _slogdet(a) for a in (p22, rest))
+    m = p22.shape[-1] + rest.shape[1] * rest.shape[-1]
+    return p * np.prod(r, axis=1), lp + np.sum(lr, axis=1) + m * np.log(scale[:, 0])
+
+
 def _complement_svals(blocks) -> np.ndarray:
     """Singular values of the complement block at each node, (N, m): those of p22
     and of the other diagonal blocks, whose direct sum it is up to unitary factors."""
@@ -434,47 +418,72 @@ def _schur(blocks, sigmas):
     return _checked(_reduce(blocks), sigmas)
 
 
-def _sliced(arrays, sizes) -> list:
-    """Arrays with a leading node axis cut into consecutive runs of the given sizes."""
-    return [tuple(a[e - size : e] for a in arrays) for size, e in zip(sizes, accumulate(sizes))]
+def _evaluated(stacks: Sequence[ClusterStack], y, circles) -> list:
+    """P at y per shape class of ``stacks`` on its clusters' circles, ``circles[s]`` for cluster s,
+    of one list of node counts per class, from one ``eval_blocks`` call on the nodes of every
+    cluster: ``(rows, active, rest)``, the active rows (C, a), None where all, and ``split``."""
+    nodes = [np.stack([np.concatenate([c.nodes for c in circles[s]]) for s in st.index]) for st in stacks]
+    blocks = stacks[0].evs[0].chart.eval_blocks(y, np.concatenate([x.ravel() for x in nodes]))
+    raw = [blocks[e - x.size : e].reshape(*x.shape, *blocks.shape[1:]) for x, e in zip(nodes, accumulate(x.size for x in nodes))]
+    return [(st.frozen(*r.shape[2:4])[1], *st.split(r)) for st, r in zip(stacks, raw)]
 
 
-def _sample_sets(ev: SchurEvaluator, y, point_sets) -> list:
-    """The blocks of one cluster at y on each of several point sets, sliced from one
-    ``blocks_many`` call on their concatenated nodes: a node's blocks do not depend
-    on the batch that carries it."""
-    return _sliced(ev.blocks_many(y, np.concatenate(point_sets)), [len(pts) for pts in point_sets])
+def _sampled(stacks: Sequence[ClusterStack], y, circles) -> list:
+    """``_evaluated``, rotated and reduced in one array pass per class: per class and circle,
+    ``(blocks, reduced, (rows, active))`` at its nodes, (C, N, .) each, ``_reduce`` unchecked.
+    A node's numbers do not depend on the batch that carries it."""
+    out = []
+    for st, (rows, active, rest) in zip(stacks, _evaluated(stacks, y, circles)):
+        rotated, sizes = st.blocks_many(active, rest), [c.node_count for c in circles[st.index[0]]]
+        reduced = _unflat(_reduce(_flat(rotated)), len(active))
+        runs = [slice(e - n, e) for n, e in zip(sizes, accumulate(sizes))]
+        out.append([(tuple(a[:, r] for a in rotated), tuple(a[:, r] for a in reduced), (rows, active[:, r])) for r in runs])
+    return out
 
 
-def _slogdet(m: np.ndarray) -> tuple:
-    """``slogdet`` of a stack of k x k matrices; for k = 1 the entry's phase, read
-    componentwise as LAPACK's ``slogdet`` reads its pivot, and log-modulus."""
-    if m.shape[-1] != 1:
-        return np.linalg.slogdet(m)
-    v, mod = m[..., 0, 0], np.hypot(m[..., 0, 0].real, m[..., 0, 0].imag)
+def _polar(v: np.ndarray) -> tuple:
+    """``(phase, log-modulus)`` of complex values, the phase read componentwise as LAPACK's
+    ``slogdet`` reads its pivot, and 0 where the value is."""
+    mod = np.hypot(v.real, v.imag)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(mod > 0, v.real / mod + 1j * (v.imag / mod), 0), np.log(mod)
 
 
+def _slogdet(m: np.ndarray) -> tuple:
+    """``slogdet`` of a stack of k x k matrices; for k = 1 the entry's ``_polar``."""
+    return _polar(m[..., 0, 0]) if m.shape[-1] == 1 else np.linalg.slogdet(m)
+
+
+def _rows(stacks, classes, at) -> tuple:
+    """``(phase, logabs, conds)`` on the circles ``at`` of ``_sampled``'s ``classes`` of ``stacks``:
+    ``_slogdet`` of the reduced family and the guard condition, one row per circle and cluster,
+    circle by circle and in cluster order."""
+    per = [[(*_slogdet(c[i][1][0]), c[i][1][3]) for c in classes] for i in at]
+    return tuple(np.concatenate([np.stack(_by_cluster(stacks, [x[q] for x in p])) for p in per]) for q in range(3))
+
+
+def _count(ev: SchurEvaluator, y, circle: Circle, phase, logabs, conds, w) -> int:
+    """One count of ``_multiplicities`` from its row and winding: the row's guard check and its
+    loop's error raise, and an unresolved loop continues at the midpoints."""
+    _checked((conds,), circle.nodes)
+    if isinstance(w, Exception):
+        raise w
+    return w if w is not None else _continued_winding(ev.qdet_function(y), circle.path, phase, logabs)
+
+
 def _multiplicities(evs: Sequence[SchurEvaluator], y, circles: Sequence[Circle], held):
     """Reduced-determinant zeros in count circles, one circle per row of ``held``, the ``(phase,
-    logabs, conds)`` at its nodes from ``_slogdet`` and the guard, and one evaluator per circle:
-    one ``_windings`` call counts all rows.  Yields the counts in row order; a row's guard check,
-    its loop's error, or, where the loop is unresolved, its continuation at the midpoints raises
-    only when the row is reached."""
-    for ev, circle, phase, logabs, conds, w in zip(evs, circles, *held, _windings(*held[:2])):
-        _checked((conds,), circle.nodes)
-        if isinstance(w, Exception):
-            raise w
-        yield w if w is not None else _continued_winding(ev.qdet_function(y), circle.path, phase, logabs)
+    logabs, conds)`` of ``_rows``, and one evaluator per circle: one ``_windings`` call counts all
+    rows.  Yields the counts in row order; a row's ``_count`` raises only when it is reached."""
+    return (_count(ev, y, *row) for ev, *row in zip(evs, circles, *held, _windings(*held[:2])))
 
 
 def local_multiplicity(ev: SchurEvaluator, y) -> int:
     """Zeros of the reduced determinant, with multiplicity, inside the outer count
     circle, counted from one block evaluation on its nodes."""
     circle = ev.cluster.count_circles()[0]
-    schur, *_, conds = _reduce(*_sample_sets(ev, y, [circle.nodes]))
-    return next(_multiplicities([ev], y, [circle], [x[None] for x in (*_slogdet(schur), conds)]))
+    held = _rows([ev.stack], _sampled([ev.stack], y, {ev.s: [circle]}), [0])
+    return next(_multiplicities([ev], y, [circle], held))
 
 
 def _slogdet_function(slogdets: Callable, n: int) -> Callable:
@@ -524,22 +533,34 @@ class ValidationReport:
         return {"passed": self.passed, "conditions": [c.to_dict() for c in self.conditions]}
 
 
-def _disc_samples(center: complex, radius: float):
-    pts = [center]
-    theta = 2 * np.pi * np.arange(DISC_ANGLES) / DISC_ANGLES
-    for rho in DISC_RINGS:
-        pts.extend(center + rho * radius * np.exp(1j * theta))
-    return np.array(pts)
+def _p22_margin(s: np.ndarray) -> float:
+    """The smallest of the complement block's singular values ``s`` at the sampled nodes, (N, m),
+    over the largest; inf where the complement is empty."""
+    return float(np.min(s) / max(float(np.max(s)), 1e-300)) if s.size else np.inf
 
 
-def _p22_margin(blocks) -> float:
-    """Smallest singular value of the complement block over the largest, across the
-    sampled nodes."""
-    s = _complement_svals(blocks)
-    if s.shape[1] == 0:
-        return np.inf
-    scale = max(float(np.max(s)), 1e-300)
-    return float(np.min(s) / scale)
+def _complement_margins(stacks, y, circles, classes, at: int) -> list:
+    """Condition (2) or (3) at y per cluster, in cluster order, on its circle ``at`` of ``_sampled``'s
+    ``classes`` on ``circles``: the ``_p22_margin`` there, or 0 where det C winds around it, the
+    count continued at the midpoints, or a zero or a non-finite value ends the count.  Where it
+    does not wind, C^{-1} is holomorphic on the disc, so by the maximum principle s_min(C) on the
+    disc is at least its minimum on the circle, and s_max(C) at most its maximum there."""
+    held = []
+    for st, c in zip(stacks, classes):
+        flat = (None,) * 3 + _flat(c[at][0][3:])
+        held.append(_unflat((*_complement_slogdet(flat), _complement_svals(flat)), len(st.index)))
+    phase, logabs, svals = (_by_cluster(stacks, x) for x in zip(*held))
+    evs, margins = _by_cluster(stacks, [st.evs for st in stacks]), []
+    for ev, ph, la, sv, w in zip(evs, phase, logabs, svals, _windings(np.stack(phase), np.stack(logabs))):
+        try:
+            if isinstance(w, Exception):
+                raise w
+            if w is None:
+                w = _continued_winding(lambda s: _complement_slogdet(ev.blocks_many(y, s)), circles[ev.s][at].path, ph, la)
+        except NumericalError:
+            w = None
+        margins.append(_p22_margin(sv) if w == 0 else 0.0)
+    return margins
 
 
 def _worst_margin(margins) -> tuple:
@@ -551,28 +572,30 @@ def _worst_margin(margins) -> tuple:
     return worst, next((lab for m, lab in margins if m <= worst + 1e-12 * worst), "")
 
 
-def _count_margin(ev: SchurEvaluator, y, counts) -> tuple:
-    """Condition (4) at y from ``(circle, blocks)`` pairs: the smallest |det| over the
-    largest of the reduced determinant's samples on either circle, or 0 where a count
-    differs from the cluster's multiplicity or a zero on a circle ends it; and the
-    ``(phase, logabs)`` samples of the first circle."""
-    margin, held = np.inf, []
-    for circle, blocks in counts:
-        held.append(_slogdet(_schur(blocks, circle.nodes)[0]))
+def _annulus_margins(stacks, y, circles, classes) -> tuple:
+    """``(margins, held)``: condition (4) at y per cluster, in cluster order, on its count circles,
+    the first two of ``circles[s]`` in ``_sampled``'s ``classes``: the smallest |det| over the
+    largest of the reduced determinant's samples on either circle, 0 where a count differs from
+    the multiplicity or a zero on a circle ends it, or a failed guard's error; and the ``_rows``."""
+    evs, held = _by_cluster(stacks, [st.evs for st in stacks]), _rows(stacks, classes, [0, 1])
+    rows, margins = (*held, _windings(*held[:2])), []
+    for s, ev in enumerate(evs):
         try:
-            if _continued_winding(ev.qdet_function(y), circle.path, *held[-1]) != ev.cluster.multiplicity:
-                return 0.0, held[0]
+            margin = np.inf
+            for circle, phase, logabs, conds, w in zip(circles[s], *(x[s :: len(evs)] for x in rows)):
+                if _count(ev, y, circle, phase, logabs, conds, w) != ev.cluster.multiplicity:
+                    margin = 0.0
+                    break
+                margin = min(margin, float(np.exp(np.min(logabs) - np.max(logabs))))
         except (ZeroOnContourError, ResolutionError):
-            return 0.0, held[0]
-        margin = min(margin, float(np.exp(np.min(held[-1][1]) - np.max(held[-1][1]))))
-    return margin, held[0]
+            margin = 0.0
+        except KernelBundleError as exc:
+            margin = exc
+        margins.append(margin)
+    return margins, held
 
 
-def validate_neighborhood(
-    chart: FamilyChart,
-    base: BasePointData,
-    y_grid: Sequence,
-) -> ValidationReport:
+def validate_neighborhood(chart: FamilyChart, base: BasePointData, y_grid: Sequence) -> ValidationReport:
     """Check the four neighborhood conditions on a sampled grid.
 
     (1) the doubled discs are disjoint and stay inside the region;
@@ -582,9 +605,11 @@ def validate_neighborhood(
         in zeros inside both count circles, so all local singular points stay in
         the inner half-disc.
 
-    Margins are relative; the report records the worst case per condition.  Each
-    cluster is evaluated once per grid y, on its disc and count circles; the doubled
-    disc of (2) joins the batch of y0 when y0 is a grid point, or has its own.
+    Conditions (2) and (3) are counts (``_complement_margins``): det C winds zero times
+    around the circle of the disc, the doubled one at y0 and the outer count circle at each
+    grid y.  Margins are relative; the report records the worst case per condition.  Each
+    grid y is one ``_sampled`` pass over every cluster's count circles; the doubled circles
+    of (2) join the pass at y0 when y0 is a grid point, or have their own.
     """
     # (1) geometry
     region_slack = min(chart.sigma.boundary_distance(a.center) - 2 * a.radius for a in base.clusters)
@@ -595,29 +620,33 @@ def validate_neighborhood(
     conditions = [ConditionResult("disjoint_discs_in_region", bool(slack > 0), float(slack))]
     names = ("complement_invertible_base", "complement_invertible_grid", "annulus_nonvanishing")
     if region_slack <= 0:
-        # the remaining conditions sample the doubled discs, which here poke
+        # the remaining conditions sample the doubled circles, which here poke
         # out of the chart region, so they cannot be evaluated
         conditions += [ConditionResult(n, False, 0.0, "not evaluated: discs leave the region") for n in names]
         return ValidationReport(conditions)
 
     y0 = _as_param(base.y0, chart.param_dim).tobytes()
     at = next((i for i, y in enumerate(y_grid) if _as_param(y, chart.param_dim).tobytes() == y0), None)
-    margin2, margins3, margins4 = np.inf, [], []
-    for s, cl in enumerate(base.clusters):
-        ev = SchurEvaluator(chart, base, s)
-        disc, doubled = (_disc_samples(cl.center, f * cl.radius) for f in (1.0, 2.0))
-        circles = cl.count_circles()
-        y0_blocks = _sample_sets(ev, base.y0, [doubled])[0] if at is None else None
-        for i, y in enumerate(y_grid):
-            blocks = _sample_sets(ev, y, [disc] + [c.nodes for c in circles] + ([doubled] if i == at else []))
-            y0_blocks = blocks[3] if i == at else y0_blocks
-            # (3) complement block invertible on the disc, (4) the multiplicity on both circles
-            margins3.append((_p22_margin(blocks[0]), f"cluster {s}, y = {y}"))
-            margins4.append((_count_margin(ev, y, zip(circles, blocks[1:3]))[0], f"cluster {s}, y = {y}"))
-        # (2) complement block invertible on the doubled disc at y0
-        margin2 = min(margin2, _p22_margin(y0_blocks))
+    stacks = _stacks(chart, base, [None] * len(base.clusters))
+    counts = [c.count_circles() for c in base.clusters]
+    doubled = [[Circle(c.center, 2 * c.radius, COUNT_NODES)] for c in base.clusters]
+    if at is None:
+        # (2) complement block invertible on the doubled disc at y0, in a pass of its own
+        margin2 = min(_complement_margins(stacks, base.y0, doubled, _sampled(stacks, base.y0, doubled), 0))
+    margins = [[] for _ in counts]
+    for i, y in enumerate(y_grid):
+        circles = [c + d for c, d in zip(counts, doubled)] if i == at else counts
+        classes = _sampled(stacks, y, circles)
+        # (3) complement block invertible on the disc, (4) the multiplicity on both circles
+        pairs = zip(_complement_margins(stacks, y, circles, classes, 0), _annulus_margins(stacks, y, circles, classes)[0])
+        for s, m in enumerate(pairs):
+            if isinstance(m[1], Exception):
+                raise m[1]
+            margins[s].append([(x, f"cluster {s}, y = {y}") for x in m])
+        if i == at:
+            margin2 = min(_complement_margins(stacks, y, circles, classes, 2))
 
-    margins = [(margin2, ""), _worst_margin(margins3), _worst_margin(margins4)]
+    margins = [(margin2, "")] + [_worst_margin([m[c] for row in margins for m in row]) for c in (0, 1)]
     floors = (INVERTIBILITY_FLOOR, INVERTIBILITY_FLOOR, 0.0)
     for name, (margin, worst), floor in zip(names, margins, floors):
         conditions.append(ConditionResult(name, bool(margin > floor), float(margin), worst))

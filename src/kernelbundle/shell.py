@@ -34,19 +34,17 @@ from .frames import Germ, _frame_factors, _frame_pair, cluster_stacks, laurent_c
 from .keldysh import base_samples, dual_root_functions, root_functions, taylor_coefficients, with_beta
 from .pairing import _assembled, _solved, _stacked_pairings
 from .reduction import (
-    COUNT_NODES,
     BasePointData,
     SchurEvaluator,
+    _annulus_margins,
     _by_cluster,
     _checked,
     _complement_svals,
-    _count_margin,
     _flat,
     _multiplicities,
-    _reduce,
-    _sample_sets,
-    _slogdet,
-    _unflat,
+    _rows,
+    _sampled,
+    _stacks,
     base_point_data,
 )
 
@@ -283,9 +281,9 @@ def sweep(
     )
 
     stacks = cluster_stacks(chart, base, systems, duals)
-    indices = [st.index for st in stacks]
-    evs = _by_cluster(indices, [st.evs for st in stacks])
-    circles, nodes = _point_nodes(stacks, node_count)
+    evs = _by_cluster(stacks, [st.evs for st in stacks])
+    # per cluster: its two count circles, its carrier and its p22 margin circle
+    circles = [c.count_circles() + [c.carrier(node_count), c.contour(MARGIN_NODES)] for c in base.clusters]
     count_circles = [c[0] for c in circles] + [c[1] for c in circles]
     factors = [_frame_factors(st, systems, duals, node_count) for st in stacks]
     dual_labels = [(s, j, l) for s, du in enumerate(duals) for j, l in du.entry_labels()]
@@ -294,9 +292,9 @@ def sweep(
     for y in grid.points():
         y_key = tuple(float(v) for v in np.atleast_1d(y))
         try:
-            held, classes = _point_samples(stacks, y, nodes)
+            classes = _sampled(stacks, y, circles)
             # the outer circles first, cluster by cluster, then the inner ones
-            counts = _multiplicities(evs + evs, y, count_circles, held)
+            counts = _multiplicities(evs + evs, y, count_circles, _rows(stacks, classes, [0, 1]))
             mults = list(islice(counts, len(evs)))
             if mults != base_mults:
                 report.elapsed = time.perf_counter() - t0
@@ -314,10 +312,12 @@ def sweep(
                     f"singular points left the inner half-discs at y={y_key}: "
                     f"{inner} != {base_mults}"
                 )
-            margin = min((m for m, _, _ in classes if m is not None), default=1.0)
-            for circle, conds in zip(circles, _by_cluster(indices, [carrier[3] for _, carrier, _ in classes])):
+            # the smallest relative complement-block singular value on the margin circles
+            svals = [_complement_svals((None,) * 3 + _flat(c[3][0][3:])) for c in classes]
+            margin = min((float(np.min(sv.min(1) / sv.max(1))) for sv in svals if sv.size), default=1.0)
+            for circle, conds in zip(circles, _by_cluster(stacks, [c[2][1][3] for c in classes])):
                 _checked((conds,), circle[2].nodes)
-            pairs = [_frame_pair(*f, carrier[:3]) for f, (_, carrier, _) in zip(factors, classes)]
+            pairs = [_frame_pair(*f, c[2][1][:3]) for f, c in zip(factors, classes)]
             for side in zip(*pairs):
                 _finite(side)
             sections = [None] * len(stacks)
@@ -328,15 +328,15 @@ def sweep(
                 pieces = np.split(expected, splits)
                 # the section with these coefficients: per cluster, its frame block @ its coefficients
                 sections = _finite([
-                    (frame @ np.stack([pieces[s] for s in index])[:, None, :, None])[..., 0]
-                    for index, (frame, _) in zip(indices, pairs)
+                    (frame @ np.stack([pieces[s] for s in st.index])[:, None, :, None])[..., 0]
+                    for st, (frame, _) in zip(stacks, pairs)
                 ])
             # the pairing reads P on the carriers, from the same block evaluation
             pairings = [
-                _stacked_pairings(circles[index[0]][2], *active, frame, dual, section)
-                for index, (_, _, active), (frame, dual), section in zip(indices, classes, pairs, sections)
+                _stacked_pairings(circles[st.index[0]][2], *c[2][2], frame, dual, section)
+                for st, c, (frame, dual), section in zip(stacks, classes, pairs, sections)
             ]
-            pm, column = _assembled(y_key, labels, dual_labels, indices, pairings)
+            pm, column = _assembled(y_key, labels, dual_labels, stacks, pairings)
             rec = SweepPoint(
                 y=y_key,
                 multiplicities=mults,
@@ -383,41 +383,6 @@ def _finite(samples: list) -> list:
     return samples
 
 
-def _point_nodes(stacks, node_count: int) -> tuple:
-    """``(circles, nodes)``: per cluster, in cluster order, its two count circles, its carrier of
-    ``node_count`` nodes and its p22 margin circle; and their nodes, one row per cluster, the
-    clusters of the ``stacks`` in turn, for ``_point_samples``."""
-    circles = {s: c.count_circles() + [c.carrier(node_count), c.contour(MARGIN_NODES)]
-               for st in stacks for s, c in zip(st.index, st.clusters)}
-    nodes = np.stack([np.concatenate([x.nodes for x in circles[s]]) for st in stacks for s in st.index])
-    return [circles[s] for s in sorted(circles)], nodes
-
-
-def _point_samples(stacks, y, nodes) -> tuple:
-    """``(held, classes)``: the samples of every cluster at y from one ``eval_blocks`` call on the
-    ``nodes`` of ``_point_nodes``, and one ``_reduce`` and one ``_slogdet`` per shape class.
-
-    ``held`` is ``(phase, logabs, conds)`` on the count circles from the ``_slogdet`` and guard,
-    one row per circle: the outer circles in cluster order, then the inner ones.  Per class,
-    ``classes`` holds the smallest relative complement-block singular value on the margin
-    circles, None where the complement is empty; ``_reduce`` on the carriers, (C, N, .) each;
-    and ``ClusterStack.active`` there, for the pairing."""
-    blocks = stacks[0].evs[0].chart.eval_blocks(y, nodes.ravel())
-    blocks = blocks.reshape(*nodes.shape, *blocks.shape[1:])
-    count, carrier = slice(0, 2 * COUNT_NODES), slice(2 * COUNT_NODES, nodes.shape[1] - MARGIN_NODES)
-    held, classes, start = [], [], 0
-    for st in stacks:
-        rotated = st.blocks_many(blocks[start : start + len(st.index)])
-        start += len(st.index)
-        reduced = _unflat(_reduce(_flat(rotated)), len(st.index))
-        held.append((*_slogdet(reduced[0][:, count]), reduced[3][:, count]))
-        sv = _complement_svals((None,) * 3 + _flat([x[:, -MARGIN_NODES:] for x in rotated[3:]]))
-        margin = float(np.min(sv.min(1) / sv.max(1))) if sv.size else None
-        classes.append((margin, [x[:, carrier] for x in reduced], st.active([x[:, carrier] for x in rotated])))
-    rows = [np.stack(_by_cluster([st.index for st in stacks], h)) for h in zip(*held)]
-    return [x.reshape(len(x), 2, COUNT_NODES).swapaxes(0, 1).reshape(-1, COUNT_NODES) for x in rows], classes
-
-
 # ---------------------------------------------------------------------------
 # branching diagrams
 
@@ -433,24 +398,25 @@ def branching_diagram(
 ) -> list:
     """Zero locations of the reduced determinants along a one dimensional grid.
 
-    Each cluster is sampled once per grid y, on its count circles: where condition
-    (4) holds, ``circle_zeros`` reads its rows ``[y, cluster, re, im, mult]`` off the
-    outer one, and elsewhere it has none.  Rows are sorted by grid order, cluster,
-    then location; CSV is written to the path ``out`` when given.
+    Each grid y is one ``_sampled`` pass over every cluster's count circles: where
+    condition (4) holds for a cluster, ``circle_zeros`` reads its rows ``[y, cluster, re,
+    im, mult]`` off the outer one, and elsewhere it has none.  Rows are sorted by grid
+    order, cluster, then location; CSV is written to the path ``out`` when given.
     """
     if grid.ndim != 1:
         raise InputError("branching diagrams are defined along a single parameter axis")
+    stacks = _stacks(chart, base, [None] * len(base.clusters))
+    circles = [c.count_circles() for c in base.clusters]
     rows = []
     for y in grid.points():
-        for s, cl in enumerate(base.clusters):
-            ev = SchurEvaluator(chart, base, s)
-            circles = cl.count_circles()
-            try:
-                margin, held = _count_margin(ev, y, zip(circles, _sample_sets(ev, y, [c.nodes for c in circles])))
-            except KernelBundleError:
-                continue
-            for z in circle_zeros(circles[0], *held, cl.multiplicity, cl.radius / 64.0) if margin > 0.0 else []:
-                rows.append([float(y[0]), s, z.location.real, z.location.imag, z.multiplicity])
+        try:
+            margins, (phase, logabs, _) = _annulus_margins(stacks, y, circles, _sampled(stacks, y, circles))
+        except KernelBundleError:
+            continue
+        for s, (cl, margin) in enumerate(zip(base.clusters, margins)):
+            if isinstance(margin, float) and margin > 0.0:
+                for z in circle_zeros(circles[s][0], phase[s], logabs[s], cl.multiplicity, cl.radius / 64.0):
+                    rows.append([float(y[0]), s, z.location.real, z.location.imag, z.multiplicity])
     if out is not None:
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)

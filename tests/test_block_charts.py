@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 
 import kernelbundle as kb
-from kernelbundle.errors import ReductionInvalidError, ZeroOnContourError
+from kernelbundle.errors import ReductionInvalidError, ValidationError, ZeroOnContourError
 from kernelbundle.family import FamilyChart, SigmaRegion, SturmLiouvilleSpec, sl_chart
 from kernelbundle.frames import frames_at
 from kernelbundle.pairing import pairing_matrix
 from kernelbundle.reduction import (
+    BasePointData,
+    Cluster,
     SchurEvaluator,
+    _complement_svals,
     _guard,
     _p22_margin,
     base_point_data,
@@ -132,7 +135,7 @@ class TestTwoPresentations:
                 dense = bd.clusters[s]
                 assert _close(cl.Rperp @ sb @ cl.K.conj().T, dense.Rperp @ sd @ dense.K.conj().T, 1e-12)
                 assert np.max(np.abs(_guard(got)[1] / _guard(want)[1] - 1)) < 1e-12
-                assert _p22_margin(got) == pytest.approx(_p22_margin(want), rel=1e-12)
+                assert _p22_margin(_complement_svals(got)) == pytest.approx(_p22_margin(_complement_svals(want)), rel=1e-12)
 
     def test_validation(self, presentations):
         (blk, bb, *_), (den, bd, *_) = presentations[0]
@@ -213,16 +216,89 @@ def test_a_singular_point_that_leaves_its_disc_fails_validation():
     assert (annulus.passed, annulus.margin, annulus.detail) == (False, 0.0, "cluster 0, y = [0.9]")
 
 
-@pytest.mark.xfail(strict=True, reason="condition (3) samples each disc at 37 points only")
 def test_a_singular_complement_block_inside_a_disc_fails_validation():
     # at y = 0.95 block 1's zero, 0.19 + 0.45i, lies 0.98 epsilon from cluster
     # 0.5i, inside its disc, where block 1 is part of that cluster's complement
-    # block; no disc sample comes near it, so (3) passes with margin 2.45e-2.  The
-    # winding of det p22 times the determinants of the other blocks on the
-    # epsilon-circle would see it
+    # block; 37 samples of the disc missed it, but det p22 times the determinants
+    # of the other blocks winds once around the epsilon-circle
     chart = FamilyChart(6, 1, REGION, _moving_zero)
     base = base_point_data(chart, [0.0])
-    assert not validate_neighborhood(chart, base, [[0.95]]).conditions[2].passed
+    grid = validate_neighborhood(chart, base, [[0.95]]).conditions[2]
+    assert (grid.passed, grid.margin, grid.detail) == (False, 0.0, "cluster 1, y = [0.95]")
+
+
+# zero of the complement block p22 = 1 - sigma / W of _complement_zero, 1.3 from the
+# singular point 0, between the angles and rings of the 36 samples that once stood for
+# the doubled disc of radius 2 epsilon = 1.6
+W = 1.3 * np.exp(1j * np.pi / 12)
+
+
+def _complement_zero(y, s):
+    # det = sigma: P's only zero is 0, with kernel e2 and range e1 there, so its complement
+    # block is the entry 1 - sigma / W, singular at W alone
+    s = np.asarray(s, dtype=complex)
+    return np.stack([np.stack([1 - s / W, s], -1), np.stack([-s / W, s], -1)], -2)
+
+
+def test_a_complement_block_singular_inside_the_doubled_disc_halves_epsilon():
+    chart = FamilyChart(2, 1, REGION, _complement_zero)
+    # the old samples: the center and 12 angles on rings at 0.45, 0.8 and 1 of 1.6
+    rings = np.array([0.45, 0.8, 1.0])[:, None] * 1.6 * np.exp(2j * np.pi * np.arange(12) / 12)
+    assert np.min(np.abs(1 - np.append(rings.ravel(), 0.0) / W)) > 0.25
+    # at the default epsilon, 0.8, det C winds once around the doubled circle at y0
+    with pytest.raises(ValidationError, match="complement_invertible_base: 0.000e"):
+        base_point_data(chart, [0.0], epsilon=0.8)
+    base = base_point_data(chart, [0.0])
+    assert len(base.clusters) == 1 and abs(base.clusters[0].center) < 1e-12 and base.clusters[0].radius == 0.4
+    wide = BasePointData(chart, base.y0, [dataclasses.replace(base.clusters[0], radius=0.8)])
+    conditions = validate_neighborhood(chart, wide, [[0.0]]).conditions
+    assert [c.passed for c in conditions] == [True, False, True, True] and conditions[1].margin == 0.0
+
+
+def _factor(rng, b, zero):
+    """A b x b complement factor U diag(sigma - zero, 2 + 0.3 sigma, 3 - 0.2 sigma) V, singular at
+    ``zero`` alone, with U unitary and V a well-conditioned random matrix."""
+    U, _ = np.linalg.qr(rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b)))
+    V = np.eye(b) + 0.2 * (rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b)))
+
+    def factor(s):
+        d = np.stack([s - zero, 2 + 0.3 * s, 3 - 0.2 * s], -1)[..., :b]
+        return U @ (d[..., :, None] * V)
+
+    return factor
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_complement_counts_against_a_dense_scan(b, seed):
+    # a singular point at 0 in block 0, diag(sigma, 1, ..), and a complement factor in block 1
+    # whose zero lies inside the epsilon-disc, between it and the doubled one, or outside both:
+    # (3) and (2) fail exactly where their disc holds the zero, and where they pass, a dense
+    # scan of the closed disc finds no smaller relative singular value of C = diag(p22, factor)
+    # than the circle's 64 nodes, up to their spacing
+    rng = np.random.default_rng(100 * b + seed)
+    eye = np.eye(2 * b)
+    cluster = Cluster(0j, 1, 1, eye[:, :1], eye[:, 1:b], eye[:, :1], eye[:, 1:b], 0.5, (0,))
+    for low, high in ((0.1, 0.4), (0.6, 0.9), (1.1, 1.9), (2.1, 2.9)):
+        zero = rng.uniform(low, high) * 0.5 * np.exp(2j * np.pi * rng.uniform())
+        factor = _factor(rng, b, zero)
+
+        def evaluator(y, s):
+            s = np.asarray(s, dtype=complex)
+            active = np.concatenate([s[:, None], np.ones((len(s), b - 1))], 1)
+            return np.stack([active[:, :, None] * np.eye(b), factor(s)], 1)
+
+        chart = FamilyChart(2 * b, 1, REGION, evaluator)
+        conditions = validate_neighborhood(chart, BasePointData(chart, np.zeros(1), [cluster]), [[0.0]]).conditions
+        assert [c.passed for c in conditions] == [True, abs(zero) > 1.0, abs(zero) > 0.5, True]
+        for cond, radius in ((conditions[1], 1.0), (conditions[2], 0.5)):
+            if not cond.passed:
+                assert cond.margin == 0.0
+                continue
+            disc = radius * np.linspace(0.0, 1.0, 33)[:, None] * np.exp(2j * np.pi * np.arange(512) / 512)
+            sv = np.concatenate([np.linalg.svd(factor(disc.ravel()), compute_uv=False), np.ones((disc.size, b - 1))], 1)
+            scan = np.min(sv) / np.max(sv)
+            assert scan * (1 - 1e-12) <= cond.margin <= 1.5 * scan
 
 
 def _three_clusters(y, s):

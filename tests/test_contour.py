@@ -155,6 +155,18 @@ class TestSingularPart:
             angles = 2.0 * np.pi * np.arange(n) / n
             assert np.array_equal(Circle(0.0, 1.0, n).unit, np.exp(1j * angles))
 
+    def test_nodes_formed_once_per_circle(self):
+        # one read-only array per instance, bit for bit center + radius * unit
+        for circle in (Circle(0.3 - 0.2j, 0.7, 64), Circle(1e-3j, 1e-9, 16), Circle(-2.0, 5.0, 256)):
+            nodes = circle.nodes
+            assert circle.nodes is nodes and not nodes.flags.writeable
+            assert nodes.tobytes() == (circle.center + circle.radius * circle.unit).tobytes()
+            with pytest.raises(ValueError):
+                nodes[0] = 0.0
+            # a fresh equal circle forms its own array, with the same bits
+            twin = Circle(circle.center, circle.radius, circle.node_count)
+            assert twin == circle and twin.nodes is not nodes and twin.nodes.tobytes() == nodes.tobytes()
+
     def test_overlapping_circle_rejected_every_call(self):
         f = self.carrier(np.exp)
         for target in (Circle(0.0, 0.4, 64), Circle(0.3, 0.3, 64)):

@@ -134,12 +134,12 @@ class TestBasePattern:
         assert base_point_check(chart, base, systems, duals) < 1e-8
 
     def test_base_point_check_samples_each_circle_once(self, sl_big_pipeline, counting_chart):
-        # one block evaluation per carrier serves both frames, then one
-        # evaluation per pairing contour
+        # one block evaluation on every carrier serves both frames, then one
+        # on every carrier the pairing
         chart, base, systems, duals = sl_big_pipeline
         counting, calls = counting_chart(chart)
         assert base_point_check(counting, base, systems, duals) < 1e-8
-        assert calls == [(0.0,)] * (2 * len(base.clusters))
+        assert len(base.clusters) == 4 and calls == [(0.0,)] * 2
 
 
 class TestMatrix:
@@ -265,11 +265,12 @@ class TestCoefficients:
             assert np.allclose(cv.values, np.eye(len(frame))[0], atol=1e-10)
 
     def test_samples_family_once_per_contour(self, sl_scalar_pipeline, counting_chart):
+        # one block evaluation on the carriers of both clusters
         chart, base, frame, dual = _frames(sl_scalar_pipeline, [0.25])
         counting, calls = counting_chart(chart)
         section = _section(frame, [0.8, -1.2])
         coefficients(counting, frame, dual, base, [0.25], section)
-        assert calls == [(0.25,)] * len(base.clusters)
+        assert len(base.clusters) == 2 and calls == [(0.25,)]
 
     def test_one_cauchy_sum_per_block(self, sl_big_pipeline, monkeypatch):
         # per shape class, here all four clusters: one carrier projection each for

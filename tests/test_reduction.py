@@ -24,6 +24,7 @@ from kernelbundle.family import (
     sl_chart,
 )
 from kernelbundle.reduction import (
+    COUNT_NODES,
     DET_CHUNK_ENTRIES,
     P22_CONDITION_LIMIT,
     BasePointData,
@@ -260,15 +261,16 @@ class TestSchur:
     def test_small_active_parts_against_loop_reference(self, sl_scalar_pipeline, sl_big_pipeline):
         # active parts of size 1 (scalar chart) and 2 (two-channel chart) are rotated
         # elementwise: the blocks match the per-node triple products, a node's blocks do
-        # not depend on its batch, and ClusterStack.active undoes the rotation
+        # not depend on its batch, and ClusterStack.split cuts out P's active part
         for pipeline, a in ((sl_scalar_pipeline, 1), (sl_big_pipeline, 2)):
             chart, base, _, _ = pipeline
             for s, c in enumerate(base.clusters):
                 ev = SchurEvaluator(chart, base, s)
                 y, sigmas = [0.03], c.carrier(32).nodes
                 many = ev.blocks_many(y, sigmas)
-                rows, active = ev.stack.active([x[None] for x in many])
-                rows, active = slice(None) if rows is None else rows[0], active[0]
+                raw = chart.eval_blocks(y, sigmas)[None]
+                rows, active = ev.stack.frozen(*raw.shape[2:4])[1], ev.stack.split(raw)[0][0]
+                rows = slice(None) if rows is None else rows[0]
                 P = chart.eval_many(y, sigmas)[:, rows][:, :, rows]
                 assert P.shape[1:] == (a, a)
                 left, right = np.hstack([c.Rperp, c.R])[rows].conj().T, np.hstack([c.K, c.Kperp])[rows]
@@ -351,12 +353,15 @@ class TestSchur:
         with pytest.raises(InputError):
             SchurEvaluator(chart, base, 1)
 
-    def test_local_multiplicity(self, jordan_pipeline, sl_scalar_pipeline):
+    def test_local_multiplicity(self, jordan_pipeline, sl_scalar_pipeline, counting_chart):
         chart, base, _, _ = jordan_pipeline
         assert local_multiplicity(SchurEvaluator(chart, base, 0), [0.0]) == 2
         chart, base, _, _ = sl_scalar_pipeline
+        counting, calls = counting_chart(chart)
         for s in range(len(base.clusters)):
-            assert local_multiplicity(SchurEvaluator(chart, base, s), [0.4]) == 1
+            assert local_multiplicity(SchurEvaluator(counting, base, s), [0.4]) == 1
+        # one evaluation of the outer count circle per cluster and parameter
+        assert calls == [(0.4,)] * len(base.clusters)
 
 
 def _small_blocks(rng, b, conds):
@@ -491,34 +496,38 @@ class TestNeighborhood:
         assert len(d["conditions"]) == 4
 
     def test_one_evaluation_per_cluster_and_parameter(self, sl_big_chart, monkeypatch):
-        # the sweep-n8 chart has four clusters at y0 = 0: each is evaluated once
-        # for the checks of base_point_data, whose count circles give its
-        # consistency count, and once for its carrier in canonical_systems; a
-        # validation once per grid y, on the disc and both count circles, with the
-        # doubled discs in the batch of y0; the nodes stay those of one batch per
-        # point set
+        # the sweep-n8 chart has four clusters at y0 = 0.  A validation evaluates the
+        # family once per grid y for all of them, on their two count circles, and at
+        # y0 on their doubled circles too, of COUNT_NODES nodes each: the checks of
+        # base_point_data evaluate no cluster apart, and canonical_systems once
+        # per carrier
         chart, _ = sl_big_chart
-        calls = []
-        blocks_many = SchurEvaluator.blocks_many
+        per_cluster, calls = [], []
+        blocks_many, eval_blocks = SchurEvaluator.blocks_many, FamilyChart.eval_blocks
 
         def counted(self, y, sigmas):
-            calls.append(len(sigmas))
+            per_cluster.append(len(sigmas))
             return blocks_many(self, y, sigmas)
+
+        def recorded(self, y, sigmas, *args):
+            calls.append((float(np.asarray(y)[0]), len(sigmas)))
+            return eval_blocks(self, y, sigmas, *args)
 
         monkeypatch.setattr(SchurEvaluator, "blocks_many", counted)
         base = base_point_data(chart, [0.0])
         canonical_systems(chart, base)
-        assert len(base.clusters) == 4
-        assert (len(calls), sum(calls)) == (8, 4 * (37 + 37 + 2 * 64) + 4 * 256)
-        calls.clear()
+        assert len(base.clusters) == 4 and per_cluster == [256] * 4
+        monkeypatch.setattr(FamilyChart, "eval_blocks", recorded)
         grid = ParameterGrid.from_ranges([(-0.1, 0.1, 21)]).points()
         assert validate_neighborhood(chart, base, grid).passed
-        assert (len(calls), sum(calls)) == (84, 4 * (37 + 21 * (37 + 2 * 64)))
+        counts = 4 * 2 * COUNT_NODES
+        assert calls == [(y[0], counts + (4 * COUNT_NODES if y[0] == 0.0 else 0)) for y in grid]
+        assert per_cluster == [256] * 4
         calls.clear()
-        # off the grid, y0 costs one more call per cluster
+        # off the grid, the doubled circles at y0 cost one evaluation of their own
         off = validate_neighborhood(chart, base, [[0.05]])
-        assert (len(calls), sum(calls)) == (8, 4 * (37 + 37 + 2 * 64))
-        # and its margin does not depend on the batch that carries it
+        assert calls == [(0.0, 4 * COUNT_NODES), (0.05, counts)]
+        # and their margin does not depend on the batch that carries them
         on = validate_neighborhood(chart, base, [[0.05], [0.0]])
         assert on.conditions[1].margin == off.conditions[1].margin
 

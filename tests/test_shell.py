@@ -235,10 +235,10 @@ class TestSweep:
     @staticmethod
     def counts(ev):
         """The sweep's counts of one evaluator's cluster on its outer and inner count circles."""
-        stacks = [kb.reduction.ClusterStack([ev])]
-        circles, nodes = shell._point_nodes(stacks, 128)
-        held, _ = shell._point_samples(stacks, [0.0], nodes)
-        return list(shell._multiplicities([ev, ev], [0.0], circles[0][:2], held))
+        circles = ev.cluster.count_circles()
+        classes = kb.reduction._sampled([ev.stack], [0.0], {ev.s: circles})
+        held = kb.reduction._rows([ev.stack], classes, [0, 1])
+        return list(kb.reduction._multiplicities([ev, ev], [0.0], circles, held))
 
     def test_continued_count_takes_the_closed_form_slogdet(self, monkeypatch):
         # the sigma^17 counts above continue on their midpoints through qdet_function,
@@ -360,19 +360,19 @@ class TestDiagram:
         assert float(first[0]) == -0.2 and first[1] == "0"
 
     def test_one_sample_of_the_count_circles_per_cluster_and_parameter(self, sl_scalar_pipeline, monkeypatch):
-        # the rows are read off the samples of condition (4): 2 x COUNT_NODES block
-        # nodes per (cluster, y), 768 on this grid of 3 points with 2 clusters
+        # the rows are read off the samples of condition (4): one block evaluation per
+        # y on 2 x COUNT_NODES nodes of each of the 2 clusters
         chart, base, _, _ = sl_scalar_pipeline
         calls = []
-        blocks_many = kb.SchurEvaluator.blocks_many
+        eval_blocks = kb.FamilyChart.eval_blocks
 
-        def counted(self, y, sigmas):
+        def counted(self, y, sigmas, *args):
             calls.append(len(sigmas))
-            return blocks_many(self, y, sigmas)
+            return eval_blocks(self, y, sigmas, *args)
 
-        monkeypatch.setattr(kb.SchurEvaluator, "blocks_many", counted)
+        monkeypatch.setattr(kb.FamilyChart, "eval_blocks", counted)
         rows = branching_diagram(chart, base, ParameterGrid.from_ranges([(-0.1, 0.1, 3)]))
-        assert calls == [2 * kb.reduction.COUNT_NODES] * 6 and sum(calls) == 768
+        assert calls == [2 * 2 * kb.reduction.COUNT_NODES] * 3
         assert len(rows) == 6
         for y, _, re, im, mult in rows:
             want = np.sign(im) * 1j * np.sqrt(1.25 + 0.1 * y)
@@ -380,7 +380,7 @@ class TestDiagram:
 
     def test_one_schur_complement_per_count_circle(self, sl_big_pipeline, monkeypatch):
         # the count keeps the outer circle's samples and the zeros are read off them:
-        # 2 Schur complements per (cluster, y), with the rows a fresh reduction gives
+        # one reduction per y of the one shape class, with the rows a fresh one gives
         chart, base, _, _ = sl_big_pipeline
         grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
         want = []
@@ -392,15 +392,15 @@ class TestDiagram:
                 for z in kb.contour.circle_zeros(circle, *held, cl.multiplicity, cl.radius / 64.0):
                     want.append([float(y[0]), s, z.location.real, z.location.imag, z.multiplicity])
         calls = []
-        schur = kb.reduction._schur
+        reduce = kb.reduction._reduce
 
-        def counted(blocks, sigmas):
-            calls.append(len(sigmas))
-            return schur(blocks, sigmas)
+        def counted(blocks):
+            calls.append(len(blocks[0]))
+            return reduce(blocks)
 
-        monkeypatch.setattr(kb.reduction, "_schur", counted)
+        monkeypatch.setattr(kb.reduction, "_reduce", counted)
         rows = branching_diagram(chart, base, grid)
-        assert len(calls) == 2 * len(base.clusters) * len(grid.points())
+        assert calls == [len(base.clusters) * 2 * kb.reduction.COUNT_NODES] * len(grid.points())
         assert rows == want and len(rows) == 12
 
     def test_requires_one_dimension(self, branching_pipeline):
