@@ -232,7 +232,7 @@ def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 1
     stacks = cluster_stacks(chart, base, systems, duals)
     reduced = [c[0][1] for c in _sampled(stacks, y, carriers)]
     for circle, conds in zip(carriers, _by_cluster(stacks, [r[3] for r in reduced])):
-        _checked((conds,), circle[0].nodes)
+        _checked(conds, circle[0].nodes)
     pairs = [_frame_pair(*_frame_factors(st, systems, duals, node_count), r[:3]) for st, r in zip(stacks, reduced)]
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     frames = []

@@ -334,53 +334,55 @@ def _inverse(a: np.ndarray) -> np.ndarray:
         return np.stack([_inverse(x) for x in a]) if a.ndim > 2 else np.full_like(a, np.inf)
 
 
-def _svals(a: np.ndarray) -> np.ndarray:
-    """Singular values of a stack of b x b matrices, (..., b), largest first, LAPACK's for b > 2.
-    For b = 2, ``s1 +- s2 = sqrt(|a +- w conj d|^2 + |b -+ w conj c|^2)`` with ``w = det / |det|``,
-    free of cancellation, give ``s1`` as their mean, and ``s2 = |det| / s1``."""
-    if a.shape[-1] != 2:
-        return np.linalg.svd(a, compute_uv=False) if a.shape[-1] > 2 else np.abs(a).reshape(a.shape[:-1])
-    mod = np.abs(det := _det(a))
-    w = np.where(mod > 0, det, 1.0) / np.where(mod > 0, mod, 1.0)
-    p, q, r, t = a[..., 0, 0], w * a[..., 1, 1].conj(), a[..., 0, 1], w * a[..., 1, 0].conj()
-    big = 0.5 * (np.hypot(np.abs(p + q), np.abs(r - t)) + np.hypot(np.abs(p - q), np.abs(r + t)))
-    return np.stack([big, mod / np.maximum(big, np.finfo(float).tiny)], axis=-1)
-
-
 def _scaled(blocks) -> tuple:
     """``(scale, p22, rest)``: the diagonal blocks of the complement block at each node
     over the node's scale (N, 1), the largest real or imaginary part of their entries."""
     p22, rest = blocks[3], blocks[4]
     entries = np.concatenate([p22.reshape(len(p22), -1), rest.reshape(len(rest), -1)], axis=1).view(float)
-    scale = np.max(np.abs(entries), axis=1, keepdims=True, initial=np.finfo(float).tiny)
+    # the short rows' maxima read faster off a column-major array
+    scale = np.max(np.abs(entries, order="F"), axis=1, keepdims=True, initial=np.finfo(float).tiny)
     scaled = (entries / scale).view(complex)
     return scale, scaled[:, : p22[0].size].reshape(p22.shape), scaled[:, p22[0].size :].reshape(rest.shape)
 
 
-def _complement_slogdet(blocks) -> tuple:
-    """``(phase, logabs)`` of det C at each node of ``blocks_many`` (N, .): the complement block C
-    is diag(p22, rest), so det C, a holomorphic function of sigma, is det p22 times the
-    determinants of the other diagonal blocks, formed in one product over the node's scale, with
-    ``_slogdet``'s closed form for 1 x 1 blocks and ``_det`` for 2 x 2 ones."""
-    scale, p22, rest = _scaled(blocks)
-    (p, lp), (r, lr) = (_polar(_det(a)) if a.shape[-1] == 2 else _slogdet(a) for a in (p22, rest))
-    m = p22.shape[-1] + rest.shape[1] * rest.shape[-1]
-    return p * np.prod(r, axis=1), lp + np.sum(lr, axis=1) + m * np.log(scale[:, 0])
+def _complement(scaled) -> tuple:
+    """``(phase, logabs, svals)`` of C = diag(p22, rest) at each node of the ``_scaled`` blocks, of any
+    leading axes: det C, holomorphic in sigma, as one product over the node's scale of the blocks'
+    determinants, and C's singular values, the blocks', on a leading axis (m, ...).  Blocks of size
+    b <= 2 take closed forms with the nodes last: for b = 2, ``s1 +- s2 = sqrt(|a +- w conj d|^2 + |b
+    -+ w conj c|^2)`` with ``w = det / |det|``, free of cancellation, give ``s1`` as their mean, and
+    ``s2 = |det| / s1``."""
+    scale, p22, rest = scaled
+    lead, m = scale.shape[:-1], p22.shape[-1] + rest.shape[-3] * rest.shape[-1]
+    phase, logabs, svals = np.ones(lead, complex), m * np.log(scale[..., 0]), [np.zeros((0, *lead))]
+    for a in (x for x in (p22[..., None, :, :], rest) if x.size):
+        if a.shape[-1] > 2:
+            (w, la), s = np.linalg.slogdet(a), np.linalg.svd(a, compute_uv=False)
+            w, la, s = np.moveaxis(w, -1, 0), np.moveaxis(la, -1, 0), np.moveaxis(s, (-1, -2), (0, 1))
+        else:
+            # the entries first and the nodes last: (b, b, R, ...)
+            x = np.ascontiguousarray(a.transpose(a.ndim - 2, a.ndim - 1, a.ndim - 3, *range(a.ndim - 3)))
+            mod = np.abs(det := x[0, 0] if a.shape[-1] == 1 else x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])
+            w = np.where(mod > 0, det, 1.0) / np.where(mod > 0, mod, 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                la = np.log(mod)
+            if a.shape[-1] == 1:
+                s = mod[None]
+            else:
+                p, q, r, t = x[0, 0], w * x[1, 1].conj(), x[0, 1], w * x[1, 0].conj()
+                big = 0.5 * (np.hypot(np.abs(p + q), np.abs(r - t)) + np.hypot(np.abs(p - q), np.abs(r + t)))
+                s = np.stack([big, mod / np.maximum(big, np.finfo(float).tiny)])
+        phase, logabs = phase * np.prod(w, axis=0), logabs + np.sum(la, axis=0)
+        svals.append(s.reshape(-1, *lead))
+    return phase, logabs, scale[..., 0] * np.concatenate(svals)
 
 
-def _complement_svals(blocks) -> np.ndarray:
-    """Singular values of the complement block at each node, (N, m): those of p22
-    and of the other diagonal blocks, whose direct sum it is up to unitary factors."""
-    scale, p22, rest = _scaled(blocks)
-    return scale * np.concatenate([_svals(p22), _svals(rest).reshape(len(rest), -1)], axis=1)
-
-
-def _guard(blocks) -> tuple:
-    """``p22^{-1}``, and per node the Frobenius condition ``||C||_F ||C^{-1}||_F`` of the m x m
-    complement block C, unitarily ``diag(p22, rest)``, raised by the inverses' roundoff (``m eps
-    cond`` relative) to a bound above the 2-norm condition.  Read over the node's scale, it neither
-    over- nor underflows at any scale of the family; it is inf where a block is exactly singular."""
-    scale, p22, rest = _scaled(blocks)
+def _guard(scaled) -> tuple:
+    """``p22^{-1}``, and per node of the ``_scaled`` blocks the Frobenius condition ``||C||_F ||C^{-1}||_F``
+    of the m x m complement block C, unitarily ``diag(p22, rest)``, raised by the inverses' roundoff
+    (``m eps cond`` relative) to a bound above the 2-norm condition.  Read over the node's scale, it
+    neither over- nor underflows at any scale of the family; it is inf where a block is exactly singular."""
+    scale, p22, rest = scaled
     m, b = p22.shape[1] + rest.shape[1] * rest.shape[2], rest.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv, rest_sq = _inverse(p22), _sq(rest)
@@ -391,31 +393,31 @@ def _guard(blocks) -> tuple:
 
 
 def _reduce(blocks) -> tuple:
-    """``(schur, correction, dual_correction, conds)``, unchecked, at every node of ``blocks_many``:
-    ``p11 - p12 p22^{-1} p21``, ``p22^{-1} p21``, ``p12 p22^{-1}`` and the ``_guard`` condition."""
+    """``(schur, correction, dual_correction, conds, *scaled)``, unchecked, at every node of ``blocks_many``:
+    ``p11 - p12 p22^{-1} p21``, ``p22^{-1} p21``, ``p12 p22^{-1}``, the ``_guard`` condition and its ``_scaled``."""
     p11, p12, p21, _, _ = blocks
-    inv, conds = _guard(blocks)
+    scaled = _scaled(blocks)
+    inv, conds = _guard(scaled)
     with np.errstate(invalid="ignore"):
         correction = inv @ p21
-        return p11 - p12 @ correction, correction, p12 @ inv, conds
+        return p11 - p12 @ correction, correction, p12 @ inv, conds, *scaled
 
 
-def _checked(reduced, sigmas) -> tuple:
-    """The arrays of ``reduced`` at ``sigmas`` but the last, the guard condition, such as those of
-    ``_reduce``; a node where the condition exceeds ``P22_CONDITION_LIMIT`` raises."""
-    *out, conds = reduced
+def _checked(conds, sigmas) -> None:
+    """Raise where the guard condition ``conds`` at ``sigmas`` exceeds ``P22_CONDITION_LIMIT``."""
     worst = int(np.argmax(conds))
     if not conds[worst] <= P22_CONDITION_LIMIT:
         raise ReductionInvalidError(
             f"reduction invalid here: complement block condition {conds[worst]:.3e} "
             f"at sigma = {sigmas[worst]}"
         )
-    return tuple(out)
 
 
 def _schur(blocks, sigmas):
-    """The guarded reduction at ``sigmas``: ``_checked(_reduce(blocks), sigmas)``."""
-    return _checked(_reduce(blocks), sigmas)
+    """The guarded reduction at ``sigmas``: ``_reduce``'s first three arrays, after ``_checked``."""
+    reduced = _reduce(blocks)
+    _checked(reduced[3], sigmas)
+    return reduced[:3]
 
 
 def _evaluated(stacks: Sequence[ClusterStack], y, circles) -> list:
@@ -454,36 +456,71 @@ def _slogdet(m: np.ndarray) -> tuple:
     return _polar(m[..., 0, 0]) if m.shape[-1] == 1 else np.linalg.slogdet(m)
 
 
-def _rows(stacks, classes, at) -> tuple:
-    """``(phase, logabs, conds)`` on the circles ``at`` of ``_sampled``'s ``classes`` of ``stacks``:
-    ``_slogdet`` of the reduced family and the guard condition, one row per circle and cluster,
-    circle by circle and in cluster order."""
-    per = [[(*_slogdet(c[i][1][0]), c[i][1][3]) for c in classes] for i in at]
-    return tuple(np.concatenate([np.stack(_by_cluster(stacks, [x[q] for x in p])) for p in per]) for q in range(3))
+def _p22_margin(s: np.ndarray) -> np.ndarray:
+    """Per cluster, the smallest complement singular value of ``s`` (m, C, N) over the largest; inf where none."""
+    return np.min(s, axis=(0, 2), initial=np.inf) / np.maximum(np.max(s, axis=(0, 2), initial=0.0), 1e-300)
 
 
-def _count(ev: SchurEvaluator, y, circle: Circle, phase, logabs, conds, w) -> int:
-    """One count of ``_multiplicities`` from its row and winding: the row's guard check and its
-    loop's error raise, and an unresolved loop continues at the midpoints."""
-    _checked((conds,), circle.nodes)
-    if isinstance(w, Exception):
-        raise w
-    return w if w is not None else _continued_winding(ev.qdet_function(y), circle.path, phase, logabs)
+def _raised(counts: list) -> list:
+    """Counts of ``_neighborhood``, after raising the first error among them."""
+    error = next((x for x in counts if isinstance(x, Exception)), None)
+    if error is not None:
+        raise error
+    return counts
 
 
-def _multiplicities(evs: Sequence[SchurEvaluator], y, circles: Sequence[Circle], held):
-    """Reduced-determinant zeros in count circles, one circle per row of ``held``, the ``(phase,
-    logabs, conds)`` of ``_rows``, and one evaluator per circle: one ``_windings`` call counts all
-    rows.  Yields the counts in row order; a row's ``_count`` raises only when it is reached."""
-    return (_count(ev, y, *row) for ev, *row in zip(evs, circles, *held, _windings(*held[:2])))
+def _neighborhood(stacks, y, circles, classes, counted, complement) -> tuple:
+    """Conditions (3) and (4) at y from ``_sampled``'s ``classes`` of ``stacks`` on ``circles``, in one
+    ``_windings`` call over the reduced determinant on the circles ``counted`` names and det C on those
+    ``complement`` names; an unresolved loop continues at its circle's midpoints.  In cluster order:
+    ``(counts, margins, annulus, rows)``.  Per ``counted`` circle, the zeros inside it or the error that
+    ended the count: its guard's, its loop's or its continuation's.  Per ``complement`` circle, condition
+    (2) or (3): the ``_p22_margin`` there, or 0 where det C winds around it or a zero or a non-finite
+    value ends its count; where it does not wind, C^{-1} is holomorphic on the disc, so by the maximum
+    principle s_min(C) on the disc is at least its minimum on the circle, and s_max(C) at most its
+    maximum there.  Condition (4): the smallest |det| over the largest on the ``counted`` circles, 0
+    where a count differs from the multiplicity or a zero on a circle or an unresolved loop ends it,
+    or the count's error.  And per ``counted`` circle, the ``(phase, logabs)`` rows (C, N)."""
+    evs, k = [ev for st in stacks for ev in st.evs], len(counted)
+    order = sorted(range(len(evs)), key=lambda r: evs[r].s)
+    per = [[(*_slogdet(c[i][1][0]), c[i][1][3]) for c in classes] for i in counted]
+    per += [[(*x[:2], _p22_margin(x[2])) for x in map(_complement, (c[i][1][4:] for c in classes))] for i in complement]
+    phase, logabs, third = ([np.concatenate([x[q] for x in p]) for p in per] for q in range(3))
+    ws, out = _windings(np.concatenate(phase), np.concatenate(logabs)), []
+    for j, i in enumerate((*counted, *complement)):
+        counting, row = j < k, []
+        guarded = not counting or np.max(third[j], axis=1) <= P22_CONDITION_LIMIT
+        for r in order:
+            ev, w = evs[r], ws[j * len(evs) + r]
+            try:
+                if counting and not guarded[r]:
+                    _checked(third[j][r], circles[ev.s][i].nodes)
+                if isinstance(w, Exception):
+                    raise w
+                if w is None:
+                    q = lambda x: ev.qdet_function(y)(x) if counting else _complement(_scaled(ev.blocks_many(y, x)))[:2]
+                    w = _continued_winding(q, circles[ev.s][i].path, phase[j][r], logabs[j][r])
+            except (KernelBundleError if counting else NumericalError) as exc:
+                w = exc
+            row.append(w if counting else float(third[j][r]) if w == 0 else 0.0)
+        out.append(row)
+    with np.errstate(invalid="ignore"):
+        ratios = [np.exp(np.min(x, axis=1) - np.max(x, axis=1)) for x in logabs[:k]]
+    annulus = []
+    for s, r in enumerate(order):
+        bad = next((x[s] for x in out[:k] if x[s] != evs[r].cluster.multiplicity), None)
+        if bad is None:
+            annulus.append(min((float(x[r]) for x in ratios), default=np.inf))
+        else:
+            annulus.append(0.0 if isinstance(bad, (int, ZeroOnContourError, ResolutionError)) else bad)
+    return out[:k], out[k:], annulus, ([x[order] for x in phase[:k]], [x[order] for x in logabs[:k]])
 
 
 def local_multiplicity(ev: SchurEvaluator, y) -> int:
     """Zeros of the reduced determinant, with multiplicity, inside the outer count
     circle, counted from one block evaluation on its nodes."""
-    circle = ev.cluster.count_circles()[0]
-    held = _rows([ev.stack], _sampled([ev.stack], y, {ev.s: [circle]}), [0])
-    return next(_multiplicities([ev], y, [circle], held))
+    circles = {ev.s: ev.cluster.count_circles()[:1]}
+    return _raised(_neighborhood([ev.stack], y, circles, _sampled([ev.stack], y, circles), (0,), ())[0][0])[0]
 
 
 def _slogdet_function(slogdets: Callable, n: int) -> Callable:
@@ -533,36 +570,6 @@ class ValidationReport:
         return {"passed": self.passed, "conditions": [c.to_dict() for c in self.conditions]}
 
 
-def _p22_margin(s: np.ndarray) -> float:
-    """The smallest of the complement block's singular values ``s`` at the sampled nodes, (N, m),
-    over the largest; inf where the complement is empty."""
-    return float(np.min(s) / max(float(np.max(s)), 1e-300)) if s.size else np.inf
-
-
-def _complement_margins(stacks, y, circles, classes, at: int) -> list:
-    """Condition (2) or (3) at y per cluster, in cluster order, on its circle ``at`` of ``_sampled``'s
-    ``classes`` on ``circles``: the ``_p22_margin`` there, or 0 where det C winds around it, the
-    count continued at the midpoints, or a zero or a non-finite value ends the count.  Where it
-    does not wind, C^{-1} is holomorphic on the disc, so by the maximum principle s_min(C) on the
-    disc is at least its minimum on the circle, and s_max(C) at most its maximum there."""
-    held = []
-    for st, c in zip(stacks, classes):
-        flat = (None,) * 3 + _flat(c[at][0][3:])
-        held.append(_unflat((*_complement_slogdet(flat), _complement_svals(flat)), len(st.index)))
-    phase, logabs, svals = (_by_cluster(stacks, x) for x in zip(*held))
-    evs, margins = _by_cluster(stacks, [st.evs for st in stacks]), []
-    for ev, ph, la, sv, w in zip(evs, phase, logabs, svals, _windings(np.stack(phase), np.stack(logabs))):
-        try:
-            if isinstance(w, Exception):
-                raise w
-            if w is None:
-                w = _continued_winding(lambda s: _complement_slogdet(ev.blocks_many(y, s)), circles[ev.s][at].path, ph, la)
-        except NumericalError:
-            w = None
-        margins.append(_p22_margin(sv) if w == 0 else 0.0)
-    return margins
-
-
 def _worst_margin(margins) -> tuple:
     """The smallest of ``(margin, label)`` pairs, with the first label within a
     relative 1e-12 of it: grid points tied up to roundoff report in grid order."""
@@ -570,29 +577,6 @@ def _worst_margin(margins) -> tuple:
     if worst == np.inf:
         return worst, ""
     return worst, next((lab for m, lab in margins if m <= worst + 1e-12 * worst), "")
-
-
-def _annulus_margins(stacks, y, circles, classes) -> tuple:
-    """``(margins, held)``: condition (4) at y per cluster, in cluster order, on its count circles,
-    the first two of ``circles[s]`` in ``_sampled``'s ``classes``: the smallest |det| over the
-    largest of the reduced determinant's samples on either circle, 0 where a count differs from
-    the multiplicity or a zero on a circle ends it, or a failed guard's error; and the ``_rows``."""
-    evs, held = _by_cluster(stacks, [st.evs for st in stacks]), _rows(stacks, classes, [0, 1])
-    rows, margins = (*held, _windings(*held[:2])), []
-    for s, ev in enumerate(evs):
-        try:
-            margin = np.inf
-            for circle, phase, logabs, conds, w in zip(circles[s], *(x[s :: len(evs)] for x in rows)):
-                if _count(ev, y, circle, phase, logabs, conds, w) != ev.cluster.multiplicity:
-                    margin = 0.0
-                    break
-                margin = min(margin, float(np.exp(np.min(logabs) - np.max(logabs))))
-        except (ZeroOnContourError, ResolutionError):
-            margin = 0.0
-        except KernelBundleError as exc:
-            margin = exc
-        margins.append(margin)
-    return margins, held
 
 
 def validate_neighborhood(chart: FamilyChart, base: BasePointData, y_grid: Sequence) -> ValidationReport:
@@ -605,7 +589,7 @@ def validate_neighborhood(chart: FamilyChart, base: BasePointData, y_grid: Seque
         in zeros inside both count circles, so all local singular points stay in
         the inner half-disc.
 
-    Conditions (2) and (3) are counts (``_complement_margins``): det C winds zero times
+    Conditions (2) to (4) are counts, read by ``_neighborhood``: det C winds zero times
     around the circle of the disc, the doubled one at y0 and the outer count circle at each
     grid y.  Margins are relative; the report records the worst case per condition.  Each
     grid y is one ``_sampled`` pass over every cluster's count circles; the doubled circles
@@ -632,19 +616,17 @@ def validate_neighborhood(chart: FamilyChart, base: BasePointData, y_grid: Seque
     doubled = [[Circle(c.center, 2 * c.radius, COUNT_NODES)] for c in base.clusters]
     if at is None:
         # (2) complement block invertible on the doubled disc at y0, in a pass of its own
-        margin2 = min(_complement_margins(stacks, base.y0, doubled, _sampled(stacks, base.y0, doubled), 0))
+        margin2 = min(_neighborhood(stacks, base.y0, doubled, _sampled(stacks, base.y0, doubled), (), (0,))[1][0])
     margins = [[] for _ in counts]
     for i, y in enumerate(y_grid):
         circles = [c + d for c, d in zip(counts, doubled)] if i == at else counts
+        # (3) complement block invertible on the disc, (4) the multiplicity on both circles, at y0 (2)
         classes = _sampled(stacks, y, circles)
-        # (3) complement block invertible on the disc, (4) the multiplicity on both circles
-        pairs = zip(_complement_margins(stacks, y, circles, classes, 0), _annulus_margins(stacks, y, circles, classes)[0])
-        for s, m in enumerate(pairs):
-            if isinstance(m[1], Exception):
-                raise m[1]
+        _, (disc, *twice), annulus, _ = _neighborhood(stacks, y, circles, classes, (0, 1), (0, 2) if i == at else (0,))
+        for s, m in enumerate(zip(disc, _raised(annulus))):
             margins[s].append([(x, f"cluster {s}, y = {y}") for x in m])
         if i == at:
-            margin2 = min(_complement_margins(stacks, y, circles, classes, 2))
+            margin2 = min(twice[0])
 
     margins = [(margin2, "")] + [_worst_margin([m[c] for row in margins for m in row]) for c in (0, 1)]
     floors = (INVERTIBILITY_FLOOR, INVERTIBILITY_FLOOR, 0.0)
@@ -686,14 +668,14 @@ def base_point_data(
             gap = min(gap, 0.5 * abs(z.location - other.location))
     eps = float(epsilon) if epsilon is not None else 0.4 * float(gap)
 
+    located = chart.eval_blocks(y0, [z.location for z in report.zeros], check=False)
     for _ in range(MAX_HALVINGS + 1):
         clusters = []
         ok = True
-        for z in report.zeros:
-            blocks = chart.eval_blocks(y0, [z.location], check=False)[0]
-            # the family scale on a nearby circle anchors the rank threshold
-            probe = Circle(z.location, 0.5 * eps, 16)
-            floor = float(np.max(np.abs(chart.eval_blocks(y0, probe.nodes, check=False))))
+        # the family scale on a nearby circle anchors each zero's rank threshold
+        probes = np.concatenate([Circle(z.location, 0.5 * eps, 16).nodes for z in report.zeros])
+        floors = np.abs(chart.eval_blocks(y0, probes, check=False)).reshape(len(report.zeros), -1).max(axis=1)
+        for z, blocks, floor in zip(report.zeros, located, floors.tolist()):
             # the union spectrum of the blocks sets the rank, the blocks that vanish the bases
             svals = np.linalg.svd(blocks, compute_uv=False)
             try:

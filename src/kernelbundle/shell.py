@@ -14,7 +14,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     InputError,
     KernelBundleError,
     NumericalError,
+    ReductionInvalidError,
     SpecError,
     ValidationError,
 )
@@ -34,23 +34,19 @@ from .frames import Germ, _frame_factors, _frame_pair, cluster_stacks, laurent_c
 from .keldysh import base_samples, dual_root_functions, root_functions, taylor_coefficients, with_beta
 from .pairing import _assembled, _solved, _stacked_pairings
 from .reduction import (
+    INVERTIBILITY_FLOOR,
     BasePointData,
     SchurEvaluator,
-    _annulus_margins,
     _by_cluster,
     _checked,
-    _complement_svals,
-    _flat,
-    _multiplicities,
-    _rows,
+    _neighborhood,
+    _raised,
     _sampled,
     _stacks,
     base_point_data,
 )
 
 SCHEMA_VERSION = 1
-# Nodes of the sweep's p22 margin circles.
-MARGIN_NODES = 16
 # Trace expansions: slack of the window test, and the probe points and
 # largest relative gap of the numeric cross-check.
 WINDOW_TOL = 1e-9
@@ -254,9 +250,11 @@ def sweep(
     Each point evaluates the family once, on the nodes of every cluster, and
     reduces, counts, frames and pairs each shape class of clusters
     (``cluster_stacks``) in one array pass.  A point's failure is the first
-    error in cluster order of the first stage that fails: the outer counts,
-    the multiplicity jump, the inner counts, the carriers, the frames and the
-    pairing.
+    error in cluster order of the first stage that fails: condition (3), the
+    outer counts, the multiplicity jump, the inner counts, the carriers, the
+    frames and the pairing.  Its ``p22_margin`` is the smallest condition-(3)
+    margin of ``validate_neighborhood`` over the clusters (1.0 where none has a
+    complement block).
     """
     t0 = time.perf_counter()
     if grid.ndim != chart.param_dim:
@@ -281,10 +279,8 @@ def sweep(
     )
 
     stacks = cluster_stacks(chart, base, systems, duals)
-    evs = _by_cluster(stacks, [st.evs for st in stacks])
-    # per cluster: its two count circles, its carrier and its p22 margin circle
-    circles = [c.count_circles() + [c.carrier(node_count), c.contour(MARGIN_NODES)] for c in base.clusters]
-    count_circles = [c[0] for c in circles] + [c[1] for c in circles]
+    # per cluster: its two count circles and its carrier
+    circles = [c.count_circles() + [c.carrier(node_count)] for c in base.clusters]
     factors = [_frame_factors(st, systems, duals, node_count) for st in stacks]
     dual_labels = [(s, j, l) for s, du in enumerate(duals) for j, l in du.entry_labels()]
     splits = np.cumsum([sy.total for sy in systems])[:-1]
@@ -293,9 +289,12 @@ def sweep(
         y_key = tuple(float(v) for v in np.atleast_1d(y))
         try:
             classes = _sampled(stacks, y, circles)
-            # the outer circles first, cluster by cluster, then the inner ones
-            counts = _multiplicities(evs + evs, y, count_circles, _rows(stacks, classes, [0, 1]))
-            mults = list(islice(counts, len(evs)))
+            (outer, inner), (margins,), _, _ = _neighborhood(stacks, y, circles, classes, (0, 1), (0,))
+            # once C is singular in a disc, det S's count no longer measures the fiber there
+            failed = next((s for s, m in enumerate(margins) if not m > INVERTIBILITY_FLOOR), None)
+            if failed is not None:
+                raise ReductionInvalidError(f"complement block singular on the disc of cluster {failed} at y={y_key}")
+            mults = _raised(outer)
             if mults != base_mults:
                 report.elapsed = time.perf_counter() - t0
                 raise DimensionJumpError(
@@ -306,17 +305,13 @@ def sweep(
             # point must sit in the inner half-disc; one that strays into the
             # outer annulus would silently fall outside the carrier and
             # corrupt the frame germs.
-            inner = list(counts)
-            if inner != base_mults:
+            if _raised(inner) != base_mults:
                 raise ValidationError(
                     f"singular points left the inner half-discs at y={y_key}: "
                     f"{inner} != {base_mults}"
                 )
-            # the smallest relative complement-block singular value on the margin circles
-            svals = [_complement_svals((None,) * 3 + _flat(c[3][0][3:])) for c in classes]
-            margin = min((float(np.min(sv.min(1) / sv.max(1))) for sv in svals if sv.size), default=1.0)
             for circle, conds in zip(circles, _by_cluster(stacks, [c[2][1][3] for c in classes])):
-                _checked((conds,), circle[2].nodes)
+                _checked(conds, circle[2].nodes)
             pairs = [_frame_pair(*f, c[2][1][:3]) for f, c in zip(factors, classes)]
             for side in zip(*pairs):
                 _finite(side)
@@ -341,7 +336,7 @@ def sweep(
                 y=y_key,
                 multiplicities=mults,
                 pairing_condition=pm.condition,
-                p22_margin=margin,
+                p22_margin=min((m for m in margins if m < math.inf), default=1.0),
             )
             if probe is not None:
                 values = _solved(pm.matrix, column)
@@ -410,12 +405,13 @@ def branching_diagram(
     rows = []
     for y in grid.points():
         try:
-            margins, (phase, logabs, _) = _annulus_margins(stacks, y, circles, _sampled(stacks, y, circles))
+            classes = _sampled(stacks, y, circles)
+            _, (margins,), annulus, (phase, logabs) = _neighborhood(stacks, y, circles, classes, (0, 1), (0,))
         except KernelBundleError:
             continue
-        for s, (cl, margin) in enumerate(zip(base.clusters, margins)):
-            if isinstance(margin, float) and margin > 0.0:
-                for z in circle_zeros(circles[s][0], phase[s], logabs[s], cl.multiplicity, cl.radius / 64.0):
+        for s, (cl, margin, held) in enumerate(zip(base.clusters, margins, annulus)):
+            if margin > INVERTIBILITY_FLOOR and isinstance(held, float) and held > 0.0:
+                for z in circle_zeros(circles[s][0], phase[0][s], logabs[0][s], cl.multiplicity, cl.radius / 64.0):
                     rows.append([float(y[0]), s, z.location.real, z.location.imag, z.multiplicity])
     if out is not None:
         with open(out, "w", newline="") as fh:

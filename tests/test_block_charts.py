@@ -21,14 +21,15 @@ from kernelbundle.reduction import (
     BasePointData,
     Cluster,
     SchurEvaluator,
-    _complement_svals,
+    _complement,
     _guard,
     _p22_margin,
+    _scaled,
     base_point_data,
     local_multiplicity,
     validate_neighborhood,
 )
-from kernelbundle.shell import ParameterGrid, canonical_systems, sweep
+from kernelbundle.shell import ParameterGrid, branching_diagram, canonical_systems, sweep
 
 REGION = SigmaRegion(-2.0, 2.0, -2.0, 2.0)
 
@@ -134,8 +135,9 @@ class TestTwoPresentations:
                 sb, sd = evb.schur_many(y, nodes), evd.schur_many(y, nodes)
                 dense = bd.clusters[s]
                 assert _close(cl.Rperp @ sb @ cl.K.conj().T, dense.Rperp @ sd @ dense.K.conj().T, 1e-12)
-                assert np.max(np.abs(_guard(got)[1] / _guard(want)[1] - 1)) < 1e-12
-                assert _p22_margin(_complement_svals(got)) == pytest.approx(_p22_margin(_complement_svals(want)), rel=1e-12)
+                assert np.max(np.abs(_guard(_scaled(got))[1] / _guard(_scaled(want))[1] - 1)) < 1e-12
+                margins = [_p22_margin(_complement(_scaled(b))[2][:, None])[0] for b in (got, want)]
+                assert margins[0] == pytest.approx(margins[1], rel=1e-12)
 
     def test_validation(self, presentations):
         (blk, bb, *_), (den, bd, *_) = presentations[0]
@@ -225,6 +227,40 @@ def test_a_singular_complement_block_inside_a_disc_fails_validation():
     base = base_point_data(chart, [0.0])
     grid = validate_neighborhood(chart, base, [[0.95]]).conditions[2]
     assert (grid.passed, grid.margin, grid.detail) == (False, 0.0, "cluster 1, y = [0.95]")
+
+
+def _entering_zero(y, s):
+    # block 0 vanishes at 0.5i; block 1's zero enters the region along 3i + y (0.13 - 2.5i),
+    # into the disc of cluster 0.5i, where block 1 is part of that cluster's complement
+    # block: 0.13 from it at y = 1; block 2 is invertible
+    s = np.asarray(s, dtype=complex)
+    one = np.ones_like(s)
+    entering = 3j + y[0] * (0.13 - 2.5j)
+    return np.stack(
+        [_upper(s - 0.5j, 0.3 * one, 1 + 0.2 * s), _upper(one, 0.1 * s, s - entering), _upper(2 * one, 0.4 * one, one)], -3
+    )
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["blocks", "dense"])
+def test_a_complement_zero_entering_a_disc_fails_the_sweep_validation_and_diagram_alike(dense):
+    # at y = 1 det P has two zeros in the disc, the reduced determinant one: the sweep
+    # records a ReductionInvalidError there, condition (3) fails there alone, and the
+    # diagram has no row there; elsewhere the sweep's p22 margin is condition (3)'s
+    chart = FamilyChart(6, 1, REGION, _entering_zero)
+    chart = _dense(chart) if dense else chart
+    base = base_point_data(chart, [0.0])
+    assert len(base.clusters) == 1 and abs(base.clusters[0].center - 0.5j) < 1e-12
+    systems, duals = canonical_systems(chart, base)
+    grid = ParameterGrid.from_ranges([(0.0, 1.0, 3)])
+    report = sweep(chart, base, grid, systems=systems, duals=duals)
+    assert [(f["y"], f["error"]) for f in report.failures] == [([1.0], "ReductionInvalidError")]
+    assert "cluster 0 at y=(1.0,)" in report.failures[0]["message"]
+    conditions = validate_neighborhood(chart, base, grid.points()).conditions
+    assert [c.passed for c in conditions] == [True, True, False, True]
+    assert (conditions[2].margin, conditions[2].detail) == (0.0, "cluster 0, y = [1.]")
+    assert sorted({row[0] for row in branching_diagram(chart, base, grid)}) == [0.0, 0.5]
+    for point in report.points[:2]:
+        assert 0 < point.p22_margin == validate_neighborhood(chart, base, [list(point.y)]).conditions[2].margin
 
 
 # zero of the complement block p22 = 1 - sigma / W of _complement_zero, 1.3 from the

@@ -28,6 +28,17 @@ CLOSE_ZEROS_FAMILY = {
     "terms": [{"sigma_power": 2, "matrix": [[1]]}, {"matrix": [[-0.01]]}],
 }
 
+# diag(sigma - 0.5i, sigma - 3i - y (0.13 - 2.5i)): the complement block's zero enters the
+# disc of the singular point 0.5i, 0.13 from it at y = 1
+ENTERING_ZERO_FAMILY = {
+    "kind": "matrix_polynomial", "sigma": {"kind": "rectangle", "re": [-2, 2], "im": [-1, 2]},
+    "terms": [
+        {"sigma_power": 1, "matrix": [[1, 0], [0, 1]]},
+        {"matrix": [[[0, -0.5], 0], [0, [0, -3]]]},
+        {"y_powers": [1], "matrix": [[0, 0], [0, [-0.13, 2.5]]]},
+    ],
+}
+
 # sigma^2 - 0.01 + 0.1 y_1 + 0.05 y_2
 TWO_PARAMETER_FAMILY = dict(
     CLOSE_ZEROS_FAMILY,
@@ -69,6 +80,22 @@ def specs(tmp_path_factory):
 
 
 class TestSubcommands:
+    def test_a_complement_zero_entering_the_disc(self, tmp_path):
+        # the sweep records a ReductionInvalidError at y = 1 and writes no diagram row
+        # there; reduce fails condition (3) alone, there
+        spec = tmp_path / "entering.json"
+        spec.write_text(json.dumps({"family": ENTERING_ZERO_FAMILY, "grid": {"axes": [{"min": 0, "max": 1, "count": 3}]}}))
+        out, table, reduced = (tmp_path / name for name in ("sweep.json", "sweep.csv", "reduce.json"))
+        assert main(["sweep", "--spec", str(spec), "--out", str(out), "--csv", str(table)]) == EXIT_VALIDATION
+        failures = json.loads(out.read_text())["failures"]
+        assert [(f["y"], f["error"]) for f in failures] == [([1.0], "ReductionInvalidError")]
+        assert [line.split(",")[0] for line in table.read_text().splitlines()[1:]] == ["0.0", "0.5"]
+        assert main(["reduce", "--spec", str(spec), "--out", str(reduced)]) == EXIT_VALIDATION
+        conditions = json.loads(reduced.read_text())["validation"]["conditions"]
+        assert [(c["name"], c["detail"]) for c in conditions if not c["passed"]] == [
+            ("complement_invertible_grid", "cluster 0, y = [1.]")
+        ]
+
     def test_locate(self, specs, tmp_path):
         out = tmp_path / "locate.json"
         assert main(["locate", "--spec", specs["branching"], "--out", str(out)]) == 0

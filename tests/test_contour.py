@@ -289,7 +289,7 @@ class TestCounting:
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="doubling is global: a cut through a zero spends the whole node budget (ROADMAP item 2 (b), (c))",
+        reason="doubling is global: a cut through a zero spends the whole node budget (ROADMAP item 3 (b), (c))",
     )
     def test_a_cut_through_a_zero_fails_within_1024_nodes(self):
         """The right edge of the box runs through the zero -i sqrt(1.25), so no count

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kernelbundle import reduction as kb_reduction
 from kernelbundle.contour import Circle, Rectangle, count_zeros, count_zeros_rectangle, locate_zeros
 from kernelbundle.errors import (
     InputError,
@@ -30,9 +31,10 @@ from kernelbundle.reduction import (
     BasePointData,
     Cluster,
     SchurEvaluator,
-    _complement_svals,
+    _complement,
     _det_function,
     _guard,
+    _scaled,
     _schur,
     base_point_data,
     kernel_cokernel,
@@ -401,16 +403,16 @@ class TestSmallBlockClosedForms:
         a = _small_blocks(rng, b, np.geomspace(1.0, 1e13, 53) if b == 2 else np.ones(53))
         tol = 1e-15 * np.linalg.cond(a)
         s = a * scale
-        inv, cond_p22 = _guard(_as_p22(s))
+        inv, cond_p22 = _guard(_scaled(_as_p22(s)))
         # relative to the norm, the inverse read back at unit scale, where it is finite
         miss = np.linalg.norm((inv - np.linalg.inv(s)) * scale, axis=(1, 2))
         assert np.all(miss <= tol * np.linalg.norm(np.linalg.inv(s) * scale, axis=(1, 2)))
         # ||A||_F ||A^-1||_F, with A as p22 (from its inverse) and as a block of rest
-        for got in (cond_p22, _guard(_as_rest(s))[1]):
+        for got in (cond_p22, _guard(_scaled(_as_rest(s)))[1]):
             assert np.all(np.abs(got / _lapack_condition(a) - 1) <= tol)
         want = np.linalg.svd(s, compute_uv=False)
         for blocks in (_as_p22(s), _as_rest(s)):
-            assert np.all(np.abs(_complement_svals(blocks) / want - 1) <= tol[:, None])
+            assert np.all(np.abs(_complement(_scaled(blocks))[2].T / want - 1) <= tol[:, None])
 
     @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
     def test_verdicts_beside_the_limit(self, scale):
@@ -418,7 +420,7 @@ class TestSmallBlockClosedForms:
         # the limit, the closed form keeps the verdict of LAPACK's inverse
         a = _small_blocks(np.random.default_rng(3), 2, np.geomspace(10 ** 11.5, 10 ** 12.5, 201))
         want = _lapack_condition(a)
-        got = _guard(_as_p22(a * scale))[1]
+        got = _guard(_scaled(_as_p22(a * scale)))[1]
         clear = np.abs(want / P22_CONDITION_LIMIT - 1) > 2 * np.finfo(float).eps * want
         passes = want <= P22_CONDITION_LIMIT
         assert np.sum(clear & passes) > 50 and np.sum(clear & ~passes) > 50
@@ -530,6 +532,28 @@ class TestNeighborhood:
         # and their margin does not depend on the batch that carries them
         on = validate_neighborhood(chart, base, [[0.05], [0.0]])
         assert on.conditions[1].margin == off.conditions[1].margin
+
+    def test_one_evaluation_of_the_zeros_and_one_of_the_probes_per_round(self, sl_big_chart, monkeypatch):
+        # after locate_zeros, base_point_data evaluates the four located zeros in one call,
+        # their 16-node probe circles in one call per halving round, and the validation
+        # pass at y0 on the count and doubled circles once; the first round holds
+        chart, _ = sl_big_chart
+        calls = []
+        eval_blocks, locate = FamilyChart.eval_blocks, kb_reduction.locate_zeros
+
+        def recorded(self, y, sigmas, *args, **kwargs):
+            calls.append(len(sigmas))
+            return eval_blocks(self, y, sigmas, *args, **kwargs)
+
+        def located(*args, **kwargs):
+            report = locate(*args, **kwargs)
+            calls.clear()
+            return report
+
+        monkeypatch.setattr(FamilyChart, "eval_blocks", recorded)
+        monkeypatch.setattr(kb_reduction, "locate_zeros", located)
+        base = base_point_data(chart, [0.0])
+        assert len(base.clusters) == 4 and calls == [4, 4 * 16, 4 * 3 * COUNT_NODES]
 
 
 def _scalar_dirichlet(mode_cutoff):

@@ -195,17 +195,26 @@ class TestSweep:
         guards = []
         guard = kb.reduction._guard
 
-        def counted(blocks):
-            guards.append(len(blocks[3]))
-            return guard(blocks)
+        def counted(scaled):
+            guards.append(len(scaled[1]))
+            return guard(scaled)
 
         monkeypatch.setattr(kb.reduction, "_guard", counted)
         grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
         report = sweep(chart, base, grid, probe=lambda y: np.ones(4), systems=systems, duals=duals)
         assert not report.failures and max(p.probe_error for p in report.points) < 1e-8
         assert small == []
-        # per cluster, the two count circles, the carrier and the margin circle: 64 + 64 + 128 + 16 nodes
-        assert len(base.clusters) == 4 and guards == [4 * 272] * 3
+        # per cluster, the two count circles and the carrier: 64 + 64 + 128 nodes
+        assert len(base.clusters) == 4 and guards == [4 * 256] * 3
+
+    def test_p22_margin_is_the_condition_3_margin(self, sl_big_pipeline):
+        # on the acceptance-10 grid, each point's p22 margin is the smallest condition-(3)
+        # margin over the clusters, the one validate_neighborhood reports for that y alone
+        chart, base, systems, duals = sl_big_pipeline
+        report = sweep(chart, base, ParameterGrid.from_ranges([(-0.1, 0.1, 101)]), systems=systems, duals=duals)
+        assert not report.failures
+        for point in report.points:
+            assert point.p22_margin == kb.validate_neighborhood(chart, base, [list(point.y)]).conditions[2].margin
 
     def test_count_continues_on_the_midpoints(self, monkeypatch):
         # sigma^17 turns 17 * 2 pi / 64 > pi/2 between the 64 count nodes, so
@@ -235,10 +244,9 @@ class TestSweep:
     @staticmethod
     def counts(ev):
         """The sweep's counts of one evaluator's cluster on its outer and inner count circles."""
-        circles = ev.cluster.count_circles()
-        classes = kb.reduction._sampled([ev.stack], [0.0], {ev.s: circles})
-        held = kb.reduction._rows([ev.stack], classes, [0, 1])
-        return list(kb.reduction._multiplicities([ev, ev], [0.0], circles, held))
+        circles = {ev.s: ev.cluster.count_circles()}
+        classes = kb.reduction._sampled([ev.stack], [0.0], circles)
+        return [c[0] for c in kb.reduction._neighborhood([ev.stack], [0.0], circles, classes, (0, 1), (0,))[0]]
 
     def test_continued_count_takes_the_closed_form_slogdet(self, monkeypatch):
         # the sigma^17 counts above continue on their midpoints through qdet_function,
