@@ -40,8 +40,7 @@ MAX_LOCATE_DEPTH = 40
 REFINE_NODES = 256
 REFINE_MAX_ITER = 12
 REFINE_REL_TOL = 1e-13
-# Read-only arrays kept: Cauchy kernels per (carrier, target) circle pair, and
-# unit roots per node count.
+# Unit-root arrays kept, read-only, one per node count.
 CACHE_SIZE = 32
 
 
@@ -210,21 +209,14 @@ def singular_part_eval(f: SampledFunction, sigma):
     the circle positively oriented; it reproduces ``f`` when ``f`` is rational,
     vanishes at infinity and has all poles inside, and annihilates functions
     holomorphic on the closed disc.  ``sigma`` may be a ``Circle``: its nodes
-    are the points, and the Cauchy kernel of the two circles is cached.
+    are the points.
     """
     c = f.circle
-    if isinstance(sigma, Circle):
-        scalar_input = False
-        kernel = _circle_kernel(c, sigma)
-    else:
-        sig = np.asarray(sigma, dtype=complex)
-        scalar_input = sig.ndim == 0
-        kernel = _cauchy_kernel(c, np.atleast_1d(sig))
+    sig = np.asarray(sigma.nodes if isinstance(sigma, Circle) else sigma, dtype=complex)
+    kernel = _cauchy_kernel(c, np.atleast_1d(sig))
     sums = (kernel.T @ f.values.reshape(c.node_count, -1)).reshape(kernel.shape[1:] + f.value_shape)
     out = -(c.radius / c.node_count) * sums
-    if scalar_input:
-        out = out[0]
-    return out
+    return out[0] if sig.ndim == 0 else out
 
 
 def singular_part_at_nodes(values: np.ndarray) -> np.ndarray:
@@ -247,13 +239,6 @@ def _cauchy_kernel(c: Circle, sig: np.ndarray) -> np.ndarray:
     if np.any(np.abs(sig - c.center) <= c.radius):
         raise RegionError("singular part evaluation requires |sigma - center| > radius")
     return c.unit[:, None] / (c.nodes[:, None] - sig[None, :])
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _circle_kernel(carrier: Circle, target: Circle) -> np.ndarray:
-    kernel = _cauchy_kernel(carrier, target.nodes)
-    kernel.flags.writeable = False
-    return kernel
 
 
 @dataclass(frozen=True)
@@ -327,20 +312,23 @@ def _windings(phase: np.ndarray, logabs: np.ndarray) -> list:
     one of the loop.  A loop's entry does not depend on the other rows."""
     if phase.ndim != 2:
         raise InputError("winding counts expect a scalar-valued function")
-    finite, lo, hi = np.all(logabs < np.inf, axis=1), logabs.min(axis=1), logabs.max(axis=1)
+    # NaN propagates through min and max, so a loop is finite where its largest modulus is
+    lo, hi = logabs.min(axis=1), logabs.max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         # each sample against the next one around the loop
         steps = np.angle(np.concatenate([phase[:, 1:], phase[:, :1]], axis=1) / phase)
         jumps = np.hypot(steps, np.concatenate([logabs[:, 1:], logabs[:, :1]], axis=1) - logabs)
-        fine, turns = np.max(jumps, axis=1) < MAX_PHASE_STEP, steps.sum(axis=1) / (2.0 * np.pi)
-    out = []
-    for ok, low, high, smooth, w in zip(finite, lo, hi, fine, turns):
-        if not ok:
-            out.append(NumericalError("non-finite values encountered on the contour"))
-        elif high == -np.inf or low < high + np.log(MIN_MODULUS_FACTOR):
-            out.append(ZeroOnContourError(f"zero too close to contour: log |q| from {low:.3e} to {high:.3e}"))
-        else:
-            out.append(int(round(w)) if smooth and abs(w - round(w)) < 0.05 else None)
+        turns = steps.sum(axis=1) / (2.0 * np.pi)
+        whole = np.rint(turns)
+        resolved = (jumps.max(axis=1) < MAX_PHASE_STEP) & (np.abs(turns - whole) < 0.05)
+    failed = ~np.isfinite(hi) | (lo < hi + np.log(MIN_MODULUS_FACTOR))
+    out = [int(w) if ok else None for w, ok in zip(whole.tolist(), resolved.tolist())]
+    for i in [i for i, bad in enumerate(failed.tolist()) if bad]:
+        out[i] = (
+            ZeroOnContourError(f"zero too close to contour: log |q| from {lo[i]:.3e} to {hi[i]:.3e}")
+            if hi[i] < np.inf
+            else NumericalError("non-finite values encountered on the contour")
+        )
     return out
 
 

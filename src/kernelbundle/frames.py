@@ -247,8 +247,8 @@ def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 1
 def independence_check(frame: FrameSet, base: BasePointData) -> float:
     """Condition number of the Gram matrix of frame values on probe circles.
 
-    Values are collected on each cluster's contour, outside every carrier,
-    one block evaluation per cluster and contour.  Failure beyond the hard
+    Values are collected on each cluster's contour, outside every carrier:
+    one Cauchy sum per frame block and contour.  Failure beyond the hard
     limit raises; the number is returned for reporting either way.
     """
     samples = []

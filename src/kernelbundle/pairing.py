@@ -55,16 +55,6 @@ def _contour_pairing(circle: Circle, pvals, phis, psis) -> np.ndarray:
     return 1j * (circle.radius * sums / n)
 
 
-def _dual_eval(psi: Germ, circle: Circle) -> np.ndarray:
-    """``psi`` at the conjugated nodes of a circle, node by node.
-
-    Those are the nodes of the conjugate circle in the order ``t -> -t mod N``,
-    so the Cauchy kernel of that circle serves.
-    """
-    n = circle.node_count
-    return psi.eval(Circle(np.conj(circle.center), circle.radius, n))[-np.arange(n) % n]
-
-
 def pair(
     chart,
     y,
@@ -79,7 +69,7 @@ def pair(
     total = 0.0 + 0.0j
     for circle in contours:
         phis = phi.eval(circle)[:, :, None]
-        psis = _dual_eval(psi, circle)[:, :, None]
+        psis = psi.eval(np.conj(circle.nodes))[:, :, None]
         total += _contour_pairing(circle, chart.eval_many(y, circle.nodes), phis, psis)[0, 0]
     return complex(total)
 
@@ -230,7 +220,7 @@ def reduced_pairing_matrix(
         # at the reflected nodes and undo the conjugation.
         qvals = dual_ev.schur_many(y, np.conj(circle.nodes))
         pvals = np.conj(qvals).swapaxes(1, 2)
-        psis = _dual_eval(dual_kblock, circle)
+        psis = dual_kblock.eval(np.conj(circle.nodes))
         blocks.append(_contour_pairing(circle, pvals, kblock.eval(circle), psis))
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     return _checked_pairing(_block_diagonal(blocks), y_key, labels, dual_labels)

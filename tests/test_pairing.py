@@ -9,10 +9,8 @@ from kernelbundle.frames import (
     Germ,
     frames_at,
     germ_from_pole_coefficients,
-    make_germ,
 )
 from kernelbundle.pairing import (
-    _dual_eval,
     base_point_check,
     cluster_contours,
     coefficients,
@@ -88,21 +86,6 @@ class TestPair:
         contours = cluster_contours(base)
         val = pair(chart, [0.3], frame.entry(0), dual.entry(1), contours)
         assert abs(val) < 1e-12
-
-    def test_dual_eval_on_conjugate_circle(self, sl_big_pipeline, triangular_pipeline):
-        # the conjugate circle's nodes in reversed order are the conjugated
-        # nodes up to roundoff of |center| + radius, which the germ's slope,
-        # about |value| / radius, turns into the scale below
-        c = 0.3 - 0.4j
-        germ = make_germ(lambda z: np.stack([1 / (z - c - 0.1), (z - c) ** -2], axis=-1), c, 0.5)
-        cases = [(germ, Circle(np.conj(c), 0.6, 64))]
-        for pipeline in (sl_big_pipeline, triangular_pipeline):
-            chart, base, frame, dual = _frames(pipeline, [0.05])
-            cases += list(zip(dual.blocks, cluster_contours(base, 128)))
-        for psi, circle in cases:
-            ref = psi.eval(np.conj(circle.nodes))
-            scale = float(np.max(np.abs(ref))) * (1.0 + abs(circle.center) / circle.radius)
-            assert np.max(np.abs(_dual_eval(psi, circle) - ref)) < 1e-14 * scale
 
 
 class TestBasePattern:

@@ -207,6 +207,26 @@ class TestSweep:
         # per cluster, the two count circles and the carrier: 64 + 64 + 128 nodes
         assert len(base.clusters) == 4 and guards == [4 * 256] * 3
 
+    def test_evaluates_no_germ_off_its_carrier(self, sl_big_pipeline, monkeypatch):
+        # the acceptance-10 chart: the sweep reads each germ's class off its carrier
+        # samples, so it builds no Cauchy kernel, the sum behind every evaluation off it
+        chart, base, systems, duals = sl_big_pipeline
+        kernels = []
+        cauchy_kernel = kb.contour._cauchy_kernel
+
+        def counted(circle, sigmas):
+            kernels.append(len(sigmas))
+            return cauchy_kernel(circle, sigmas)
+
+        monkeypatch.setattr(kb.contour, "_cauchy_kernel", counted)
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 5)])
+        report = sweep(chart, base, grid, probe=lambda y: np.ones(4), systems=systems, duals=duals)
+        assert not report.failures and max(p.probe_error for p in report.points) < 1e-8
+        assert kernels == []
+        # a germ evaluated off its carrier is counted
+        make_germ(lambda z: 1.0 / z, 0.0, 0.5, 16).eval(np.array([1.0, 2.0]))
+        assert kernels == [2]
+
     def test_p22_margin_is_the_condition_3_margin(self, sl_big_pipeline):
         # on the acceptance-10 grid, each point's p22 margin is the smallest condition-(3)
         # margin over the clusters, the one validate_neighborhood reports for that y alone
