@@ -282,10 +282,13 @@ def sl_blocks(spec: SturmLiouvilleSpec, y, sigma) -> np.ndarray:
     The sine modes decouple, so the truncation is exact for every mode it
     retains; no discretization error enters the singular set inside the strip.
     """
-    a = spec.coefficient(y)
     s = np.asarray(sigma, dtype=complex)
     k = np.arange(1, spec.mode_cutoff + 1)
-    return a + (k * k + (s * s)[..., None])[..., None, None] * np.eye(spec.r)
+    out = np.empty(s.shape + (spec.mode_cutoff, spec.r, spec.r), dtype=complex)
+    out[...], shift = spec.coefficient(y), k * k + (s * s)[..., None]
+    for i in range(spec.r):
+        out[..., i, i] += shift
+    return out
 
 
 def sl_assemble(spec: SturmLiouvilleSpec, y, sigma) -> np.ndarray:

@@ -30,7 +30,7 @@ from .errors import (
     RegionError,
 )
 from .keldysh import RootSystem
-from .reduction import BasePointData, ClusterStack, SchurEvaluator, _by_cluster, _checked, _sampled, _stacks
+from .reduction import BasePointData, ClusterStack, SchurEvaluator, _by_cluster, _checked, _nodes, _sampled, _stacks
 
 INDEPENDENCE_CONDITION_LIMIT = 1e10
 INDEPENDENCE_PROBE_NODES = 48
@@ -144,12 +144,12 @@ def cluster_stacks(chart, base: BasePointData, systems, duals) -> list:
     return _stacks(chart, base, [(tuple(sy.lengths), tuple(du.lengths)) for sy, du in zip(systems, duals)])
 
 
-def _entry_factors(clusters, systems, circles) -> tuple:
+def _entry_factors(clusters, systems, circles, rows) -> tuple:
     """``(beta, shifts, chains, K, Kperp)`` of the frame entries of one shape class on carriers of
     one node count N: each system's beta read off every (n / N)-th node of its own carrier of n
     nodes, which N must divide, (C, N, k, J); ``(sigma - c)^l`` at the carrier nodes per entry
-    ``(j, l)``, (C, N, E), ordered by chain then shift, and each entry's chain j; and the clusters'
-    bases ``K``, (C, n, k), and ``Kperp``: all of a frame block but its reduction at y."""
+    ``(j, l)``, (C, N, E), ordered by chain then shift, and each entry's chain j; and the clusters' bases
+    ``K``, (C, a, k), and ``Kperp`` on their ``rows`` (C, a), all n if None: a frame block but its reduction."""
     for system, circle in zip(systems, circles):
         n = system.beta.circle.node_count
         if n % circle.node_count:
@@ -158,7 +158,8 @@ def _entry_factors(clusters, systems, circles) -> tuple:
     beta = np.stack([sy.beta.values[:: sy.beta.circle.node_count // c.node_count] for sy, c in zip(systems, circles)])
     z = np.stack([circle.nodes - system.center for system, circle in zip(systems, circles)])
     shifts = np.stack([z ** l for _, l in labels], axis=-1)
-    bases = [np.stack([getattr(c, name) for c in clusters]) for name in ("K", "Kperp")]
+    at = [slice(None)] * len(clusters) if rows is None else rows
+    bases = [np.stack([getattr(c, name)[r] for c, r in zip(clusters, at)]) for name in ("K", "Kperp")]
     return beta, shifts, [j for j, _ in labels], *bases
 
 
@@ -182,14 +183,14 @@ def kframe_at(
     then shift.
     """
     circle = ev.cluster.carrier(node_count)
-    factors = _entry_factors([ev.cluster], [system], [circle])[:3]
+    factors = _entry_factors([ev.cluster], [system], [circle], None)[:3]
     values = _kernel_values(*factors, ev.schur_many(y, circle.nodes)[None])[0]
     return Germ(ev.cluster.center, SampledFunction(circle, values))
 
 
 def _frame_values(factors, schur, correction) -> np.ndarray:
-    """Frame block values of one shape class, (C, N, n, E), from ``(schur, correction)`` on the
-    carriers of ``_entry_factors``: each embeds the kernel-side samples g as ``K g - Kperp
+    """Frame block values of one shape class on the rows of its ``_entry_factors``, (C, N, a, E), from
+    ``(schur, correction)`` on their carriers: each embeds the kernel-side samples g as ``K g - Kperp
     p22^{-1} p21 g``; the correction differs from the one applied to the germ only by a
     holomorphic function, which the singular part kills."""
     *entries, K, Kperp = factors
@@ -214,12 +215,12 @@ def _frame_pair(primal, dual, reduced) -> tuple:
     return _frame_values(primal, schur, correction), _frame_values(dual, *adjoint)
 
 
-def _frame_factors(stack: ClusterStack, systems, duals, node_count: int) -> tuple:
-    """``_entry_factors`` of a shape class on carriers of ``node_count`` nodes: of its clusters
-    with their systems, and of the conjugate-swapped clusters with their duals."""
+def _frame_factors(stack: ClusterStack, systems, duals, node_count: int, rows) -> tuple:
+    """``_entry_factors`` of a shape class on carriers of ``node_count`` nodes and its ``rows``: of its
+    clusters with their systems, and of the conjugate-swapped clusters, of the same rows, with their duals."""
     swapped = [c.conjugate_swapped() for c in stack.clusters]
     return tuple(
-        _entry_factors(clusters, [sy[s] for s in stack.index], [c.carrier(node_count) for c in clusters])
+        _entry_factors(clusters, [sy[s] for s in stack.index], [c.carrier(node_count) for c in clusters], rows)
         for clusters, sy in ((stack.clusters, systems), (swapped, duals))
     )
 
@@ -227,13 +228,13 @@ def _frame_factors(stack: ClusterStack, systems, duals, node_count: int) -> tupl
 def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 128) -> tuple:
     """Frame and dual frame of the kernel bundle at parameter y, one germ block
     per cluster each, from one block evaluation on every carrier, reduced and
-    framed in one array pass per shape class (``cluster_stacks``)."""
+    framed in one array pass per shape class (``cluster_stacks``), on all n rows."""
     carriers = [[cl.carrier(node_count)] for cl in base.clusters]
     stacks = cluster_stacks(chart, base, systems, duals)
-    reduced = [c[0][1] for c in _sampled(stacks, y, carriers)]
+    reduced = [c[0][0] for c in _sampled(stacks, y, _nodes(stacks, carriers, 1))]
     for circle, conds in zip(carriers, _by_cluster(stacks, [r[3] for r in reduced])):
         _checked(conds, circle[0].nodes)
-    pairs = [_frame_pair(*_frame_factors(st, systems, duals, node_count), r[:3]) for st, r in zip(stacks, reduced)]
+    pairs = [_frame_pair(*_frame_factors(st, systems, duals, node_count, None), r[:3]) for st, r in zip(stacks, reduced)]
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     frames = []
     for side, (b, sy) in enumerate(((base, systems), (base.conjugate_swapped(), duals))):

@@ -26,7 +26,7 @@ from .errors import InputError, NondegeneracyError, SectionResidualError
 from .family import adjoint_chart
 from .frames import FrameSet, Germ, frames_at, kframe_at
 from .keldysh import DualRootSystem, RootSystem
-from .reduction import BasePointData, SchurEvaluator, _by_cluster, _evaluated, _stacks
+from .reduction import BasePointData, SchurEvaluator, _by_cluster, _evaluated, _nodes, _stacks
 
 PAIRING_CONDITION_LIMIT = 1e12
 REDUCED_PAIRING_NODES = 256
@@ -110,29 +110,25 @@ def _checked_pairing(m: np.ndarray, y: tuple, labels: list, dual_labels: list) -
 def _stacked_pairings(circle: Circle, rows, pvals, frame, dual, section) -> tuple:
     """The pairing blocks ``[phi_b, psi_a]`` of C clusters, (C, E, E), and the columns ``[section,
     psi_a]``, (C, E), None without a section: from P's active part at the nodes of their carriers
-    (C, N, a, a), of ``circle``'s radius and node count, and its rows (C, a), None where all, and
-    from the frame, dual and section samples on the carriers, (C, N, n, E), (C, N, n, E), (C, N, n).
+    (C, N, a, a), of ``circle``'s radius and node count, and its rows (C, a), and from the frame, dual
+    and section samples on the carriers, (C, N, ., E), (C, N, ., E), (C, N, .), on n rows or on a.
 
-    Germs vanish off a cluster's active rows, so each is cut to them, and its class there is
-    the singular part of its samples at the nodes: one FFT pair per array.  The dual block is
-    needed at the conjugated carrier nodes, the nodes of its own carrier in the order ``t -> -t
-    mod N``.
+    Germs vanish off a cluster's active rows, so n-row germs are cut to them (``rows`` is None for
+    germs on a rows), and a germ's class there is the singular part of its samples at the nodes: one
+    FFT pair over the frame, dual and section columns together.  The dual block is needed at the
+    conjugated carrier nodes, the nodes of its own carrier in the order ``t -> -t mod N``.
     """
-    n = circle.node_count
-    psis = _singular_part(dual, rows)[:, -np.arange(n) % n]
-    blocks = _contour_pairing(circle, pvals, _singular_part(frame, rows), psis)
+    n, e = circle.node_count, frame.shape[-1]
+    columns = np.concatenate([frame, dual] + ([] if section is None else [section[..., None]]), axis=-1)
+    if rows is not None:
+        columns = columns[np.arange(len(rows))[:, None], :, rows].swapaxes(1, 2)
+    parts = singular_part_at_nodes(columns.swapaxes(0, 1)).swapaxes(0, 1)
+    psis = parts[:, -np.arange(n) % n, :, e : 2 * e]
+    blocks = _contour_pairing(circle, pvals, parts[..., :e], psis)
     if section is None:
         return blocks, None
     # contracted apart: matmul roundoff depends on the column count
-    return blocks, _contour_pairing(circle, pvals, _singular_part(section, rows)[..., None], psis)[..., 0]
-
-
-def _singular_part(values: np.ndarray, rows) -> np.ndarray:
-    """``singular_part_at_nodes`` of samples (C, N, n, ...) along their node axis, cut to each
-    cluster's rows (C, a), or to all rows where ``rows`` is None."""
-    if rows is not None:
-        values = values[np.arange(len(rows))[:, None], :, rows].swapaxes(1, 2)
-    return singular_part_at_nodes(values.swapaxes(0, 1)).swapaxes(0, 1)
+    return blocks, _contour_pairing(circle, pvals, parts[..., 2 * e :], psis)[..., 0]
 
 
 def _assembled(y: tuple, labels: list, dual_labels: list, stacks, pairings) -> tuple:
@@ -164,11 +160,11 @@ def _pairings(chart, base: BasePointData, y, frame: FrameSet, dual: FrameSet, se
         if any((h.carrier.circle.node_count, h.rho) != (g.carrier.circle.node_count, g.rho) for h in germs):
             raise InputError("a cluster's frame, dual and section germs need carriers of one node count and radius")
     stacks = _stacks(chart, base, [(g.carrier.values.shape, g.rho) for g in frame.blocks])
-    pairings = []
-    for st, (rows, active, _) in zip(stacks, _evaluated(stacks, y, [[g.carrier.circle] for g in frame.blocks])):
+    pairings, circles = [], [[g.carrier.circle] for g in frame.blocks]
+    for st, (rows, active, _) in zip(stacks, _evaluated(stacks, y, _nodes(stacks, circles, 0))):
         samples = [np.stack([g.blocks[s].carrier.values for s in st.index]) for g in (frame, dual)]
         sec = None if section is None else np.stack([section[s].carrier.values for s in st.index])
-        pairings.append(_stacked_pairings(frame.blocks[st.index[0]].carrier.circle, rows, active, *samples, sec))
+        pairings.append(_stacked_pairings(circles[st.index[0]][0], rows, active, *samples, sec))
     return _assembled(frame.y, frame.labels, dual.labels, stacks, pairings)
 
 

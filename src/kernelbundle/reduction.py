@@ -23,6 +23,7 @@ from .errors import (
     NumericalError,
     RankGapError,
     ReductionInvalidError,
+    RegionError,
     ResolutionError,
     ValidationError,
     ZeroOnContourError,
@@ -196,7 +197,8 @@ class SchurEvaluator:
         """``(p11, p12, p21, p22, rest)`` at every sigma point, each with a leading
         node axis: the four blocks of the active part of P w.r.t. the frozen
         decompositions, and the other diagonal blocks of P, untouched."""
-        return tuple(x[0] for x in self.stack.blocks_many(*self.stack.split(self.chart.eval_blocks(y, sigmas)[None])))
+        raw = self.chart.eval_blocks(y, sigmas)[None]
+        return tuple(x[0] for x in self.stack.blocks_many(*self.stack.split(raw, raw.shape[1])))
 
     def schur(self, y, sigma: complex) -> np.ndarray:
         """k x k reduced family p11 - p12 p22^{-1} p21 in the frozen bases."""
@@ -242,20 +244,20 @@ class ClusterStack:
             self._frozen[m, b] = other, rows, left.conj().swapaxes(1, 2), right
         return self._frozen[m, b]
 
-    def split(self, blocks: np.ndarray) -> tuple:
+    def split(self, blocks: np.ndarray, held: int) -> tuple:
         """``(active, rest)`` of diagonal blocks (C, N, M, b, b), the clusters' ``eval_blocks``
         stacked: each cluster's active blocks assembled, (C, N, a, a), and its other blocks,
-        untouched, (C, N, R, b, b)."""
+        untouched, at the first ``held`` nodes alone, (C, held, R, b, b)."""
         other = self.frozen(*blocks.shape[2:4])[0]
         if other is None:
-            return _assemble(blocks), blocks[:, :, :0]
+            return _assemble(blocks), blocks[:, :held, :0]
         at = np.arange(len(other))[:, None]
-        return _assemble(blocks[at, :, self.active_blocks].swapaxes(1, 2)), blocks[at, :, other].swapaxes(1, 2)
+        return _assemble(blocks[at, :, self.active_blocks].swapaxes(1, 2)), blocks[:, :held][at, :, other].swapaxes(1, 2)
 
     def blocks_many(self, active: np.ndarray, rest: np.ndarray) -> tuple:
         """``SchurEvaluator.blocks_many`` of every cluster from the ``split`` of their stacked
         diagonal blocks, each array with the leading axes (C, N): the active part in the frozen
-        bases, cut into its four blocks, and the other diagonal blocks."""
+        bases, cut into its four blocks, and the other diagonal blocks where ``split`` holds them."""
         b = rest.shape[-1]
         _, _, left, right = self.frozen(rest.shape[2] + active.shape[-1] // b, b)
         B = _rotated(left, active, right)
@@ -279,16 +281,6 @@ def _by_cluster(stacks, arrays) -> list:
     in cluster order."""
     entry = {s: a[i] for st, a in zip(stacks, arrays) for i, s in enumerate(st.index)}
     return [entry[s] for s in sorted(entry)]
-
-
-def _flat(arrays) -> tuple:
-    """Arrays with leading axes (C, N) as arrays with one leading axis of the C N nodes."""
-    return tuple(a.reshape(a.shape[0] * a.shape[1], *a.shape[2:]) for a in arrays)
-
-
-def _unflat(arrays, c: int) -> tuple:
-    """``_flat``'s inverse for C clusters."""
-    return tuple(a.reshape(c, a.shape[0] // c, *a.shape[1:]) for a in arrays)
 
 
 def _rotated(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -335,14 +327,14 @@ def _inverse(a: np.ndarray) -> np.ndarray:
 
 
 def _scaled(blocks) -> tuple:
-    """``(scale, p22, rest)``: the diagonal blocks of the complement block at each node
-    over the node's scale (N, 1), the largest real or imaginary part of their entries."""
-    p22, rest = blocks[3], blocks[4]
-    entries = np.concatenate([p22.reshape(len(p22), -1), rest.reshape(len(rest), -1)], axis=1).view(float)
+    """``(scale, p22, rest)``: the diagonal blocks of the complement block at each node, of any
+    leading axes, over the node's scale (..., 1), the largest real or imaginary part of their entries."""
+    p22, rest, lead, a = blocks[3], blocks[4], blocks[3].shape[:-2], blocks[3].shape[-1] ** 2
+    entries = np.concatenate([p22.reshape(*lead, a), rest.reshape(*lead, -1)], axis=-1).view(float)
     # the short rows' maxima read faster off a column-major array
-    scale = np.max(np.abs(entries, order="F"), axis=1, keepdims=True, initial=np.finfo(float).tiny)
+    scale = np.max(np.abs(entries, order="F"), axis=-1, keepdims=True, initial=np.finfo(float).tiny)
     scaled = (entries / scale).view(complex)
-    return scale, scaled[:, : p22[0].size].reshape(p22.shape), scaled[:, p22[0].size :].reshape(rest.shape)
+    return scale, scaled[..., :a].reshape(p22.shape), scaled[..., a:].reshape(rest.shape)
 
 
 def _complement(scaled) -> tuple:
@@ -377,30 +369,35 @@ def _complement(scaled) -> tuple:
     return phase, logabs, scale[..., 0] * np.concatenate(svals)
 
 
-def _guard(scaled) -> tuple:
-    """``p22^{-1}``, and per node of the ``_scaled`` blocks the Frobenius condition ``||C||_F ||C^{-1}||_F``
-    of the m x m complement block C, unitarily ``diag(p22, rest)``, raised by the inverses' roundoff
-    (``m eps cond`` relative) to a bound above the 2-norm condition.  Read over the node's scale, it
-    neither over- nor underflows at any scale of the family; it is inf where a block is exactly singular."""
-    scale, p22, rest = scaled
-    m, b = p22.shape[1] + rest.shape[1] * rest.shape[2], rest.shape[-1]
+def _guard(blocks, held: int) -> tuple:
+    """``(p22^{-1}, conds, complement)`` at the nodes of ``blocks_many`` (C, N, .), ``rest`` held at the
+    first ``held``, where ``complement`` is their ``_complement``.  Per cluster, A and B are the largest
+    ``||rest||_F^2`` and ``||rest^{-1}||_F^2`` there, sums over rest's singular values, over its reference
+    scale, the power of two at or above its largest node scale, by which p22 scales exactly.  Every node
+    bounds the Frobenius condition of the m x m complement block C, unitarily ``diag(p22, rest)``, by
+    ``sqrt((||p22||_F^2 + A)(||p22^{-1}||_F^2 + B))``, raised by the inverses' roundoff (``m eps cond``),
+    inf where a block is singular: never below the node's own, as where det C does not wind around the
+    held circles, rest^{-1} is holomorphic on their discs, and its maxima there are on the circles."""
+    p22, rest = blocks[3], blocks[4]
+    scale, *scaled = _scaled((*blocks[:3], p22[:, :held], rest))
+    complement = _complement((scale, *scaled))
+    ref = np.ldexp(1.0, np.frexp(np.max(scale, axis=1, keepdims=True, initial=np.finfo(float).tiny))[1])[..., None]
+    rs, m = (complement[2][p22.shape[-1] :] / ref[:, :, 0, 0]) ** 2, len(complement[2])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv, rest_sq = _inverse(p22), _sq(rest)
-        # for b = 2, ||R^-1||_F = ||R||_F / |det R|, as the adjugate permutes R's entries up to sign
-        rest_inv = rest_sq / np.abs(_det(rest)) ** 2 if b == 2 else _sq(_inverse(rest))
-        conds = np.sqrt((_sq(p22) + rest_sq.sum(axis=1)) * (_sq(inv) + rest_inv.sum(axis=1)))
-        return inv / scale[:, :, None], conds * (1.0 + m * np.finfo(float).eps * conds)
+        big, small = (np.max(np.sum(x, axis=0), axis=1, keepdims=True, initial=0.0) for x in (rs, 1 / rs))
+        inv = _inverse(p := p22 / ref)
+        conds = np.sqrt((_sq(p) + big) * (_sq(inv) + small))
+        return inv / ref, conds * (1.0 + m * np.finfo(float).eps * conds), complement
 
 
-def _reduce(blocks) -> tuple:
-    """``(schur, correction, dual_correction, conds, *scaled)``, unchecked, at every node of ``blocks_many``:
-    ``p11 - p12 p22^{-1} p21``, ``p22^{-1} p21``, ``p12 p22^{-1}``, the ``_guard`` condition and its ``_scaled``."""
-    p11, p12, p21, _, _ = blocks
-    scaled = _scaled(blocks)
-    inv, conds = _guard(scaled)
+def _reduce(blocks, held: int) -> tuple:
+    """``(schur, correction, dual_correction, *guard)``, unchecked, at every node of ``blocks_many`` (C, N, .):
+    ``p11 - p12 p22^{-1} p21``, ``p22^{-1} p21``, ``p12 p22^{-1}`` and the rest of ``_guard(blocks, held)``."""
+    p11, p12, p21 = blocks[:3]
+    inv, conds, complement = _guard(blocks, held)
     with np.errstate(invalid="ignore"):
         correction = inv @ p21
-        return p11 - p12 @ correction, correction, p12 @ inv, conds, *scaled
+        return p11 - p12 @ correction, correction, p12 @ inv, conds, complement
 
 
 def _checked(conds, sigmas) -> None:
@@ -414,32 +411,43 @@ def _checked(conds, sigmas) -> None:
 
 
 def _schur(blocks, sigmas):
-    """The guarded reduction at ``sigmas``: ``_reduce``'s first three arrays, after ``_checked``."""
-    reduced = _reduce(blocks)
-    _checked(reduced[3], sigmas)
-    return reduced[:3]
+    """One cluster's guarded reduction, ``_reduce``'s first three arrays, at ``sigmas``, all held."""
+    reduced = _reduce([x[None] for x in blocks], len(sigmas))
+    _checked(reduced[3][0], sigmas)
+    return tuple(x[0] for x in reduced[:3])
 
 
-def _evaluated(stacks: Sequence[ClusterStack], y, circles) -> list:
-    """P at y per shape class of ``stacks`` on its clusters' circles, ``circles[s]`` for cluster s,
-    of one list of node counts per class, from one ``eval_blocks`` call on the nodes of every
-    cluster: ``(rows, active, rest)``, the active rows (C, a), None where all, and ``split``."""
+def _nodes(stacks: Sequence[ClusterStack], circles, held: int) -> tuple:
+    """``(nodes, classes)`` for ``_evaluated`` on the circles ``circles[s]`` of each cluster s, region-checked
+    once for any number of parameters: all nodes in one array, and per shape class of ``stacks`` its shape
+    (C, N), its circles' node runs and the count of nodes on its first ``held`` circles, which hold rest."""
     nodes = [np.stack([np.concatenate([c.nodes for c in circles[s]]) for s in st.index]) for st in stacks]
-    blocks = stacks[0].evs[0].chart.eval_blocks(y, np.concatenate([x.ravel() for x in nodes]))
-    raw = [blocks[e - x.size : e].reshape(*x.shape, *blocks.shape[1:]) for x, e in zip(nodes, accumulate(x.size for x in nodes))]
-    return [(st.frozen(*r.shape[2:4])[1], *st.split(r)) for st, r in zip(stacks, raw)]
+    flat = np.concatenate([x.ravel() for x in nodes])
+    if not np.all(stacks[0].evs[0].chart.sigma.contains(flat)):
+        raise RegionError("sigma batch leaves the chart region")
+    sizes = [[c.node_count for c in circles[st.index[0]]] for st in stacks]
+    runs = [[slice(e - n, e) for n, e in zip(x, accumulate(x))] for x in sizes]
+    return flat, [(x.shape, r, sum(z[:held])) for x, r, z in zip(nodes, runs, sizes)]
 
 
-def _sampled(stacks: Sequence[ClusterStack], y, circles) -> list:
-    """``_evaluated``, rotated and reduced in one array pass per class: per class and circle,
-    ``(blocks, reduced, (rows, active))`` at its nodes, (C, N, .) each, ``_reduce`` unchecked.
-    A node's numbers do not depend on the batch that carries it."""
+def _evaluated(stacks: Sequence[ClusterStack], y, nodes) -> list:
+    """P at y per shape class of ``stacks`` on the ``_nodes`` ``nodes``, from one ``eval_blocks`` call:
+    ``(rows, active, rest)``, the active rows (C, a), None where all, and ``split``."""
+    flat, classes = nodes
+    blocks = stacks[0].evs[0].chart.eval_blocks(y, flat, False)
+    ends = accumulate(c * n for (c, n), _, _ in classes)
+    raw = [blocks[e - c * n : e].reshape(c, n, *blocks.shape[1:]) for ((c, n), _, _), e in zip(classes, ends)]
+    return [(st.frozen(*r.shape[2:4])[1], *st.split(r, x[2])) for st, r, x in zip(stacks, raw, classes)]
+
+
+def _sampled(stacks: Sequence[ClusterStack], y, nodes) -> list:
+    """``_evaluated``, rotated and reduced in one array pass per class: per class and circle, ``(reduced,
+    (rows, active))`` at its nodes, (C, N, .) each, ``_reduce`` unchecked, its complement None off ``held``."""
     out = []
-    for st, (rows, active, rest) in zip(stacks, _evaluated(stacks, y, circles)):
-        rotated, sizes = st.blocks_many(active, rest), [c.node_count for c in circles[st.index[0]]]
-        reduced = _unflat(_reduce(_flat(rotated)), len(active))
-        runs = [slice(e - n, e) for n, e in zip(sizes, accumulate(sizes))]
-        out.append([(tuple(a[:, r] for a in rotated), tuple(a[:, r] for a in reduced), (rows, active[:, r])) for r in runs])
+    for st, (rows, active, rest), (_, runs, held) in zip(stacks, _evaluated(stacks, y, nodes), nodes[1]):
+        *reduced, c = _reduce(st.blocks_many(active, rest), held)
+        at = lambda r: (*(a[:, r] for a in reduced), tuple(x[..., r] for x in c) if r.stop <= held else None)
+        out.append([(at(r), (rows, active[:, r])) for r in runs])
     return out
 
 
@@ -483,8 +491,8 @@ def _neighborhood(stacks, y, circles, classes, counted, complement) -> tuple:
     or the count's error.  And per ``counted`` circle, the ``(phase, logabs)`` rows (C, N)."""
     evs, k = [ev for st in stacks for ev in st.evs], len(counted)
     order = sorted(range(len(evs)), key=lambda r: evs[r].s)
-    per = [[(*_slogdet(c[i][1][0]), c[i][1][3]) for c in classes] for i in counted]
-    per += [[(*x[:2], _p22_margin(x[2])) for x in map(_complement, (c[i][1][4:] for c in classes))] for i in complement]
+    per = [[(*_slogdet(c[i][0][0]), c[i][0][3]) for c in classes] for i in counted]
+    per += [[(*c[i][0][4][:2], _p22_margin(c[i][0][4][2])) for c in classes] for i in complement]
     phase, logabs, third = ([np.concatenate([x[q] for x in p]) for p in per] for q in range(3))
     ws, out = _windings(np.concatenate(phase), np.concatenate(logabs)), []
     for j, i in enumerate((*counted, *complement)):
@@ -519,8 +527,8 @@ def _neighborhood(stacks, y, circles, classes, counted, complement) -> tuple:
 def local_multiplicity(ev: SchurEvaluator, y) -> int:
     """Zeros of the reduced determinant, with multiplicity, inside the outer count
     circle, counted from one block evaluation on its nodes."""
-    circles = {ev.s: ev.cluster.count_circles()[:1]}
-    return _raised(_neighborhood([ev.stack], y, circles, _sampled([ev.stack], y, circles), (0,), ())[0][0])[0]
+    circles, stacks = {ev.s: ev.cluster.count_circles()[:1]}, [ev.stack]
+    return _raised(_neighborhood(stacks, y, circles, _sampled(stacks, y, _nodes(stacks, circles, 1)), (0,), ())[0][0])[0]
 
 
 def _slogdet_function(slogdets: Callable, n: int) -> Callable:
@@ -614,15 +622,18 @@ def validate_neighborhood(chart: FamilyChart, base: BasePointData, y_grid: Seque
     stacks = _stacks(chart, base, [None] * len(base.clusters))
     counts = [c.count_circles() for c in base.clusters]
     doubled = [[Circle(c.center, 2 * c.radius, COUNT_NODES)] for c in base.clusters]
+    # at y0 the doubled circle follows the outer one, and rest is read on both
+    first, nodes = [[c[0], *d, c[1]] for c, d in zip(counts, doubled)], _nodes(stacks, counts, 1)
     if at is None:
         # (2) complement block invertible on the doubled disc at y0, in a pass of its own
-        margin2 = min(_neighborhood(stacks, base.y0, doubled, _sampled(stacks, base.y0, doubled), (), (0,))[1][0])
+        classes = _sampled(stacks, base.y0, _nodes(stacks, doubled, 1))
+        margin2 = min(_neighborhood(stacks, base.y0, doubled, classes, (), (0,))[1][0])
     margins = [[] for _ in counts]
     for i, y in enumerate(y_grid):
-        circles = [c + d for c, d in zip(counts, doubled)] if i == at else counts
+        circles, held = (first, (0, 1)) if i == at else (counts, (0,))
         # (3) complement block invertible on the disc, (4) the multiplicity on both circles, at y0 (2)
-        classes = _sampled(stacks, y, circles)
-        _, (disc, *twice), annulus, _ = _neighborhood(stacks, y, circles, classes, (0, 1), (0, 2) if i == at else (0,))
+        classes = _sampled(stacks, y, _nodes(stacks, first, 2) if i == at else nodes)
+        _, (disc, *twice), annulus, _ = _neighborhood(stacks, y, circles, classes, (0, len(held)), held)
         for s, m in enumerate(zip(disc, _raised(annulus))):
             margins[s].append([(x, f"cluster {s}, y = {y}") for x in m])
         if i == at:

@@ -40,6 +40,7 @@ from .reduction import (
     _by_cluster,
     _checked,
     _neighborhood,
+    _nodes,
     _raised,
     _sampled,
     _stacks,
@@ -279,16 +280,16 @@ def sweep(
     )
 
     stacks = cluster_stacks(chart, base, systems, duals)
-    # per cluster: its two count circles and its carrier
+    # per cluster: its two count circles and its carrier; rest is read on the outer one alone
     circles = [c.count_circles() + [c.carrier(node_count)] for c in base.clusters]
-    factors = [_frame_factors(st, systems, duals, node_count) for st in stacks]
+    nodes, factors = _nodes(stacks, circles, 1), None
     dual_labels = [(s, j, l) for s, du in enumerate(duals) for j, l in du.entry_labels()]
     splits = np.cumsum([sy.total for sy in systems])[:-1]
 
     for y in grid.points():
         y_key = tuple(float(v) for v in np.atleast_1d(y))
         try:
-            classes = _sampled(stacks, y, circles)
+            classes = _sampled(stacks, y, nodes)
             (outer, inner), (margins,), _, _ = _neighborhood(stacks, y, circles, classes, (0, 1), (0,))
             # once C is singular in a disc, det S's count no longer measures the fiber there
             failed = next((s for s, m in enumerate(margins) if not m > INVERTIBILITY_FLOOR), None)
@@ -310,9 +311,12 @@ def sweep(
                     f"singular points left the inner half-discs at y={y_key}: "
                     f"{inner} != {base_mults}"
                 )
-            for circle, conds in zip(circles, _by_cluster(stacks, [c[2][1][3] for c in classes])):
+            for circle, conds in zip(circles, _by_cluster(stacks, [c[2][0][3] for c in classes])):
                 _checked(conds, circle[2].nodes)
-            pairs = [_frame_pair(*f, c[2][1][:3]) for f, c in zip(factors, classes)]
+            # the germs live on the clusters' active rows, known from the first evaluation
+            rows = [c[2][1][0] for c in classes]
+            factors = factors or [_frame_factors(st, systems, duals, node_count, r) for st, r in zip(stacks, rows)]
+            pairs = [_frame_pair(*f, c[2][0][:3]) for f, c in zip(factors, classes)]
             for side in zip(*pairs):
                 _finite(side)
             sections = [None] * len(stacks)
@@ -328,7 +332,7 @@ def sweep(
                 ])
             # the pairing reads P on the carriers, from the same block evaluation
             pairings = [
-                _stacked_pairings(circles[st.index[0]][2], *c[2][2], frame, dual, section)
+                _stacked_pairings(circles[st.index[0]][2], None, c[2][1][1], frame, dual, section)
                 for st, c, (frame, dual), section in zip(stacks, classes, pairs, sections)
             ]
             pm, column = _assembled(y_key, labels, dual_labels, stacks, pairings)
@@ -402,10 +406,10 @@ def branching_diagram(
         raise InputError("branching diagrams are defined along a single parameter axis")
     stacks = _stacks(chart, base, [None] * len(base.clusters))
     circles = [c.count_circles() for c in base.clusters]
-    rows = []
+    nodes, rows = _nodes(stacks, circles, 1), []
     for y in grid.points():
         try:
-            classes = _sampled(stacks, y, circles)
+            classes = _sampled(stacks, y, nodes)
             _, (margins,), annulus, (phase, logabs) = _neighborhood(stacks, y, circles, classes, (0, 1), (0,))
         except KernelBundleError:
             continue

@@ -18,6 +18,7 @@ from kernelbundle.family import FamilyChart, SigmaRegion, SturmLiouvilleSpec, sl
 from kernelbundle.frames import frames_at
 from kernelbundle.pairing import pairing_matrix
 from kernelbundle.reduction import (
+    COUNT_NODES,
     BasePointData,
     Cluster,
     SchurEvaluator,
@@ -135,9 +136,27 @@ class TestTwoPresentations:
                 sb, sd = evb.schur_many(y, nodes), evd.schur_many(y, nodes)
                 dense = bd.clusters[s]
                 assert _close(cl.Rperp @ sb @ cl.K.conj().T, dense.Rperp @ sd @ dense.K.conj().T, 1e-12)
-                assert np.max(np.abs(_guard(_scaled(got))[1] / _guard(_scaled(want))[1] - 1)) < 1e-12
+                # the per-node guard: each node held alone, as a cluster of its own
+                per_node = [_guard([x[:, None] for x in b], 1)[1][:, 0] for b in (got, want)]
+                assert np.max(np.abs(per_node[0] / per_node[1] - 1)) < 1e-12
                 margins = [_p22_margin(_complement(_scaled(b))[2][:, None])[0] for b in (got, want)]
                 assert margins[0] == pytest.approx(margins[1], rel=1e-12)
+
+    @pytest.mark.parametrize("factor", [1e-200, 1e-160, 1e160, 1e200])
+    def test_the_guard_is_never_below_the_per_node_condition(self, presentations, factor):
+        # the other blocks are read on the outer count circle alone, and every node of a
+        # cluster's two count circles and carrier guards with their largest norms there: by
+        # the maximum principle no less than the condition each node had on its own, which
+        # this scan forms apart with LAPACK's inverses, over each node's scale.  A dense chart
+        # has no other block, so there the two agree, up to the roundoff of the inverses
+        for chart, base, *_ in presentations[0]:
+            scaled = dataclasses.replace(chart, evaluator=lambda y, s, c=chart: factor * c.evaluator(y, s))
+            for s, cl in enumerate(base.clusters):
+                nodes = np.concatenate([c.nodes for c in cl.count_circles() + [cl.carrier(128)]])
+                for y in ([0.0], [0.05]):
+                    blocks = SchurEvaluator(scaled, base, s).blocks_many(y, nodes)
+                    bound = _guard([*(x[None] for x in blocks[:4]), blocks[4][None, :COUNT_NODES]], COUNT_NODES)[1][0]
+                    assert np.all(bound >= (1 - 1e-12) * _per_node_condition(blocks))
 
     def test_validation(self, presentations):
         (blk, bb, *_), (den, bd, *_) = presentations[0]
@@ -173,6 +192,18 @@ class TestTwoPresentations:
             assert _close(a.coefficients, b.coefficients, 1e-12)
             assert a.pairing_condition == pytest.approx(b.pairing_condition, rel=1e-12)
             assert a.p22_margin == pytest.approx(b.p22_margin, rel=1e-12)
+
+
+def _per_node_condition(blocks):
+    """Each node's ``||C||_F ||C^-1||_F`` of C = diag(p22, rest) over its largest real or imaginary
+    part, from LAPACK's inverses, raised by ``m eps cond``."""
+    p22, rest = blocks[3], blocks[4]
+    entries = np.concatenate([p22.reshape(len(p22), -1), rest.reshape(len(rest), -1)], 1).view(float)
+    scale = np.max(np.abs(entries), axis=1)[:, None, None, None]
+    parts = [x / scale for x in (p22[:, None], rest) if x.size]
+    cond = np.sqrt(sum(np.sum(np.abs(x) ** 2, axis=(1, 2, 3)) for x in parts)
+                   * sum(np.sum(np.abs(np.linalg.inv(x)) ** 2, axis=(1, 2, 3)) for x in parts))
+    return cond * (1 + (p22.shape[-1] + rest.shape[1] * rest.shape[-1]) * np.finfo(float).eps * cond)
 
 
 def _moving_zero(y, s):
@@ -261,6 +292,41 @@ def test_a_complement_zero_entering_a_disc_fails_the_sweep_validation_and_diagra
     assert sorted({row[0] for row in branching_diagram(chart, base, grid)}) == [0.0, 0.5]
     for point in report.points[:2]:
         assert 0 < point.p22_margin == validate_neighborhood(chart, base, [list(point.y)]).conditions[2].margin
+
+
+# where block 1 of _zero_between_the_carrier_nodes vanishes at y = 1: on the carrier of the cluster
+# 0.5i, of radius 0.75 epsilon = 0.45, halfway between its nodes 0 and 1 of 128
+BETWEEN = 0.5j + 0.45 * np.exp(1j * np.pi / 128)
+
+
+def _zero_between_the_carrier_nodes(y, s):
+    # block 0 vanishes at 0.5i; block 1's zero moves from 3i, outside the region, to BETWEEN
+    s = np.asarray(s, dtype=complex)
+    one = np.ones_like(s)
+    moving = 3j + y[0] * (BETWEEN - 3j)
+    return np.stack([_upper(s - 0.5j, 0.3 * one, 1 + 0.2 * s), _upper(one, 0.1 * s, s - moving), _upper(2 * one, 0.4 * one, one)], -3)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["blocks", "dense"])
+def test_a_complement_block_singular_between_the_sampled_nodes_is_refused(dense):
+    # at y = 1 block 1, part of the complement block of cluster 0.5i, is singular inside its
+    # disc, off every node the sweep samples: its count circles and its carrier.  The guard
+    # reads the other blocks on the outer count circle alone, yet det C winds once around it,
+    # so the sweep fails that point and condition (3) fails there, with margin 0
+    chart = FamilyChart(6, 1, REGION, _zero_between_the_carrier_nodes)
+    chart = _dense(chart) if dense else chart
+    base = base_point_data(chart, [0.0])
+    assert len(base.clusters) == 1 and abs(base.clusters[0].center - 0.5j) < 1e-12 and base.clusters[0].radius == pytest.approx(0.6)
+    circles = base.clusters[0].count_circles() + [base.clusters[0].carrier(128)]
+    assert min(np.min(np.abs(c.nodes - BETWEEN)) for c in circles) > 0.01
+    systems, duals = canonical_systems(chart, base)
+    grid = ParameterGrid.from_ranges([(0.0, 1.0, 3)])
+    report = sweep(chart, base, grid, systems=systems, duals=duals)
+    assert [(f["y"], f["error"]) for f in report.failures] == [([1.0], "ReductionInvalidError")]
+    assert "complement block singular on the disc of cluster 0 at y=(1.0,)" in report.failures[0]["message"]
+    conditions = validate_neighborhood(chart, base, grid.points()).conditions
+    assert [c.passed for c in conditions] == [True, True, False, True]
+    assert (conditions[2].margin, conditions[2].detail) == (0.0, "cluster 0, y = [1.]")
 
 
 # zero of the complement block p22 = 1 - sigma / W of _complement_zero, 1.3 from the

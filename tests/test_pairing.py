@@ -256,8 +256,9 @@ class TestCoefficients:
         assert len(base.clusters) == 2 and calls == [(0.25,)]
 
     def test_one_cauchy_sum_per_block(self, sl_big_pipeline, monkeypatch):
-        # per shape class, here all four clusters: one carrier projection each for
-        # the frame blocks, the dual blocks and the section germs, nodes first
+        # per shape class, here all four clusters: one carrier projection for the
+        # frame, dual and section columns together (one each), on the two active
+        # rows, nodes first
         chart, base, frame, dual = _frames(sl_big_pipeline, [0.05])
         section = _section(frame, np.arange(1, len(frame) + 1))
         calls = []
@@ -269,7 +270,7 @@ class TestCoefficients:
 
         monkeypatch.setattr(kernelbundle.pairing, "singular_part_at_nodes", counting)
         cv = coefficients(chart, frame, dual, base, [0.05], section)
-        assert len(calls) == 3 and all(shape[1] == len(base.clusters) == 4 for shape in calls)
+        assert len(calls) == 1 and calls[0] == (128, len(base.clusters), 2, 3) and len(base.clusters) == 4
         assert np.allclose(cv.values, np.arange(1, len(frame) + 1), atol=1e-9)
 
     def test_section_needs_one_germ_per_cluster(self, sl_scalar_pipeline):

@@ -271,7 +271,7 @@ class TestSchur:
                 y, sigmas = [0.03], c.carrier(32).nodes
                 many = ev.blocks_many(y, sigmas)
                 raw = chart.eval_blocks(y, sigmas)[None]
-                rows, active = ev.stack.frozen(*raw.shape[2:4])[1], ev.stack.split(raw)[0][0]
+                rows, active = ev.stack.frozen(*raw.shape[2:4])[1], ev.stack.split(raw, 0)[0][0]
                 rows = slice(None) if rows is None else rows[0]
                 P = chart.eval_many(y, sigmas)[:, rows][:, :, rows]
                 assert P.shape[1:] == (a, a)
@@ -379,12 +379,13 @@ def _small_blocks(rng, b, conds):
 
 
 def _as_p22(a):
-    # the guard and the margins read only p22 and rest
-    return (None, None, None, a, np.zeros((len(a), 0) + a.shape[1:], dtype=complex))
+    # the guard and the margins read only p22 and rest; each node is a cluster of its own,
+    # holding its rest, so the guard's maxima are the node's own norms
+    return (None, None, None, a[:, None], np.zeros((len(a), 1, 0) + a.shape[1:], dtype=complex))
 
 
 def _as_rest(a):
-    return (None, None, None, np.zeros((len(a), 0, 0), dtype=complex), a[:, None])
+    return (None, None, None, np.zeros((len(a), 1, 0, 0), dtype=complex), a[:, None, None])
 
 
 def _lapack_condition(a):
@@ -403,16 +404,16 @@ class TestSmallBlockClosedForms:
         a = _small_blocks(rng, b, np.geomspace(1.0, 1e13, 53) if b == 2 else np.ones(53))
         tol = 1e-15 * np.linalg.cond(a)
         s = a * scale
-        inv, cond_p22 = _guard(_scaled(_as_p22(s)))
+        inv, cond_p22 = (x[:, 0] for x in _guard(_as_p22(s), 1)[:2])
         # relative to the norm, the inverse read back at unit scale, where it is finite
         miss = np.linalg.norm((inv - np.linalg.inv(s)) * scale, axis=(1, 2))
         assert np.all(miss <= tol * np.linalg.norm(np.linalg.inv(s) * scale, axis=(1, 2)))
         # ||A||_F ||A^-1||_F, with A as p22 (from its inverse) and as a block of rest
-        for got in (cond_p22, _guard(_scaled(_as_rest(s)))[1]):
+        for got in (cond_p22, _guard(_as_rest(s), 1)[1][:, 0]):
             assert np.all(np.abs(got / _lapack_condition(a) - 1) <= tol)
         want = np.linalg.svd(s, compute_uv=False)
         for blocks in (_as_p22(s), _as_rest(s)):
-            assert np.all(np.abs(_complement(_scaled(blocks))[2].T / want - 1) <= tol[:, None])
+            assert np.all(np.abs(_complement(_scaled(blocks))[2][..., 0].T / want - 1) <= tol[:, None])
 
     @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
     def test_verdicts_beside_the_limit(self, scale):
@@ -420,7 +421,7 @@ class TestSmallBlockClosedForms:
         # the limit, the closed form keeps the verdict of LAPACK's inverse
         a = _small_blocks(np.random.default_rng(3), 2, np.geomspace(10 ** 11.5, 10 ** 12.5, 201))
         want = _lapack_condition(a)
-        got = _guard(_scaled(_as_p22(a * scale)))[1]
+        got = _guard(_as_p22(a * scale), 1)[1][:, 0]
         clear = np.abs(want / P22_CONDITION_LIMIT - 1) > 2 * np.finfo(float).eps * want
         passes = want <= P22_CONDITION_LIMIT
         assert np.sum(clear & passes) > 50 and np.sum(clear & ~passes) > 50

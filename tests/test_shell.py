@@ -195,17 +195,18 @@ class TestSweep:
         guards = []
         guard = kb.reduction._guard
 
-        def counted(scaled):
-            guards.append(len(scaled[1]))
-            return guard(scaled)
+        def counted(blocks, held):
+            guards.append((blocks[3].shape[:2], blocks[4].shape[:2]))
+            return guard(blocks, held)
 
         monkeypatch.setattr(kb.reduction, "_guard", counted)
         grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
         report = sweep(chart, base, grid, probe=lambda y: np.ones(4), systems=systems, duals=duals)
         assert not report.failures and max(p.probe_error for p in report.points) < 1e-8
         assert small == []
-        # per cluster, the two count circles and the carrier: 64 + 64 + 128 nodes
-        assert len(base.clusters) == 4 and guards == [4 * 256] * 3
+        # p22 per cluster on the two count circles and the carrier, 64 + 64 + 128 nodes, and
+        # the other blocks on the outer count circle alone, 64 nodes
+        assert len(base.clusters) == 4 and guards == [((4, 256), (4, 64))] * 3
 
     def test_evaluates_no_germ_off_its_carrier(self, sl_big_pipeline, monkeypatch):
         # the acceptance-10 chart: the sweep reads each germ's class off its carrier
@@ -264,8 +265,8 @@ class TestSweep:
     @staticmethod
     def counts(ev):
         """The sweep's counts of one evaluator's cluster on its outer and inner count circles."""
-        circles = {ev.s: ev.cluster.count_circles()}
-        classes = kb.reduction._sampled([ev.stack], [0.0], circles)
+        circles, stacks = {ev.s: ev.cluster.count_circles()}, [ev.stack]
+        classes = kb.reduction._sampled(stacks, [0.0], kb.reduction._nodes(stacks, circles, 1))
         return [c[0] for c in kb.reduction._neighborhood([ev.stack], [0.0], circles, classes, (0, 1), (0,))[0]]
 
     def test_continued_count_takes_the_closed_form_slogdet(self, monkeypatch):
@@ -408,7 +409,8 @@ class TestDiagram:
 
     def test_one_schur_complement_per_count_circle(self, sl_big_pipeline, monkeypatch):
         # the count keeps the outer circle's samples and the zeros are read off them:
-        # one reduction per y of the one shape class, with the rows a fresh one gives
+        # one reduction per y of the one shape class, on both count circles, with the
+        # other blocks on the outer one alone, and with the rows a fresh one gives
         chart, base, _, _ = sl_big_pipeline
         grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
         want = []
@@ -422,13 +424,14 @@ class TestDiagram:
         calls = []
         reduce = kb.reduction._reduce
 
-        def counted(blocks):
-            calls.append(len(blocks[0]))
-            return reduce(blocks)
+        def counted(blocks, held):
+            calls.append((blocks[0].shape[:2], blocks[4].shape[:2]))
+            return reduce(blocks, held)
 
         monkeypatch.setattr(kb.reduction, "_reduce", counted)
         rows = branching_diagram(chart, base, grid)
-        assert calls == [len(base.clusters) * 2 * kb.reduction.COUNT_NODES] * len(grid.points())
+        c, nodes = len(base.clusters), kb.reduction.COUNT_NODES
+        assert calls == [((c, 2 * nodes), (c, nodes))] * len(grid.points())
         assert rows == want and len(rows) == 12
 
     def test_requires_one_dimension(self, branching_pipeline):
