@@ -144,12 +144,12 @@ def cluster_stacks(chart, base: BasePointData, systems, duals) -> list:
     return _stacks(chart, base, [(tuple(sy.lengths), tuple(du.lengths)) for sy, du in zip(systems, duals)])
 
 
-def _entry_factors(clusters, systems, circles, rows) -> tuple:
+def _entry_factors(clusters, systems, circles) -> tuple:
     """``(beta, shifts, chains, K, Kperp)`` of the frame entries of one shape class on carriers of
     one node count N: each system's beta read off every (n / N)-th node of its own carrier of n
     nodes, which N must divide, (C, N, k, J); ``(sigma - c)^l`` at the carrier nodes per entry
     ``(j, l)``, (C, N, E), ordered by chain then shift, and each entry's chain j; and the clusters' bases
-    ``K``, (C, a, k), and ``Kperp`` on their ``rows`` (C, a), all n if None: a frame block but its reduction."""
+    ``K``, (C, n, k), and ``Kperp``: a frame block but its reduction."""
     for system, circle in zip(systems, circles):
         n = system.beta.circle.node_count
         if n % circle.node_count:
@@ -158,9 +158,7 @@ def _entry_factors(clusters, systems, circles, rows) -> tuple:
     beta = np.stack([sy.beta.values[:: sy.beta.circle.node_count // c.node_count] for sy, c in zip(systems, circles)])
     z = np.stack([circle.nodes - system.center for system, circle in zip(systems, circles)])
     shifts = np.stack([z ** l for _, l in labels], axis=-1)
-    at = [slice(None)] * len(clusters) if rows is None else rows
-    bases = [np.stack([getattr(c, name)[r] for c, r in zip(clusters, at)]) for name in ("K", "Kperp")]
-    return beta, shifts, [j for j, _ in labels], *bases
+    return beta, shifts, [j for j, _ in labels], np.stack([c.K for c in clusters]), np.stack([c.Kperp for c in clusters])
 
 
 def _kernel_values(beta, shifts, chains, schur) -> np.ndarray:
@@ -183,13 +181,13 @@ def kframe_at(
     then shift.
     """
     circle = ev.cluster.carrier(node_count)
-    factors = _entry_factors([ev.cluster], [system], [circle], None)[:3]
+    factors = _entry_factors([ev.cluster], [system], [circle])[:3]
     values = _kernel_values(*factors, ev.schur_many(y, circle.nodes)[None])[0]
     return Germ(ev.cluster.center, SampledFunction(circle, values))
 
 
 def _frame_values(factors, schur, correction) -> np.ndarray:
-    """Frame block values of one shape class on the rows of its ``_entry_factors``, (C, N, a, E), from
+    """Frame block values of one shape class, (C, N, n, E), from its ``_entry_factors`` and
     ``(schur, correction)`` on their carriers: each embeds the kernel-side samples g as ``K g - Kperp
     p22^{-1} p21 g``; the correction differs from the one applied to the germ only by a
     holomorphic function, which the singular part kills."""
@@ -215,14 +213,23 @@ def _frame_pair(primal, dual, reduced) -> tuple:
     return _frame_values(primal, schur, correction), _frame_values(dual, *adjoint)
 
 
-def _frame_factors(stack: ClusterStack, systems, duals, node_count: int, rows) -> tuple:
-    """``_entry_factors`` of a shape class on carriers of ``node_count`` nodes and its ``rows``: of its
-    clusters with their systems, and of the conjugate-swapped clusters, of the same rows, with their duals."""
+def _frame_factors(stack: ClusterStack, systems, duals, node_count: int) -> tuple:
+    """``_entry_factors`` of a shape class on carriers of ``node_count`` nodes: of its clusters with
+    their systems, and of the conjugate-swapped clusters with their duals."""
     swapped = [c.conjugate_swapped() for c in stack.clusters]
     return tuple(
-        _entry_factors(clusters, [sy[s] for s in stack.index], [c.carrier(node_count) for c in clusters], rows)
+        _entry_factors(clusters, [sy[s] for s in stack.index], [c.carrier(node_count) for c in clusters])
         for clusters, sy in ((stack.clusters, systems), (swapped, duals))
     )
+
+
+def _held_factors(stack: ClusterStack, systems, duals, node_count: int) -> tuple:
+    """What a sweep holds of a shape class on carriers of ``node_count`` nodes: ``(beta, shifts, chains)``
+    of its ``_entry_factors`` and ``K^H P* psi_a = (tau - conj c)^l beta^dual_j(tau)`` at the conjugated
+    carrier nodes, the dual carrier's in the order ``t -> -t mod N``, (C, N, k, E), one column per entry."""
+    primal, (beta, shifts, chains, *_) = _frame_factors(stack, systems, duals, node_count)
+    reverse = -np.arange(node_count) % node_count
+    return primal[:3], (shifts[:, :, None, :] * beta[..., chains])[:, reverse]
 
 
 def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 128) -> tuple:
@@ -231,10 +238,10 @@ def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 1
     framed in one array pass per shape class (``cluster_stacks``), on all n rows."""
     carriers = [[cl.carrier(node_count)] for cl in base.clusters]
     stacks = cluster_stacks(chart, base, systems, duals)
-    reduced = [c[0][0] for c in _sampled(stacks, y, _nodes(stacks, carriers, 1))]
+    reduced = [c[0] for c in _sampled(stacks, y, _nodes(stacks, carriers, 1))]
     for circle, conds in zip(carriers, _by_cluster(stacks, [r[3] for r in reduced])):
         _checked(conds, circle[0].nodes)
-    pairs = [_frame_pair(*_frame_factors(st, systems, duals, node_count, None), r[:3]) for st, r in zip(stacks, reduced)]
+    pairs = [_frame_pair(*_frame_factors(st, systems, duals, node_count), r[:3]) for st, r in zip(stacks, reduced)]
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     frames = []
     for side, (b, sy) in enumerate(((base, systems), (base.conjugate_swapped(), duals))):

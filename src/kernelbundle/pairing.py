@@ -6,7 +6,9 @@ nodes of a circle this is ``(i rho / N) sum_t e^{i theta_t} (...)``.  Any
 circle that encloses the cluster's singular points serves, so the pairing
 reads P and the germs on the frames' own carriers: there, a germ's class is
 the negative-frequency half of its carrier samples, and P is sampled once on
-all carriers (the sweep passes the samples it already holds).  ``pair`` and
+all carriers.  The sweep reads neither: it pairs ``g_b = K^H phi_b``, from the
+Schur complement it holds, against ``h_a = K^H P* psi_a``, fixed at the base
+point (``_held_pairings``).  ``pair`` and
 ``reduced_pairing_matrix`` evaluate the germs on the cluster contours
 instead, as independent oracles.  At the base parameter the pairing of the
 canonical frames is the anti-diagonal constant block per chain; away from it
@@ -37,17 +39,17 @@ def cluster_contours(base: BasePointData, node_count: int = 256) -> list:
     return [cl.contour(node_count) for cl in base.clusters]
 
 
-def _contour_pairing(circle: Circle, pvals, phis, psis) -> np.ndarray:
-    """(1/2pi) contour integral of psi(conj sigma)^H P(y, sigma) phi(sigma) on one circle, or on
-    circles of its radius and node count N, one per index of the axes before the node axis.
+def _contour_pairing(circle: Circle, phis, psis) -> np.ndarray:
+    """(1/2pi) contour integral of psi(conj sigma)^H phi(sigma) on one circle, or on circles of its
+    radius and node count N, one per index of the axes before the node axis.
 
-    ``pvals`` (..., N, n, n) holds P at the nodes, ``phis`` (..., N, n, B) the frame
-    values at the nodes and ``psis`` (..., N, n, A) the dual values at the
-    conjugated nodes.  Returns the (..., A, B) blocks of pairings: ``i`` times the
-    order-0 moment of the integrand, the trapezoid sum ``(r / N) sum_t u_t f_t``.
+    ``phis`` (..., N, m, B) holds the values at the nodes, such as P(y, sigma) times the frame
+    values, and ``psis`` (..., N, m, A) the values at the conjugated nodes, such as the dual
+    values.  Returns the (..., A, B) blocks of pairings: ``i`` times the order-0 moment of the
+    integrand, the trapezoid sum ``(r / N) sum_t u_t f_t``.
     """
-    integrand = np.conj(psis).swapaxes(-1, -2) @ (pvals @ phis)
-    if not np.all(np.isfinite(integrand)):
+    integrand = np.conj(psis).swapaxes(-1, -2) @ phis
+    if not np.isfinite(integrand).all():
         raise InputError("samples contain non-finite values")
     lead, n = integrand.shape[:-3], circle.node_count
     # one contraction per circle: the sums do not depend on the other circles
@@ -70,7 +72,7 @@ def pair(
     for circle in contours:
         phis = phi.eval(circle)[:, :, None]
         psis = psi.eval(np.conj(circle.nodes))[:, :, None]
-        total += _contour_pairing(circle, chart.eval_many(y, circle.nodes), phis, psis)[0, 0]
+        total += _contour_pairing(circle, chart.eval_many(y, circle.nodes) @ phis, psis)[0, 0]
     return complex(total)
 
 
@@ -110,13 +112,13 @@ def _checked_pairing(m: np.ndarray, y: tuple, labels: list, dual_labels: list) -
 def _stacked_pairings(circle: Circle, rows, pvals, frame, dual, section) -> tuple:
     """The pairing blocks ``[phi_b, psi_a]`` of C clusters, (C, E, E), and the columns ``[section,
     psi_a]``, (C, E), None without a section: from P's active part at the nodes of their carriers
-    (C, N, a, a), of ``circle``'s radius and node count, and its rows (C, a), and from the frame, dual
-    and section samples on the carriers, (C, N, ., E), (C, N, ., E), (C, N, .), on n rows or on a.
+    (C, N, a, a), of ``circle``'s radius and node count, and its rows (C, a), None where all n are,
+    and from the frame, dual and section samples on the carriers, (C, N, n, E), (C, N, n, E), (C, N, n).
 
-    Germs vanish off a cluster's active rows, so n-row germs are cut to them (``rows`` is None for
-    germs on a rows), and a germ's class there is the singular part of its samples at the nodes: one
-    FFT pair over the frame, dual and section columns together.  The dual block is needed at the
-    conjugated carrier nodes, the nodes of its own carrier in the order ``t -> -t mod N``.
+    Germs vanish off a cluster's active rows, so they are cut to them, and a germ's class there is
+    the singular part of its samples at the nodes: one FFT pair over the frame, dual and section
+    columns together.  The dual block is needed at the conjugated carrier nodes, the nodes of its
+    own carrier in the order ``t -> -t mod N``.
     """
     n, e = circle.node_count, frame.shape[-1]
     columns = np.concatenate([frame, dual] + ([] if section is None else [section[..., None]]), axis=-1)
@@ -124,17 +126,28 @@ def _stacked_pairings(circle: Circle, rows, pvals, frame, dual, section) -> tupl
         columns = columns[np.arange(len(rows))[:, None], :, rows].swapaxes(1, 2)
     parts = singular_part_at_nodes(columns.swapaxes(0, 1)).swapaxes(0, 1)
     psis = parts[:, -np.arange(n) % n, :, e : 2 * e]
-    blocks = _contour_pairing(circle, pvals, parts[..., :e], psis)
-    if section is None:
-        return blocks, None
     # contracted apart: matmul roundoff depends on the column count
-    return blocks, _contour_pairing(circle, pvals, parts[..., 2 * e :], psis)[..., 0]
+    column = None if section is None else _contour_pairing(circle, pvals @ parts[..., 2 * e :], psis)[..., 0]
+    return _contour_pairing(circle, pvals @ parts[..., :e], psis), column
+
+
+def _held_pairings(circle: Circle, kernel, dual, section) -> tuple:
+    """``_stacked_pairings`` without P or germs, from the samples ``g_b = K^H phi_b`` (C, N, k, E) and
+    ``K^H section`` (C, N, k), None without one, on the carriers, and the dual data ``h_a = K^H P* psi_a``
+    of ``frames._held_factors`` at the conjugated nodes.  P phi and P* psi are holomorphic, so
+    ``psi_a(conj sigma)^H P phi_b = h_a(conj sigma)^H g_b``, whose integral reads the class of g_b alone."""
+    e = kernel.shape[-1]
+    columns = kernel if section is None else np.concatenate([kernel, section[..., None]], axis=-1)
+    parts = singular_part_at_nodes(columns.swapaxes(0, 1)).swapaxes(0, 1)
+    # contracted apart: matmul roundoff depends on the column count
+    column = None if section is None else _contour_pairing(circle, parts[..., e:], dual)[..., 0]
+    return _contour_pairing(circle, parts[..., :e], dual), column
 
 
 def _assembled(y: tuple, labels: list, dual_labels: list, stacks, pairings) -> tuple:
     """The checked pairing matrix and the section column (None without a section) from the
-    ``_stacked_pairings`` of the shape classes ``stacks``: the fiber splits over the clusters,
-    so their blocks lie on the diagonal, in cluster order."""
+    ``_stacked_pairings`` or ``_held_pairings`` of the shape classes ``stacks``: the fiber splits
+    over the clusters, so their blocks lie on the diagonal, in cluster order."""
     matrix = _block_diagonal(_by_cluster(stacks, [blocks for blocks, _ in pairings]))
     column = None if pairings[0][1] is None else np.concatenate(_by_cluster(stacks, [c for _, c in pairings]))
     return _checked_pairing(matrix, y, labels, dual_labels), column
@@ -217,7 +230,7 @@ def reduced_pairing_matrix(
         qvals = dual_ev.schur_many(y, np.conj(circle.nodes))
         pvals = np.conj(qvals).swapaxes(1, 2)
         psis = dual_kblock.eval(np.conj(circle.nodes))
-        blocks.append(_contour_pairing(circle, pvals, kblock.eval(circle), psis))
+        blocks.append(_contour_pairing(circle, pvals @ kblock.eval(circle), psis))
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     return _checked_pairing(_block_diagonal(blocks), y_key, labels, dual_labels)
 

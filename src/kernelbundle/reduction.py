@@ -309,7 +309,7 @@ def _det(a: np.ndarray) -> np.ndarray:
 def _sq(a: np.ndarray) -> np.ndarray:
     """Squared Frobenius norms of a stack of matrices."""
     x = np.ascontiguousarray(a).view(float).reshape(a.shape[:-2] + (2 * a.shape[-2] * a.shape[-1],))
-    return np.einsum("...i,...i->...", x, x)
+    return (x * x).sum(axis=-1)
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
@@ -332,7 +332,7 @@ def _scaled(blocks) -> tuple:
     p22, rest, lead, a = blocks[3], blocks[4], blocks[3].shape[:-2], blocks[3].shape[-1] ** 2
     entries = np.concatenate([p22.reshape(*lead, a), rest.reshape(*lead, -1)], axis=-1).view(float)
     # the short rows' maxima read faster off a column-major array
-    scale = np.max(np.abs(entries, order="F"), axis=-1, keepdims=True, initial=np.finfo(float).tiny)
+    scale = np.abs(entries, order="F").max(axis=-1, keepdims=True, initial=np.finfo(float).tiny)
     scaled = (entries / scale).view(complex)
     return scale, scaled[..., :a].reshape(p22.shape), scaled[..., a:].reshape(rest.shape)
 
@@ -355,16 +355,16 @@ def _complement(scaled) -> tuple:
             # the entries first and the nodes last: (b, b, R, ...)
             x = np.ascontiguousarray(a.transpose(a.ndim - 2, a.ndim - 1, a.ndim - 3, *range(a.ndim - 3)))
             mod = np.abs(det := x[0, 0] if a.shape[-1] == 1 else x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])
-            w = np.where(mod > 0, det, 1.0) / np.where(mod > 0, mod, 1.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                la = np.log(mod)
+                w, la = det / mod, np.log(mod)
+            w[~(mod > 0)] = 1.0
             if a.shape[-1] == 1:
                 s = mod[None]
             else:
                 p, q, r, t = x[0, 0], w * x[1, 1].conj(), x[0, 1], w * x[1, 0].conj()
                 big = 0.5 * (np.hypot(np.abs(p + q), np.abs(r - t)) + np.hypot(np.abs(p - q), np.abs(r + t)))
                 s = np.stack([big, mod / np.maximum(big, np.finfo(float).tiny)])
-        phase, logabs = phase * np.prod(w, axis=0), logabs + np.sum(la, axis=0)
+        phase, logabs = phase * w.prod(axis=0), logabs + la.sum(axis=0)
         svals.append(s.reshape(-1, *lead))
     return phase, logabs, scale[..., 0] * np.concatenate(svals)
 
@@ -381,12 +381,15 @@ def _guard(blocks, held: int) -> tuple:
     p22, rest = blocks[3], blocks[4]
     scale, *scaled = _scaled((*blocks[:3], p22[:, :held], rest))
     complement = _complement((scale, *scaled))
-    ref = np.ldexp(1.0, np.frexp(np.max(scale, axis=1, keepdims=True, initial=np.finfo(float).tiny))[1])[..., None]
+    ref = np.ldexp(1.0, np.frexp(scale.max(axis=1, keepdims=True, initial=np.finfo(float).tiny))[1])[..., None]
     rs, m = (complement[2][p22.shape[-1] :] / ref[:, :, 0, 0]) ** 2, len(complement[2])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        big, small = (np.max(np.sum(x, axis=0), axis=1, keepdims=True, initial=0.0) for x in (rs, 1 / rs))
-        inv = _inverse(p := p22 / ref)
+        big, own = rs.sum(axis=0).max(axis=1, keepdims=True, initial=0.0), (1 / rs).sum(axis=0)
+        small, inv = own.max(axis=1, keepdims=True, initial=0.0), _inverse(p := p22 / ref)
         conds = np.sqrt((_sq(p) + big) * (_sq(inv) + small))
+        # where rest's maxima alone break the limit, held nodes bound with their own ||rest^{-1}||_F^2
+        if (broken := big * small > P22_CONDITION_LIMIT ** 2).any():
+            np.copyto(conds[:, :held], np.sqrt((_sq(p[:, :held]) + big) * (_sq(inv[:, :held]) + own)), where=broken)
         return inv / ref, conds * (1.0 + m * np.finfo(float).eps * conds), complement
 
 
@@ -441,13 +444,12 @@ def _evaluated(stacks: Sequence[ClusterStack], y, nodes) -> list:
 
 
 def _sampled(stacks: Sequence[ClusterStack], y, nodes) -> list:
-    """``_evaluated``, rotated and reduced in one array pass per class: per class and circle, ``(reduced,
-    (rows, active))`` at its nodes, (C, N, .) each, ``_reduce`` unchecked, its complement None off ``held``."""
+    """``_evaluated``, rotated and reduced in one array pass per class: per class and circle, ``_reduce``'s
+    arrays at its nodes, (C, N, .) each, unchecked, its complement None off ``held``."""
     out = []
-    for st, (rows, active, rest), (_, runs, held) in zip(stacks, _evaluated(stacks, y, nodes), nodes[1]):
+    for st, (_, active, rest), (_, runs, held) in zip(stacks, _evaluated(stacks, y, nodes), nodes[1]):
         *reduced, c = _reduce(st.blocks_many(active, rest), held)
-        at = lambda r: (*(a[:, r] for a in reduced), tuple(x[..., r] for x in c) if r.stop <= held else None)
-        out.append([(at(r), (rows, active[:, r])) for r in runs])
+        out.append([(*(a[:, r] for a in reduced), tuple(x[..., r] for x in c) if r.stop <= held else None) for r in runs])
     return out
 
 
@@ -466,7 +468,7 @@ def _slogdet(m: np.ndarray) -> tuple:
 
 def _p22_margin(s: np.ndarray) -> np.ndarray:
     """Per cluster, the smallest complement singular value of ``s`` (m, C, N) over the largest; inf where none."""
-    return np.min(s, axis=(0, 2), initial=np.inf) / np.maximum(np.max(s, axis=(0, 2), initial=0.0), 1e-300)
+    return s.min(axis=(0, 2), initial=np.inf) / np.maximum(s.max(axis=(0, 2), initial=0.0), 1e-300)
 
 
 def _raised(counts: list) -> list:
@@ -491,13 +493,13 @@ def _neighborhood(stacks, y, circles, classes, counted, complement) -> tuple:
     or the count's error.  And per ``counted`` circle, the ``(phase, logabs)`` rows (C, N)."""
     evs, k = [ev for st in stacks for ev in st.evs], len(counted)
     order = sorted(range(len(evs)), key=lambda r: evs[r].s)
-    per = [[(*_slogdet(c[i][0][0]), c[i][0][3]) for c in classes] for i in counted]
-    per += [[(*c[i][0][4][:2], _p22_margin(c[i][0][4][2])) for c in classes] for i in complement]
-    phase, logabs, third = ([np.concatenate([x[q] for x in p]) for p in per] for q in range(3))
+    per = [[(*_slogdet(c[i][0]), c[i][3]) for c in classes] for i in counted]
+    per += [[(*c[i][4][:2], _p22_margin(c[i][4][2])) for c in classes] for i in complement]
+    phase, logabs, third = ([np.concatenate([x[q] for x in p]) if p[1:] else p[0][q] for p in per] for q in range(3))
     ws, out = _windings(np.concatenate(phase), np.concatenate(logabs)), []
     for j, i in enumerate((*counted, *complement)):
         counting, row = j < k, []
-        guarded = not counting or np.max(third[j], axis=1) <= P22_CONDITION_LIMIT
+        guarded = not counting or third[j].max(axis=1) <= P22_CONDITION_LIMIT
         for r in order:
             ev, w = evs[r], ws[j * len(evs) + r]
             try:
@@ -513,7 +515,7 @@ def _neighborhood(stacks, y, circles, classes, counted, complement) -> tuple:
             row.append(w if counting else float(third[j][r]) if w == 0 else 0.0)
         out.append(row)
     with np.errstate(invalid="ignore"):
-        ratios = [np.exp(np.min(x, axis=1) - np.max(x, axis=1)) for x in logabs[:k]]
+        ratios = [np.exp(x.min(axis=1) - x.max(axis=1)) for x in logabs[:k]]
     annulus = []
     for s, r in enumerate(order):
         bad = next((x[s] for x in out[:k] if x[s] != evs[r].cluster.multiplicity), None)

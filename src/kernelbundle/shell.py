@@ -30,11 +30,12 @@ from .errors import (
     ValidationError,
 )
 from .family import FamilyChart, SturmLiouvilleSpec, _check_keys, _checked_kind, _integer, family_from_dict
-from .frames import Germ, _frame_factors, _frame_pair, cluster_stacks, laurent_coefficients, make_germ
+from .frames import Germ, _held_factors, _kernel_values, cluster_stacks, laurent_coefficients, make_germ
 from .keldysh import base_samples, dual_root_functions, root_functions, taylor_coefficients, with_beta
-from .pairing import _assembled, _solved, _stacked_pairings
+from .pairing import _assembled, _held_pairings, _solved
 from .reduction import (
     INVERTIBILITY_FLOOR,
+    P22_CONDITION_LIMIT,
     BasePointData,
     SchurEvaluator,
     _by_cluster,
@@ -249,8 +250,12 @@ def sweep(
     nodes that ``canonical_systems`` built ``systems`` and ``duals`` on.
 
     Each point evaluates the family once, on the nodes of every cluster, and
-    reduces, counts, frames and pairs each shape class of clusters
-    (``cluster_stacks``) in one array pass.  A point's failure is the first
+    reduces, counts and pairs each shape class of clusters (``cluster_stacks``)
+    in one array pass, with no frame or dual germ: P phi_b and P* psi_a are
+    holomorphic, so ``[phi_b, psi_a] = (1/2 pi) oint h_a(conj sigma)^H sing(g_b)``
+    with g_b = K^H phi_b = (sigma - c)^l S^{-1} beta_j, from the Schur complement
+    S on the carriers, and h_a = K^H P* psi_a = (tau - conj c)^l beta^dual_j,
+    fixed at y0 (``pairing._held_pairings``).  A point's failure is the first
     error in cluster order of the first stage that fails: condition (3), the
     outer counts, the multiplicity jump, the inner counts, the carriers, the
     frames and the pairing.  Its ``p22_margin`` is the smallest condition-(3)
@@ -282,7 +287,7 @@ def sweep(
     stacks = cluster_stacks(chart, base, systems, duals)
     # per cluster: its two count circles and its carrier; rest is read on the outer one alone
     circles = [c.count_circles() + [c.carrier(node_count)] for c in base.clusters]
-    nodes, factors = _nodes(stacks, circles, 1), None
+    nodes, held = _nodes(stacks, circles, 1), [_held_factors(st, systems, duals, node_count) for st in stacks]
     dual_labels = [(s, j, l) for s, du in enumerate(duals) for j, l in du.entry_labels()]
     splits = np.cumsum([sy.total for sy in systems])[:-1]
 
@@ -311,29 +316,26 @@ def sweep(
                     f"singular points left the inner half-discs at y={y_key}: "
                     f"{inner} != {base_mults}"
                 )
-            for circle, conds in zip(circles, _by_cluster(stacks, [c[2][0][3] for c in classes])):
-                _checked(conds, circle[2].nodes)
-            # the germs live on the clusters' active rows, known from the first evaluation
-            rows = [c[2][1][0] for c in classes]
-            factors = factors or [_frame_factors(st, systems, duals, node_count, r) for st, r in zip(stacks, rows)]
-            pairs = [_frame_pair(*f, c[2][0][:3]) for f, c in zip(factors, classes)]
-            for side in zip(*pairs):
-                _finite(side)
+            if not all(c[2][3].max() <= P22_CONDITION_LIMIT for c in classes):
+                for circle, conds in zip(circles, _by_cluster(stacks, [c[2][3] for c in classes])):
+                    _checked(conds, circle[2].nodes)
+            # g_b = K^H phi_b, each frame entry's kernel side, from the Schur complement on the carriers
+            kernel = _finite([_kernel_values(*entries, c[2][0]) for (entries, _), c in zip(held, classes)])
             sections = [None] * len(stacks)
             if probe is not None:
                 expected = np.asarray(probe(y), dtype=complex)
                 if expected.shape != (len(labels),):
                     raise InputError("probe must return one coefficient per frame entry")
                 pieces = np.split(expected, splits)
-                # the section with these coefficients: per cluster, its frame block @ its coefficients
+                # K^H of the section with these coefficients: per cluster, its g block @ its coefficients
                 sections = _finite([
-                    (frame @ np.stack([pieces[s] for s in st.index])[:, None, :, None])[..., 0]
-                    for st, (frame, _) in zip(stacks, pairs)
+                    (g @ np.stack([pieces[s] for s in st.index])[:, None, :, None])[..., 0]
+                    for st, g in zip(stacks, kernel)
                 ])
-            # the pairing reads P on the carriers, from the same block evaluation
+            # the pairing reads the classes of g against the dual data held since the base point
             pairings = [
-                _stacked_pairings(circles[st.index[0]][2], None, c[2][1][1], frame, dual, section)
-                for st, c, (frame, dual), section in zip(stacks, classes, pairs, sections)
+                _held_pairings(circles[st.index[0]][2], g, h, section)
+                for st, g, (_, h), section in zip(stacks, kernel, held, sections)
             ]
             pm, column = _assembled(y_key, labels, dual_labels, stacks, pairings)
             rec = SweepPoint(
@@ -377,7 +379,7 @@ def sweep(
 
 def _finite(samples: list) -> list:
     """Germ samples, stacked per shape class, after the check each germ's ``SampledFunction`` makes."""
-    if not all(np.all(np.isfinite(x)) for x in samples):
+    if not all(np.isfinite(x).all() for x in samples):
         raise InputError("samples contain non-finite values")
     return samples
 

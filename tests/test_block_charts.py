@@ -238,6 +238,32 @@ def test_an_inactive_block_near_singular_on_a_count_circle_is_rejected():
     assert active == [(0,), (0,)]
 
 
+# node 5 of the outer count circle, of radius epsilon = 0.4, of the cluster 0.5i of _onto_node_5
+NODE_5 = 0.5j + 0.4 * np.exp(2j * np.pi * 5 / COUNT_NODES)
+
+
+def _onto_node_5(y, s):
+    # block 0 vanishes at 0.5i and block 1 at 3i at y = 0; block 1's zero moves onto NODE_5 at y = 1
+    s = np.asarray(s, dtype=complex)
+    return np.stack([s - 0.5j, s - (3j + y[0] * (NODE_5 - 3j))], -1)[..., None, None]
+
+
+def test_a_rest_block_singular_on_the_outer_count_circle_is_named_at_its_node():
+    # cluster 0.5i has no p22 block, so its guard bound is rest's largest norms on the outer
+    # count circle at every node, past the limit at each: the failure names the node where
+    # they are attained, not the circle's first
+    chart = FamilyChart(2, 1, SigmaRegion(-2.0, 2.0, -1.0, 4.0), _onto_node_5)
+    base = base_point_data(chart, [0.0])
+    cl = base.clusters[0]
+    assert abs(cl.center - 0.5j) < 1e-12 and cl.radius == pytest.approx(0.4) and cl.active_blocks == (0,)
+    ev = SchurEvaluator(chart, base, 0)
+    assert local_multiplicity(ev, [0.5]) == 1
+    nodes = cl.count_circles()[0].nodes
+    assert abs(nodes[5] - NODE_5) < 1e-12
+    with pytest.raises(ReductionInvalidError, match=re.escape(f"at sigma = {nodes[5]}")):
+        local_multiplicity(ev, [1.0])
+
+
 def test_a_singular_point_that_leaves_its_disc_fails_validation():
     # at y = 0.9 cluster -0.5i's singular point has moved to 0.18 + 0.4i, far
     # outside that cluster's count circles
@@ -443,11 +469,42 @@ def test_a_sweep_over_two_shape_classes_agrees_with_the_per_cluster_oracles(monk
 
     monkeypatch.setattr(kb.pairing, "_checked_pairing", recorded)
     grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
+    _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed)
+
+
+@pytest.mark.parametrize("pipeline", ["jordan_pipeline", "branching_pipeline", "triangular_pipeline"])
+def test_a_sweep_over_chains_agrees_with_the_per_cluster_oracles(pipeline, request, monkeypatch):
+    # chains of length 2 (jordan), a kernel of dimension 2 (branching) and chains of lengths
+    # {2, 1} (triangular): the sweep pairs the classes of the kernel sides against the dual
+    # data fixed at the base point, the oracles pair the full-space frames through P
+    chart, base, systems, duals = request.getfixturevalue(pipeline)
+    size = sum(sy.total for sy in systems)
+    rng = np.random.default_rng(size)
+    coeffs = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
+
+    def probe(y):
+        return coeffs[0] + y[0] * coeffs[1]
+
+    formed = []
+    checked = kb.pairing._checked_pairing
+
+    def recorded(m, *args):
+        formed.append(m)
+        return checked(m, *args)
+
+    monkeypatch.setattr(kb.pairing, "_checked_pairing", recorded)
+    _agrees_with_the_oracles(chart, base, systems, duals, ParameterGrid.from_ranges([(-0.1, 0.1, 3)]), probe, formed)
+
+
+def _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed):
+    """Sweep ``grid`` with ``probe``, each pairing matrix it forms appended to ``formed``, and
+    compare every point with ``local_multiplicity``, ``pairing_matrix`` of ``frames_at`` and
+    ``coefficients``."""
     report = sweep(chart, base, grid, probe=probe, systems=systems, duals=duals)
-    assert not report.failures and len(formed) == 3
+    assert not report.failures and len(formed) == len(report.points) == grid.shape[0]
     for point, swept in zip(report.points, formed):
         y = list(point.y)
-        assert point.multiplicities == [local_multiplicity(SchurEvaluator(chart, base, s), y) for s in range(3)]
+        assert point.multiplicities == [local_multiplicity(SchurEvaluator(chart, base, s), y) for s in range(len(base.clusters))]
         frame, dual = frames_at(chart, base, systems, duals, y)
         pm = pairing_matrix(chart, frame, dual, base, y)
         assert _close(swept, pm.matrix, 1e-13)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -227,6 +228,44 @@ class TestSweep:
         # a germ evaluated off its carrier is counted
         make_germ(lambda z: 1.0 / z, 0.0, 0.5, 16).eval(np.array([1.0, 2.0]))
         assert kernels == [2]
+
+    def test_pairs_no_frame_or_dual_germ(self, sl_big_pipeline):
+        # the sweep pairs the kernel sides of the frame entries against the dual data it
+        # holds from the base point: it forms no frame or dual germ and reads no P there.
+        # Calls are counted by code object, whatever name a module imports them under
+        chart, base, systems, duals = sl_big_pipeline
+        codes = {f.__code__: f.__name__ for f in (kb.frames._frame_pair, kb.pairing._stacked_pairings)}
+        calls = []
+
+        def counted(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                calls.append(codes[frame.f_code])
+
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 5)])
+        sys.setprofile(counted)
+        try:
+            report = sweep(chart, base, grid, probe=lambda y: np.ones(4), systems=systems, duals=duals)
+            assert calls == []
+            # the full-space reference still goes through both
+            frame, dual = kb.frames_at(chart, base, systems, duals, [0.05])
+            kb.pairing_matrix(chart, frame, dual, base, [0.05])
+        finally:
+            sys.setprofile(None)
+        assert not report.failures and max(p.probe_error for p in report.points) < 1e-8
+        assert calls == ["_frame_pair", "_stacked_pairings"]
+
+    @pytest.mark.parametrize("pipeline", ["sl_big_pipeline", "jordan_pipeline", "branching_pipeline"])
+    def test_a_probe_leaves_the_pairing_bit_identical(self, pipeline, request):
+        # the section's column is contracted apart from the frame's, so a probe does not
+        # move the pairing matrix by one roundoff
+        chart, base, systems, duals = request.getfixturevalue(pipeline)
+        size = sum(sy.total for sy in systems)
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 5)])
+        plain = sweep(chart, base, grid, systems=systems, duals=duals)
+        probed = sweep(chart, base, grid, probe=lambda y: np.arange(1, size + 1) * (1 + y[0]), systems=systems, duals=duals)
+        assert not plain.failures and not probed.failures
+        assert [p.pairing_condition for p in probed.points] == [p.pairing_condition for p in plain.points]
+        assert probed.pairing_entry_dd == plain.pairing_entry_dd
 
     def test_p22_margin_is_the_condition_3_margin(self, sl_big_pipeline):
         # on the acceptance-10 grid, each point's p22 margin is the smallest condition-(3)
