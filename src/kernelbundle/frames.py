@@ -30,7 +30,9 @@ from .errors import (
     RegionError,
 )
 from .keldysh import RootSystem
-from .reduction import BasePointData, ClusterStack, SchurEvaluator, _by_cluster, _checked, _nodes, _sampled, _stacks
+from .reduction import (
+    BasePointData, ClusterStack, SchurEvaluator, _by_cluster, _checked, _evaluated, _nodes, _reduce, _stacks
+)
 
 INDEPENDENCE_CONDITION_LIMIT = 1e10
 INDEPENDENCE_PROBE_NODES = 48
@@ -144,12 +146,11 @@ def cluster_stacks(chart, base: BasePointData, systems, duals) -> list:
     return _stacks(chart, base, [(tuple(sy.lengths), tuple(du.lengths)) for sy, du in zip(systems, duals)])
 
 
-def _entry_factors(clusters, systems, circles) -> tuple:
-    """``(beta, shifts, chains, K, Kperp)`` of the frame entries of one shape class on carriers of
-    one node count N: each system's beta read off every (n / N)-th node of its own carrier of n
-    nodes, which N must divide, (C, N, k, J); ``(sigma - c)^l`` at the carrier nodes per entry
-    ``(j, l)``, (C, N, E), ordered by chain then shift, and each entry's chain j; and the clusters' bases
-    ``K``, (C, n, k), and ``Kperp``: a frame block but its reduction."""
+def _entry_factors(systems, circles) -> tuple:
+    """``(beta, shifts, chains)`` of the frame entries of one shape class on carriers of one node count
+    N: each system's beta read off every (n / N)-th node of its own carrier of n nodes, which N must
+    divide, (C, N, k, J); ``(sigma - c)^l`` at the carrier nodes per entry ``(j, l)``, (C, N, E),
+    ordered by chain then shift; and each entry's chain j."""
     for system, circle in zip(systems, circles):
         n = system.beta.circle.node_count
         if n % circle.node_count:
@@ -158,7 +159,7 @@ def _entry_factors(clusters, systems, circles) -> tuple:
     beta = np.stack([sy.beta.values[:: sy.beta.circle.node_count // c.node_count] for sy, c in zip(systems, circles)])
     z = np.stack([circle.nodes - system.center for system, circle in zip(systems, circles)])
     shifts = np.stack([z ** l for _, l in labels], axis=-1)
-    return beta, shifts, [j for j, _ in labels], np.stack([c.K for c in clusters]), np.stack([c.Kperp for c in clusters])
+    return beta, shifts, [j for j, _ in labels]
 
 
 def _kernel_values(beta, shifts, chains, schur) -> np.ndarray:
@@ -181,13 +182,12 @@ def kframe_at(
     then shift.
     """
     circle = ev.cluster.carrier(node_count)
-    factors = _entry_factors([ev.cluster], [system], [circle])[:3]
-    values = _kernel_values(*factors, ev.schur_many(y, circle.nodes)[None])[0]
+    values = _kernel_values(*_entry_factors([system], [circle]), ev.schur_many(y, circle.nodes)[None])[0]
     return Germ(ev.cluster.center, SampledFunction(circle, values))
 
 
 def _frame_values(factors, schur, correction) -> np.ndarray:
-    """Frame block values of one shape class, (C, N, n, E), from its ``_entry_factors`` and
+    """Frame block values of one shape class, (C, N, n, E), from its ``_frame_factors`` and
     ``(schur, correction)`` on their carriers: each embeds the kernel-side samples g as ``K g - Kperp
     p22^{-1} p21 g``; the correction differs from the one applied to the germ only by a
     holomorphic function, which the singular part kills."""
@@ -197,9 +197,9 @@ def _frame_values(factors, schur, correction) -> np.ndarray:
 
 
 def _frame_pair(primal, dual, reduced) -> tuple:
-    """Frame and dual frame values of one shape class from ``_entry_factors`` of the primal and
-    the conjugate-swapped clusters and ``(schur, correction, dual_correction)`` of ``_reduce`` on
-    the carriers, (C, N, .) each.
+    """Frame and dual frame values of one shape class from ``_frame_factors`` of the primal and
+    the conjugate-swapped clusters and ``(schur, correction, dual_correction)`` on the carriers,
+    (C, N, .) each: ``_reduce``'s first two and ``p12 p22^{-1}``.
 
     The dual is the primal construction on the adjoint family.  Node t of a
     dual carrier is node -t mod N of the primal one conjugated, where the
@@ -214,22 +214,33 @@ def _frame_pair(primal, dual, reduced) -> tuple:
 
 
 def _frame_factors(stack: ClusterStack, systems, duals, node_count: int) -> tuple:
-    """``_entry_factors`` of a shape class on carriers of ``node_count`` nodes: of its clusters with
-    their systems, and of the conjugate-swapped clusters with their duals."""
+    """``_entry_factors`` of a shape class on carriers of ``node_count`` nodes and the clusters' bases
+    ``K``, (C, n, k), and ``Kperp``, a frame block but its reduction: of its clusters with their
+    systems, and of the conjugate-swapped clusters with their duals."""
     swapped = [c.conjugate_swapped() for c in stack.clusters]
     return tuple(
-        _entry_factors(clusters, [sy[s] for s in stack.index], [c.carrier(node_count) for c in clusters])
-        for clusters, sy in ((stack.clusters, systems), (swapped, duals))
+        (*_entry_factors([sy[s] for s in stack.index], [c.carrier(node_count) for c in cs]),
+         np.stack([c.K for c in cs]), np.stack([c.Kperp for c in cs]))
+        for cs, sy in ((stack.clusters, systems), (swapped, duals))
     )
 
 
 def _held_factors(stack: ClusterStack, systems, duals, node_count: int) -> tuple:
-    """What a sweep holds of a shape class on carriers of ``node_count`` nodes: ``(beta, shifts, chains)``
-    of its ``_entry_factors`` and ``K^H P* psi_a = (tau - conj c)^l beta^dual_j(tau)`` at the conjugated
-    carrier nodes, the dual carrier's in the order ``t -> -t mod N``, (C, N, k, E), one column per entry."""
-    primal, (beta, shifts, chains, *_) = _frame_factors(stack, systems, duals, node_count)
-    reverse = -np.arange(node_count) % node_count
-    return primal[:3], (shifts[:, :, None, :] * beta[..., chains])[:, reverse]
+    """``(held, h)``, what a sweep holds of a shape class on carriers of ``node_count`` nodes.  ``h_a =
+    K^H P* psi_a = (tau - conj c)^l beta^dual_j(tau)`` at the conjugated carrier nodes, the dual
+    carrier's in the order ``t -> -t mod N``, (C, N, k, E), and ``held[(t, p, q), (a, b)] = (i rho / N)
+    u_t conj(h_a(t))_p (sigma_t - c)^l_b beta_j_b(sigma_t)_q``, (C, N k k, E, E): the pairing block
+    ``[phi_b, psi_a]`` at y is S(y, .)^{-1} at the carrier nodes sigma_t, flattened, times ``held``."""
+    carriers = [c.carrier(node_count) for c in stack.clusters]
+    conjugated = [Circle(np.conj(c.center), c.radius, node_count) for c in carriers]
+    (beta, shifts, chains), (dual_beta, dual_shifts, dual_chains) = (
+        _entry_factors([sy[s] for s in stack.index], cs) for sy, cs in ((systems, carriers), (duals, conjugated))
+    )
+    h = (dual_shifts[:, :, None, :] * dual_beta[..., dual_chains])[:, -np.arange(node_count) % node_count]
+    g = shifts[:, :, None, :] * beta[..., chains]
+    weights = 1j * np.array([c.radius for c in carriers])[:, None] / node_count * carriers[0].unit
+    held = weights[..., None, None, None, None] * h.conj()[:, :, :, None, :, None] * g[:, :, None, :, None, :]
+    return held.reshape(len(carriers), -1, *held.shape[-2:]), h
 
 
 def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 128) -> tuple:
@@ -238,10 +249,14 @@ def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 1
     framed in one array pass per shape class (``cluster_stacks``), on all n rows."""
     carriers = [[cl.carrier(node_count)] for cl in base.clusters]
     stacks = cluster_stacks(chart, base, systems, duals)
-    reduced = [c[0] for c in _sampled(stacks, y, _nodes(stacks, carriers, 1))]
+    nodes = _nodes(stacks, carriers, 1)
+    blocks = [st.blocks_many(active, rest) for st, (_, active, rest) in zip(stacks, _evaluated(stacks, y, nodes))]
+    reduced = [_reduce(b, n) for b, (_, _, n) in zip(blocks, nodes[1])]
     for circle, conds in zip(carriers, _by_cluster(stacks, [r[3] for r in reduced])):
         _checked(conds, circle[0].nodes)
-    pairs = [_frame_pair(*_frame_factors(st, systems, duals, node_count), r[:3]) for st, r in zip(stacks, reduced)]
+    # the dual frame alone reads p12 p22^{-1}, so it is formed here
+    factors = [_frame_factors(st, systems, duals, node_count) for st in stacks]
+    pairs = [_frame_pair(*f, (r[0], r[1], b[1] @ r[2])) for f, b, r in zip(factors, blocks, reduced)]
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     frames = []
     for side, (b, sy) in enumerate(((base, systems), (base.conjugate_swapped(), duals))):

@@ -6,14 +6,17 @@ nodes of a circle this is ``(i rho / N) sum_t e^{i theta_t} (...)``.  Any
 circle that encloses the cluster's singular points serves, so the pairing
 reads P and the germs on the frames' own carriers: there, a germ's class is
 the negative-frequency half of its carrier samples, and P is sampled once on
-all carriers.  The sweep reads neither: it pairs ``g_b = K^H phi_b``, from the
-Schur complement it holds, against ``h_a = K^H P* psi_a``, fixed at the base
-point (``_held_pairings``).  ``pair`` and
-``reduced_pairing_matrix`` evaluate the germs on the cluster contours
-instead, as independent oracles.  At the base parameter the pairing of the
-canonical frames is the anti-diagonal constant block per chain; away from it
-the matrix stays invertible on the validated neighborhood and turns frame
-data into coefficients.
+all carriers.  The sweep reads neither germs nor P: P phi_b and P* psi_a are
+holomorphic, so it pairs ``g_b = K^H phi_b = (sigma - c)^l S^{-1} beta_j``
+against ``h_a = K^H P* psi_a``, fixed at the base point, and as h_a(conj
+sigma)^H is holomorphic on the disc, ``oint h_a^H sing(g_b) = oint h_a^H g_b``:
+with no class projection, one contraction of S^{-1} on the carrier nodes
+against a tensor held since the base point (``frames._held_factors``).
+``pair`` and ``reduced_pairing_matrix`` evaluate the germs on the cluster
+contours instead, as independent oracles.  At the base parameter the pairing
+of the canonical frames is the anti-diagonal constant block per chain; away
+from it the matrix stays invertible on the validated neighborhood and turns
+frame data into coefficients.
 """
 
 from __future__ import annotations
@@ -131,23 +134,10 @@ def _stacked_pairings(circle: Circle, rows, pvals, frame, dual, section) -> tupl
     return _contour_pairing(circle, pvals @ parts[..., :e], psis), column
 
 
-def _held_pairings(circle: Circle, kernel, dual, section) -> tuple:
-    """``_stacked_pairings`` without P or germs, from the samples ``g_b = K^H phi_b`` (C, N, k, E) and
-    ``K^H section`` (C, N, k), None without one, on the carriers, and the dual data ``h_a = K^H P* psi_a``
-    of ``frames._held_factors`` at the conjugated nodes.  P phi and P* psi are holomorphic, so
-    ``psi_a(conj sigma)^H P phi_b = h_a(conj sigma)^H g_b``, whose integral reads the class of g_b alone."""
-    e = kernel.shape[-1]
-    columns = kernel if section is None else np.concatenate([kernel, section[..., None]], axis=-1)
-    parts = singular_part_at_nodes(columns.swapaxes(0, 1)).swapaxes(0, 1)
-    # contracted apart: matmul roundoff depends on the column count
-    column = None if section is None else _contour_pairing(circle, parts[..., e:], dual)[..., 0]
-    return _contour_pairing(circle, parts[..., :e], dual), column
-
-
 def _assembled(y: tuple, labels: list, dual_labels: list, stacks, pairings) -> tuple:
     """The checked pairing matrix and the section column (None without a section) from the
-    ``_stacked_pairings`` or ``_held_pairings`` of the shape classes ``stacks``: the fiber splits
-    over the clusters, so their blocks lie on the diagonal, in cluster order."""
+    ``(blocks, column)`` of the shape classes ``stacks``, such as ``_stacked_pairings``: the fiber
+    splits over the clusters, so their blocks lie on the diagonal, in cluster order."""
     matrix = _block_diagonal(_by_cluster(stacks, [blocks for blocks, _ in pairings]))
     column = None if pairings[0][1] is None else np.concatenate(_by_cluster(stacks, [c for _, c in pairings]))
     return _checked_pairing(matrix, y, labels, dual_labels), column

@@ -307,7 +307,9 @@ def _det(a: np.ndarray) -> np.ndarray:
 
 
 def _sq(a: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norms of a stack of matrices."""
+    """Squared Frobenius norms of a stack of matrices; of 1 x 1 ones, ``re^2 + im^2`` in closed form."""
+    if a.shape[-2:] == (1, 1):
+        return (x := a[..., 0, 0]).real * x.real + x.imag * x.imag
     x = np.ascontiguousarray(a).view(float).reshape(a.shape[:-2] + (2 * a.shape[-2] * a.shape[-1],))
     return (x * x).sum(axis=-1)
 
@@ -352,18 +354,21 @@ def _complement(scaled) -> tuple:
             (w, la), s = np.linalg.slogdet(a), np.linalg.svd(a, compute_uv=False)
             w, la, s = np.moveaxis(w, -1, 0), np.moveaxis(la, -1, 0), np.moveaxis(s, (-1, -2), (0, 1))
         else:
-            # the entries first and the nodes last: (b, b, R, ...)
-            x = np.ascontiguousarray(a.transpose(a.ndim - 2, a.ndim - 1, a.ndim - 3, *range(a.ndim - 3)))
-            mod = np.abs(det := x[0, 0] if a.shape[-1] == 1 else x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])
+            # the entries first and the nodes last, (b, b, R, ...): a view for b = 1, whose moduli
+            # are formed C-ordered, so the sums over R run as on a copy
+            x = a.transpose(a.ndim - 2, a.ndim - 1, a.ndim - 3, *range(a.ndim - 3))
+            x = x if a.shape[-1] == 1 else np.ascontiguousarray(x)
+            mod = np.abs(det := x[0, 0] if a.shape[-1] == 1 else x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0], order="C")
             with np.errstate(divide="ignore", invalid="ignore"):
-                w, la = det / mod, np.log(mod)
+                w, la = np.divide(det, mod, order="C"), np.log(mod)
             w[~(mod > 0)] = 1.0
             if a.shape[-1] == 1:
                 s = mod[None]
             else:
                 p, q, r, t = x[0, 0], w * x[1, 1].conj(), x[0, 1], w * x[1, 0].conj()
-                big = 0.5 * (np.hypot(np.abs(p + q), np.abs(r - t)) + np.hypot(np.abs(p - q), np.abs(r + t)))
-                s = np.stack([big, mod / np.maximum(big, np.finfo(float).tiny)])
+                s = np.empty((2, *mod.shape))
+                np.multiply(0.5, np.hypot(np.abs(p + q), np.abs(r - t)) + np.hypot(np.abs(p - q), np.abs(r + t)), out=s[0])
+                np.divide(mod, np.maximum(s[0], np.finfo(float).tiny, out=s[1]), out=s[1])
         phase, logabs = phase * w.prod(axis=0), logabs + la.sum(axis=0)
         svals.append(s.reshape(-1, *lead))
     return phase, logabs, scale[..., 0] * np.concatenate(svals)
@@ -394,13 +399,13 @@ def _guard(blocks, held: int) -> tuple:
 
 
 def _reduce(blocks, held: int) -> tuple:
-    """``(schur, correction, dual_correction, *guard)``, unchecked, at every node of ``blocks_many`` (C, N, .):
-    ``p11 - p12 p22^{-1} p21``, ``p22^{-1} p21``, ``p12 p22^{-1}`` and the rest of ``_guard(blocks, held)``."""
+    """``(schur, correction, *guard)``, unchecked, at every node of ``blocks_many`` (C, N, .):
+    ``p11 - p12 p22^{-1} p21``, ``p22^{-1} p21`` and ``_guard(blocks, held)``, p22^{-1} first."""
     p11, p12, p21 = blocks[:3]
     inv, conds, complement = _guard(blocks, held)
     with np.errstate(invalid="ignore"):
         correction = inv @ p21
-        return p11 - p12 @ correction, correction, p12 @ inv, conds, complement
+        return p11 - p12 @ correction, correction, inv, conds, complement
 
 
 def _checked(conds, sigmas) -> None:
@@ -496,14 +501,16 @@ def _neighborhood(stacks, y, circles, classes, counted, complement) -> tuple:
     per = [[(*_slogdet(c[i][0]), c[i][3]) for c in classes] for i in counted]
     per += [[(*c[i][4][:2], _p22_margin(c[i][4][2])) for c in classes] for i in complement]
     phase, logabs, third = ([np.concatenate([x[q] for x in p]) if p[1:] else p[0][q] for p in per] for q in range(3))
-    ws, out = _windings(np.concatenate(phase), np.concatenate(logabs)), []
+    rows, out, size = np.concatenate(logabs), [], len(evs)
+    ws = _windings(np.concatenate(phase), rows)
     for j, i in enumerate((*counted, *complement)):
+        # per cluster, whether a count's guard holds, or a complement circle's margin
         counting, row = j < k, []
-        guarded = not counting or third[j].max(axis=1) <= P22_CONDITION_LIMIT
+        held = (third[j].max(axis=1) <= P22_CONDITION_LIMIT).tolist() if counting else third[j].tolist()
         for r in order:
-            ev, w = evs[r], ws[j * len(evs) + r]
+            ev, w = evs[r], ws[j * size + r]
             try:
-                if counting and not guarded[r]:
+                if counting and not held[r]:
                     _checked(third[j][r], circles[ev.s][i].nodes)
                 if isinstance(w, Exception):
                     raise w
@@ -512,15 +519,15 @@ def _neighborhood(stacks, y, circles, classes, counted, complement) -> tuple:
                     w = _continued_winding(q, circles[ev.s][i].path, phase[j][r], logabs[j][r])
             except (KernelBundleError if counting else NumericalError) as exc:
                 w = exc
-            row.append(w if counting else float(third[j][r]) if w == 0 else 0.0)
+            row.append(w if counting else held[r] if w == 0 else 0.0)
         out.append(row)
     with np.errstate(invalid="ignore"):
-        ratios = [np.exp(x.min(axis=1) - x.max(axis=1)) for x in logabs[:k]]
+        ratios = np.exp(rows.min(axis=1) - rows.max(axis=1)).tolist()
     annulus = []
     for s, r in enumerate(order):
         bad = next((x[s] for x in out[:k] if x[s] != evs[r].cluster.multiplicity), None)
         if bad is None:
-            annulus.append(min((float(x[r]) for x in ratios), default=np.inf))
+            annulus.append(min((ratios[j * size + r] for j in range(k)), default=np.inf))
         else:
             annulus.append(0.0 if isinstance(bad, (int, ZeroOnContourError, ResolutionError)) else bad)
     return out[:k], out[k:], annulus, ([x[order] for x in phase[:k]], [x[order] for x in logabs[:k]])

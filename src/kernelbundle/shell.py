@@ -30,9 +30,9 @@ from .errors import (
     ValidationError,
 )
 from .family import FamilyChart, SturmLiouvilleSpec, _check_keys, _checked_kind, _integer, family_from_dict
-from .frames import Germ, _held_factors, _kernel_values, cluster_stacks, laurent_coefficients, make_germ
+from .frames import Germ, _held_factors, cluster_stacks, laurent_coefficients, make_germ
 from .keldysh import base_samples, dual_root_functions, root_functions, taylor_coefficients, with_beta
-from .pairing import _assembled, _held_pairings, _solved
+from .pairing import _assembled, _solved
 from .reduction import (
     INVERTIBILITY_FLOOR,
     P22_CONDITION_LIMIT,
@@ -40,6 +40,7 @@ from .reduction import (
     SchurEvaluator,
     _by_cluster,
     _checked,
+    _inverse,
     _neighborhood,
     _nodes,
     _raised,
@@ -255,11 +256,14 @@ def sweep(
     holomorphic, so ``[phi_b, psi_a] = (1/2 pi) oint h_a(conj sigma)^H sing(g_b)``
     with g_b = K^H phi_b = (sigma - c)^l S^{-1} beta_j, from the Schur complement
     S on the carriers, and h_a = K^H P* psi_a = (tau - conj c)^l beta^dual_j,
-    fixed at y0 (``pairing._held_pairings``).  A point's failure is the first
-    error in cluster order of the first stage that fails: condition (3), the
-    outer counts, the multiplicity jump, the inner counts, the carriers, the
-    frames and the pairing.  Its ``p22_margin`` is the smallest condition-(3)
-    margin of ``validate_neighborhood`` over the clusters (1.0 where none has a
+    fixed at y0.  As h_a(conj sigma)^H is holomorphic, that is the trapezoid sum
+    of h_a^H g_b itself: per class, S^{-1} at the carrier nodes contracted against
+    a tensor held since y0 (``frames._held_factors``), the probe's column apart.
+    A point's failure is the first error in cluster order of the first stage
+    that fails: condition (3), the outer counts, the multiplicity jump, the
+    inner counts, the carriers, S^{-1} there and the pairing.  Its
+    ``p22_margin`` is the smallest condition-(3) margin of
+    ``validate_neighborhood`` over the clusters (1.0 where none has a
     complement block).
     """
     t0 = time.perf_counter()
@@ -287,9 +291,10 @@ def sweep(
     stacks = cluster_stacks(chart, base, systems, duals)
     # per cluster: its two count circles and its carrier; rest is read on the outer one alone
     circles = [c.count_circles() + [c.carrier(node_count)] for c in base.clusters]
-    nodes, held = _nodes(stacks, circles, 1), [_held_factors(st, systems, duals, node_count) for st in stacks]
+    nodes, held = _nodes(stacks, circles, 1), [_held_factors(st, systems, duals, node_count)[0] for st in stacks]
     dual_labels = [(s, j, l) for s, du in enumerate(duals) for j, l in du.entry_labels()]
-    splits = np.cumsum([sy.total for sy in systems])[:-1]
+    # per class, the probe's entries of its clusters, (C, E)
+    entries = [np.array([[t for t, lab in enumerate(labels) if lab[0] == s] for s in st.index]) for st in stacks]
 
     for y in grid.points():
         y_key = tuple(float(v) for v in np.atleast_1d(y))
@@ -319,24 +324,24 @@ def sweep(
             if not all(c[2][3].max() <= P22_CONDITION_LIMIT for c in classes):
                 for circle, conds in zip(circles, _by_cluster(stacks, [c[2][3] for c in classes])):
                     _checked(conds, circle[2].nodes)
-            # g_b = K^H phi_b, each frame entry's kernel side, from the Schur complement on the carriers
-            kernel = _finite([_kernel_values(*entries, c[2][0]) for (entries, _), c in zip(held, classes)])
-            sections = [None] * len(stacks)
             if probe is not None:
                 expected = np.asarray(probe(y), dtype=complex)
-                if expected.shape != (len(labels),):
-                    raise InputError("probe must return one coefficient per frame entry")
-                pieces = np.split(expected, splits)
-                # K^H of the section with these coefficients: per cluster, its g block @ its coefficients
-                sections = _finite([
-                    (g @ np.stack([pieces[s] for s in st.index])[:, None, :, None])[..., 0]
-                    for st, g in zip(stacks, kernel)
-                ])
-            # the pairing reads the classes of g against the dual data held since the base point
-            pairings = [
-                _held_pairings(circles[st.index[0]][2], g, h, section)
-                for st, g, (_, h), section in zip(stacks, kernel, held, sections)
-            ]
+                if expected.shape != (len(labels),) or not np.isfinite(expected).all():
+                    raise InputError("probe must return one finite coefficient per frame entry")
+            # per class, S^{-1} on the carriers contracted against the tensor held since the base point
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inverses = [_inverse(c[2][0]) for c in classes]
+            if not all(np.isfinite(x).all() for x in inverses):
+                raise InputError("S^-1 has non-finite values on a carrier")
+            pairings = []
+            for inverse, h, index in zip(inverses, held, entries):
+                flat, (count, size, a, b) = inverse.reshape(len(inverse), 1, -1), h.shape
+                column = None
+                if probe is not None:
+                    # contracted apart, so a probe leaves the blocks bit-identical
+                    section = h.reshape(count, -1, b) @ expected[index][..., None]
+                    column = (flat @ section.reshape(count, size, a))[:, 0]
+                pairings.append(((flat @ h.reshape(count, size, a * b)).reshape(count, a, b), column))
             pm, column = _assembled(y_key, labels, dual_labels, stacks, pairings)
             rec = SweepPoint(
                 y=y_key,
@@ -375,13 +380,6 @@ def sweep(
         report.pairing_entry_dd_floor = float(np.finfo(float).eps * largest / min(steps) ** 2) if steps else 0.0
     report.elapsed = time.perf_counter() - t0
     return report
-
-
-def _finite(samples: list) -> list:
-    """Germ samples, stacked per shape class, after the check each germ's ``SampledFunction`` makes."""
-    if not all(np.isfinite(x).all() for x in samples):
-        raise InputError("samples contain non-finite values")
-    return samples
 
 
 # ---------------------------------------------------------------------------

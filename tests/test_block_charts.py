@@ -445,13 +445,17 @@ def _three_clusters(y, s):
     )
 
 
+def _three_cluster_pipeline():
+    chart = FamilyChart(8, 1, REGION, _three_clusters)
+    base = base_point_data(chart, [0.0])
+    return (chart, base) + canonical_systems(chart, base)
+
+
 def test_a_sweep_over_two_shape_classes_agrees_with_the_per_cluster_oracles(monkeypatch):
     # clusters 0 and 2 form one shape class and cluster 1 another, so the sweep's arrays
     # run in the cluster order 0, 2, 1; each number it records is the one the public
     # per-cluster oracles give
-    chart = FamilyChart(8, 1, REGION, _three_clusters)
-    base = base_point_data(chart, [0.0])
-    systems, duals = canonical_systems(chart, base)
+    chart, base, systems, duals = _three_cluster_pipeline()
     assert [c.active_blocks for c in base.clusters] == [(0,), (1, 2), (3,)]
     assert [st.index for st in kb.frames.cluster_stacks(chart, base, systems, duals)] == [[0, 2], [1]]
     rng = np.random.default_rng(3)
@@ -469,14 +473,26 @@ def test_a_sweep_over_two_shape_classes_agrees_with_the_per_cluster_oracles(monk
 
     monkeypatch.setattr(kb.pairing, "_checked_pairing", recorded)
     grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
-    _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed)
+    _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed, 128)
 
 
-@pytest.mark.parametrize("pipeline", ["jordan_pipeline", "branching_pipeline", "triangular_pipeline"])
-def test_a_sweep_over_chains_agrees_with_the_per_cluster_oracles(pipeline, request, monkeypatch):
+@pytest.mark.parametrize(
+    "pipeline, node_count",
+    [
+        ("jordan_pipeline", 128),
+        ("branching_pipeline", 128),
+        ("triangular_pipeline", 128),
+        ("jordan_pipeline", 64),
+        ("branching_pipeline", 64),
+        ("jordan_pipeline", 32),
+        ("branching_pipeline", 32),
+    ],
+)
+def test_a_sweep_over_chains_agrees_with_the_per_cluster_oracles(pipeline, node_count, request, monkeypatch):
     # chains of length 2 (jordan), a kernel of dimension 2 (branching) and chains of lengths
-    # {2, 1} (triangular): the sweep pairs the classes of the kernel sides against the dual
-    # data fixed at the base point, the oracles pair the full-space frames through P
+    # {2, 1} (triangular): the sweep contracts S^-1 on its carriers against the dual data
+    # held from the base point, the oracles pair the classes of the full-space frames through
+    # P; on 64 and 32 carrier nodes as on 128
     chart, base, systems, duals = request.getfixturevalue(pipeline)
     size = sum(sy.total for sy in systems)
     rng = np.random.default_rng(size)
@@ -493,25 +509,38 @@ def test_a_sweep_over_chains_agrees_with_the_per_cluster_oracles(pipeline, reque
         return checked(m, *args)
 
     monkeypatch.setattr(kb.pairing, "_checked_pairing", recorded)
-    _agrees_with_the_oracles(chart, base, systems, duals, ParameterGrid.from_ranges([(-0.1, 0.1, 3)]), probe, formed)
+    grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
+    _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed, node_count)
 
 
-def _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed):
-    """Sweep ``grid`` with ``probe``, each pairing matrix it forms appended to ``formed``, and
-    compare every point with ``local_multiplicity``, ``pairing_matrix`` of ``frames_at`` and
-    ``coefficients``."""
-    report = sweep(chart, base, grid, probe=probe, systems=systems, duals=duals)
+def _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed, node_count):
+    """Sweep ``grid`` with ``probe`` on carriers of ``node_count`` nodes, each pairing matrix it
+    forms appended to ``formed``, and compare every point with ``local_multiplicity``,
+    ``pairing_matrix`` of ``frames_at`` on the same carriers and ``coefficients``."""
+    report = sweep(chart, base, grid, probe=probe, node_count=node_count, systems=systems, duals=duals)
     assert not report.failures and len(formed) == len(report.points) == grid.shape[0]
     for point, swept in zip(report.points, formed):
         y = list(point.y)
         assert point.multiplicities == [local_multiplicity(SchurEvaluator(chart, base, s), y) for s in range(len(base.clusters))]
-        frame, dual = frames_at(chart, base, systems, duals, y)
+        frame, dual = frames_at(chart, base, systems, duals, y, node_count=node_count)
         pm = pairing_matrix(chart, frame, dual, base, y)
         assert _close(swept, pm.matrix, 1e-13)
         assert point.pairing_condition == pytest.approx(pm.condition, rel=1e-13)
         pieces = frame.split(probe(y))
         section = [kb.Germ(g.center, kb.SampledFunction(g.carrier.circle, g.carrier.values @ c)) for g, c in zip(frame.blocks, pieces)]
         assert _close(point.coefficients, kb.coefficients(chart, frame, dual, base, y, section).values, 1e-13)
+
+
+@pytest.mark.parametrize("pipeline", ["sl_big_pipeline", "jordan_pipeline", "branching_pipeline", "triangular_pipeline", None])
+def test_the_held_dual_data_is_holomorphic(pipeline, request):
+    # the sweep pairs without a class projection because h_a(conj sigma)^H is holomorphic on
+    # the disc: on each carrier the conjugate of the h that _held_factors holds has no
+    # negative-frequency content beyond roundoff (None: the three-cluster family, two classes)
+    chart, base, systems, duals = request.getfixturevalue(pipeline) if pipeline else _three_cluster_pipeline()
+    for stack in kb.frames.cluster_stacks(chart, base, systems, duals):
+        h = kb.frames._held_factors(stack, systems, duals, 128)[1]
+        coefficients = np.abs(np.fft.fft(np.conj(h), axis=1))
+        assert h.shape[1] == 128 and np.max(coefficients[:, 64:]) <= 1e-13 * np.max(coefficients)
 
 
 def _two_movers(y, s):

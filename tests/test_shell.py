@@ -230,11 +230,13 @@ class TestSweep:
         assert kernels == [2]
 
     def test_pairs_no_frame_or_dual_germ(self, sl_big_pipeline):
-        # the sweep pairs the kernel sides of the frame entries against the dual data it
-        # holds from the base point: it forms no frame or dual germ and reads no P there.
-        # Calls are counted by code object, whatever name a module imports them under
+        # the sweep contracts S^-1 on its carriers against the dual data it holds from the
+        # base point: it forms no frame or dual germ, reads no P there and, as h_a(conj sigma)^H
+        # is holomorphic, projects nothing onto its class.  Calls are counted by code object,
+        # whatever name a module imports them under
         chart, base, systems, duals = sl_big_pipeline
-        codes = {f.__code__: f.__name__ for f in (kb.frames._frame_pair, kb.pairing._stacked_pairings)}
+        refs = (kb.frames._frame_pair, kb.pairing._stacked_pairings, kb.contour.singular_part_at_nodes)
+        codes = {f.__code__: f.__name__ for f in refs}
         calls = []
 
         def counted(frame, event, arg):
@@ -246,13 +248,13 @@ class TestSweep:
         try:
             report = sweep(chart, base, grid, probe=lambda y: np.ones(4), systems=systems, duals=duals)
             assert calls == []
-            # the full-space reference still goes through both
+            # the full-space reference still goes through all three
             frame, dual = kb.frames_at(chart, base, systems, duals, [0.05])
             kb.pairing_matrix(chart, frame, dual, base, [0.05])
         finally:
             sys.setprofile(None)
         assert not report.failures and max(p.probe_error for p in report.points) < 1e-8
-        assert calls == ["_frame_pair", "_stacked_pairings"]
+        assert calls == ["_frame_pair", "_stacked_pairings", "singular_part_at_nodes"]
 
     @pytest.mark.parametrize("pipeline", ["sl_big_pipeline", "jordan_pipeline", "branching_pipeline"])
     def test_a_probe_leaves_the_pairing_bit_identical(self, pipeline, request):
