@@ -29,7 +29,8 @@ from .errors import (
 )
 from .frames import Germ, frames_at, independence_check
 from .pairing import expected_base_pairing, pairing_matrix
-from .reduction import _det_function, validate_neighborhood
+from .keldysh import base_samples
+from .reduction import _det_function, _polar, validate_neighborhood
 from .shell import (
     ParameterGrid,
     _write_json,
@@ -57,6 +58,8 @@ def _parse_y(problem, value):
         raise InputError(
             f"--y needs {problem.chart.param_dim} comma separated values, got {len(parts)}"
         )
+    if not np.isfinite(parts).all():
+        raise InputError(f"--y needs finite values, got {value!r}")
     return np.asarray(parts)
 
 
@@ -187,15 +190,13 @@ def cmd_trace(args) -> int:
         raise InputError("trace expansions are defined for scalar families")
     base = problem.base()
     pieces = []
-    for cl in base.clusters:
-        # one sample of P per carrier gives the germ of tr P^-1 and its poles: an n = 1
-        # family has no complement block, so its zeros inside are the cluster's
-        carrier = cl.carrier(args.nodes)
-        values = chart.eval_many(problem.y0, carrier.nodes)
-        germ = Germ(carrier.center, SampledFunction(carrier, 1.0 / values[:, 0]))
-        zeros = circle_zeros(carrier, *np.linalg.slogdet(values), cl.multiplicity, cl.radius / 64.0)
-        poles = [(z.location, z.multiplicity) for z in zeros]
-        pieces.append(trace_from_germ(germ, poles, args.gamma, args.window))
+    # the base samples give each carrier's germ of tr P^-1 and its poles: an n = 1 family reduces to P
+    # itself, on 1 x 1 unit bases (to roundoff) with no complement block, so its zeros inside are the cluster's
+    for cl, samples in zip(base.clusters, base_samples(chart, base, args.nodes)):
+        carrier, values = samples.circle, samples.values[:, 0]
+        germ = Germ(carrier.center, SampledFunction(carrier, 1.0 / values))
+        zeros = circle_zeros(carrier, *_polar(values[:, 0]), cl.multiplicity, cl.radius / 64.0)
+        pieces.append(trace_from_germ(germ, [(z.location, z.multiplicity) for z in zeros], args.gamma, args.window))
     merged = pieces[0]
     for extra in pieces[1:]:
         merged.terms.extend(extra.terms)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .contour import Circle, SampledFunction, _continued_winding, cauchy_moment, singular_part_eval
 from .errors import InputError, NondegeneracyError, NumericalError
-from .reduction import SchurEvaluator
+from .reduction import BasePointData, SchurEvaluator, _by_cluster, _checked, _continuation, _nodes, _sampled, _stacks
 
 BETA_CONDITION_LIMIT = 1e8
 RANK_TOL = 1e-8
@@ -26,10 +26,15 @@ DUAL_RESIDUAL_LIMIT = 1e-8
 VERIFY_NODES = 128
 
 
-def base_samples(ev: SchurEvaluator, node_count: int) -> SampledFunction:
-    """The reduced family at the base parameter on the cluster's carrier circle."""
-    circle = ev.cluster.carrier(node_count)
-    return SampledFunction(circle, ev.schur_many(ev.base.y0, circle.nodes))
+def base_samples(chart, base: BasePointData, node_count: int) -> list:
+    """The reduced family at the base parameter on each cluster's carrier of ``node_count`` nodes, from
+    one ``_sampled`` pass over every carrier, rest held there, region-checked, then guarded in cluster order."""
+    carriers = [[c.carrier(node_count)] for c in base.clusters]
+    stacks = _stacks(chart, base, [None] * len(carriers))
+    schur, _, _, conds, _ = zip(*(c[0] for c in _sampled(stacks, base.y0, _nodes(stacks, carriers, 1))))
+    for (circle,), cond in zip(carriers, _by_cluster(stacks, conds)):
+        _checked(cond, circle.nodes)
+    return [SampledFunction(circle, v) for (circle,), v in zip(carriers, _by_cluster(stacks, schur))]
 
 
 def taylor_coefficients(samples: SampledFunction, order: int) -> np.ndarray:
@@ -348,7 +353,7 @@ def verify_canonical_system(
     Returns a dict of residuals/flags; raises nothing so callers can decide.
     """
     c = ev.cluster
-    y0 = ev.base.y0
+    y0 = ev.stack.base.y0
     circle = c.carrier(VERIFY_NODES)
     probes = c.center + 1.6 * c.radius * np.exp(2j * np.pi * np.arange(5) / 5)
 
@@ -364,7 +369,7 @@ def verify_canonical_system(
         membership = max(membership, float(np.max(np.abs(vals))) / max(scale, 1e-300))
 
     # both counts read one sample of the reduced determinant on the cluster circle
-    d, qdet, counted = system.total, ev.qdet_function(y0), Circle(c.center, c.radius, VERIFY_NODES)
+    d, qdet, counted = system.total, _continuation(ev.stack, y0, True), Circle(c.center, c.radius, VERIFY_NODES)
 
     def ratio(pair, sig):
         (phase, logabs), z = pair, sig - system.center

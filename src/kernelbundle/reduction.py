@@ -174,31 +174,21 @@ class BasePointData:
 
 
 class SchurEvaluator:
-    """Block decomposition and Schur complement of one cluster.
-
-    Every solve against the complement block uses a fresh factorization for
-    its (y, sigma); nothing is cached across sigma.
-    """
+    """Cluster s of a base point as the view ``stack = ClusterStack(chart, base, [s])``: its blocks and
+    Schur complement at any sigma, each solve with a fresh factorization for its (y, sigma)."""
 
     def __init__(self, chart: FamilyChart, base: BasePointData, s: int):
         if not 0 <= s < len(base.clusters):
             raise InputError(f"cluster index {s} out of range")
-        self.chart = chart
-        self.base = base
-        self.s = s
-        self.cluster = base.clusters[s]
-        self.stack = ClusterStack([self])
+        self.s, self.cluster, self.stack = s, base.clusters[s], ClusterStack(chart, base, [s])
 
     def blocks(self, y, sigma: complex):
         """The four blocks of P(y, sigma) w.r.t. the frozen decompositions."""
         return tuple(blk[0] for blk in self.blocks_many(y, [sigma])[:4])
 
     def blocks_many(self, y, sigmas):
-        """``(p11, p12, p21, p22, rest)`` at every sigma point, each with a leading
-        node axis: the four blocks of the active part of P w.r.t. the frozen
-        decompositions, and the other diagonal blocks of P, untouched."""
-        raw = self.chart.eval_blocks(y, sigmas)[None]
-        return tuple(x[0] for x in self.stack.blocks_many(*self.stack.split(raw, raw.shape[1])))
+        """``ClusterStack.blocks_at`` of the cluster."""
+        return self.stack.blocks_at(y, sigmas)
 
     def schur(self, y, sigma: complex) -> np.ndarray:
         """k x k reduced family p11 - p12 p22^{-1} p21 in the frozen bases."""
@@ -207,23 +197,15 @@ class SchurEvaluator:
     def schur_many(self, y, sigmas) -> np.ndarray:
         return _schur(self.blocks_many(y, sigmas), sigmas)[0]
 
-    def qdet_function(self, y) -> Callable:
-        """Vectorized sigma -> ``_slogdet`` of the reduced family w.r.t. the bases fixed at
-        construction, in the chunks of ``_slogdet_function``: a 1 x 1 family takes the closed form."""
-        y = _as_param(y, self.chart.param_dim)
-        return _slogdet_function(lambda s: _slogdet(self.schur_many(y, s)), self.chart.n)
-
 
 class ClusterStack:
-    """Evaluators of one chart and base point whose clusters have active parts of one size,
-    kernels of one dimension and one number of other diagonal blocks, their frozen data stacked
-    on a leading cluster axis: one array pass reduces them all, and each cluster's numbers are
-    the ones it gives alone."""
+    """The clusters ``index`` of a base point, sampled through ``chart``, of one active-part size, kernel
+    dimension and number of other diagonal blocks, their frozen data stacked on a leading cluster axis:
+    one array pass reduces them all, and each cluster's numbers are the ones it gives alone."""
 
-    def __init__(self, evs: Sequence[SchurEvaluator]):
-        self.evs = list(evs)
-        self.index = [ev.s for ev in self.evs]
-        self.clusters = [ev.cluster for ev in self.evs]
+    def __init__(self, chart: FamilyChart, base: BasePointData, index: Sequence[int]):
+        self.chart, self.base, self.index = chart, base, list(index)
+        self.clusters = [base.clusters[s] for s in self.index]
         acts = [c.active_blocks for c in self.clusters]
         self.active_blocks = None if acts[0] is None else np.array(acts)
         self._frozen: dict = {}
@@ -255,14 +237,20 @@ class ClusterStack:
         return _assemble(blocks[at, :, self.active_blocks].swapaxes(1, 2)), blocks[:, :held][at, :, other].swapaxes(1, 2)
 
     def blocks_many(self, active: np.ndarray, rest: np.ndarray) -> tuple:
-        """``SchurEvaluator.blocks_many`` of every cluster from the ``split`` of their stacked
-        diagonal blocks, each array with the leading axes (C, N): the active part in the frozen
-        bases, cut into its four blocks, and the other diagonal blocks where ``split`` holds them."""
+        """``blocks_at`` of every cluster from the ``split`` of their stacked diagonal blocks, each
+        array with the leading axes (C, N): the active part in the frozen bases, cut into its four
+        blocks, and the other diagonal blocks where ``split`` holds them."""
         b = rest.shape[-1]
         _, _, left, right = self.frozen(rest.shape[2] + active.shape[-1] // b, b)
         B = _rotated(left, active, right)
         k = self.clusters[0].K.shape[1]
         return B[..., :k, :k], B[..., :k, k:], B[..., k:, :k], B[..., k:, k:], rest
+
+    def blocks_at(self, y, sigmas) -> tuple:
+        """``(p11, p12, p21, p22, rest)`` of a one-cluster stack at the sigmas from one region-checked
+        ``eval_blocks`` call, each with a leading node axis: ``blocks_many`` with every node held."""
+        raw = self.chart.eval_blocks(y, sigmas)[None]
+        return tuple(x[0] for x in self.blocks_many(*self.split(raw, raw.shape[1])))
 
 
 def _stacks(chart: FamilyChart, base: BasePointData, keys) -> list:
@@ -273,7 +261,7 @@ def _stacks(chart: FamilyChart, base: BasePointData, keys) -> list:
     for s, (c, key) in enumerate(zip(base.clusters, keys)):
         shape = None if c.active_blocks is None else len(c.active_blocks), c.kernel_dim
         groups.setdefault((shape, key), []).append(s)
-    return [ClusterStack([SchurEvaluator(chart, base, s) for s in index]) for index in groups.values()]
+    return [ClusterStack(chart, base, index) for index in groups.values()]
 
 
 def _by_cluster(stacks, arrays) -> list:
@@ -431,7 +419,7 @@ def _nodes(stacks: Sequence[ClusterStack], circles, held: int) -> tuple:
     (C, N), its circles' node runs and the count of nodes on its first ``held`` circles, which hold rest."""
     nodes = [np.stack([np.concatenate([c.nodes for c in circles[s]]) for s in st.index]) for st in stacks]
     flat = np.concatenate([x.ravel() for x in nodes])
-    if not np.all(stacks[0].evs[0].chart.sigma.contains(flat)):
+    if not np.all(stacks[0].chart.sigma.contains(flat)):
         raise RegionError("sigma batch leaves the chart region")
     sizes = [[c.node_count for c in circles[st.index[0]]] for st in stacks]
     runs = [[slice(e - n, e) for n, e in zip(x, accumulate(x))] for x in sizes]
@@ -442,7 +430,7 @@ def _evaluated(stacks: Sequence[ClusterStack], y, nodes) -> list:
     """P at y per shape class of ``stacks`` on the ``_nodes`` ``nodes``, from one ``eval_blocks`` call:
     ``(rows, active, rest)``, the active rows (C, a), None where all, and ``split``."""
     flat, classes = nodes
-    blocks = stacks[0].evs[0].chart.eval_blocks(y, flat, False)
+    blocks = stacks[0].chart.eval_blocks(y, flat, False)
     ends = accumulate(c * n for (c, n), _, _ in classes)
     raw = [blocks[e - c * n : e].reshape(c, n, *blocks.shape[1:]) for ((c, n), _, _), e in zip(classes, ends)]
     return [(st.frozen(*r.shape[2:4])[1], *st.split(r, x[2])) for st, r, x in zip(stacks, raw, classes)]
@@ -496,27 +484,27 @@ def _neighborhood(stacks, y, circles, classes, counted, complement) -> tuple:
     maximum there.  Condition (4): the smallest |det| over the largest on the ``counted`` circles, 0
     where a count differs from the multiplicity or a zero on a circle or an unresolved loop ends it,
     or the count's error.  And per ``counted`` circle, the ``(phase, logabs)`` rows (C, N)."""
-    evs, k = [ev for st in stacks for ev in st.evs], len(counted)
-    order = sorted(range(len(evs)), key=lambda r: evs[r].s)
+    index, k, clusters = [s for st in stacks for s in st.index], len(counted), stacks[0].base.clusters
+    order = sorted(range(len(index)), key=index.__getitem__)
     per = [[(*_slogdet(c[i][0]), c[i][3]) for c in classes] for i in counted]
     per += [[(*c[i][4][:2], _p22_margin(c[i][4][2])) for c in classes] for i in complement]
     phase, logabs, third = ([np.concatenate([x[q] for x in p]) if p[1:] else p[0][q] for p in per] for q in range(3))
-    rows, out, size = np.concatenate(logabs), [], len(evs)
+    rows, out, size = np.concatenate(logabs), [], len(index)
     ws = _windings(np.concatenate(phase), rows)
     for j, i in enumerate((*counted, *complement)):
         # per cluster, whether a count's guard holds, or a complement circle's margin
         counting, row = j < k, []
         held = (third[j].max(axis=1) <= P22_CONDITION_LIMIT).tolist() if counting else third[j].tolist()
         for r in order:
-            ev, w = evs[r], ws[j * size + r]
+            s, w = index[r], ws[j * size + r]
             try:
                 if counting and not held[r]:
-                    _checked(third[j][r], circles[ev.s][i].nodes)
+                    _checked(third[j][r], circles[s][i].nodes)
                 if isinstance(w, Exception):
                     raise w
                 if w is None:
-                    q = lambda x: ev.qdet_function(y)(x) if counting else _complement(_scaled(ev.blocks_many(y, x)))[:2]
-                    w = _continued_winding(q, circles[ev.s][i].path, phase[j][r], logabs[j][r])
+                    q = _continuation(ClusterStack(stacks[0].chart, stacks[0].base, [s]), y, counting)
+                    w = _continued_winding(q, circles[s][i].path, phase[j][r], logabs[j][r])
             except (KernelBundleError if counting else NumericalError) as exc:
                 w = exc
             row.append(w if counting else held[r] if w == 0 else 0.0)
@@ -525,7 +513,7 @@ def _neighborhood(stacks, y, circles, classes, counted, complement) -> tuple:
         ratios = np.exp(rows.min(axis=1) - rows.max(axis=1)).tolist()
     annulus = []
     for s, r in enumerate(order):
-        bad = next((x[s] for x in out[:k] if x[s] != evs[r].cluster.multiplicity), None)
+        bad = next((x[s] for x in out[:k] if x[s] != clusters[index[r]].multiplicity), None)
         if bad is None:
             annulus.append(min((ratios[j * size + r] for j in range(k)), default=np.inf))
         else:
@@ -556,6 +544,15 @@ def _slogdet_function(slogdets: Callable, n: int) -> Callable:
         return tuple(np.concatenate(a).reshape(s.shape) for a in zip(*parts))
 
     return q
+
+
+def _continuation(stack: ClusterStack, y, counting: bool) -> Callable:
+    """Vectorized sigma -> ``(phase, logabs)`` at y of the one cluster of ``stack``, from its ``blocks_at``:
+    where ``counting``, the guarded ``_slogdet`` of its reduced family, in the chunks of
+    ``_slogdet_function``, and elsewhere det C, its ``_complement``."""
+    if counting:
+        return _slogdet_function(lambda s: _slogdet(_schur(stack.blocks_at(y, s), s)[0]), stack.chart.n)
+    return lambda s: _complement(_scaled(stack.blocks_at(y, s)))[:2]
 
 
 def _det_function(chart: FamilyChart, y) -> Callable:

@@ -37,7 +37,6 @@ from .reduction import (
     INVERTIBILITY_FLOOR,
     P22_CONDITION_LIMIT,
     BasePointData,
-    SchurEvaluator,
     _by_cluster,
     _checked,
     _inverse,
@@ -90,9 +89,12 @@ class ParameterGrid:
     def from_ranges(cls, ranges: Sequence) -> "ParameterGrid":
         axes = []
         for lo, hi, count in ranges:
+            lo, hi = float(lo), float(hi)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InputError(f"grid bounds must be finite, got [{lo}, {hi}]")
             if count < 1 or hi < lo:
                 raise InputError("bad grid range")
-            axes.append(np.linspace(float(lo), float(hi), int(count)))
+            axes.append(np.linspace(lo, hi, int(count)))
         return cls(tuple(axes))
 
     @property
@@ -216,13 +218,12 @@ class SweepReport:
 
 
 def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int = 256):
-    """Primal and dual root systems for every cluster of a base point, from one
-    evaluation of each carrier at ``node_count`` nodes, which also carry beta:
-    frames take any divisor, such as half."""
-    systems = []
-    duals = []
-    for s, cl in enumerate(base.clusters):
-        samples = base_samples(SchurEvaluator(chart, base, s), node_count)
+    """Primal and dual root systems for every cluster of a base point, from the ``base_samples`` of one
+    evaluation of every carrier at ``node_count`` nodes, which also carry beta: frames take any divisor,
+    such as half.  That pass checks the region of all carriers, then their guards in cluster order,
+    before any chain is built: a later cluster's guard fails before an earlier cluster's chains do."""
+    systems, duals = [], []
+    for s, (cl, samples) in enumerate(zip(base.clusters, base_samples(chart, base, node_count))):
         taylor = taylor_coefficients(samples, 2 * cl.multiplicity + 1)
         system = root_functions(taylor, cl.multiplicity, cluster_index=s, center=cl.center)
         systems.append(with_beta(system, samples))
@@ -678,6 +679,15 @@ def probe_from_spec(entries: Sequence[dict], size: int) -> Callable:
     return probe
 
 
+def _positive(value, where: str) -> Optional[float]:
+    """A finite positive number, or None where the field is absent."""
+    if value is None:
+        return None
+    if not 0.0 < float(value) < math.inf:
+        raise SpecError(f"{where} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 def load_problem(spec: dict) -> Problem:
     """Parse a problem description dictionary (see README for the schema)."""
     try:
@@ -689,8 +699,9 @@ def load_problem(spec: dict) -> Problem:
         y0 = np.atleast_1d(np.asarray(bp.get("y0", [0.0] * chart.param_dim), dtype=float))
         if y0.shape != (chart.param_dim,):
             raise SpecError("base_point.y0 has the wrong number of parameters")
-        epsilon = bp.get("epsilon")
-        epsilon = float(epsilon) if epsilon is not None else None
+        if not all(map(math.isfinite, y0.tolist())):
+            raise SpecError(f"base_point.y0 must be finite, got {y0.tolist()}")
+        epsilon = _positive(bp.get("epsilon"), "base_point.epsilon")
 
         grid = None
         if "grid" in spec:
@@ -710,8 +721,7 @@ def load_problem(spec: dict) -> Problem:
             if chart.param_dim != 1:
                 raise SpecError(f"a probe needs a one-parameter family, not param_dim {chart.param_dim}")
             _probe_terms(probe_entries)
-        min_separation = spec.get("min_separation")
-        min_separation = float(min_separation) if min_separation is not None else None
+        min_separation = _positive(spec.get("min_separation"), "min_separation")
 
         probe_entries = list(probe_entries) if probe_entries else None
         return Problem(chart, y0, epsilon, grid, probe_entries, min_separation, sl_spec)

@@ -158,6 +158,10 @@ class TestTwoPresentations:
                     bound = _guard([*(x[None] for x in blocks[:4]), blocks[4][None, :COUNT_NODES]], COUNT_NODES)[1][0]
                     assert np.all(bound >= (1 - 1e-12) * _per_node_condition(blocks))
 
+    def test_one_pass_gives_each_cluster_its_samples_alone(self, presentations):
+        for chart, base, *_ in presentations[0]:
+            _samples_alone(chart, base)
+
     def test_validation(self, presentations):
         (blk, bb, *_), (den, bd, *_) = presentations[0]
         grid = ParameterGrid.from_ranges([(-0.1, 0.1, 5)]).points()
@@ -541,6 +545,21 @@ def test_the_held_dual_data_is_holomorphic(pipeline, request):
         h = kb.frames._held_factors(stack, systems, duals, 128)[1]
         coefficients = np.abs(np.fft.fft(np.conj(h), axis=1))
         assert h.shape[1] == 128 and np.max(coefficients[:, 64:]) <= 1e-13 * np.max(coefficients)
+
+
+@pytest.mark.parametrize("pipeline", ["sl_big_pipeline", "jordan_pipeline", "branching_pipeline", "triangular_pipeline", None])
+def test_one_pass_gives_each_cluster_its_samples_alone(pipeline, request):
+    # None: the three-cluster family, whose two shape classes the pass reduces apart
+    _samples_alone(*(request.getfixturevalue(pipeline) if pipeline else _three_cluster_pipeline())[:2])
+
+
+def _samples_alone(chart, base):
+    """``base_samples`` reduces every carrier in one pass; each cluster's values are bit for bit the
+    ones its own ``SchurEvaluator`` gives on its carrier."""
+    for s, (cl, samples) in enumerate(zip(base.clusters, kb.keldysh.base_samples(chart, base, 256))):
+        carrier = cl.carrier(256)
+        assert samples.circle == carrier
+        assert np.array_equal(samples.values, SchurEvaluator(chart, base, s).schur_many(base.y0, carrier.nodes))
 
 
 def _two_movers(y, s):

@@ -326,9 +326,30 @@ class TestSubcommands:
         assert len(gaps) == 3 and max(gaps) < CROSS_CHECK_TOL
         assert json.loads(out.read_text())["symbolic_numeric_gap"] == max(gaps)
 
+    @pytest.mark.parametrize(
+        "command, spec, extra, named",
+        [
+            ("locate", {"min_separation": float("nan")}, [], "min_separation"),
+            ("sweep", {"grid": {"axes": [{"min": float("nan"), "max": 0.1, "count": 3}]}}, [], "grid bounds"),
+            ("sweep", {}, ["--grid", "0,Infinity,3"], "grid bounds"),
+            ("pair", {}, ["--y", "nan"], "--y"),
+            ("frame", {}, ["--y", "inf"], "--y"),
+            ("reduce", {"base_point": {"y0": [float("nan")]}}, [], "base_point.y0"),
+            *[("reduce", {"base_point": {"epsilon": v}}, [], "base_point.epsilon") for v in (-0.1, float("nan"), float("inf"))],
+        ],
+    )
+    def test_non_finite_input_exits_2_before_any_sampling(self, command, spec, extra, named, tmp_path, monkeypatch, capsys):
+        # json.dumps writes NaN and Infinity, and json.load reads them back
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(spec, family={"kind": "branching"})))
+        sampled = []
+        monkeypatch.setattr(kernelbundle.FamilyChart, "eval_blocks", lambda *args, **kwargs: sampled.append(args))
+        assert main([command, "--spec", str(path), "--out", str(tmp_path / "out.json"), *extra]) == EXIT_PARSE
+        assert sampled == [] and named in capsys.readouterr().err
+
     def test_trace_samples_each_carrier_once(self, tmp_path, monkeypatch):
-        # after the base point, the germ of tr P^-1 and its poles come from one sample
-        # of P on each of the three carriers: residues -1/2, 1 and -1/2 at 0, -i and -2i
+        # after the base point, the germs of tr P^-1 and their poles come from one sample
+        # of P on all three carriers: residues -1/2, 1 and -1/2 at 0, -i and -2i
         spec, out = tmp_path / "indicial3.json", tmp_path / "trace.json"
         spec.write_text(json.dumps({"family": {"kind": "indicial", "m": 3}}))
         nodes, based = [], []
@@ -348,7 +369,7 @@ class TestSubcommands:
         monkeypatch.setattr(kernelbundle.FamilyChart, "eval_blocks", counted)
         argv = ["trace", "--spec", str(spec), "--gamma", "3", "--window", "3.5", "--out", str(out)]
         assert main(argv) == 0
-        assert nodes == [128] * 3
+        assert nodes == [3 * 128]
         terms = json.loads(out.read_text())["terms"]
         for term, sigma, coeff in zip(terms, (0, -1j, -2j), (-0.5j, 1j, -0.5j)):
             assert abs(complex(*term["sigma"]) - sigma) < 1e-12

@@ -6,7 +6,7 @@ import pytest
 import kernelbundle.keldysh
 from kernelbundle.contour import Circle, SampledFunction
 from kernelbundle.errors import InputError, NondegeneracyError, NumericalError
-from kernelbundle.family import adjoint_chart
+from kernelbundle.family import FamilyChart, adjoint_chart
 from kernelbundle.keldysh import (
     BETA_CONDITION_LIMIT,
     base_samples,
@@ -28,7 +28,7 @@ class TestTaylor:
     def test_jordan_reduced_series(self, jordan_pipeline):
         # the reduced family of the Jordan block is exactly -sigma^2
         chart, base, systems, _ = jordan_pipeline
-        T = taylor_coefficients(base_samples(SchurEvaluator(chart, base, 0), 256), 5)
+        T = taylor_coefficients(base_samples(chart, base, 256)[0], 5)
         assert len(systems[0].taylor) == 6  # through order 2*multiplicity + 1
         assert T[2][0, 0] == pytest.approx(-1.0, abs=1e-12)
         for p in (0, 1, 3, 4, 5):
@@ -36,14 +36,14 @@ class TestTaylor:
 
     def test_branching_reduced_series(self, branching_pipeline):
         chart, base, _, _ = branching_pipeline
-        T = taylor_coefficients(base_samples(SchurEvaluator(chart, base, 0), 256), 5)
+        T = taylor_coefficients(base_samples(chart, base, 256)[0], 5)
         assert np.allclose(T[1], np.eye(2), atol=1e-12)
         assert np.max(np.abs(T[0])) < 1e-11
         assert np.max(np.abs(T[2])) < 1e-11
 
     def test_explicit_order(self, jordan_pipeline):
         chart, base, _, _ = jordan_pipeline
-        T = taylor_coefficients(base_samples(SchurEvaluator(chart, base, 0), 256), 3)
+        T = taylor_coefficients(base_samples(chart, base, 256)[0], 3)
         assert len(T) == 4
 
 
@@ -178,7 +178,7 @@ class TestDual:
         chart_b, base_b, systems_b, _ = branching_pipeline
         _, _, systems_j, _ = jordan_pipeline
         with pytest.raises(NumericalError):
-            dual_root_functions(systems_j[0], base_samples(SchurEvaluator(chart_b, base_b, 0), 256))
+            dual_root_functions(systems_j[0], base_samples(chart_b, base_b, 256)[0])
         with pytest.raises(NumericalError):
             dual_root_functions(systems_b[0], SampledFunction(Circle(0.0, 0.5, 256), np.ones((256, 3, 3))))
 
@@ -190,7 +190,7 @@ class TestDual:
         scaled = dataclasses.replace(chart, evaluator=lambda y, s: factor * chart.evaluator(y, s))
         base = base_point_data(scaled, [0.0])
         systems, _ = canonical_systems(scaled, base)
-        samples = base_samples(SchurEvaluator(scaled, base, 1), 256)
+        samples = base_samples(scaled, base, 256)[1]
         dual_root_functions(systems[1], samples)
         with pytest.raises(NumericalError, match="do not belong"):
             dual_root_functions(systems[0], samples)
@@ -200,7 +200,7 @@ class TestDual:
         # a term eps (zeta - c)^order on the primal samples moves only the
         # dual Taylor coefficient of that order, by eps relative to the scale
         chart, base, systems, _ = sl_big_pipeline
-        samples = base_samples(SchurEvaluator(chart, base, 0), 256)
+        samples = base_samples(chart, base, 256)[0]
         scale = float(np.max(np.abs(systems[0].taylor)))
         bump = ((samples.circle.nodes - samples.circle.center) ** order)[:, None, None]
 
@@ -228,8 +228,8 @@ class TestDual:
         for chart, base, systems, _ in (sl_big_pipeline, jordan_pipeline, triangular_pipeline):
             for s, system in enumerate(systems):
                 seen.clear()
-                dual_root_functions(system, base_samples(SchurEvaluator(chart, base, s), 256))
-                ref = base_samples(SchurEvaluator(adjoint_chart(chart), base.conjugate_swapped(), s), 256)
+                dual_root_functions(system, base_samples(chart, base, 256)[s])
+                ref = base_samples(adjoint_chart(chart), base.conjugate_swapped(), 256)[s]
                 (got,) = seen
                 assert got.circle == ref.circle
                 scale = float(np.max(np.abs(ref.values)))
@@ -256,13 +256,13 @@ class TestVerification:
         # on the cluster circle for the determinant count and the ratio winding
         chart, base, systems, duals = branching_pipeline
         calls = []
-        blocks_many = SchurEvaluator.blocks_many
+        eval_blocks = FamilyChart.eval_blocks
 
-        def counted(self, y, sigmas):
+        def counted(self, y, sigmas, *args):
             calls.append(len(sigmas))
-            return blocks_many(self, y, sigmas)
+            return eval_blocks(self, y, sigmas, *args)
 
-        monkeypatch.setattr(SchurEvaluator, "blocks_many", counted)
+        monkeypatch.setattr(FamilyChart, "eval_blocks", counted)
         out = verify_canonical_system(SchurEvaluator(chart, base, 0), systems[0], duals[0])
         assert (out["determinant_count"], out["ratio_winding"]) == (2, 0)
         assert calls == [128, 128]

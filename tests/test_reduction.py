@@ -30,8 +30,10 @@ from kernelbundle.reduction import (
     P22_CONDITION_LIMIT,
     BasePointData,
     Cluster,
+    ClusterStack,
     SchurEvaluator,
     _complement,
+    _continuation,
     _det_function,
     _guard,
     _scaled,
@@ -164,7 +166,7 @@ class TestBasePoint:
 
 def _qdet(ev, y, sigma):
     """Reduced determinant values from the ``(phase, logabs)`` sampler."""
-    phase, logabs = ev.qdet_function(y)(sigma)
+    phase, logabs = _continuation(ev.stack, y, True)(sigma)
     return phase * np.exp(logabs)
 
 
@@ -253,12 +255,12 @@ class TestSchur:
                 for got, want in zip((p11, p12, p21, p22), ref):
                     assert np.max(np.abs(got[t] - want)) < 1e-12 * scale
             schur = ev.schur_many(y, sigmas)
-            phase, logabs = ev.qdet_function(y)(sigmas)
+            phase, logabs = _continuation(ev.stack, y, True)(sigmas)
             for t, s in enumerate(sigmas):
                 for got, want in zip(ev.blocks(y, s), (p11, p12, p21, p22)):
                     assert np.array_equal(got, want[t])
                 assert np.array_equal(ev.schur(y, s), schur[t])
-                assert ev.qdet_function(y)(s) == (phase[t], logabs[t])
+                assert _continuation(ev.stack, y, True)(s) == (phase[t], logabs[t])
 
     def test_small_active_parts_against_loop_reference(self, sl_scalar_pipeline, sl_big_pipeline):
         # active parts of size 1 (scalar chart) and 2 (two-channel chart) are rotated
@@ -502,8 +504,8 @@ class TestNeighborhood:
         # the sweep-n8 chart has four clusters at y0 = 0.  A validation evaluates the
         # family once per grid y for all of them, on their two count circles, and at
         # y0 on their doubled circles too, of COUNT_NODES nodes each: the checks of
-        # base_point_data evaluate no cluster apart, and canonical_systems once
-        # per carrier
+        # base_point_data evaluate no cluster apart, and canonical_systems all
+        # carriers in one call
         chart, _ = sl_big_chart
         per_cluster, calls = [], []
         blocks_many, eval_blocks = SchurEvaluator.blocks_many, FamilyChart.eval_blocks
@@ -518,14 +520,15 @@ class TestNeighborhood:
 
         monkeypatch.setattr(SchurEvaluator, "blocks_many", counted)
         base = base_point_data(chart, [0.0])
-        canonical_systems(chart, base)
-        assert len(base.clusters) == 4 and per_cluster == [256] * 4
         monkeypatch.setattr(FamilyChart, "eval_blocks", recorded)
+        canonical_systems(chart, base)
+        assert len(base.clusters) == 4 and calls == [(0.0, 4 * 256)] and per_cluster == []
+        calls.clear()
         grid = ParameterGrid.from_ranges([(-0.1, 0.1, 21)]).points()
         assert validate_neighborhood(chart, base, grid).passed
         counts = 4 * 2 * COUNT_NODES
         assert calls == [(y[0], counts + (4 * COUNT_NODES if y[0] == 0.0 else 0)) for y in grid]
-        assert per_cluster == [256] * 4
+        assert per_cluster == []
         calls.clear()
         # off the grid, the doubled circles at y0 cost one evaluation of their own
         off = validate_neighborhood(chart, base, [[0.05]])
@@ -614,7 +617,7 @@ class TestDetFunction:
         box = rng.uniform(-1.0, 1.0, 50) + 1j * rng.uniform(-1.5, 1.5, 50)
         samplers = [
             (_det_function(_scalar_dirichlet(64), [0.3]), box),
-            (SchurEvaluator(chart, base, 0).qdet_function([0.1]), disc),
+            (_continuation(ClusterStack(chart, base, [0]), [0.1], True), disc),
         ]
         for q, points in samplers:
             phase, logabs = q(points)

@@ -69,6 +69,11 @@ class TestGrid:
         with pytest.raises(InputError):
             ParameterGrid.from_ranges([(0.0, 1.0, 0)])
 
+    @pytest.mark.parametrize("bounds", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (np.nan, np.nan)])
+    def test_bounds_must_be_finite(self, bounds):
+        with pytest.raises(InputError, match="grid bounds must be finite"):
+            ParameterGrid.from_ranges([(*bounds, 3)])
+
 
 class TestDividedDifferences:
     def test_quadratic_exact(self):
@@ -279,26 +284,23 @@ class TestSweep:
             assert point.p22_margin == kb.validate_neighborhood(chart, base, [list(point.y)]).conditions[2].margin
 
     def test_count_continues_on_the_midpoints(self, monkeypatch):
-        # sigma^17 turns 17 * 2 pi / 64 > pi/2 between the 64 count nodes, so
-        # each count continues on the 64 midpoints of its circle, and only there
+        # sigma^17 turns 17 * 2 pi / 64 > pi/2 between the 64 count nodes, so after
+        # one evaluation on both count circles each count continues on the 64
+        # midpoints of its circle, and only there
         chart = matrix_polynomial_chart([PolyTerm(17, (0,), np.eye(1))], SigmaRegion(-2, 2, -2, 2))
         one, empty = np.eye(1), np.zeros((1, 0))
         cluster = kb.reduction.Cluster(0j, 17, 1, one, empty, one, empty, 0.5)
         ev = kb.SchurEvaluator(chart, kb.reduction.BasePointData(chart, np.zeros(1), [cluster]), 0)
-        sampled = []
-        qdet_function = ev.qdet_function
+        sampled, eval_blocks = [], kb.FamilyChart.eval_blocks
 
-        def counted(y):
-            q = qdet_function(y)
+        def recorded(self, y, sigmas, *args):
+            sampled.append(np.asarray(sigmas))
+            return eval_blocks(self, y, sigmas, *args)
 
-            def recorded(sigma):
-                sampled.append(sigma)
-                return q(sigma)
-
-            return recorded
-
-        monkeypatch.setattr(ev, "qdet_function", counted)
+        monkeypatch.setattr(kb.FamilyChart, "eval_blocks", recorded)
         assert self.counts(ev) == [17, 17]
+        assert [len(s) for s in sampled] == [128, 64, 64]
+        sampled = sampled[1:]
         assert [len(s) for s in sampled] == [64, 64]
         for s, circle in zip(sampled, ev.cluster.count_circles()):
             assert np.array_equal(s, circle.path(128)[1::2])
@@ -311,8 +313,8 @@ class TestSweep:
         return [c[0] for c in kb.reduction._neighborhood([ev.stack], [0.0], circles, classes, (0, 1), (0,))[0]]
 
     def test_continued_count_takes_the_closed_form_slogdet(self, monkeypatch):
-        # the sigma^17 counts above continue on their midpoints through qdet_function,
-        # whose 1 x 1 reduced family needs no LAPACK slogdet
+        # the sigma^17 counts above continue on their midpoints through the guarded
+        # slogdet of a one-cluster stack, whose 1 x 1 reduced family needs no LAPACK slogdet
         chart = matrix_polynomial_chart([PolyTerm(17, (0,), np.eye(1))], SigmaRegion(-2, 2, -2, 2))
         one, empty = np.eye(1), np.zeros((1, 0))
         cluster = kb.reduction.Cluster(0j, 17, 1, one, empty, one, empty, 0.5)
@@ -576,11 +578,12 @@ class TestCanonicalSystems:
             assert du.lengths == [1]
 
     def test_samples_each_carrier_once(self, sl_big_pipeline, counting_chart):
-        # the duals are read off the primal samples: no adjoint evaluation
+        # one evaluation of every carrier; the duals are read off the primal samples:
+        # no adjoint evaluation
         chart, base, systems, duals = sl_big_pipeline
         counting, calls = counting_chart(chart)
         again, again_duals = canonical_systems(counting, base)
-        assert calls == [(0.0,)] * len(base.clusters)
+        assert calls == [(0.0,)]
         assert [sy.lengths for sy in again] == [sy.lengths for sy in systems]
         assert [du.lengths for du in again_duals] == [du.lengths for du in duals]
 
@@ -658,6 +661,25 @@ class TestProblemFiles:
         arr.write_text("[]")
         with pytest.raises(SpecError):
             load_problem_file(arr)
+
+    @pytest.mark.parametrize(
+        "field, spec",
+        [
+            ("base_point.y0", {"base_point": {"y0": [np.nan]}}),
+            ("base_point.y0", {"base_point": {"y0": [np.inf]}}),
+            *[("base_point.epsilon", {"base_point": {"epsilon": v}}) for v in (-0.1, 0.0, np.nan, np.inf)],
+            *[("min_separation", {"min_separation": v}) for v in (-1.0, 0.0, np.nan, np.inf)],
+        ],
+    )
+    def test_non_finite_or_non_positive_values_rejected(self, field, spec):
+        # json reads NaN and Infinity; each field is refused by name when the file is read
+        with pytest.raises(SpecError, match=f"{field} must be"):
+            load_problem(dict(spec, family={"kind": "branching"}))
+
+    def test_non_finite_grid_bounds_rejected(self):
+        axis = {"min": np.nan, "max": 0.1, "count": 3}
+        with pytest.raises(InputError, match="grid bounds must be finite"):
+            load_problem({"family": {"kind": "branching"}, "grid": {"axes": [axis]}})
 
     @pytest.mark.parametrize(
         "key, value",
