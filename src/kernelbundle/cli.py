@@ -13,6 +13,7 @@ failure (resolution, degeneracy, clustered zeros and the like).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -33,8 +34,8 @@ from .keldysh import base_samples
 from .reduction import _det_function, _polar, validate_neighborhood
 from .shell import (
     ParameterGrid,
+    _diagram,
     _write_json,
-    branching_diagram,
     canonical_systems,
     load_problem_file,
     probe_from_spec,
@@ -178,7 +179,8 @@ def cmd_sweep(args) -> int:
         _write_json(err.partial_report.to_dict(), args.out)
         raise
     if args.csv:
-        branching_diagram(problem.chart, base, grid, out=args.csv)
+        # the diagram reads the count circles the sweep sampled: no second pass over the grid
+        _diagram(base, report.outer_samples, args.csv)
     _write_json(report.to_dict(), args.out)
     return 0 if not report.failures else EXIT_VALIDATION
 
@@ -209,50 +211,38 @@ def cmd_trace(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # a word of '-' and a digit is a value, as in --grid -0.1,0.1,3, not a plain negative number alone;
+        # add_subparsers builds the subcommands' parsers of this class too
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kernelbundle")
+    parser = _Parser(prog="kernelbundle")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, text):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--spec", required=True, help="problem description JSON file")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
         p.add_argument("--nodes", type=int, default=128, help="quadrature nodes per circle")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("locate", help="zeros of the family determinant at the base parameter")
-    common(p)
-
-    p = sub.add_parser("reduce", help="base point data, neighborhood validation, chain lengths")
-    common(p)
-
-    p = sub.add_parser("frame", help="canonical frame at a parameter value")
-    common(p)
-    p.add_argument("--y", default=None, help="parameter value, comma separated")
-
-    p = sub.add_parser("pair", help="pairing matrix of frame against dual frame")
-    common(p)
-    p.add_argument("--y", default=None, help="parameter value, comma separated")
-
-    p = sub.add_parser("sweep", help="grid sweep with frames, pairing, probe recovery")
-    common(p)
+    command("locate", cmd_locate, "zeros of the family determinant at the base parameter")
+    command("reduce", cmd_reduce, "base point data, neighborhood validation, chain lengths")
+    for name, run, text in (("frame", cmd_frame, "canonical frame at a parameter value"),
+                            ("pair", cmd_pair, "pairing matrix of frame against dual frame")):
+        command(name, run, text).add_argument("--y", default=None, help="parameter value, comma separated")
+    p = command("sweep", cmd_sweep, "grid sweep with frames, pairing, probe recovery")
     p.add_argument("--grid", default=None, help="override grid: lo,hi,count[;lo,hi,count]")
     p.add_argument("--csv", default=None, help="also write the branching diagram CSV here")
-
-    p = sub.add_parser("trace", help="trace expansion of a scalar family at the base point")
-    common(p)
+    p = command("trace", cmd_trace, "trace expansion of a scalar family at the base point")
     p.add_argument("--gamma", type=float, required=True, help="upper edge of the decay window")
     p.add_argument("--window", type=float, required=True, help="width of the decay window")
-
     return parser
-
-
-COMMANDS = {
-    "locate": cmd_locate,
-    "reduce": cmd_reduce,
-    "frame": cmd_frame,
-    "pair": cmd_pair,
-    "sweep": cmd_sweep,
-    "trace": cmd_trace,
-}
 
 
 def main(argv=None) -> int:
@@ -261,7 +251,7 @@ def main(argv=None) -> int:
     try:
         if args.nodes < 16:
             raise InputError(f"--nodes must be at least 16, got {args.nodes}")
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except (ValidationError, RegionError, ConfigurationError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -190,6 +190,8 @@ class SweepReport:
     pairing_entry_dd_floor: Optional[float] = None
     elapsed: float = 0.0
     schema_version: int = SCHEMA_VERSION
+    # per grid y whose circles were counted, what ``_diagram`` reads of the outer ones; never serialized
+    outer_samples: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def total_dimension(self) -> int:
@@ -231,6 +233,20 @@ def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int =
     return systems, duals
 
 
+def _neighborhoods(stacks, circles, grid: ParameterGrid):
+    """Per point y of ``grid``, one ``_sampled`` pass of ``stacks`` on the ``circles`` and its ``_neighborhood``:
+    ``(y, (classes, counts, sample))``, ``sample`` what ``_diagram`` reads, or ``(y, error)``."""
+    nodes = _nodes(stacks, circles, 1)
+    for y in grid.points():
+        try:
+            classes = _sampled(stacks, y, nodes)
+            counts, (margins,), annulus, (phase, logabs) = _neighborhood(stacks, y, circles, classes, (0, 1), (0,))
+            found = classes, counts, (y, margins, annulus, phase[0], logabs[0])
+        except KernelBundleError as exc:
+            found = exc
+        yield y, found
+
+
 def sweep(
     chart: FamilyChart,
     base: BasePointData,
@@ -265,7 +281,7 @@ def sweep(
     inner counts, the carriers, S^{-1} there and the pairing.  Its
     ``p22_margin`` is the smallest condition-(3) margin of
     ``validate_neighborhood`` over the clusters (1.0 where none has a
-    complement block).
+    complement block).  ``sweep --csv`` reads its diagram off ``outer_samples``.
     """
     t0 = time.perf_counter()
     if grid.ndim != chart.param_dim:
@@ -292,16 +308,19 @@ def sweep(
     stacks = cluster_stacks(chart, base, systems, duals)
     # per cluster: its two count circles and its carrier; rest is read on the outer one alone
     circles = [c.count_circles() + [c.carrier(node_count)] for c in base.clusters]
-    nodes, held = _nodes(stacks, circles, 1), [_held_factors(st, systems, duals, node_count)[0] for st in stacks]
+    held = [_held_factors(st, systems, duals, node_count)[0] for st in stacks]
     dual_labels = [(s, j, l) for s, du in enumerate(duals) for j, l in du.entry_labels()]
     # per class, the probe's entries of its clusters, (C, E)
     entries = [np.array([[t for t, lab in enumerate(labels) if lab[0] == s] for s in st.index]) for st in stacks]
 
-    for y in grid.points():
+    for y, found in _neighborhoods(stacks, circles, grid):
         y_key = tuple(float(v) for v in np.atleast_1d(y))
         try:
-            classes = _sampled(stacks, y, nodes)
-            (outer, inner), (margins,), _, _ = _neighborhood(stacks, y, circles, classes, (0, 1), (0,))
+            if isinstance(found, KernelBundleError):
+                raise found
+            classes, (outer, inner), sample = found
+            report.outer_samples.append(sample)
+            margins = sample[1]
             # once C is singular in a disc, det S's count no longer measures the fiber there
             failed = next((s for s, m in enumerate(margins) if not m > INVERTIBILITY_FLOOR), None)
             if failed is not None:
@@ -390,40 +409,30 @@ def sweep(
 BRANCH_HEADER = ["y", "cluster", "re_sigma", "im_sigma", "mult"]
 
 
-def branching_diagram(
-    chart: FamilyChart,
-    base: BasePointData,
-    grid: ParameterGrid,
-    out=None,
-) -> list:
-    """Zero locations of the reduced determinants along a one dimensional grid.
-
-    Each grid y is one ``_sampled`` pass over every cluster's count circles: where
-    condition (4) holds for a cluster, ``circle_zeros`` reads its rows ``[y, cluster, re,
-    im, mult]`` off the outer one, and elsewhere it has none.  Rows are sorted by grid
-    order, cluster, then location; CSV is written to the path ``out`` when given.
-    """
-    if grid.ndim != 1:
-        raise InputError("branching diagrams are defined along a single parameter axis")
-    stacks = _stacks(chart, base, [None] * len(base.clusters))
-    circles = [c.count_circles() for c in base.clusters]
-    nodes, rows = _nodes(stacks, circles, 1), []
-    for y in grid.points():
-        try:
-            classes = _sampled(stacks, y, nodes)
-            _, (margins,), annulus, (phase, logabs) = _neighborhood(stacks, y, circles, classes, (0, 1), (0,))
-        except KernelBundleError:
-            continue
+def _diagram(base: BasePointData, samples, out) -> list:
+    """Rows ``[y, cluster, re, im, mult]`` from ``_neighborhoods`` samples ``(y, margins, annulus, phase, logabs)``
+    on the outer count circles: only where conditions (3) and (4) hold for a cluster does ``circle_zeros`` read
+    them off its circle.  CSV is written to the path ``out`` unless it is None."""
+    circles, rows = [c.count_circles()[0] for c in base.clusters], []
+    for y, margins, annulus, phase, logabs in samples:
         for s, (cl, margin, held) in enumerate(zip(base.clusters, margins, annulus)):
             if margin > INVERTIBILITY_FLOOR and isinstance(held, float) and held > 0.0:
-                for z in circle_zeros(circles[s][0], phase[0][s], logabs[0][s], cl.multiplicity, cl.radius / 64.0):
+                for z in circle_zeros(circles[s], phase[s], logabs[s], cl.multiplicity, cl.radius / 64.0):
                     rows.append([float(y[0]), s, z.location.real, z.location.imag, z.multiplicity])
     if out is not None:
         with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(BRANCH_HEADER)
-            writer.writerows(rows)
+            csv.writer(fh).writerows([BRANCH_HEADER, *rows])
     return rows
+
+
+def branching_diagram(chart: FamilyChart, base: BasePointData, grid: ParameterGrid, out=None) -> list:
+    """Zero locations of the reduced determinants along a one dimensional grid: the sweep's pass over the
+    count circles alone, read by ``_diagram``, rows sorted by grid order, cluster, then location."""
+    if grid.ndim != 1:
+        raise InputError("branching diagrams are defined along a single parameter axis")
+    stacks = _stacks(chart, base, [None] * len(base.clusters))
+    found = _neighborhoods(stacks, [c.count_circles() for c in base.clusters], grid)
+    return _diagram(base, [f[2] for _, f in found if not isinstance(f, KernelBundleError)], out)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,24 @@ ENTERING_ZERO_FAMILY = {
     ],
 }
 
+# acceptance 10: the two-channel Dirichlet family at n = 8, four clusters, with a probe
+TWO_CHANNEL_SPEC = {
+    "family": {
+        "kind": "sturm_liouville", "r": 2, "mode_cutoff": 4, "k_gap": 1, "r_bound": 0.4,
+        "a_terms": [
+            {"y_powers": [0], "matrix": [[0.0, 0.1], [0.1, 0.0]]},
+            {"y_powers": [1], "matrix": [[0.3, 0.0], [0.0, -0.3]]},
+        ],
+    },
+    "grid": {"axes": [{"min": -0.1, "max": 0.1, "count": 11}]},
+    "probe": [
+        {"entry": 0, "coeff": {"type": "poly", "coeffs": [1, 0, 1]}},
+        {"entry": 1, "coeff": {"type": "sin"}},
+        {"entry": 2, "coeff": {"type": "cos"}},
+        {"entry": 3, "coeff": {"type": "poly", "coeffs": [1, -1]}},
+    ],
+}
+
 # sigma^2 - 0.01 + 0.1 y_1 + 0.05 y_2
 TWO_PARAMETER_FAMILY = dict(
     CLOSE_ZEROS_FAMILY,
@@ -286,6 +304,57 @@ class TestSubcommands:
         assert lines[0] == "y,cluster,re_sigma,im_sigma,mult"
         assert len(lines) == 10
 
+    @pytest.mark.parametrize(
+        "spec, calls",
+        [({"family": {"kind": "branching"}, "grid": {"axes": [{"min": -0.6, "max": 0.6, "count": 13}]}}, 13),
+         (TWO_CHANNEL_SPEC, 11)],
+        ids=["branching", "two_channel"],
+    )
+    def test_sweep_csv_samples_each_grid_point_once(self, spec, calls, tmp_path, monkeypatch):
+        # the diagram reads the sweep's own samples of the count circles: from the sweep on,
+        # one eval_blocks call per grid point, with --csv as without
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        counted, eval_blocks, sweep = [], kernelbundle.FamilyChart.eval_blocks, kernelbundle.cli.sweep
+
+        def counting(self, *args, **kwargs):
+            if counted and counted[-1] is not None:
+                counted[-1] += 1
+            return eval_blocks(self, *args, **kwargs)
+
+        def swept(*args, **kwargs):
+            counted[-1] = 0
+            return sweep(*args, **kwargs)
+
+        def run(argv):
+            counted.append(None)
+            return main(argv)
+
+        monkeypatch.setattr(kernelbundle.FamilyChart, "eval_blocks", counting)
+        monkeypatch.setattr(kernelbundle.cli, "sweep", swept)
+        argv = ["sweep", "--spec", str(path), "--out", str(tmp_path / "sweep.json")]
+        codes = [run(argv), run(argv + ["--csv", str(tmp_path / "diagram.csv")])]
+        assert counted == [calls, calls] and codes[0] == codes[1]
+        assert len((tmp_path / "diagram.csv").read_text().splitlines()) > 1
+
+    def test_sweep_csv_keeps_the_rows_where_a_later_stage_fails(self, tmp_path):
+        # the probe overflows to inf past y = 0.06: the sweep records InputError at the
+        # three positive grid y, after their counts, and the diagram keeps their rows
+        spec, out, table = tmp_path / "overflow.json", tmp_path / "sweep.json", tmp_path / "diagram.csv"
+        spec.write_text(json.dumps({
+            "family": {"kind": "branching"},
+            "grid": {"axes": [{"min": -0.3, "max": 0.3, "count": 7}]},
+            "probe": [{"entry": 0, "coeff": {"type": "poly", "coeffs": [1.7e308, 1.7e308]}}],
+        }))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["sweep", "--spec", str(spec), "--out", str(out), "--csv", str(table)])
+        assert code == EXIT_VALIDATION
+        failures = json.loads(out.read_text())["failures"]
+        assert [f["error"] for f in failures] == ["InputError"] * 3
+        assert [f["y"][0] for f in failures] == pytest.approx([0.1, 0.2, 0.3])
+        rows = [[float(v) for v in line.split(",")] for line in table.read_text().splitlines()[1:]]
+        assert len(rows) == 13 and [r[0] for r in rows[-6:]] == pytest.approx([0.1, 0.1, 0.2, 0.2, 0.3, 0.3])
+
     def test_sweep_deterministic_output(self, specs, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -493,6 +562,25 @@ class TestExitCodes:
         assert "branching diagrams are defined along a single parameter axis" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("argv", [["sweep", "--grid", "-0.6,0.6,13"], ["pair", "--y", "-0.15"]], ids=["grid", "y"])
+    def test_a_negative_value_in_the_space_separated_form(self, specs, argv, tmp_path):
+        # a value that starts with '-' and a digit reads as it does after '='
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        code = main(argv + ["--spec", specs["branching"], "--out", str(spaced)])
+        assert code == main([argv[0], f"{argv[1]}={argv[2]}", "--spec", specs["branching"], "--out", str(joined)])
+        assert code in (0, EXIT_VALIDATION) and spaced.read_bytes() == joined.read_bytes()
+        data = json.loads(spaced.read_text())
+        ys = [p["y"][0] for p in data["points"]] if argv[0] == "sweep" else data["y"]
+        assert ys[0] == float(argv[2].split(",")[0])
+
+    def test_a_negative_value_that_is_not_numbers_is_malformed(self, specs, capsys):
+        assert main(["sweep", "--grid", "-0.6,x,13", "--spec", specs["branching"]]) == EXIT_PARSE
+        assert "--grid needs" in capsys.readouterr().err
+        # a word of '-' and no digit still reads as an option, which argparse refuses
+        with pytest.raises(SystemExit) as exit_:
+            main(["pair", "--y", "-abc", "--spec", specs["branching"]])
+        assert exit_.value.code == EXIT_PARSE and "expected one argument" in capsys.readouterr().err
+
     def test_wrong_y_arity(self, specs, capsys):
         code = main(["frame", "--spec", specs["branching"], "--y", "0.1,0.2"])
         assert code == EXIT_PARSE
@@ -561,15 +649,18 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_multiplicity_jump_writes_the_partial_report(self, specs, tmp_path, capsys):
-        # 0.7 and 0.8 are recorded as failures, then the multiplicity changes at 0.9
-        out = tmp_path / "partial.json"
-        code = main(["sweep", "--spec", specs["branching"], "--grid", "0.7,0.9,3", "--out", str(out)])
+        # 0.7 and 0.8 are recorded as failures, then the multiplicity changes at 0.9, which
+        # ends the sweep before any diagram row is written: no CSV file
+        out, table = tmp_path / "partial.json", tmp_path / "diagram.csv"
+        argv = ["sweep", "--spec", specs["branching"], "--grid", "0.7,0.9,3", "--out", str(out), "--csv", str(table)]
+        code = main(argv)
         assert code == EXIT_NUMERICAL
         assert "multiplicity changed at y=(0.9,)" in capsys.readouterr().err
         report = json.loads(out.read_text())
         assert [p["y"] for p in report["points"]] == [[0.7], [0.8]]
         assert [f["y"] for f in report["failures"]] == [[0.7], [0.8]]
         assert all(p["multiplicities"] == [] and p["pairing_condition"] is None for p in report["points"])
+        assert not table.exists()
 
 
 def _console_command():
