@@ -30,9 +30,7 @@ from .errors import (
     RegionError,
 )
 from .keldysh import RootSystem
-from .reduction import (
-    BasePointData, ClusterStack, SchurEvaluator, _by_cluster, _checked, _evaluated, _nodes, _reduce, _stacks
-)
+from .reduction import BasePointData, ClusterStack, SchurEvaluator, _by_cluster, _checked, _nodes, _sampled, _stacks
 
 INDEPENDENCE_CONDITION_LIMIT = 1e10
 INDEPENDENCE_PROBE_NODES = 48
@@ -199,7 +197,7 @@ def _frame_values(factors, schur, correction) -> np.ndarray:
 def _frame_pair(primal, dual, reduced) -> tuple:
     """Frame and dual frame values of one shape class from ``_frame_factors`` of the primal and
     the conjugate-swapped clusters and ``(schur, correction, dual_correction)`` on the carriers,
-    (C, N, .) each: ``_reduce``'s first two and ``p12 p22^{-1}``.
+    (C, N, .) each: ``_sampled``'s first two and ``p12 p22^{-1}``.
 
     The dual is the primal construction on the adjoint family.  Node t of a
     dual carrier is node -t mod N of the primal one conjugated, where the
@@ -245,18 +243,16 @@ def _held_factors(stack: ClusterStack, systems, duals, node_count: int) -> tuple
 
 def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 128) -> tuple:
     """Frame and dual frame of the kernel bundle at parameter y, one germ block
-    per cluster each, from one block evaluation on every carrier, reduced and
+    per cluster each, from one ``_sampled`` pass over every carrier, reduced and
     framed in one array pass per shape class (``cluster_stacks``), on all n rows."""
     carriers = [[cl.carrier(node_count)] for cl in base.clusters]
     stacks = cluster_stacks(chart, base, systems, duals)
-    nodes = _nodes(stacks, carriers, 1)
-    blocks = [st.blocks_many(active, rest) for st, (_, active, rest) in zip(stacks, _evaluated(stacks, y, nodes))]
-    reduced = [_reduce(b, n) for b, (_, _, n) in zip(blocks, nodes[1])]
+    reduced = [c[0] for c in _sampled(stacks, y, _nodes(stacks, carriers, 1))]
     for circle, conds in zip(carriers, _by_cluster(stacks, [r[3] for r in reduced])):
         _checked(conds, circle[0].nodes)
     # the dual frame alone reads p12 p22^{-1}, so it is formed here
     factors = [_frame_factors(st, systems, duals, node_count) for st in stacks]
-    pairs = [_frame_pair(*f, (r[0], r[1], b[1] @ r[2])) for f, b, r in zip(factors, blocks, reduced)]
+    pairs = [_frame_pair(*f, (r[0], r[1], r[4] @ r[2])) for f, r in zip(factors, reduced)]
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     frames = []
     for side, (b, sy) in enumerate(((base, systems), (base.conjugate_swapped(), duals))):

@@ -31,7 +31,7 @@ def base_samples(chart, base: BasePointData, node_count: int) -> list:
     one ``_sampled`` pass over every carrier, rest held there, region-checked, then guarded in cluster order."""
     carriers = [[c.carrier(node_count)] for c in base.clusters]
     stacks = _stacks(chart, base, [None] * len(carriers))
-    schur, _, _, conds, _ = zip(*(c[0] for c in _sampled(stacks, base.y0, _nodes(stacks, carriers, 1))))
+    schur, _, _, conds, *_ = zip(*(c[0] for c in _sampled(stacks, base.y0, _nodes(stacks, carriers, 1))))
     for (circle,), cond in zip(carriers, _by_cluster(stacks, conds)):
         _checked(cond, circle.nodes)
     return [SampledFunction(circle, v) for (circle,), v in zip(carriers, _by_cluster(stacks, schur))]

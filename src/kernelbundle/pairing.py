@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, singular_part_at_nodes
+from .contour import Circle, SampledFunction, cauchy_moment, singular_part_at_nodes
 from .errors import InputError, NondegeneracyError, SectionResidualError
 from .family import adjoint_chart
 from .frames import FrameSet, Germ, frames_at, kframe_at
@@ -48,16 +48,11 @@ def _contour_pairing(circle: Circle, phis, psis) -> np.ndarray:
 
     ``phis`` (..., N, m, B) holds the values at the nodes, such as P(y, sigma) times the frame
     values, and ``psis`` (..., N, m, A) the values at the conjugated nodes, such as the dual
-    values.  Returns the (..., A, B) blocks of pairings: ``i`` times the order-0 moment of the
-    integrand, the trapezoid sum ``(r / N) sum_t u_t f_t``.
+    values.  Returns the (..., A, B) blocks of pairings: ``i`` times the order-0 ``cauchy_moment``
+    of the integrand, its node axis first.
     """
     integrand = np.conj(psis).swapaxes(-1, -2) @ phis
-    if not np.isfinite(integrand).all():
-        raise InputError("samples contain non-finite values")
-    lead, n = integrand.shape[:-3], circle.node_count
-    # one contraction per circle: the sums do not depend on the other circles
-    sums = (circle.unit @ integrand.reshape(*lead, n, -1)).reshape(*lead, *integrand.shape[-2:])
-    return 1j * (circle.radius * sums / n)
+    return 1j * cauchy_moment(SampledFunction(circle, np.moveaxis(integrand, -3, 0)), 0)
 
 
 def pair(

@@ -147,7 +147,6 @@ class Cluster:
 
 @dataclass
 class BasePointData:
-    chart: FamilyChart
     y0: np.ndarray
     clusters: list
 
@@ -438,10 +437,11 @@ def _evaluated(stacks: Sequence[ClusterStack], y, nodes) -> list:
 
 def _sampled(stacks: Sequence[ClusterStack], y, nodes) -> list:
     """``_evaluated``, rotated and reduced in one array pass per class: per class and circle, ``_reduce``'s
-    arrays at its nodes, (C, N, .) each, unchecked, its complement None off ``held``."""
+    arrays at its nodes and p12 there, (C, N, .) each, unchecked, then its complement, None off ``held``."""
     out = []
     for st, (_, active, rest), (_, runs, held) in zip(stacks, _evaluated(stacks, y, nodes), nodes[1]):
-        *reduced, c = _reduce(st.blocks_many(active, rest), held)
+        *reduced, c = _reduce(blocks := st.blocks_many(active, rest), held)
+        reduced.append(blocks[1])
         out.append([(*(a[:, r] for a in reduced), tuple(x[..., r] for x in c) if r.stop <= held else None) for r in runs])
     return out
 
@@ -465,7 +465,7 @@ def _p22_margin(s: np.ndarray) -> np.ndarray:
 
 
 def _raised(counts: list) -> list:
-    """Counts of ``_neighborhood``, after raising the first error among them."""
+    """Counts of ``_neighborhood``, or what ``_neighborhoods`` found, after raising the first error among them."""
     error = next((x for x in counts if isinstance(x, Exception)), None)
     if error is not None:
         raise error
@@ -487,7 +487,7 @@ def _neighborhood(stacks, y, circles, classes, counted, complement) -> tuple:
     index, k, clusters = [s for st in stacks for s in st.index], len(counted), stacks[0].base.clusters
     order = sorted(range(len(index)), key=index.__getitem__)
     per = [[(*_slogdet(c[i][0]), c[i][3]) for c in classes] for i in counted]
-    per += [[(*c[i][4][:2], _p22_margin(c[i][4][2])) for c in classes] for i in complement]
+    per += [[(*c[i][5][:2], _p22_margin(c[i][5][2])) for c in classes] for i in complement]
     phase, logabs, third = ([np.concatenate([x[q] for x in p]) if p[1:] else p[0][q] for p in per] for q in range(3))
     rows, out, size = np.concatenate(logabs), [], len(index)
     ws = _windings(np.concatenate(phase), rows)
@@ -519,6 +519,21 @@ def _neighborhood(stacks, y, circles, classes, counted, complement) -> tuple:
         else:
             annulus.append(0.0 if isinstance(bad, (int, ZeroOnContourError, ResolutionError)) else bad)
     return out[:k], out[k:], annulus, ([x[order] for x in phase[:k]], [x[order] for x in logabs[:k]])
+
+
+def _neighborhoods(stacks, circles, points):
+    """Per point y of ``points``, one ``_sampled`` pass of ``stacks`` on the ``circles``, rest held on the first
+    of each cluster's, and its ``_neighborhood`` on the first two: ``(y, (classes, counts, sample))``, ``sample``
+    what the first circles give, ``(y, margins, annulus, phase, logabs)``, or ``(y, error)``."""
+    nodes = _nodes(stacks, circles, 1)
+    for y in points:
+        try:
+            classes = _sampled(stacks, y, nodes)
+            counts, (margins,), annulus, (phase, logabs) = _neighborhood(stacks, y, circles, classes, (0, 1), (0,))
+            found = classes, counts, (y, margins, annulus, phase[0], logabs[0])
+        except KernelBundleError as exc:
+            found = exc
+        yield y, found
 
 
 def local_multiplicity(ev: SchurEvaluator, y) -> int:
@@ -605,9 +620,9 @@ def validate_neighborhood(chart: FamilyChart, base: BasePointData, y_grid: Seque
 
     Conditions (2) to (4) are counts, read by ``_neighborhood``: det C winds zero times
     around the circle of the disc, the doubled one at y0 and the outer count circle at each
-    grid y.  Margins are relative; the report records the worst case per condition.  Each
-    grid y is one ``_sampled`` pass over every cluster's count circles; the doubled circles
-    of (2) join the pass at y0 when y0 is a grid point, or have their own.
+    grid y.  Margins are relative; the report records the worst case per condition.  The
+    doubled circles of (2) are one ``_sampled`` pass at y0, and the grid walks the sweep's
+    loop, ``_neighborhoods``: one pass over every cluster's count circles per grid y.
     """
     # (1) geometry
     region_slack = min(chart.sigma.boundary_distance(a.center) - 2 * a.radius for a in base.clusters)
@@ -623,27 +638,17 @@ def validate_neighborhood(chart: FamilyChart, base: BasePointData, y_grid: Seque
         conditions += [ConditionResult(n, False, 0.0, "not evaluated: discs leave the region") for n in names]
         return ValidationReport(conditions)
 
-    y0 = _as_param(base.y0, chart.param_dim).tobytes()
-    at = next((i for i, y in enumerate(y_grid) if _as_param(y, chart.param_dim).tobytes() == y0), None)
     stacks = _stacks(chart, base, [None] * len(base.clusters))
-    counts = [c.count_circles() for c in base.clusters]
+    # (2) complement block invertible on the doubled disc at y0
     doubled = [[Circle(c.center, 2 * c.radius, COUNT_NODES)] for c in base.clusters]
-    # at y0 the doubled circle follows the outer one, and rest is read on both
-    first, nodes = [[c[0], *d, c[1]] for c, d in zip(counts, doubled)], _nodes(stacks, counts, 1)
-    if at is None:
-        # (2) complement block invertible on the doubled disc at y0, in a pass of its own
-        classes = _sampled(stacks, base.y0, _nodes(stacks, doubled, 1))
-        margin2 = min(_neighborhood(stacks, base.y0, doubled, classes, (), (0,))[1][0])
-    margins = [[] for _ in counts]
-    for i, y in enumerate(y_grid):
-        circles, held = (first, (0, 1)) if i == at else (counts, (0,))
-        # (3) complement block invertible on the disc, (4) the multiplicity on both circles, at y0 (2)
-        classes = _sampled(stacks, y, _nodes(stacks, first, 2) if i == at else nodes)
-        _, (disc, *twice), annulus, _ = _neighborhood(stacks, y, circles, classes, (0, len(held)), held)
+    classes = _sampled(stacks, base.y0, _nodes(stacks, doubled, 1))
+    margin2 = min(_neighborhood(stacks, base.y0, doubled, classes, (), (0,))[1][0])
+    # (3) complement block invertible on the disc, (4) the multiplicity on both count circles, per grid y
+    margins = [[] for _ in base.clusters]
+    for y, found in _neighborhoods(stacks, [c.count_circles() for c in base.clusters], y_grid):
+        _, _, (_, disc, annulus, _, _) = _raised([found])[0]
         for s, m in enumerate(zip(disc, _raised(annulus))):
             margins[s].append([(x, f"cluster {s}, y = {y}") for x in m])
-        if i == at:
-            margin2 = min(twice[0])
 
     margins = [(margin2, "")] + [_worst_margin([m[c] for row in margins for m in row]) for c in (0, 1)]
     floors = (INVERTIBILITY_FLOOR, INVERTIBILITY_FLOOR, 0.0)
@@ -717,7 +722,7 @@ def base_point_data(
             )
         if ok:
             # at y0, condition (4) recounts the located multiplicities on the reduced determinant
-            base = BasePointData(chart, y0, clusters)
+            base = BasePointData(y0, clusters)
             check = validate_neighborhood(chart, base, [y0])
             if check.passed:
                 return base

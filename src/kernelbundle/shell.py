@@ -40,10 +40,8 @@ from .reduction import (
     _by_cluster,
     _checked,
     _inverse,
-    _neighborhood,
-    _nodes,
+    _neighborhoods,
     _raised,
-    _sampled,
     _stacks,
     base_point_data,
 )
@@ -123,12 +121,16 @@ class ParameterGrid:
 def second_divided_differences(values: np.ndarray, h: float) -> np.ndarray:
     """Second divided differences along the first axis of a uniform sample.
 
-    f[x_{i-1}, x_i, x_{i+1}] = (f_{i+1} - 2 f_i + f_{i-1}) / (2 h^2).
+    f[x_{i-1}, x_i, x_{i+1}] = (f_{i+1} - 2 f_i + f_{i-1}) / (2 h^2), formed over a power of two per
+    column near its largest finite part, at least 1, and scaled back: exactly, and 2 f_i cannot overflow.
     """
     v = np.asarray(values)
     if v.shape[0] < 3:
         return np.zeros((0,) + v.shape[1:], dtype=v.dtype)
-    return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (2.0 * h * h)
+    parts = np.maximum(np.abs(v.real), np.abs(v.imag))
+    exponent = np.frexp(np.max(parts, axis=0, initial=0.0, where=np.isfinite(parts)))[1]
+    u = v / (scale := np.ldexp(1.0, np.maximum(exponent - 1, 0)))
+    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (2.0 * h * h) * scale
 
 
 def _max_dd(values: np.ndarray, grid: ParameterGrid) -> np.ndarray:
@@ -187,6 +189,7 @@ class SweepReport:
     failures: list
     coefficient_dd: Optional[list] = None
     pairing_entry_dd: Optional[float] = None
+    # eps max|entry| / h^2, a scale, not a floor: entry roundoff of c eps moves a dd by up to 2c of it
     pairing_entry_dd_floor: Optional[float] = None
     elapsed: float = 0.0
     schema_version: int = SCHEMA_VERSION
@@ -231,20 +234,6 @@ def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int =
         systems.append(with_beta(system, samples))
         duals.append(dual_root_functions(system, samples))
     return systems, duals
-
-
-def _neighborhoods(stacks, circles, grid: ParameterGrid):
-    """Per point y of ``grid``, one ``_sampled`` pass of ``stacks`` on the ``circles`` and its ``_neighborhood``:
-    ``(y, (classes, counts, sample))``, ``sample`` what ``_diagram`` reads, or ``(y, error)``."""
-    nodes = _nodes(stacks, circles, 1)
-    for y in grid.points():
-        try:
-            classes = _sampled(stacks, y, nodes)
-            counts, (margins,), annulus, (phase, logabs) = _neighborhood(stacks, y, circles, classes, (0, 1), (0,))
-            found = classes, counts, (y, margins, annulus, phase[0], logabs[0])
-        except KernelBundleError as exc:
-            found = exc
-        yield y, found
 
 
 def sweep(
@@ -313,12 +302,10 @@ def sweep(
     # per class, the probe's entries of its clusters, (C, E)
     entries = [np.array([[t for t, lab in enumerate(labels) if lab[0] == s] for s in st.index]) for st in stacks]
 
-    for y, found in _neighborhoods(stacks, circles, grid):
+    for y, found in _neighborhoods(stacks, circles, grid.points()):
         y_key = tuple(float(v) for v in np.atleast_1d(y))
         try:
-            if isinstance(found, KernelBundleError):
-                raise found
-            classes, (outer, inner), sample = found
+            classes, (outer, inner), sample = _raised([found])[0]
             report.outer_samples.append(sample)
             margins = sample[1]
             # once C is singular in a disc, det S's count no longer measures the fiber there
@@ -394,7 +381,7 @@ def sweep(
         entries = np.stack(pairing_rows)
         dd = _max_dd(entries, grid)
         report.pairing_entry_dd = float(np.max(dd)) if dd.size else 0.0
-        # roundoff eps |entry| in the entries alone moves a dd by about eps |entry| / h^2
+        # the scale of entry roundoff in a dd: c eps |entry| in the entries moves it by up to 2c eps |entry| / h^2
         steps = [h for h, count in zip(grid.steps, grid.shape) if h != 0.0 and count >= 3]
         largest = np.max(np.abs(entries[np.isfinite(entries)]), initial=0.0)
         report.pairing_entry_dd_floor = float(np.finfo(float).eps * largest / min(steps) ** 2) if steps else 0.0
@@ -431,7 +418,7 @@ def branching_diagram(chart: FamilyChart, base: BasePointData, grid: ParameterGr
     if grid.ndim != 1:
         raise InputError("branching diagrams are defined along a single parameter axis")
     stacks = _stacks(chart, base, [None] * len(base.clusters))
-    found = _neighborhoods(stacks, [c.count_circles() for c in base.clusters], grid)
+    found = _neighborhoods(stacks, [c.count_circles() for c in base.clusters], grid.points())
     return _diagram(base, [f[2] for _, f in found if not isinstance(f, KernelBundleError)], out)
 
 

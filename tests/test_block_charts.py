@@ -382,7 +382,7 @@ def test_a_complement_block_singular_inside_the_doubled_disc_halves_epsilon():
         base_point_data(chart, [0.0], epsilon=0.8)
     base = base_point_data(chart, [0.0])
     assert len(base.clusters) == 1 and abs(base.clusters[0].center) < 1e-12 and base.clusters[0].radius == 0.4
-    wide = BasePointData(chart, base.y0, [dataclasses.replace(base.clusters[0], radius=0.8)])
+    wide = BasePointData(base.y0, [dataclasses.replace(base.clusters[0], radius=0.8)])
     conditions = validate_neighborhood(chart, wide, [[0.0]]).conditions
     assert [c.passed for c in conditions] == [True, False, True, True] and conditions[1].margin == 0.0
 
@@ -421,7 +421,7 @@ def test_complement_counts_against_a_dense_scan(b, seed):
             return np.stack([active[:, :, None] * np.eye(b), factor(s)], 1)
 
         chart = FamilyChart(2 * b, 1, REGION, evaluator)
-        conditions = validate_neighborhood(chart, BasePointData(chart, np.zeros(1), [cluster]), [[0.0]]).conditions
+        conditions = validate_neighborhood(chart, BasePointData(np.zeros(1), [cluster]), [[0.0]]).conditions
         assert [c.passed for c in conditions] == [True, abs(zero) > 1.0, abs(zero) > 0.5, True]
         for cond, radius in ((conditions[1], 1.0), (conditions[2], 0.5)):
             if not cond.passed:

@@ -1,8 +1,11 @@
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -346,14 +349,33 @@ class TestSubcommands:
             "grid": {"axes": [{"min": -0.3, "max": 0.3, "count": 7}]},
             "probe": [{"entry": 0, "coeff": {"type": "poly", "coeffs": [1.7e308, 1.7e308]}}],
         }))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["sweep", "--spec", str(spec), "--out", str(out), "--csv", str(table)])
+        code = main(["sweep", "--spec", str(spec), "--out", str(out), "--csv", str(table)])
         assert code == EXIT_VALIDATION
         failures = json.loads(out.read_text())["failures"]
         assert [f["error"] for f in failures] == ["InputError"] * 3
         assert [f["y"][0] for f in failures] == pytest.approx([0.1, 0.2, 0.3])
         rows = [[float(v) for v in line.split(",")] for line in table.read_text().splitlines()[1:]]
         assert len(rows) == 13 and [r[0] for r in rows[-6:]] == pytest.approx([0.1, 0.1, 0.2, 0.2, 0.3, 0.3])
+
+    def test_a_huge_finite_probe_reads_its_divided_differences_without_warning(self, tmp_path):
+        # the recovered coefficients near 1.7e308 overflow 2 f_i in the plain stencil, whose
+        # inf - inf was read as 0; the report holds the exact dd of its own coefficients
+        spec, out = tmp_path / "overflow.json", tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "family": {"kind": "branching"},
+            "grid": {"axes": [{"min": -0.3, "max": 0.3, "count": 7}]},
+            "probe": [{"entry": 0, "coeff": {"type": "poly", "coeffs": [1.7e308, 1.7e308]}}],
+        }))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--spec", str(spec), "--out", str(out)])
+        assert code == EXIT_VALIDATION and [str(w.message) for w in caught] == []
+        report = json.loads(out.read_text())
+        h = Fraction(np.linspace(-0.3, 0.3, 7)[1] - np.linspace(-0.3, 0.3, 7)[0])
+        values = [[Fraction(x) for x in p["coefficients"][0]] for p in report["points"] if "coefficients" in p]
+        assert len(values) == 4
+        dds = [[(a - 2 * b + c) / (2 * h * h) for a, b, c in zip(*values[i : i + 3])] for i in range(2)]
+        assert report["coefficient_dd"][0] == pytest.approx(max(math.hypot(*map(float, d)) for d in dds), rel=1e-12)
 
     def test_sweep_deterministic_output(self, specs, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

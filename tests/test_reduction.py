@@ -233,7 +233,7 @@ class TestSchur:
                 K=V[:, :k], Kperp=V[:, k:], Rperp=U[:, :k], R=U[:, k:],
                 radius=0.5,
             )
-            ev = SchurEvaluator(chart, BasePointData(chart, np.array([0.0]), [cluster]), 0)
+            ev = SchurEvaluator(chart, BasePointData(np.array([0.0]), [cluster]), 0)
             y = [0.3]
             sigmas = 0.1j + 0.4 * np.exp(2j * np.pi * np.arange(16) / 16)
             P = chart.eval_many(y, sigmas)
@@ -311,7 +311,7 @@ class TestSchur:
             K=e[:, :1], Kperp=e[:, 1:], Rperp=e[:, :1], R=e[:, 1:],
             radius=0.5,
         )
-        base = BasePointData(chart, np.array([0.0]), [cluster])
+        base = BasePointData(np.array([0.0]), [cluster])
         ev = SchurEvaluator(chart, base, 0)
         # p22 = diag(sigma, 1) is nearly singular close to sigma = 0
         with pytest.raises(ReductionInvalidError):
@@ -480,7 +480,7 @@ class TestNeighborhood:
 
     def test_overlapping_discs_detected(self, branching_pipeline):
         chart, base, _, _ = branching_pipeline
-        doubled = BasePointData(chart, base.y0, [base.clusters[0], base.clusters[0]])
+        doubled = BasePointData(base.y0, [base.clusters[0], base.clusters[0]])
         report = validate_neighborhood(chart, doubled, [[0.0]])
         assert not report.conditions[0].passed
         assert report.conditions[0].margin < 0
@@ -502,8 +502,8 @@ class TestNeighborhood:
 
     def test_one_evaluation_per_cluster_and_parameter(self, sl_big_chart, monkeypatch):
         # the sweep-n8 chart has four clusters at y0 = 0.  A validation evaluates the
-        # family once per grid y for all of them, on their two count circles, and at
-        # y0 on their doubled circles too, of COUNT_NODES nodes each: the checks of
+        # family once at y0 for all of them, on their doubled circles, and once per grid
+        # y, on their two count circles, of COUNT_NODES nodes each: the checks of
         # base_point_data evaluate no cluster apart, and canonical_systems all
         # carriers in one call
         chart, _ = sl_big_chart
@@ -527,10 +527,10 @@ class TestNeighborhood:
         grid = ParameterGrid.from_ranges([(-0.1, 0.1, 21)]).points()
         assert validate_neighborhood(chart, base, grid).passed
         counts = 4 * 2 * COUNT_NODES
-        assert calls == [(y[0], counts + (4 * COUNT_NODES if y[0] == 0.0 else 0)) for y in grid]
+        assert calls == [(0.0, 4 * COUNT_NODES)] + [(y[0], counts) for y in grid]
         assert per_cluster == []
         calls.clear()
-        # off the grid, the doubled circles at y0 cost one evaluation of their own
+        # off the grid, the doubled circles at y0 cost the same one evaluation
         off = validate_neighborhood(chart, base, [[0.05]])
         assert calls == [(0.0, 4 * COUNT_NODES), (0.05, counts)]
         # and their margin does not depend on the batch that carries them
@@ -540,7 +540,8 @@ class TestNeighborhood:
     def test_one_evaluation_of_the_zeros_and_one_of_the_probes_per_round(self, sl_big_chart, monkeypatch):
         # after locate_zeros, base_point_data evaluates the four located zeros in one call,
         # their 16-node probe circles in one call per halving round, and the validation
-        # pass at y0 on the count and doubled circles once; the first round holds
+        # at y0 on the doubled circles once and on the count circles once; the first
+        # round holds
         chart, _ = sl_big_chart
         calls = []
         eval_blocks, locate = FamilyChart.eval_blocks, kb_reduction.locate_zeros
@@ -557,7 +558,7 @@ class TestNeighborhood:
         monkeypatch.setattr(FamilyChart, "eval_blocks", recorded)
         monkeypatch.setattr(kb_reduction, "locate_zeros", located)
         base = base_point_data(chart, [0.0])
-        assert len(base.clusters) == 4 and calls == [4, 4 * 16, 4 * 3 * COUNT_NODES]
+        assert len(base.clusters) == 4 and calls == [4, 4 * 16, 4 * COUNT_NODES, 4 * 2 * COUNT_NODES]
 
 
 def _scalar_dirichlet(mode_cutoff):

@@ -89,6 +89,12 @@ class TestDividedDifferences:
     def test_short_input(self):
         assert second_divided_differences(np.zeros(2), 0.1).shape == (0,)
 
+    def test_huge_finite_values_do_not_overflow(self):
+        # 2 f_i overflows above 0.9e308; each column is scaled by a power of two and back
+        assert second_divided_differences(np.array([1.7e308] * 3), 0.1).tolist() == [0.0]
+        values = np.array([[1.7e308, 0.25], [1.7e308, -1.5], [1.7e308, 3.0]])
+        assert second_divided_differences(values, 0.1).tolist() == [[0.0, (3.0 + 3.0 + 0.25) / (2.0 * 0.1 * 0.1)]]
+
     def test_failed_points_skip_their_stencils(self):
         # a failed sweep point is a NaN row: every stencil that touches it drops
         # out, so the offset of 100 (a jump of 100 / h^2 were NaN read as 0)
@@ -290,7 +296,7 @@ class TestSweep:
         chart = matrix_polynomial_chart([PolyTerm(17, (0,), np.eye(1))], SigmaRegion(-2, 2, -2, 2))
         one, empty = np.eye(1), np.zeros((1, 0))
         cluster = kb.reduction.Cluster(0j, 17, 1, one, empty, one, empty, 0.5)
-        ev = kb.SchurEvaluator(chart, kb.reduction.BasePointData(chart, np.zeros(1), [cluster]), 0)
+        ev = kb.SchurEvaluator(chart, kb.reduction.BasePointData(np.zeros(1), [cluster]), 0)
         sampled, eval_blocks = [], kb.FamilyChart.eval_blocks
 
         def recorded(self, y, sigmas, *args):
@@ -318,7 +324,7 @@ class TestSweep:
         chart = matrix_polynomial_chart([PolyTerm(17, (0,), np.eye(1))], SigmaRegion(-2, 2, -2, 2))
         one, empty = np.eye(1), np.zeros((1, 0))
         cluster = kb.reduction.Cluster(0j, 17, 1, one, empty, one, empty, 0.5)
-        ev = kb.SchurEvaluator(chart, kb.reduction.BasePointData(chart, np.zeros(1), [cluster]), 0)
+        ev = kb.SchurEvaluator(chart, kb.reduction.BasePointData(np.zeros(1), [cluster]), 0)
         shapes = []
         slogdet = np.linalg.slogdet
 
@@ -410,6 +416,23 @@ class TestSweep:
         assert "elapsed" not in data
         report2 = sweep(chart, base, grid, systems=systems, duals=duals)
         assert report2.to_dict() == data
+
+
+@pytest.mark.parametrize(
+    "pipeline, grid",
+    [("sl_big_pipeline", (-0.1, 0.1, 11)), ("branching_pipeline", (-0.3, 0.3, 7))],
+    ids=["two_channel", "branching"],
+)
+def test_validation_and_the_sweep_read_the_same_numbers(pipeline, grid, request):
+    # both walk reduction._neighborhoods: the worst condition-(3) margin and annulus of the
+    # validation are those of the sweep's outer count circles, exactly
+    chart, base, systems, duals = request.getfixturevalue(pipeline)
+    grid = ParameterGrid.from_ranges([grid])
+    conditions = kb.validate_neighborhood(chart, base, grid.points()).conditions
+    samples = sweep(chart, base, grid, systems=systems, duals=duals).outer_samples
+    assert len(samples) == len(grid.points())
+    assert conditions[2].margin == min(m for _, margins, _, _, _ in samples for m in margins)
+    assert conditions[3].margin == min(a for _, _, annulus, _, _ in samples for a in annulus)
 
 
 class TestDiagram:
