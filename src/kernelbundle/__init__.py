@@ -40,7 +40,6 @@ from .family import (
     PolyTerm,
     SigmaRegion,
     SturmLiouvilleSpec,
-    adjoint_chart,
     branching_chart,
     family_from_dict,
     indicial_chart,
@@ -66,28 +65,21 @@ from .keldysh import (
     dual_root_functions,
     root_functions,
     taylor_coefficients,
-    verify_canonical_system,
 )
 from .frames import (
     FrameSet,
     Germ,
     frames_at,
-    germ_from_pole_coefficients,
     independence_check,
-    kframe_at,
     laurent_coefficients,
     make_germ,
 )
 from .pairing import (
     CoefficientVector,
     PairingMatrix,
-    base_point_check,
-    cluster_contours,
     coefficients,
     expected_base_pairing,
-    pair,
     pairing_matrix,
-    reduced_pairing_matrix,
 )
 from .shell import (
     ParameterGrid,

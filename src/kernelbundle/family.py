@@ -10,7 +10,7 @@ polynomial of the m-th order Mellin symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -131,21 +131,6 @@ def _assemble(blocks: np.ndarray) -> np.ndarray:
     k = np.arange(m)
     out[..., k, :, k, :] = np.moveaxis(blocks, -3, 0)
     return out.reshape(*lead, m * b, m * b)
-
-
-def adjoint_chart(chart: FamilyChart) -> FamilyChart:
-    """Chart of the adjoint family on the conjugated region."""
-
-    def evaluator(y, taus):
-        return np.asarray(chart.evaluator(y, np.conj(taus)), dtype=complex).conj().swapaxes(-1, -2)
-
-    return FamilyChart(
-        n=chart.n,
-        param_dim=chart.param_dim,
-        sigma=chart.sigma.conjugate(),
-        evaluator=evaluator,
-        name=chart.name + "*",
-    )
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,11 @@ from .errors import (
     NumericalError,
     RegionError,
 )
-from .keldysh import RootSystem
-from .reduction import BasePointData, ClusterStack, SchurEvaluator, _by_cluster, _checked, _nodes, _sampled, _stacks
+from .reduction import BasePointData, ClusterStack, _by_cluster, _checked, _nodes, _sampled, _stacks
 
 INDEPENDENCE_CONDITION_LIMIT = 1e10
 INDEPENDENCE_PROBE_NODES = 48
 DECAY_PROBE_FACTOR = 10.0
-POLE_GERM_NODES = 128
 # laurent_coefficients: moment equations beyond the unknowns, and the bounds
 # on the moment system's condition and on the relative reconstruction residual.
 EXTRA_MOMENTS = 2
@@ -82,26 +80,6 @@ def make_germ(f: Callable, center: complex, rho: float, node_count: int = 128) -
     if not np.all(np.isfinite(values)):
         raise NumericalError("function has a pole on the carrier circle; move rho")
     return Germ(complex(center), SampledFunction(circle, values))
-
-
-def germ_from_pole_coefficients(
-    center: complex,
-    coeffs: dict,
-    rho: float,
-) -> Germ:
-    """Germ of ``sum_m coeffs[m] * (sigma - center)^{-m}``."""
-    coeffs = {int(m): np.atleast_1d(np.asarray(v, dtype=complex)) for m, v in coeffs.items()}
-    if any(m < 1 for m in coeffs):
-        raise InputError("pole orders must be positive")
-
-    def f(sigma):
-        z = np.asarray(sigma, dtype=complex) - center
-        out = np.zeros(z.shape + next(iter(coeffs.values())).shape, dtype=complex)
-        for m, v in coeffs.items():
-            out += (z ** (-m))[..., None] * v
-        return out
-
-    return make_germ(f, center, rho, POLE_GERM_NODES)
 
 
 @dataclass
@@ -166,22 +144,6 @@ def _kernel_values(beta, shifts, chains, schur) -> np.ndarray:
     k): shape (C, N, k, E), one column per ``(j, l)`` entry."""
     solved = beta / schur if schur.shape[-1] == 1 else np.linalg.solve(schur, beta)  # (C, N, k, J)
     return shifts[:, :, None, :] * solved[..., chains]
-
-
-def kframe_at(
-    ev: SchurEvaluator,
-    system: RootSystem,
-    y,
-    node_count: int = 128,
-) -> Germ:
-    """Kernel-side frame block ``s((sigma-c)^l P_s(y,sigma)^{-1} beta_j)``.
-
-    Returns one k-valued germ with one column per entry, ordered by chain
-    then shift.
-    """
-    circle = ev.cluster.carrier(node_count)
-    values = _kernel_values(*_entry_factors([system], [circle]), ev.schur_many(y, circle.nodes)[None])[0]
-    return Germ(ev.cluster.center, SampledFunction(circle, values))
 
 
 def _frame_values(factors, schur, correction) -> np.ndarray:

@@ -12,8 +12,8 @@ against ``h_a = K^H P* psi_a``, fixed at the base point, and as h_a(conj
 sigma)^H is holomorphic on the disc, ``oint h_a^H sing(g_b) = oint h_a^H g_b``:
 with no class projection, one contraction of S^{-1} on the carrier nodes
 against a tensor held since the base point (``frames._held_factors``).
-``pair`` and ``reduced_pairing_matrix`` evaluate the germs on the cluster
-contours instead, as independent oracles.  At the base parameter the pairing
+The independent oracles, which evaluate the germs on the cluster contours
+instead, live in ``tests/oracles.py``.  At the base parameter the pairing
 of the canonical frames is the anti-diagonal constant block per chain; away
 from it the matrix stays invertible on the validated neighborhood and turns
 frame data into coefficients.
@@ -28,18 +28,11 @@ import numpy as np
 
 from .contour import Circle, SampledFunction, cauchy_moment, singular_part_at_nodes
 from .errors import InputError, NondegeneracyError, SectionResidualError
-from .family import adjoint_chart
-from .frames import FrameSet, Germ, frames_at, kframe_at
-from .keldysh import DualRootSystem, RootSystem
-from .reduction import BasePointData, SchurEvaluator, _by_cluster, _evaluated, _nodes, _stacks
+from .frames import FrameSet, Germ
+from .keldysh import RootSystem
+from .reduction import BasePointData, _by_cluster, _evaluated, _nodes, _stacks
 
 PAIRING_CONDITION_LIMIT = 1e12
-REDUCED_PAIRING_NODES = 256
-
-
-def cluster_contours(base: BasePointData, node_count: int = 256) -> list:
-    """One positively oriented circle per cluster, outside every carrier."""
-    return [cl.contour(node_count) for cl in base.clusters]
 
 
 def _contour_pairing(circle: Circle, phis, psis) -> np.ndarray:
@@ -53,25 +46,6 @@ def _contour_pairing(circle: Circle, phis, psis) -> np.ndarray:
     """
     integrand = np.conj(psis).swapaxes(-1, -2) @ phis
     return 1j * cauchy_moment(SampledFunction(circle, np.moveaxis(integrand, -3, 0)), 0)
-
-
-def pair(
-    chart,
-    y,
-    phi: Germ,
-    psi: Germ,
-    contours: Sequence[Circle],
-) -> complex:
-    """Pairing of one frame entry against one dual entry over the given contours.
-
-    The entries are single germs, such as ``frame.entry(b)`` and ``dual.entry(a)``.
-    """
-    total = 0.0 + 0.0j
-    for circle in contours:
-        phis = phi.eval(circle)[:, :, None]
-        psis = psi.eval(np.conj(circle.nodes))[:, :, None]
-        total += _contour_pairing(circle, chart.eval_many(y, circle.nodes) @ phis, psis)[0, 0]
-    return complex(total)
 
 
 @dataclass
@@ -184,42 +158,6 @@ def pairing_matrix(
     return _pairings(chart, base, y, frame, dual, None)[0]
 
 
-def reduced_pairing_matrix(
-    chart,
-    base: BasePointData,
-    systems: Sequence[RootSystem],
-    duals: Sequence[DualRootSystem],
-    y,
-) -> PairingMatrix:
-    """Pairing computed inside the reduced families, block per cluster.
-
-    Uses the k-valued frame blocks against the adjoint Schur complement at
-    the reflected point: the complement corrections of the two embeddings
-    cancel in the pairing, so this must agree with the full-space matrix.
-    """
-    adj_chart = adjoint_chart(chart)
-    adj_base = base.conjugate_swapped()
-    contours = cluster_contours(base, REDUCED_PAIRING_NODES)
-    blocks = []
-    labels = []
-    dual_labels = []
-    for s, (system, dual, circle) in enumerate(zip(systems, duals, contours)):
-        ev = SchurEvaluator(chart, base, s)
-        dual_ev = SchurEvaluator(adj_chart, adj_base, s)
-        kblock = kframe_at(ev, system, y, REDUCED_PAIRING_NODES)
-        dual_kblock = kframe_at(dual_ev, dual, y, REDUCED_PAIRING_NODES)
-        labels.extend((s, j, l) for j, l in system.entry_labels())
-        dual_labels.extend((s, j, l) for j, l in dual.entry_labels())
-        # Q(y, conj sigma)^H = P_s(y, sigma): evaluate the adjoint complement
-        # at the reflected nodes and undo the conjugation.
-        qvals = dual_ev.schur_many(y, np.conj(circle.nodes))
-        pvals = np.conj(qvals).swapaxes(1, 2)
-        psis = dual_kblock.eval(np.conj(circle.nodes))
-        blocks.append(_contour_pairing(circle, pvals @ kblock.eval(circle), psis))
-    y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
-    return _checked_pairing(_block_diagonal(blocks), y_key, labels, dual_labels)
-
-
 def expected_base_pairing(systems: Sequence[RootSystem]) -> np.ndarray:
     """Block-diagonal matrix with i on each chain's anti-diagonal.
 
@@ -235,19 +173,6 @@ def expected_base_pairing(systems: Sequence[RootSystem]) -> np.ndarray:
                 out[offset + (L - 1 - l), offset + l] = 1j
             offset += L
     return out
-
-
-def base_point_check(
-    chart,
-    base: BasePointData,
-    systems: Sequence[RootSystem],
-    duals: Sequence[DualRootSystem],
-    node_count: int = 256,
-) -> float:
-    """Max deviation of the base pairing matrix from its constant pattern."""
-    frame, dual = frames_at(chart, base, systems, duals, base.y0, node_count=node_count)
-    pm = pairing_matrix(chart, frame, dual, base, base.y0)
-    return float(np.max(np.abs(pm.matrix - expected_base_pairing(systems))))
 
 
 @dataclass

@@ -47,8 +47,8 @@ INVERTIBILITY_FLOOR = 1e-12
 COUNT_NODES = 64
 # The fiber does not depend on the circle that carries it, so each cluster
 # fixes two: frames are sampled and paired on the carrier at CARRIER_FRACTION
-# of the cluster radius, and probed, or paired by the independent contour
-# oracles, on the contour at CONTOUR_FRACTION, outside every carrier.
+# of the cluster radius, and probed on the contour at CONTOUR_FRACTION,
+# outside every carrier, where the contour oracles of tests/oracles.py pair them.
 CARRIER_FRACTION = 0.75
 CONTOUR_FRACTION = 0.9
 
@@ -140,8 +140,8 @@ class Cluster:
         return Circle(self.center, CARRIER_FRACTION * self.radius, node_count)
 
     def contour(self, node_count: int) -> Circle:
-        """Circle outside the carrier on which this cluster's germs are probed, or paired by
-        the contour oracles."""
+        """Circle outside the carrier on which this cluster's germs are probed, and paired by
+        the contour oracles of ``tests/oracles.py``."""
         return Circle(self.center, CONTOUR_FRACTION * self.radius, node_count)
 
 

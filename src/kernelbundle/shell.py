@@ -123,6 +123,7 @@ def second_divided_differences(values: np.ndarray, h: float) -> np.ndarray:
 
     f[x_{i-1}, x_i, x_{i+1}] = (f_{i+1} - 2 f_i + f_{i-1}) / (2 h^2), formed over a power of two per
     column near its largest finite part, at least 1, and scaled back: exactly, and 2 f_i cannot overflow.
+    A divided difference beyond the float range scales back to inf, without a warning.
     """
     v = np.asarray(values)
     if v.shape[0] < 3:
@@ -130,11 +131,13 @@ def second_divided_differences(values: np.ndarray, h: float) -> np.ndarray:
     parts = np.maximum(np.abs(v.real), np.abs(v.imag))
     exponent = np.frexp(np.max(parts, axis=0, initial=0.0, where=np.isfinite(parts)))[1]
     u = v / (scale := np.ldexp(1.0, np.maximum(exponent - 1, 0)))
-    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (2.0 * h * h) * scale
+    with np.errstate(over="ignore"):
+        return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (2.0 * h * h) * scale
 
 
 def _max_dd(values: np.ndarray, grid: ParameterGrid) -> np.ndarray:
-    """Max |second divided difference| per trailing entry, over all axes."""
+    """Max |second divided difference| per trailing entry, over all axes.  The stencils that touch
+    a failed point, a NaN row, drop out; one beyond the float range reads inf."""
     arr = np.asarray(values, dtype=complex).reshape(grid.shape + values.shape[1:])
     best = np.zeros(values.shape[1:], dtype=float)
     for axis in range(grid.ndim):
@@ -144,10 +147,15 @@ def _max_dd(values: np.ndarray, grid: ParameterGrid) -> np.ndarray:
         moved = np.moveaxis(arr, axis, 0)
         dd = second_divided_differences(moved.reshape(moved.shape[0], -1), h)
         dd = np.abs(dd).reshape((dd.shape[0],) + arr.shape[:axis] + arr.shape[axis + 1 :])
-        finite = np.where(np.isfinite(dd), dd, 0.0)
-        reduce_axes = tuple(range(0, finite.ndim - (values.ndim - 1)))
-        best = np.maximum(best, finite.max(axis=reduce_axes) if reduce_axes else finite)
+        kept = np.where(np.isnan(dd), 0.0, dd)
+        reduce_axes = tuple(range(0, kept.ndim - (values.ndim - 1)))
+        best = np.maximum(best, kept.max(axis=reduce_axes) if reduce_axes else kept)
     return best
+
+
+def _json_number(x: float) -> Optional[float]:
+    """``x``, or None where it is not finite, so that reports stay strict JSON."""
+    return x if math.isfinite(x) else None
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +172,12 @@ class SweepPoint:
     probe_error: Optional[float] = None
 
     def to_dict(self) -> dict:
-        # failure entries carry infinite condition numbers; serialize those
-        # as null to keep the output strict JSON
+        # failure entries carry infinite condition numbers, serialized as null
         out = {
             "y": list(self.y),
             "multiplicities": list(self.multiplicities),
-            "pairing_condition": self.pairing_condition if math.isfinite(self.pairing_condition) else None,
-            "p22_margin": self.p22_margin if math.isfinite(self.p22_margin) else None,
+            "pairing_condition": _json_number(self.pairing_condition),
+            "p22_margin": _json_number(self.p22_margin),
         }
         if self.coefficients is not None:
             out["coefficients"] = [[c.real, c.imag] for c in self.coefficients]
@@ -211,10 +218,11 @@ class SweepReport:
             "points": [p.to_dict() for p in self.points],
             "failures": self.failures,
         }
+        # a divided difference beyond the float range is serialized as null
         if self.coefficient_dd is not None:
-            out["coefficient_dd"] = list(self.coefficient_dd)
+            out["coefficient_dd"] = [_json_number(v) for v in self.coefficient_dd]
         if self.pairing_entry_dd is not None:
-            out["pairing_entry_dd"] = self.pairing_entry_dd
+            out["pairing_entry_dd"] = _json_number(self.pairing_entry_dd)
             out["pairing_entry_dd_floor"] = self.pairing_entry_dd_floor
         return out
 

@@ -16,7 +16,6 @@ from kernelbundle.family import (
     SturmLiouvilleSpec,
     branching_chart,
     indicial_chart,
-    jordan_chart,
     sl_chart,
 )
 from kernelbundle.frames import (
@@ -24,7 +23,7 @@ from kernelbundle.frames import (
     laurent_coefficients,
     make_germ,
 )
-from kernelbundle.pairing import pairing_matrix, reduced_pairing_matrix
+from kernelbundle.pairing import pairing_matrix
 from kernelbundle.reduction import SchurEvaluator, local_multiplicity
 from kernelbundle.shell import (
     ParameterGrid,
@@ -34,6 +33,7 @@ from kernelbundle.shell import (
     sweep,
     trace_from_germ,
 )
+from oracles import reduced_pairing_matrix
 
 STRIP = np.sqrt(2.5)
 

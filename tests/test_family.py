@@ -7,7 +7,6 @@ from kernelbundle.family import (
     PolyTerm,
     SigmaRegion,
     SturmLiouvilleSpec,
-    adjoint_chart,
     branching_chart,
     family_from_dict,
     indicial_chart,
@@ -19,6 +18,7 @@ from kernelbundle.family import (
     sl_chart,
     validate_chart,
 )
+from oracles import adjoint_chart
 
 
 class TestRegion:

@@ -13,15 +13,13 @@ from kernelbundle.frames import (
     FrameSet,
     Germ,
     frames_at,
-    germ_from_pole_coefficients,
     independence_check,
-    kframe_at,
     laurent_coefficients,
     make_germ,
 )
-from kernelbundle.family import adjoint_chart
 from kernelbundle.reduction import SchurEvaluator
 from kernelbundle.shell import canonical_systems
+from oracles import adjoint_chart, germ_from_pole_coefficients, kframe_at
 
 
 def rat(z):

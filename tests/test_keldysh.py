@@ -6,7 +6,7 @@ import pytest
 import kernelbundle.keldysh
 from kernelbundle.contour import Circle, SampledFunction
 from kernelbundle.errors import InputError, NondegeneracyError, NumericalError
-from kernelbundle.family import FamilyChart, adjoint_chart
+from kernelbundle.family import FamilyChart
 from kernelbundle.keldysh import (
     BETA_CONDITION_LIMIT,
     base_samples,
@@ -14,10 +14,10 @@ from kernelbundle.keldysh import (
     root_functions,
     taylor_coefficients,
     toeplitz,
-    verify_canonical_system,
 )
 from kernelbundle.reduction import SchurEvaluator, base_point_data
 from kernelbundle.shell import canonical_systems
+from oracles import adjoint_chart, verify_canonical_system
 
 
 def _z(k=1):

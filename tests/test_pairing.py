@@ -8,18 +8,16 @@ from kernelbundle.frames import (
     FrameSet,
     Germ,
     frames_at,
-    germ_from_pole_coefficients,
 )
-from kernelbundle.pairing import (
+from kernelbundle.pairing import coefficients, expected_base_pairing, pairing_matrix
+from kernelbundle.shell import ParameterGrid, canonical_systems, sweep
+from oracles import (
     base_point_check,
     cluster_contours,
-    coefficients,
-    expected_base_pairing,
+    germ_from_pole_coefficients,
     pair,
-    pairing_matrix,
     reduced_pairing_matrix,
 )
-from kernelbundle.shell import ParameterGrid, canonical_systems, sweep
 
 
 def _frames(pipeline, y):

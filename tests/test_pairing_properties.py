@@ -15,9 +15,10 @@ from kernelbundle import pairing
 from kernelbundle.contour import SampledFunction
 from kernelbundle.family import PolyTerm, SigmaRegion, matrix_polynomial_chart
 from kernelbundle.frames import Germ, frames_at
-from kernelbundle.pairing import base_point_check, coefficients, expected_base_pairing, pairing_matrix, reduced_pairing_matrix
+from kernelbundle.pairing import coefficients, expected_base_pairing, pairing_matrix
 from kernelbundle.reduction import base_point_data
 from kernelbundle.shell import ParameterGrid, canonical_systems, sweep
+from oracles import base_point_check, reduced_pairing_matrix
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 

@@ -8,7 +8,6 @@ from kernelbundle import reduction as kb_reduction
 from kernelbundle.contour import Circle, Rectangle, count_zeros, count_zeros_rectangle, locate_zeros
 from kernelbundle.errors import (
     InputError,
-    NumericalError,
     RankGapError,
     ReductionInvalidError,
     ValidationError,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,24 @@ class TestDividedDifferences:
         assert second_divided_differences(np.array([1.7e308] * 3), 0.1).tolist() == [0.0]
         values = np.array([[1.7e308, 0.25], [1.7e308, -1.5], [1.7e308, 3.0]])
         assert second_divided_differences(values, 0.1).tolist() == [[0.0, (3.0 + 3.0 + 0.25) / (2.0 * 0.1 * 0.1)]]
+
+    def test_a_divided_difference_beyond_the_float_range_reads_inf(self, branching_pipeline):
+        # +-1.7e308 alternating on h = 0.1: each stencil is about 3.4e310, which scales back
+        # to inf with no warning; the max keeps it (only NaN stencils drop) and the
+        # report writes it as null, so it stays strict JSON
+        column = np.array([1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308])
+        grid = ParameterGrid.from_ranges([(-0.2, 0.2, 5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert second_divided_differences(column, 0.1).tolist() == [np.inf, -np.inf, np.inf]
+            assert shell._max_dd(column[:, None].astype(complex), grid).tolist() == [np.inf]
+            chart, base, systems, duals = branching_pipeline
+            probe = lambda y: np.full(2, 1.7e308 * np.cos(np.pi * y[0] / 0.1))
+            report = sweep(chart, base, grid, probe=probe, systems=systems, duals=duals)
+        assert not report.failures and report.coefficient_dd == [np.inf, np.inf]
+        out = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert out["coefficient_dd"] == [None, None]
+        assert out["pairing_entry_dd"] == report.pairing_entry_dd < 1e-10
 
     def test_failed_points_skip_their_stencils(self):
         # a failed sweep point is a NaN row: every stencil that touches it drops
