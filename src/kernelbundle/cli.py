@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .contour import SampledFunction, circle_zeros, locate_zeros
+from .contour import SampledFunction, _polar, circle_zeros, locate_zeros
 from .errors import (
     ConfigurationError,
     DimensionJumpError,
@@ -31,7 +31,7 @@ from .errors import (
 from .frames import Germ, frames_at, independence_check
 from .pairing import expected_base_pairing, pairing_matrix
 from .keldysh import base_samples
-from .reduction import _det_function, _polar, validate_neighborhood
+from .reduction import _det_function, validate_neighborhood
 from .shell import (
     ParameterGrid,
     _diagram,

@@ -293,15 +293,19 @@ class ZeroReport:
         }
 
 
+def _polar(v: np.ndarray) -> tuple:
+    """``(phase, log-modulus)`` of complex values, the phase read componentwise as LAPACK's
+    ``slogdet`` reads its pivot, and 0 where the value is."""
+    mod = np.hypot(v.real, v.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mod > 0, v.real / mod + 1j * (v.imag / mod), 0), np.log(mod)
+
+
 def _samples(q: Callable, points: np.ndarray):
     """``(phase, logabs)`` of ``q`` at the points from one ``eval_along`` call: a
-    pair is read as it is, values ``v`` become ``v/|v|`` and ``log|v|``."""
+    pair is read as it is, values become their ``_polar`` form."""
     out = eval_along(q, points)
-    if isinstance(out, tuple):
-        return out
-    mods = np.abs(out)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return out / mods, np.log(mods)
+    return out if isinstance(out, tuple) else _polar(out)
 
 
 def _windings(phase: np.ndarray, logabs: np.ndarray) -> list:
@@ -432,52 +436,55 @@ def refine_cluster(
 ) -> complex:
     """Refine the centroid of the zeros enclosed by a circle.
 
-    Uses the derivative-free first moment ``(1/2pi i) \\oint sigma q'/q dsigma``
-    divided by the count; ``q'`` on the contour comes from the trigonometric
-    interpolant of the samples, so no derivative of ``q`` is required.  The
-    circle recenters and shrinks as the estimate converges.
+    Each step moves the centre to ``c + r p_1 / count``, with ``p_1`` the first of the
+    circle's ``_power_sums``, so no derivative of ``q`` is required; the circle
+    recenters and shrinks as the estimate converges.  The centroid is returned once a
+    step falls below ``REFINE_REL_TOL`` of the scale; a resolution error is raised
+    when ``REFINE_MAX_ITER`` circles do not get there.
     """
     if count < 1:
         raise InputError("refine_cluster requires a positive zero count")
     scale = max(1.0, abs(center), radius)
-    moments = 0
     for _ in range(REFINE_MAX_ITER):
-        w, values, circ = _counted_circle(q, center, radius)
+        w, circ, phase, logabs = _counted_circle(q, center, radius)
         if w != count:
             # enclosed set changed: shrink if we swallowed a neighbor, grow if we lost one
             radius = radius * (0.7 if w > count else 1.35)
             continue
-        derivative = _fourier_derivative(values)
-        # moment of sigma q'/q in the theta parametrization; dividing by i
-        # undoes the 1/(2 pi i) normalization folded into the mean
-        s1 = np.mean(circ.nodes * derivative / values) / 1j
-        moments += 1
-        new_center = s1 / count
+        new_center = complex(circ.center + circ.radius * _power_sums(circ, phase, logabs, 1)[0] / count)
         delta = abs(new_center - center)
-        center = complex(new_center)
+        center = new_center
         if delta < REFINE_REL_TOL * scale:
-            break
+            return center
         radius = max(4.0 * delta, radius * 0.25, 1e-10 * scale)
-    if moments == 0:
-        raise ResolutionError(
-            f"no circle around {center} encloses exactly {count} zeros"
-        )
-    return center
+    raise ResolutionError(f"the centroid of {count} zeros near {center} did not converge in {REFINE_MAX_ITER} circles")
 
 
-def circle_zeros(circle: Circle, phase: np.ndarray, logabs: np.ndarray, count: int, min_separation: float) -> list:
-    """The ``count`` zeros of q inside a circle from its ``(phase, logabs)`` samples on the
-    nodes, sorted like ``locate_zeros`` rows.  Their power sums in ``(sigma - c)/r`` are moments
-    of q'/q, with q' from the trigonometric interpolant, and give their monic polynomial by
-    Newton's identities; roots closer than ``min_separation`` merge into one ``LocatedZero`` at
-    their mean, which is well conditioned, with the group's size as multiplicity."""
+def _power_sums(circle: Circle, phase: np.ndarray, logabs: np.ndarray, count: int) -> np.ndarray:
+    """Power sums ``p_1 .. p_count`` of the zeros of q inside a circle in ``(sigma - c)/r``, from
+    its ``(phase, logabs)`` samples on the nodes: moments of q'/q, with q' from the trigonometric
+    interpolant of the samples scaled to largest modulus one."""
     values = phase * np.exp(logabs - logabs.max())
     # dq/dtheta = q'(sigma) i r u, so q'/q is the sampled ratio over i r u
     ratio = SampledFunction(circle, _fourier_derivative(values) / (1j * circle.radius * circle.unit * values))
     orders = np.arange(1, count + 1)
-    sums = cauchy_moment(ratio, orders) / circle.radius ** orders
+    return cauchy_moment(ratio, orders) / circle.radius ** orders
+
+
+def _row_key(z: LocatedZero) -> tuple:
+    """Sort key of zero rows: real part, then imaginary part, each rounded to 12 decimals."""
+    return round(z.location.real, 12), round(z.location.imag, 12)
+
+
+def circle_zeros(circle: Circle, phase: np.ndarray, logabs: np.ndarray, count: int, min_separation: float) -> list:
+    """The ``count`` zeros of q inside a circle from its ``(phase, logabs)`` samples on the
+    nodes, sorted like ``locate_zeros`` rows.  Their ``_power_sums`` give their monic
+    polynomial by Newton's identities; roots closer than ``min_separation`` merge into one
+    ``LocatedZero`` at their mean, which is well conditioned, with the group's size as
+    multiplicity."""
+    sums = _power_sums(circle, phase, logabs, count)
     coeffs = [1.0 + 0j]
-    for k in orders:
+    for k in range(1, count + 1):
         coeffs.append(-np.dot(coeffs[::-1], sums[:k]) / k)
     roots = circle.center + circle.radius * np.roots(coeffs)
     # roots joined by a chain of close pairs form one group, labelled by its first root
@@ -486,18 +493,18 @@ def circle_zeros(circle: Circle, phase: np.ndarray, logabs: np.ndarray, count: i
         near = near @ near
     first = near.argmax(axis=1)
     zeros = [LocatedZero(complex(np.mean(roots[first == i])), int(np.sum(first == i))) for i in np.unique(first)]
-    return sorted(zeros, key=lambda z: (round(z.location.real, 12), round(z.location.imag, 12)))
+    return sorted(zeros, key=_row_key)
 
 
 def _counted_circle(q, center, radius):
-    """``(count, samples scaled to largest modulus one, circle)``; the radius is nudged off
-    grazed zeros, and a loop the samples cannot resolve is continued at its midpoints."""
+    """``(count, circle, phase, logabs)`` of the refinement circle and q's samples on its nodes;
+    the radius is nudged off grazed zeros, and a loop the samples cannot resolve is continued at
+    its midpoints."""
     for attempt in range(6):
         circ = Circle(center, radius, REFINE_NODES)
         try:
             phase, logabs = _samples(q, circ.nodes)
-            w = _continued_winding(q, circ.path, phase, logabs)
-            return w, phase * np.exp(logabs - logabs.max()), circ
+            return _continued_winding(q, circ.path, phase, logabs), circ, phase, logabs
         except ZeroOnContourError:
             radius *= 1.17
     raise ZeroOnContourError("could not place a zero-free refinement circle")
@@ -534,7 +541,11 @@ def _locate_round(
             except NumericalError:
                 report.unresolved.append(UnresolvedCluster(box, w))
                 continue
-            if _verify_location(q, loc, w, min_separation):
+            # the centroid of the zeros in a convex box lies in it: one outside is another box's
+            slack = 1e-12 * max(1.0, abs(box.center), box.diameter)
+            inside = (box.re_min - slack <= loc.real <= box.re_max + slack
+                      and box.im_min - slack <= loc.imag <= box.im_max + slack)
+            if inside and _verify_location(q, loc, w, min_separation):
                 report.zeros.append(LocatedZero(loc, w))
             else:
                 report.unresolved.append(UnresolvedCluster(box, w))
@@ -558,7 +569,7 @@ def _locate_round(
             break
         if not placed:
             report.unresolved.append(UnresolvedCluster(box, w))
-    report.zeros.sort(key=lambda z: (round(z.location.real, 12), round(z.location.imag, 12)))
+    report.zeros.sort(key=_row_key)
     return report
 
 
@@ -571,9 +582,10 @@ def locate_zeros(
     """Locate the zeros of ``q`` inside a rectangle.
 
     The rectangle is quadrisected recursively, discarding boxes of winding
-    number zero, until boxes are smaller than ``min_separation``; each final
-    box is refined by the first-moment formula and the result is verified by
-    recounting on its own circle.  Zeros closer together than
+    number zero, until boxes are smaller than ``min_separation``.  Each final
+    box is refined by ``refine_cluster``; its converged centroid is kept only
+    if it lies in the box and a recount on its own circle confirms it, else
+    the box is unresolved in that round.  Zeros closer together than
     ``min_separation`` are reported as a single location with the combined
     multiplicity.  If a round leaves unresolved boxes (typically a zero lying
     exactly on a cut line), the subdivision reruns with shifted cut offsets;

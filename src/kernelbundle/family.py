@@ -64,9 +64,6 @@ class SigmaRegion:
     def search_rect(self) -> Rectangle:
         return Rectangle(self.re_min, self.re_max, self.im_min, self.im_max)
 
-    def conjugate(self) -> "SigmaRegion":
-        return SigmaRegion(self.re_min, self.re_max, -self.im_max, -self.im_min, self.strip)
-
     @classmethod
     def strip_region(cls, half_width: float, re_window=(-1.0, 1.0)) -> "SigmaRegion":
         return cls(re_window[0], re_window[1], -half_width, half_width, strip=True)

@@ -130,7 +130,7 @@ def _entry_factors(systems, circles) -> tuple:
     for system, circle in zip(systems, circles):
         n = system.beta.circle.node_count
         if n % circle.node_count:
-            raise InputError(f"frames on {circle.node_count} nodes need systems built on a multiple, not {n}")
+            raise InputError(f"carrier nodes {circle.node_count} must divide the systems' {n}; build them on a multiple")
     labels = systems[0].entry_labels()
     beta = np.stack([sy.beta.values[:: sy.beta.circle.node_count // c.node_count] for sy, c in zip(systems, circles)])
     z = np.stack([circle.nodes - system.center for system, circle in zip(systems, circles)])

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, Rectangle, _continued_winding, _windings, locate_zeros
+from .contour import Circle, _continued_winding, _polar, _windings, locate_zeros
 from .errors import (
     InputError,
     KernelBundleError,
@@ -109,7 +109,7 @@ def _rank_threshold(s: np.ndarray, rank_tol: float, scale_floor: float) -> float
 @dataclass
 class Cluster:
     """Singular point of P(y0, .) with frozen bases and working radius; the bases
-    vanish off the rows of the chart's ``active_blocks`` (None: every block)."""
+    vanish off the rows of the chart's ``active_blocks``."""
 
     center: complex
     multiplicity: int
@@ -119,7 +119,7 @@ class Cluster:
     Rperp: np.ndarray
     R: np.ndarray
     radius: float
-    active_blocks: Optional[tuple] = None
+    active_blocks: tuple
 
     def conjugate_swapped(self) -> "Cluster":
         """Cluster of the adjoint family at the conjugated center.
@@ -205,8 +205,7 @@ class ClusterStack:
     def __init__(self, chart: FamilyChart, base: BasePointData, index: Sequence[int]):
         self.chart, self.base, self.index = chart, base, list(index)
         self.clusters = [base.clusters[s] for s in self.index]
-        acts = [c.active_blocks for c in self.clusters]
-        self.active_blocks = None if acts[0] is None else np.array(acts)
+        self.active_blocks = np.array([c.active_blocks for c in self.clusters])
         self._frozen: dict = {}
 
     def frozen(self, m: int, b: int) -> tuple:
@@ -216,7 +215,7 @@ class ClusterStack:
         blocks of P's active part."""
         if (m, b) not in self._frozen:
             act = self.active_blocks
-            whole = act is None or act.shape[1] == m
+            whole = act.shape[1] == m
             other = None if whole else np.array([[j for j in range(m) if j not in a] for a in act.tolist()])
             rows = None if whole else (act[:, :, None] * b + np.arange(b)).reshape(len(act), -1)
             at = [slice(None)] * len(self.clusters) if rows is None else rows
@@ -254,12 +253,11 @@ class ClusterStack:
 
 def _stacks(chart: FamilyChart, base: BasePointData, keys) -> list:
     """The clusters of a base point in shape classes, one ``ClusterStack`` each, in order of first
-    appearance: clusters of equal active-part size (every block: None) and kernel dimension, and
+    appearance: clusters of equal active-part size and kernel dimension, and
     of equal ``keys``, one per cluster."""
     groups: dict = {}
     for s, (c, key) in enumerate(zip(base.clusters, keys)):
-        shape = None if c.active_blocks is None else len(c.active_blocks), c.kernel_dim
-        groups.setdefault((shape, key), []).append(s)
+        groups.setdefault((len(c.active_blocks), c.kernel_dim, key), []).append(s)
     return [ClusterStack(chart, base, index) for index in groups.values()]
 
 
@@ -444,14 +442,6 @@ def _sampled(stacks: Sequence[ClusterStack], y, nodes) -> list:
         reduced.append(blocks[1])
         out.append([(*(a[:, r] for a in reduced), tuple(x[..., r] for x in c) if r.stop <= held else None) for r in runs])
     return out
-
-
-def _polar(v: np.ndarray) -> tuple:
-    """``(phase, log-modulus)`` of complex values, the phase read componentwise as LAPACK's
-    ``slogdet`` reads its pivot, and 0 where the value is."""
-    mod = np.hypot(v.real, v.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(mod > 0, v.real / mod + 1j * (v.imag / mod), 0), np.log(mod)
 
 
 def _slogdet(m: np.ndarray) -> tuple:
@@ -662,7 +652,6 @@ def base_point_data(
     y0,
     epsilon: Optional[float] = None,
     min_separation: Optional[float] = None,
-    search: Optional[Rectangle] = None,
 ) -> BasePointData:
     """Locate the singular points of P(y0, .) and freeze the cluster data.
 
@@ -672,7 +661,7 @@ def base_point_data(
     zero uses ``KERNEL_RANK_TOL``.
     """
     y0 = _as_param(y0, chart.param_dim)
-    rect = search if search is not None else chart.sigma.search_rect
+    rect = chart.sigma.search_rect
     if min_separation is None:
         min_separation = max(rect.width, rect.height) / 64.0
     report = locate_zeros(_det_function(chart, y0), rect, min_separation)

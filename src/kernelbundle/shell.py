@@ -283,8 +283,6 @@ def sweep(
     t0 = time.perf_counter()
     if grid.ndim != chart.param_dim:
         raise InputError(f"grid has {grid.ndim} axes, the family {chart.param_dim} parameters")
-    if any(sy.beta.circle.node_count % node_count for sy in list(systems) + list(duals)):
-        raise InputError(f"sweep nodes {node_count} must divide the nodes the systems were built on")
     base_mults = [cl.multiplicity for cl in base.clusters]
     labels = [(s, j, l) for s, sy in enumerate(systems) for j, L in enumerate(sy.lengths) for l in range(L)]
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from kernelbundle.contour import Circle, SampledFunction, _continued_winding, singular_part_eval
 from kernelbundle.errors import InputError, NumericalError
-from kernelbundle.family import FamilyChart
+from kernelbundle.family import FamilyChart, SigmaRegion
 from kernelbundle.frames import Germ, _entry_factors, _kernel_values, frames_at, make_germ
 from kernelbundle.keldysh import DualRootSystem, RootSystem
 from kernelbundle.pairing import (
@@ -36,6 +36,11 @@ POLE_GERM_NODES = 128
 VERIFY_NODES = 128
 
 
+def conjugate_region(region: SigmaRegion) -> SigmaRegion:
+    """The region's complex conjugate, where the adjoint family lives."""
+    return SigmaRegion(region.re_min, region.re_max, -region.im_max, -region.im_min, region.strip)
+
+
 def adjoint_chart(chart: FamilyChart) -> FamilyChart:
     """Chart of the adjoint family on the conjugated region."""
 
@@ -45,7 +50,7 @@ def adjoint_chart(chart: FamilyChart) -> FamilyChart:
     return FamilyChart(
         n=chart.n,
         param_dim=chart.param_dim,
-        sigma=chart.sigma.conjugate(),
+        sigma=conjugate_region(chart.sigma),
         evaluator=evaluator,
         name=chart.name + "*",
     )

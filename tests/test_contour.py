@@ -360,6 +360,12 @@ class TestRefine:
         with pytest.raises(InputError):
             refine_cluster(np.sin, 0.0, 0.5, 0)
 
+    def test_an_unconverged_centroid_raises(self, monkeypatch):
+        # the first step from 0.1 moves by 0.1, far above the tolerance: one circle cannot converge
+        monkeypatch.setattr(contour, "REFINE_MAX_ITER", 1)
+        with pytest.raises(ResolutionError):
+            refine_cluster(lambda z: np.sin(z - 0.2), 0.1, 0.5, 1)
+
 
 ZEROS_CIRCLE = Circle(0.3 - 0.2j, 0.8, 64)
 
@@ -440,6 +446,48 @@ class TestLocate:
         located = np.array([z.location for z in report.zeros])
         for r in roots:
             assert np.min(np.abs(located - r)) < 1e-9
+
+    @staticmethod
+    def _located(zeros):
+        report = locate_zeros(lambda z: np.prod([z - a for a in zeros], axis=0), Rectangle(-1.0, 1.0, -1.0, 1.0), 0.05)
+        assert report.consistent and report.total_count == len(zeros)
+        return np.array([z.location for z in report.zeros])
+
+    def test_a_leaf_returns_only_a_converged_centroid(self):
+        # b lies 0.039 from a, just outside a's leaf circle; an unconverged centre put both rows near a
+        a, b = 0.5079329288862287 + 0.41597767798458163j, 0.5120606390137068 + 0.37715684926926457j
+        located = self._located([a, b])
+        assert len(located) == 2
+        for z in (a, b):
+            assert np.min(np.abs(located - z)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            [-0.2253051172525437 + 0.5422586920327845j, -0.1850421735102597 + 0.5415231845005019j,
+             -0.11744644057334513 + 0.534180323480567j],
+            # the leaf box [0, 1/32]^2 holds the first zero in its corner; its centre is nearer the
+            # second, outside the box, on which the shrinking leaf circle converges
+            [0.0305 + 0.0305j, -0.002 + 0.015625j],
+        ],
+        ids=["triple", "corner"],
+    )
+    def test_a_leaf_centroid_lies_in_its_box(self, zeros):
+        # a leaf centroid off its box belongs to another box's zeros: no true zero serves two rows
+        zeros = np.array(zeros)
+        served = [int(np.argmin(np.abs(zeros - z))) for z in self._located(zeros)]
+        assert sorted(served) == list(range(len(zeros)))
+
+    def test_seeded_pairs_each_zero_has_its_own_row(self):
+        # 300 pairs 0.6 to 2.0 min_separations apart
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(300):
+            a = complex(*rng.uniform(-0.7, 0.7, 2))
+            b = a + rng.uniform(0.6, 2.0) * 0.05 * np.exp(2j * np.pi * rng.uniform())
+            located = self._located([a, b])
+            worst = max(worst, *(np.min(np.abs(located - z), initial=np.inf) for z in (a, b)))
+        assert worst < 1e-12
 
     def test_empty_region(self):
         report = locate_zeros(lambda z: z - 5.0, Rectangle(-1.0, 1.0, -1.0, 1.0), 0.05)

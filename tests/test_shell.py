@@ -314,7 +314,7 @@ class TestSweep:
         # midpoints of its circle, and only there
         chart = matrix_polynomial_chart([PolyTerm(17, (0,), np.eye(1))], SigmaRegion(-2, 2, -2, 2))
         one, empty = np.eye(1), np.zeros((1, 0))
-        cluster = kb.reduction.Cluster(0j, 17, 1, one, empty, one, empty, 0.5)
+        cluster = kb.reduction.Cluster(0j, 17, 1, one, empty, one, empty, 0.5, (0,))
         ev = kb.SchurEvaluator(chart, kb.reduction.BasePointData(np.zeros(1), [cluster]), 0)
         sampled, eval_blocks = [], kb.FamilyChart.eval_blocks
 
@@ -342,7 +342,7 @@ class TestSweep:
         # slogdet of a one-cluster stack, whose 1 x 1 reduced family needs no LAPACK slogdet
         chart = matrix_polynomial_chart([PolyTerm(17, (0,), np.eye(1))], SigmaRegion(-2, 2, -2, 2))
         one, empty = np.eye(1), np.zeros((1, 0))
-        cluster = kb.reduction.Cluster(0j, 17, 1, one, empty, one, empty, 0.5)
+        cluster = kb.reduction.Cluster(0j, 17, 1, one, empty, one, empty, 0.5, (0,))
         ev = kb.SchurEvaluator(chart, kb.reduction.BasePointData(np.zeros(1), [cluster]), 0)
         shapes = []
         slogdet = np.linalg.slogdet
