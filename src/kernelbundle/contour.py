@@ -585,10 +585,12 @@ def locate_zeros(
     number zero, until boxes are smaller than ``min_separation``.  Each final
     box is refined by ``refine_cluster``; its converged centroid is kept only
     if it lies in the box and a recount on its own circle confirms it, else
-    the box is unresolved in that round.  Zeros closer together than
-    ``min_separation`` are reported as a single location with the combined
-    multiplicity.  If a round leaves unresolved boxes (typically a zero lying
-    exactly on a cut line), the subdivision reruns with shifted cut offsets;
+    the box is unresolved in that round.  The zeros of one final box are
+    reported as a single location with the combined multiplicity.  Two zeros
+    closer than ``min_separation`` in different final boxes are not merged:
+    when one lies inside the other's recount circle (radius 0.6 min_separation),
+    both boxes end up unresolved.  If a round leaves unresolved boxes (typically
+    a zero lying exactly on a cut line), the subdivision reruns with shifted cut offsets;
     whatever ends up unresolved in the best round is reported as such.
 
     ``q`` must be evaluable on a neighborhood of the closed region, and no

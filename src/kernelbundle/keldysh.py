@@ -5,8 +5,9 @@ multiplicity is at least one.  Every condition on a chain psi_j is a
 coefficient of the product series P_s psi_j: orders 1..L_j-1 vanish, and
 order L_j is beta_j(sigma_s).  All of them are slices of one block
 lower-triangular Toeplitz operator, ``toeplitz``.  The dual system for the
-adjoint reduction is normalized against the primal chains so that the
-base-point pairing becomes the anti-diagonal unit pattern.
+adjoint reduction comes from the principal part of P_s^-1 by Keldysh's
+theorem: one least-squares solve against the primal chains, which makes the
+base-point pairing the anti-diagonal unit pattern.
 """
 
 from __future__ import annotations
@@ -135,6 +136,14 @@ def _subspace_basis(columns: np.ndarray) -> np.ndarray:
     return u[:, :rank]
 
 
+def _min_norm_solve(M: np.ndarray, rhs: np.ndarray, scale: float) -> np.ndarray:
+    """Minimal-norm least-squares solution of ``M x = rhs``, cutting singular values at
+    ``RANK_TOL * scale`` as ``_null_basis`` does: a block of roundoff constrains nothing."""
+    u, s, vh = np.linalg.svd(M, full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * scale))
+    return vh[:rank].conj().T @ (u[:, :rank].conj().T @ rhs / s[:rank])
+
+
 def root_functions(
     taylor: Sequence[np.ndarray],
     multiplicity: int,
@@ -144,8 +153,9 @@ def root_functions(
     """Extract a canonical system of chains from Taylor data.
 
     Chains come out longest first with mutually orthonormal leading vectors;
-    continuations are minimal-norm solutions of the Toeplitz conditions and
-    the unconstrained trailing vector is set to zero.  The chain lengths must
+    continuations are minimal-norm solutions of the Toeplitz conditions, with
+    singular values below ``RANK_TOL`` of the Taylor scale cut, and the
+    unconstrained trailing vector is set to zero.  The chain lengths must
     sum to the prescribed multiplicity.
     """
     taylor = np.array(taylor, dtype=complex)
@@ -210,7 +220,7 @@ def root_functions(
         if L >= 3:
             # orders m = 2..L-1 constrain v_1..v_{L-2} given the lead
             rows = slice(2 * k, L * k)
-            middle = np.linalg.lstsq(T[rows, k : (L - 1) * k], -T[rows, :k] @ lead, rcond=None)[0]
+            middle = _min_norm_solve(T[rows, k : (L - 1) * k], -T[rows, :k] @ lead, scale)
         chain = np.concatenate([lead, middle, np.zeros(k if L >= 2 else 0, dtype=complex)]).reshape(L, k)
         # residuals of the chain conditions, order by order
         rel = np.linalg.norm((T[k : L * k, : L * k] @ chain.ravel()).reshape(L - 1, k) / scale, axis=1)
@@ -252,11 +262,15 @@ def _check_beta_basis(system: RootSystem, what: str) -> None:
 class DualRootSystem(RootSystem):
     """Root system of the adjoint reduction at the conjugated center.
 
-    Chains are normalized against a primal system so that the scalar product
-    series of each primal chain with each dual image function matches the
-    anti-diagonal unit pattern; ``delta_residual`` records how well the
-    normalization was achieved.  ``beta0`` gives the values of the
-    holomorphic images alpha_j at the center.
+    Its chains ``w_{j,q}`` are the left chains that Keldysh's theorem pairs
+    with the primal chains ``v_{j,p}`` in the principal part of S^-1 at the
+    center c: ``A_m = (1/2pi i) oint (sigma - c)^(m-1) S(sigma)^-1 dsigma``
+    equals ``sum_j sum_{p+q=L_j-m} v_{j,p} w_{j,q}^H`` for m = 1..L_max.  So
+    the base-point pairing is the anti-diagonal unit pattern.
+    ``delta_residual`` is the relative residual of that identity, over the
+    largest entry of the A_m.  ``taylor`` is the primal's conjugate transpose
+    through order L_max, and ``beta0`` gives the values of the holomorphic
+    images alpha_j at the center.
     """
 
     delta_residual: float = 0.0
@@ -267,25 +281,29 @@ def dual_root_functions(primal: RootSystem, samples: SampledFunction) -> DualRoo
 
     The adjoint reduction in the swapped bases is ``P_s(y0, conj tau)^H``, so
     node t of the conjugate carrier holds node -t mod N of the primal base
-    ``samples``, conjugate transposed: no evaluation.  Raw dual chains come
-    from its Taylor data, then are recombined by solving the linear system
-    that prescribes the full pairing pattern against the primal chains, whose
-    unique solution puts i on each chain's anti-diagonal of the base pairing.
+    ``samples``, conjugate transposed: no evaluation.  Those samples must be
+    the primal's: their Taylor data through order L_max is the conjugate
+    transpose of ``primal.taylor`` (``NumericalError`` otherwise, naming the
+    first order that deviates).  The dual chains are the least-squares
+    solution of Keldysh's identity (see ``DualRootSystem``) with ``A_1 ..
+    A_Lmax`` read off the inverted primal samples: one solve for every dual
+    chain vector at once.  Its relative residual must stay below
+    ``DUAL_RESIDUAL_LIMIT``, and the dual images must form a well-conditioned
+    basis (``NondegeneracyError`` otherwise).
     """
-    n = samples.circle.node_count
-    if samples.value_shape != (primal.kernel_dim,) * 2:
+    n, k, lengths = samples.circle.node_count, primal.kernel_dim, list(primal.lengths)
+    if samples.value_shape != (k, k):
         raise NumericalError(f"samples of shape {samples.value_shape} are not the primal's")
-    samples = SampledFunction(
+    L_max = max(lengths)
+    adjoint = SampledFunction(
         Circle(np.conj(samples.circle.center), samples.circle.radius, n),
         samples.values.conj().swapaxes(1, 2)[-np.arange(n) % n],
     )
-    order = len(primal.taylor) - 1
-    S = taylor_coefficients(samples, order)
+    taylor = primal.taylor[: L_max + 1].conj().swapaxes(1, 2)
 
-    # the samples must be the primal's: their dual Taylor data is the conjugate
-    # transpose of the primal, read over its largest entry at any scale
+    # read over the primal's largest Taylor entry, the check is the same at any scale
     scale = float(np.max(np.abs(primal.taylor)))
-    dev = np.linalg.norm((S - primal.taylor.conj().swapaxes(1, 2)) / scale, axis=(1, 2))
+    dev = np.linalg.norm((taylor_coefficients(adjoint, L_max) - taylor) / scale, axis=(1, 2))
     bad = np.flatnonzero(dev > 1e-8)
     if bad.size:
         raise NumericalError(
@@ -293,39 +311,17 @@ def dual_root_functions(primal: RootSystem, samples: SampledFunction) -> DualRoo
             f"(relative dev {dev[bad[0]]:.3e})"
         )
 
-    raw = root_functions(S, primal.total, primal.cluster_index, np.conj(primal.center))
-    if sorted(raw.lengths) != sorted(primal.lengths):
-        raise NumericalError(
-            f"dual chain lengths {raw.lengths} differ from primal {primal.lengths}"
-        )
-
-    k = primal.kernel_dim
-    lengths = list(primal.lengths)
-    L_max = max(lengths)
-    S = raw.taylor  # zeroth coefficient cleared
-    T = toeplitz(S, 2 * L_max)
-
-    chains = []
-    residual = 0.0
-    dual_scale = float(np.max(np.abs(S)))
-    for jp, Lp in enumerate(lengths):
-        # admissible dual chains of length Lp (trailing vector free)
-        N = _null_basis(T[k : Lp * k, : Lp * k], Lp * k, dual_scale)
-        nu = N.shape[1]
-        # alpha Taylor coefficients of each basis element: orders Lp.. of S N
-        A = (T[Lp * k : (Lp + L_max) * k, : Lp * k] @ N).reshape(L_max, k, nu)
-        # pairing rows: orders 0..L_j-1 of the series conj(psi_j)^T A, in the
-        # pattern that is 1 at order 0 against chain jp and 0 elsewhere
-        AT = toeplitz(A.swapaxes(1, 2), L_max)
-        rows = np.concatenate(
-            [(AT[: L * nu, : L * k] @ c.conj().ravel()).reshape(L, nu) for L, c in zip(lengths, primal.chains)]
-        )
-        rhs = np.zeros(len(rows), dtype=complex)
-        rhs[sum(lengths[:jp])] = 1.0
-        g = np.linalg.lstsq(rows, rhs, rcond=None)[0]
-        residual = max(residual, float(np.linalg.norm(rows @ g - rhs)))
-        chains.append((N @ g).reshape(Lp, k))
-
+    inverse = 1 / samples.values if k == 1 else np.linalg.inv(samples.values)
+    A = cauchy_moment(SampledFunction(samples.circle, inverse), np.arange(L_max))
+    # A_m = C_m W^H: column (j, q) of C holds v_{j, L_j - m - q} in row block m - 1,
+    # and row (j, q) of W^H is w_{j,q}^H
+    C = np.zeros((L_max, k, sum(lengths)), dtype=complex)
+    columns = [(L, chain, q) for L, chain in zip(lengths, primal.chains) for q in range(L)]
+    for col, (L, chain, q) in enumerate(columns):
+        C[: L - q, :, col] = chain[L - 1 - q :: -1]
+    C, A = C.reshape(L_max * k, -1), A.reshape(L_max * k, k)
+    W = np.linalg.lstsq(C, A, rcond=None)[0]
+    residual = float(np.max(np.abs(C @ W - A)) / np.max(np.abs(A)))
     if residual > DUAL_RESIDUAL_LIMIT:
         raise NondegeneracyError(
             f"dual normalization residual {residual:.3e} exceeds {DUAL_RESIDUAL_LIMIT:.1e}"
@@ -336,9 +332,9 @@ def dual_root_functions(primal: RootSystem, samples: SampledFunction) -> DualRoo
         center=np.conj(primal.center),
         kernel_dim=k,
         lengths=lengths,
-        chains=chains,
-        taylor=S,
+        chains=np.split(W.conj(), np.cumsum(lengths)[:-1]),
+        taylor=taylor,
         delta_residual=residual,
     )
     _check_beta_basis(dual, "normalized dual images")
-    return with_beta(dual, samples)
+    return with_beta(dual, adjoint)

@@ -237,7 +237,7 @@ def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int =
     before any chain is built: a later cluster's guard fails before an earlier cluster's chains do."""
     systems, duals = [], []
     for s, (cl, samples) in enumerate(zip(base.clusters, base_samples(chart, base, node_count))):
-        taylor = taylor_coefficients(samples, 2 * cl.multiplicity + 1)
+        taylor = taylor_coefficients(samples, cl.multiplicity)
         system = root_functions(taylor, cl.multiplicity, cluster_index=s, center=cl.center)
         systems.append(with_beta(system, samples))
         duals.append(dual_root_functions(system, samples))

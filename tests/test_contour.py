@@ -489,6 +489,35 @@ class TestLocate:
             worst = max(worst, *(np.min(np.abs(located - z), initial=np.inf) for z in (a, b)))
         assert worst < 1e-12
 
+    @staticmethod
+    def _one_row_per_zero(zeros):
+        report = locate_zeros(lambda z: np.prod([z - a for a in zeros], axis=0), Rectangle(-1.0, 1.0, -1.0, 1.0), 0.05)
+        assert not report.unresolved
+        located = np.array([z.location for z in report.zeros])
+        assert len(located) == len(zeros)
+        for z in zeros:
+            assert np.min(np.abs(located - z)) < 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="only the best round of cut offsets is kept, not every row a box verifies (ROADMAP item 11)",
+    )
+    def test_a_pair_that_two_rounds_resolve_between_them(self):
+        # 0.69 min_separations apart: rounds 1 and 2 verify -0.003+0.0156j, round 3 verifies
+        # 0.029+0.029j but loses the other zero, and the report keeps round 1 with an unresolved box
+        self._one_row_per_zero([0.029 + 0.029j, -0.003 + 0.0156j])
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a leaf whose recount sees more than its count is not split again (ROADMAP item 11)",
+    )
+    def test_a_close_pair_in_two_leaves(self):
+        # 0.3 min_separations apart: each leaf refines onto its own zero, but the recount
+        # circle of radius 0.6 min_separation holds both, so both boxes end unresolved
+        self._one_row_per_zero([0.03 + 0.002j, 0.0156 - 0.002j])
+
     def test_empty_region(self):
         report = locate_zeros(lambda z: z - 5.0, Rectangle(-1.0, 1.0, -1.0, 1.0), 0.05)
         assert report.total_count == 0

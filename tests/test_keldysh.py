@@ -29,7 +29,7 @@ class TestTaylor:
         # the reduced family of the Jordan block is exactly -sigma^2
         chart, base, systems, _ = jordan_pipeline
         T = taylor_coefficients(base_samples(chart, base, 256)[0], 5)
-        assert len(systems[0].taylor) == 6  # through order 2*multiplicity + 1
+        assert len(systems[0].taylor) == 3  # through order multiplicity, all that root_functions and beta0 read
         assert T[2][0, 0] == pytest.approx(-1.0, abs=1e-12)
         for p in (0, 1, 3, 4, 5):
             assert abs(T[p][0, 0]) < 1e-11
@@ -101,6 +101,17 @@ class TestChains:
         # order two suffices for a single length-2 chain
         system = root_functions([_z(), _z(), -np.eye(1)], 2)
         assert system.lengths == [2]
+
+    def test_a_block_of_roundoff_constrains_no_continuation(self):
+        # diag(sigma^3, sigma^2) plus roundoff at orders 1 and 2: the continuation v_1 of the
+        # length-3 chain solves S_1 v_1 = -S_2 v_0, roundoff against roundoff, so its
+        # minimal-norm solution is zero, not a vector of norm 10 fitted to the noise
+        rng = np.random.default_rng(3)
+        s1 = 1e-17 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        s2 = np.diag([0.0, 1.0]) + 1e-17 * np.outer(rng.normal(size=2), [1.0, 0.0])
+        system = root_functions([_z(2), s1, s2, np.diag([1.0, 0.0])], 5)
+        assert system.lengths == [3, 2]
+        assert np.max(np.abs(system.chains[0][1])) < 1e-12
 
     def test_multiplicity_mismatch(self):
         T = [_z(2), np.diag([0.0, 1.0]), np.diag([-1.0, 0.0]), _z(2)]
@@ -195,21 +206,29 @@ class TestDual:
         with pytest.raises(NumericalError, match="do not belong"):
             dual_root_functions(systems[0], samples)
 
-    @pytest.mark.parametrize("order", [0, 1, 3])
-    def test_deviating_order_is_named(self, sl_big_pipeline, order):
-        # a term eps (zeta - c)^order on the primal samples moves only the
-        # dual Taylor coefficient of that order, by eps relative to the scale
-        chart, base, systems, _ = sl_big_pipeline
+    @staticmethod
+    def _bumped(pipeline, order):
+        """Cluster 0's system, and its samples plus ``eps (zeta - c)^order`` relative to the
+        Taylor scale: the bump moves only the dual Taylor coefficient of that order."""
+        chart, base, systems, _ = pipeline
         samples = base_samples(chart, base, 256)[0]
         scale = float(np.max(np.abs(systems[0].taylor)))
         bump = ((samples.circle.nodes - samples.circle.center) ** order)[:, None, None]
+        return systems[0], lambda eps: SampledFunction(samples.circle, samples.values + eps * scale * bump)
 
-        def perturbed(eps):
-            return SampledFunction(samples.circle, samples.values + eps * scale * bump)
-
-        dual_root_functions(systems[0], perturbed(1e-10))
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_deviating_order_is_named(self, sl_big_pipeline, order):
+        system, perturbed = self._bumped(sl_big_pipeline, order)
+        dual_root_functions(system, perturbed(1e-10))
         with pytest.raises(NumericalError, match=f"do not belong to the primal system at order {order} "):
-            dual_root_functions(systems[0], perturbed(1e-6))
+            dual_root_functions(system, perturbed(1e-6))
+
+    def test_orders_past_the_longest_chain_are_not_compared(self, sl_big_pipeline):
+        # the dual route reads Taylor data through L_max = 1 on this cluster, so a
+        # deviation at order 3 is not a membership failure
+        system, perturbed = self._bumped(sl_big_pipeline, 3)
+        assert max(system.lengths) == 1
+        dual_root_functions(system, perturbed(1e-6))
 
     def test_adjoint_samples_from_primal_samples(
         self, sl_big_pipeline, jordan_pipeline, triangular_pipeline, monkeypatch

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelbundle import pairing
-from kernelbundle.contour import SampledFunction
+from kernelbundle.contour import SampledFunction, cauchy_moment
 from kernelbundle.family import PolyTerm, SigmaRegion, matrix_polynomial_chart
 from kernelbundle.frames import Germ, frames_at
+from kernelbundle.keldysh import base_samples
 from kernelbundle.pairing import coefficients, expected_base_pairing, pairing_matrix
 from kernelbundle.reduction import base_point_data
 from kernelbundle.shell import ParameterGrid, canonical_systems, sweep
@@ -48,14 +49,63 @@ def chain_families(draw):
     return terms, powers
 
 
-def _check_base_pairing_pattern(terms, powers):
+def base_pairing_errors(terms, lengths) -> tuple:
+    """Systems of the family at y0 = 0, whose chain lengths over every singular point in REGION
+    must be ``lengths``, and two distances: of the oracles' base pairing from the anti-diagonal
+    unit pattern, and ``keldysh_residual``."""
     chart = matrix_polynomial_chart(terms, REGION)
     base = base_point_data(chart, [0.0])
     systems, duals = canonical_systems(chart, base)
-    assert sorted(L for sy in systems for L in sy.lengths) == sorted(powers)
-    assert base_point_check(chart, base, systems, duals) < 1e-8
+    assert sorted(L for sy in systems for L in sy.lengths) == sorted(lengths)
     reduced = reduced_pairing_matrix(chart, base, systems, duals, [0.0])
-    assert np.max(np.abs(reduced.matrix - expected_base_pairing(systems))) < 1e-8
+    pattern = np.max(np.abs(reduced.matrix - expected_base_pairing(systems)))
+    return max(base_point_check(chart, base, systems, duals), pattern), keldysh_residual(chart, base, systems, duals)
+
+
+def keldysh_residual(chart, base, systems, duals) -> float:
+    """Largest miss of Keldysh's identity ``A_m = sum_j sum_{p+q=L_j-m} v_{j,p} w_{j,q}^H``, primal
+    chains v and dual chains w, over the largest entry of the A_m of its cluster, with ``A_m`` the
+    moment of order m - 1 of S^-1 on the carrier of ``canonical_systems``."""
+    worst = 0.0
+    for sy, du, samples in zip(systems, duals, base_samples(chart, base, 256)):
+        A = cauchy_moment(SampledFunction(samples.circle, np.linalg.inv(samples.values)), np.arange(max(sy.lengths)))
+        for m, a in enumerate(A, 1):
+            terms = [np.outer(v[p], w[L - m - p].conj()) for L, v, w in zip(sy.lengths, sy.chains, du.chains) for p in range(L - m + 1)]
+            worst = max(worst, float(np.max(np.abs(a - sum(terms))) / np.max(np.abs(A))))
+    return worst
+
+
+def _check_base_pairing_pattern(terms, lengths) -> float:
+    """Assert the base pairing pattern to 1e-8; return ``keldysh_residual``."""
+    pattern, keldysh = base_pairing_errors(terms, lengths)
+    assert pattern < 1e-8
+    return keldysh
+
+
+def unit_factor_draws(seed: int, count: int, multiplicities) -> list:
+    """The first ``count`` seeded draws of ``U diag(sigma^l_1, sigma^l_2, sigma^l_3) V (I + sigma B)``
+    whose multiplicity l_1 + l_2 + l_3 at 0 lies in ``multiplicities``: l_i in {1, 2, 3}, U and V the
+    Q of complex Gaussians and B 0.3 times one.  Each draw is a PolyTerm list with the chain lengths
+    of all its singular points in REGION: the l_i at 0, and 1 at each zero -1/lambda of det(I + sigma B).
+    The nearest of those zeros lies about 1 from 0, which shrinks the carrier at 0."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian():
+        return rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+
+    draws = []
+    while len(draws) < count:
+        powers = rng.integers(1, 4, size=3).tolist()
+        u, v = (np.linalg.qr(gaussian())[0] for _ in range(2))
+        b = 0.3 * gaussian()
+        if sum(powers) not in multiplicities:
+            continue
+        terms = []
+        for k in sorted(set(powers)):
+            d = u @ np.diag([1.0 if p == k else 0.0 for p in powers]) @ v
+            terms += [PolyTerm(k, (0,), d), PolyTerm(k + 1, (0,), d @ b)]
+        draws.append((terms, powers + [1] * int(np.sum(REGION.contains(-1 / np.linalg.eigvals(b))))))
+    return draws
 
 
 @SETTINGS
@@ -76,6 +126,14 @@ def test_base_pairing_pattern_for_a_chain_of_length_four():
     d4, d2 = u @ np.diag([1.0, 0.0]) @ v, u @ np.diag([0.0, 1.0]) @ v
     terms = [PolyTerm(p, (0,), m) for p, m in ((2, d2), (3, d2 @ b), (4, d4), (5, d4 @ b))]
     _check_base_pairing_pattern(terms, [4, 2])
+
+
+@pytest.mark.parametrize("terms, lengths", unit_factor_draws(5, 8, range(5, 9)), ids=[f"draw{i}" for i in range(8)])
+def test_duals_of_unit_factor_draws(terms, lengths):
+    # multiplicity 5 to 8 at 0 on a carrier of radius 0.04 to 0.25: Taylor data of order
+    # past the longest chain carries roundoff of relative size eps / r^order, which the
+    # dual chains never read
+    assert _check_base_pairing_pattern(terms, lengths) < 1e-12
 
 
 @st.composite
