@@ -209,7 +209,9 @@ def singular_part_eval(f: SampledFunction, sigma):
     the circle positively oriented; it reproduces ``f`` when ``f`` is rational,
     vanishes at infinity and has all poles inside, and annihilates functions
     holomorphic on the closed disc.  ``sigma`` may be a ``Circle``: its nodes
-    are the points.
+    are the points.  The trapezoid sum's error grows like ``(rho / |sigma - c|)^N``
+    for carrier radius rho, centre c and N nodes, and is not checked: at a radius
+    ratio of 0.9 with N = 128 it missed by 2.3e-7.
     """
     c = f.circle
     sig = np.asarray(sigma.nodes if isinstance(sigma, Circle) else sigma, dtype=complex)
@@ -396,29 +398,9 @@ def count_zeros_rectangle(q: Callable, rect: Rectangle, initial_nodes: int = 64)
     return winding_number(q, _rectangle_path(rect), initial_nodes)
 
 
-# Candidate cut positions when a subdivision line passes too close to a zero.
-# A zero sitting exactly on a cut line can split its winding between the two
-# adjacent children without tripping the modulus guard (the per-child counts
-# are then integers for even multiplicity), so later rounds shift both cuts
-# off the midlines and results are cross-checked by recounting each reported
-# zero on its own circle.
-_OFFSET_ROUNDS = [
-    [
-        (0.5, 0.5), (0.55, 0.5), (0.5, 0.55), (0.45, 0.5), (0.5, 0.45),
-        (0.55, 0.55), (0.45, 0.45), (0.6, 0.5), (0.5, 0.6), (0.4, 0.5),
-        (0.5, 0.4), (0.575, 0.425),
-    ],
-    [
-        (0.55, 0.55), (0.45, 0.45), (0.55, 0.45), (0.45, 0.55),
-        (0.6, 0.6), (0.4, 0.4), (0.625, 0.575), (0.375, 0.425),
-        (0.6, 0.4), (0.4, 0.6), (0.55, 0.6), (0.45, 0.4),
-    ],
-    [
-        (0.525, 0.575), (0.475, 0.425), (0.575, 0.475), (0.425, 0.525),
-        (0.65, 0.6), (0.35, 0.4), (0.6, 0.65), (0.4, 0.35),
-        (0.65, 0.35), (0.35, 0.65), (0.55, 0.35), (0.45, 0.65),
-    ],
-]
+# Cut offsets a box tries in turn.  A zero on a cut line can split its winding between two
+# children without tripping the modulus guard, so the later cuts move off the midlines.
+_OFFSETS = ((0.5, 0.5), (0.55, 0.5), (0.55, 0.55), (0.45, 0.45), (0.6, 0.4))
 
 
 def _fourier_derivative(values: np.ndarray) -> np.ndarray:
@@ -510,9 +492,9 @@ def _counted_circle(q, center, radius):
     raise ZeroOnContourError("could not place a zero-free refinement circle")
 
 
-def _verify_location(q, loc: complex, mult: int, min_separation: float) -> bool:
-    """Recount the zeros on a small circle around a reported location."""
-    radius = 0.6 * min_separation
+def _verify_location(q, loc: complex, mult: int, separation: float) -> bool:
+    """Recount the zeros on a circle of radius 0.6 separation around a reported location."""
+    radius = 0.6 * separation
     for _ in range(3):
         try:
             return count_zeros(q, Circle(loc, radius, 64)) == mult
@@ -521,56 +503,45 @@ def _verify_location(q, loc: complex, mult: int, min_separation: float) -> bool:
     return False
 
 
-def _locate_round(
-    q: Callable,
-    region: Rectangle,
-    total: int,
-    min_separation: float,
-    initial_nodes: int,
-    offsets,
-) -> ZeroReport:
-    report = ZeroReport(region=region, total_count=total)
-    stack = [(region, total, MAX_LOCATE_DEPTH)]
-    while stack:
-        box, w, depth = stack.pop()
-        if w == 0:
+def _resolved(q, box: Rectangle, w: int, separation: float, min_separation: float, initial_nodes: int, depth: int):
+    """``(rows, unresolved)`` of the ``w`` zeros in a box, as ``locate_zeros`` describes."""
+    if box.diameter < separation:
+        try:
+            loc = refine_cluster(q, box.center, 0.75 * box.diameter, w)
+        except NumericalError:
+            loc = None
+        # the centroid of the zeros in a convex box lies in it: one outside is another box's
+        slack = 1e-12 * max(1.0, abs(box.center), box.diameter)
+        if (loc is not None
+                and box.re_min - slack <= loc.real <= box.re_max + slack
+                and box.im_min - slack <= loc.imag <= box.im_max + slack
+                and _verify_location(q, loc, w, separation)):
+            return [LocatedZero(loc, w)], []
+        if separation <= min_separation / 8:
+            return [], [UnresolvedCluster(box, w)]
+        return _resolved(q, box, w, separation / 2, min_separation, initial_nodes, depth)
+    if depth <= 0:
+        return [], [UnresolvedCluster(box, w)]
+    best = None
+    for fx, fy in _OFFSETS:
+        children = box.split(fx, fy)
+        try:
+            counts = [count_zeros_rectangle(q, child, initial_nodes) for child in children]
+        except (ZeroOnContourError, ResolutionError):
             continue
-        if box.diameter < min_separation:
-            try:
-                loc = refine_cluster(q, box.center, 0.75 * box.diameter, w)
-            except NumericalError:
-                report.unresolved.append(UnresolvedCluster(box, w))
-                continue
-            # the centroid of the zeros in a convex box lies in it: one outside is another box's
-            slack = 1e-12 * max(1.0, abs(box.center), box.diameter)
-            inside = (box.re_min - slack <= loc.real <= box.re_max + slack
-                      and box.im_min - slack <= loc.imag <= box.im_max + slack)
-            if inside and _verify_location(q, loc, w, min_separation):
-                report.zeros.append(LocatedZero(loc, w))
-            else:
-                report.unresolved.append(UnresolvedCluster(box, w))
+        if sum(counts) != w:
             continue
-        if depth <= 0:
-            report.unresolved.append(UnresolvedCluster(box, w))
-            continue
-        placed = False
-        for fx, fy in offsets:
-            children = box.split(fx, fy)
-            try:
-                counts = [count_zeros_rectangle(q, child, initial_nodes) for child in children]
-            except (ZeroOnContourError, ResolutionError):
-                continue
-            if sum(counts) != w:
-                continue
-            for child, cw in zip(children, counts):
-                if cw > 0:
-                    stack.append((child, cw, depth - 1))
-            placed = True
+        rows, unresolved = [], []
+        for child, cw in zip(children, counts):
+            if cw > 0:
+                r, u = _resolved(q, child, cw, separation, min_separation, initial_nodes, depth - 1)
+                rows += r
+                unresolved += u
+        if best is None or sum(u.count for u in unresolved) < sum(u.count for u in best[1]):
+            best = rows, unresolved
+        if not unresolved or not min_separation <= box.diameter < 2 * min_separation:
             break
-        if not placed:
-            report.unresolved.append(UnresolvedCluster(box, w))
-    report.zeros.sort(key=_row_key)
-    return report
+    return best or ([], [UnresolvedCluster(box, w)])
 
 
 def locate_zeros(
@@ -581,17 +552,20 @@ def locate_zeros(
 ) -> ZeroReport:
     """Locate the zeros of ``q`` inside a rectangle.
 
-    The rectangle is quadrisected recursively, discarding boxes of winding
-    number zero, until boxes are smaller than ``min_separation``.  Each final
-    box is refined by ``refine_cluster``; its converged centroid is kept only
-    if it lies in the box and a recount on its own circle confirms it, else
-    the box is unresolved in that round.  The zeros of one final box are
-    reported as a single location with the combined multiplicity.  Two zeros
-    closer than ``min_separation`` in different final boxes are not merged:
-    when one lies inside the other's recount circle (radius 0.6 min_separation),
-    both boxes end up unresolved.  If a round leaves unresolved boxes (typically
-    a zero lying exactly on a cut line), the subdivision reruns with shifted cut offsets;
-    whatever ends up unresolved in the best round is reported as such.
+    Boxes are quadrisected recursively, discarding boxes of winding number zero,
+    until they are smaller than the separation, which starts at ``min_separation``.
+    A box is cut at the first of ``_OFFSETS`` whose four child counts add up to its
+    own count.  A final box is refined by ``refine_cluster``; its converged centroid
+    becomes one row, with the box's count as multiplicity, when it lies in the box
+    and a recount on a circle of radius 0.6 separation around it sees that count.
+    A final box that fails, as when a neighbouring zero lies in that circle, is
+    resolved again at half the separation, down to ``min_separation / 8``; one that
+    fails there is unresolved, as are two zeros in different final boxes less than
+    0.6 min_separation / 8 apart.  A box from one to two ``min_separation`` across
+    whose children leave a box unresolved cuts again at its next offset, and keeps
+    the cut that leaves the fewest zeros unresolved, which may put such a pair in
+    one final box.  Only those boxes retry, so a final box that always fails costs
+    a bounded number of counts.
 
     ``q`` must be evaluable on a neighborhood of the closed region, and no
     zero may lie within ``min_separation / 4`` of the region boundary.
@@ -599,13 +573,10 @@ def locate_zeros(
     if min_separation <= 0:
         raise InputError("min_separation must be positive")
     total = count_zeros_rectangle(q, region, initial_nodes)
-    if total == 0:
-        return ZeroReport(region=region, total_count=total)
-    best = None
-    for offsets in _OFFSET_ROUNDS:
-        report = _locate_round(q, region, total, min_separation, initial_nodes, offsets)
-        if not report.unresolved:
-            return report
-        if best is None or len(report.unresolved) < len(best.unresolved):
-            best = report
-    return best
+    report = ZeroReport(region=region, total_count=total)
+    if total > 0:
+        report.zeros, report.unresolved = _resolved(
+            q, region, total, min_separation, min_separation, initial_nodes, MAX_LOCATE_DEPTH
+        )
+        report.zeros.sort(key=_row_key)
+    return report

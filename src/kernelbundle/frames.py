@@ -62,6 +62,9 @@ class Germ:
         return self.carrier.circle.radius
 
     def eval(self, sigma):
+        """The class at points off the carrier, one ``singular_part_eval`` Cauchy sum: its
+        error grows like ``(rho / |sigma - center|)^N``, so points near the carrier need more
+        nodes (a radius ratio of 0.9 with N = 128 missed by 2.3e-7)."""
         return singular_part_eval(self.carrier, sigma)
 
     def decay_margin(self) -> float:

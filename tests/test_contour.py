@@ -18,6 +18,7 @@ from kernelbundle.contour import (
 from kernelbundle.errors import (
     InputError,
     KernelBundleError,
+    NumericalError,
     RegionError,
     ResolutionError,
     ZeroOnContourError,
@@ -498,25 +499,57 @@ class TestLocate:
         for z in zeros:
             assert np.min(np.abs(located - z)) < 1e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="only the best round of cut offsets is kept, not every row a box verifies (ROADMAP item 11)",
-    )
     def test_a_pair_that_two_rounds_resolve_between_them(self):
-        # 0.69 min_separations apart: rounds 1 and 2 verify -0.003+0.0156j, round 3 verifies
-        # 0.029+0.029j but loses the other zero, and the report keeps round 1 with an unresolved box
+        # 0.69 min_separations apart: the leaf [0, 1/32]^2 holds 0.029+0.029j, and its centre lies as
+        # far from the other zero, so its centroid converges only at half the separation
         self._one_row_per_zero([0.029 + 0.029j, -0.003 + 0.0156j])
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="a leaf whose recount sees more than its count is not split again (ROADMAP item 11)",
-    )
     def test_a_close_pair_in_two_leaves(self):
         # 0.3 min_separations apart: each leaf refines onto its own zero, but the recount
-        # circle of radius 0.6 min_separation holds both, so both boxes end unresolved
+        # circle of radius 0.6 min_separation holds both, until the separation is a quarter
         self._one_row_per_zero([0.03 + 0.002j, 0.0156 - 0.002j])
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            [0.22798013352351898 - 0.31456765793441893j, 0.23445222249989478 - 0.3069445309984513j],
+            # resolved only at min_separation / 8
+            [-0.12813751241200189 - 0.6366147285365767j, -0.12337031460044806 - 0.63510680777423j],
+        ],
+        ids=["fifth", "tenth"],
+    )
+    def test_a_close_pair_in_two_leaves_at_a_smaller_separation(self, zeros):
+        # 0.2 and 0.1 min_separations apart in two leaves: each recount sees both zeros, so each
+        # leaf is resolved again at half the separation until it sees its own zero alone
+        self._one_row_per_zero(zeros)
+
+    def test_a_pair_below_the_floor_merges_at_another_cut(self):
+        # 0.05 min_separations apart: the first cut leaves the zeros in two boxes even at
+        # min_separation / 8, and the next offset of the box above puts them in one final box
+        a, b = -0.5898623379110592 + 0.1553717023038539j, -0.5895749413799316 + 0.15785512800918428j
+        report = locate_zeros(lambda z: (z - a) * (z - b), Rectangle(-1.0, 1.0, -1.0, 1.0), 0.05)
+        assert not report.unresolved
+        assert [z.multiplicity for z in report.zeros] == [2]
+        assert abs(report.zeros[0].location - (a + b) / 2) < 1e-12
+
+    def test_a_leaf_that_always_fails_costs_a_bounded_number_of_counts(self, monkeypatch):
+        # only boxes from 1 to 2 min_separations across retry their cut offsets, so a leaf
+        # that never resolves does not make every box above it try all five
+        def refuse(*args):
+            raise NumericalError("refused")
+
+        counts = []
+
+        def counted(q, rect, initial_nodes=64):
+            counts.append(rect)
+            assert len(counts) <= 400
+            return count_zeros_rectangle(q, rect, initial_nodes)
+
+        monkeypatch.setattr(contour, "refine_cluster", refuse)
+        monkeypatch.setattr(contour, "count_zeros_rectangle", counted)
+        report = locate_zeros(lambda z: z - (0.3 + 0.2j), Rectangle(-1.0, 1.0, -1.0, 1.0), 0.05)
+        assert report.consistent and report.zeros == []
+        assert [u.count for u in report.unresolved] == [1]
 
     def test_empty_region(self):
         report = locate_zeros(lambda z: z - 5.0, Rectangle(-1.0, 1.0, -1.0, 1.0), 0.05)
