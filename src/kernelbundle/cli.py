@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .contour import SampledFunction, _polar, circle_zeros, locate_zeros
+from .contour import SampledFunction, _polar, circle_zeros
 from .errors import (
     ConfigurationError,
     DimensionJumpError,
@@ -31,7 +31,7 @@ from .errors import (
 from .frames import Germ, frames_at, independence_check
 from .pairing import expected_base_pairing, pairing_matrix
 from .keldysh import base_samples
-from .reduction import _det_function, validate_neighborhood
+from .reduction import _located, validate_neighborhood
 from .shell import (
     ParameterGrid,
     _diagram,
@@ -82,14 +82,7 @@ def _grid(problem, args) -> ParameterGrid:
 def cmd_locate(args) -> int:
     problem = load_problem_file(args.spec)
     problem.check_r_bound([])
-    chart = problem.chart
-    region = chart.sigma.search_rect
-    min_sep = problem.min_separation
-    if min_sep is None:
-        min_sep = max(region.width, region.height) / 64.0
-    report = locate_zeros(
-        _det_function(chart, problem.y0), region, min_separation=min_sep, initial_nodes=args.nodes
-    )
+    report = _located(problem.chart, problem.y0, problem.min_separation, args.nodes)
     _write_json(report.to_dict(), args.out)
     return 0
 

@@ -29,22 +29,15 @@ CHART_PROBE_NODES = 64
 
 
 @dataclass(frozen=True)
-class SigmaRegion:
-    """Rectangle or horizontal strip in the sigma plane.
+class SigmaRegion(Rectangle):
+    """Rectangle or horizontal strip in the sigma plane; as a ``Rectangle`` it
+    is the window that the search for singular points covers.
 
     For a strip, membership ignores the real part; the real bounds then only
-    delimit the search window for singular points.
+    delimit that search window.
     """
 
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
     strip: bool = False
-
-    def __post_init__(self):
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise InputError("sigma region bounds are empty")
 
     def contains(self, sigma):
         s = np.asarray(sigma, dtype=complex)
@@ -60,12 +53,8 @@ class SigmaRegion:
             d = min(d, s.real - self.re_min, self.re_max - s.real)
         return float(d)
 
-    @property
-    def search_rect(self) -> Rectangle:
-        return Rectangle(self.re_min, self.re_max, self.im_min, self.im_max)
-
     @classmethod
-    def strip_region(cls, half_width: float, re_window=(-1.0, 1.0)) -> "SigmaRegion":
+    def strip_region(cls, half_width: float, re_window) -> "SigmaRegion":
         return cls(re_window[0], re_window[1], -half_width, half_width, strip=True)
 
 
@@ -279,7 +268,7 @@ def sl_assemble(spec: SturmLiouvilleSpec, y, sigma) -> np.ndarray:
     return _assemble(sl_blocks(spec, y, sigma))
 
 
-def sigma_strip(spec: SturmLiouvilleSpec, re_window=(-1.0, 1.0)) -> SigmaRegion:
+def sigma_strip(spec: SturmLiouvilleSpec, re_window) -> SigmaRegion:
     """Horizontal strip of half-width ``sqrt(k_gap^2 + k_gap + 1/2)``.
 
     The half-width is the midpoint between ``k_gap^2 + r_bound`` and
@@ -325,23 +314,25 @@ def validate_chart(
     Holomorphy is measured by the residual ``||(1/2pi i) \\oint P dzeta||`` on
     probe circles inside the region; invertibility by the best smallest
     singular value over a sigma probe grid, relative to the matrix scale.
+    Both read the diagonal blocks, as the smallest singular value of P is the
+    smallest over its blocks.
     """
-    rect = chart.sigma.search_rect
-    radius = 0.2 * min(rect.width, rect.height)
-    centers = [rect.center, rect.center + 0.3 * rect.width, rect.center - 0.3j * rect.height]
+    region = chart.sigma
+    radius = 0.2 * min(region.width, region.height)
+    centers = [region.center, region.center + 0.3 * region.width, region.center - 0.3j * region.height]
     res = 0.0
     margin = np.inf
     sa_res = None
     for y in y_samples:
         for c in centers:
             circ = Circle(complex(c), radius, CHART_PROBE_NODES)
-            samples = SampledFunction(circ, chart.eval_many(y, circ.nodes))
+            samples = SampledFunction(circ, chart.eval_blocks(y, circ.nodes))
             res = max(res, float(np.linalg.norm(cauchy_moment(samples, 0))))
-        probes_re = np.linspace(rect.re_min, rect.re_max, 5)
-        probes_im = np.linspace(rect.im_min, rect.im_max, 5)
+        probes_re = np.linspace(region.re_min, region.re_max, 5)
+        probes_im = np.linspace(region.im_min, region.im_max, 5)
         grid = (probes_re[:, None] + 1j * probes_im[None, :]).ravel()
-        vals = chart.eval_many(y, grid)
-        smin = np.linalg.svd(vals, compute_uv=False)[:, -1]
+        vals = chart.eval_blocks(y, grid)
+        smin = np.linalg.svd(vals, compute_uv=False).min(axis=(1, 2))
         scale = max(np.max(np.abs(vals)), 1e-300)
         margin = min(margin, float(np.max(smin) / scale))
     if sl_spec is not None:

@@ -73,7 +73,6 @@ class RootSystem:
     ``with_beta`` sets it.
     """
 
-    cluster_index: int
     center: complex
     kernel_dim: int
     lengths: list
@@ -147,7 +146,6 @@ def _min_norm_solve(M: np.ndarray, rhs: np.ndarray, scale: float) -> np.ndarray:
 def root_functions(
     taylor: Sequence[np.ndarray],
     multiplicity: int,
-    cluster_index: int = 0,
     center: complex = 0.0,
 ) -> RootSystem:
     """Extract a canonical system of chains from Taylor data.
@@ -230,7 +228,6 @@ def root_functions(
         chains.append(chain)
 
     system = RootSystem(
-        cluster_index=cluster_index,
         center=complex(center),
         kernel_dim=k,
         lengths=lengths,
@@ -328,7 +325,6 @@ def dual_root_functions(primal: RootSystem, samples: SampledFunction) -> DualRoo
         )
 
     dual = DualRootSystem(
-        cluster_index=primal.cluster_index,
         center=np.conj(primal.center),
         kernel_dim=k,
         lengths=lengths,

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, _continued_winding, _polar, _windings, locate_zeros
+from .contour import Circle, ZeroReport, _continued_winding, _polar, _windings, locate_zeros
 from .errors import (
     InputError,
     KernelBundleError,
@@ -566,6 +566,14 @@ def _det_function(chart: FamilyChart, y) -> Callable:
     return _slogdet_function(lambda s: np.linalg.slogdet(chart.eval_many(y, s, check=False)), chart.n)
 
 
+def _located(chart: FamilyChart, y0, min_separation: Optional[float], initial_nodes: int) -> ZeroReport:
+    """``locate_zeros`` of det P(y0, .) over the chart region, at ``min_separation``
+    or, when that is None, at 1/64 of the region's longer side."""
+    if min_separation is None:
+        min_separation = max(chart.sigma.width, chart.sigma.height) / 64.0
+    return locate_zeros(_det_function(chart, y0), chart.sigma, min_separation, initial_nodes)
+
+
 @dataclass
 class ConditionResult:
     name: str
@@ -661,10 +669,7 @@ def base_point_data(
     zero uses ``KERNEL_RANK_TOL``.
     """
     y0 = _as_param(y0, chart.param_dim)
-    rect = chart.sigma.search_rect
-    if min_separation is None:
-        min_separation = max(rect.width, rect.height) / 64.0
-    report = locate_zeros(_det_function(chart, y0), rect, min_separation)
+    report = _located(chart, y0, min_separation, 64)
     if report.unresolved:
         raise NumericalError(
             "clustered zeros: singular points could not be separated at the base point"

@@ -236,9 +236,9 @@ def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int =
     such as half.  That pass checks the region of all carriers, then their guards in cluster order,
     before any chain is built: a later cluster's guard fails before an earlier cluster's chains do."""
     systems, duals = [], []
-    for s, (cl, samples) in enumerate(zip(base.clusters, base_samples(chart, base, node_count))):
+    for cl, samples in zip(base.clusters, base_samples(chart, base, node_count)):
         taylor = taylor_coefficients(samples, cl.multiplicity)
-        system = root_functions(taylor, cl.multiplicity, cluster_index=s, center=cl.center)
+        system = root_functions(taylor, cl.multiplicity, center=cl.center)
         systems.append(with_beta(system, samples))
         duals.append(dual_root_functions(system, samples))
     return systems, duals

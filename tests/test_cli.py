@@ -126,6 +126,18 @@ class TestSubcommands:
         assert z["multiplicity"] == 2
         assert abs(complex(z["re"], z["im"])) < 1e-8
 
+    @pytest.mark.parametrize(
+        "spec", [TWO_CHANNEL_SPEC, {"family": {"kind": "indicial", "m": 3}}], ids=["two_channel", "indicial"]
+    )
+    def test_locate_reports_the_base_point_centres(self, spec, tmp_path):
+        # locate and base_point_data run one search at one default separation: on 64 nodes,
+        # the located zeros are the frozen cluster centres and multiplicities, bit for bit
+        path, out = tmp_path / "problem.json", tmp_path / "locate.json"
+        path.write_text(json.dumps(spec))
+        assert main(["locate", "--spec", str(path), "--nodes", "64", "--out", str(out)]) == 0
+        zeros = [(complex(z["re"], z["im"]), z["multiplicity"]) for z in json.loads(out.read_text())["zeros"]]
+        assert zeros == [(c.center, c.multiplicity) for c in load_problem_file(path).base().clusters]
+
     def test_indicial_order_takes_effect(self, tmp_path):
         # m = 3: exactly the simple zeros 0, -i and -2i, in a region that
         # reaches 0.6 past them on either side
@@ -162,7 +174,7 @@ class TestSubcommands:
         for fam, window in ((family, [-1.0, 1.0]), (windowed, [-0.5, 0.5])):
             path = tmp_path / "problem.json"
             path.write_text(json.dumps({"family": fam}))
-            rect = load_problem_file(path).chart.sigma.search_rect
+            rect = load_problem_file(path).chart.sigma
             assert [rect.re_min, rect.re_max] == window
             out = tmp_path / "locate.json"
             assert main(["locate", "--spec", str(path), "--out", str(out)]) == 0

@@ -48,12 +48,11 @@ def _scaled(terms, factor):
 @SETTINGS
 @given(diagonal_families(), st.integers(-300, 300))
 def test_counts_and_zeros_independent_of_scale(terms, k):
-    rect = REGION.search_rect
     plain = _det_function(matrix_polynomial_chart(terms, REGION), [0.0])
     scaled = _det_function(matrix_polynomial_chart(_scaled(terms, 10.0 ** k), REGION), [0.0])
-    assert count_zeros_rectangle(scaled, rect) == count_zeros_rectangle(plain, rect)
-    a = locate_zeros(plain, rect, MIN_SEPARATION)
-    b = locate_zeros(scaled, rect, MIN_SEPARATION)
+    assert count_zeros_rectangle(scaled, REGION) == count_zeros_rectangle(plain, REGION)
+    a = locate_zeros(plain, REGION, MIN_SEPARATION)
+    b = locate_zeros(scaled, REGION, MIN_SEPARATION)
     assert b.total_count == a.total_count
     assert [z.multiplicity for z in b.zeros] == [z.multiplicity for z in a.zeros]
     assert [u.count for u in b.unresolved] == [u.count for u in a.unresolved]

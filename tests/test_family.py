@@ -186,7 +186,7 @@ class TestSturmLiouville:
         assert np.array_equal(sl_assemble(spec, y, sigma), ref)
 
     def test_strip_half_width(self):
-        assert sigma_strip(self.spec()).im_max == pytest.approx(np.sqrt(2.5))
+        assert sigma_strip(self.spec(), (-1.0, 1.0)).im_max == pytest.approx(np.sqrt(2.5))
 
     def test_scalar_singular_points(self):
         # modes k with a constant scalar potential mu: det vanishes at

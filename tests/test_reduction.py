@@ -624,7 +624,7 @@ class TestDetFunction:
         # the float range, where an unnormalized determinant is inf
         chart, _ = sl_big_chart
         scaled = dataclasses.replace(chart, evaluator=lambda y, s: 1e200 * chart.evaluator(y, s))
-        rect = chart.sigma.search_rect
+        rect = chart.sigma
         sep = max(rect.width, rect.height) / 64.0
         plain = locate_zeros(_det_function(chart, [0.0]), rect, sep)
         big = locate_zeros(_det_function(scaled, [0.0]), rect, sep)
@@ -650,4 +650,4 @@ class TestDetFunction:
         # at n = 100, det P is +-inf on the search rectangle
         chart = _scalar_dirichlet(100)
         q = _det_function(chart, [0.3])
-        assert count_zeros_rectangle(q, chart.sigma.search_rect) == 2
+        assert count_zeros_rectangle(q, chart.sigma) == 2
