@@ -92,7 +92,7 @@ def cmd_reduce(args) -> int:
     grid = problem.grid.points() if problem.grid is not None else [problem.y0]
     problem.check_r_bound(grid)
     base = problem.base()
-    systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
+    systems, duals = canonical_systems(problem.chart, base, args.nodes)
     validation = validate_neighborhood(problem.chart, base, y_grid=grid)
     out = {
         "base": base.to_dict(),
@@ -109,8 +109,8 @@ def cmd_frame(args) -> int:
     y = _parse_y(problem, args.y)
     problem.check_r_bound([y])
     base = problem.base()
-    systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
-    frame, _ = frames_at(problem.chart, base, systems, duals, y, node_count=args.nodes)
+    systems, duals = canonical_systems(problem.chart, base, args.nodes)
+    frame, _ = frames_at(problem.chart, base, systems, duals, y)
     cond = independence_check(frame, base)
     out = {
         "y": [float(v) for v in np.atleast_1d(y)],
@@ -135,8 +135,8 @@ def cmd_pair(args) -> int:
     y = _parse_y(problem, args.y)
     problem.check_r_bound([y])
     base = problem.base()
-    systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
-    frame, dual = frames_at(problem.chart, base, systems, duals, y, node_count=args.nodes)
+    systems, duals = canonical_systems(problem.chart, base, args.nodes)
+    frame, dual = frames_at(problem.chart, base, systems, duals, y)
     pm = pairing_matrix(problem.chart, frame, dual, base, y)
     base_gap = None
     if np.allclose(np.atleast_1d(y), np.atleast_1d(problem.y0)):
@@ -160,13 +160,13 @@ def cmd_sweep(args) -> int:
         raise InputError("branching diagrams are defined along a single parameter axis")
     problem.check_r_bound(grid.points())
     base = problem.base()
-    systems, duals = canonical_systems(problem.chart, base, 2 * args.nodes)
+    systems, duals = canonical_systems(problem.chart, base, args.nodes)
     probe = None
     if problem.probe_entries:
         size = sum(sy.total for sy in systems)
         probe = probe_from_spec(problem.probe_entries, size)
     try:
-        report = sweep(problem.chart, base, grid, probe=probe, node_count=args.nodes, systems=systems, duals=duals)
+        report = sweep(problem.chart, base, grid, probe=probe, systems=systems, duals=duals)
     except DimensionJumpError as err:
         # the points before the jump are still written; the jump itself exits 4
         _write_json(err.partial_report.to_dict(), args.out)

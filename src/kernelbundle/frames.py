@@ -33,7 +33,6 @@ from .reduction import BasePointData, ClusterStack, _by_cluster, _checked, _node
 
 INDEPENDENCE_CONDITION_LIMIT = 1e10
 INDEPENDENCE_PROBE_NODES = 48
-DECAY_PROBE_FACTOR = 10.0
 # laurent_coefficients: moment equations beyond the unknowns, and the bounds
 # on the moment system's condition and on the relative reconstruction residual.
 EXTRA_MOMENTS = 2
@@ -66,12 +65,6 @@ class Germ:
         error grows like ``(rho / |sigma - center|)^N``, so points near the carrier need more
         nodes (a radius ratio of 0.9 with N = 128 missed by 2.3e-7)."""
         return singular_part_eval(self.carrier, sigma)
-
-    def decay_margin(self) -> float:
-        """|value| * |distance| at a far probe, bounded by the carrier mass."""
-        probe = self.center + DECAY_PROBE_FACTOR * self.rho
-        val = np.linalg.norm(np.atleast_1d(self.eval(probe)))
-        return float(val * abs(probe - self.center))
 
 
 def make_germ(f: Callable, center: complex, rho: float, node_count: int = 128) -> Germ:
@@ -125,18 +118,13 @@ def cluster_stacks(chart, base: BasePointData, systems, duals) -> list:
     return _stacks(chart, base, [(tuple(sy.lengths), tuple(du.lengths)) for sy, du in zip(systems, duals)])
 
 
-def _entry_factors(systems, circles) -> tuple:
-    """``(beta, shifts, chains)`` of the frame entries of one shape class on carriers of one node count
-    N: each system's beta read off every (n / N)-th node of its own carrier of n nodes, which N must
-    divide, (C, N, k, J); ``(sigma - c)^l`` at the carrier nodes per entry ``(j, l)``, (C, N, E),
+def _entry_factors(systems) -> tuple:
+    """``(beta, shifts, chains)`` of the frame entries of one shape class on the systems' carriers:
+    their beta, (C, N, k, J); ``(sigma - c)^l`` at the carrier nodes per entry ``(j, l)``, (C, N, E),
     ordered by chain then shift; and each entry's chain j."""
-    for system, circle in zip(systems, circles):
-        n = system.beta.circle.node_count
-        if n % circle.node_count:
-            raise InputError(f"carrier nodes {circle.node_count} must divide the systems' {n}; build them on a multiple")
     labels = systems[0].entry_labels()
-    beta = np.stack([sy.beta.values[:: sy.beta.circle.node_count // c.node_count] for sy, c in zip(systems, circles)])
-    z = np.stack([circle.nodes - system.center for system, circle in zip(systems, circles)])
+    beta = np.stack([sy.beta.values for sy in systems])
+    z = np.stack([sy.beta.circle.nodes - sy.center for sy in systems])
     shifts = np.stack([z ** l for _, l in labels], axis=-1)
     return beta, shifts, [j for j, _ in labels]
 
@@ -160,9 +148,9 @@ def _frame_values(factors, schur, correction) -> np.ndarray:
 
 
 def _frame_pair(primal, dual, reduced) -> tuple:
-    """Frame and dual frame values of one shape class from ``_frame_factors`` of the primal and
-    the conjugate-swapped clusters and ``(schur, correction, dual_correction)`` on the carriers,
-    (C, N, .) each: ``_sampled``'s first two and ``p12 p22^{-1}``.
+    """Frame and dual frame values of one shape class from its ``_frame_factors`` and
+    ``(schur, correction, dual_correction)`` on the carriers, (C, N, .) each: ``_sampled``'s
+    first two and ``p12 p22^{-1}``.
 
     The dual is the primal construction on the adjoint family.  Node t of a
     dual carrier is node -t mod N of the primal one conjugated, where the
@@ -176,53 +164,52 @@ def _frame_pair(primal, dual, reduced) -> tuple:
     return _frame_values(primal, schur, correction), _frame_values(dual, *adjoint)
 
 
-def _frame_factors(stack: ClusterStack, systems, duals, node_count: int) -> tuple:
-    """``_entry_factors`` of a shape class on carriers of ``node_count`` nodes and the clusters' bases
-    ``K``, (C, n, k), and ``Kperp``, a frame block but its reduction: of its clusters with their
-    systems, and of the conjugate-swapped clusters with their duals."""
-    swapped = [c.conjugate_swapped() for c in stack.clusters]
-    return tuple(
-        (*_entry_factors([sy[s] for s in stack.index], [c.carrier(node_count) for c in cs]),
-         np.stack([c.K for c in cs]), np.stack([c.Kperp for c in cs]))
-        for cs, sy in ((stack.clusters, systems), (swapped, duals))
-    )
+def _frame_factors(stack: ClusterStack, systems, duals) -> tuple:
+    """``_entry_factors`` of a shape class and the clusters' bases ``K``, (C, n, k), and ``Kperp``, a
+    frame block but its reduction: of its clusters with their systems, and with their duals, whose
+    K and Kperp are the clusters' ``Rperp`` and ``R`` (``Cluster.conjugate_swapped``)."""
+    K, Kperp, Rperp, R = (np.stack(x) for x in zip(*((c.K, c.Kperp, c.Rperp, c.R) for c in stack.clusters)))
+    primal, dual = ([sy[s] for s in stack.index] for sy in (systems, duals))
+    return (*_entry_factors(primal), K, Kperp), (*_entry_factors(dual), Rperp, R)
 
 
-def _held_factors(stack: ClusterStack, systems, duals, node_count: int) -> tuple:
-    """``(held, h)``, what a sweep holds of a shape class on carriers of ``node_count`` nodes.  ``h_a =
-    K^H P* psi_a = (tau - conj c)^l beta^dual_j(tau)`` at the conjugated carrier nodes, the dual
-    carrier's in the order ``t -> -t mod N``, (C, N, k, E), and ``held[(t, p, q), (a, b)] = (i rho / N)
+def _held_factors(stack: ClusterStack, systems, duals) -> tuple:
+    """``(held, h)``, what a sweep holds of a shape class on the carriers of its systems, of N nodes.
+    ``h_a = K^H P* psi_a = (tau - conj c)^l beta^dual_j(tau)`` at the dual carrier nodes, the conjugated
+    carrier's, in the order ``t -> -t mod N``, (C, N, k, E), and ``held[(t, p, q), (a, b)] = (i rho / N)
     u_t conj(h_a(t))_p (sigma_t - c)^l_b beta_j_b(sigma_t)_q``, (C, N k k, E, E): the pairing block
     ``[phi_b, psi_a]`` at y is S(y, .)^{-1} at the carrier nodes sigma_t, flattened, times ``held``."""
-    carriers = [c.carrier(node_count) for c in stack.clusters]
-    conjugated = [Circle(np.conj(c.center), c.radius, node_count) for c in carriers]
+    primal = [systems[s] for s in stack.index]
     (beta, shifts, chains), (dual_beta, dual_shifts, dual_chains) = (
-        _entry_factors([sy[s] for s in stack.index], cs) for sy, cs in ((systems, carriers), (duals, conjugated))
+        _entry_factors(sy) for sy in (primal, [duals[s] for s in stack.index])
     )
-    h = (dual_shifts[:, :, None, :] * dual_beta[..., dual_chains])[:, -np.arange(node_count) % node_count]
+    n = beta.shape[1]
+    h = (dual_shifts[:, :, None, :] * dual_beta[..., dual_chains])[:, -np.arange(n) % n]
     g = shifts[:, :, None, :] * beta[..., chains]
-    weights = 1j * np.array([c.radius for c in carriers])[:, None] / node_count * carriers[0].unit
+    carriers = [sy.beta.circle for sy in primal]
+    weights = 1j * np.array([c.radius for c in carriers])[:, None] / n * carriers[0].unit
     held = weights[..., None, None, None, None] * h.conj()[:, :, :, None, :, None] * g[:, :, None, :, None, :]
     return held.reshape(len(carriers), -1, *held.shape[-2:]), h
 
 
-def frames_at(chart, base: BasePointData, systems, duals, y, node_count: int = 128) -> tuple:
+def frames_at(chart, base: BasePointData, systems, duals, y) -> tuple:
     """Frame and dual frame of the kernel bundle at parameter y, one germ block
-    per cluster each, from one ``_sampled`` pass over every carrier, reduced and
-    framed in one array pass per shape class (``cluster_stacks``), on all n rows."""
-    carriers = [[cl.carrier(node_count)] for cl in base.clusters]
+    per cluster each on the carriers of ``systems`` and ``duals``, from one
+    ``_sampled`` pass over every carrier, reduced and framed in one array pass
+    per shape class (``cluster_stacks``), on all n rows."""
+    carriers = [[sy.beta.circle] for sy in systems]
     stacks = cluster_stacks(chart, base, systems, duals)
     reduced = [c[0] for c in _sampled(stacks, y, _nodes(stacks, carriers, 1))]
     for circle, conds in zip(carriers, _by_cluster(stacks, [r[3] for r in reduced])):
         _checked(conds, circle[0].nodes)
     # the dual frame alone reads p12 p22^{-1}, so it is formed here
-    factors = [_frame_factors(st, systems, duals, node_count) for st in stacks]
+    factors = [_frame_factors(st, systems, duals) for st in stacks]
     pairs = [_frame_pair(*f, (r[0], r[1], r[4] @ r[2])) for f, r in zip(factors, reduced)]
     y_key = tuple(np.atleast_1d(np.asarray(y, dtype=float)).tolist())
     frames = []
-    for side, (b, sy) in enumerate(((base, systems), (base.conjugate_swapped(), duals))):
+    for side, sy in enumerate((systems, duals)):
         values = _by_cluster(stacks, [pair[side] for pair in pairs])
-        germs = [Germ(c.center, SampledFunction(c.carrier(node_count), v)) for c, v in zip(b.clusters, values)]
+        germs = [Germ(x.beta.circle.center, SampledFunction(x.beta.circle, v)) for x, v in zip(sy, values)]
         labels = [(s, j, l) for s, system in enumerate(sy) for j, l in system.entry_labels()]
         frames.append(FrameSet(y=y_key, blocks=germs, labels=labels))
     return tuple(frames)

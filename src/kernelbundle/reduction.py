@@ -65,7 +65,7 @@ def _fix_column_phases(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_cokernel(matrix: np.ndarray, rank_tol: Optional[float] = None, scale_floor: float = 0.0):
+def kernel_cokernel(matrix: np.ndarray, rank_tol: float, scale_floor: float):
     """Orthonormal kernel and cokernel bases of a square matrix via the SVD.
 
     Returns ``(K, Kperp, Rperp, R)``: the kernel, its orthocomplement, the
@@ -82,8 +82,6 @@ def kernel_cokernel(matrix: np.ndarray, rank_tol: Optional[float] = None, scale_
     if matrix.shape != (n, n):
         raise InputError("kernel_cokernel expects a square matrix")
     u, s, vh = np.linalg.svd(matrix)
-    if rank_tol is None:
-        rank_tol = n * np.finfo(float).eps
     k = int(np.sum(s <= _rank_threshold(s, rank_tol, scale_floor)))
     v = vh.conj().T
     K = _fix_column_phases(v[:, n - k :])

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import SampledFunction, cauchy_moment, circle_zeros
+from .contour import Circle, SampledFunction, cauchy_moment, circle_zeros
 from .errors import (
     ClusteredPolesError,
     DimensionJumpError,
@@ -230,17 +230,28 @@ class SweepReport:
         _write_json(self.to_dict(), path)
 
 
-def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int = 256):
-    """Primal and dual root systems for every cluster of a base point, from the ``base_samples`` of one
-    evaluation of every carrier at ``node_count`` nodes, which also carry beta: frames take any divisor,
-    such as half.  That pass checks the region of all carriers, then their guards in cluster order,
-    before any chain is built: a later cluster's guard fails before an earlier cluster's chains do."""
+def _on_carrier(system):
+    """``system`` with beta on the carrier of half its nodes, where frames are built and paired: the
+    even samples, which ``Circle.path`` puts on that circle's nodes bit for bit."""
+    circle = system.beta.circle
+    system.beta = SampledFunction(Circle(circle.center, circle.radius, circle.node_count // 2), system.beta.values[::2])
+    return system
+
+
+def canonical_systems(chart: FamilyChart, base: BasePointData, node_count: int = 128):
+    """Primal and dual root systems for every cluster of a base point, each carrying beta on its cluster's
+    carrier of ``node_count`` nodes, where ``frames_at`` and ``sweep`` build and pair the frames.  The Taylor
+    data and the dual chains are read off the ``base_samples`` of one evaluation of every carrier at twice
+    that many nodes: the Keldysh solve inverts those samples, and at ``node_count`` alone its residual grows
+    by three orders on unit factors of high multiplicity.  That pass checks the region of all carriers, then
+    their guards in cluster order, before any chain is built: a later cluster's guard fails before an
+    earlier cluster's chains do."""
     systems, duals = [], []
-    for cl, samples in zip(base.clusters, base_samples(chart, base, node_count)):
+    for cl, samples in zip(base.clusters, base_samples(chart, base, 2 * node_count)):
         taylor = taylor_coefficients(samples, cl.multiplicity)
         system = root_functions(taylor, cl.multiplicity, center=cl.center)
-        systems.append(with_beta(system, samples))
-        duals.append(dual_root_functions(system, samples))
+        systems.append(_on_carrier(with_beta(system, samples)))
+        duals.append(_on_carrier(dual_root_functions(system, samples)))
     return systems, duals
 
 
@@ -249,7 +260,6 @@ def sweep(
     base: BasePointData,
     grid: ParameterGrid,
     probe: Optional[Callable] = None,
-    node_count: int = 128,
     *,
     systems,
     duals,
@@ -260,9 +270,8 @@ def sweep(
     frame entry) of a synthetic section; the sweep rebuilds that section from
     the frame, recovers the coefficients through the pairing, and records the
     worst error.  A change of total multiplicity at any grid point aborts the
-    sweep with the partial report attached.  ``node_count`` sets the nodes of
-    the carriers, where the frames are built and paired; it must divide the
-    nodes that ``canonical_systems`` built ``systems`` and ``duals`` on.
+    sweep with the partial report attached.  The frames are built and paired
+    on the carriers that ``canonical_systems`` gave ``systems`` and ``duals``.
 
     Each point evaluates the family once, on the nodes of every cluster, and
     reduces, counts and pairs each shape class of clusters (``cluster_stacks``)
@@ -302,8 +311,8 @@ def sweep(
 
     stacks = cluster_stacks(chart, base, systems, duals)
     # per cluster: its two count circles and its carrier; rest is read on the outer one alone
-    circles = [c.count_circles() + [c.carrier(node_count)] for c in base.clusters]
-    held = [_held_factors(st, systems, duals, node_count)[0] for st in stacks]
+    circles = [c.count_circles() + [sy.beta.circle] for c, sy in zip(base.clusters, systems)]
+    held = [_held_factors(st, systems, duals)[0] for st in stacks]
     dual_labels = [(s, j, l) for s, du in enumerate(duals) for j, l in du.entry_labels()]
     # per class, the probe's entries of its clusters, (C, E)
     entries = [np.array([[t for t, lab in enumerate(labels) if lab[0] == s] for s in st.index]) for st in stacks]

@@ -76,19 +76,14 @@ def germ_from_pole_coefficients(
     return make_germ(f, center, rho, POLE_GERM_NODES)
 
 
-def kframe_at(
-    ev: SchurEvaluator,
-    system: RootSystem,
-    y,
-    node_count: int = 128,
-) -> Germ:
+def kframe_at(ev: SchurEvaluator, system: RootSystem, y) -> Germ:
     """Kernel-side frame block ``s((sigma-c)^l P_s(y,sigma)^{-1} beta_j)``.
 
-    Returns one k-valued germ with one column per entry, ordered by chain
-    then shift.
+    Returns one k-valued germ on the system's carrier, with one column per
+    entry, ordered by chain then shift.
     """
-    circle = ev.cluster.carrier(node_count)
-    values = _kernel_values(*_entry_factors([system], [circle]), ev.schur_many(y, circle.nodes)[None])[0]
+    circle = system.beta.circle
+    values = _kernel_values(*_entry_factors([system]), ev.schur_many(y, circle.nodes)[None])[0]
     return Germ(ev.cluster.center, SampledFunction(circle, values))
 
 
@@ -138,8 +133,8 @@ def reduced_pairing_matrix(
     for s, (system, dual, circle) in enumerate(zip(systems, duals, contours)):
         ev = SchurEvaluator(chart, base, s)
         dual_ev = SchurEvaluator(adj_chart, adj_base, s)
-        kblock = kframe_at(ev, system, y, REDUCED_PAIRING_NODES)
-        dual_kblock = kframe_at(dual_ev, dual, y, REDUCED_PAIRING_NODES)
+        kblock = kframe_at(ev, system, y)
+        dual_kblock = kframe_at(dual_ev, dual, y)
         labels.extend((s, j, l) for j, l in system.entry_labels())
         dual_labels.extend((s, j, l) for j, l in dual.entry_labels())
         # Q(y, conj sigma)^H = P_s(y, sigma): evaluate the adjoint complement
@@ -157,10 +152,9 @@ def base_point_check(
     base: BasePointData,
     systems: Sequence[RootSystem],
     duals: Sequence[DualRootSystem],
-    node_count: int = 256,
 ) -> float:
     """Max deviation of the base pairing matrix from its constant pattern."""
-    frame, dual = frames_at(chart, base, systems, duals, base.y0, node_count=node_count)
+    frame, dual = frames_at(chart, base, systems, duals, base.y0)
     pm = pairing_matrix(chart, frame, dual, base, base.y0)
     return float(np.max(np.abs(pm.matrix - expected_base_pairing(systems))))
 

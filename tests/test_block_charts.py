@@ -477,7 +477,7 @@ def test_a_sweep_over_two_shape_classes_agrees_with_the_per_cluster_oracles(monk
 
     monkeypatch.setattr(kb.pairing, "_checked_pairing", recorded)
     grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
-    _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed, 128)
+    _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed)
 
 
 @pytest.mark.parametrize(
@@ -496,8 +496,9 @@ def test_a_sweep_over_chains_agrees_with_the_per_cluster_oracles(pipeline, node_
     # chains of length 2 (jordan), a kernel of dimension 2 (branching) and chains of lengths
     # {2, 1} (triangular): the sweep contracts S^-1 on its carriers against the dual data
     # held from the base point, the oracles pair the classes of the full-space frames through
-    # P; on 64 and 32 carrier nodes as on 128
-    chart, base, systems, duals = request.getfixturevalue(pipeline)
+    # P; on systems built on 64 and 32 carrier nodes as on 128
+    chart, base, _, _ = request.getfixturevalue(pipeline)
+    systems, duals = kb.canonical_systems(chart, base, node_count)
     size = sum(sy.total for sy in systems)
     rng = np.random.default_rng(size)
     coeffs = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
@@ -514,19 +515,19 @@ def test_a_sweep_over_chains_agrees_with_the_per_cluster_oracles(pipeline, node_
 
     monkeypatch.setattr(kb.pairing, "_checked_pairing", recorded)
     grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
-    _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed, node_count)
+    _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed)
 
 
-def _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed, node_count):
-    """Sweep ``grid`` with ``probe`` on carriers of ``node_count`` nodes, each pairing matrix it
-    forms appended to ``formed``, and compare every point with ``local_multiplicity``,
-    ``pairing_matrix`` of ``frames_at`` on the same carriers and ``coefficients``."""
-    report = sweep(chart, base, grid, probe=probe, node_count=node_count, systems=systems, duals=duals)
+def _agrees_with_the_oracles(chart, base, systems, duals, grid, probe, formed):
+    """Sweep ``grid`` with ``probe`` on the carriers of ``systems``, each pairing matrix it forms
+    appended to ``formed``, and compare every point with ``local_multiplicity``, ``pairing_matrix``
+    of ``frames_at`` on the same carriers and ``coefficients``."""
+    report = sweep(chart, base, grid, probe=probe, systems=systems, duals=duals)
     assert not report.failures and len(formed) == len(report.points) == grid.shape[0]
     for point, swept in zip(report.points, formed):
         y = list(point.y)
         assert point.multiplicities == [local_multiplicity(SchurEvaluator(chart, base, s), y) for s in range(len(base.clusters))]
-        frame, dual = frames_at(chart, base, systems, duals, y, node_count=node_count)
+        frame, dual = frames_at(chart, base, systems, duals, y)
         pm = pairing_matrix(chart, frame, dual, base, y)
         assert _close(swept, pm.matrix, 1e-13)
         assert point.pairing_condition == pytest.approx(pm.condition, rel=1e-13)
@@ -542,7 +543,7 @@ def test_the_held_dual_data_is_holomorphic(pipeline, request):
     # negative-frequency content beyond roundoff (None: the three-cluster family, two classes)
     chart, base, systems, duals = request.getfixturevalue(pipeline) if pipeline else _three_cluster_pipeline()
     for stack in kb.frames.cluster_stacks(chart, base, systems, duals):
-        h = kb.frames._held_factors(stack, systems, duals, 128)[1]
+        h = kb.frames._held_factors(stack, systems, duals)[1]
         coefficients = np.abs(np.fft.fft(np.conj(h), axis=1))
         assert h.shape[1] == 128 and np.max(coefficients[:, 64:]) <= 1e-13 * np.max(coefficients)
 

@@ -253,18 +253,26 @@ class TestSubcommands:
         assert "y_powers" in capsys.readouterr().err
 
     def test_reduce_builds_systems_on_twice_the_nodes(self, specs, tmp_path, monkeypatch):
-        built = []
-        original = kernelbundle.cli.canonical_systems
+        # --nodes 64: the systems and duals carry beta on 64 nodes, read from one eval_blocks
+        # pass over the cluster's carrier at 128
+        built, evaluated = [], []
+        original, eval_blocks = kernelbundle.cli.canonical_systems, kernelbundle.FamilyChart.eval_blocks
 
-        def recording(chart, base, node_count=256):
+        def recorded(self, y, sigmas, *args):
+            evaluated.append(np.size(sigmas))
+            return eval_blocks(self, y, sigmas, *args)
+
+        def recording(chart, base, node_count):
+            monkeypatch.setattr(kernelbundle.FamilyChart, "eval_blocks", recorded)
             systems, duals = original(chart, base, node_count)
+            monkeypatch.setattr(kernelbundle.FamilyChart, "eval_blocks", eval_blocks)
             built.extend(sy.beta.circle.node_count for sy in systems + duals)
             return systems, duals
 
         monkeypatch.setattr(kernelbundle.cli, "canonical_systems", recording)
         out = tmp_path / "reduce.json"
         assert main(["reduce", "--spec", specs["branching"], "--nodes", "64", "--out", str(out)]) == 0
-        assert built == [128, 128]
+        assert built == [64, 64] and evaluated == [128]
 
     def test_reduce(self, specs, tmp_path):
         out = tmp_path / "reduce.json"

@@ -161,16 +161,17 @@ class TestMatrix:
 
 class TestCarrierPairing:
     @pytest.fixture(scope="class")
-    def fine_pipeline(self, sl_big_chart):
-        # the two-channel family with its systems on 512 nodes, for 512-node reference frames
+    def carrier_pipelines(self, sl_big_chart):
+        # the two-channel family with its systems on 512 nodes, for 512-node reference frames,
+        # and on 64
         chart, _ = sl_big_chart
         base = kernelbundle.base_point_data(chart, [0.0])
-        return (chart, base) + canonical_systems(chart, base, 512)
+        return chart, base, canonical_systems(chart, base, 512), canonical_systems(chart, base, 64)
 
     @staticmethod
     def reference(chart, base, systems, duals, y) -> np.ndarray:
         """The pairing of 512-node frames by ``pair`` on the 512-node cluster contours."""
-        frame, dual = frames_at(chart, base, systems, duals, y, node_count=512)
+        frame, dual = frames_at(chart, base, systems, duals, y)
         contours = cluster_contours(base, 512)
         ref = np.zeros((len(dual), len(frame)), dtype=complex)
         for a, (sa, _, _) in enumerate(dual.labels):
@@ -179,10 +180,10 @@ class TestCarrierPairing:
                     ref[a, b] = pair(chart, y, frame.entry(b), dual.entry(a), contours)
         return ref
 
-    def test_64_node_frames_pair_at_the_fine_reference(self, fine_pipeline, monkeypatch):
+    def test_64_node_frames_pair_at_the_fine_reference(self, carrier_pipelines, monkeypatch):
         # the pairing on the carrier has no Cauchy sum to another circle: on 64 nodes,
         # pairing_matrix and the sweep's pairing both meet the 512-node reference
-        chart, base, systems, duals = fine_pipeline
+        chart, base, fine, (systems, duals) = carrier_pipelines
         formed = []
         checked = kernelbundle.pairing._checked_pairing
 
@@ -192,12 +193,12 @@ class TestCarrierPairing:
 
         monkeypatch.setattr(kernelbundle.pairing, "_checked_pairing", recorded)
         for y in ([-0.1], [0.0], [0.07]):
-            ref = self.reference(chart, base, systems, duals, y)
-            frame, dual = frames_at(chart, base, systems, duals, y, node_count=64)
+            ref = self.reference(chart, base, *fine, y)
+            frame, dual = frames_at(chart, base, systems, duals, y)
             pm = pairing_matrix(chart, frame, dual, base, y)
             formed.clear()
             grid = ParameterGrid((np.array(y),))
-            assert not sweep(chart, base, grid, node_count=64, systems=systems, duals=duals).failures
+            assert not sweep(chart, base, grid, systems=systems, duals=duals).failures
             for m in (pm.matrix, *formed):
                 assert np.max(np.abs(m - ref)) < 1e-13 * np.max(np.abs(ref))
             assert len(formed) == 1
@@ -205,7 +206,7 @@ class TestCarrierPairing:
     def test_carriers_must_match(self, sl_scalar_pipeline):
         chart, base, systems, duals = sl_scalar_pipeline
         frame, dual = frames_at(chart, base, systems, duals, [0.25])
-        _, coarse = frames_at(chart, base, systems, duals, [0.25], node_count=64)
+        _, coarse = frames_at(chart, base, *canonical_systems(chart, base, 64), [0.25])
         with pytest.raises(InputError, match="node count and radius"):
             pairing_matrix(chart, frame, coarse, base, [0.25])
         # the frame's own samples, but on a wider circle

@@ -44,10 +44,13 @@ from kernelbundle.reduction import (
 )
 from kernelbundle.shell import ParameterGrid, canonical_systems
 
+# an n x n matrix is split at the relative rank threshold n * EPS
+EPS = np.finfo(float).eps
+
 
 class TestKernelCokernel:
     def test_diagonal(self):
-        K, Kperp, Rperp, R = kernel_cokernel(np.diag([3.0, 2.0, 0.0]))
+        K, Kperp, Rperp, R = kernel_cokernel(np.diag([3.0, 2.0, 0.0]), rank_tol=3 * EPS, scale_floor=0.0)
         assert np.allclose(K, np.array([[0.0], [0.0], [1.0]]))
         assert np.allclose(Rperp, np.array([[0.0], [0.0], [1.0]]))
         # the complements are the leading coordinate axes
@@ -58,7 +61,7 @@ class TestKernelCokernel:
         u = np.array([1.0, 1.0j]) / np.sqrt(2)
         v = np.array([1.0, -1.0]) / np.sqrt(2)
         M = np.outer(u, v.conj())
-        K, _, Rperp, _ = kernel_cokernel(M, rank_tol=1e-8)
+        K, _, Rperp, _ = kernel_cokernel(M, rank_tol=1e-8, scale_floor=0.0)
         assert K.shape == (2, 1) and Rperp.shape == (2, 1)
         assert np.linalg.norm(M @ K) < 1e-14
         assert np.linalg.norm(Rperp.conj().T @ M) < 1e-14
@@ -70,33 +73,33 @@ class TestKernelCokernel:
         rng = np.random.default_rng(11)
         M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         M[:, 0] = M[:, 1]  # force a kernel
-        K1, _, R1, _ = kernel_cokernel(M, rank_tol=1e-8)
-        K2, _, R2, _ = kernel_cokernel(M * np.exp(0.7j), rank_tol=1e-8)
+        K1, _, R1, _ = kernel_cokernel(M, rank_tol=1e-8, scale_floor=0.0)
+        K2, _, R2, _ = kernel_cokernel(M * np.exp(0.7j), rank_tol=1e-8, scale_floor=0.0)
         assert np.allclose(K1, K2, atol=1e-12)
-        K3, _, R3, _ = kernel_cokernel(M, rank_tol=1e-8)
+        K3, _, R3, _ = kernel_cokernel(M, rank_tol=1e-8, scale_floor=0.0)
         assert np.array_equal(K1, K3) and np.array_equal(R1, R3)
 
     def test_rank_gap_guard(self):
         with pytest.raises(RankGapError) as info:
-            kernel_cokernel(np.diag([1.0, 1e-10]), rank_tol=1e-10)
+            kernel_cokernel(np.diag([1.0, 1e-10]), rank_tol=1e-10, scale_floor=0.0)
         assert info.value.singular_values is not None
         assert len(info.value.singular_values) == 2
 
     def test_scale_floor_recognizes_roundoff_zero(self):
         M = 1e-17 * np.eye(2)
-        K, *_ = kernel_cokernel(M)
+        K, *_ = kernel_cokernel(M, rank_tol=2 * EPS, scale_floor=0.0)
         assert K.shape[1] == 0  # full rank relative to its own noise
-        K, *_ = kernel_cokernel(M, scale_floor=1.0)
+        K, *_ = kernel_cokernel(M, rank_tol=2 * EPS, scale_floor=1.0)
         assert K.shape[1] == 2
 
     def test_zero_matrix(self):
-        K, _, Rperp, _ = kernel_cokernel(np.zeros((3, 3)))
+        K, _, Rperp, _ = kernel_cokernel(np.zeros((3, 3)), rank_tol=3 * EPS, scale_floor=0.0)
         assert K.shape == (3, 3)
         assert np.allclose(K.conj().T @ K, np.eye(3))
 
     def test_square_only(self):
         with pytest.raises(InputError):
-            kernel_cokernel(np.zeros((2, 3)))
+            kernel_cokernel(np.zeros((2, 3)), rank_tol=2 * EPS, scale_floor=0.0)
 
 
 class TestBasePoint:

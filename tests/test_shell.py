@@ -355,14 +355,6 @@ class TestSweep:
         assert self.counts(ev) == [17, 17]
         assert shapes == []
 
-    def test_node_count_must_divide_system_nodes(self, branching_pipeline):
-        # the systems carry beta on 256 nodes; a sweep on 96 stops before any point
-        chart, base, systems, duals = branching_pipeline
-        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
-        with pytest.raises(InputError, match="must divide"):
-            sweep(chart, base, grid, node_count=96, systems=systems, duals=duals)
-        assert not sweep(chart, base, grid, node_count=64, systems=systems, duals=duals).failures
-
     def test_grid_dimension_must_match_family(self, branching_pipeline):
         # a two-axis grid on a one-parameter family stops before any point
         chart, base, systems, duals = branching_pipeline
@@ -628,6 +620,30 @@ class TestCanonicalSystems:
         assert calls == [(0.0,)]
         assert [sy.lengths for sy in again] == [sy.lengths for sy in systems]
         assert [du.lengths for du in again_duals] == [du.lengths for du in duals]
+
+    def test_systems_fix_the_carriers(self, sl_big_pipeline, monkeypatch):
+        # on 64 nodes: beta of the systems on each cluster's carrier and of the duals on its
+        # conjugate, both frames' germs on those circles, and the sweep's S^-1 on 64 nodes
+        chart, base, _, _ = sl_big_pipeline
+        systems, duals = canonical_systems(chart, base, 64)
+        carriers = [cl.carrier(64) for cl in base.clusters]
+        conjugated = [kb.Circle(np.conj(c.center), c.radius, 64) for c in carriers]
+        assert [sy.beta.circle for sy in systems] == carriers
+        assert [du.beta.circle for du in duals] == conjugated
+        frame, dual = kb.frames_at(chart, base, systems, duals, [0.05])
+        assert [g.carrier.circle for g in frame.blocks] == carriers
+        assert [g.carrier.circle for g in dual.blocks] == conjugated
+        inverted = []
+        inverse = shell._inverse
+
+        def recorded(a):
+            inverted.append(a.shape[1])
+            return inverse(a)
+
+        monkeypatch.setattr(shell, "_inverse", recorded)
+        grid = ParameterGrid.from_ranges([(-0.05, 0.05, 3)])
+        assert not sweep(chart, base, grid, systems=systems, duals=duals).failures
+        assert inverted == [64] * 3
 
     @pytest.mark.parametrize("pipeline", ["sl_big_pipeline", "jordan_pipeline"])
     def test_scaled_family_gives_the_same_lengths(self, pipeline, request):
