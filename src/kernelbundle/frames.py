@@ -114,7 +114,12 @@ class FrameSet:
 
 def cluster_stacks(chart, base: BasePointData, systems, duals) -> list:
     """The clusters of a base point in shape classes, one ``ClusterStack`` each: clusters of equal
-    active-part size, kernel dimension and chain lengths reduce, frame and pair in one array pass."""
+    active-part size, kernel dimension and chain lengths reduce, frame and pair in one array pass.
+    ``InputError`` unless the systems' carriers share one node count and the duals' conjugate them."""
+    circles = [(sy.beta.circle, du.beta.circle) for sy, du in zip(systems, duals)]
+    n = circles[0][0].node_count
+    if any((c.node_count, d) != (n, Circle(np.conj(c.center), c.radius, n)) for c, d in circles):
+        raise InputError("systems need carriers of one node count and their duals the conjugated carriers")
     return _stacks(chart, base, [(tuple(sy.lengths), tuple(du.lengths)) for sy, du in zip(systems, duals)])
 
 

@@ -18,6 +18,7 @@ from kernelbundle.frames import (
     make_germ,
 )
 from kernelbundle.reduction import SchurEvaluator
+from kernelbundle.shell import canonical_systems
 from oracles import adjoint_chart, germ_from_pole_coefficients, kframe_at
 
 
@@ -261,6 +262,16 @@ class TestFrames:
                 assert got.carrier.circle == want.carrier.circle
                 scale = float(np.max(np.abs(want.carrier.values)))
                 assert np.max(np.abs(got.carrier.values - want.carrier.values)) < 1e-12 * scale
+
+    def test_duals_must_sit_on_the_conjugated_carriers(self, jordan_pipeline):
+        # systems and duals from one canonical_systems call frame on their 64 nodes; systems on
+        # 64 nodes beside duals on 128, or the other way round, stop before the family is sampled
+        chart, base, systems, duals = jordan_pipeline
+        coarse, coarse_duals = canonical_systems(chart, base, 64)
+        assert [len(f) for f in frames_at(chart, base, coarse, coarse_duals, [0.0])] == [2, 2]
+        for primal, dual in ((coarse, duals), (systems, coarse_duals)):
+            with pytest.raises(InputError, match="conjugated carriers"):
+                frames_at(chart, base, primal, dual, [0.0])
 
     def test_samples_family_once_per_cluster(self, sl_scalar_pipeline, counting_chart):
         # one block evaluation on every carrier at y serves both frames; beta

@@ -355,6 +355,17 @@ class TestSweep:
         assert self.counts(ev) == [17, 17]
         assert shapes == []
 
+    def test_systems_and_duals_must_share_the_carriers(self, sl_scalar_pipeline):
+        # duals on 128 nodes beside systems on 64, or the two clusters on 64 and on 128 nodes,
+        # stop the sweep before any point; the 64-node systems with their own duals sweep
+        chart, base, systems, duals = sl_scalar_pipeline
+        coarse, coarse_duals = canonical_systems(chart, base, 64)
+        grid = ParameterGrid.from_ranges([(-0.1, 0.1, 3)])
+        for primal, dual in ((coarse, duals), ([coarse[0], systems[1]], [coarse_duals[0], duals[1]])):
+            with pytest.raises(InputError, match="conjugated carriers"):
+                sweep(chart, base, grid, systems=primal, duals=dual)
+        assert not sweep(chart, base, grid, systems=coarse, duals=coarse_duals).failures
+
     def test_grid_dimension_must_match_family(self, branching_pipeline):
         # a two-axis grid on a one-parameter family stops before any point
         chart, base, systems, duals = branching_pipeline
