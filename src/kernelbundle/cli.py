@@ -82,7 +82,7 @@ def _grid(problem, args) -> ParameterGrid:
 def cmd_locate(args) -> int:
     problem = load_problem_file(args.spec)
     problem.check_r_bound([])
-    report = _located(problem.chart, problem.y0, problem.min_separation, args.nodes)
+    report = _located(problem.chart, problem.y0, problem.min_separation)
     _write_json(report.to_dict(), args.out)
     return 0
 
@@ -179,6 +179,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if not np.isfinite(args.gamma):
+        raise InputError(f"--gamma needs a finite value, got {args.gamma}")
+    if not 0 < args.window < np.inf:
+        raise InputError(f"--window needs a finite positive value, got {args.window}")
     problem = load_problem_file(args.spec)
     chart = problem.chart
     if chart.n != 1:
@@ -220,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--spec", required=True, help="problem description JSON file")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        p.add_argument("--nodes", type=int, default=128, help="quadrature nodes per circle")
+        if run is not cmd_locate:
+            # locate's zero counts start at contour.COUNT_NODES; the others carry germs on --nodes
+            p.add_argument("--nodes", type=int, default=128, help="quadrature nodes per carrier circle")
         p.set_defaults(run=run)
         return p
 
@@ -242,7 +248,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.nodes < 16:
+        if "nodes" in args and args.nodes < 16:
             raise InputError(f"--nodes must be at least 16, got {args.nodes}")
         return args.run(args)
     except (ValidationError, RegionError, ConfigurationError) as exc:

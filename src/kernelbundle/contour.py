@@ -29,6 +29,9 @@ from .errors import (
 
 # Relative modulus floor below which a contour is treated as hitting a zero.
 MIN_MODULUS_FACTOR = 1e-12
+# Nodes at which every zero count starts: a count that cannot tell its winding
+# continues at the midpoints of the samples it holds, so a larger start only costs nodes.
+COUNT_NODES = 64
 # Node budget for adaptive winding refinement.
 MAX_WINDING_NODES = 2 ** 14
 # Largest admissible angle step between consecutive image points.
@@ -361,17 +364,17 @@ def _continued_winding(q: Callable, path: Callable, phase: np.ndarray, logabs: n
     return w
 
 
-def winding_number(q: Callable, path: Callable, initial_nodes: int) -> int:
+def winding_number(q: Callable, path: Callable, node_count: int) -> int:
     """Winding number of ``q`` along a closed path by accumulated argument increments.
 
     ``path`` maps a node count n to the n nodes of the loop in order, and
     ``path(2n)[::2]`` must equal ``path(n)``.  Node count starts at
-    ``initial_nodes``, at least 16, and doubles, sampling only the new nodes,
+    ``node_count``, at least 16, and doubles, sampling only the new nodes,
     until ``_winding`` resolves the loop (see ``_continued_winding``).
     """
-    n = int(initial_nodes)
+    n = int(node_count)
     if n < 16:
-        raise InputError(f"node_count must be at least 16, got {initial_nodes}")
+        raise InputError(f"node_count must be at least 16, got {node_count}")
     return _continued_winding(q, path, *_samples(q, path(n)))
 
 
@@ -394,8 +397,8 @@ def count_zeros(q: Callable, circle: Circle) -> int:
     return winding_number(q, circle.path, circle.node_count)
 
 
-def count_zeros_rectangle(q: Callable, rect: Rectangle, initial_nodes: int = 64) -> int:
-    return winding_number(q, _rectangle_path(rect), initial_nodes)
+def count_zeros_rectangle(q: Callable, rect: Rectangle) -> int:
+    return winding_number(q, _rectangle_path(rect), COUNT_NODES)
 
 
 # Cut offsets a box tries in turn.  A zero on a cut line can split its winding between two
@@ -497,13 +500,13 @@ def _verify_location(q, loc: complex, mult: int, separation: float) -> bool:
     radius = 0.6 * separation
     for _ in range(3):
         try:
-            return count_zeros(q, Circle(loc, radius, 64)) == mult
+            return count_zeros(q, Circle(loc, radius, COUNT_NODES)) == mult
         except (ZeroOnContourError, ResolutionError):
             radius *= 1.13
     return False
 
 
-def _resolved(q, box: Rectangle, w: int, separation: float, min_separation: float, initial_nodes: int, depth: int):
+def _resolved(q, box: Rectangle, w: int, separation: float, min_separation: float, depth: int):
     """``(rows, unresolved)`` of the ``w`` zeros in a box, as ``locate_zeros`` describes."""
     if box.diameter < separation:
         try:
@@ -519,14 +522,14 @@ def _resolved(q, box: Rectangle, w: int, separation: float, min_separation: floa
             return [LocatedZero(loc, w)], []
         if separation <= min_separation / 8:
             return [], [UnresolvedCluster(box, w)]
-        return _resolved(q, box, w, separation / 2, min_separation, initial_nodes, depth)
+        return _resolved(q, box, w, separation / 2, min_separation, depth)
     if depth <= 0:
         return [], [UnresolvedCluster(box, w)]
     best = None
     for fx, fy in _OFFSETS:
         children = box.split(fx, fy)
         try:
-            counts = [count_zeros_rectangle(q, child, initial_nodes) for child in children]
+            counts = [count_zeros_rectangle(q, child) for child in children]
         except (ZeroOnContourError, ResolutionError):
             continue
         if sum(counts) != w:
@@ -534,7 +537,7 @@ def _resolved(q, box: Rectangle, w: int, separation: float, min_separation: floa
         rows, unresolved = [], []
         for child, cw in zip(children, counts):
             if cw > 0:
-                r, u = _resolved(q, child, cw, separation, min_separation, initial_nodes, depth - 1)
+                r, u = _resolved(q, child, cw, separation, min_separation, depth - 1)
                 rows += r
                 unresolved += u
         if best is None or sum(u.count for u in unresolved) < sum(u.count for u in best[1]):
@@ -544,16 +547,12 @@ def _resolved(q, box: Rectangle, w: int, separation: float, min_separation: floa
     return best or ([], [UnresolvedCluster(box, w)])
 
 
-def locate_zeros(
-    q: Callable,
-    region: Rectangle,
-    min_separation: float,
-    initial_nodes: int = 64,
-) -> ZeroReport:
+def locate_zeros(q: Callable, region: Rectangle, min_separation: float) -> ZeroReport:
     """Locate the zeros of ``q`` inside a rectangle.
 
     Boxes are quadrisected recursively, discarding boxes of winding number zero,
     until they are smaller than the separation, which starts at ``min_separation``.
+    Every count, of a box or of a recount circle, starts at ``COUNT_NODES``.
     A box is cut at the first of ``_OFFSETS`` whose four child counts add up to its
     own count.  A final box is refined by ``refine_cluster``; its converged centroid
     becomes one row, with the box's count as multiplicity, when it lies in the box
@@ -572,11 +571,9 @@ def locate_zeros(
     """
     if min_separation <= 0:
         raise InputError("min_separation must be positive")
-    total = count_zeros_rectangle(q, region, initial_nodes)
+    total = count_zeros_rectangle(q, region)
     report = ZeroReport(region=region, total_count=total)
     if total > 0:
-        report.zeros, report.unresolved = _resolved(
-            q, region, total, min_separation, min_separation, initial_nodes, MAX_LOCATE_DEPTH
-        )
+        report.zeros, report.unresolved = _resolved(q, region, total, min_separation, min_separation, MAX_LOCATE_DEPTH)
         report.zeros.sort(key=_row_key)
     return report

@@ -172,7 +172,8 @@ def _frame_pair(primal, dual, reduced) -> tuple:
 def _frame_factors(stack: ClusterStack, systems, duals) -> tuple:
     """``_entry_factors`` of a shape class and the clusters' bases ``K``, (C, n, k), and ``Kperp``, a
     frame block but its reduction: of its clusters with their systems, and with their duals, whose
-    K and Kperp are the clusters' ``Rperp`` and ``R`` (``Cluster.conjugate_swapped``)."""
+    K and Kperp are the clusters' ``Rperp`` and ``R``: the kernel of P*(conj sigma) is the
+    orthocomplement of the range of P(sigma), and vice versa."""
     K, Kperp, Rperp, R = (np.stack(x) for x in zip(*((c.K, c.Kperp, c.Rperp, c.R) for c in stack.clusters)))
     primal, dual = ([sy[s] for s in stack.index] for sy in (systems, duals))
     return (*_entry_factors(primal), K, Kperp), (*_entry_factors(dual), Rperp, R)

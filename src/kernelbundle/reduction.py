@@ -10,13 +10,13 @@ the active blocks, those that vanish at sigma_s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, ZeroReport, _continued_winding, _polar, _windings, locate_zeros
+from .contour import COUNT_NODES, Circle, ZeroReport, _continued_winding, _polar, _windings, locate_zeros
 from .errors import (
     InputError,
     KernelBundleError,
@@ -42,9 +42,8 @@ MAX_HALVINGS = 10
 # genuine ones.
 KERNEL_RANK_TOL = 1e-10
 # validate_neighborhood: the smallest admissible relative margin of the
-# complement block, and the nodes of each of a cluster's count circles.
+# complement block.  Each of a cluster's count circles has COUNT_NODES nodes.
 INVERTIBILITY_FLOOR = 1e-12
-COUNT_NODES = 64
 # The fiber does not depend on the circle that carries it, so each cluster
 # fixes two: frames are sampled and paired on the carrier at CARRIER_FRACTION
 # of the cluster radius, and probed on the contour at CONTOUR_FRACTION,
@@ -119,14 +118,6 @@ class Cluster:
     radius: float
     active_blocks: tuple
 
-    def conjugate_swapped(self) -> "Cluster":
-        """Cluster of the adjoint family at the conjugated center.
-
-        The kernel of P*(conj(sigma_s)) is the orthocomplement of the range of
-        P(sigma_s) and vice versa, so the stored bases swap roles.
-        """
-        return replace(self, center=np.conj(self.center), K=self.Rperp, Kperp=self.R, Rperp=self.K, R=self.Kperp)
-
     def count_circles(self) -> list:
         """Circles of radius epsilon and epsilon/2 on which the reduced zeros of this
         cluster are counted: while both hold its multiplicity, every local singular
@@ -151,9 +142,6 @@ class BasePointData:
     @property
     def total_multiplicity(self) -> int:
         return sum(c.multiplicity for c in self.clusters)
-
-    def conjugate_swapped(self) -> "BasePointData":
-        return replace(self, clusters=[c.conjugate_swapped() for c in self.clusters])
 
     def to_dict(self) -> dict:
         return {
@@ -564,12 +552,12 @@ def _det_function(chart: FamilyChart, y) -> Callable:
     return _slogdet_function(lambda s: np.linalg.slogdet(chart.eval_many(y, s, check=False)), chart.n)
 
 
-def _located(chart: FamilyChart, y0, min_separation: Optional[float], initial_nodes: int) -> ZeroReport:
+def _located(chart: FamilyChart, y0, min_separation: Optional[float]) -> ZeroReport:
     """``locate_zeros`` of det P(y0, .) over the chart region, at ``min_separation``
     or, when that is None, at 1/64 of the region's longer side."""
     if min_separation is None:
         min_separation = max(chart.sigma.width, chart.sigma.height) / 64.0
-    return locate_zeros(_det_function(chart, y0), chart.sigma, min_separation, initial_nodes)
+    return locate_zeros(_det_function(chart, y0), chart.sigma, min_separation)
 
 
 @dataclass
@@ -667,7 +655,7 @@ def base_point_data(
     zero uses ``KERNEL_RANK_TOL``.
     """
     y0 = _as_param(y0, chart.param_dim)
-    report = _located(chart, y0, min_separation, 64)
+    report = _located(chart, y0, min_separation)
     if report.unresolved:
         raise NumericalError(
             "clustered zeros: singular points could not be separated at the base point"

@@ -123,7 +123,8 @@ def second_divided_differences(values: np.ndarray, h: float) -> np.ndarray:
 
     f[x_{i-1}, x_i, x_{i+1}] = (f_{i+1} - 2 f_i + f_{i-1}) / (2 h^2), formed over a power of two per
     column near its largest finite part, at least 1, and scaled back: exactly, and 2 f_i cannot overflow.
-    A divided difference beyond the float range scales back to inf, without a warning.
+    A divided difference beyond the float range scales back to inf, without a warning; so does one over a
+    step whose square underflows, where a zero difference reads NaN, which ``_max_dd`` drops.
     """
     v = np.asarray(values)
     if v.shape[0] < 3:
@@ -131,7 +132,7 @@ def second_divided_differences(values: np.ndarray, h: float) -> np.ndarray:
     parts = np.maximum(np.abs(v.real), np.abs(v.imag))
     exponent = np.frexp(np.max(parts, axis=0, initial=0.0, where=np.isfinite(parts)))[1]
     u = v / (scale := np.ldexp(1.0, np.maximum(exponent - 1, 0)))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (2.0 * h * h) * scale
 
 
@@ -218,12 +219,12 @@ class SweepReport:
             "points": [p.to_dict() for p in self.points],
             "failures": self.failures,
         }
-        # a divided difference beyond the float range is serialized as null
+        # a divided difference or floor beyond the float range is serialized as null
         if self.coefficient_dd is not None:
             out["coefficient_dd"] = [_json_number(v) for v in self.coefficient_dd]
         if self.pairing_entry_dd is not None:
             out["pairing_entry_dd"] = _json_number(self.pairing_entry_dd)
-            out["pairing_entry_dd_floor"] = self.pairing_entry_dd_floor
+            out["pairing_entry_dd_floor"] = _json_number(self.pairing_entry_dd_floor)
         return out
 
     def save(self, path) -> None:
@@ -399,7 +400,8 @@ def sweep(
         # the scale of entry roundoff in a dd: c eps |entry| in the entries moves it by up to 2c eps |entry| / h^2
         steps = [h for h, count in zip(grid.steps, grid.shape) if h != 0.0 and count >= 3]
         largest = np.max(np.abs(entries[np.isfinite(entries)]), initial=0.0)
-        report.pairing_entry_dd_floor = float(np.finfo(float).eps * largest / min(steps) ** 2) if steps else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report.pairing_entry_dd_floor = float(np.finfo(float).eps * largest / min(steps) ** 2) if steps else 0.0
     report.elapsed = time.perf_counter() - t0
     return report
 

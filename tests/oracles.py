@@ -12,6 +12,7 @@ reduced family.  No pipeline stage and no CLI command calls them.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,6 +55,16 @@ def adjoint_chart(chart: FamilyChart) -> FamilyChart:
         evaluator=evaluator,
         name=chart.name + "*",
     )
+
+
+def adjoint_base(base: BasePointData) -> BasePointData:
+    """Base point data of the adjoint family: each cluster at the conjugated centre.
+
+    The kernel of P*(conj(sigma_s)) is the orthocomplement of the range of
+    P(sigma_s) and vice versa, so the stored bases swap roles.
+    """
+    clusters = [replace(c, center=np.conj(c.center), K=c.Rperp, Kperp=c.R, Rperp=c.K, R=c.Kperp) for c in base.clusters]
+    return replace(base, clusters=clusters)
 
 
 def germ_from_pole_coefficients(
@@ -125,7 +136,7 @@ def reduced_pairing_matrix(
     cancel in the pairing, so this must agree with the full-space matrix.
     """
     adj_chart = adjoint_chart(chart)
-    adj_base = base.conjugate_swapped()
+    adj_base = adjoint_base(base)
     contours = cluster_contours(base, REDUCED_PAIRING_NODES)
     blocks = []
     labels = []

@@ -130,11 +130,11 @@ class TestSubcommands:
         "spec", [TWO_CHANNEL_SPEC, {"family": {"kind": "indicial", "m": 3}}], ids=["two_channel", "indicial"]
     )
     def test_locate_reports_the_base_point_centres(self, spec, tmp_path):
-        # locate and base_point_data run one search at one default separation: on 64 nodes,
-        # the located zeros are the frozen cluster centres and multiplicities, bit for bit
+        # locate and base_point_data run one search, at one default separation and one start of
+        # each count: the located zeros are the frozen cluster centres and multiplicities, bit for bit
         path, out = tmp_path / "problem.json", tmp_path / "locate.json"
         path.write_text(json.dumps(spec))
-        assert main(["locate", "--spec", str(path), "--nodes", "64", "--out", str(out)]) == 0
+        assert main(["locate", "--spec", str(path), "--out", str(out)]) == 0
         zeros = [(complex(z["re"], z["im"]), z["multiplicity"]) for z in json.loads(out.read_text())["zeros"]]
         assert zeros == [(c.center, c.multiplicity) for c in load_problem_file(path).base().clusters]
 
@@ -397,6 +397,20 @@ class TestSubcommands:
         dds = [[(a - 2 * b + c) / (2 * h * h) for a, b, c in zip(*values[i : i + 3])] for i in range(2)]
         assert report["coefficient_dd"][0] == pytest.approx(max(math.hypot(*map(float, d)) for d in dds), rel=1e-12)
 
+    def test_a_step_whose_square_underflows_keeps_the_report_strict_json(self, specs, tmp_path):
+        # h = 1e-170, so h^2 is 0: the dd floor eps max|entry| / h^2 is beyond the float range
+        out = tmp_path / "sweep.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--spec", specs["jordan"], "--grid", "0,2e-170,3", "--out", str(out)])
+        assert code == 0 and [str(w.message) for w in caught] == []
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["pairing_entry_dd_floor"] is None
+
     def test_sweep_deterministic_output(self, specs, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -447,6 +461,8 @@ class TestSubcommands:
             ("frame", {}, ["--y", "inf"], "--y"),
             ("reduce", {"base_point": {"y0": [float("nan")]}}, [], "base_point.y0"),
             *[("reduce", {"base_point": {"epsilon": v}}, [], "base_point.epsilon") for v in (-0.1, float("nan"), float("inf"))],
+            *[("trace", {}, ["--gamma", v, "--window", "2"], "--gamma") for v in ("nan", "inf")],
+            *[("trace", {}, ["--gamma", "1.5", "--window", v], "--window") for v in ("nan", "inf", "-2", "0")],
         ],
     )
     def test_non_finite_input_exits_2_before_any_sampling(self, command, spec, extra, named, tmp_path, monkeypatch, capsys):
@@ -457,6 +473,7 @@ class TestSubcommands:
         monkeypatch.setattr(kernelbundle.FamilyChart, "eval_blocks", lambda *args, **kwargs: sampled.append(args))
         assert main([command, "--spec", str(path), "--out", str(tmp_path / "out.json"), *extra]) == EXIT_PARSE
         assert sampled == [] and named in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     def test_trace_samples_each_carrier_once(self, tmp_path, monkeypatch):
         # after the base point, the germs of tr P^-1 and their poles come from one sample
@@ -574,7 +591,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["locate"],
             ["reduce"],
             ["frame"],
             ["pair"],
@@ -588,6 +604,14 @@ class TestExitCodes:
         out = tmp_path / "out.json"
         assert main(argv + ["--spec", spec, "--nodes", "8", "--out", str(out)]) == EXIT_PARSE
         assert "--nodes must be at least 16, got 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_locate_takes_no_node_count(self, specs, capsys, tmp_path):
+        # every zero count starts at contour.COUNT_NODES: argparse refuses the option
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exit_:
+            main(["locate", "--spec", specs["branching"], "--nodes", "64", "--out", str(out)])
+        assert exit_.value.code == EXIT_PARSE and "unrecognized arguments: --nodes 64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_csv_needs_a_one_parameter_grid(self, tmp_path, capsys, monkeypatch):

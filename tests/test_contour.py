@@ -226,13 +226,10 @@ class TestCounting:
 
     def test_too_few_initial_nodes(self):
         # the node count of a count is checked as a circle's is, not raised to 16
-        rect = Rectangle(-1.0, 1.0, -1.0, 1.0)
         for n in (8, -5):
             with pytest.raises(InputError, match=f"at least 16, got {n}"):
-                count_zeros_rectangle(self.q, rect, n)
-        with pytest.raises(InputError, match="at least 16, got 8"):
-            winding_number(self.q, Circle(0.0, 1.0).path, 8)
-        assert count_zeros_rectangle(self.q, rect, 16) == 3
+                winding_number(self.q, Circle(0.0, 1.0).path, n)
+        assert winding_number(self.q, Circle(0.0, 1.0).path, 16) == 3
 
     def test_transcendental(self):
         assert count_zeros(np.sin, Circle(0.0, 1.0, 64)) == 1
@@ -296,7 +293,7 @@ class TestCounting:
         Today the count doubles globally up to ``MAX_WINDING_NODES`` and raises
         ``ResolutionError`` after 16,384 nodes.  The same cost lands wherever a
         cut runs through a zero: locate-n64's first cut, (0.5, 0.5), lies on
-        Re sigma = 0 through both zeros, 16,384 of each y0's 24,320 nodes, and
+        Re sigma = 0 through both zeros, 16,384 of each y0's 20,928 nodes, and
         sweep-n8's base point pays 16,384 of the 23,616 nodes at which
         ``base_point_data`` samples the determinant.
         """
@@ -307,7 +304,7 @@ class TestCounting:
             return z ** 2 + 1.25
 
         with pytest.raises(KernelBundleError):
-            count_zeros_rectangle(q, Rectangle(-1, 0, -1.5, 0), 128)
+            count_zeros_rectangle(q, Rectangle(-1, 0, -1.5, 0))
         assert sum(sampled) <= 1024
 
     @pytest.mark.xfail(
@@ -540,10 +537,10 @@ class TestLocate:
 
         counts = []
 
-        def counted(q, rect, initial_nodes=64):
+        def counted(q, rect):
             counts.append(rect)
             assert len(counts) <= 400
-            return count_zeros_rectangle(q, rect, initial_nodes)
+            return count_zeros_rectangle(q, rect)
 
         monkeypatch.setattr(contour, "refine_cluster", refuse)
         monkeypatch.setattr(contour, "count_zeros_rectangle", counted)

@@ -19,7 +19,7 @@ from kernelbundle.frames import (
 )
 from kernelbundle.reduction import SchurEvaluator
 from kernelbundle.shell import canonical_systems
-from oracles import adjoint_chart, germ_from_pole_coefficients, kframe_at
+from oracles import adjoint_base, adjoint_chart, germ_from_pole_coefficients, kframe_at
 
 
 def rat(z):
@@ -209,7 +209,7 @@ class TestFrames:
         for chart, base, systems, duals in (sl_big_pipeline, branching_pipeline):
             for ch, b, syss, others in (
                 (chart, base, systems, duals),
-                (adjoint_chart(chart), base.conjugate_swapped(), duals, systems),
+                (adjoint_chart(chart), adjoint_base(base), duals, systems),
             ):
                 frame = frames_at(ch, b, syss, others, y)[0]
                 for s, system in enumerate(syss):
@@ -255,7 +255,7 @@ class TestFrames:
         y = [0.07]
         for chart, base, systems, duals in (sl_big_pipeline, branching_pipeline):
             dual = frames_at(chart, base, systems, duals, y)[1]
-            ref = frames_at(adjoint_chart(chart), base.conjugate_swapped(), duals, systems, y)[0]
+            ref = frames_at(adjoint_chart(chart), adjoint_base(base), duals, systems, y)[0]
             assert dual.labels == ref.labels
             for got, want in zip(dual.blocks, ref.blocks):
                 assert got.center == want.center

@@ -17,7 +17,7 @@ from kernelbundle.keldysh import (
 )
 from kernelbundle.reduction import SchurEvaluator, base_point_data
 from kernelbundle.shell import canonical_systems
-from oracles import adjoint_chart, verify_canonical_system
+from oracles import adjoint_base, adjoint_chart, verify_canonical_system
 
 
 def _z(k=1):
@@ -248,7 +248,7 @@ class TestDual:
             for s, system in enumerate(systems):
                 seen.clear()
                 dual_root_functions(system, base_samples(chart, base, 256)[s])
-                ref = base_samples(adjoint_chart(chart), base.conjugate_swapped(), 256)[s]
+                ref = base_samples(adjoint_chart(chart), adjoint_base(base), 256)[s]
                 (got,) = seen
                 assert got.circle == ref.circle
                 scale = float(np.max(np.abs(ref.values)))

