@@ -206,21 +206,26 @@ def cauchy_moment(f: SampledFunction, p):
 
 
 def singular_part_eval(f: SampledFunction, sigma):
-    """Evaluate the singular part of ``f`` at points outside the carrier circle.
+    """Evaluate the singular part of ``f`` at points outside the carrier circle: the Laurent
+    sum ``sum_{k>=1} M_{k-1} (sigma - c)^{-k}`` of the ``cauchy_moment``s ``M_m`` of ``f``.
 
-    The singular part is ``(i/2pi) \\oint f(zeta) / (zeta - sigma) dzeta`` with
-    the circle positively oriented; it reproduces ``f`` when ``f`` is rational,
-    vanishes at infinity and has all poles inside, and annihilates functions
-    holomorphic on the closed disc.  ``sigma`` may be a ``Circle``: its nodes
-    are the points.  The trapezoid sum's error grows like ``(rho / |sigma - c|)^N``
-    for carrier radius rho, centre c and N nodes, and is not checked: at a radius
-    ratio of 0.9 with N = 128 it missed by 2.3e-7.
+    It reproduces ``f`` when ``f`` is rational, vanishes at infinity and has all poles
+    inside, and annihilates functions holomorphic on the closed disc.  ``sigma`` may be a
+    ``Circle``: its nodes are the points.  Of N samples, the orders below ``(N-1)//2`` are
+    kept, the half-spectrum of ``singular_part_at_nodes``: the trapezoid rule aliases the
+    holomorphic part into the orders above.  Scaled to ``M_{k-1} / rho^k``, they are the
+    moments on the unit circle, summed by Horner's rule in ``z = rho / (sigma - c)``, |z| < 1.
     """
     c = f.circle
     sig = np.asarray(sigma.nodes if isinstance(sigma, Circle) else sigma, dtype=complex)
-    kernel = _cauchy_kernel(c, np.atleast_1d(sig))
-    sums = (kernel.T @ f.values.reshape(c.node_count, -1)).reshape(kernel.shape[1:] + f.value_shape)
-    out = -(c.radius / c.node_count) * sums
+    pts = np.atleast_1d(sig)
+    if np.any(np.abs(pts - c.center) <= c.radius):
+        raise RegionError("singular part evaluation requires |sigma - center| > radius")
+    coeffs = cauchy_moment(SampledFunction(Circle(0.0, 1.0, c.node_count), f.values), np.arange((c.node_count - 1) // 2))
+    z = (c.radius / (pts - c.center)).reshape(pts.shape + (1,) * len(f.value_shape))
+    out = np.zeros(pts.shape + f.value_shape, dtype=complex)
+    for a in coeffs[::-1]:
+        out = (out + a) * z
     return out[0] if sig.ndim == 0 else out
 
 
@@ -237,13 +242,6 @@ def singular_part_at_nodes(values: np.ndarray) -> np.ndarray:
     coeffs = np.fft.fft(values, axis=0)
     coeffs[: len(coeffs) // 2 + 1] = 0
     return np.fft.ifft(coeffs, axis=0)
-
-
-def _cauchy_kernel(c: Circle, sig: np.ndarray) -> np.ndarray:
-    """``kernel[t, j] = e^{i theta_t} / (zeta_t - sigma_j)`` from carrier nodes to points outside."""
-    if np.any(np.abs(sig - c.center) <= c.radius):
-        raise RegionError("singular part evaluation requires |sigma - center| > radius")
-    return c.unit[:, None] / (c.nodes[:, None] - sig[None, :])
 
 
 @dataclass(frozen=True)

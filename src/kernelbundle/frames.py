@@ -1,10 +1,10 @@
 """Frames of the kernel bundle as germs carried by Cauchy data.
 
 A germ stores samples of a function on an inner circle around its cluster
-center; evaluation anywhere outside the circle is the quadrature of the
-Cauchy kernel against those samples, i.e. the singular part of the sampled
-function.  Frames are carried this way rather than as pole lists because the
-poles branch and collide as y moves while the Cauchy data stays smooth.
+center; evaluation anywhere outside the circle is the singular part of the
+sampled function, the Laurent sum of the samples' moments.  Frames are
+carried this way rather than as pole lists because the poles branch and
+collide as y moves while the Cauchy data stays smooth.
 """
 
 from __future__ import annotations
@@ -61,9 +61,8 @@ class Germ:
         return self.carrier.circle.radius
 
     def eval(self, sigma):
-        """The class at points off the carrier, one ``singular_part_eval`` Cauchy sum: its
-        error grows like ``(rho / |sigma - center|)^N``, so points near the carrier need more
-        nodes (a radius ratio of 0.9 with N = 128 missed by 2.3e-7)."""
+        """The class at points off the carrier, one ``singular_part_eval`` Laurent sum of the
+        carrier samples' moments."""
         return singular_part_eval(self.carrier, sigma)
 
 
@@ -225,7 +224,7 @@ def independence_check(frame: FrameSet, base: BasePointData) -> float:
     """Condition number of the Gram matrix of frame values on probe circles.
 
     Values are collected on each cluster's contour, outside every carrier:
-    one Cauchy sum per frame block and contour.  Failure beyond the hard
+    one Laurent sum per frame block and contour.  Failure beyond the hard
     limit raises; the number is returned for reporting either way.
     """
     samples = []

@@ -227,7 +227,7 @@ class TestFrames:
                         assert np.max(np.abs(got - ref)) < 1e-12 * scale
 
     def test_block_eval_against_entry_reference(self, sl_big_pipeline, triangular_pipeline):
-        # reference: one Cauchy sum per entry on the block's column slices
+        # reference: one Laurent sum per entry on the block's column slices
         y = [0.05]
         for chart, base, systems, duals in (sl_big_pipeline, triangular_pipeline):
             for frame in frames_at(chart, base, systems, duals, y):
@@ -248,6 +248,19 @@ class TestFrames:
                 for t, (s, _, _) in enumerate(frame.labels):
                     column = frame.blocks[s].carrier.values[:, :, t - offsets[s]]
                     assert np.array_equal(frame.entry(t).carrier.values, column)
+
+    def test_block_eval_against_finer_carriers(self, sl_big_pipeline):
+        # the two-channel frame at y = 0.05 on 128-node carriers, evaluated on each cluster's
+        # contour(64), a radius ratio of 1/1.2, against the same frame on 512-node carriers
+        chart, base, systems, duals = sl_big_pipeline
+        (frame, _), (fine, _) = (frames_at(chart, base, *pair, [0.05])
+                                 for pair in ((systems, duals), canonical_systems(chart, base, 512)))
+        assert fine.labels == frame.labels
+        for s, (g, ref) in enumerate(zip(frame.blocks, fine.blocks)):
+            assert ref.carrier.circle.node_count == 512
+            pts = base.clusters[s].contour(64)
+            want = ref.eval(pts)
+            assert np.max(np.abs(g.eval(pts) - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_dual_frame_from_primal_samples(self, sl_big_pipeline, branching_pipeline):
         # reference: the primal construction run on the adjoint chart with the

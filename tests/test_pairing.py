@@ -181,7 +181,7 @@ class TestCarrierPairing:
         return ref
 
     def test_64_node_frames_pair_at_the_fine_reference(self, carrier_pipelines, monkeypatch):
-        # the pairing on the carrier has no Cauchy sum to another circle: on 64 nodes,
+        # the pairing on the carrier has no Laurent sum to another circle: on 64 nodes,
         # pairing_matrix and the sweep's pairing both meet the 512-node reference
         chart, base, fine, (systems, duals) = carrier_pipelines
         formed = []

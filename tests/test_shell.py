@@ -241,23 +241,24 @@ class TestSweep:
 
     def test_evaluates_no_germ_off_its_carrier(self, sl_big_pipeline, monkeypatch):
         # the acceptance-10 chart: the sweep reads each germ's class off its carrier
-        # samples, so it builds no Cauchy kernel, the sum behind every evaluation off it
+        # samples, so it makes no singular_part_eval call, the Laurent sum behind every
+        # evaluation off it, through the binding that Germ.eval reads
         chart, base, systems, duals = sl_big_pipeline
-        kernels = []
-        cauchy_kernel = kb.contour._cauchy_kernel
+        evaluations = []
+        singular_part_eval = kb.frames.singular_part_eval
 
-        def counted(circle, sigmas):
-            kernels.append(len(sigmas))
-            return cauchy_kernel(circle, sigmas)
+        def counted(f, sigma):
+            evaluations.append(np.size(sigma))
+            return singular_part_eval(f, sigma)
 
-        monkeypatch.setattr(kb.contour, "_cauchy_kernel", counted)
+        monkeypatch.setattr(kb.frames, "singular_part_eval", counted)
         grid = ParameterGrid.from_ranges([(-0.1, 0.1, 5)])
         report = sweep(chart, base, grid, probe=lambda y: np.ones(4), systems=systems, duals=duals)
         assert not report.failures and max(p.probe_error for p in report.points) < 1e-8
-        assert kernels == []
+        assert evaluations == []
         # a germ evaluated off its carrier is counted
         make_germ(lambda z: 1.0 / z, 0.0, 0.5, 16).eval(np.array([1.0, 2.0]))
-        assert kernels == [2]
+        assert evaluations == [2]
 
     def test_pairs_no_frame_or_dual_germ(self, sl_big_pipeline):
         # the sweep contracts S^-1 on its carriers against the dual data it holds from the
